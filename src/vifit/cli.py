@@ -369,7 +369,6 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     )
     fitted, runtime = _train_clocked(state, problem, tcfg)
 
-    mixture = fam.enumerate_dropout(fitted)
     x_star = np.asarray(config.x_star)
     exact = orc.dropout_predictive_exact(fitted, problem, x_star)
 
@@ -390,8 +389,8 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
             FamilyResult(family="mc_dropout", rank=None, metrics={}, runtime_s=runtime)
         ],
         extras={
-            "n_atoms": mixture.n_atoms,
-            "weight_sum": float(mixture.weights.sum()),
+            "n_atoms": exact.weights.size,
+            "weight_sum": float(exact.weights.sum()),
             "map_atom_weight": config.keep_prob**fitted.n_droppable,
             "x_star": x_star.tolist(),
             "exact_mean": exact.mean().tolist(),

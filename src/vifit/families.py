@@ -25,6 +25,7 @@ from .lowrank import (
     LOG_TWO_PI,
     StructuredCov,
     gaussian_draw_rows,
+    gaussian_draws_logq_vjp,
     lowrank_logpdf,
     structured_logpdf,
 )
@@ -526,6 +527,44 @@ def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
             rows = term if rows is None else rows + term
         return rows
     raise TypeError(f"not a family state: {template!r}")
+
+
+def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) -> tuple:
+    """Closed-form counterpart of ``draws_rows`` + ``log_q_rows`` on a plain psi.
+
+    Returns ``(theta, log_q, vjp)``: the draws, their sampled log q (None for
+    the atomic families, whose log q is constant), and ``vjp(theta_bar,
+    logq_bar)``, the adjoint back to the flat psi.  MAP and dropout draws
+    are θ̂ ⊙ mask; mean field is the K = 0 structured normal.  Mixtures have
+    no closed form here and stay on the tape.
+    """
+    if isinstance(template, MapState):
+        theta = psi[None, :] * np.ones((noise.count, 1))
+        return theta, None, lambda theta_bar, _: theta_bar.sum(axis=0)
+    if isinstance(template, DropoutState):
+        masks = noise.masks
+        return psi * masks, None, lambda theta_bar, _: (theta_bar * masks).sum(axis=0)
+    p = template.dim
+    if isinstance(template, MeanFieldState):
+        scale = np.exp(psi[p:])
+        factor, dscale_dlog = None, scale  # scale = exp(log_sigma)
+    elif isinstance(template, StructuredNormalState):
+        scale = np.exp(0.5 * psi[p : 2 * p])
+        factor, dscale_dlog = psi[2 * p :].reshape(p, template.rank), 0.5 * scale
+    else:
+        raise ModeFamilyError(f"{template.tag} has no closed-form ELBO gradient")
+    theta, log_q, gauss_vjp = gaussian_draws_logq_vjp(
+        psi[:p], scale, factor, noise.z_diag, noise.z_lowrank
+    )
+
+    def vjp(theta_bar, logq_bar):
+        d_mean, d_scale, d_factor = gauss_vjp(theta_bar, logq_bar)
+        parts = [d_mean, d_scale * dscale_dlog]
+        if d_factor is not None:
+            parts.append(d_factor.ravel())
+        return np.concatenate(parts)
+
+    return theta, log_q, vjp
 
 
 def sample(

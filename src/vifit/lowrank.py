@@ -3,7 +3,9 @@
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  The
 formula-level helpers at the bottom accept autodiff Vars as well as plain
-arrays and back the differentiable log-density used during training.
+arrays and back the differentiable log-density used during training on the
+tape; ``gaussian_draws_logq_vjp`` computes the same draws and log-density
+with their adjoint in closed form.
 """
 
 from __future__ import annotations
@@ -197,6 +199,66 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
         quad = quad - ad.sum(t * ad.transpose(w), axis=-1)
         logdet = logdet + cap_logdet
     return -0.5 * (p * LOG_TWO_PI + logdet + quad)
+
+
+def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
+    """Reparametrized draws, their sampled log q, and its adjoint, in closed form.
+
+    Plain-array counterpart of ``gaussian_draw_rows`` followed by
+    ``lowrank_logpdf`` on Σ = diag(a) + UUᵀ with a = scale²: θ_k = mean +
+    scale ⊙ z_k + U w_k.  Returns ``(theta, log_q, vjp)`` where
+    ``vjp(theta_bar, logq_bar)`` maps adjoints of the (S, P) draws and the
+    (S,) log-densities to ``(d_mean, d_scale, d_factor)``.  The log q
+    adjoint is its total derivative: through θ_k, and through Σ directly
+    (Ong, Nott & Smith 2018).  With v_k = Σ⁻¹(θ_k − mean),
+
+        ∂ log q_k / ∂θ_k = −v_k,
+        ∂ log q_k / ∂a  = −½ (diag Σ⁻¹ − v_k²),
+        ∂ log q_k / ∂U  = −Σ⁻¹U + v_k (Uᵀv_k)ᵀ,
+
+    where Σ⁻¹U = A⁻¹UC⁻¹, Uᵀv_k = C⁻¹UᵀA⁻¹(θ_k − mean) and diag Σ⁻¹ all come
+    from the K×K capacitance C, never a P×P factorization.  ``factor`` may be
+    None (or have K = 0) for a diagonal covariance.  Raises
+    ``numpy.linalg.LinAlgError`` when C is not numerically positive definite.
+    """
+    p = mean.shape[0]
+    k = 0 if factor is None else factor.shape[1]
+    theta = mean + scale * z_diag
+    if k:
+        theta = theta + z_lowrank @ factor.T
+    a = scale * scale
+    r = theta - mean
+    v = r / a
+    quad = (r * v).sum(axis=-1)
+    logdet = np.log(a).sum()
+    sinv_diag = 1.0 / a
+    if k:
+        b = factor / a[:, None]
+        cap = np.eye(k) + factor.T @ b
+        chol = np.linalg.cholesky(cap)  # LinAlgError when C is not SPD
+        t = v @ factor
+        # One solve for both right-hand sides: C⁻¹ t_k and C⁻¹ Bᵀ.
+        sol = np.linalg.solve(cap, np.hstack([t.T, b.T]))
+        utv = sol[:, : len(t)].T  # rows Uᵀ v_k = C⁻¹ t_k
+        sinv_u = sol[:, len(t) :].T  # Σ⁻¹U = A⁻¹ U C⁻¹
+        quad = quad - (t * utv).sum(axis=-1)
+        logdet = logdet + 2.0 * np.log(chol.diagonal()).sum()
+        v = v - utv @ b.T
+        sinv_diag = sinv_diag - (b * sinv_u).sum(axis=1)
+    log_q = -0.5 * (p * LOG_TWO_PI + logdet + quad)
+
+    def vjp(theta_bar, logq_bar):
+        lv = v * logq_bar[:, None]
+        via_r = theta_bar - lv  # adjoint reaching r_k = scale ⊙ z_k + U w_k
+        lsum = logq_bar.sum()
+        d_a = -0.5 * (lsum * sinv_diag - (lv * v).sum(axis=0))
+        d_scale = (via_r * z_diag).sum(axis=0) + 2.0 * scale * d_a
+        d_factor = None
+        if k:
+            d_factor = via_r.T @ z_lowrank + lv.T @ utv - lsum * sinv_u
+        return theta_bar.sum(axis=0), d_scale, d_factor
+
+    return theta, log_q, vjp
 
 
 def _dim_of(x) -> int:

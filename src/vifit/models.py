@@ -119,6 +119,15 @@ def prior_logpdf(spec: PriorSpec, theta):
     raise TypeError(f"unknown prior spec {spec!r}")
 
 
+def prior_grad(spec: PriorSpec, theta: np.ndarray) -> np.ndarray:
+    """∂/∂θ of ``prior_logpdf`` for plain (P,) or (S, P) arrays."""
+    if isinstance(spec, GaussianPrior):
+        return -spec.lam * theta
+    if isinstance(spec, StudentTPrior):
+        return -(spec.nu + 1.0) * theta / (spec.nu * spec.scale**2 + theta * theta)
+    raise TypeError(f"unknown prior spec {spec!r}")
+
+
 @dataclass
 class RegressionProblem:
     """Design matrix, targets, known noise scale, and a prior choice."""
@@ -157,25 +166,45 @@ class RegressionProblem:
             raise ValueError("problem carries no feature map for new inputs")
         return rbf_design_matrix(xs, self.rbf)
 
-    def loglik_rows(self, theta, batch_indices=None):
-        """Gaussian log-likelihood per parameter row, minibatch-rescaled."""
+    def _batch(self, batch_indices):
+        """(design, targets, N/|B| rescaling) of a minibatch or the full data."""
         if batch_indices is None:
-            design, targets, scale = self.design, self.targets, 1.0
-        else:
-            batch_indices = np.asarray(batch_indices)
-            if batch_indices.size == 0:
-                raise ValueError("minibatch must be nonempty")
-            design = self.design[batch_indices]
-            targets = self.targets[batch_indices]
-            scale = self.n / batch_indices.size
-        resid = targets - ad.matmul(theta, ad.transpose(design))
-        n_b = design.shape[0]
-        const = -0.5 * n_b * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
+            return self.design, self.targets, 1.0
+        batch_indices = np.asarray(batch_indices)
+        if batch_indices.size == 0:
+            raise ValueError("minibatch must be nonempty")
+        return (
+            self.design[batch_indices],
+            self.targets[batch_indices],
+            self.n / batch_indices.size,
+        )
+
+    def _loglik_from_resid(self, resid, scale: float):
+        const = -0.5 * resid.shape[-1] * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
         quad = ad.sum(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
         return scale * (const - quad)
 
+    def loglik_rows(self, theta, batch_indices=None):
+        """Gaussian log-likelihood per parameter row, minibatch-rescaled."""
+        design, targets, scale = self._batch(batch_indices)
+        resid = targets - ad.matmul(theta, ad.transpose(design))
+        return self._loglik_from_resid(resid, scale)
+
     def prior_rows(self, theta):
         return prior_logpdf(self.prior, theta)
+
+    def log_joint_and_grad(self, theta: np.ndarray, batch_indices=None) -> tuple:
+        """Per-row log lik + log prior at plain (S, P) rows, and its θ-gradient.
+
+        The closed-form counterpart of ``loglik_rows`` + ``prior_rows``: same
+        values, with ∂/∂θ = (N/|B|) residᵀ design / σ² + ∂ log prior / ∂θ.
+        """
+        design, targets, scale = self._batch(batch_indices)
+        resid = targets - theta @ design.T
+        rows = self._loglik_from_resid(resid, scale)
+        rows = rows + prior_logpdf(self.prior, theta)
+        grad = (scale / self.noise_sigma**2) * (resid @ design)
+        return rows, grad + prior_grad(self.prior, theta)
 
 
 def gaussian_loglik(problem: RegressionProblem, theta):

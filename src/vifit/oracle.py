@@ -76,6 +76,13 @@ class GaussianDist:
         quad = ad.sum(r * ad.matmul(r, self.precision), axis=-1)
         return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad)
 
+    def log_density_and_grad(self, theta: np.ndarray) -> tuple:
+        """``log_density`` at plain (S, P) rows and its θ-gradient in closed form."""
+        r = theta - self.mean
+        rp = r @ self.precision
+        quad = np.sum(r * rp, axis=-1)
+        return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), -rp
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         chol = np.linalg.cholesky(self.cov)
         return self.mean + rng.standard_normal((n, self.dim)) @ chol.T

@@ -10,6 +10,18 @@ their objective penalized likelihood at the sampled atoms.
 Targets are duck-typed: a regression problem exposes ``loglik_rows`` /
 ``prior_rows`` and a density target exposes ``log_density``; both shapes
 accept stacked parameter rows and autodiff Vars.
+
+Two paths compute the same gradient, both behind ``elbo_value_and_grad``.
+When the target also has a closed-form θ-gradient (``log_joint_and_grad``
+on ``RegressionProblem`` with a Gaussian or Student-t prior, minibatches
+included; ``log_density_and_grad`` on ``GaussianDist``) and the family is
+MAP, MC dropout, mean field or a structured normal, the estimator is split
+at θ: the target supplies ∂/∂θ per draw and the family the adjoint of its
+draws and sampled log q (``families.draws_logq_vjp``).  That is the exact
+gradient of the same sampled-log-q estimator, in every sampling mode.  The
+reverse-mode tape (``elbo_graph``) is the reference, and the path for
+mixtures (sGMM), mixture targets, the MLP and any target without a
+closed-form gradient.
 """
 
 from __future__ import annotations
@@ -17,12 +29,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import families as fam
+from .lowrank import FactorizationError
 
 
 class TrainingError(RuntimeError):
@@ -40,6 +53,14 @@ class TrainingDivergedError(TrainingError):
         self.step = step
         self.grad_norm = grad_norm
         super().__init__(f"gradient norm {grad_norm:.3e} exceeded guard at step {step}")
+
+
+class CapacitanceError(TrainingError):
+    """The family's capacitance matrix stopped being positive definite."""
+
+    def __init__(self, step: int, detail: str):
+        self.step = step
+        super().__init__(f"degenerate covariance at step {step}: {detail}")
 
 
 GRAD_NORM_GUARD = 1e6
@@ -183,6 +204,49 @@ def elbo_graph(
     return ad.sum(rows) / noise.count
 
 
+def _closed_form_target(problem, batch_indices):
+    """θ ↦ (per-row log joint, its θ-gradient), or None without a closed form."""
+    if hasattr(problem, "log_joint_and_grad"):
+        return lambda theta: problem.log_joint_and_grad(theta, batch_indices)
+    return getattr(problem, "log_density_and_grad", None)
+
+
+def _fused_value_and_grad(state, psi, noise, log_joint) -> tuple:
+    theta, log_q, vjp = fam.draws_logq_vjp(state, psi, noise)
+    rows, theta_grad = log_joint(theta)
+    if log_q is not None:
+        rows = rows - log_q
+    scale = 1.0 / noise.count
+    value = float(rows.sum() / noise.count)
+    return value, vjp(theta_grad * scale, np.full(noise.count, -scale))
+
+
+def elbo_value_and_grad(
+    state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
+) -> tuple:
+    """(value, gradient) of the MC ELBO estimate ``elbo_graph`` at ``psi``.
+
+    Takes the closed-form path when the target exposes a θ-gradient and the
+    family is not a mixture; otherwise, or when the closed form yields a
+    non-finite number or a failed factorization, the step is evaluated on
+    the tape, so errors are the tape's (``NonFiniteValueError`` naming the
+    primitive, ``FactorizationError``).
+    """
+    log_joint = _closed_form_target(problem, batch_indices)
+    if log_joint is not None and not isinstance(state, fam.MixtureState):
+        try:
+            value, grad = _fused_value_and_grad(state, psi, noise, log_joint)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.isfinite(value) and np.all(np.isfinite(grad)):
+                return value, grad
+    report = ad.evaluate_with_gradient(
+        lambda p: elbo_graph(state, p, noise, problem, batch_indices), psi
+    )
+    return report.value, report.gradient
+
+
 def elbo_estimate(
     state: fam.FamilyState, problem, config: TrainConfig, rng: np.random.Generator
 ) -> ElboEstimate:
@@ -243,12 +307,11 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         )
         batch = _draw_minibatch(problem, config, rng)
         try:
-            report = ad.evaluate_with_gradient(
-                lambda p: elbo_graph(state, p, noise, problem, batch), psi
-            )
+            value, grad = elbo_value_and_grad(state, psi, noise, problem, batch)
         except ad.NonFiniteValueError as err:
             raise ElboNotFiniteError(step, str(err)) from err
-        grad = report.gradient
+        except FactorizationError as err:
+            raise CapacitanceError(step, str(err)) from err
         gnorm = float(np.linalg.norm(grad))
         if gnorm > GRAD_NORM_GUARD:
             raise TrainingDivergedError(step, gnorm)
@@ -258,7 +321,7 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         v_hat = v / (1.0 - beta2 ** (step + 1))
         psi = psi + lr * m_hat / (np.sqrt(v_hat) + eps)
         lr *= config.lr_decay
-        trace.elbo.append(report.value)
+        trace.elbo.append(value)
         trace.grad_norm.append(gnorm)
         if _converged(trace.elbo, config):
             break
@@ -313,9 +376,7 @@ def gradient_variance_probe(
     grads = np.empty((repeats, psi.size))
     for r in range(repeats):
         noise = fam.draw_noise(state, mode, count, rng, stratify_components=stratify)
-        grads[r] = ad.evaluate_with_gradient(
-            lambda p: elbo_graph(state, p, noise, problem), psi
-        ).gradient
+        grads[r] = elbo_value_and_grad(state, psi, noise, problem)[1]
     return GradientProbe(
         mean=grads.mean(axis=0), variance=grads.var(axis=0, ddof=1), repeats=repeats
     )
@@ -324,11 +385,3 @@ def gradient_variance_probe(
 def save_final_state(trace: TrainTrace, path):
     with open(path, "w") as fh:
         fh.write(fam.state_to_json(trace.final_state))
-
-
-def load_train_config(path) -> TrainConfig:
-    return TrainConfig.from_json(path)
-
-
-def make_config(**kwargs) -> TrainConfig:
-    return replace(TrainConfig(), **kwargs)

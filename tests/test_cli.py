@@ -122,14 +122,47 @@ def test_rbf_rows_and_curve_data(tmp_path):
     assert math.isclose(sum(curves["weights"]), 1.0, abs_tol=1e-12)
 
 
-def test_dropout_audit_report():
+def test_dropout_audit_report(monkeypatch):
+    calls = []
+    enumerate_dropout = cli.fam.enumerate_dropout
+
+    def counting(state):
+        calls.append(1)
+        return enumerate_dropout(state)
+
+    monkeypatch.setattr(cli.fam, "enumerate_dropout", counting)
     config = cli._load_config(cli.DropoutAuditConfig, None, dict(SMALL_AUDIT, seed=4))
     report = cli.cmd_dropout_audit(config)
     extras = report.extras
+    assert len(calls) == 1  # the exact predictive's enumeration serves the counts too
     assert extras["n_atoms"] == 32
     assert math.isclose(extras["weight_sum"], 1.0, abs_tol=1e-12)
     assert math.isclose(extras["map_atom_weight"], 0.5**5, rel_tol=1e-12)
     assert np.all(np.abs(extras["mean_z_scores"]) < 4)
+
+
+def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
+    init_family = cli.fam.init_family
+
+    def init_with_singular_sn2(tag, shape, rng, **kwargs):
+        state = init_family(tag, shape, rng, **kwargs)
+        if kwargs.get("rank") == 2:
+            # Two equal columns of length 2^30 with a = 1: 1 + x == x inside
+            # the capacitance I + UᵀA⁻¹U, so its factorization fails at step 0.
+            state.log_a[:] = 0.0
+            state.u[:] = 0.0
+            state.u[0, :] = 2.0**30
+        return state
+
+    monkeypatch.setattr(cli.fam, "init_family", init_with_singular_sn2)
+    cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[0, 2, 4]))
+    assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    assert sorted(rows) == ["map", "mc_dropout", "mf", "sn2", "sn4"]
+    assert rows["sn2"] == ["na"] * 4
+    for family in ("mf", "sn4"):
+        assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
 def test_audit_guard_rejected():
