@@ -378,15 +378,17 @@ def logsumexp(x, axis=None):
     return _node("logsumexp", out, [(x, vjp)])
 
 
-def solve_spd(c, b):
+def solve_spd(c, b, factor=None):
     """Solve ``c @ x = b`` for symmetric positive definite ``c``.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  Raises
-    ``scipy.linalg.LinAlgError`` when the factorization fails; callers own
-    the domain-specific wrapping.
+    ``b`` may be a vector or a matrix of stacked right-hand sides; ``factor``
+    is c's ``scipy.linalg.cho_factor`` when the caller already has it.
+    Raises ``scipy.linalg.LinAlgError`` when the factorization fails;
+    callers own the domain-specific wrapping.
     """
     cv, bv = _val(c), _val(b)
-    factor = scipy.linalg.cho_factor(cv, lower=True)
+    if factor is None:
+        factor = scipy.linalg.cho_factor(cv, lower=True)
     out = scipy.linalg.cho_solve(factor, bv)
     if not (_is_var(c) or _is_var(b)):
         return out
@@ -405,10 +407,11 @@ def solve_spd(c, b):
     return _node("solve_spd", out, parents)
 
 
-def logdet_spd(c):
-    """Log-determinant of a symmetric positive definite matrix."""
+def logdet_spd(c, factor=None):
+    """Log-determinant of a symmetric positive definite matrix (see ``solve_spd``)."""
     cv = _val(c)
-    factor = scipy.linalg.cho_factor(cv, lower=True)
+    if factor is None:
+        factor = scipy.linalg.cho_factor(cv, lower=True)
     out = 2.0 * np.sum(np.log(np.diag(factor[0])))
     if not _is_var(c):
         return out

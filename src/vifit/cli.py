@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import families as fam
 from . import models as mod
 from . import oracle as orc
 from . import trainer as tr
-from .reports import ExperimentReport, FamilyResult, emit_report
+from .reports import FORMATS, ExperimentReport, FamilyResult, emit_report
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,78 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _train_clocked(state, target, tcfg: tr.TrainConfig):
-    start = time.perf_counter()
+class Member(NamedTuple):
+    """One roster entry: report label, family tag, init kwargs, sampling mode."""
+
+    label: str
+    tag: str
+    kwargs: dict
+    mode: str = "naive"
+
+    @property
+    def rank(self):
+        return self.kwargs.get("rank", 0 if self.tag == "mean_field" else None)
+
+
+def build_roster(ranks, mode: str, head=(), tail=()) -> list:
+    """Members ``head``, then mf / sN{rank} for each rank, then ``tail``.
+
+    Atomic families sample in naive mode and the rest in ``mode``; a member
+    that cannot is rejected here, before any training starts.
+    """
+    ranked = [
+        ("mf", "mean_field", {}) if k == 0 else (f"sn{k}", "structured_normal", {"rank": k})
+        for k in ranks
+    ]
+    roster = []
+    for label, tag, kwargs in [*head, *ranked, *tail]:
+        member_mode = "naive" if tag in fam.ATOMIC_TAGS else mode
+        try:
+            fam.check_mode(tag, member_mode, kwargs.get("rank", 0))
+        except fam.ModeFamilyError as err:
+            raise fam.ModeFamilyError(
+                f"roster member {label!r} cannot sample in mode {member_mode!r}: {err}"
+            ) from err
+        roster.append(Member(label, tag, kwargs, member_mode))
+    return roster
+
+
+def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
+    """init → train → audit one member; returns (FamilyResult, fitted state).
+
+    ``seqs`` are the member's (init, train, audit) seed sequences and
+    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Training
+    errors propagate.
+    """
+    init_seq, train_seq, audit_seq = seqs
+    state = fam.init_family(member.tag, shape, np.random.default_rng(init_seq), **member.kwargs)
+    tcfg = tr.TrainConfig(
+        steps=config.steps,
+        learning_rate=config.learning_rate,
+        lr_decay=config.lr_decay,
+        mc_samples=config.mc_samples,
+        mode=member.mode,
+        seed=_child_seed(train_seq),
+    )
     trace = tr.train(state, target, tcfg)
-    return trace.final_state, time.perf_counter() - start
+    metrics = audit(trace.final_state, tcfg, audit_seq)
+    return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
+
+
+def fit_roster(experiment: str, roster, shape, target, config, seqs, audit) -> list:
+    """``fit_member`` per member, each seed sequence spawned once per member.
+
+    A member that fails to train gets an empty row and a None state; the
+    rest of the roster still runs.
+    """
+    fits = []
+    for member, *member_seqs in zip(roster, *(seq.spawn(len(roster)) for seq in seqs)):
+        try:
+            fits.append(fit_member(member, shape, target, config, member_seqs, audit))
+        except tr.TrainingError as err:
+            print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
+            fits.append((FamilyResult(member.label, member.rank), None))
+    return fits
 
 
 def random_gaussian_target(dim: int, rng: np.random.Generator) -> orc.GaussianDist:
@@ -136,71 +205,27 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
         target = bimodal_target(
             config.dim, target_rng, config.mode_separation, config.target_sigma
         )
+        sgmm = {
+            "rank": min(config.dim, 2),
+            "components": config.gmm_components,
+            "mixture_spread": config.mixture_spread,
+        }
+        roster = build_roster(config.ranks, config.mode, tail=[("sgmm", "mixture", sgmm)])
     else:
         target = random_gaussian_target(config.dim, target_rng)
+        roster = build_roster(config.ranks, config.mode, head=[("map", "map", {})])
 
-    shape = fam.ModelShape.linear(config.dim)
-    roster = []
-    if not config.bimodal:
-        roster.append(("map", "map", {}))
-    for rank in config.ranks:
-        if rank == 0:
-            roster.append(("mf", "mean_field", {}))
-        else:
-            roster.append((f"sn{rank}", "structured_normal", {"rank": rank}))
-    if config.bimodal:
-        roster.append(
-            (
-                "sgmm",
-                "mixture",
-                {
-                    "rank": min(config.dim, 2),
-                    "components": config.gmm_components,
-                    "mixture_spread": config.mixture_spread,
-                },
-            )
-        )
-
-    init_children = init_seq.spawn(len(roster))
-    train_children = train_seq.spawn(len(roster))
-    mc_children = mc_seq.spawn(len(roster) + 1)
-
+    audit = functools.partial(_density_fit_metrics, target, config.kl_mc_samples)
+    fits = fit_roster(
+        "fit-gaussian", roster, fam.ModelShape.linear(config.dim), target, config,
+        (init_seq, train_seq, mc_seq), audit,
+    )
     report = ExperimentReport(
         experiment="fit_gaussian",
         seed=config.seed,
         config=dataclasses.asdict(config),
-        families=[],
+        families=[result for result, _ in fits],
     )
-    fits_for_svg = []
-    for i, (label, tag, kwargs) in enumerate(roster):
-        state = fam.init_family(tag, shape, np.random.default_rng(init_children[i]), **kwargs)
-        tcfg = tr.TrainConfig(
-            steps=config.steps,
-            learning_rate=config.learning_rate,
-            lr_decay=config.lr_decay,
-            mc_samples=config.mc_samples,
-            mode="naive" if tag == "map" else config.mode,
-            seed=_child_seed(train_children[i]),
-        )
-        metrics: dict = {}
-        runtime = None
-        try:
-            fitted, runtime = _train_clocked(state, target, tcfg)
-            metrics.update(
-                _density_fit_metrics(
-                    target, fitted, config.kl_mc_samples, mc_children[i], tcfg
-                )
-            )
-            if isinstance(fitted, (fam.MeanFieldState, fam.StructuredNormalState)):
-                mean, cov = fam.dense_moments(fitted)
-                fits_for_svg.append({"mean": mean.tolist(), "cov": cov.tolist()})
-        except tr.TrainingError as err:
-            print(f"[fit-gaussian] {label} failed: {err}", file=sys.stderr)
-        rank = kwargs.get("rank", 0 if tag == "mean_field" else None)
-        report.families.append(
-            FamilyResult(family=label, rank=rank, metrics=metrics, runtime_s=runtime)
-        )
-
     # Dropout cannot fit a bare density target; report the row as n/a.
     if not config.bimodal:
         report.families.insert(
@@ -208,36 +233,28 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
         )
 
     if config.dim == 2 and not config.bimodal:
+        moments = [fam.dense_moments(f) for _, f in fits if isinstance(f, fam.GAUSSIAN_STATES)]
         report.extras["isolines"] = {
             "target_mean": target.mean.tolist(),
             "target_cov": target.cov.tolist(),
-            "fits": fits_for_svg,
+            "fits": [{"mean": m.tolist(), "cov": c.tolist()} for m, c in moments],
         }
     return report
 
 
-def _density_fit_metrics(target, fitted, n_mc, mc_seq, tcfg) -> dict:
+def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
     """KL both ways plus an ELBO figure for one fitted family."""
-    rng = np.random.default_rng(mc_seq)
-    metrics: dict = {}
-    gaussian_target = isinstance(target, orc.GaussianDist)
     if isinstance(fitted, fam.MapState):
-        metrics["kl_p_q"] = math.inf
-        metrics["kl_q_p"] = math.inf
-        metrics["elbo"] = float(target.log_density(fitted.theta_hat))
-        return metrics
-    if isinstance(fitted, (fam.MeanFieldState, fam.StructuredNormalState)) and gaussian_target:
+        elbo = float(target.log_density(fitted.theta_hat))
+        return {"kl_p_q": math.inf, "kl_q_p": math.inf, "elbo": elbo}
+    if isinstance(fitted, fam.GAUSSIAN_STATES) and isinstance(target, orc.GaussianDist):
         q = orc.family_to_gaussian(fitted)
-        metrics["kl_p_q"] = orc.kl_gaussian_gaussian(target, q)
-        metrics["kl_q_p"] = orc.kl_gaussian_gaussian(q, target)
-        metrics["elbo"] = -metrics["kl_q_p"]
-        return metrics
-    kl_pq, _ = orc.kl_p_to_family_mc(target, fitted, n_mc, rng)
-    kl_qp, _ = orc.kl_family_to_target_mc(fitted, target, n_mc, rng)
-    metrics["kl_p_q"] = kl_pq
-    metrics["kl_q_p"] = kl_qp
-    metrics["elbo"] = -kl_qp
-    return metrics
+        kl_pq, kl_qp = orc.kl_gaussian_gaussian(target, q), orc.kl_gaussian_gaussian(q, target)
+    else:
+        rng = np.random.default_rng(mc_seq)
+        kl_pq, _ = orc.kl_p_to_family_mc(target, fitted, n_mc, rng)
+        kl_qp, _ = orc.kl_family_to_target_mc(fitted, target, n_mc, rng)
+    return {"kl_p_q": kl_pq, "kl_q_p": kl_qp, "elbo": -kl_qp}
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +262,8 @@ def _density_fit_metrics(target, fitted, n_mc, mc_seq, tcfg) -> dict:
 
 
 def cmd_rbf(config: RbfConfig) -> ExperimentReport:
+    head = [("map", "map", {}), ("mc_dropout", "mc_dropout", {"keep_prob": config.keep_prob})]
+    roster = build_roster(config.ranks, config.mode, head=head)
     root = np.random.SeedSequence(config.seed)
     data_seq, init_seq, train_seq, mc_seq = root.spawn(4)
 
@@ -252,76 +271,39 @@ def cmd_rbf(config: RbfConfig) -> ExperimentReport:
     problem, truth = mod.make_rbf_dataset(spec, config.n_data, seed=_child_seed(data_seq))
     posterior = orc.exact_linear_posterior(problem)
     evidence = orc.log_evidence(problem)
-    shape = problem.model_shape()
-
-    roster = [("map", "map", {}), ("mc_dropout", "mc_dropout", {"keep_prob": config.keep_prob})]
-    for rank in config.ranks:
-        if rank == 0:
-            roster.append(("mf", "mean_field", {}))
-        else:
-            roster.append((f"sn{rank}", "structured_normal", {"rank": rank}))
-
-    init_children = init_seq.spawn(len(roster))
-    train_children = train_seq.spawn(len(roster))
-    mc_children = mc_seq.spawn(len(roster))
-
+    audit = functools.partial(
+        _posterior_fit_metrics, problem, posterior, evidence, truth.theta_star
+    )
+    fits = fit_roster(
+        "rbf", roster, problem.model_shape(), problem, config,
+        (init_seq, train_seq, mc_seq), audit,
+    )
     report = ExperimentReport(
         experiment="rbf",
         seed=config.seed,
         config=dataclasses.asdict(config),
-        families=[],
+        families=[result for result, _ in fits],
         extras={"evidence": evidence, "theta_star": truth.theta_star.tolist()},
     )
-    dropout_state = None
-    for i, (label, tag, kwargs) in enumerate(roster):
-        state = fam.init_family(tag, shape, np.random.default_rng(init_children[i]), **kwargs)
-        tcfg = tr.TrainConfig(
-            steps=config.steps,
-            learning_rate=config.learning_rate,
-            lr_decay=config.lr_decay,
-            mc_samples=config.mc_samples,
-            mode="naive" if tag in fam.ATOMIC_TAGS else config.mode,
-            seed=_child_seed(train_children[i]),
-        )
-        metrics: dict = {}
-        runtime = None
-        try:
-            fitted, runtime = _train_clocked(state, problem, tcfg)
-            metrics = _posterior_fit_metrics(
-                problem, posterior, evidence, truth.theta_star, fitted, tcfg, mc_children[i]
-            )
-            if isinstance(fitted, fam.DropoutState):
-                dropout_state = fitted
-        except tr.TrainingError as err:
-            print(f"[rbf] {label} failed: {err}", file=sys.stderr)
-        rank = kwargs.get("rank", 0 if tag == "mean_field" else None)
-        report.families.append(
-            FamilyResult(family=label, rank=rank, metrics=metrics, runtime_s=runtime)
-        )
-
-    if dropout_state is not None and dropout_state.n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
+    dropout = [f for _, f in fits if isinstance(f, fam.DropoutState)]
+    if dropout and dropout[-1].n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
         report.extras["dropout_curves"] = _dropout_curves(
-            problem, truth, dropout_state, config.grid_points
+            problem, truth, dropout[-1], config.grid_points
         )
     return report
 
 
-def _posterior_fit_metrics(
-    problem, posterior, evidence, theta_star, fitted, tcfg, mc_seq
-) -> dict:
-    metrics: dict = {}
-    metrics["logq_theta_star"] = orc.log_density_of_truth(fitted, theta_star)
-    if isinstance(fitted, (fam.MeanFieldState, fam.StructuredNormalState)):
+def _posterior_fit_metrics(problem, posterior, evidence, theta_star, fitted, tcfg, mc_seq) -> dict:
+    metrics = {"logq_theta_star": orc.log_density_of_truth(fitted, theta_star)}
+    if isinstance(fitted, fam.GAUSSIAN_STATES):
         q = orc.family_to_gaussian(fitted)
-        metrics["kl_p_q"] = orc.kl_gaussian_gaussian(posterior, q)
-        metrics["kl_q_p"] = orc.kl_gaussian_gaussian(q, posterior)
-        metrics["elbo"] = orc.exact_gaussian_elbo(problem, q)
+        kl_pq = orc.kl_gaussian_gaussian(posterior, q)
+        kl_qp = orc.kl_gaussian_gaussian(q, posterior)
+        elbo = orc.exact_gaussian_elbo(problem, q)
     else:
-        metrics["kl_p_q"] = math.inf
-        metrics["kl_q_p"] = math.inf
-        est = tr.elbo_estimate(fitted, problem, tcfg, np.random.default_rng(mc_seq))
-        metrics["elbo"] = est.total
-    metrics["evidence_gap"] = evidence - metrics["elbo"]
+        kl_pq = kl_qp = math.inf
+        elbo = tr.elbo_estimate(fitted, problem, tcfg, np.random.default_rng(mc_seq)).total
+    metrics.update(kl_p_q=kl_pq, kl_q_p=kl_qp, elbo=elbo, evidence_gap=evidence - elbo)
     return metrics
 
 
@@ -353,21 +335,11 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
 
     spec = mod.RbfModelSpec.regular(config.n_droppable, noise_sigma=config.noise_sigma)
     problem, truth = mod.make_rbf_dataset(spec, config.n_data, seed=_child_seed(data_seq))
-    state = fam.init_family(
-        "mc_dropout",
-        problem.model_shape(),
-        np.random.default_rng(init_seq),
-        keep_prob=config.keep_prob,
+    member = Member("mc_dropout", "mc_dropout", {"keep_prob": config.keep_prob})
+    result, fitted = fit_member(
+        member, problem.model_shape(), problem, config,
+        (init_seq, train_seq, None), lambda *_: {},
     )
-    tcfg = tr.TrainConfig(
-        steps=config.steps,
-        learning_rate=config.learning_rate,
-        lr_decay=config.lr_decay,
-        mc_samples=config.mc_samples,
-        mode="naive",
-        seed=_child_seed(train_seq),
-    )
-    fitted, runtime = _train_clocked(state, problem, tcfg)
 
     x_star = np.asarray(config.x_star)
     exact = orc.dropout_predictive_exact(fitted, problem, x_star)
@@ -385,9 +357,7 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
         experiment="dropout_audit",
         seed=config.seed,
         config=dataclasses.asdict(config),
-        families=[
-            FamilyResult(family="mc_dropout", rank=None, metrics={}, runtime_s=runtime)
-        ],
+        families=[result],
         extras={
             "n_atoms": exact.weights.size,
             "weight_sum": float(exact.weights.sum()),
@@ -415,7 +385,7 @@ def _add_common_flags(sub):
     sub.add_argument(
         "--formats",
         default="json,csv",
-        help="comma-separated outputs: json,csv,svg",
+        help=f"comma-separated outputs: {','.join(FORMATS)}",
     )
 
 
@@ -442,26 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "fit-gaussian": (FitGaussianConfig, cmd_fit_gaussian),
+    "rbf": (RbfConfig, cmd_rbf),
+    "dropout-audit": (DropoutAuditConfig, cmd_dropout_audit),
+}
+
+
 def run_command(args) -> ExperimentReport:
-    overrides = {"seed": args.seed}
-    if args.command == "fit-gaussian":
-        overrides["bimodal"] = args.bimodal
-        config = _load_config(FitGaussianConfig, args.config, overrides)
-        return cmd_fit_gaussian(config)
-    if args.command == "rbf":
-        config = _load_config(RbfConfig, args.config, overrides)
-        return cmd_rbf(config)
-    if args.command == "dropout-audit":
-        config = _load_config(DropoutAuditConfig, args.config, overrides)
-        return cmd_dropout_audit(config)
-    raise ValueError(f"unknown command {args.command!r}")
+    if args.command not in COMMANDS:
+        raise ValueError(f"unknown command {args.command!r}")
+    config_cls, command = COMMANDS[args.command]
+    overrides = {"seed": args.seed, "bimodal": getattr(args, "bimodal", None)}
+    return command(_load_config(config_cls, args.config, overrides))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     formats = tuple(s.strip() for s in args.formats.split(",") if s.strip())
     try:
-        unknown = set(formats) - {"json", "csv", "svg"}
+        unknown = set(formats) - set(FORMATS)
         if unknown:
             raise ValueError(f"unknown output formats: {sorted(unknown)}")
         report = run_command(args)

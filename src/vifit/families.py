@@ -5,6 +5,16 @@ reparametrized sampling (naive / paired / unscented), log-density
 evaluation, closed-form entropy where it exists, and a flat-vector
 parameter layout that the trainer differentiates through.
 
+Layout rule: each state class lists its trained arrays in pack order in
+``TRAINED``, and the flat vector psi is those arrays raveled and
+concatenated.  A mixture's ``components`` entry stands for its component
+states, packed in turn with their names prefixed ``c{m}.``, before its
+``weight_logits``.  One walk over that declaration (``_walk``) drives
+``param_slices``, ``pack``, ``unpack``, ``unpack_vars`` and
+``state_to_json``; ``state_from_json`` reads the same declaration off the
+class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
+``droppable``) are carried over from the template.
+
 MAP and MC dropout are atomic: their log-density is defined only on their
 atoms and is minus infinity anywhere else.  The dropout posterior over the
 droppable coordinates is a mixture of 2^{P_d} point masses which
@@ -13,10 +23,11 @@ droppable coordinates is a mixture of 2^{P_d} point masses which
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -27,7 +38,6 @@ from .lowrank import (
     gaussian_draw_rows,
     gaussian_draws_logq_vjp,
     lowrank_logpdf,
-    structured_logpdf,
 )
 
 MODES = ("naive", "paired", "unscented")
@@ -74,6 +84,7 @@ class ModelShape:
 class MapState:
     theta_hat: np.ndarray
     tag = "map"
+    TRAINED = ("theta_hat",)
 
     @property
     def dim(self) -> int:
@@ -85,6 +96,7 @@ class MeanFieldState:
     mu: np.ndarray
     log_sigma: np.ndarray
     tag = "mean_field"
+    TRAINED = ("mu", "log_sigma")
 
     @property
     def dim(self) -> int:
@@ -94,6 +106,9 @@ class MeanFieldState:
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma)
 
+    def cov(self) -> StructuredCov:
+        return StructuredCov.diagonal(self.sigma**2)
+
 
 @dataclass
 class StructuredNormalState:
@@ -101,6 +116,7 @@ class StructuredNormalState:
     log_a: np.ndarray
     u: np.ndarray
     tag = "structured_normal"
+    TRAINED = ("mu", "log_a", "u")
 
     @property
     def dim(self) -> int:
@@ -119,6 +135,7 @@ class MixtureState:
     components: tuple
     weight_logits: np.ndarray
     tag = "mixture"
+    TRAINED = ("components", "weight_logits")
 
     @property
     def dim(self) -> int:
@@ -145,10 +162,12 @@ class DropoutState:
     keep_prob: float
     droppable: np.ndarray
     tag = "mc_dropout"
+    TRAINED = ("theta_hat",)
 
     def __post_init__(self):
         if not 0.0 <= self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in [0, 1]")
+        self.droppable = np.array(self.droppable, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -160,8 +179,10 @@ class DropoutState:
 
 
 FamilyState = Union[MapState, MeanFieldState, StructuredNormalState, MixtureState, DropoutState]
+FAMILIES = {cls.tag: cls for cls in get_args(FamilyState)}
 
 ATOMIC_TAGS = ("map", "mc_dropout")
+GAUSSIAN_STATES = (MeanFieldState, StructuredNormalState)
 
 
 def init_family(
@@ -222,128 +243,76 @@ def init_family(
 # Flat parameter layout
 
 
+def _walk(state: FamilyState, leaf, prefix: str = "") -> dict:
+    """``{name: leaf(flat name, array)}`` over the trained arrays, in pack order.
+
+    A mixture's ``components`` become a list of such dicts, one per
+    component, whose flat names carry the prefix ``c{m}.``.
+    """
+    out = {}
+    for name in state.TRAINED:
+        value = getattr(state, name)
+        if name == "components":
+            out[name] = [_walk(c, leaf, f"{prefix}c{m}.") for m, c in enumerate(value)]
+        else:
+            out[name] = leaf(prefix + name, value)
+    return out
+
+
+def _flat(state: FamilyState) -> list:
+    """(flat name, array) of every trained array, in pack order."""
+    out = []
+    _walk(state, lambda name, value: out.append((name, value)))
+    return out
+
+
+def _rebuild(template: FamilyState, fields: dict) -> FamilyState:
+    """A state like ``template`` with its trained arrays taken from ``fields``."""
+    if "components" in fields:
+        comps = zip(template.components, fields["components"])
+        fields = {**fields, "components": tuple(_rebuild(c, f) for c, f in comps)}
+    return dataclasses.replace(template, **fields)
+
+
 def param_slices(state: FamilyState) -> dict:
     """Named slices of the flat psi vector, in pack order."""
-    p = state.dim
-    if isinstance(state, MapState):
-        return {"theta_hat": slice(0, p)}
-    if isinstance(state, MeanFieldState):
-        return {"mu": slice(0, p), "log_sigma": slice(p, 2 * p)}
-    if isinstance(state, StructuredNormalState):
-        k = state.rank
-        return {
-            "mu": slice(0, p),
-            "log_a": slice(p, 2 * p),
-            "u": slice(2 * p, 2 * p + p * k),
-        }
-    if isinstance(state, MixtureState):
-        out = {}
-        offset = 0
-        k = state.rank
-        per = 2 * p + p * k
-        for m in range(state.n_components):
-            out[f"c{m}.mu"] = slice(offset, offset + p)
-            out[f"c{m}.log_a"] = slice(offset + p, offset + 2 * p)
-            out[f"c{m}.u"] = slice(offset + 2 * p, offset + per)
-            offset += per
-        out["weight_logits"] = slice(offset, offset + state.n_components)
-        return out
-    if isinstance(state, DropoutState):
-        return {"theta_hat": slice(0, p)}
-    raise TypeError(f"not a family state: {state!r}")
+    out, offset = {}, 0
+    for name, value in _flat(state):
+        out[name] = slice(offset, offset + value.size)
+        offset += value.size
+    return out
 
 
 def pack(state: FamilyState) -> np.ndarray:
-    if isinstance(state, MapState):
-        return state.theta_hat.copy()
-    if isinstance(state, MeanFieldState):
-        return np.concatenate([state.mu, state.log_sigma])
-    if isinstance(state, StructuredNormalState):
-        return np.concatenate([state.mu, state.log_a, state.u.ravel()])
-    if isinstance(state, MixtureState):
-        parts = []
-        for c in state.components:
-            parts.extend([c.mu, c.log_a, c.u.ravel()])
-        parts.append(state.weight_logits)
-        return np.concatenate(parts)
-    if isinstance(state, DropoutState):
-        return state.theta_hat.copy()
-    raise TypeError(f"not a family state: {state!r}")
+    return np.concatenate([value.ravel() for _, value in _flat(state)])
 
 
 def unpack(template: FamilyState, psi: np.ndarray) -> FamilyState:
     """Rebuild a state of the template's type from a flat vector."""
     psi = np.asarray(psi, dtype=np.float64)
-    p = template.dim
-    if isinstance(template, MapState):
-        return MapState(theta_hat=psi.copy())
-    if isinstance(template, MeanFieldState):
-        return MeanFieldState(mu=psi[:p].copy(), log_sigma=psi[p:].copy())
-    if isinstance(template, StructuredNormalState):
-        k = template.rank
-        return StructuredNormalState(
-            mu=psi[:p].copy(),
-            log_a=psi[p : 2 * p].copy(),
-            u=psi[2 * p :].reshape(p, k).copy(),
-        )
-    if isinstance(template, MixtureState):
-        k = template.rank
-        per = 2 * p + p * k
-        comps = []
-        offset = 0
-        for _ in range(template.n_components):
-            comps.append(
-                StructuredNormalState(
-                    mu=psi[offset : offset + p].copy(),
-                    log_a=psi[offset + p : offset + 2 * p].copy(),
-                    u=psi[offset + 2 * p : offset + per].reshape(p, k).copy(),
-                )
-            )
-            offset += per
-        return MixtureState(
-            components=tuple(comps), weight_logits=psi[offset:].copy()
-        )
-    if isinstance(template, DropoutState):
-        return DropoutState(
-            theta_hat=psi.copy(),
-            keep_prob=template.keep_prob,
-            droppable=template.droppable.copy(),
-        )
-    raise TypeError(f"not a family state: {template!r}")
+    slices = param_slices(template)
+    fields = _walk(
+        template, lambda name, like: psi[slices[name]].reshape(like.shape).copy()
+    )
+    return _rebuild(template, fields)
 
 
 def unpack_vars(template: FamilyState, psi):
     """Split a flat psi (Var or ndarray) into named family parameters.
 
     Used for graph construction; slicing and reshaping stay on the tape so
-    gradients flow back into the flat vector.
+    gradients flow back into the flat vector.  A family with a single
+    trained vector (MAP, dropout) gets psi itself.
     """
     slices = param_slices(template)
-    p = template.dim
-    if isinstance(template, (MapState, DropoutState)):
-        return {"theta_hat": psi}
-    if isinstance(template, MeanFieldState):
-        return {"mu": psi[slices["mu"]], "log_sigma": psi[slices["log_sigma"]]}
-    if isinstance(template, StructuredNormalState):
-        k = template.rank
-        return {
-            "mu": psi[slices["mu"]],
-            "log_a": psi[slices["log_a"]],
-            "u": ad.reshape(psi[slices["u"]], (p, k)),
-        }
-    if isinstance(template, MixtureState):
-        k = template.rank
-        comps = []
-        for m in range(template.n_components):
-            comps.append(
-                {
-                    "mu": psi[slices[f"c{m}.mu"]],
-                    "log_a": psi[slices[f"c{m}.log_a"]],
-                    "u": ad.reshape(psi[slices[f"c{m}.u"]], (p, k)),
-                }
-            )
-        return {"components": comps, "weight_logits": psi[slices["weight_logits"]]}
-    raise TypeError(f"not a family state: {template!r}")
+    if len(slices) == 1:
+        return {name: psi for name in slices}
+
+    def leaf(name, like):
+        part = psi[slices[name]]
+        return part if like.ndim == 1 else ad.reshape(part, like.shape)
+
+    return _walk(template, leaf)
 
 
 def mean_param_indices(state: FamilyState) -> np.ndarray:
@@ -402,24 +371,25 @@ def _antithetic(rng, half: int, width: int) -> np.ndarray:
     return out
 
 
-def _validate_mode(state: FamilyState, mode: str, count: int):
+def check_mode(tag: str, mode: str, rank: int = 0):
+    """Raise ModeFamilyError unless the family ``tag`` can sample in ``mode``."""
     if mode not in MODES:
         raise ModeFamilyError(f"unknown sampling mode {mode!r}")
+    if tag in ATOMIC_TAGS and mode != "naive":
+        raise ModeFamilyError(f"{tag} supports naive sampling only")
+    if mode == "unscented" and (tag != "structured_normal" or rank < 1):
+        raise ModeFamilyError("unscented mode requires a structured normal with rank >= 1")
+
+
+def _validate_mode(state: FamilyState, mode: str, count: int):
+    rank = getattr(state, "rank", 0)
+    check_mode(state.tag, mode, rank)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(state, (MapState, DropoutState)) and mode != "naive":
-        raise ModeFamilyError(f"{state.tag} supports naive sampling only")
     if mode == "paired" and count % 2:
         raise ValueError("paired mode requires an even count")
-    if mode == "unscented":
-        if not isinstance(state, StructuredNormalState) or state.rank < 1:
-            raise ModeFamilyError(
-                "unscented mode requires a structured normal with rank >= 1"
-            )
-        if count % (2 * state.rank):
-            raise ValueError(
-                f"unscented count must be a multiple of 2K = {2 * state.rank}"
-            )
+    if mode == "unscented" and count % (2 * rank):
+        raise ValueError(f"unscented count must be a multiple of 2K = {2 * rank}")
 
 
 def draw_noise(
@@ -441,7 +411,7 @@ def draw_noise(
         )
         return NoiseBatch(mode=mode, count=count, masks=masks)
 
-    k = state.rank if isinstance(state, (StructuredNormalState, MixtureState)) else 0
+    k = getattr(state, "rank", 0)
     comp = None
     stratified = False
     if isinstance(state, MixtureState):
@@ -508,7 +478,7 @@ def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
         )
     if isinstance(template, DropoutState):
         return params["theta_hat"] * noise.masks
-    if isinstance(template, (MeanFieldState, StructuredNormalState)):
+    if isinstance(template, GAUSSIAN_STATES):
         scale, factor = _scale_and_factor(params)
         return gaussian_draw_rows(
             params["mu"], scale, factor, noise.z_diag, noise.z_lowrank
@@ -572,10 +542,7 @@ def sample(
 ) -> SampleBatch:
     """Draw a batch of parameter vectors with full noise records."""
     noise = draw_noise(state, mode, count, rng)
-    if isinstance(state, MapState):
-        draws = np.tile(state.theta_hat, (count, 1))
-    else:
-        draws = draws_rows(state, unpack_vars(state, pack(state)), noise)
+    draws = draws_rows(state, unpack_vars(state, pack(state)), noise)
     return SampleBatch(draws=np.asarray(draws), noise=noise)
 
 
@@ -585,12 +552,9 @@ def sample(
 
 def log_q_rows(template: FamilyState, params: dict, theta):
     """Differentiable log q(theta) for continuous families, batched over rows."""
-    if isinstance(template, (MeanFieldState, StructuredNormalState)):
+    if isinstance(template, GAUSSIAN_STATES):
         scale, factor = _scale_and_factor(params)
-        a = scale * scale
-        if factor is None:
-            factor = np.zeros((template.dim, 0))
-        return lowrank_logpdf(theta, params["mu"], a, factor)
+        return lowrank_logpdf(theta, params["mu"], scale * scale, factor)
     if isinstance(template, MixtureState):
         logits = params["weight_logits"]
         log_norm = ad.logsumexp(logits)
@@ -633,6 +597,11 @@ def _dropout_atom_log_weight(state: DropoutState, theta_row: np.ndarray) -> floa
     return out
 
 
+def _gaussian_logpdf(rows: np.ndarray, state) -> np.ndarray:
+    cov = state.cov()
+    return lowrank_logpdf(rows, state.mu, cov.diag, cov.factor)
+
+
 def log_density(state: FamilyState, theta: np.ndarray):
     """log q(theta); scalar for a single point, vector for stacked rows.
 
@@ -648,23 +617,14 @@ def log_density(state: FamilyState, theta: np.ndarray):
         )
     elif isinstance(state, DropoutState):
         out = np.array([_dropout_atom_log_weight(state, r) for r in rows])
-    elif isinstance(state, MeanFieldState):
-        out = structured_logpdf(
-            rows, state.mu, StructuredCov.diagonal(state.sigma**2)
-        )
-    elif isinstance(state, StructuredNormalState):
-        out = structured_logpdf(rows, state.mu, state.cov())
     elif isinstance(state, MixtureState):
         log_w = np.log(state.weights)
         per = np.stack(
-            [
-                log_w[m] + structured_logpdf(rows, c.mu, c.cov())
-                for m, c in enumerate(state.components)
-            ]
+            [log_w[m] + _gaussian_logpdf(rows, c) for m, c in enumerate(state.components)]
         )
         out = ad.logsumexp(per, axis=0)
     else:
-        raise TypeError(f"not a family state: {state!r}")
+        out = _gaussian_logpdf(rows, state)
     out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if single else out
 
@@ -682,9 +642,7 @@ def entropy_closed_form(state: FamilyState) -> float | None:
 
 def dense_moments(state: FamilyState) -> tuple:
     """Mean and dense covariance of a Gaussian family (diagnostic view)."""
-    if isinstance(state, MeanFieldState):
-        return state.mu.copy(), np.diag(state.sigma**2)
-    if isinstance(state, StructuredNormalState):
+    if isinstance(state, GAUSSIAN_STATES):
         return state.mu.copy(), state.cov().dense()
     raise TypeError(f"{state.tag} has no single Gaussian moment pair")
 
@@ -737,63 +695,35 @@ def enumerate_dropout(state: DropoutState) -> DropoutMixture:
 
 def state_to_json(state: FamilyState) -> str:
     doc: dict = {"family": state.tag, "p": state.dim}
-    if isinstance(state, MapState):
-        doc["theta_hat"] = state.theta_hat.tolist()
-    elif isinstance(state, MeanFieldState):
-        doc["mu"] = state.mu.tolist()
-        doc["log_sigma"] = state.log_sigma.tolist()
-    elif isinstance(state, StructuredNormalState):
-        doc["mu"] = state.mu.tolist()
-        doc["log_a"] = state.log_a.tolist()
+    if hasattr(state, "rank"):
         doc["rank"] = state.rank
-        doc["u"] = state.u.ravel().tolist()
-    elif isinstance(state, MixtureState):
-        doc["rank"] = state.rank
-        doc["weight_logits"] = state.weight_logits.tolist()
-        doc["components"] = [
-            {
-                "mu": c.mu.tolist(),
-                "log_a": c.log_a.tolist(),
-                "u": c.u.ravel().tolist(),
-            }
-            for c in state.components
-        ]
-    elif isinstance(state, DropoutState):
-        doc["theta_hat"] = state.theta_hat.tolist()
+    doc.update(_walk(state, lambda _, value: value.ravel().tolist()))
+    if isinstance(state, DropoutState):
         doc["keep_prob"] = state.keep_prob
         doc["droppable"] = state.droppable.astype(int).tolist()
-    else:
-        raise TypeError(f"not a family state: {state!r}")
     return json.dumps(doc)
+
+
+def _fields_from_doc(cls, doc: dict, p: int, rank) -> dict:
+    fields = {}
+    for name in cls.TRAINED:
+        if name == "components":
+            fields[name] = tuple(
+                StructuredNormalState(**_fields_from_doc(StructuredNormalState, c, p, rank))
+                for c in doc[name]
+            )
+        else:
+            value = np.asarray(doc[name], dtype=np.float64)
+            fields[name] = value.reshape(p, rank) if name == "u" else value
+    return fields
 
 
 def state_from_json(text: str) -> FamilyState:
     doc = json.loads(text)
-    tag = doc["family"]
-    p = doc["p"]
-    arr = lambda key: np.asarray(doc[key], dtype=np.float64)
-    if tag == "map":
-        return MapState(theta_hat=arr("theta_hat"))
-    if tag == "mean_field":
-        return MeanFieldState(mu=arr("mu"), log_sigma=arr("log_sigma"))
-    if tag == "structured_normal":
-        return StructuredNormalState(
-            mu=arr("mu"), log_a=arr("log_a"), u=arr("u").reshape(p, doc["rank"])
-        )
-    if tag == "mixture":
-        comps = tuple(
-            StructuredNormalState(
-                mu=np.asarray(c["mu"], dtype=np.float64),
-                log_a=np.asarray(c["log_a"], dtype=np.float64),
-                u=np.asarray(c["u"], dtype=np.float64).reshape(p, doc["rank"]),
-            )
-            for c in doc["components"]
-        )
-        return MixtureState(components=comps, weight_logits=arr("weight_logits"))
-    if tag == "mc_dropout":
-        return DropoutState(
-            theta_hat=arr("theta_hat"),
-            keep_prob=float(doc["keep_prob"]),
-            droppable=np.asarray(doc["droppable"], dtype=bool),
-        )
-    raise ValueError(f"unknown family tag {tag!r}")
+    cls = FAMILIES.get(doc["family"])
+    if cls is None:
+        raise ValueError(f"unknown family tag {doc['family']!r}")
+    fields = _fields_from_doc(cls, doc, doc["p"], doc.get("rank"))
+    if cls is DropoutState:
+        fields.update(keep_prob=float(doc["keep_prob"]), droppable=doc["droppable"])
+    return cls(**fields)

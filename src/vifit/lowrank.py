@@ -1,11 +1,16 @@
 """Covariances of the form diag(A) + U Uᵀ: solve, log-det, sampling, density.
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
-never through a dense P×P factorization, so the cost is O(P K²).  The
-formula-level helpers at the bottom accept autodiff Vars as well as plain
-arrays and back the differentiable log-density used during training on the
-tape; ``gaussian_draws_logq_vjp`` computes the same draws and log-density
-with their adjoint in closed form.
+never through a dense P×P factorization, so the cost is O(P K²).  There is
+one log-density, ``lowrank_logpdf``: written in autodiff-capable
+primitives, it serves plain arrays (``structured_logpdf``, the families'
+``log_density``) and the tape alike.  ``gaussian_draws_logq_vjp`` computes
+the same draws and log-density with their adjoint in closed form.
+
+C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
+factorization whose smallest pivot is lost in the rounding of C's largest
+entry, min(diag L)² ≤ K·eps·max(diag C), is treated as failed
+(``FactorizationError``): the factor's scale has swamped the identity.
 """
 
 from __future__ import annotations
@@ -20,35 +25,28 @@ import scipy.linalg
 from . import autodiff as ad
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+EPS = float(np.finfo(float).eps)
 
 
 class FactorizationError(RuntimeError):
     """Capacitance factorization failed; the diagonal is numerically degenerate."""
 
 
-@dataclass(frozen=True)
-class CapacitanceFactor:
-    """C = I_K + Uᵀ diag(A)⁻¹ U together with its Cholesky factorization."""
+def _capacitance_singular(chol_diag: np.ndarray, cap_diag: np.ndarray) -> bool:
+    """True when C = LLᵀ is singular to working precision (see module notes)."""
+    # On Python floats: this runs on every closed-form step, over only K values.
+    return min(chol_diag.tolist()) ** 2 <= len(cap_diag) * EPS * max(cap_diag.tolist())
 
-    matrix: np.ndarray
-    cho: tuple
 
-    @classmethod
-    def build(cls, diag: np.ndarray, factor: np.ndarray) -> "CapacitanceFactor":
-        k = factor.shape[1]
-        c = np.eye(k) + factor.T @ (factor / diag[:, None])
-        try:
-            cho = scipy.linalg.cho_factor(c, lower=True)
-        except scipy.linalg.LinAlgError as err:
-            raise FactorizationError(f"capacitance factorization failed: {err}") from err
-        return cls(matrix=c, cho=cho)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.cho, rhs)
-
-    @property
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.cho[0]))))
+def _capacitance_cholesky(c: np.ndarray) -> tuple:
+    """``scipy.linalg.cho_factor`` of C; FactorizationError when C is singular."""
+    try:
+        cho = scipy.linalg.cho_factor(c, lower=True)
+    except scipy.linalg.LinAlgError as err:
+        raise FactorizationError(f"capacitance factorization failed: {err}") from err
+    if _capacitance_singular(np.diag(cho[0]), np.diag(c)):
+        raise FactorizationError("capacitance matrix is singular to working precision")
+    return cho
 
 
 @dataclass(frozen=True)
@@ -88,10 +86,12 @@ class StructuredCov:
         return self.factor.shape[1]
 
     @cached_property
-    def capacitance(self) -> CapacitanceFactor | None:
+    def capacitance(self) -> tuple | None:
+        """``cho_factor`` of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
         if self.rank == 0:
             return None
-        return CapacitanceFactor.build(self.diag, self.factor)
+        c = np.eye(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
+        return _capacitance_cholesky(c)
 
     def dense(self) -> np.ndarray:
         """Materialize the P×P matrix; intended for diagnostics and tests."""
@@ -106,7 +106,7 @@ def woodbury_solve(cov: StructuredCov, v: np.ndarray) -> np.ndarray:
     av = v / cov.diag
     if cov.rank == 0:
         return av
-    w = cov.capacitance.solve(cov.factor.T @ av)
+    w = scipy.linalg.cho_solve(cov.capacitance, cov.factor.T @ av)
     return av - (cov.factor @ w) / cov.diag
 
 
@@ -115,7 +115,7 @@ def woodbury_logdet(cov: StructuredCov) -> float:
     base = float(np.sum(np.log(cov.diag)))
     if cov.rank == 0:
         return base
-    return base + cov.capacitance.logdet
+    return base + 2.0 * float(np.sum(np.log(np.diag(cov.capacitance[0]))))
 
 
 def structured_sample(
@@ -141,23 +141,12 @@ def structured_sample(
 
 
 def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):
-    """Gaussian log-density under N(mean, diag(A) + UUᵀ).
+    """Gaussian log-density under N(mean, diag(A) + UUᵀ) on plain arrays.
 
-    ``theta`` may be a single point (P,) or a batch of rows (S, P); the
-    quadratic form goes through ``woodbury_solve``'s capacitance factor.
+    ``theta`` may be a single point (P,) or a batch of rows (S, P).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    r = theta - mean
-    ar = r / cov.diag
-    quad = np.sum(r * ar, axis=-1)
-    logdet = float(np.sum(np.log(cov.diag)))
-    if cov.rank > 0:
-        cap = cov.capacitance
-        t = ar @ cov.factor
-        w = cap.solve(t.T if t.ndim == 2 else t)
-        quad = quad - np.sum(t * (w.T if t.ndim == 2 else w), axis=-1)
-        logdet += cap.logdet
-    return -0.5 * (cov.dim * LOG_TWO_PI + logdet + quad)
+    theta, mean = (np.asarray(x, dtype=np.float64) for x in (theta, mean))
+    return lowrank_logpdf(theta, mean, cov.diag, cov.factor)
 
 
 def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
@@ -173,14 +162,15 @@ def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
 
 
 def lowrank_logpdf(theta, mean, a_diag, factor):
-    """Structured-Gaussian log-density written in autodiff-capable primitives.
+    """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ).
 
-    Shares the Woodbury/determinant-lemma formulas with the plain-numpy
-    path above; raises FactorizationError when the capacitance system is
-    degenerate.  ``theta`` rows may be (P,) or (S, P).
+    Written in autodiff-capable primitives, so any argument may be a Var;
+    on plain arrays it returns plain arrays.  ``factor`` may be None for a
+    diagonal covariance.  Raises FactorizationError when the capacitance
+    system is degenerate.  ``theta`` rows may be (P,) or (S, P).
     """
-    p = _dim_of(mean)
-    k = _rank_of(factor)
+    p = mean.shape[-1]
+    k = 0 if factor is None else factor.shape[1]
     r = theta - mean
     ar = r / a_diag
     quad = ad.sum(r * ar, axis=-1)
@@ -189,15 +179,10 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
         scaled = factor / ad.reshape(a_diag, (p, 1))
         cap = np.eye(k) + ad.matmul(ad.transpose(factor), scaled)
         t = ad.matmul(ar, factor)
-        try:
-            w = ad.solve_spd(cap, ad.transpose(t))
-            cap_logdet = ad.logdet_spd(cap)
-        except scipy.linalg.LinAlgError as err:
-            raise FactorizationError(
-                f"capacitance factorization failed: {err}"
-            ) from err
+        cho = _capacitance_cholesky(cap.value if isinstance(cap, ad.Var) else cap)
+        w = ad.solve_spd(cap, ad.transpose(t), cho)
         quad = quad - ad.sum(t * ad.transpose(w), axis=-1)
-        logdet = logdet + cap_logdet
+        logdet = logdet + ad.logdet_spd(cap, cho)
     return -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
 
@@ -219,7 +204,8 @@ def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
     where Σ⁻¹U = A⁻¹UC⁻¹, Uᵀv_k = C⁻¹UᵀA⁻¹(θ_k − mean) and diag Σ⁻¹ all come
     from the K×K capacitance C, never a P×P factorization.  ``factor`` may be
     None (or have K = 0) for a diagonal covariance.  Raises
-    ``numpy.linalg.LinAlgError`` when C is not numerically positive definite.
+    ``numpy.linalg.LinAlgError`` when C is not numerically positive definite
+    or is singular to working precision.
     """
     p = mean.shape[0]
     k = 0 if factor is None else factor.shape[1]
@@ -236,6 +222,8 @@ def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
         b = factor / a[:, None]
         cap = np.eye(k) + factor.T @ b
         chol = np.linalg.cholesky(cap)  # LinAlgError when C is not SPD
+        if _capacitance_singular(chol.diagonal(), cap.diagonal()):
+            raise np.linalg.LinAlgError("capacitance is singular to working precision")
         t = v @ factor
         # One solve for both right-hand sides: C⁻¹ t_k and C⁻¹ Bᵀ.
         sol = np.linalg.solve(cap, np.hstack([t.T, b.T]))
@@ -260,14 +248,3 @@ def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
 
     return theta, log_q, vjp
 
-
-def _dim_of(x) -> int:
-    shape = x.shape if hasattr(x, "shape") else np.shape(x)
-    return int(shape[-1])
-
-
-def _rank_of(factor) -> int:
-    if factor is None:
-        return 0
-    shape = factor.shape if hasattr(factor, "shape") else np.shape(factor)
-    return int(shape[1]) if len(shape) == 2 else 0

@@ -231,7 +231,7 @@ def kl_p_to_family(
     """KL[p || q], exact for Gaussian families, MC for mixtures, inf for atoms."""
     if state.tag in fam.ATOMIC_TAGS:
         return math.inf
-    if isinstance(state, (fam.MeanFieldState, fam.StructuredNormalState)):
+    if isinstance(state, fam.GAUSSIAN_STATES):
         return kl_gaussian_gaussian(p, family_to_gaussian(state))
     if rng is None:
         rng = np.random.default_rng(0)

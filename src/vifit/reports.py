@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+FORMATS = ("json", "csv", "svg")
 CSV_COLUMNS = ("family", "rank", "kl_p_q", "kl_q_p", "logq_theta_star", "elbo", "runtime_s")
 
 
@@ -111,14 +112,14 @@ class ExperimentReport:
 
 
 def emit_report(report: ExperimentReport, out_dir, formats=("json", "csv")) -> list:
-    """Write report.json / tables.csv / figure SVGs; returns written paths."""
+    """Write report.json / tables.csv / figure SVGs; returns written paths.
+
+    ``formats`` is a subset of ``FORMATS``; the CLI checks it before any
+    training starts.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    formats = set(formats)
-    unknown = formats - {"json", "csv", "svg"}
-    if unknown:
-        raise ValueError(f"unknown output formats: {sorted(unknown)}")
     if "json" in formats:
         path = out_dir / "report.json"
         path.write_text(json.dumps(report.to_json_dict(), indent=2))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,17 +100,7 @@ class TrainConfig:
             return cls(**json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "lr_decay": self.lr_decay,
-            "mc_samples": self.mc_samples,
-            "minibatch": self.minibatch,
-            "mode": self.mode,
-            "seed": self.seed,
-            "convergence_window": self.convergence_window,
-            "convergence_tol": self.convergence_tol,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -165,6 +165,49 @@ def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
+def count_train_calls(monkeypatch) -> list:
+    calls = []
+    train = cli.tr.train
+
+    def counting(state, target, config):
+        calls.append(state.tag)
+        return train(state, target, config)
+
+    monkeypatch.setattr(cli.tr, "train", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,doc,member",
+    [
+        (["rbf"], {"mode": "unscented"}, "mf"),
+        (["fit-gaussian", "--bimodal"], {"mode": "unscented"}, "mf"),
+        (["fit-gaussian", "--bimodal"], {"mode": "unscented", "ranks": [1, 2]}, "sgmm"),
+    ],
+)
+def test_impossible_mode_rejected_before_training(
+    tmp_path, capsys, monkeypatch, argv, doc, member
+):
+    calls = count_train_calls(monkeypatch)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ModeFamilyError"
+    assert repr(member) in record["message"] and "'unscented'" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_unscented_roster_of_structured_members_runs(tmp_path, monkeypatch):
+    calls = count_train_calls(monkeypatch)
+    cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[1, 2], mode="unscented"))
+    assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # The atomic members keep their forced naive mode.
+    assert calls == ["map", "mc_dropout", "structured_normal", "structured_normal"]
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["map", "mc_dropout", "sn1", "sn2"]
+
+
 def test_audit_guard_rejected():
     with pytest.raises(ValueError, match="guard"):
         cli.cmd_dropout_audit(cli.DropoutAuditConfig(n_droppable=30))

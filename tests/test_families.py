@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
+import vifit.autodiff as ad
 import vifit.families as fam
 from vifit.lowrank import StructuredCov, structured_logpdf
 
@@ -377,3 +380,143 @@ def test_structured_density_consistent_with_lowrank_module():
         theta, st.mu, StructuredCov(diag=np.exp(st.log_a), factor=st.u)
     )
     np.testing.assert_allclose(fam.log_density(st, theta), expected, rtol=1e-12)
+
+
+# -----------------------------------------------------------------------
+# flat parameter layout, over generated families
+
+
+def expected_names(tag, m):
+    names = {
+        "map": ["theta_hat"],
+        "mc_dropout": ["theta_hat"],
+        "mean_field": ["mu", "log_sigma"],
+        "structured_normal": ["mu", "log_a", "u"],
+    }
+    if tag != "mixture":
+        return names[tag]
+    per = [f"c{i}.{n}" for i in range(m) for n in names["structured_normal"]]
+    return per + ["weight_logits"]
+
+
+@hst.composite
+def family_case(draw):
+    """(template, psi, m): a generated family state and a random flat vector."""
+    tag = draw(hst.sampled_from(list(fam.FAMILIES)))
+    p = draw(hst.integers(1, 6))
+    k = draw(hst.integers(0, 3))
+    m = draw(hst.integers(1, 3))
+    seed = draw(hst.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kwargs = {"rank": k, "components": m, "keep_prob": float(rng.uniform())}
+    template = fam.init_family(tag, fam.ModelShape.linear(p), rng, **kwargs)
+    if tag == "mc_dropout":
+        template.droppable = rng.random(p) < 0.5
+    psi = rng.standard_normal(fam.pack(template).size)
+    return template, psi, m
+
+
+def trained_arrays(state):
+    """Trained arrays by flat name, read off the state's attributes."""
+    if state.tag != "mixture":
+        return {name: getattr(state, name) for name in state.TRAINED}
+    out = {}
+    for i, c in enumerate(state.components):
+        out.update({f"c{i}.{name}": getattr(c, name) for name in c.TRAINED})
+    out["weight_logits"] = state.weight_logits
+    return out
+
+
+def assert_same_untrained(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, fam.DropoutState):
+        assert a.keep_prob == b.keep_prob
+        np.testing.assert_array_equal(a.droppable, b.droppable)
+
+
+@given(family_case())
+def test_layout_unpack_pack_round_trip(case):
+    template, psi, _ = case
+    state = fam.unpack(template, psi)
+    np.testing.assert_array_equal(fam.pack(state), psi)
+    back = fam.unpack(template, fam.pack(state))
+    np.testing.assert_array_equal(fam.pack(back), psi)
+    assert_same_untrained(back, template)
+    for name, arr in trained_arrays(back).items():
+        assert arr.shape == trained_arrays(template)[name].shape, name
+
+
+@given(family_case())
+def test_layout_slices_tile_psi_in_pack_order(case):
+    template, psi, m = case
+    slices = fam.param_slices(template)
+    assert list(slices) == expected_names(template.tag, m)
+    offset = 0
+    for sl in slices.values():
+        assert sl.start == offset and sl.stop >= sl.start
+        offset = sl.stop
+    assert offset == psi.size
+    state = fam.unpack(template, psi)
+    for name, arr in trained_arrays(state).items():
+        np.testing.assert_array_equal(psi[slices[name]], arr.ravel())
+
+
+@given(family_case())
+def test_layout_unpack_vars_matches_unpack(case):
+    template, psi, _ = case
+    var = ad.Var(psi)
+    params = fam.unpack_vars(template, var)
+    expected = trained_arrays(fam.unpack(template, psi))
+    if template.tag in fam.ATOMIC_TAGS:
+        assert params == {"theta_hat": var}  # psi itself: no slicing node
+        return
+    if template.tag == "mixture":
+        assert isinstance(params["components"], list)
+        got = {
+            f"c{i}.{name}": value
+            for i, comp in enumerate(params["components"])
+            for name, value in comp.items()
+        }
+        got["weight_logits"] = params["weight_logits"]
+    else:
+        got = params
+    assert list(got) == list(expected)
+    for name, value in got.items():
+        np.testing.assert_array_equal(value.value, expected[name])
+
+
+@given(family_case())
+def test_layout_json_round_trip(case):
+    template, psi, _ = case
+    state = fam.unpack(template, psi)
+    text = fam.state_to_json(state)
+    back = fam.state_from_json(text)
+    np.testing.assert_array_equal(fam.pack(back), psi)
+    assert_same_untrained(back, state)
+    assert fam.state_to_json(back) == text
+
+
+# One state_to_json document per family, as written before the layout was
+# declared per class: reading them back must reproduce the same keys and
+# values (key order may differ).
+RECORDED_DOCS = [
+    '{"family": "map", "p": 2, "theta_hat": [0.4313392713241635, 0.4354940412532311]}',
+    '{"family": "mean_field", "p": 2, "mu": [0.4313392713241635, 0.4354940412532311], '
+    '"log_sigma": [-3.3423058638339636, -3.3423058638339636]}',
+    '{"family": "structured_normal", "p": 2, "mu": [0.021673616276774, -0.30292259332094984], '
+    '"log_a": [-6.684611727667927, -6.684611727667927], "rank": 1, '
+    '"u": [-0.005670511488433056, -0.009364632265340664]}',
+    '{"family": "mixture", "p": 2, "rank": 1, "weight_logits": [0.0, 0.0], "components": '
+    '[{"mu": [1.2346454781910534, 0.513068180153241], "log_a": [-6.684611727667927, '
+    '-6.684611727667927], "u": [-0.001756181871700409, 0.0029729967895372254]}, '
+    '{"mu": [0.9607824831953409, 1.59146021669802], "log_a": [-6.684611727667927, '
+    '-6.684611727667927], "u": [-0.003907806679557454, -0.005549235110059276]}]}',
+    '{"family": "mc_dropout", "p": 2, "theta_hat": [0.25, -1.5], "keep_prob": 0.37, '
+    '"droppable": [1, 0]}',
+]
+
+
+@pytest.mark.parametrize("text", RECORDED_DOCS, ids=lambda t: json.loads(t)["family"])
+def test_recorded_json_documents_still_read(text):
+    state = fam.state_from_json(text)
+    assert json.loads(fam.state_to_json(state)) == json.loads(text)

@@ -7,6 +7,7 @@ import scipy.stats
 from vifit.lowrank import (
     FactorizationError,
     StructuredCov,
+    gaussian_draws_logq_vjp,
     lowrank_logpdf,
     structured_logpdf,
     structured_sample,
@@ -186,3 +187,28 @@ def test_degenerate_capacitance_surfaces_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises((FactorizationError, ValueError)):
             woodbury_solve(cov, np.ones(3))
+
+
+def singular_probe_factor():
+    """Two equal columns of norm 1e9 whose entries are not powers of two.
+
+    C = I + UᵀU rounds to a rank-one matrix with entries near 1e18; its
+    Cholesky factorization succeeds, with a last pivot that is rounding
+    noise rather than anything near the true value.
+    """
+    w = np.random.default_rng(0).standard_normal(4)
+    v = 1e9 * w / np.linalg.norm(w)
+    return np.stack([v, v], axis=1)
+
+
+def test_numerically_singular_capacitance_is_rejected():
+    factor = singular_probe_factor()
+    cov = StructuredCov(diag=np.ones(4), factor=factor)
+    with pytest.raises(FactorizationError, match="singular"):
+        structured_logpdf(np.zeros(4), np.zeros(4), cov)
+    with pytest.raises(FactorizationError, match="singular"):
+        woodbury_logdet(cov)
+    # The closed-form gradient path applies the same test.
+    z = np.random.default_rng(1).standard_normal((2, 6))
+    with pytest.raises(np.linalg.LinAlgError, match="working precision"):
+        gaussian_draws_logq_vjp(np.zeros(4), np.ones(4), factor, z[:, :4], z[:, 4:])

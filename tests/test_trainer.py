@@ -263,6 +263,21 @@ def test_divergence_guard_reports_step():
     assert err.value.step == 0
 
 
+def test_numerically_singular_capacitance_fails_at_step_zero():
+    # Equal columns of norm 1e9 (see test_lowrank.singular_probe_factor):
+    # the capacitance factorization succeeds on rounding noise, and must
+    # still be reported as degenerate rather than train on to divergence.
+    w = np.random.default_rng(0).standard_normal(4)
+    v = 1e9 * w / np.linalg.norm(w)
+    state = fam.StructuredNormalState(
+        mu=np.zeros(4), log_a=np.zeros(4), u=np.stack([v, v], axis=1)
+    )
+    target = orc.GaussianDist(mean=np.zeros(4), cov=np.eye(4))
+    with pytest.raises(tr.CapacitanceError) as err:
+        tr.train(state, target, tr.TrainConfig(steps=5, mode="paired", seed=3))
+    assert err.value.step == 0
+
+
 # -----------------------------------------------------------------------
 # gradient variance probe
 
