@@ -9,7 +9,9 @@ definite systems.
 Every primitive accepts plain numbers and arrays as well as ``Var`` nodes
 and only records when at least one input is a ``Var``.  The same formula
 code therefore serves both the differentiable path and plain numpy
-evaluation.  A graph is built per evaluation and confined to the calling
+evaluation.  The elementwise primitives come from two constructors:
+``_binary`` (add, sub, mul, div) and ``_unary`` (neg, exp, log, sqrt, tanh,
+softplus).  A graph is built per evaluation and confined to the calling
 thread; adjoints are accumulated in a fixed topological order, so repeated
 evaluation with identical inputs is bit-identical.
 """
@@ -169,58 +171,54 @@ class Var:
         return fn(*inputs)
 
 
-def _add(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.add(_val(a), _val(b))
-    av, bv = _val(a), _val(b)
-    parents = []
-    if _is_var(a):
-        parents.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if _is_var(b):
-        parents.append((b, lambda g: _unbroadcast(g, bv.shape)))
-    return _node("add", av + bv, parents)
+def _binary(name: str, fn, vjp_a, vjp_b):
+    """An elementwise two-operand primitive with broadcasting.
+
+    ``vjp_a(g, av, bv)`` / ``vjp_b(g, av, bv)`` give each operand's adjoint
+    at the broadcast shape; it is summed down to the operand's own shape.
+    """
+
+    def primitive(a, b):
+        if not (_is_var(a) or _is_var(b)):
+            return fn(_val(a), _val(b))
+        av, bv = _val(a), _val(b)
+        parents = []
+        if _is_var(a):
+            parents.append((a, lambda g: _unbroadcast(vjp_a(g, av, bv), av.shape)))
+        if _is_var(b):
+            parents.append((b, lambda g: _unbroadcast(vjp_b(g, av, bv), bv.shape)))
+        return _node(name, fn(av, bv), parents)
+
+    return primitive
 
 
-def _sub(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.subtract(_val(a), _val(b))
-    av, bv = _val(a), _val(b)
-    parents = []
-    if _is_var(a):
-        parents.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if _is_var(b):
-        parents.append((b, lambda g: _unbroadcast(-g, bv.shape)))
-    return _node("sub", av - bv, parents)
+def _unary(name: str, fn, vjp):
+    """An elementwise one-operand primitive; ``vjp(g, xv, out)`` is its adjoint."""
+
+    def primitive(x):
+        if not _is_var(x):
+            return fn(_val(x))
+        xv = x.value
+        out = fn(xv)
+        return _node(name, out, [(x, lambda g: vjp(g, xv, out))])
+
+    return primitive
 
 
-def _mul(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.multiply(_val(a), _val(b))
-    av, bv = _val(a), _val(b)
-    parents = []
-    if _is_var(a):
-        parents.append((a, lambda g: _unbroadcast(g * bv, av.shape)))
-    if _is_var(b):
-        parents.append((b, lambda g: _unbroadcast(g * av, bv.shape)))
-    return _node("mul", av * bv, parents)
-
-
-def _div(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.divide(_val(a), _val(b))
-    av, bv = _val(a), _val(b)
-    parents = []
-    if _is_var(a):
-        parents.append((a, lambda g: _unbroadcast(g / bv, av.shape)))
-    if _is_var(b):
-        parents.append((b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
-    return _node("div", av / bv, parents)
-
-
-def _neg(a):
-    if not _is_var(a):
-        return np.negative(_val(a))
-    return _node("neg", -a.value, [(a, lambda g: -g)])
+_add = _binary("add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+_sub = _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+_mul = _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+_div = _binary(
+    "div", np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)
+)
+_neg = _unary("neg", np.negative, lambda g, x, out: -g)
+exp = _unary("exp", np.exp, lambda g, x, out: g * out)
+log = _unary("log", np.log, lambda g, x, out: g / x)
+sqrt = _unary("sqrt", np.sqrt, lambda g, x, out: g * 0.5 / out)
+tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
+softplus = _unary(
+    "softplus", lambda x: np.logaddexp(0.0, x), lambda g, x, out: g * expit(x)
+)
 
 
 def _pow(a, exponent):
@@ -231,41 +229,6 @@ def _pow(a, exponent):
         return np.power(_val(a), c)
     av = a.value
     return _node("pow", av**c, [(a, lambda g: g * c * av ** (c - 1.0))])
-
-
-def exp(x):
-    if not _is_var(x):
-        return np.exp(_val(x))
-    out = np.exp(x.value)
-    return _node("exp", out, [(x, lambda g: g * out)])
-
-
-def log(x):
-    if not _is_var(x):
-        return np.log(_val(x))
-    xv = x.value
-    return _node("log", np.log(xv), [(x, lambda g: g / xv)])
-
-
-def sqrt(x):
-    if not _is_var(x):
-        return np.sqrt(_val(x))
-    out = np.sqrt(x.value)
-    return _node("sqrt", out, [(x, lambda g: g * 0.5 / out)])
-
-
-def tanh(x):
-    if not _is_var(x):
-        return np.tanh(_val(x))
-    out = np.tanh(x.value)
-    return _node("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
-
-
-def softplus(x):
-    if not _is_var(x):
-        return np.logaddexp(0.0, _val(x))
-    xv = x.value
-    return _node("softplus", np.logaddexp(0.0, xv), [(x, lambda g: g * expit(xv))])
 
 
 def sum(x, axis=None):  # noqa: A001 - mirrors numpy naming

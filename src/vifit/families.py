@@ -16,7 +16,9 @@ class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
 ``droppable``) are carried over from the template.
 
 MAP and MC dropout are atomic: their log-density is defined only on their
-atoms and is minus infinity anywhere else.  The dropout posterior over the
+atoms and is minus infinity anywhere else.  MAP is MC dropout at keep
+probability 1 with nothing droppable, so both share one atomic path:
+θ̂ ⊙ mask draws, mask noise and atom weights.  The dropout posterior over the
 droppable coordinates is a mixture of 2^{P_d} point masses which
 ``enumerate_dropout`` materializes exactly.
 """
@@ -38,6 +40,7 @@ from .lowrank import (
     gaussian_draw_rows,
     gaussian_draws_logq_vjp,
     lowrank_logpdf,
+    woodbury_logdet,
 )
 
 MODES = ("naive", "paired", "unscented")
@@ -82,13 +85,20 @@ class ModelShape:
 
 @dataclass
 class MapState:
+    """The point mass at θ̂: dropout at keep probability 1 with nothing droppable."""
+
     theta_hat: np.ndarray
     tag = "map"
     TRAINED = ("theta_hat",)
+    keep_prob = 1.0
 
     @property
     def dim(self) -> int:
         return self.theta_hat.shape[0]
+
+    @property
+    def droppable(self) -> np.ndarray:
+        return np.zeros(self.dim, dtype=bool)
 
 
 @dataclass
@@ -181,7 +191,8 @@ class DropoutState:
 FamilyState = Union[MapState, MeanFieldState, StructuredNormalState, MixtureState, DropoutState]
 FAMILIES = {cls.tag: cls for cls in get_args(FamilyState)}
 
-ATOMIC_TAGS = ("map", "mc_dropout")
+ATOMIC_STATES = (MapState, DropoutState)
+ATOMIC_TAGS = tuple(cls.tag for cls in ATOMIC_STATES)
 GAUSSIAN_STATES = (MeanFieldState, StructuredNormalState)
 
 
@@ -401,14 +412,11 @@ def draw_noise(
 ) -> NoiseBatch:
     _validate_mode(state, mode, count)
     p = state.dim
-    if isinstance(state, MapState):
-        return NoiseBatch(mode=mode, count=count)
-    if isinstance(state, DropoutState):
+    if isinstance(state, ATOMIC_STATES):
         masks = np.ones((count, p))
         d = state.droppable
-        masks[:, d] = (rng.random((count, state.n_droppable)) < state.keep_prob).astype(
-            float
-        )
+        if d.any():  # MAP has nothing droppable and leaves the generator alone
+            masks[:, d] = rng.random((count, np.count_nonzero(d))) < state.keep_prob
         return NoiseBatch(mode=mode, count=count, masks=masks)
 
     k = getattr(state, "rank", 0)
@@ -470,33 +478,25 @@ def _scale_and_factor(params: dict):
     return ad.exp(0.5 * params["log_a"]), params["u"]
 
 
+def _gaussian_rows(params: dict, noise: NoiseBatch):
+    scale, factor = _scale_and_factor(params)
+    return gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
+
+
 def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
     """Realize the draws of a noise batch; differentiable in the parameters."""
-    if isinstance(template, MapState):
-        return ad.reshape(params["theta_hat"], (1, template.dim)) * np.ones(
-            (noise.count, 1)
-        )
-    if isinstance(template, DropoutState):
+    if isinstance(template, ATOMIC_STATES):
         return params["theta_hat"] * noise.masks
-    if isinstance(template, GAUSSIAN_STATES):
-        scale, factor = _scale_and_factor(params)
-        return gaussian_draw_rows(
-            params["mu"], scale, factor, noise.z_diag, noise.z_lowrank
-        )
-    if isinstance(template, MixtureState):
-        rows = None
-        for m, comp in enumerate(params["components"]):
-            sel = (noise.components == m).astype(float)[:, None]
-            if not sel.any():
-                continue
-            scale, factor = _scale_and_factor(comp)
-            comp_rows = gaussian_draw_rows(
-                comp["mu"], scale, factor, noise.z_diag, noise.z_lowrank
-            )
-            term = comp_rows * sel
-            rows = term if rows is None else rows + term
-        return rows
-    raise TypeError(f"not a family state: {template!r}")
+    if not isinstance(template, MixtureState):
+        return _gaussian_rows(params, noise)
+    rows = None
+    for m, comp in enumerate(params["components"]):
+        sel = (noise.components == m).astype(float)[:, None]
+        if not sel.any():
+            continue
+        term = _gaussian_rows(comp, noise) * sel
+        rows = term if rows is None else rows + term
+    return rows
 
 
 def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) -> tuple:
@@ -504,25 +504,22 @@ def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) ->
 
     Returns ``(theta, log_q, vjp)``: the draws, their sampled log q (None for
     the atomic families, whose log q is constant), and ``vjp(theta_bar,
-    logq_bar)``, the adjoint back to the flat psi.  MAP and dropout draws
-    are θ̂ ⊙ mask; mean field is the K = 0 structured normal.  Mixtures have
-    no closed form here and stay on the tape.
+    logq_bar)``, the adjoint back to the flat psi.  Atomic draws are θ̂ ⊙
+    mask; mean field is the K = 0 structured normal.  Mixtures have no closed
+    form here and stay on the tape.
     """
-    if isinstance(template, MapState):
-        theta = psi[None, :] * np.ones((noise.count, 1))
-        return theta, None, lambda theta_bar, _: theta_bar.sum(axis=0)
-    if isinstance(template, DropoutState):
+    if isinstance(template, ATOMIC_STATES):
         masks = noise.masks
         return psi * masks, None, lambda theta_bar, _: (theta_bar * masks).sum(axis=0)
+    if isinstance(template, MixtureState):
+        raise ModeFamilyError(f"{template.tag} has no closed-form ELBO gradient")
     p = template.dim
-    if isinstance(template, MeanFieldState):
+    if "log_sigma" in template.TRAINED:  # mean field, keyed as in _scale_and_factor
         scale = np.exp(psi[p:])
         factor, dscale_dlog = None, scale  # scale = exp(log_sigma)
-    elif isinstance(template, StructuredNormalState):
+    else:
         scale = np.exp(0.5 * psi[p : 2 * p])
         factor, dscale_dlog = psi[2 * p :].reshape(p, template.rank), 0.5 * scale
-    else:
-        raise ModeFamilyError(f"{template.tag} has no closed-form ELBO gradient")
     theta, log_q, gauss_vjp = gaussian_draws_logq_vjp(
         psi[:p], scale, factor, noise.z_diag, noise.z_lowrank
     )
@@ -550,51 +547,48 @@ def sample(
 # Densities and entropy
 
 
+def _gaussian_log_q(params: dict, theta):
+    scale, factor = _scale_and_factor(params)
+    return lowrank_logpdf(theta, params["mu"], scale * scale, factor)
+
+
 def log_q_rows(template: FamilyState, params: dict, theta):
     """Differentiable log q(theta) for continuous families, batched over rows."""
-    if isinstance(template, GAUSSIAN_STATES):
-        scale, factor = _scale_and_factor(params)
-        return lowrank_logpdf(theta, params["mu"], scale * scale, factor)
-    if isinstance(template, MixtureState):
-        logits = params["weight_logits"]
-        log_norm = ad.logsumexp(logits)
-        per = []
-        for m, comp in enumerate(params["components"]):
-            scale, factor = _scale_and_factor(comp)
-            per.append(
-                (logits[m] - log_norm)
-                + lowrank_logpdf(theta, comp["mu"], scale * scale, factor)
-            )
-        return ad.logsumexp(ad.stack(per, axis=0), axis=0)
-    raise ModeFamilyError(f"{template.tag} has no continuous log-density")
+    if isinstance(template, ATOMIC_STATES):
+        raise ModeFamilyError(f"{template.tag} has no continuous log-density")
+    if not isinstance(template, MixtureState):
+        return _gaussian_log_q(params, theta)
+    logits = params["weight_logits"]
+    log_norm = ad.logsumexp(logits)
+    per = [
+        (logits[m] - log_norm) + _gaussian_log_q(comp, theta)
+        for m, comp in enumerate(params["components"])
+    ]
+    return ad.logsumexp(ad.stack(per, axis=0), axis=0)
 
 
-def _dropout_atom_log_weight(state: DropoutState, theta_row: np.ndarray) -> float:
+def _atom_log_weight(state: FamilyState, rows: np.ndarray) -> np.ndarray:
+    """log q of each row under an atomic family: n_on log p + n_off log(1 − p).
+
+    A row is on an atom when every coordinate equals θ̂ or, if droppable,
+    0.  A droppable coordinate with θ̂ = 0 gives the same atom under both
+    mask values, whose weights sum to 1, so it counts toward neither n_on nor
+    n_off.  Off-atom rows get minus infinity.
+    """
+
+    def times(n, log_w):  # n log_w, and 0 where n = 0 even when log_w = −∞
+        return np.multiply(n, log_w, out=np.zeros(len(rows)), where=n > 0)
+
     p = state.keep_prob
-    n_on = 0
-    n_off = 0
-    for i in range(state.dim):
-        if not state.droppable[i]:
-            if theta_row[i] != state.theta_hat[i]:
-                return -math.inf
-            continue
-        if state.theta_hat[i] == 0.0:
-            # Both mask values produce the same atom; their weights sum to 1.
-            if theta_row[i] != 0.0:
-                return -math.inf
-            continue
-        if theta_row[i] == state.theta_hat[i]:
-            n_on += 1
-        elif theta_row[i] == 0.0:
-            n_off += 1
-        else:
-            return -math.inf
-    out = 0.0
-    if n_on:
-        out += n_on * (math.log(p) if p > 0 else -math.inf)
-    if n_off:
-        out += n_off * (math.log1p(-p) if p < 1 else -math.inf)
-    return out
+    on = rows == state.theta_hat
+    zero = rows == 0.0
+    counted = state.droppable & (state.theta_hat != 0.0)
+    n_on = np.count_nonzero(on & counted, axis=1)
+    n_off = np.count_nonzero(zero & counted, axis=1)
+    out = times(n_on, math.log(p) if p > 0 else -math.inf) + times(
+        n_off, math.log1p(-p) if p < 1 else -math.inf
+    )
+    return np.where(np.all(on | (zero & state.droppable), axis=1), out, -np.inf)
 
 
 def _gaussian_logpdf(rows: np.ndarray, state) -> np.ndarray:
@@ -611,12 +605,8 @@ def log_density(state: FamilyState, theta: np.ndarray):
     theta = np.asarray(theta, dtype=np.float64)
     single = theta.ndim == 1
     rows = theta[None, :] if single else theta
-    if isinstance(state, MapState):
-        out = np.where(
-            np.all(rows == state.theta_hat, axis=1), 0.0, -np.inf
-        )
-    elif isinstance(state, DropoutState):
-        out = np.array([_dropout_atom_log_weight(state, r) for r in rows])
+    if isinstance(state, ATOMIC_STATES):
+        out = _atom_log_weight(state, rows)
     elif isinstance(state, MixtureState):
         log_w = np.log(state.weights)
         per = np.stack(
@@ -631,20 +621,14 @@ def log_density(state: FamilyState, theta: np.ndarray):
 
 def entropy_closed_form(state: FamilyState) -> float | None:
     """½ log det(2πe Σ) for Gaussian families; None where no closed form exists."""
-    if isinstance(state, MeanFieldState):
-        return 0.5 * state.dim * (LOG_TWO_PI + 1.0) + float(np.sum(state.log_sigma))
-    if isinstance(state, StructuredNormalState):
-        from .lowrank import woodbury_logdet
-
+    if isinstance(state, GAUSSIAN_STATES):
         return 0.5 * (state.dim * (LOG_TWO_PI + 1.0) + woodbury_logdet(state.cov()))
     return None
 
 
 def dense_moments(state: FamilyState) -> tuple:
     """Mean and dense covariance of a Gaussian family (diagnostic view)."""
-    if isinstance(state, GAUSSIAN_STATES):
-        return state.mu.copy(), state.cov().dense()
-    raise TypeError(f"{state.tag} has no single Gaussian moment pair")
+    return state.mu.copy(), state.cov().dense()
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +639,12 @@ def dense_moments(state: FamilyState) -> tuple:
 class DropoutMixture:
     """Exact enumeration of the dropout posterior's point masses."""
 
-    states: np.ndarray  # (2^{P_d}, P_d) mask bits over droppable coordinates
     weights: np.ndarray  # (2^{P_d},)
     atoms: np.ndarray  # (2^{P_d}, P) parameter vectors theta_hat ⊙ z
-    droppable_index: np.ndarray
 
     @property
     def n_atoms(self) -> int:
-        return self.states.shape[0]
+        return self.weights.size
 
 
 def enumerate_dropout(state: DropoutState) -> DropoutMixture:
@@ -679,14 +661,9 @@ def enumerate_dropout(state: DropoutState) -> DropoutMixture:
     ones = bits.sum(axis=1)
     weights = state.keep_prob**ones * (1.0 - state.keep_prob) ** (pd - ones)
     atoms = np.tile(state.theta_hat, (n, 1))
-    droppable_index = np.flatnonzero(state.droppable)
-    atoms[:, droppable_index] = state.theta_hat[droppable_index] * bits
-    return DropoutMixture(
-        states=bits.astype(np.uint8),
-        weights=weights,
-        atoms=atoms,
-        droppable_index=droppable_index,
-    )
+    index = np.flatnonzero(state.droppable)
+    atoms[:, index] = state.theta_hat[index] * bits
+    return DropoutMixture(weights=weights, atoms=atoms)
 
 
 # ---------------------------------------------------------------------------

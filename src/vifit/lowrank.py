@@ -2,8 +2,9 @@
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  There is
-one log-density, ``lowrank_logpdf``: written in autodiff-capable
-primitives, it serves plain arrays (``structured_logpdf``, the families'
+one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
+``lowrank_logpdf``: written in autodiff-capable primitives, they serve
+plain arrays (``structured_logpdf``, the families' ``sample`` and
 ``log_density``) and the tape alike.  ``gaussian_draws_logq_vjp`` computes
 the same draws and log-density with their adjoint in closed form.
 
@@ -116,28 +117,6 @@ def woodbury_logdet(cov: StructuredCov) -> float:
     if cov.rank == 0:
         return base
     return base + 2.0 * float(np.sum(np.log(np.diag(cov.capacitance[0]))))
-
-
-def structured_sample(
-    mean: np.ndarray,
-    cov: StructuredCov,
-    z_diag: np.ndarray,
-    z_lowrank: np.ndarray,
-) -> np.ndarray:
-    """theta = mean + sqrt(A) ⊙ z_diag + U z_lowrank for external normal draws.
-
-    ``z_diag`` / ``z_lowrank`` may be single draws of shape (P,) / (K,) or
-    stacked batches of shape (S, P) / (S, K).
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    z_diag = np.asarray(z_diag, dtype=np.float64)
-    z_lowrank = np.asarray(z_lowrank, dtype=np.float64)
-    if z_diag.shape[-1] != cov.dim or z_lowrank.shape[-1] != cov.rank:
-        raise ValueError("noise shapes do not match the covariance")
-    theta = mean + np.sqrt(cov.diag) * z_diag
-    if cov.rank > 0:
-        theta = theta + z_lowrank @ cov.factor.T
-    return theta
 
 
 def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):

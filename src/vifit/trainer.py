@@ -241,26 +241,21 @@ def elbo_estimate(
     state: fam.FamilyState, problem, config: TrainConfig, rng: np.random.Generator
 ) -> ElboEstimate:
     """One Monte-Carlo ELBO estimate with its term decomposition."""
-    count = _effective_sample_count(state, config)
-    noise = fam.draw_noise(
-        state, config.mode, count, rng,
-        stratify_components=isinstance(state, fam.MixtureState),
-    )
-    batch = _draw_minibatch(problem, config, rng)
+    noise, batch = _draw_step(state, problem, config, rng)
     params = fam.unpack_vars(state, fam.pack(state))
     loglik, logprior, log_q, coeff = _elbo_terms(state, params, noise, problem, batch)
     weigh = (lambda rows: float(np.mean(rows * coeff))) if coeff is not None else (
         lambda rows: float(np.mean(rows))
     )
     loglik = weigh(loglik)
-    logprior = weigh(np.broadcast_to(np.asarray(logprior, float), (count,)))
+    logprior = weigh(np.broadcast_to(np.asarray(logprior, float), (noise.count,)))
     neg_logq = -weigh(log_q) if log_q is not None else 0.0
     return ElboEstimate(
         total=loglik + logprior + neg_logq,
         expected_loglik=loglik,
         expected_logprior=logprior,
         neg_mean_logq=neg_logq,
-        n_samples=count,
+        n_samples=noise.count,
         mode=config.mode,
     )
 
@@ -271,6 +266,14 @@ def _draw_minibatch(problem, config: TrainConfig, rng: np.random.Generator):
     if config.minibatch >= problem.n:
         return None
     return rng.choice(problem.n, size=config.minibatch, replace=False)
+
+
+def _draw_step(state, problem, config: TrainConfig, rng) -> tuple:
+    """(noise, minibatch) for one ELBO evaluation; mixtures stratify components."""
+    count = _effective_sample_count(state, config)
+    stratify = isinstance(state, fam.MixtureState)
+    noise = fam.draw_noise(state, config.mode, count, rng, stratify_components=stratify)
+    return noise, _draw_minibatch(problem, config, rng)
 
 
 def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
@@ -286,16 +289,11 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     m = np.zeros_like(psi)
     v = np.zeros_like(psi)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    count = _effective_sample_count(state, config)
-    stratify = isinstance(state, fam.MixtureState)
     trace = TrainTrace()
     lr = config.learning_rate
     start = time.perf_counter()
     for step in range(config.steps):
-        noise = fam.draw_noise(
-            state, config.mode, count, rng, stratify_components=stratify
-        )
-        batch = _draw_minibatch(problem, config, rng)
+        noise, batch = _draw_step(state, problem, config, rng)
         try:
             value, grad = elbo_value_and_grad(state, psi, noise, problem, batch)
         except ad.NonFiniteValueError as err:
@@ -360,13 +358,11 @@ def gradient_variance_probe(
     if repeats < 100:
         raise ValueError("need at least 100 repeats for a stable variance")
     config = TrainConfig(mc_samples=mc_samples, mode=mode)
-    count = _effective_sample_count(state, config)
-    stratify = isinstance(state, fam.MixtureState)
     psi = fam.pack(state)
     grads = np.empty((repeats, psi.size))
     for r in range(repeats):
-        noise = fam.draw_noise(state, mode, count, rng, stratify_components=stratify)
-        grads[r] = elbo_value_and_grad(state, psi, noise, problem)[1]
+        noise, batch = _draw_step(state, problem, config, rng)
+        grads[r] = elbo_value_and_grad(state, psi, noise, problem, batch)[1]
     return GradientProbe(
         mean=grads.mean(axis=0), variance=grads.var(axis=0, ddof=1), repeats=repeats
     )

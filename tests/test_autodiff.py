@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
 from vifit.lowrank import lowrank_logpdf
@@ -154,3 +156,75 @@ def test_gradient_length_matches_psi_dimension():
     report = ad.evaluate_with_gradient(lambda x: x[0] + 0.0 * x[1], np.ones(5))
     assert report.gradient.shape == (5,)
     np.testing.assert_allclose(report.gradient, [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+# -----------------------------------------------------------------------
+# Elementwise primitives over generated inputs
+
+BINARY = {"add": ad._add, "sub": ad._sub, "mul": ad._mul, "div": ad._div}
+UNARY = {
+    "neg": (ad._neg, False),
+    "exp": (ad.exp, False),
+    "log": (ad.log, True),
+    "sqrt": (ad.sqrt, True),
+    "tanh": (ad.tanh, False),
+    "softplus": (ad.softplus, False),
+}
+
+
+def away_from_zero(rng, n):
+    """Values of magnitude in [0.5, 2] with random signs: safe divisors."""
+    return rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+
+
+@given(
+    name=hst.sampled_from(sorted(BINARY)),
+    partner=hst.sampled_from(["row", "row_2d", "column", "scalar"]),
+    swap=hst.booleans(),
+    s=hst.integers(1, 4),
+    p=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_binary_broadcast_gradients_match_finite_differences(
+    name, partner, swap, s, p, seed
+):
+    # An (S, P) operand against each broadcast partner, in both orders; both
+    # operands are sliced from psi, so each side's unbroadcast adjoint is checked.
+    shape = {"row": (p,), "row_2d": (1, p), "column": (s, 1), "scalar": ()}[partner]
+    rng = np.random.default_rng(seed)
+    n = s * p
+    w = rng.standard_normal((s, p))
+    op = BINARY[name]
+
+    def objective(x):
+        full = ad.reshape(x[:n], (s, p))
+        other = ad.reshape(x[n:], shape)
+        out = op(other, full) if swap else op(full, other)
+        return ad.sum(out * w)
+
+    psi = away_from_zero(rng, n + int(np.prod(shape)))
+    report = ad.evaluate_with_gradient(objective, psi)
+    fd = ad.finite_difference_gradient(objective, psi)
+    np.testing.assert_allclose(report.gradient, fd, rtol=1e-6, atol=1e-9)
+
+
+@given(
+    name=hst.sampled_from(sorted(UNARY)),
+    s=hst.integers(1, 4),
+    p=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_unary_gradients_match_finite_differences(name, s, p, seed):
+    op, positive_only = UNARY[name]
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((s, p))
+    psi = away_from_zero(rng, s * p)
+    if positive_only:
+        psi = np.abs(psi)
+
+    def objective(x):
+        return ad.sum(op(ad.reshape(x, (s, p))) * w)
+
+    report = ad.evaluate_with_gradient(objective, psi)
+    fd = ad.finite_difference_gradient(objective, psi)
+    np.testing.assert_allclose(report.gradient, fd, rtol=1e-6, atol=1e-9)

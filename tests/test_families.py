@@ -520,3 +520,103 @@ RECORDED_DOCS = [
 def test_recorded_json_documents_still_read(text):
     state = fam.state_from_json(text)
     assert json.loads(fam.state_to_json(state)) == json.loads(text)
+
+
+# -----------------------------------------------------------------------
+# Atomic log-density over generated states
+
+
+@hst.composite
+def atomic_base(draw):
+    """(θ̂, droppable): P <= 8, θ̂ holding 0.0 and -0.0 among its coordinates."""
+    p = draw(hst.integers(1, 8))
+    coord = hst.sampled_from([0.0, -0.0]) | hst.floats(-3.0, 3.0)
+    theta_hat = np.array(draw(hst.lists(coord, min_size=p, max_size=p)))
+    droppable = np.array(draw(hst.lists(hst.booleans(), min_size=p, max_size=p)))
+    return theta_hat, droppable
+
+
+def off_atom(theta_hat, i):
+    """θ̂ with coordinate i moved to a value that is neither θ̂_i nor 0."""
+    row = theta_hat.copy()
+    row[i] = abs(theta_hat[i]) + 1.0
+    return row
+
+
+KEEP_PROB = hst.sampled_from([0.0, 1.0]) | hst.floats(1e-3, 1.0 - 1e-3)
+
+
+@given(atomic_base(), KEEP_PROB)
+def test_dropout_log_density_is_summed_weight_of_equal_atoms(base, keep_prob):
+    theta_hat, droppable = base
+    st = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    mixture = fam.enumerate_dropout(st)
+    got = fam.log_density(st, mixture.atoms)
+    for atom, value in zip(mixture.atoms, got):
+        mass = mixture.weights[np.all(mixture.atoms == atom, axis=1)].sum()
+        expected = math.log(mass) if mass > 0 else -math.inf
+        # abs_tol only matters near log 1 = 0, where the summed weights round.
+        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-12), (atom, mass)
+
+
+@given(atomic_base(), KEEP_PROB, hst.data())
+def test_atomic_log_density_off_atom_is_minus_inf(base, keep_prob, data):
+    theta_hat, droppable = base
+    i = data.draw(hst.integers(0, theta_hat.size - 1))
+    st = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    assert fam.log_density(st, off_atom(theta_hat, i)) == -math.inf
+    map_st = fam.MapState(theta_hat=theta_hat)
+    assert fam.log_density(map_st, theta_hat) == 0.0
+    assert fam.log_density(map_st, off_atom(theta_hat, i)) == -math.inf
+    if theta_hat[i] != 0.0:
+        dropped = theta_hat.copy()
+        dropped[i] = 0.0
+        assert fam.log_density(map_st, dropped) == -math.inf
+
+
+@given(atomic_base(), hst.integers(1, 5), hst.integers(0, 2**16))
+def test_map_noise_is_all_ones_and_draws_nothing(base, count, seed):
+    st = fam.MapState(theta_hat=base[0])
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    noise = fam.draw_noise(st, "naive", count, rng)
+    assert rng.bit_generator.state == before
+    np.testing.assert_array_equal(noise.masks, np.ones((count, st.dim)))
+
+
+def loop_atom_log_weight(state, row) -> float:
+    """Per-coordinate reference for one row's atomic log-density."""
+    n_on = n_off = 0
+    for i in range(state.dim):
+        if not state.droppable[i] or state.theta_hat[i] == 0.0:
+            # Fixed coordinate, or one whose two mask values give one atom.
+            if row[i] != state.theta_hat[i]:
+                return -math.inf
+        elif row[i] == state.theta_hat[i]:
+            n_on += 1
+        elif row[i] == 0.0:
+            n_off += 1
+        else:
+            return -math.inf
+    p, out = state.keep_prob, 0.0
+    if n_on:
+        out += n_on * (math.log(p) if p > 0 else -math.inf)
+    if n_off:
+        out += n_off * (math.log1p(-p) if p < 1 else -math.inf)
+    return out
+
+
+@given(atomic_base(), KEEP_PROB, hst.integers(0, 2**16))
+def test_atomic_log_density_is_bit_identical_to_the_loop(base, keep_prob, seed):
+    theta_hat, droppable = base
+    rng, p = np.random.default_rng(seed), theta_hat.size
+    rows = theta_hat * (rng.random((16, p)) < 0.5)  # atoms, some repeated
+    rows[::3] += rng.standard_normal(p) * (rng.random(p) < 0.3)  # some off-atom
+    rows[::5, 0] = -0.0
+    for st in (
+        fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable),
+        fam.MapState(theta_hat=theta_hat),
+    ):
+        expected = np.array([loop_atom_log_weight(st, r) for r in rows])
+        got = fam.log_density(st, rows)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
