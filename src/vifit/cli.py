@@ -75,19 +75,38 @@ class DropoutAuditConfig:
     mc_draws: int = 100_000
 
 
+def _accepts(default, value) -> bool:
+    """Whether a JSON value can stand for a config field with this default.
+
+    An int stands for a float, a bool only for a bool, and a list of numbers
+    for a tuple.
+    """
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_accepts(0.0, v) for v in value)
+    return isinstance(value, type(default))
+
+
 def _load_config(cls, path, overrides: dict):
     doc = {}
     if path:
         with open(path) as fh:
             doc = json.load(fh)
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - fields
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("ranks", "x_star"):
-        if key in doc and isinstance(doc[key], list):
-            doc[key] = tuple(doc[key])
+    for key, value in doc.items():
+        default = defaults[key]
+        if not _accepts(default, value):
+            expected = "list of numbers" if isinstance(default, tuple) else type(default).__name__
+            raise TypeError(f"config key {key!r} expects {expected}, got {value!r}")
+        if isinstance(default, tuple):
+            doc[key] = tuple(value)
     return cls(**doc)
 
 
@@ -112,8 +131,12 @@ def build_roster(ranks, mode: str, head=(), tail=()) -> list:
     """Members ``head``, then mf / sN{rank} for each rank, then ``tail``.
 
     Atomic families sample in naive mode and the rest in ``mode``; a member
-    that cannot is rejected here, before any training starts.
+    that cannot, or a rank that is not a nonnegative integer, is rejected
+    here, before any training starts.
     """
+    for k in ranks:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"ranks must be nonnegative integers, got {k!r}")
     ranked = [
         ("mf", "mean_field", {}) if k == 0 else (f"sn{k}", "structured_normal", {"rank": k})
         for k in ranks

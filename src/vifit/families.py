@@ -363,10 +363,6 @@ class SampleBatch:
     draws: np.ndarray
     noise: NoiseBatch
 
-    @property
-    def mode(self) -> str:
-        return self.noise.mode
-
 
 def _haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.standard_normal((k, k))

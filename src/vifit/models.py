@@ -9,11 +9,8 @@ code backs plain evaluation, training, and test oracles.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -207,16 +204,6 @@ class RegressionProblem:
         return rows, grad + prior_grad(self.prior, theta)
 
 
-def gaussian_loglik(problem: RegressionProblem, theta):
-    """Full-data log-likelihood at one parameter vector (or stacked rows)."""
-    return problem.loglik_rows(theta)
-
-
-def minibatch_loglik(problem: RegressionProblem, theta, batch_indices):
-    """Unbiased (N/|B|)-rescaled minibatch estimate of gaussian_loglik."""
-    return problem.loglik_rows(theta, batch_indices)
-
-
 @dataclass
 class SyntheticTruth:
     theta_star: np.ndarray
@@ -249,57 +236,6 @@ def make_rbf_dataset(
         inputs=xs,
     )
     return problem, SyntheticTruth(theta_star=theta_star, clean=clean, noisy=noisy)
-
-
-def save_dataset(problem: RegressionProblem, truth: SyntheticTruth, path, seed: int):
-    """CSV of (x, t, y_clean) plus a JSON sidecar holding spec and seed."""
-    path = Path(path)
-    if problem.inputs is None or problem.rbf is None:
-        raise ValueError("only RBF-generated datasets serialize to CSV")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "t", "y_clean"])
-        for x, t, y in zip(problem.inputs, problem.targets, truth.clean):
-            writer.writerow([repr(float(x)), repr(float(t)), repr(float(y))])
-    sidecar = {
-        "seed": seed,
-        "centers": problem.rbf.centers.tolist(),
-        "bandwidth": problem.rbf.bandwidth,
-        "noise_sigma": problem.rbf.noise_sigma,
-        "theta_star": truth.theta_star.tolist(),
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_dataset(path) -> tuple:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    xs, ts, ys = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x"]))
-            ts.append(float(row["t"]))
-            ys.append(float(row["y_clean"]))
-    spec = RbfModelSpec(
-        centers=np.asarray(sidecar["centers"]),
-        bandwidth=sidecar["bandwidth"],
-        noise_sigma=sidecar["noise_sigma"],
-    )
-    xs = np.asarray(xs)
-    problem = RegressionProblem(
-        design=rbf_design_matrix(xs, spec),
-        targets=np.asarray(ts),
-        noise_sigma=spec.noise_sigma,
-        prior=GaussianPrior(1.0),
-        rbf=spec,
-        inputs=xs,
-    )
-    truth = SyntheticTruth(
-        theta_star=np.asarray(sidecar["theta_star"]),
-        clean=np.asarray(ys),
-        noisy=np.asarray(ts),
-    )
-    return problem, truth
 
 
 class OneHiddenMlp:

@@ -10,7 +10,6 @@ P ≤ 32 by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,18 +88,6 @@ class GaussianDist:
 
     def entropy(self) -> float:
         return 0.5 * (self.dim * (LOG_TWO_PI + 1.0) + self._logdet)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mean": self.mean.tolist(), "cov": self.cov.ravel().tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianDist":
-        doc = json.loads(text)
-        mean = np.asarray(doc["mean"], dtype=np.float64)
-        cov = np.asarray(doc["cov"], dtype=np.float64).reshape(mean.size, mean.size)
-        return cls(mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -220,23 +207,6 @@ def kl_p_to_family_mc(
     draws = p.sample(rng, n_mc)
     gaps = p.log_density(draws) - fam.log_density(state, draws)
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(n_mc))
-
-
-def kl_p_to_family(
-    p: GaussianDist,
-    state: fam.FamilyState,
-    n_mc: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """KL[p || q], exact for Gaussian families, MC for mixtures, inf for atoms."""
-    if state.tag in fam.ATOMIC_TAGS:
-        return math.inf
-    if isinstance(state, fam.GAUSSIAN_STATES):
-        return kl_gaussian_gaussian(p, family_to_gaussian(state))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    value, _ = kl_p_to_family_mc(p, state, n_mc, rng)
-    return value
 
 
 def kl_family_to_target_mc(

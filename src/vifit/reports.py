@@ -232,8 +232,6 @@ def svg_isolines(doc: dict) -> str:
         color = palette[i % len(palette)]
         for s in (1.0, 2.0):
             body.append(_ellipse_path(frame, mean, cov, s, color))
-    for point in doc.get("atoms", []):
-        body.append(frame.circle(point[0], point[1], 3, "#cc3333"))
     return frame.document(body)
 
 

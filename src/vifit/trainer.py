@@ -26,10 +26,9 @@ closed-form gradient.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,14 +93,6 @@ class TrainConfig:
         if self.convergence_window < 0 or self.convergence_tol < 0:
             raise ValueError("convergence settings must be nonnegative")
 
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        with open(path) as fh:
-            return cls(**json.load(fh))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ElboEstimate:
@@ -120,12 +111,6 @@ class TrainTrace:
     runtime_s: float = 0.0
     steps_run: int = 0
     final_state: fam.FamilyState | None = None
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("step,elbo,grad_norm\n")
-            for i, (e, g) in enumerate(zip(self.elbo, self.grad_norm)):
-                fh.write(f"{i},{e!r},{g!r}\n")
 
 
 def _effective_sample_count(state: fam.FamilyState, config: TrainConfig) -> int:
@@ -366,8 +351,3 @@ def gradient_variance_probe(
     return GradientProbe(
         mean=grads.mean(axis=0), variance=grads.var(axis=0, ddof=1), repeats=repeats
     )
-
-
-def save_final_state(trace: TrainTrace, path):
-    with open(path, "w") as fh:
-        fh.write(fam.state_to_json(trace.final_state))

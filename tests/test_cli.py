@@ -198,6 +198,50 @@ def test_impossible_mode_rejected_before_training(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["rbf"], ["fit-gaussian"], ["fit-gaussian", "--bimodal"]])
+@pytest.mark.parametrize("bad", [-1, 1.5])
+def test_bad_rank_rejected_before_training(tmp_path, capsys, monkeypatch, argv, bad):
+    calls = count_train_calls(monkeypatch)
+    cfg = write_config(tmp_path, {"ranks": [0, bad]})
+    assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "ranks" in record["message"] and repr(bad) in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("rbf", "mc_samples", "8"),
+        ("rbf", "steps", True),
+        ("rbf", "ranks", [0, True]),
+        ("rbf", "mode", 3),
+        ("fit-gaussian", "bimodal", 1),
+        ("fit-gaussian", "learning_rate", False),
+        ("fit-gaussian", "steps", 100.0),
+        ("dropout-audit", "keep_prob", "0.5"),
+        ("dropout-audit", "x_star", ["0.1"]),
+        ("dropout-audit", "x_star", 0.1),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, monkeypatch, command, key, value):
+    calls = count_train_calls(monkeypatch)
+    cfg = write_config(tmp_path, {key: value})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "TypeError"
+    assert repr(key) in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_int_for_float_and_list_for_tuple():
+    config = cli._load_config(cli.DropoutAuditConfig, None, {"keep_prob": 1, "x_star": [0, 0.5]})
+    assert config.keep_prob == 1 and config.x_star == (0, 0.5)
+
+
 def test_unscented_roster_of_structured_members_runs(tmp_path, monkeypatch):
     calls = count_train_calls(monkeypatch)
     cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[1, 2], mode="unscented"))

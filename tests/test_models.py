@@ -63,7 +63,7 @@ def test_loglik_zero_residual():
     problem = mod.RegressionProblem(
         design=np.eye(1), targets=np.zeros(1), noise_sigma=1.0, prior=mod.GaussianPrior()
     )
-    val = mod.gaussian_loglik(problem, np.zeros(1))
+    val = problem.loglik_rows(np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi), rel_tol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_loglik_unit_residual():
     problem = mod.RegressionProblem(
         design=np.eye(1), targets=np.ones(1), noise_sigma=1.0, prior=mod.GaussianPrior()
     )
-    val = mod.gaussian_loglik(problem, np.zeros(1))
+    val = problem.loglik_rows(np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi) - 0.5, rel_tol=1e-12)
 
 
@@ -84,13 +84,13 @@ def test_loglik_matches_scalar_normal_sum():
         - (t - p) ** 2 / (2 * problem.noise_sigma**2)
         for t, p in zip(problem.targets, preds)
     )
-    assert math.isclose(mod.gaussian_loglik(problem, theta), expected, rel_tol=1e-12)
+    assert math.isclose(problem.loglik_rows(theta), expected, rel_tol=1e-12)
 
 
 def test_loglik_gradient_closed_form():
     problem, _ = small_problem(seed=3)
     theta = np.random.default_rng(4).standard_normal(problem.dim)
-    report = ad.evaluate_with_gradient(lambda th: mod.gaussian_loglik(problem, th), theta)
+    report = ad.evaluate_with_gradient(problem.loglik_rows, theta)
     expected = problem.design.T @ (problem.targets - problem.design @ theta)
     expected /= problem.noise_sigma**2
     np.testing.assert_allclose(report.gradient, expected, atol=1e-8)
@@ -98,19 +98,19 @@ def test_loglik_gradient_closed_form():
 
 def test_minibatch_full_batch_equals_loglik():
     problem, truth = small_problem(seed=5)
-    full = mod.gaussian_loglik(problem, truth.theta_star)
-    batched = mod.minibatch_loglik(problem, truth.theta_star, np.arange(problem.n))
+    full = problem.loglik_rows(truth.theta_star)
+    batched = problem.loglik_rows(truth.theta_star, np.arange(problem.n))
     assert math.isclose(full, batched, rel_tol=1e-12)
 
 
 def test_minibatch_singleton_average_is_exact():
     problem, truth = small_problem(seed=6, n=12)
     singles = [
-        mod.minibatch_loglik(problem, truth.theta_star, np.array([i]))
+        problem.loglik_rows(truth.theta_star, np.array([i]))
         for i in range(problem.n)
     ]
     assert math.isclose(
-        float(np.mean(singles)), mod.gaussian_loglik(problem, truth.theta_star), rel_tol=1e-12
+        float(np.mean(singles)), problem.loglik_rows(truth.theta_star), rel_tol=1e-12
     )
 
 
@@ -119,21 +119,19 @@ def test_minibatch_unbiased_over_random_batches():
     rng = np.random.default_rng(8)
     estimates = np.array(
         [
-            mod.minibatch_loglik(
-                problem, truth.theta_star, rng.choice(20, size=5, replace=False)
-            )
+            problem.loglik_rows(truth.theta_star, rng.choice(20, size=5, replace=False))
             for _ in range(10_000)
         ]
     )
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
-    full = mod.gaussian_loglik(problem, truth.theta_star)
+    full = problem.loglik_rows(truth.theta_star)
     assert abs(estimates.mean() - full) < 3 * se
 
 
 def test_minibatch_empty_rejected():
     problem, truth = small_problem(seed=9)
     with pytest.raises(ValueError, match="nonempty"):
-        mod.minibatch_loglik(problem, truth.theta_star, np.array([], dtype=int))
+        problem.loglik_rows(truth.theta_star, np.array([], dtype=int))
 
 
 # -----------------------------------------------------------------------
@@ -209,17 +207,6 @@ def test_noise_std_in_chi_square_band():
     problem, truth = mod.make_rbf_dataset(spec, 200, seed=12)
     resid_std = np.std(problem.targets - truth.clean, ddof=1)
     assert 0.20 <= resid_std <= 0.30
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    spec = mod.RbfModelSpec.regular(6)
-    problem, truth = mod.make_rbf_dataset(spec, 15, seed=13)
-    path = tmp_path / "data.csv"
-    mod.save_dataset(problem, truth, path, seed=13)
-    problem2, truth2 = mod.load_dataset(path)
-    np.testing.assert_array_equal(problem2.targets, problem.targets)
-    np.testing.assert_array_equal(problem2.design, problem.design)
-    np.testing.assert_array_equal(truth2.theta_star, truth.theta_star)
 
 
 def test_mlp_hook_smoke():

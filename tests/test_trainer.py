@@ -1,6 +1,5 @@
 """ELBO estimator and trainer tests on conjugate ground truth."""
 
-import json
 import math
 
 import numpy as np
@@ -37,7 +36,7 @@ def test_map_estimate_is_pointwise_and_deterministic():
         for s in range(5)
     ]
     expected = float(
-        mod.gaussian_loglik(problem, state.theta_hat)
+        problem.loglik_rows(state.theta_hat)
         + mod.prior_logpdf(problem.prior, state.theta_hat)
     )
     np.testing.assert_allclose(values, expected, rtol=1e-12)
@@ -338,14 +337,6 @@ def test_doubling_samples_halves_variance():
 # config and trace plumbing
 
 
-def test_config_round_trip_json(tmp_path):
-    config = tr.TrainConfig(steps=123, learning_rate=0.05, mode="paired", seed=9)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.to_dict()))
-    back = tr.TrainConfig.from_json(path)
-    assert back == config
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(mc_samples=0)
@@ -355,16 +346,10 @@ def test_config_validation():
         tr.TrainConfig(learning_rate=-1.0)
 
 
-def test_trace_csv_and_state_json(tmp_path):
+def test_trace_csv_and_state_json():
     problem, _ = conjugate_problem(seed=40)
     state = fam.init_family("map", problem.model_shape(), np.random.default_rng(41))
     trace = tr.train(state, problem, tr.TrainConfig(steps=20, seed=10))
-    csv_path = tmp_path / "trace.csv"
-    trace.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "step,elbo,grad_norm"
-    assert len(lines) == 21
-    state_path = tmp_path / "state.json"
-    tr.save_final_state(trace, state_path)
-    back = fam.state_from_json(state_path.read_text())
+    assert len(trace.elbo) == len(trace.grad_norm) == 20
+    back = fam.state_from_json(fam.state_to_json(trace.final_state))
     np.testing.assert_array_equal(back.theta_hat, trace.final_state.theta_hat)
