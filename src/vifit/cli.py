@@ -23,7 +23,19 @@ from . import families as fam
 from . import models as mod
 from . import oracle as orc
 from . import trainer as tr
+from .lowrank import FactorizationError
 from .reports import FORMATS, ExperimentReport, FamilyResult, emit_report
+
+
+def _check_ranges(config, minimum: dict, positive=(), probability=()):
+    """Raise ValueError naming the first key of ``config`` outside its range."""
+    checks = [(key, lambda v, m=m: v >= m, f">= {m}") for key, m in minimum.items()]
+    checks += [(key, lambda v: v > 0, "> 0") for key in positive]
+    checks += [(key, lambda v: 0 <= v <= 1, "in [0, 1]") for key in probability]
+    for key, ok, bound in checks:
+        value = getattr(config, key)
+        if not ok(value):
+            raise ValueError(f"config key {key!r} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,13 @@ class FitGaussianConfig:
     target_sigma: float = 0.4
     kl_mc_samples: int = 200_000
 
+    def __post_init__(self):
+        _check_ranges(
+            self,
+            {"dim": 1, "steps": 1, "mc_samples": 1, "gmm_components": 1, "kl_mc_samples": 2},
+            positive=("target_sigma",),
+        )
+
 
 @dataclass(frozen=True)
 class RbfConfig:
@@ -59,6 +78,14 @@ class RbfConfig:
     mode: str = "paired"
     grid_points: int = 101
 
+    def __post_init__(self):
+        _check_ranges(
+            self,
+            {"n_basis": 1, "n_data": 1, "steps": 1, "mc_samples": 1, "grid_points": 2},
+            positive=("noise_sigma",),
+            probability=("keep_prob",),
+        )
+
 
 @dataclass(frozen=True)
 class DropoutAuditConfig:
@@ -73,6 +100,14 @@ class DropoutAuditConfig:
     mc_samples: int = 8
     x_star: tuple = (-0.9, -0.45, 0.0, 0.45, 0.9)
     mc_draws: int = 100_000
+
+    def __post_init__(self):
+        _check_ranges(
+            self,
+            {"n_data": 1, "steps": 1, "mc_samples": 1, "mc_draws": 2},
+            positive=("noise_sigma",),
+            probability=("keep_prob",),
+        )
 
 
 def _accepts(default, value) -> bool:
@@ -176,17 +211,27 @@ def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
     return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
 
 
+# Numerical failures that end one member's fit, not the command.
+MEMBER_FAILURES = (
+    tr.TrainingError,
+    orc.NotPositiveDefiniteError,
+    FactorizationError,
+    np.linalg.LinAlgError,
+)
+
+
 def fit_roster(experiment: str, roster, shape, target, config, seqs, audit) -> list:
     """``fit_member`` per member, each seed sequence spawned once per member.
 
-    A member that fails to train gets an empty row and a None state; the
-    rest of the roster still runs.
+    A member whose training fails, or whose audit meets a numerically
+    degenerate fit, gets an empty row and a None state; the rest of the
+    roster still runs.  Other errors end the command.
     """
     fits = []
     for member, *member_seqs in zip(roster, *(seq.spawn(len(roster)) for seq in seqs)):
         try:
             fits.append(fit_member(member, shape, target, config, member_seqs, audit))
-        except tr.TrainingError as err:
+        except MEMBER_FAILURES as err:
             print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
             fits.append((FamilyResult(member.label, member.rank), None))
     return fits

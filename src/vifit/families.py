@@ -38,8 +38,8 @@ from .lowrank import (
     LOG_TWO_PI,
     StructuredCov,
     gaussian_draw_rows,
-    gaussian_draws_logq_vjp,
     lowrank_logpdf,
+    lowrank_logpdf_and_vjp,
     woodbury_logdet,
 )
 
@@ -315,12 +315,14 @@ def unpack_vars(template: FamilyState, psi):
     gradients flow back into the flat vector.  A family with a single
     trained vector (MAP, dropout) gets psi itself.
     """
-    slices = param_slices(template)
-    if len(slices) == 1:
-        return {name: psi for name in slices}
+    if template.TRAINED == ("theta_hat",):
+        return {"theta_hat": psi}
+    offset = 0
 
-    def leaf(name, like):
-        part = psi[slices[name]]
+    def leaf(_, like):  # _walk visits the arrays in pack order
+        nonlocal offset
+        part = psi[offset : offset + like.size]
+        offset += like.size
         return part if like.ndim == 1 else ad.reshape(part, like.shape)
 
     return _walk(template, leaf)
@@ -501,30 +503,30 @@ def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) ->
     Returns ``(theta, log_q, vjp)``: the draws, their sampled log q (None for
     the atomic families, whose log q is constant), and ``vjp(theta_bar,
     logq_bar)``, the adjoint back to the flat psi.  Atomic draws are θ̂ ⊙
-    mask; mean field is the K = 0 structured normal.  Mixtures have no closed
-    form here and stay on the tape.
+    mask.  Gaussian draws go through ``gaussian_draw_rows`` and log q through
+    ``lowrank_logpdf_and_vjp``, whose adjoint this chains through the draw.
+    Mixtures have no closed form here and stay on the tape.
     """
     if isinstance(template, ATOMIC_STATES):
         masks = noise.masks
         return psi * masks, None, lambda theta_bar, _: (theta_bar * masks).sum(axis=0)
     if isinstance(template, MixtureState):
         raise ModeFamilyError(f"{template.tag} has no closed-form ELBO gradient")
-    p = template.dim
-    if "log_sigma" in template.TRAINED:  # mean field, keyed as in _scale_and_factor
-        scale = np.exp(psi[p:])
-        factor, dscale_dlog = None, scale  # scale = exp(log_sigma)
-    else:
-        scale = np.exp(0.5 * psi[p : 2 * p])
-        factor, dscale_dlog = psi[2 * p :].reshape(p, template.rank), 0.5 * scale
-    theta, log_q, gauss_vjp = gaussian_draws_logq_vjp(
-        psi[:p], scale, factor, noise.z_diag, noise.z_lowrank
-    )
+    params = unpack_vars(template, psi)
+    scale, factor = _scale_and_factor(params)
+    # d scale / d log-parameter: scale = exp(log_sigma) or exp(½ log_a).
+    dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
+    theta = gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
+    log_q, logq_vjp = lowrank_logpdf_and_vjp(theta, params["mu"], scale * scale, factor)
 
     def vjp(theta_bar, logq_bar):
-        d_mean, d_scale, d_factor = gauss_vjp(theta_bar, logq_bar)
-        parts = [d_mean, d_scale * dscale_dlog]
+        d_theta, d_a, d_factor = logq_vjp(logq_bar)
+        via_r = theta_bar + d_theta  # total adjoint of θ_k − mean
+        d_scale = (via_r * noise.z_diag).sum(axis=0) + 2.0 * scale * d_a
+        # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
+        parts = [theta_bar.sum(axis=0), d_scale * dscale_dlog]
         if d_factor is not None:
-            parts.append(d_factor.ravel())
+            parts.append((via_r.T @ noise.z_lowrank + d_factor).ravel())
         return np.concatenate(parts)
 
     return theta, log_q, vjp
@@ -587,11 +589,6 @@ def _atom_log_weight(state: FamilyState, rows: np.ndarray) -> np.ndarray:
     return np.where(np.all(on | (zero & state.droppable), axis=1), out, -np.inf)
 
 
-def _gaussian_logpdf(rows: np.ndarray, state) -> np.ndarray:
-    cov = state.cov()
-    return lowrank_logpdf(rows, state.mu, cov.diag, cov.factor)
-
-
 def log_density(state: FamilyState, theta: np.ndarray):
     """log q(theta); scalar for a single point, vector for stacked rows.
 
@@ -603,14 +600,8 @@ def log_density(state: FamilyState, theta: np.ndarray):
     rows = theta[None, :] if single else theta
     if isinstance(state, ATOMIC_STATES):
         out = _atom_log_weight(state, rows)
-    elif isinstance(state, MixtureState):
-        log_w = np.log(state.weights)
-        per = np.stack(
-            [log_w[m] + _gaussian_logpdf(rows, c) for m, c in enumerate(state.components)]
-        )
-        out = ad.logsumexp(per, axis=0)
     else:
-        out = _gaussian_logpdf(rows, state)
+        out = log_q_rows(state, _walk(state, lambda _, value: value), rows)
     out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if single else out
 

@@ -5,8 +5,10 @@ never through a dense P×P factorization, so the cost is O(P K²).  There is
 one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
 ``lowrank_logpdf``: written in autodiff-capable primitives, they serve
 plain arrays (``structured_logpdf``, the families' ``sample`` and
-``log_density``) and the tape alike.  ``gaussian_draws_logq_vjp`` computes
-the same draws and log-density with their adjoint in closed form.
+``log_density``) and the tape alike.  ``lowrank_logpdf_and_vjp`` is the
+log-density's closed-form twin on plain arrays: the same value at any rows,
+with its adjoint.  The closed-form ELBO gradient draws through
+``gaussian_draw_rows`` and differentiates log q through the twin.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization whose smallest pivot is lost in the rounding of C's largest
@@ -165,47 +167,43 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
     return -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
 
-def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
-    """Reparametrized draws, their sampled log q, and its adjoint, in closed form.
+def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
+    """Closed-form twin of ``lowrank_logpdf`` on plain arrays, with its adjoint.
 
-    Plain-array counterpart of ``gaussian_draw_rows`` followed by
-    ``lowrank_logpdf`` on Σ = diag(a) + UUᵀ with a = scale²: θ_k = mean +
-    scale ⊙ z_k + U w_k.  Returns ``(theta, log_q, vjp)`` where
-    ``vjp(theta_bar, logq_bar)`` maps adjoints of the (S, P) draws and the
-    (S,) log-densities to ``(d_mean, d_scale, d_factor)``.  The log q
-    adjoint is its total derivative: through θ_k, and through Σ directly
-    (Ong, Nott & Smith 2018).  With v_k = Σ⁻¹(θ_k − mean),
+    Evaluates log N(θ_k; mean, Σ) with Σ = diag(a) + UUᵀ at any (S, P) rows
+    θ_k and returns ``(log_q, vjp)``, where ``vjp(logq_bar)`` maps the (S,)
+    adjoint of log q to ``(d_theta, d_a, d_factor)``.  log q depends on θ
+    and the mean only through θ − mean, so the mean's adjoint is −Σ_k
+    d_theta_k.  With v_k = Σ⁻¹(θ_k − mean) (Ong, Nott & Smith 2018),
 
         ∂ log q_k / ∂θ_k = −v_k,
         ∂ log q_k / ∂a  = −½ (diag Σ⁻¹ − v_k²),
         ∂ log q_k / ∂U  = −Σ⁻¹U + v_k (Uᵀv_k)ᵀ,
 
     where Σ⁻¹U = A⁻¹UC⁻¹, Uᵀv_k = C⁻¹UᵀA⁻¹(θ_k − mean) and diag Σ⁻¹ all come
-    from the K×K capacitance C, never a P×P factorization.  ``factor`` may be
-    None (or have K = 0) for a diagonal covariance.  Raises
-    ``numpy.linalg.LinAlgError`` when C is not numerically positive definite
-    or is singular to working precision.
+    from one Cholesky factorization of the K×K capacitance C, never a P×P
+    one.  ``factor`` may be None (or have K = 0) for a diagonal covariance;
+    ``d_factor`` is then None.  Raises ``numpy.linalg.LinAlgError`` when C
+    is not numerically positive definite or is singular to working
+    precision.
     """
     p = mean.shape[0]
     k = 0 if factor is None else factor.shape[1]
-    theta = mean + scale * z_diag
-    if k:
-        theta = theta + z_lowrank @ factor.T
-    a = scale * scale
     r = theta - mean
-    v = r / a
+    v = r / a_diag
     quad = (r * v).sum(axis=-1)
-    logdet = np.log(a).sum()
-    sinv_diag = 1.0 / a
+    logdet = np.log(a_diag).sum()
+    sinv_diag = 1.0 / a_diag
     if k:
-        b = factor / a[:, None]
+        b = factor / a_diag[:, None]
         cap = np.eye(k) + factor.T @ b
         chol = np.linalg.cholesky(cap)  # LinAlgError when C is not SPD
         if _capacitance_singular(chol.diagonal(), cap.diagonal()):
             raise np.linalg.LinAlgError("capacitance is singular to working precision")
         t = v @ factor
-        # One solve for both right-hand sides: C⁻¹ t_k and C⁻¹ Bᵀ.
-        sol = np.linalg.solve(cap, np.hstack([t.T, b.T]))
+        # C⁻¹ t_k and C⁻¹ Bᵀ in one LAPACK potrs on that factor: the call that
+        # scipy.linalg.cho_solve makes, without its checks, which cost more here.
+        sol, _ = scipy.linalg.lapack.dpotrs(chol, np.hstack([t.T, b.T]), lower=True)
         utv = sol[:, : len(t)].T  # rows Uᵀ v_k = C⁻¹ t_k
         sinv_u = sol[:, len(t) :].T  # Σ⁻¹U = A⁻¹ U C⁻¹
         quad = quad - (t * utv).sum(axis=-1)
@@ -214,16 +212,11 @@ def gaussian_draws_logq_vjp(mean, scale, factor, z_diag, z_lowrank) -> tuple:
         sinv_diag = sinv_diag - (b * sinv_u).sum(axis=1)
     log_q = -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
-    def vjp(theta_bar, logq_bar):
+    def vjp(logq_bar):
         lv = v * logq_bar[:, None]
-        via_r = theta_bar - lv  # adjoint reaching r_k = scale ⊙ z_k + U w_k
         lsum = logq_bar.sum()
         d_a = -0.5 * (lsum * sinv_diag - (lv * v).sum(axis=0))
-        d_scale = (via_r * z_diag).sum(axis=0) + 2.0 * scale * d_a
-        d_factor = None
-        if k:
-            d_factor = via_r.T @ z_lowrank + lv.T @ utv - lsum * sinv_u
-        return theta_bar.sum(axis=0), d_scale, d_factor
+        d_factor = lv.T @ utv - lsum * sinv_u if k else None
+        return -lv, d_a, d_factor
 
-    return theta, log_q, vjp
-
+    return log_q, vjp

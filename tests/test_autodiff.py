@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -228,3 +229,124 @@ def test_unary_gradients_match_finite_differences(name, s, p, seed):
     report = ad.evaluate_with_gradient(objective, psi)
     fd = ad.finite_difference_gradient(objective, psi)
     np.testing.assert_allclose(report.gradient, fd, rtol=1e-6, atol=1e-9)
+
+
+
+# -----------------------------------------------------------------------
+# Non-elementwise primitives over generated shapes
+
+
+def assert_tape_matches_finite_differences(objective, psi):
+    report = ad.evaluate_with_gradient(objective, psi)
+    fd = ad.finite_difference_gradient(objective, psi)
+    np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-8)
+
+
+def spd_from(x, n):
+    """M Mᵀ + n I from n² entries of x: every entry of x reaches the matrix."""
+    m = ad.reshape(x, (n, n))
+    return ad.matmul(m, ad.transpose(m)) + n * np.eye(n)
+
+
+@given(
+    a_2d=hst.booleans(),
+    b_2d=hst.booleans(),
+    m=hst.integers(1, 4),
+    n=hst.integers(1, 4),
+    q=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_matmul_gradients_match_finite_differences(a_2d, b_2d, m, n, q, seed):
+    a_shape = (m, n) if a_2d else (n,)
+    b_shape = (n, q) if b_2d else (n,)
+    size_a = int(np.prod(a_shape))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((np.zeros(a_shape) @ np.zeros(b_shape)).shape)
+
+    def objective(x):
+        a = ad.reshape(x[:size_a], a_shape)
+        b = ad.reshape(x[size_a:], b_shape)
+        return ad.sum(ad.matmul(a, b) * w)
+
+    psi = rng.standard_normal(size_a + int(np.prod(b_shape)))
+    assert_tape_matches_finite_differences(objective, psi)
+
+
+@given(
+    n=hst.integers(1, 4),
+    rhs=hst.sampled_from([None, 1, 3]),
+    pass_factor=hst.booleans(),
+    seed=hst.integers(0, 2**16),
+)
+def test_solve_spd_gradients_match_finite_differences(n, rhs, pass_factor, seed):
+    # rhs None is a vector right-hand side, otherwise a matrix of rhs columns.
+    b_shape = (n,) if rhs is None else (n, rhs)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(b_shape)
+
+    def objective(x):
+        c = spd_from(x[: n * n], n)
+        factor = scipy.linalg.cho_factor(ad._val(c), lower=True) if pass_factor else None
+        b = ad.reshape(x[n * n :], b_shape)
+        return ad.sum(ad.solve_spd(c, b, factor) * w)
+
+    psi = rng.standard_normal(n * n + int(np.prod(b_shape)))
+    assert_tape_matches_finite_differences(objective, psi)
+
+
+@given(n=hst.integers(1, 5), pass_factor=hst.booleans(), seed=hst.integers(0, 2**16))
+def test_logdet_spd_gradient_matches_finite_differences(n, pass_factor, seed):
+    def objective(x):
+        c = spd_from(x, n)
+        factor = scipy.linalg.cho_factor(ad._val(c), lower=True) if pass_factor else None
+        return ad.logdet_spd(c, factor)
+
+    psi = np.random.default_rng(seed).standard_normal(n * n)
+    assert_tape_matches_finite_differences(objective, psi)
+
+
+@given(
+    axis=hst.sampled_from([None, 0, 1]),
+    s=hst.integers(1, 4),
+    p=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_logsumexp_and_sum_gradients_match_finite_differences(axis, s, p, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(np.sum(np.zeros((s, p)), axis=axis).shape)
+
+    def objective(x):
+        rows = ad.reshape(x, (s, p))
+        out = ad.logsumexp(rows, axis=axis) * w
+        return ad.sum(out) + ad.sum(ad.sum(rows * rows, axis=axis) * w)
+
+    assert_tape_matches_finite_differences(objective, rng.standard_normal(s * p))
+
+
+@given(
+    index=hst.sampled_from(["int", "slice", "fancy", "row", "column"]),
+    axis=hst.sampled_from([0, 1]),
+    s=hst.integers(1, 4),
+    p=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_getitem_and_stack_gradients_match_finite_differences(index, axis, s, p, seed):
+    # Fancy indices repeat an entry, so its adjoint must accumulate.
+    idx = {
+        "int": (s - 1, p - 1),
+        "slice": (slice(None), slice(0, p, 2)),
+        "fancy": ([0, s - 1, 0], [p - 1, 0, p - 1]),
+        "row": s - 1,
+        "column": (slice(None), 0),
+    }[index]
+    rng = np.random.default_rng(seed)
+    w_item = rng.standard_normal(np.zeros((s, p))[idx].shape)
+    w_stack = rng.standard_normal((3, s) if axis == 0 else (s, 3))
+
+    def objective(x):
+        rows = ad.reshape(x, (s, p))
+        picked = ad.sum(ad.getitem(rows, idx) * w_item)
+        columns = [ad.getitem(rows, (slice(None), j % p)) for j in range(3)]
+        return picked + ad.sum(ad.stack(columns, axis=axis) * w_stack)
+
+    assert_tape_matches_finite_differences(objective, rng.standard_normal(s * p))

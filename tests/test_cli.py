@@ -165,6 +165,31 @@ def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
+def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, monkeypatch):
+    train = cli.tr.train
+
+    def train_to_singular_sn2(state, target, config):
+        trace = train(state, target, config)
+        fitted = trace.final_state
+        if getattr(fitted, "rank", None) == 2:
+            # With a = 1e-300, diag(a) + UUᵀ rounds to UUᵀ, of rank 2 < P = 4:
+            # the dense audit's Cholesky factorization meets a zero pivot.
+            fitted.log_a[:] = math.log(1e-300)
+            fitted.u[:] = np.tile(np.eye(2), (2, 1))
+        return trace
+
+    monkeypatch.setattr(cli.tr, "train", train_to_singular_sn2)
+    cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[0, 2, 4]))
+    assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "[rbf] sn2 failed: " in capsys.readouterr().err
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    assert sorted(rows) == ["map", "mc_dropout", "mf", "sn2", "sn4"]
+    assert rows["sn2"] == ["na"] * 4
+    for family in ("mf", "sn4"):
+        assert all(math.isfinite(float(cell)) for cell in rows[family]), family
+
+
 def count_train_calls(monkeypatch) -> list:
     calls = []
     train = cli.tr.train
@@ -234,6 +259,37 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, monkeypatch, comm
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "TypeError"
     assert repr(key) in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("rbf", "keep_prob", 1.5),
+        ("rbf", "grid_points", 0),
+        ("rbf", "grid_points", 1),
+        ("rbf", "n_basis", 0),
+        ("rbf", "noise_sigma", 0.0),
+        ("rbf", "steps", 0),
+        ("fit-gaussian", "dim", 0),
+        ("fit-gaussian", "gmm_components", 0),
+        ("fit-gaussian", "kl_mc_samples", 1),
+        ("fit-gaussian", "target_sigma", -0.4),
+        ("fit-gaussian", "mc_samples", 0),
+        ("dropout-audit", "keep_prob", -0.5),
+        ("dropout-audit", "mc_draws", 1),
+        ("dropout-audit", "n_data", 0),
+    ],
+)
+def test_config_value_out_of_range_rejected(tmp_path, capsys, monkeypatch, command, key, value):
+    calls = count_train_calls(monkeypatch)
+    cfg = write_config(tmp_path, {key: value})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--formats", "json,csv,svg"]
+    assert cli.main(argv) == 1
+    assert calls == []
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert repr(key) in record["message"] and repr(value) in record["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as hst
 
+import vifit.autodiff as ad
 from vifit.lowrank import (
     FactorizationError,
     StructuredCov,
     gaussian_draw_rows,
-    gaussian_draws_logq_vjp,
     lowrank_logpdf,
+    lowrank_logpdf_and_vjp,
     structured_logpdf,
     woodbury_logdet,
     woodbury_solve,
@@ -217,6 +220,52 @@ def test_numerically_singular_capacitance_is_rejected():
     with pytest.raises(FactorizationError, match="singular"):
         woodbury_logdet(cov)
     # The closed-form gradient path applies the same test.
-    z = np.random.default_rng(1).standard_normal((2, 6))
+    rows = np.random.default_rng(1).standard_normal((2, 4))
     with pytest.raises(np.linalg.LinAlgError, match="working precision"):
-        gaussian_draws_logq_vjp(np.zeros(4), np.ones(4), factor, z[:, :4], z[:, 4:])
+        lowrank_logpdf_and_vjp(rows, np.zeros(4), np.ones(4), factor)
+
+
+# -----------------------------------------------------------------------
+# Closed-form log-density and adjoint against the tape
+
+
+@given(
+    dims=hst.integers(1, 12).flatmap(lambda p: hst.tuples(hst.just(p), hst.integers(0, p + 2))),
+    s=hst.integers(1, 6),
+    seed=hst.integers(0, 2**16),
+)
+def test_logpdf_and_vjp_match_tape_at_unrelated_rows(dims, s, seed):
+    # K runs up to P + 2, so over-complete factors are included.  Each row
+    # of U is on the scale of its diagonal entry, which keeps the tape's own
+    # round-off (it grows with the conditioning of C) below the tolerance.
+    # The rows come from a wide Student-t, not from the Gaussian evaluated.
+    p, k = dims
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(p)
+    a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), p))
+    factor = np.sqrt(a)[:, None] * rng.standard_normal((p, k)) * rng.uniform(0.1, 3.0)
+    theta = mean + 3.0 * rng.standard_t(3, (s, p))
+    logq_bar = rng.standard_normal(s)
+
+    log_q, vjp = lowrank_logpdf_and_vjp(theta, mean, a, factor)
+    expected = lowrank_logpdf(theta, mean, a, factor)
+    np.testing.assert_allclose(log_q, expected, rtol=1e-12)
+
+    sizes = np.cumsum([s * p, p, p])
+
+    def objective(psi):
+        th, mu, a_, u = (psi[lo:hi] for lo, hi in zip([0, *sizes], [*sizes, None]))
+        rows = lowrank_logpdf(ad.reshape(th, (s, p)), mu, a_, ad.reshape(u, (p, k)))
+        return ad.sum(rows * logq_bar)
+
+    psi = np.concatenate([theta.ravel(), mean, a, factor.ravel()])
+    tape = np.split(ad.evaluate_with_gradient(objective, psi).gradient, sizes)
+    d_theta, d_a, d_factor = vjp(logq_bar)
+    got = [
+        d_theta.ravel(),
+        -d_theta.sum(axis=0),
+        d_a,
+        np.zeros(0) if d_factor is None else d_factor.ravel(),
+    ]
+    for name, g, t in zip(("theta", "mean", "a", "factor"), got, tape):
+        assert np.linalg.norm(g - t) <= 1e-10 * np.linalg.norm(t), name
