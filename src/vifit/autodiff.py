@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
-from scipy.special import logsumexp as _np_logsumexp
 
 
 class AutodiffError(Exception):
@@ -216,8 +214,11 @@ exp = _unary("exp", np.exp, lambda g, x, out: g * out)
 log = _unary("log", np.log, lambda g, x, out: g / x)
 sqrt = _unary("sqrt", np.sqrt, lambda g, x, out: g * 0.5 / out)
 tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
+# softplus' = σ(x) = exp(−softplus(−x)): the exponent is ≤ 0, so nothing overflows.
 softplus = _unary(
-    "softplus", lambda x: np.logaddexp(0.0, x), lambda g, x, out: g * expit(x)
+    "softplus",
+    lambda x: np.logaddexp(0.0, x),
+    lambda g, x, out: g * np.exp(-np.logaddexp(0.0, -x)),
 )
 
 
@@ -324,11 +325,24 @@ def stack(items, axis=0):
     return _node("stack", np.stack(values, axis=axis), parents)
 
 
+def _logsumexp(xv: np.ndarray, axis):
+    """log Σ exp(xv) along ``axis``, shifted by the max so nothing overflows.
+
+    Where the max is not finite the shift is 0: a slice of all −∞ gives −∞
+    (log 0, without a warning) and one holding +∞ gives +∞.
+    """
+    shift = np.max(xv, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(xv - shift), axis=axis, keepdims=True)) + shift
+    return out.reshape(())[()] if axis is None else out.squeeze(axis)
+
+
 def logsumexp(x, axis=None):
     if not _is_var(x):
-        return _np_logsumexp(_val(x), axis=axis)
+        return _logsumexp(_val(x), axis)
     xv = x.value
-    out = _np_logsumexp(xv, axis=axis)
+    out = _logsumexp(xv, axis)
     if axis is None:
         vjp = lambda g: g * np.exp(xv - out)
     else:

@@ -497,39 +497,119 @@ def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
     return rows
 
 
-def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) -> tuple:
-    """Closed-form counterpart of ``draws_rows`` + ``log_q_rows`` on a plain psi.
+def draw_coefficients(template: FamilyState, params: dict, noise: NoiseBatch):
+    """Per-draw averaging weights; None (all one) except under stratified allocation.
 
-    Returns ``(theta, log_q, vjp)``: the draws, their sampled log q (None for
-    the atomic families, whose log q is constant), and ``vjp(theta_bar,
-    logq_bar)``, the adjoint back to the flat psi.  Atomic draws are θ̂ ⊙
-    mask.  Gaussian draws go through ``gaussian_draw_rows`` and log q through
-    ``lowrank_logpdf_and_vjp``, whose adjoint this chains through the draw.
-    Mixtures have no closed form here and stay on the tape.
+    With components allocated evenly instead of drawn from the mixture
+    weights, each draw carries M * w_m so the average stays an unbiased
+    estimate of the mixture expectation -- and the weights become a live
+    differentiable path, which is what keeps them trainable.
+    """
+    if not noise.stratified:
+        return None
+    logits = params["weight_logits"]
+    weights = ad.exp(logits - ad.logsumexp(logits))
+    return len(template.components) * weights[noise.components]
+
+
+def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
+    """Flat adjoint of one Gaussian's (mu, log-scale, U) block.
+
+    ``draw_bar`` is the adjoint of the rows drawn from it (noise ``z_diag``,
+    ``z_lowrank``); ``mean_bar``, ``d_a`` and ``d_factor`` come through its
+    log-density.  scale = exp(log_sigma) or exp(½ log_a), and a = scale².
+    """
+    dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
+    d_scale = (draw_bar * z_diag).sum(axis=0) + 2.0 * scale * d_a
+    parts = [mean_bar, d_scale * dscale_dlog]
+    if d_factor is not None:
+        parts.append((draw_bar.T @ z_lowrank + d_factor).ravel())
+    return parts
+
+
+def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) -> tuple:
+    """Closed-form counterpart of ``draws_rows``, ``log_q_rows`` and
+    ``draw_coefficients`` on a plain psi.
+
+    Returns ``(theta, log_q, coeff, vjp)``: the draws, their sampled log q
+    (None for the atomic families, whose log q is constant), the per-draw
+    coefficients (None unless the batch is stratified), and ``vjp(theta_bar,
+    logq_bar, coeff_bar)``, the adjoint back to the flat psi.  Atomic draws
+    are θ̂ ⊙ mask.  Gaussian draws go through ``gaussian_draw_rows`` and log
+    q through ``lowrank_logpdf_and_vjp``, whose adjoint this chains through
+    the draw.  A mixture draws each row from its component and evaluates
+    every component's log N_m at every row, one ``lowrank_logpdf_and_vjp``
+    call each; log q = logsumexp_m(log w_m + log N_m), so each component's
+    adjoint is log q's weighted by its responsibilities.  The weight logits
+    get gradient through log w_m and, when stratified, through the
+    coefficients M·w_m (Morningstar et al., AISTATS 2021).
     """
     if isinstance(template, ATOMIC_STATES):
         masks = noise.masks
-        return psi * masks, None, lambda theta_bar, _: (theta_bar * masks).sum(axis=0)
-    if isinstance(template, MixtureState):
-        raise ModeFamilyError(f"{template.tag} has no closed-form ELBO gradient")
+        return psi * masks, None, None, lambda theta_bar, *_: (theta_bar * masks).sum(axis=0)
     params = unpack_vars(template, psi)
+    if isinstance(template, MixtureState):
+        return _mixture_logq_vjp(template, params, noise)
     scale, factor = _scale_and_factor(params)
-    # d scale / d log-parameter: scale = exp(log_sigma) or exp(½ log_a).
-    dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
     theta = gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
     log_q, logq_vjp = lowrank_logpdf_and_vjp(theta, params["mu"], scale * scale, factor)
 
-    def vjp(theta_bar, logq_bar):
+    def vjp(theta_bar, logq_bar, _):
         d_theta, d_a, d_factor = logq_vjp(logq_bar)
-        via_r = theta_bar + d_theta  # total adjoint of θ_k − mean
-        d_scale = (via_r * noise.z_diag).sum(axis=0) + 2.0 * scale * d_a
         # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
-        parts = [theta_bar.sum(axis=0), d_scale * dscale_dlog]
-        if d_factor is not None:
-            parts.append((via_r.T @ noise.z_lowrank + d_factor).ravel())
+        parts = _chain_draw(
+            params, scale, theta_bar + d_theta, theta_bar.sum(axis=0), d_a, d_factor,
+            noise.z_diag, noise.z_lowrank,
+        )
         return np.concatenate(parts)
 
-    return theta, log_q, vjp
+    return theta, log_q, None, vjp
+
+
+def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -> tuple:
+    """``draws_logq_vjp`` for an sGMM: see there."""
+    comps = params["components"]
+    scales = [_scale_and_factor(c)[0] for c in comps]
+    members = [noise.components == m for m in range(len(comps))]
+    theta = np.empty_like(noise.z_diag)
+    for c, scale, own in zip(comps, scales, members):
+        theta[own] = gaussian_draw_rows(
+            c["mu"], scale, c["u"], noise.z_diag[own], noise.z_lowrank[own]
+        )
+    fits = [
+        lowrank_logpdf_and_vjp(theta, c["mu"], scale * scale, c["u"])
+        for c, scale in zip(comps, scales)
+    ]
+    logits = params["weight_logits"]
+    log_w = logits - ad.logsumexp(logits)
+    weights = np.exp(log_w)
+    per = log_w[:, None] + np.stack([log_n for log_n, _ in fits])
+    log_q = ad.logsumexp(per, axis=0)
+    resp = np.exp(per - log_q)
+    coeff = draw_coefficients(template, params, noise)
+
+    def vjp(theta_bar, logq_bar, coeff_bar):
+        per_bar = resp * logq_bar  # adjoint of log w_m + log N_m(θ_k)
+        adjoints = [logq_vjp(bar) for (_, logq_vjp), bar in zip(fits, per_bar)]
+        via = theta_bar + sum(d_theta for d_theta, _, _ in adjoints)  # of every θ_k
+        log_w_bar = per_bar.sum(axis=1)
+        if coeff is not None:  # coeff_k = M w_{c_k}
+            m = len(comps)
+            log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
+        parts = []
+        for c, scale, own, (d_theta, d_a, d_factor) in zip(comps, scales, members, adjoints):
+            # Component m's own draws move with its mean; its log N_m sees the
+            # mean through θ − mean at every row.
+            draw_bar = via[own]
+            mean_bar = draw_bar.sum(axis=0) - d_theta.sum(axis=0)
+            parts += _chain_draw(
+                c, scale, draw_bar, mean_bar, d_a, d_factor, noise.z_diag[own],
+                noise.z_lowrank[own],
+            )
+        parts.append(log_w_bar - weights * log_w_bar.sum())  # through log-softmax
+        return np.concatenate(parts)
+
+    return theta, log_q, coeff, vjp
 
 
 def sample(

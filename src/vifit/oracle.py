@@ -114,6 +114,21 @@ class GaussianMixtureDist:
         ]
         return ad.logsumexp(ad.stack(per, axis=0), axis=0)
 
+    def log_density_and_grad(self, theta: np.ndarray) -> tuple:
+        """``log_density`` at plain (S, P) rows and its θ-gradient in closed form.
+
+        The gradient is the sum of the components' gradients weighted by
+        their responsibilities exp(log w_j + log N_j(θ) − log p(θ)), which the
+        max-shifted log-sum-exp keeps finite far from every mode.
+        """
+        per, grads = [], []
+        for c, w in zip(self.components, self.weights):
+            log_n, grad = c.log_density_and_grad(theta)
+            per.append(math.log(w) + log_n)
+            grads.append(grad)
+        out = ad.logsumexp(np.stack(per), axis=0)
+        return out, sum(np.exp(lj - out)[:, None] * g for lj, g in zip(per, grads))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.choice(len(self.components), size=n, p=self.weights)
         out = np.empty((n, self.dim))

@@ -14,14 +14,15 @@ accept stacked parameter rows and autodiff Vars.
 Two paths compute the same gradient, both behind ``elbo_value_and_grad``.
 When the target also has a closed-form θ-gradient (``log_joint_and_grad``
 on ``RegressionProblem`` with a Gaussian or Student-t prior, minibatches
-included; ``log_density_and_grad`` on ``GaussianDist``) and the family is
-MAP, MC dropout, mean field or a structured normal, the estimator is split
-at θ: the target supplies ∂/∂θ per draw and the family the adjoint of its
-draws and sampled log q (``families.draws_logq_vjp``).  That is the exact
-gradient of the same sampled-log-q estimator, in every sampling mode.  The
-reverse-mode tape (``elbo_graph``) is the reference, and the path for
-mixtures (sGMM), mixture targets, the MLP and any target without a
-closed-form gradient.
+included; ``log_density_and_grad`` on ``GaussianDist`` and
+``GaussianMixtureDist``), the estimator is split at θ for every family: the
+target supplies ∂/∂θ per draw and the family the adjoint of its draws, its
+sampled log q and, for stratified sGMM batches, its per-draw coefficients
+(``families.draws_logq_vjp``).  That is the exact gradient of the same
+sampled-log-q estimator, in every sampling mode.  The reverse-mode tape
+(``elbo_graph``) is the reference, the fallback for a closed-form step that
+fails, and the path for the MLP and any target without a closed-form
+gradient.
 """
 
 from __future__ import annotations
@@ -138,21 +139,6 @@ def _target_rows(problem, theta, batch_indices):
     return problem.log_density(theta), 0.0
 
 
-def _draw_coefficients(template: fam.FamilyState, params, noise: fam.NoiseBatch):
-    """Per-draw averaging weights; one except under stratified allocation.
-
-    With components allocated evenly instead of drawn from the mixture
-    weights, each draw carries M * w_m so the average stays an unbiased
-    estimate of the mixture expectation -- and the weights become a live
-    differentiable path, which is what keeps them trainable.
-    """
-    if not noise.stratified:
-        return None
-    logits = params["weight_logits"]
-    weights = ad.exp(logits - ad.logsumexp(logits))
-    return len(template.components) * weights[noise.components]
-
-
 def _elbo_terms(template, params, noise, problem, batch_indices):
     """Per-draw (loglik, logprior, log q or None, coefficients or None)."""
     theta = fam.draws_rows(template, params, noise)
@@ -160,7 +146,7 @@ def _elbo_terms(template, params, noise, problem, batch_indices):
     log_q = None
     if template.tag not in fam.ATOMIC_TAGS:
         log_q = fam.log_q_rows(template, params, theta)
-    return loglik, logprior, log_q, _draw_coefficients(template, params, noise)
+    return loglik, logprior, log_q, fam.draw_coefficients(template, params, noise)
 
 
 def elbo_graph(
@@ -187,13 +173,19 @@ def _closed_form_target(problem, batch_indices):
 
 
 def _fused_value_and_grad(state, psi, noise, log_joint) -> tuple:
-    theta, log_q, vjp = fam.draws_logq_vjp(state, psi, noise)
+    theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, psi, noise)
     rows, theta_grad = log_joint(theta)
     if log_q is not None:
         rows = rows - log_q
     scale = 1.0 / noise.count
-    value = float(rows.sum() / noise.count)
-    return value, vjp(theta_grad * scale, np.full(noise.count, -scale))
+    if coeff is None:
+        value = float(rows.sum() / noise.count)
+        return value, vjp(theta_grad * scale, np.full(noise.count, -scale), None)
+    # With coefficients the value is Σ_k c_k rows_k / S: rows_k has adjoint
+    # c_k / S and c_k has adjoint rows_k / S.
+    row_bar = coeff * scale
+    value = float((rows * coeff).sum() / noise.count)
+    return value, vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
 
 
 def elbo_value_and_grad(
@@ -201,14 +193,14 @@ def elbo_value_and_grad(
 ) -> tuple:
     """(value, gradient) of the MC ELBO estimate ``elbo_graph`` at ``psi``.
 
-    Takes the closed-form path when the target exposes a θ-gradient and the
-    family is not a mixture; otherwise, or when the closed form yields a
-    non-finite number or a failed factorization, the step is evaluated on
-    the tape, so errors are the tape's (``NonFiniteValueError`` naming the
-    primitive, ``FactorizationError``).
+    Takes the closed-form path when the target exposes a θ-gradient;
+    otherwise, or when the closed form yields a non-finite number or a
+    failed factorization, the step is evaluated on the tape, so errors are
+    the tape's (``NonFiniteValueError`` naming the primitive,
+    ``FactorizationError``).
     """
     log_joint = _closed_form_target(problem, batch_indices)
-    if log_joint is not None and not isinstance(state, fam.MixtureState):
+    if log_joint is not None:
         try:
             value, grad = _fused_value_and_grad(state, psi, noise, log_joint)
         except np.linalg.LinAlgError:

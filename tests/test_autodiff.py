@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -27,6 +28,23 @@ def test_logsumexp_of_equal_logits():
     report = ad.evaluate_with_gradient(ad.logsumexp, np.array([0.0, 0.0]))
     np.testing.assert_allclose(report.value, np.log(2.0))
     np.testing.assert_allclose(report.gradient, [0.5, 0.5])
+
+
+@pytest.mark.filterwarnings("error")
+def test_logsumexp_of_infinite_slices_without_warnings():
+    x = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [-np.inf, 1.0], [1000.0, 1000.0]])
+    out = ad.logsumexp(x, axis=1)
+    np.testing.assert_array_equal(out[:3], [-np.inf, np.inf, 1.0])
+    np.testing.assert_allclose(out[3], 1000.0 + np.log(2.0), rtol=1e-15)
+    assert ad.logsumexp(np.full(3, -np.inf)) == -np.inf
+    assert ad.logsumexp(np.array([np.inf, -np.inf])) == np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_softplus_gradient_is_stable_at_extremes():
+    x = np.array([-800.0, -700.0, -30.0, 0.0, 30.0, 800.0])
+    report = ad.evaluate_with_gradient(lambda v: ad.sum(ad.softplus(v)), x)
+    np.testing.assert_allclose(report.gradient, scipy.special.expit(x), rtol=1e-14)
 
 
 def test_finite_difference_on_square():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
+import vifit.autodiff as ad
 import vifit.families as fam
 import vifit.models as mod
 import vifit.oracle as orc
@@ -287,6 +290,45 @@ def test_predictive_density_integrates_to_one():
     ys = np.linspace(-8, 8, 2001)
     dens = np.array([pred.density(y, 0) for y in ys])
     assert abs(np.trapezoid(dens, ys) - 1.0) < 1e-4
+
+
+# -----------------------------------------------------------------------
+# mixture target gradient
+
+
+@given(
+    p=hst.integers(1, 5),
+    m=hst.integers(1, 4),
+    near=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+)
+def test_mixture_log_density_and_grad_match_log_density_and_tape(p, m, near, seed):
+    # Rows near the modes and rows 50σ from every mode, where each weighted
+    # component density exp(log w_j + log N_j) underflows to 0 unshifted.
+    rng = np.random.default_rng(seed)
+    comps = tuple(random_gaussian(rng, p) for _ in range(m))
+    target = orc.GaussianMixtureDist(components=comps, weights=rng.dirichlet(np.ones(m)))
+    means = np.array([c.mean for c in comps])
+    sigma = max(math.sqrt(np.linalg.eigvalsh(c.cov)[-1]) for c in comps)
+    reach = 50.0 * sigma + np.max(np.linalg.norm(means - means[0], axis=1))
+    directions = rng.standard_normal((2, p))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    far = means[0] + reach * directions
+    rows = np.vstack([means[rng.integers(m, size=near)] + rng.standard_normal((near, p)), far])
+
+    value, grad = target.log_density_and_grad(rows)
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+    np.testing.assert_allclose(value, target.log_density(rows), rtol=1e-12)
+
+    per = np.array([math.log(w) + c.log_density(rows) for c, w in zip(comps, target.weights)])
+    assert np.all(np.exp(per[:, near:]) == 0.0)
+    np.testing.assert_allclose(np.exp(per - value).sum(axis=0), 1.0, rtol=1e-12)
+
+    tape = ad.evaluate_with_gradient(
+        lambda v: ad.sum(target.log_density(ad.reshape(v, rows.shape))), rows.ravel()
+    )
+    ref = tape.gradient.reshape(rows.shape)
+    assert np.max(np.abs(grad - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 # -----------------------------------------------------------------------
