@@ -355,27 +355,57 @@ def logsumexp(x, axis=None):
     return _node("logsumexp", out, [(x, vjp)])
 
 
+def _check_finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def cho_factor(c) -> tuple:
+    """``scipy.linalg.cho_factor(c, lower=True)`` as one LAPACK ``dpotrf`` call.
+
+    Returns the same ``(factor, True)`` pair, bit for bit, without the
+    wrapper's per-call cost.  Raises ``ValueError`` on non-finite input and
+    ``scipy.linalg.LinAlgError`` when c is not positive definite, as scipy
+    does.
+    """
+    c = _check_finite(np.asarray(c))
+    factor, info = scipy.linalg.lapack.dpotrf(c, lower=True, clean=False)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return factor, True
+
+
+def cho_solve(factor: tuple, b) -> np.ndarray:
+    """``scipy.linalg.cho_solve(factor, b)`` as one LAPACK ``dpotrs`` call."""
+    b = _check_finite(np.asarray(b))
+    out, _ = scipy.linalg.lapack.dpotrs(factor[0], b, lower=factor[1])
+    return out
+
+
 def solve_spd(c, b, factor=None):
     """Solve ``c @ x = b`` for symmetric positive definite ``c``.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; ``factor``
-    is c's ``scipy.linalg.cho_factor`` when the caller already has it.
-    Raises ``scipy.linalg.LinAlgError`` when the factorization fails;
-    callers own the domain-specific wrapping.
+    is c's ``cho_factor`` when the caller already has it.  Raises
+    ``scipy.linalg.LinAlgError`` when the factorization fails; callers own
+    the domain-specific wrapping.
     """
     cv, bv = _val(c), _val(b)
     if factor is None:
-        factor = scipy.linalg.cho_factor(cv, lower=True)
-    out = scipy.linalg.cho_solve(factor, bv)
+        factor = cho_factor(cv)
+    out = cho_solve(factor, bv)
     if not (_is_var(c) or _is_var(b)):
         return out
     parents = []
     if _is_var(b):
-        parents.append((b, lambda g: scipy.linalg.cho_solve(factor, np.asarray(g))))
+        parents.append((b, lambda g: cho_solve(factor, g)))
     if _is_var(c):
 
         def vjp_c(g):
-            gb = scipy.linalg.cho_solve(factor, np.asarray(g))
+            gb = cho_solve(factor, g)
             if out.ndim == 1:
                 return -np.outer(gb, out)
             return -gb @ out.T
@@ -388,14 +418,12 @@ def logdet_spd(c, factor=None):
     """Log-determinant of a symmetric positive definite matrix (see ``solve_spd``)."""
     cv = _val(c)
     if factor is None:
-        factor = scipy.linalg.cho_factor(cv, lower=True)
+        factor = cho_factor(cv)
     out = 2.0 * np.sum(np.log(np.diag(factor[0])))
     if not _is_var(c):
         return out
     eye = np.eye(cv.shape[0])
-    return _node(
-        "logdet_spd", out, [(c, lambda g: g * scipy.linalg.cho_solve(factor, eye))]
-    )
+    return _node("logdet_spd", out, [(c, lambda g: g * cho_solve(factor, eye))])
 
 
 _UFUNC_TABLE = {

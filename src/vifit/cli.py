@@ -104,10 +104,15 @@ class DropoutAuditConfig:
     def __post_init__(self):
         _check_ranges(
             self,
-            {"n_data": 1, "steps": 1, "mc_samples": 1, "mc_draws": 2},
+            {"n_droppable": 1, "n_data": 1, "steps": 1, "mc_samples": 1, "mc_draws": 2},
             positive=("noise_sigma",),
             probability=("keep_prob",),
         )
+        if self.n_droppable > fam.DROPOUT_ENUMERATION_LIMIT:
+            raise ValueError(
+                f"config key 'n_droppable' must be <= {fam.DROPOUT_ENUMERATION_LIMIT} "
+                f"(the enumeration guard), got {self.n_droppable!r}"
+            )
 
 
 def _accepts(default, value) -> bool:
@@ -382,7 +387,7 @@ def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -
     return {
         "x": grid.tolist(),
         "weights": mixture.weights.tolist(),
-        "curves": (mixture.atoms @ features.T).tolist(),
+        "curves": mixture.images(features).tolist(),
         "truth": (features @ truth.theta_star).tolist(),
         "data_x": problem.inputs.tolist(),
         "data_t": problem.targets.tolist(),
@@ -394,10 +399,6 @@ def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -
 
 
 def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
-    if config.n_droppable > fam.DROPOUT_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"n_droppable exceeds the enumeration guard ({fam.DROPOUT_ENUMERATION_LIMIT})"
-        )
     root = np.random.SeedSequence(config.seed)
     data_seq, init_seq, train_seq, mc_seq = root.spawn(4)
 
@@ -411,6 +412,7 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
 
     x_star = np.asarray(config.x_star)
     exact = orc.dropout_predictive_exact(fitted, problem, x_star)
+    exact_mean = exact.mean()
 
     rng = np.random.default_rng(mc_seq)
     batch = fam.sample(fitted, "naive", config.mc_draws, rng)
@@ -431,12 +433,12 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
             "weight_sum": float(exact.weights.sum()),
             "map_atom_weight": config.keep_prob**fitted.n_droppable,
             "x_star": x_star.tolist(),
-            "exact_mean": exact.mean().tolist(),
+            "exact_mean": exact_mean.tolist(),
             "exact_variance": exact.variance().tolist(),
             "mc_mean": mc_mean.tolist(),
             "mc_variance": mc_var.tolist(),
             "mc_mean_std_error": mean_se.tolist(),
-            "mean_z_scores": ((mc_mean - exact.mean()) / mean_se).tolist(),
+            "mean_z_scores": ((mc_mean - exact_mean) / mean_se).tolist(),
         },
     )
     return report

@@ -19,8 +19,11 @@ MAP and MC dropout are atomic: their log-density is defined only on their
 atoms and is minus infinity anywhere else.  MAP is MC dropout at keep
 probability 1 with nothing droppable, so both share one atomic path:
 θ̂ ⊙ mask draws, mask noise and atom weights.  The dropout posterior over the
-droppable coordinates is a mixture of 2^{P_d} point masses which
-``enumerate_dropout`` materializes exactly.
+droppable coordinates is a mixture of 2^{P_d} point masses:
+``enumerate_dropout`` gives their exact weights, and
+``DropoutMixture.images`` projects every atom straight into the space a
+caller reads (predictions at a few inputs), never building the
+(2^{P_d}, P) atom table.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union, get_args
 
 import numpy as np
@@ -704,33 +708,67 @@ def dense_moments(state: FamilyState) -> tuple:
 
 @dataclass
 class DropoutMixture:
-    """Exact enumeration of the dropout posterior's point masses."""
+    """Exact enumeration of the dropout posterior's 2^{P_d} point masses.
+
+    Atom r is θ̂ ⊙ z with z_i, for the i-th droppable coordinate, equal to
+    bit i of r; coordinates that cannot be dropped are always kept.
+    """
 
     weights: np.ndarray  # (2^{P_d},)
-    atoms: np.ndarray  # (2^{P_d}, P) parameter vectors theta_hat ⊙ z
+    theta_hat: np.ndarray  # (P,)
+    droppable: np.ndarray  # (P,) bool
 
     @property
     def n_atoms(self) -> int:
         return self.weights.size
 
+    def images(self, features: np.ndarray) -> np.ndarray:
+        """Rows (θ̂ ⊙ z_r) @ featuresᵀ for every atom r, shape (2^{P_d}, D).
+
+        Built by doubling in one preallocated array: row 0 holds the kept
+        coordinates' contribution, and the j-th droppable coordinate k fills
+        rows [h, 2h), h = 2^j, as rows [0, h) plus θ̂_k · features[:, k].
+        Only 2^{P_d} × D numbers are held, never a (2^{P_d}, P) atom table.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        index = np.flatnonzero(self.droppable)
+        kept = np.flatnonzero(~self.droppable)
+        out = np.empty((self.n_atoms, features.shape[0]))
+        out[0] = features[:, kept] @ self.theta_hat[kept]
+        h = 1
+        for i in index:
+            np.add(out[:h], self.theta_hat[i] * features[:, i], out=out[h : 2 * h])
+            h *= 2
+        return out
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The (2^{P_d}, P) table of parameter vectors θ̂ ⊙ z, for small P_d."""
+        return self.images(np.eye(self.theta_hat.size))
+
 
 def enumerate_dropout(state: DropoutState) -> DropoutMixture:
-    """All 2^{P_d} dropout states with exact weights p^{Σz}(1−p)^{Σ(1−z)}."""
+    """All 2^{P_d} dropout states with exact weights p^{Σz}(1−p)^{Σ(1−z)}.
+
+    The number of ones Σz of every row index is counted by doubling, so no
+    (2^{P_d}, P_d) bit table is built; the atoms themselves stay implicit
+    (``DropoutMixture.images``).
+    """
     pd = state.n_droppable
     if pd > DROPOUT_ENUMERATION_LIMIT:
         raise ValueError(
             f"{pd} droppable coordinates exceed the enumeration guard "
             f"({DROPOUT_ENUMERATION_LIMIT})"
         )
-    n = 1 << pd
-    ints = np.arange(n, dtype=np.uint32)
-    bits = ((ints[:, None] >> np.arange(pd, dtype=np.uint32)) & 1).astype(np.float64)
-    ones = bits.sum(axis=1)
+    ones = np.zeros(1 << pd)
+    h = 1
+    for _ in range(pd):
+        ones[h : 2 * h] = ones[:h] + 1.0
+        h *= 2
     weights = state.keep_prob**ones * (1.0 - state.keep_prob) ** (pd - ones)
-    atoms = np.tile(state.theta_hat, (n, 1))
-    index = np.flatnonzero(state.droppable)
-    atoms[:, index] = state.theta_hat[index] * bits
-    return DropoutMixture(weights=weights, atoms=atoms)
+    return DropoutMixture(
+        weights=weights, theta_hat=state.theta_hat.copy(), droppable=state.droppable.copy()
+    )
 
 
 # ---------------------------------------------------------------------------

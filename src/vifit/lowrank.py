@@ -42,9 +42,9 @@ def _capacitance_singular(chol_diag: np.ndarray, cap_diag: np.ndarray) -> bool:
 
 
 def _capacitance_cholesky(c: np.ndarray) -> tuple:
-    """``scipy.linalg.cho_factor`` of C; FactorizationError when C is singular."""
+    """``ad.cho_factor`` of C; FactorizationError when C is singular."""
     try:
-        cho = scipy.linalg.cho_factor(c, lower=True)
+        cho = ad.cho_factor(c)
     except scipy.linalg.LinAlgError as err:
         raise FactorizationError(f"capacitance factorization failed: {err}") from err
     if _capacitance_singular(np.diag(cho[0]), np.diag(c)):
@@ -90,7 +90,7 @@ class StructuredCov:
 
     @cached_property
     def capacitance(self) -> tuple | None:
-        """``cho_factor`` of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
+        """``ad.cho_factor`` of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
         if self.rank == 0:
             return None
         c = np.eye(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
@@ -109,7 +109,7 @@ def woodbury_solve(cov: StructuredCov, v: np.ndarray) -> np.ndarray:
     av = v / cov.diag
     if cov.rank == 0:
         return av
-    w = scipy.linalg.cho_solve(cov.capacitance, cov.factor.T @ av)
+    w = ad.cho_solve(cov.capacitance, cov.factor.T @ av)
     return av - (cov.factor @ w) / cov.diag
 
 

@@ -253,7 +253,8 @@ class PredictiveMixture:
 
     def variance(self) -> np.ndarray:
         centered = self.atom_means - self.mean()
-        return self.noise_sigma**2 + self.weights @ (centered**2)
+        np.square(centered, out=centered)
+        return self.noise_sigma**2 + self.weights @ centered
 
     def density(self, y: float, point: int) -> float:
         z = (y - self.atom_means[:, point]) / self.noise_sigma
@@ -264,11 +265,15 @@ class PredictiveMixture:
 def dropout_predictive_exact(
     state: fam.DropoutState, problem: RegressionProblem, x_star: np.ndarray
 ) -> PredictiveMixture:
-    """Predictive mixture over all dropout states at the given inputs."""
+    """Predictive mixture over all dropout states at the given inputs.
+
+    Holds one predictive mean per atom and input, 2^{P_d} × |x*| numbers,
+    projected straight from the enumeration (``DropoutMixture.images``).
+    """
     mixture = fam.enumerate_dropout(state)
     features = problem.features(np.atleast_1d(x_star))
     return PredictiveMixture(
-        atom_means=mixture.atoms @ features.T,
+        atom_means=mixture.images(features),
         weights=mixture.weights,
         noise_sigma=problem.noise_sigma,
     )

@@ -312,6 +312,44 @@ def test_solve_spd_gradients_match_finite_differences(n, rhs, pass_factor, seed)
     assert_tape_matches_finite_differences(objective, psi)
 
 
+@given(
+    n=hst.integers(1, 6),
+    rhs=hst.sampled_from([None, 1, 4]),
+    scale=hst.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    seed=hst.integers(0, 2**16),
+)
+def test_cholesky_primitives_are_bit_identical_to_scipy(n, rhs, scale, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    c = scale * (m @ m.T + 0.1 * np.eye(n))
+    b = rng.standard_normal((n,) if rhs is None else (n, rhs))
+    factor = ad.cho_factor(c)
+    expected = scipy.linalg.cho_factor(c, lower=True)
+    assert factor[1] is True
+    np.testing.assert_array_equal(factor[0].view(np.int64), expected[0].view(np.int64))
+    got, want = ad.cho_solve(factor, b), scipy.linalg.cho_solve(expected, b)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(ad.solve_spd(c, b).view(np.int64), want.view(np.int64))
+    assert ad.logdet_spd(c) == 2.0 * np.sum(np.log(np.diag(expected[0])))
+
+
+def test_cholesky_primitives_raise_scipys_error_types():
+    with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+        ad.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    factor = ad.cho_factor(np.eye(2))
+    for bad in (np.nan, np.inf):
+        c = np.eye(2)
+        c[1, 0] = c[0, 1] = bad
+        # A plain ValueError, not a LinAlgError: the input was never factorized.
+        with pytest.raises(ValueError, match="infs or NaNs") as err:
+            ad.cho_factor(c)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ad.solve_spd(c, np.ones(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ad.cho_solve(factor, np.array([1.0, bad]))
+
+
 @given(n=hst.integers(1, 5), pass_factor=hst.booleans(), seed=hst.integers(0, 2**16))
 def test_logdet_spd_gradient_matches_finite_differences(n, pass_factor, seed):
     def objective(x):

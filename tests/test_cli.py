@@ -279,6 +279,9 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, monkeypatch, comm
         ("dropout-audit", "keep_prob", -0.5),
         ("dropout-audit", "mc_draws", 1),
         ("dropout-audit", "n_data", 0),
+        ("dropout-audit", "n_droppable", 0),
+        ("dropout-audit", "n_droppable", -3),
+        ("dropout-audit", "n_droppable", 25),
     ],
 )
 def test_config_value_out_of_range_rejected(tmp_path, capsys, monkeypatch, command, key, value):

@@ -348,6 +348,57 @@ def test_no_atom_coincides_with_continuous_truth():
     assert fam.log_density(st, theta_star) == -math.inf
 
 
+def bit_table_enumeration(state):
+    """Reference enumeration through an explicit (2^{P_d}, P_d) bit table."""
+    pd = state.n_droppable
+    n = 1 << pd
+    ints = np.arange(n, dtype=np.uint32)
+    bits = ((ints[:, None] >> np.arange(pd, dtype=np.uint32)) & 1).astype(np.float64)
+    ones = bits.sum(axis=1)
+    weights = state.keep_prob**ones * (1.0 - state.keep_prob) ** (pd - ones)
+    atoms = np.tile(state.theta_hat, (n, 1))
+    index = np.flatnonzero(state.droppable)
+    atoms[:, index] = state.theta_hat[index] * bits
+    return weights, atoms
+
+
+@hst.composite
+def enumeration_case(draw):
+    p = draw(hst.integers(1, 12))
+    magnitude = hst.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    signed = hst.tuples(hst.sampled_from([1.0, -1.0]), magnitude).map(lambda t: t[0] * t[1])
+    coord = hst.sampled_from([0.0, -0.0]) | signed
+    theta_hat = np.array(draw(hst.lists(coord, min_size=p, max_size=p)))
+    droppable = np.array(draw(hst.lists(hst.booleans(), min_size=p, max_size=p)))
+    keep_prob = draw(hst.sampled_from([0.0, 0.5, 1.0]) | hst.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+    features = rng.standard_normal((draw(hst.integers(1, 5)), p))
+    state = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    return state, features
+
+
+@given(enumeration_case())
+def test_enumeration_by_doubling_matches_the_bit_table(case):
+    state, features = case
+    weights, atoms = bit_table_enumeration(state)
+    mixture = fam.enumerate_dropout(state)
+    assert mixture.n_atoms == 2**state.n_droppable
+    np.testing.assert_array_equal(mixture.weights.view(np.int64), weights.view(np.int64))
+    assert np.all(mixture.atoms == atoms)  # == treats the signed zeros alike
+    # Relative to the largest |image| any atom can have.
+    scale = np.max(np.abs(features) @ np.abs(state.theta_hat))
+    err = np.max(np.abs(mixture.images(features) - atoms @ features.T))
+    assert err <= 1e-15 * scale
+
+
+def test_nothing_droppable_is_one_atom_of_weight_one():
+    theta_hat = np.array([1.5, -0.25])
+    st = fam.DropoutState(theta_hat=theta_hat, keep_prob=0.5, droppable=np.zeros(2, bool))
+    mixture = fam.enumerate_dropout(st)
+    np.testing.assert_array_equal(mixture.weights, [1.0])
+    np.testing.assert_array_equal(mixture.atoms, [theta_hat])
+
+
 # -----------------------------------------------------------------------
 # serialization
 

@@ -225,6 +225,20 @@ def test_numerically_singular_capacitance_is_rejected():
         lowrank_logpdf_and_vjp(rows, np.zeros(4), np.ones(4), factor)
 
 
+def test_non_finite_input_raises_value_error_not_factorization_error():
+    rng = np.random.default_rng(2)
+    theta, mean = rng.standard_normal((3, 4)), rng.standard_normal(4)
+    a, factor = np.exp(rng.standard_normal(4)), rng.standard_normal((4, 2))
+    bad_factor = factor.copy()
+    bad_factor[1, 0] = np.nan
+    bad_theta = theta.copy()
+    bad_theta[1, 2] = np.nan
+    for args in ((theta, mean, a, bad_factor), (bad_theta, mean, a, factor)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs") as err:
+            lowrank_logpdf(*args)
+        assert type(err.value) is ValueError
+
+
 # -----------------------------------------------------------------------
 # Closed-form log-density and adjoint against the tape
 

@@ -1,6 +1,7 @@
 """Exact-posterior, evidence, KL, and dropout-predictive oracle tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ def test_predictive_density_integrates_to_one():
     ys = np.linspace(-8, 8, 2001)
     dens = np.array([pred.density(y, 0) for y in ys])
     assert abs(np.trapezoid(dens, ys) - 1.0) < 1e-4
+
+
+def test_exact_predictive_memory_scales_with_its_table():
+    # Traced Python-heap peak, so the bound does not depend on the host.
+    problem, state = make_dropout_setup(pd=16, seed=17)
+    x_star = np.linspace(-0.9, 0.9, 5)
+    table_bytes = 2**16 * x_star.size * 8
+    tracemalloc.start()
+    try:
+        pred = orc.dropout_predictive_exact(state, problem, x_star)
+        pred.mean()
+        pred.variance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table_bytes
 
 
 # -----------------------------------------------------------------------
