@@ -220,6 +220,7 @@ def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
 MEMBER_FAILURES = (
     tr.TrainingError,
     orc.NotPositiveDefiniteError,
+    orc.AuditError,
     FactorizationError,
     np.linalg.LinAlgError,
 )

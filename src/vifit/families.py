@@ -51,6 +51,10 @@ MODES = ("naive", "paired", "unscented")
 
 DROPOUT_ENUMERATION_LIMIT = 24
 
+# Rows per block where a batch of draws is realized or audited a block at a
+# time: each (BLOCK_ROWS, P) float64 temporary holds 64 KB per coordinate.
+BLOCK_ROWS = 8192
+
 
 class ModeFamilyError(ValueError):
     """Requested sampling mode is not defined for the family."""
@@ -486,7 +490,12 @@ def _gaussian_rows(params: dict, noise: NoiseBatch):
 
 
 def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
-    """Realize the draws of a noise batch; differentiable in the parameters."""
+    """Realize the draws of a noise batch; differentiable in the parameters.
+
+    The tape's path: an sGMM realizes every component at every row and
+    keeps each row's own through a 0/1 mask, which stays differentiable in
+    the Vars.  Plain states are realized by ``realize_blocks``.
+    """
     if isinstance(template, ATOMIC_STATES):
         return params["theta_hat"] * noise.masks
     if not isinstance(template, MixtureState):
@@ -616,13 +625,75 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
     return theta, log_q, coeff, vjp
 
 
+def row_blocks(n: int) -> list:
+    """Slices covering ``range(n)`` in order, ``BLOCK_ROWS`` rows each but the last.
+
+    numpy hands a one-row matrix product to BLAS gemv, whose last bits can
+    differ from the row's in a longer (gemm) product, so a block holds one
+    row only when the whole batch does: a remainder of one row joins the
+    block before it.  Callers that split a batch by component evaluate a
+    component's lone row as a pair of copies for the same reason.
+    """
+    stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
+    return [slice(a, b) for a, b in zip([0, *stops], stops) if b > a]
+
+
+def gather_blocks(blocks, n: int, dim: int) -> np.ndarray:
+    """The (n, dim) array that ``(rows, draws)`` blocks scatter into."""
+    out = np.empty((n, dim))
+    for rows, draws in blocks:
+        out[rows] = draws
+    return out
+
+
+def realize_blocks(state: FamilyState, noise: NoiseBatch):
+    """Yield ``(rows, draws)``: the noise batch's draws, a block of rows at a time.
+
+    Atomic and Gaussian families realize ``row_blocks`` slices in turn.  An
+    sGMM realizes each component's own rows, as integer indices in row
+    order, from that component alone.  Each row comes out as a realization
+    of the whole batch would give it, so a caller holds one block of
+    temporaries, not a batch-sized array per temporary.
+    """
+    params = _walk(state, lambda _, value: value)
+    if isinstance(state, ATOMIC_STATES):
+        for rows in row_blocks(noise.count):
+            yield rows, params["theta_hat"] * noise.masks[rows]
+        return
+    if isinstance(state, MixtureState):
+        parts = [
+            (np.flatnonzero(noise.components == m), comp)
+            for m, comp in enumerate(params["components"])
+        ]
+    else:
+        parts = [(None, params)]
+    for own, comp in parts:
+        scale, factor = _scale_and_factor(comp)
+        if own is None:
+            blocks = row_blocks(noise.count)
+        elif own.size == 1 < noise.count:  # a lone row as a pair: see row_blocks
+            blocks = [np.repeat(own, 2)]
+        else:
+            blocks = [own[block] for block in row_blocks(own.size)]
+        for rows in blocks:
+            yield rows, gaussian_draw_rows(
+                comp["mu"], scale, factor, noise.z_diag[rows], noise.z_lowrank[rows]
+            )
+
+
 def sample(
     state: FamilyState, mode: str, count: int, rng: np.random.Generator
 ) -> SampleBatch:
-    """Draw a batch of parameter vectors with full noise records."""
+    """Draw a batch of parameter vectors with full noise records.
+
+    The noise is drawn whole (``draw_noise``), count·(P + K) numbers, and
+    realized through ``realize_blocks`` into one (count, P) array.  The
+    Monte-Carlo KL audit streams the same blocks without gathering them,
+    so it holds the noise plus one block of temporaries.
+    """
     noise = draw_noise(state, mode, count, rng)
-    draws = draws_rows(state, unpack_vars(state, pack(state)), noise)
-    return SampleBatch(draws=np.asarray(draws), noise=noise)
+    draws = gather_blocks(realize_blocks(state, noise), count, state.dim)
+    return SampleBatch(draws=draws, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +759,22 @@ def log_density(state: FamilyState, theta: np.ndarray):
         out = log_q_rows(state, _walk(state, lambda _, value: value), rows)
     out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if single else out
+
+
+def has_zero_variance(state: FamilyState) -> bool:
+    """Whether a Gaussian family's float64 variance is 0 in some coordinate.
+
+    The variance is scale² (plus Σ_k U_ik² for sN) as ``log_density``
+    computes it; where it underflows to 0, q is a point mass along that
+    coordinate and has no density.  False for every other family.
+    """
+    if not isinstance(state, GAUSSIAN_STATES):
+        return False
+    scale, factor = _scale_and_factor(_walk(state, lambda _, value: value))
+    variance = scale * scale
+    if factor is not None:
+        variance = variance + (factor * factor).sum(axis=1)
+    return not variance.all()
 
 
 def entropy_closed_form(state: FamilyState) -> float | None:

@@ -41,12 +41,21 @@ def _capacitance_singular(chol_diag: np.ndarray, cap_diag: np.ndarray) -> bool:
     return min(chol_diag.tolist()) ** 2 <= len(cap_diag) * EPS * max(cap_diag.tolist())
 
 
-def _capacitance_cholesky(c: np.ndarray) -> tuple:
-    """``ad.cho_factor`` of C; FactorizationError when C is singular."""
+def _capacitance_cholesky(c: np.ndarray, a_diag: np.ndarray, factor: np.ndarray) -> tuple:
+    """``ad.cho_factor`` of C built from ``a_diag`` and ``factor``.
+
+    FactorizationError when C is singular, or not finite although both its
+    inputs are (a diagonal entry underflowed to 0 or U/a overflowed).  A
+    non-finite input keeps ``ad.cho_factor``'s plain ValueError.
+    """
     try:
         cho = ad.cho_factor(c)
     except scipy.linalg.LinAlgError as err:
         raise FactorizationError(f"capacitance factorization failed: {err}") from err
+    except ValueError as err:
+        if np.isfinite(a_diag).all() and np.isfinite(factor).all():
+            raise FactorizationError(f"capacitance is not finite: {err}") from err
+        raise
     if _capacitance_singular(np.diag(cho[0]), np.diag(c)):
         raise FactorizationError("capacitance matrix is singular to working precision")
     return cho
@@ -94,7 +103,7 @@ class StructuredCov:
         if self.rank == 0:
             return None
         c = np.eye(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
-        return _capacitance_cholesky(c)
+        return _capacitance_cholesky(c, self.diag, self.factor)
 
     def dense(self) -> np.ndarray:
         """Materialize the P×P matrix; intended for diagnostics and tests."""
@@ -160,7 +169,9 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
         scaled = factor / ad.reshape(a_diag, (p, 1))
         cap = np.eye(k) + ad.matmul(ad.transpose(factor), scaled)
         t = ad.matmul(ar, factor)
-        cho = _capacitance_cholesky(cap.value if isinstance(cap, ad.Var) else cap)
+        cho = _capacitance_cholesky(
+            *(x.value if isinstance(x, ad.Var) else x for x in (cap, a_diag, factor))
+        )
         w = ad.solve_spd(cap, ad.transpose(t), cho)
         quad = quad - ad.sum(t * ad.transpose(w), axis=-1)
         logdet = logdet + ad.logdet_spd(cap, cho)

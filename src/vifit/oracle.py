@@ -3,6 +3,9 @@
 Conjugate linear-Gaussian posteriors and evidence in closed form, KL
 divergences (closed-form Gaussian-Gaussian and Monte Carlo), and the exact
 MC-dropout predictive mixture obtained by enumerating every dropout state.
+The Monte-Carlo KLs stream their draws in blocks of ``fam.BLOCK_ROWS``
+rows: memory is the (n_mc,) gaps, plus q's noise, n_mc·(P + K) numbers,
+when sampling from q, and one block of temporaries.
 
 Dense P×P algebra is acceptable throughout: problems audited here have
 P ≤ 32 by construction.
@@ -26,6 +29,10 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 class NotPositiveDefiniteError(RuntimeError):
     """A matrix that must be SPD failed its Cholesky factorization."""
+
+
+class AuditError(ArithmeticError):
+    """A Monte-Carlo KL audit met a NaN log-density gap."""
 
 
 def _cho(matrix: np.ndarray, what: str):
@@ -82,9 +89,15 @@ class GaussianDist:
         quad = np.sum(r * rp, axis=-1)
         return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), -rp
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_blocks(self, rng: np.random.Generator, n: int):
+        """Yield ``(rows, draws)`` over ``fam.row_blocks(n)``, normals in row order."""
         chol = np.linalg.cholesky(self.cov)
-        return self.mean + rng.standard_normal((n, self.dim)) @ chol.T
+        for rows in fam.row_blocks(n):
+            z = rng.standard_normal((rows.stop - rows.start, self.dim))
+            yield rows, self.mean + z @ chol.T
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return fam.gather_blocks(self.sample_blocks(rng, n), n, self.dim)
 
     def entropy(self) -> float:
         return 0.5 * (self.dim * (LOG_TWO_PI + 1.0) + self._logdet)
@@ -129,14 +142,19 @@ class GaussianMixtureDist:
         out = ad.logsumexp(np.stack(per), axis=0)
         return out, sum(np.exp(lj - out)[:, None] * g for lj, g in zip(per, grads))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_blocks(self, rng: np.random.Generator, n: int):
+        """Yield ``(rows, draws)``: every row's component first, then each
+        component's draws in row order, a block at a time, at integer rows."""
         idx = rng.choice(len(self.components), size=n, p=self.weights)
-        out = np.empty((n, self.dim))
         for m, comp in enumerate(self.components):
-            take = idx == m
-            if take.any():
-                out[take] = comp.sample(rng, int(take.sum()))
-        return out
+            own = np.flatnonzero(idx == m)
+            for rows, draws in comp.sample_blocks(rng, own.size):
+                if own.size == 1 < n:  # a lone row as a pair: see fam.row_blocks
+                    rows, draws = [0, 0], np.repeat(draws, 2, axis=0)
+                yield own[rows], draws
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return fam.gather_blocks(self.sample_blocks(rng, n), n, self.dim)
 
 
 def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
@@ -209,30 +227,61 @@ def structured_from_gaussian(dist: GaussianDist) -> fam.StructuredNormalState:
     )
 
 
+def _mc_kl(blocks, gap, n_mc: int) -> tuple:
+    """Mean and standard error of ``gap(draws)`` over ``(rows, draws)`` blocks.
+
+    Each block's gaps land in one (n_mc,) array, so the reduction is the
+    one a whole batch would get.  A NaN mean raises AuditError.
+    """
+    gaps = np.empty(n_mc)
+    for rows, draws in blocks:
+        gaps[rows] = gap(draws)
+    kl = float(gaps.mean())
+    if math.isnan(kl):
+        raise AuditError("a Monte-Carlo KL log-density gap is NaN")
+    return kl, float(gaps.std(ddof=1) / math.sqrt(n_mc))
+
+
 def kl_p_to_family_mc(
     p, state: fam.FamilyState, n_mc: int, rng: np.random.Generator
 ) -> tuple:
     """Monte-Carlo KL[p || q] with its standard error, sampling from p.
 
-    Atomic families assign zero density to continuous draws, so the
-    divergence is infinite with probability one.
+    Atomic families, and Gaussians with a zero variance
+    (``fam.has_zero_variance``), assign zero density to continuous draws,
+    so the divergence is infinite with probability one.  p's draws stream
+    through ``p.sample_blocks``: memory is one block of temporaries plus
+    p's component index, the gaps and their rows, each (n_mc,).
     """
-    if state.tag in fam.ATOMIC_TAGS:
+    if state.tag in fam.ATOMIC_TAGS or fam.has_zero_variance(state):
         return math.inf, 0.0
-    draws = p.sample(rng, n_mc)
-    gaps = p.log_density(draws) - fam.log_density(state, draws)
-    return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(n_mc))
+    return _mc_kl(
+        p.sample_blocks(rng, n_mc),
+        lambda draws: p.log_density(draws) - fam.log_density(state, draws),
+        n_mc,
+    )
 
 
 def kl_family_to_target_mc(
     state: fam.FamilyState, target, n_mc: int, rng: np.random.Generator
 ) -> tuple:
-    """Monte-Carlo KL[q || target] with standard error, sampling from q."""
+    """Monte-Carlo KL[q || target] with standard error, sampling from q.
+
+    A Gaussian q with a zero variance is singular to the target: infinite.
+    q's noise is drawn whole, n_mc·(P + K) numbers, and realized a block
+    at a time (``fam.realize_blocks``), so memory is that noise plus one
+    block of temporaries.
+    """
     if state.tag in fam.ATOMIC_TAGS:
         raise ValueError("KL[q || p] is degenerate for atomic families")
-    batch = fam.sample(state, "naive", n_mc, rng)
-    gaps = fam.log_density(state, batch.draws) - target.log_density(batch.draws)
-    return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(n_mc))
+    if fam.has_zero_variance(state):
+        return math.inf, 0.0
+    noise = fam.draw_noise(state, "naive", n_mc, rng)
+    return _mc_kl(
+        fam.realize_blocks(state, noise),
+        lambda draws: fam.log_density(state, draws) - target.log_density(draws),
+        n_mc,
+    )
 
 
 def log_density_of_truth(state: fam.FamilyState, theta_star: np.ndarray) -> float:

@@ -190,6 +190,68 @@ def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, mo
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
+def _point_mass_mf(state):
+    # exp(−400)² underflows to 0: a point mass in float64.
+    state.log_sigma[:] = -400.0
+
+
+def _point_mass_sn(state):
+    # exp(−800) is 0 and U = 0: a point mass; C = I + Uᵀ(U/a) is 0/0.
+    state.log_a[:] = -800.0
+    state.u[:] = 0.0
+
+
+def _zero_diagonal_sn(state):
+    # a = 0 under U = I: Σ = I, but C = I + Uᵀ(U/a) is not finite.
+    state.log_a[:] = -800.0
+    state.u[:] = np.eye(state.dim)
+
+
+def _point_mass_component(state):
+    _point_mass_sn(state.components[0])
+
+
+def _nan_mean_mf(state):
+    state.mu[0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "label,degrade,outcome",
+    [
+        ("mf", _point_mass_mf, "inf"),
+        ("sn3", _point_mass_sn, "inf"),
+        ("sn3", _zero_diagonal_sn, "failed"),
+        ("sgmm", _point_mass_component, "failed"),
+        ("mf", _nan_mean_mf, "failed"),
+    ],
+)
+def test_degenerate_q_in_mc_kl_audit(tmp_path, capsys, monkeypatch, label, degrade, outcome):
+    # A q whose variance underflows to 0 is a float64 point mass: both KLs
+    # are infinite.  Any other NaN in the audit fails that member alone.
+    train = cli.tr.train
+    tags = {"mf": "mean_field", "sn3": "structured_normal", "sgmm": "mixture"}
+
+    def train_to_degenerate(state, target, config):
+        trace = train(state, target, config)
+        if trace.final_state.tag == tags[label]:
+            degrade(trace.final_state)
+        return trace
+
+    monkeypatch.setattr(cli.tr, "train", train_to_degenerate)
+    cfg = write_config(tmp_path, dict(SMALL_FG, ranks=[0, 3], steps=50))
+    argv = ["fit-gaussian", "--bimodal", "--config", cfg, "--out", str(tmp_path / "o")]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == 0
+    failed = f"[fit-gaussian] {label} failed: " in capsys.readouterr().err
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    rows = {line.split(",")[0]: line.split(",")[2:4] for line in lines}
+    assert sorted(rows) == ["mf", "sgmm", "sn3"]
+    assert rows.pop(label) == (["inf", "inf"] if outcome == "inf" else ["na", "na"])
+    assert failed == (outcome == "failed")
+    for family, cells in rows.items():
+        assert all(math.isfinite(float(cell)) for cell in cells), family
+
+
 def count_train_calls(monkeypatch) -> list:
     calls = []
     train = cli.tr.train

@@ -159,6 +159,26 @@ def test_mixture_sampling_uses_weights():
     assert abs(frac_b - 0.8) < 0.01
 
 
+def test_mixture_row_is_realized_from_its_own_component_only():
+    # Component b's draws overflow to ±inf.  Realizing b at a's rows and
+    # masking by 0 would make those rows inf · 0 = NaN.
+    rng = np.random.default_rng(23)
+    comp_a = make_sn(rng, p=3, k=2)
+    comp_b = fam.StructuredNormalState(
+        mu=np.full(3, 1e308), log_a=np.full(3, 2 * math.log(1e308)), u=np.full((3, 2), 1e308)
+    )
+    st = fam.MixtureState(components=(comp_a, comp_b), weight_logits=np.zeros(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = fam.sample(st, "naive", 1000, rng)
+    noise = batch.noise
+    own = noise.components == 0
+    scale = np.exp(0.5 * comp_a.log_a)
+    expected = comp_a.mu + scale * noise.z_diag[own] + noise.z_lowrank[own] @ comp_a.u.T
+    assert 0 < own.sum() < 1000
+    assert np.all(np.isfinite(batch.draws[own]))
+    np.testing.assert_array_equal(batch.draws[own], expected)
+
+
 # -----------------------------------------------------------------------
 # log densities
 
