@@ -329,12 +329,17 @@ def _logsumexp(xv: np.ndarray, axis):
     """log Σ exp(xv) along ``axis``, shifted by the max so nothing overflows.
 
     Where the max is not finite the shift is 0: a slice of all −∞ gives −∞
-    (log 0, without a warning) and one holding +∞ gives +∞.
+    (log 0, without a warning) and one holding +∞ gives +∞.  Where every
+    shift is finite each sum holds exp(0) = 1, so log never meets 0.
     """
-    shift = np.max(xv, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(xv - shift), axis=axis, keepdims=True)) + shift
+    shift = xv.max(axis=axis, keepdims=True)
+    finite = np.isfinite(shift)
+    if finite.all():
+        out = np.log(np.exp(xv - shift).sum(axis=axis, keepdims=True)) + shift
+    else:
+        shift = np.where(finite, shift, 0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.exp(xv - shift).sum(axis=axis, keepdims=True)) + shift
     return out.reshape(())[()] if axis is None else out.squeeze(axis)
 
 

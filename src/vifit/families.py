@@ -10,9 +10,9 @@ Layout rule: each state class lists its trained arrays in pack order in
 concatenated.  A mixture's ``components`` entry stands for its component
 states, packed in turn with their names prefixed ``c{m}.``, before its
 ``weight_logits``.  One walk over that declaration (``_walk``) drives
-``param_slices``, ``pack``, ``unpack``, ``unpack_vars`` and
-``state_to_json``; ``state_from_json`` reads the same declaration off the
-class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
+``param_slices``, ``pack``, ``unpack``, ``unpack_vars``, ``param_views``
+and ``state_to_json``; ``state_from_json`` reads the same declaration off
+the class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
 ``droppable``) are carried over from the template.
 
 MAP and MC dropout are atomic: their log-density is defined only on their
@@ -336,6 +336,17 @@ def unpack_vars(template: FamilyState, psi):
     return _walk(template, leaf)
 
 
+def param_views(template: FamilyState, psi: np.ndarray) -> dict:
+    """The trained arrays of ``template`` as views into a plain flat ``psi``.
+
+    Resolved once from ``param_slices``, in ``_walk`` form.  A caller that
+    updates psi in place (the trainer) builds them once per member and
+    reads each step's parameters through them.
+    """
+    slices = param_slices(template)
+    return _walk(template, lambda name, like: psi[slices[name]].reshape(like.shape))
+
+
 def mean_param_indices(state: FamilyState) -> np.ndarray:
     """Flat-psi indices of location parameters (mu / theta_hat)."""
     idx = []
@@ -380,11 +391,12 @@ def _haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
-def _antithetic(rng, half: int, width: int) -> np.ndarray:
-    base = rng.standard_normal((half, width))
-    out = np.empty((2 * half, width))
-    out[0::2] = base
-    out[1::2] = -base
+def _antithetic(base: np.ndarray) -> np.ndarray:
+    """(n, 2h, w) rows: each of base's (n, h, w) rows followed by its negation."""
+    n, half, width = base.shape
+    out = np.empty((n, 2 * half, width))
+    out[:, 0::2] = base
+    out[:, 1::2] = -base
     return out
 
 
@@ -415,55 +427,90 @@ def draw_noise(
     count: int,
     rng: np.random.Generator,
     stratify_components: bool = False,
-) -> NoiseBatch:
+    steps: int | None = None,
+) -> NoiseBatch | list:
+    """Noise for ``count`` draws from ``state``: one NoiseBatch, or a list of
+    ``steps`` of them.
+
+    A list of n batches is exactly what n consecutive single-batch calls
+    give, generator state afterwards included.  numpy's Generator yields the
+    same stream from one call as from consecutive calls, so the n batches'
+    normals come from one ``standard_normal`` call (each batch's z_diag, then
+    its z_lowrank; in paired mode the halves that are then mirrored), an
+    unscented run's from one pass over its groups, and dropout masks from
+    one ``random`` call.  An unstratified mixture draws its components
+    between the normals and goes batch by batch.  MAP and stratified
+    component allocation take nothing from the generator.
+    """
     _validate_mode(state, mode, count)
+    n = 1 if steps is None else steps
     p = state.dim
     if isinstance(state, ATOMIC_STATES):
-        masks = np.ones((count, p))
+        masks = np.ones((n, count, p))
         d = state.droppable
         if d.any():  # MAP has nothing droppable and leaves the generator alone
-            masks[:, d] = rng.random((count, np.count_nonzero(d))) < state.keep_prob
-        return NoiseBatch(mode=mode, count=count, masks=masks)
-
-    k = getattr(state, "rank", 0)
-    comp = None
-    stratified = False
-    if isinstance(state, MixtureState):
-        if stratify_components:
+            masks[:, :, d] = rng.random((n, count, np.count_nonzero(d))) < state.keep_prob
+        batches = [NoiseBatch(mode=mode, count=count, masks=m) for m in masks]
+    elif isinstance(state, MixtureState) and not stratify_components:
+        batches = []
+        for _ in range(n):
+            if mode == "naive":
+                comp = rng.choice(state.n_components, size=count, p=state.weights)
+            else:
+                half = rng.choice(state.n_components, size=count // 2, p=state.weights)
+                comp = np.repeat(half, 2)
+            (z_diag,), (z_lowrank,) = _gaussian_noise(rng, mode, 1, count, p, state.rank)
+            batches.append(NoiseBatch(mode, count, z_diag, z_lowrank, comp))
+    else:
+        comp = None
+        if isinstance(state, MixtureState):
             comp = _stratified_components(state.n_components, mode, count)
-            stratified = True
-        elif mode == "naive":
-            comp = rng.choice(state.n_components, size=count, p=state.weights)
-        else:
-            half = rng.choice(state.n_components, size=count // 2, p=state.weights)
-            comp = np.repeat(half, 2)
+        z_diag, z_lowrank = _gaussian_noise(
+            rng, mode, n, count, p, getattr(state, "rank", 0)
+        )
+        batches = [
+            NoiseBatch(mode, count, zd, zl, comp, stratified=comp is not None)
+            for zd, zl in zip(z_diag, z_lowrank)
+        ]
+    return batches[0] if steps is None else batches
 
-    if mode == "naive":
-        z_diag = rng.standard_normal((count, p))
-        z_lowrank = rng.standard_normal((count, k))
-    elif mode == "paired":
-        z_diag = _antithetic(rng, count // 2, p)
-        z_lowrank = _antithetic(rng, count // 2, k)
-    else:  # unscented
-        z_diag = np.empty((count, p))
-        z_lowrank = np.empty((count, k))
-        scale = math.sqrt(k)
-        for g in range(count // (2 * k)):
-            q = _haar_orthogonal(k, rng)
-            for j in range(k):
-                row = g * 2 * k + 2 * j
-                z_lowrank[row] = scale * q[:, j]
-                z_lowrank[row + 1] = -z_lowrank[row]
-                z_diag[row] = rng.standard_normal(p)
-                z_diag[row + 1] = -z_diag[row]
-    return NoiseBatch(
-        mode=mode,
-        count=count,
-        z_diag=z_diag,
-        z_lowrank=z_lowrank,
-        components=comp,
-        stratified=stratified,
-    )
+
+def _gaussian_noise(rng, mode: str, n: int, count: int, p: int, k: int) -> tuple:
+    """(z_diag, z_lowrank) of shapes (n, count, p) and (n, count, k), taken
+    from ``rng`` as n batches drawn one after another take them."""
+    if mode == "unscented":  # its groups of 2K rows run on across batches
+        z_diag, z_lowrank = _unscented(rng, n * count, p, k)
+        return z_diag.reshape(n, count, p), z_lowrank.reshape(n, count, k)
+    rows = count // 2 if mode == "paired" else count
+    if n == 1:
+        # The same stream in two calls: an audit's batch of n_mc rows peaks
+        # lower in resident memory as two arrays than as one of twice the size.
+        z_diag = rng.standard_normal((1, rows, p))
+        z_lowrank = rng.standard_normal((1, rows, k))
+    else:
+        z = rng.standard_normal((n, rows * (p + k)))
+        z_diag = z[:, : rows * p].reshape(n, rows, p)
+        z_lowrank = z[:, rows * p :].reshape(n, rows, k)
+    if mode == "paired":
+        return _antithetic(z_diag), _antithetic(z_lowrank)
+    return z_diag, z_lowrank
+
+
+def _unscented(rng, count: int, p: int, k: int) -> tuple:
+    """Groups of 2K rows: ±√K times the columns of a Haar orthogonal matrix
+    in z_lowrank, each beside a mirrored pair of standard normals in z_diag."""
+    z_diag = np.empty((count, p))
+    z_lowrank = np.empty((count, k))
+    scale = math.sqrt(k)
+    for g in range(count // (2 * k)):
+        q = _haar_orthogonal(k, rng)
+        for j in range(k):
+            row = g * 2 * k + 2 * j
+            z_lowrank[row] = scale * q[:, j]
+            z_lowrank[row + 1] = -z_lowrank[row]
+            z_diag[row] = rng.standard_normal(p)
+            z_diag[row + 1] = -z_diag[row]
+    return z_diag, z_lowrank
 
 
 def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
@@ -478,10 +525,13 @@ def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
 
 
 def _scale_and_factor(params: dict):
-    """Per-coordinate std and low-rank factor from unpacked parameters."""
+    """Per-coordinate std and low-rank factor from unpacked parameters.
+
+    ``np.exp`` reaches the tape's ``exp`` through ``Var.__array_ufunc__``.
+    """
     if "log_sigma" in params:
-        return ad.exp(params["log_sigma"]), None
-    return ad.exp(0.5 * params["log_a"]), params["u"]
+        return np.exp(params["log_sigma"]), None
+    return np.exp(0.5 * params["log_a"]), params["u"]
 
 
 def _gaussian_rows(params: dict, noise: NoiseBatch):
@@ -540,9 +590,10 @@ def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, 
     return parts
 
 
-def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) -> tuple:
+def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tuple:
     """Closed-form counterpart of ``draws_rows``, ``log_q_rows`` and
-    ``draw_coefficients`` on a plain psi.
+    ``draw_coefficients`` at plain parameters ``params = param_views(template,
+    psi)``.
 
     Returns ``(theta, log_q, coeff, vjp)``: the draws, their sampled log q
     (None for the atomic families, whose log q is constant), the per-draw
@@ -557,11 +608,10 @@ def draws_logq_vjp(template: FamilyState, psi: np.ndarray, noise: NoiseBatch) ->
     get gradient through log w_m and, when stratified, through the
     coefficients M·w_m (Morningstar et al., AISTATS 2021).
     """
-    if isinstance(template, ATOMIC_STATES):
-        masks = noise.masks
-        return psi * masks, None, None, lambda theta_bar, *_: (theta_bar * masks).sum(axis=0)
-    params = unpack_vars(template, psi)
-    if isinstance(template, MixtureState):
+    if template.tag in ATOMIC_TAGS:
+        theta_hat, masks = params["theta_hat"], noise.masks
+        return theta_hat * masks, None, None, lambda bar, *_: (bar * masks).sum(axis=0)
+    if template.tag == MixtureState.tag:
         return _mixture_logq_vjp(template, params, noise)
     scale, factor = _scale_and_factor(params)
     theta = gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
@@ -599,7 +649,8 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
     per = log_w[:, None] + np.stack([log_n for log_n, _ in fits])
     log_q = ad.logsumexp(per, axis=0)
     resp = np.exp(per - log_q)
-    coeff = draw_coefficients(template, params, noise)
+    m = len(comps)
+    coeff = m * weights[noise.components] if noise.stratified else None  # see draw_coefficients
 
     def vjp(theta_bar, logq_bar, coeff_bar):
         per_bar = resp * logq_bar  # adjoint of log w_m + log N_m(θ_k)
@@ -607,7 +658,6 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
         via = theta_bar + sum(d_theta for d_theta, _, _ in adjoints)  # of every θ_k
         log_w_bar = per_bar.sum(axis=1)
         if coeff is not None:  # coeff_k = M w_{c_k}
-            m = len(comps)
             log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
         parts = []
         for c, scale, own, (d_theta, d_a, d_factor) in zip(comps, scales, members, adjoints):

@@ -143,11 +143,12 @@ def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
     """Differentiable reparametrized draws: mean + scale ⊙ z + U z_lr.
 
     ``scale`` is the per-coordinate standard deviation.  Any of the
-    parameters may be autodiff Vars; the noise arrays are plain constants.
+    parameters may be autodiff Vars (``@`` and ``.T`` reach the tape's
+    ``matmul`` and ``transpose``); the noise arrays are plain constants.
     """
     theta = mean + scale * z_diag
     if z_lowrank is not None and z_lowrank.shape[-1] > 0:
-        theta = theta + ad.matmul(z_lowrank, ad.transpose(factor))
+        theta = theta + z_lowrank @ factor.T
     return theta
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -94,35 +95,40 @@ class StudentTPrior:
 PriorSpec = Union[GaussianPrior, StudentTPrior]
 
 
-def prior_logpdf(spec: PriorSpec, theta):
-    """Sum of per-coordinate prior log-densities; rows may be (P,) or (S, P)."""
+def prior_log_const(spec: PriorSpec, p: int) -> float:
+    """The θ-free part of ``prior_logpdf`` over p coordinates."""
     if isinstance(spec, GaussianPrior):
-        p = theta.shape[-1]
-        const = -0.5 * p * (LOG_TWO_PI - math.log(spec.lam))
-        return const - 0.5 * spec.lam * ad.sum(theta * theta, axis=-1)
+        return -0.5 * p * (LOG_TWO_PI - math.log(spec.lam))
     if isinstance(spec, StudentTPrior):
         nu, s = spec.nu, spec.scale
-        p = theta.shape[-1]
-        const = p * (
+        return p * (
             math.lgamma((nu + 1.0) / 2.0)
             - math.lgamma(nu / 2.0)
             - 0.5 * math.log(nu * math.pi)
             - math.log(s)
         )
-        scaled = theta / s
-        return const - 0.5 * (nu + 1.0) * ad.sum(
-            ad.log(1.0 + scaled * scaled / nu), axis=-1
-        )
     raise TypeError(f"unknown prior spec {spec!r}")
 
 
-def prior_grad(spec: PriorSpec, theta: np.ndarray) -> np.ndarray:
-    """∂/∂θ of ``prior_logpdf`` for plain (P,) or (S, P) arrays."""
+def prior_logpdf(spec: PriorSpec, theta):
+    """Sum of per-coordinate prior log-densities; rows may be (P,) or (S, P)."""
+    const = prior_log_const(spec, theta.shape[-1])
     if isinstance(spec, GaussianPrior):
-        return -spec.lam * theta
-    if isinstance(spec, StudentTPrior):
-        return -(spec.nu + 1.0) * theta / (spec.nu * spec.scale**2 + theta * theta)
-    raise TypeError(f"unknown prior spec {spec!r}")
+        return const - 0.5 * spec.lam * ad.sum(theta * theta, axis=-1)
+    scaled = theta / spec.scale
+    nu = spec.nu
+    return const - 0.5 * (nu + 1.0) * ad.sum(ad.log(1.0 + scaled * scaled / nu), axis=-1)
+
+
+def prior_penalty_and_grad(spec: PriorSpec, theta: np.ndarray) -> tuple:
+    """``prior_log_const`` − ``prior_logpdf`` per plain (S, P) row, and
+    ∂ ``prior_logpdf`` / ∂θ, in plain numpy."""
+    if isinstance(spec, GaussianPrior):
+        return 0.5 * spec.lam * (theta * theta).sum(axis=-1), -spec.lam * theta
+    nu, s = spec.nu, spec.scale
+    scaled = theta / s
+    penalty = 0.5 * (nu + 1.0) * np.log(1.0 + scaled * scaled / nu).sum(axis=-1)
+    return penalty, -(nu + 1.0) * theta / (nu * s**2 + theta * theta)
 
 
 @dataclass
@@ -176,32 +182,45 @@ class RegressionProblem:
             self.n / batch_indices.size,
         )
 
-    def _loglik_from_resid(self, resid, scale: float):
-        const = -0.5 * resid.shape[-1] * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
-        quad = ad.sum(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
-        return scale * (const - quad)
+    def _loglik_const(self, rows: int) -> float:
+        return -0.5 * rows * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
 
     def loglik_rows(self, theta, batch_indices=None):
         """Gaussian log-likelihood per parameter row, minibatch-rescaled."""
         design, targets, scale = self._batch(batch_indices)
         resid = targets - ad.matmul(theta, ad.transpose(design))
-        return self._loglik_from_resid(resid, scale)
+        quad = ad.sum(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
+        return scale * (self._loglik_const(resid.shape[-1]) - quad)
 
     def prior_rows(self, theta):
         return prior_logpdf(self.prior, theta)
 
+    @cached_property
+    def _full_data(self) -> tuple:
+        """(designᵀ, log-lik constant, prior constant) of the full data."""
+        return self.design.T, self._loglik_const(self.n), prior_log_const(self.prior, self.dim)
+
     def log_joint_and_grad(self, theta: np.ndarray, batch_indices=None) -> tuple:
         """Per-row log lik + log prior at plain (S, P) rows, and its θ-gradient.
 
-        The closed-form counterpart of ``loglik_rows`` + ``prior_rows``: same
-        values, with ∂/∂θ = (N/|B|) residᵀ design / σ² + ∂ log prior / ∂θ.
+        The closed-form counterpart of ``loglik_rows`` + ``prior_rows``, in
+        plain numpy: same values, with ∂/∂θ = (N/|B|) residᵀ design / σ² +
+        ∂ log prior / ∂θ.  The full data's constants are resolved once.
         """
-        design, targets, scale = self._batch(batch_indices)
-        resid = targets - theta @ design.T
-        rows = self._loglik_from_resid(resid, scale)
-        rows = rows + prior_logpdf(self.prior, theta)
+        if batch_indices is None:
+            design, targets, scale = self.design, self.targets, 1.0
+            design_t, lik_const, prior_const = self._full_data
+        else:
+            design, targets, scale = self._batch(batch_indices)
+            design_t = design.T
+            lik_const = self._loglik_const(targets.shape[0])
+            prior_const = prior_log_const(self.prior, theta.shape[-1])
+        resid = targets - theta @ design_t
+        quad = (resid * resid).sum(axis=-1) / (2.0 * self.noise_sigma**2)
+        penalty, prior_grad = prior_penalty_and_grad(self.prior, theta)
+        rows = scale * (lik_const - quad) + (prior_const - penalty)
         grad = (scale / self.noise_sigma**2) * (resid @ design)
-        return rows, grad + prior_grad(self.prior, theta)
+        return rows, grad + prior_grad
 
 
 @dataclass

@@ -86,7 +86,7 @@ class GaussianDist:
         """``log_density`` at plain (S, P) rows and its θ-gradient in closed form."""
         r = theta - self.mean
         rp = r @ self.precision
-        quad = np.sum(r * rp, axis=-1)
+        quad = (r * rp).sum(axis=-1)
         return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), -rp
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
@@ -120,10 +120,14 @@ class GaussianMixtureDist:
     def dim(self) -> int:
         return self.components[0].dim
 
+    @cached_property
+    def _log_weights(self) -> tuple:
+        return tuple(math.log(w) for w in self.weights)
+
     def log_density(self, theta):
         per = [
-            math.log(w) + c.log_density(theta)
-            for c, w in zip(self.components, self.weights)
+            log_w + c.log_density(theta)
+            for c, log_w in zip(self.components, self._log_weights)
         ]
         return ad.logsumexp(ad.stack(per, axis=0), axis=0)
 
@@ -135,9 +139,9 @@ class GaussianMixtureDist:
         max-shifted log-sum-exp keeps finite far from every mode.
         """
         per, grads = [], []
-        for c, w in zip(self.components, self.weights):
+        for c, log_w in zip(self.components, self._log_weights):
             log_n, grad = c.log_density_and_grad(theta)
-            per.append(math.log(w) + log_n)
+            per.append(log_w + log_n)
             grads.append(grad)
         out = ad.logsumexp(np.stack(per), axis=0)
         return out, sum(np.exp(lj - out)[:, None] * g for lj, g in zip(per, grads))
@@ -205,7 +209,18 @@ def kl_gaussian_gaussian(p: GaussianDist, q: GaussianDist) -> float:
 
 
 def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
-    mean, cov = fam.dense_moments(state)
+    """The dense Gaussian of a Gaussian family.
+
+    NotPositiveDefiniteError when the float64 covariance has a zero
+    variance (``fam.has_zero_variance``: q is a point mass along that
+    coordinate) or a zero diagonal part, which ``StructuredCov`` rejects.
+    """
+    if fam.has_zero_variance(state):
+        raise NotPositiveDefiniteError("covariance has a zero variance: q is a point mass")
+    try:
+        mean, cov = fam.dense_moments(state)
+    except ValueError as err:
+        raise NotPositiveDefiniteError(f"covariance is degenerate: {err}") from err
     return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
 
 

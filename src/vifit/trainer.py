@@ -23,6 +23,16 @@ sampled-log-q estimator, in every sampling mode.  The reverse-mode tape
 (``elbo_graph``) is the reference, the fallback for a closed-form step that
 fails, and the path for the MLP and any target without a closed-form
 gradient.
+
+A closed-form step costs bookkeeping, not arithmetic, so ``train`` does
+once per member what no step changes: psi's parameter views
+(``families.param_views``, valid because psi and the moment estimates are
+updated in place, in the order of the out-of-place expressions), the
+target's closed form and log q's adjoint.  It draws the noise of
+``NOISE_CHUNK_STEPS`` steps per ``families.draw_noise`` call.  One call
+gives the same stream as consecutive per-step calls, so every number is
+the one a per-step loop gives.  A minibatch's ``rng.choice`` falls between
+two steps' noise, so a minibatched run draws noise one step per call.
 """
 
 from __future__ import annotations
@@ -64,6 +74,10 @@ class CapacitanceError(TrainingError):
 
 
 GRAD_NORM_GUARD = 1e6
+
+# Steps of noise per ``fam.draw_noise`` call in ``train``: at most 160 KB
+# of normals per call at P = K = 10 and 8 draws a step.
+NOISE_CHUNK_STEPS = 128
 
 
 @dataclass
@@ -168,24 +182,52 @@ def elbo_graph(
 def _closed_form_target(problem, batch_indices):
     """θ ↦ (per-row log joint, its θ-gradient), or None without a closed form."""
     if hasattr(problem, "log_joint_and_grad"):
+        if batch_indices is None:
+            return problem.log_joint_and_grad
         return lambda theta: problem.log_joint_and_grad(theta, batch_indices)
     return getattr(problem, "log_density_and_grad", None)
 
 
-def _fused_value_and_grad(state, psi, noise, log_joint) -> tuple:
-    theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, psi, noise)
+def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
+    """The closed-form step; ``logq_bar`` is log q's adjoint, −1/S per draw."""
+    theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
     rows, theta_grad = log_joint(theta)
     if log_q is not None:
         rows = rows - log_q
     scale = 1.0 / noise.count
     if coeff is None:
         value = float(rows.sum() / noise.count)
-        return value, vjp(theta_grad * scale, np.full(noise.count, -scale), None)
+        return value, vjp(theta_grad * scale, logq_bar, None)
     # With coefficients the value is Σ_k c_k rows_k / S: rows_k has adjoint
     # c_k / S and c_k has adjoint rows_k / S.
     row_bar = coeff * scale
     value = float((rows * coeff).sum() / noise.count)
     return value, vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
+
+
+def _value_grad_norm(state, params, psi, noise, problem, batch, log_joint, logq_bar):
+    """(value, gradient, gradient norm) of the MC ELBO estimate at ``psi``.
+
+    ``params`` are psi's ``fam.param_views`` and ``log_joint`` is
+    ``_closed_form_target``; see ``elbo_value_and_grad``.  A NaN or ±inf
+    anywhere in the gradient makes its norm non-finite, so the elementwise
+    check runs only when the norm is not finite (a finite gradient whose
+    squares overflow passes it).
+    """
+    if log_joint is not None:
+        try:
+            value, grad = _fused_value_and_grad(state, params, noise, log_joint, logq_bar)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            gnorm = math.sqrt(grad.dot(grad))
+            if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
+                return value, grad, gnorm
+    report = ad.evaluate_with_gradient(
+        lambda p: elbo_graph(state, p, noise, problem, batch), psi
+    )
+    grad = report.gradient
+    return report.value, grad, math.sqrt(grad.dot(grad))
 
 
 def elbo_value_and_grad(
@@ -199,19 +241,17 @@ def elbo_value_and_grad(
     the tape's (``NonFiniteValueError`` naming the primitive,
     ``FactorizationError``).
     """
-    log_joint = _closed_form_target(problem, batch_indices)
-    if log_joint is not None:
-        try:
-            value, grad = _fused_value_and_grad(state, psi, noise, log_joint)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if np.isfinite(value) and np.all(np.isfinite(grad)):
-                return value, grad
-    report = ad.evaluate_with_gradient(
-        lambda p: elbo_graph(state, p, noise, problem, batch_indices), psi
+    value, grad, _ = _value_grad_norm(
+        state,
+        fam.param_views(state, psi),
+        psi,
+        noise,
+        problem,
+        batch_indices,
+        _closed_form_target(problem, batch_indices),
+        np.full(noise.count, -1.0 / noise.count),
     )
-    return report.value, report.gradient
+    return value, grad
 
 
 def elbo_estimate(
@@ -237,10 +277,17 @@ def elbo_estimate(
     )
 
 
+def _minibatched(problem, config: TrainConfig) -> bool:
+    """Whether each step draws a minibatch: one smaller than the data."""
+    return (
+        config.minibatch is not None
+        and hasattr(problem, "n")
+        and config.minibatch < problem.n
+    )
+
+
 def _draw_minibatch(problem, config: TrainConfig, rng: np.random.Generator):
-    if config.minibatch is None or not hasattr(problem, "n"):
-        return None
-    if config.minibatch >= problem.n:
+    if not _minibatched(problem, config):
         return None
     return rng.choice(problem.n, size=config.minibatch, replace=False)
 
@@ -259,36 +306,67 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     Per-coordinate step scaling uses exponential moving averages of the
     gradient (decay 0.9) and its square (decay 0.999).  Stops at the step
     budget, or early once the moving-average ELBO improves by less than the
-    configured tolerance over the window.  Deterministic given the seed.
+    configured tolerance over the window.  Deterministic given the seed,
+    and step for step the numbers of a per-step loop (see module notes).
     """
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
+    params = fam.param_views(state, psi)
+    count = _effective_sample_count(state, config)
+    stratify = isinstance(state, fam.MixtureState)
+    minibatched = _minibatched(problem, config)
+    chunk = 1 if minibatched else NOISE_CHUNK_STEPS
+    log_joint = _closed_form_target(problem, None)
+    logq_bar = np.full(count, -1.0 / count)
+    batch = None
     m = np.zeros_like(psi)
     v = np.zeros_like(psi)
+    m_hat = np.empty_like(psi)
+    v_hat = np.empty_like(psi)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = TrainTrace()
     lr = config.learning_rate
     start = time.perf_counter()
     for step in range(config.steps):
-        noise, batch = _draw_step(state, problem, config, rng)
+        if step % chunk == 0:
+            noises = fam.draw_noise(
+                state, config.mode, count, rng, stratify_components=stratify,
+                steps=min(chunk, config.steps - step),
+            )
+        noise = noises[step % chunk]
+        if minibatched:
+            batch = _draw_minibatch(problem, config, rng)
+            log_joint = _closed_form_target(problem, batch)
         try:
-            value, grad = elbo_value_and_grad(state, psi, noise, problem, batch)
+            value, grad, gnorm = _value_grad_norm(
+                state, params, psi, noise, problem, batch, log_joint, logq_bar
+            )
         except ad.NonFiniteValueError as err:
             raise ElboNotFiniteError(step, str(err)) from err
         except FactorizationError as err:
             raise CapacitanceError(step, str(err)) from err
-        gnorm = float(np.linalg.norm(grad))
         if gnorm > GRAD_NORM_GUARD:
             raise TrainingDivergedError(step, gnorm)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** (step + 1))
-        v_hat = v / (1.0 - beta2 ** (step + 1))
-        psi = psi + lr * m_hat / (np.sqrt(v_hat) + eps)
+        # In place, in the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,
+        # m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε).
+        m *= beta1
+        np.multiply(1.0 - beta1, grad, out=m_hat)
+        m += m_hat
+        v *= beta2
+        np.multiply(1.0 - beta2, grad, out=v_hat)
+        v_hat *= grad
+        v += v_hat
+        np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
+        np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        m_hat *= lr
+        m_hat /= v_hat
+        psi += m_hat
         lr *= config.lr_decay
         trace.elbo.append(value)
         trace.grad_norm.append(gnorm)
-        if _converged(trace.elbo, config):
+        if config.convergence_window and _converged(trace.elbo, config):
             break
     trace.steps_run = len(trace.elbo)
     trace.runtime_s = time.perf_counter() - start

@@ -252,6 +252,48 @@ def test_degenerate_q_in_mc_kl_audit(tmp_path, capsys, monkeypatch, label, degra
         assert all(math.isfinite(float(cell)) for cell in cells), family
 
 
+@pytest.mark.parametrize(
+    "argv,doc,member,degrade",
+    [
+        (["rbf"], SMALL_RBF, ("mean_field", 0), _point_mass_mf),
+        (["rbf"], SMALL_RBF, ("structured_normal", 4), _point_mass_sn),
+        (["fit-gaussian"], SMALL_FG, ("mean_field", 0), _point_mass_mf),
+        (["fit-gaussian"], SMALL_FG, ("structured_normal", 3), _point_mass_sn),
+        (["fit-gaussian"], SMALL_FG, ("structured_normal", 3), _zero_diagonal_sn),
+    ],
+    ids=["rbf-mf", "rbf-sn4", "fit-gaussian-mf", "fit-gaussian-sn3", "fit-gaussian-sn3-zero-a"],
+)
+def test_degenerate_q_in_exact_audit_fails_alone(
+    tmp_path, capsys, monkeypatch, argv, doc, member, degrade
+):
+    # The exact audits take q's dense covariance.  A q whose variance is 0
+    # in float64 has none, so that member's row is empty and the rest stand.
+    train = cli.tr.train
+
+    def train_to_degenerate(state, target, config):
+        trace = train(state, target, config)
+        fitted = trace.final_state
+        if (fitted.tag, getattr(fitted, "rank", 0)) == member:
+            degrade(fitted)
+        return trace
+
+    monkeypatch.setattr(cli.tr, "train", train_to_degenerate)
+    cfg = write_config(tmp_path, doc)
+    with np.errstate(all="ignore"):
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    label = "mf" if member[0] == "mean_field" else f"sn{member[1]}"
+    assert f"] {label} failed: " in capsys.readouterr().err
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    # kl_p_q, kl_q_p, logq_theta_star and elbo; fit-gaussian has no θ*.
+    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    if argv == ["fit-gaussian"]:
+        rows = {family: cells[:2] + cells[3:] for family, cells in rows.items()}
+    assert rows.pop(label) == ["na"] * len(rows["map"])
+    for family, cells in rows.items():
+        if family in ("mf", "sn1", "sn3", "sn4"):
+            assert all(math.isfinite(float(cell)) for cell in cells), family
+
+
 def count_train_calls(monkeypatch) -> list:
     calls = []
     train = cli.tr.train

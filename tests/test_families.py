@@ -1,11 +1,12 @@
 """Family contract tests: init, sampling modes, densities, enumeration."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
@@ -557,6 +558,21 @@ def test_layout_unpack_vars_matches_unpack(case):
 
 
 @given(family_case())
+def test_layout_param_views_read_psi_in_place(case):
+    template, psi, _ = case
+    views = fam.param_views(template, psi)
+    expected = trained_arrays(fam.unpack(template, psi))
+    got = trained_arrays(fam._rebuild(template, views))
+    assert list(got) == list(expected)
+    for name, value in got.items():
+        np.testing.assert_array_equal(value, expected[name])
+        assert value.size == 0 or np.shares_memory(value, psi), name
+    psi += 1.0  # the trainer's in-place update shows through every view
+    for name, value in trained_arrays(fam._rebuild(template, views)).items():
+        np.testing.assert_array_equal(value, expected[name] + 1.0)
+
+
+@given(family_case())
 def test_layout_json_round_trip(case):
     template, psi, _ = case
     state = fam.unpack(template, psi)
@@ -691,3 +707,93 @@ def test_atomic_log_density_is_bit_identical_to_the_loop(base, keep_prob, seed):
         expected = np.array([loop_atom_log_weight(st, r) for r in rows])
         got = fam.log_density(st, rows)
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+# -----------------------------------------------------------------------
+# noise for many steps in one call
+
+
+@hst.composite
+def noise_case(draw):
+    """(state, mode, count, stratify, steps, seed) that ``draw_noise`` accepts."""
+    tag = draw(hst.sampled_from(list(fam.FAMILIES)))
+    p = draw(hst.integers(1, 6))
+    k = draw(hst.integers(0, 3))
+    m = draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+    kwargs = {"rank": k, "components": m, "keep_prob": float(rng.uniform())}
+    state = fam.init_family(tag, fam.ModelShape.linear(p), rng, **kwargs)
+    if tag == "mc_dropout":
+        state.droppable = rng.random(p) < 0.5
+    modes = ["naive"]
+    if tag not in fam.ATOMIC_TAGS:
+        modes.append("paired")
+    if tag == "structured_normal" and k >= 1:
+        modes.append("unscented")
+    mode = draw(hst.sampled_from(modes))
+    stratify = draw(hst.booleans())
+    group = {"naive": 1, "paired": 2, "unscented": 2 * k}[mode]
+    if tag == "mixture" and stratify:
+        group *= m
+    count = group * draw(hst.integers(1, 4))
+    return state, mode, count, stratify, draw(hst.integers(1, 5)), draw(hst.integers(0, 2**16))
+
+
+def assert_same_noise(a, b):
+    for field in dataclasses.fields(fam.NoiseBatch):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), field.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@given(noise_case())
+def test_noise_for_many_steps_is_the_stream_of_single_steps(case):
+    # One call with steps=n gives the n batches, and leaves the generator
+    # where n consecutive steps=1 calls leave it.
+    state, mode, count, stratify, steps, seed = case
+    many_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    many = fam.draw_noise(
+        state, mode, count, many_rng, stratify_components=stratify, steps=steps
+    )
+    one = []
+    for _ in range(steps):
+        one += fam.draw_noise(state, mode, count, one_rng, stratify_components=stratify, steps=1)
+    assert len(many) == len(one) == steps
+    for a, b in zip(many, one):
+        assert_same_noise(a, b)
+    assert many_rng.bit_generator.state == one_rng.bit_generator.state
+    single = fam.draw_noise(
+        state, mode, count, np.random.default_rng(seed), stratify_components=stratify
+    )
+    assert_same_noise(single, many[0])
+
+
+@given(noise_case())
+def test_a_batch_takes_z_diag_then_z_lowrank_from_the_generator(case):
+    # The per-step layout that one call for many steps must keep.
+    state, mode, count, stratify, _, seed = case
+    assume(mode != "unscented" and (state.tag != "mixture" or stratify))
+    noise = fam.draw_noise(
+        state, mode, count, np.random.default_rng(seed), stratify_components=stratify
+    )
+    rng = np.random.default_rng(seed)
+    if state.tag in fam.ATOMIC_TAGS:
+        d = state.droppable
+        masks = np.ones((count, state.dim))
+        if d.any():
+            masks[:, d] = rng.random((count, np.count_nonzero(d))) < state.keep_prob
+        np.testing.assert_array_equal(noise.masks, masks)
+        return
+    rows = count // 2 if mode == "paired" else count
+    z_diag = rng.standard_normal((rows, state.dim))
+    z_lowrank = rng.standard_normal((rows, getattr(state, "rank", 0)))
+    for got, want in ((noise.z_diag, z_diag), (noise.z_lowrank, z_lowrank)):
+        if mode == "paired":
+            np.testing.assert_array_equal(got[0::2], want)
+            np.testing.assert_array_equal(got[1::2], -want)
+        else:
+            np.testing.assert_array_equal(got, want)

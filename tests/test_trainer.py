@@ -277,6 +277,108 @@ def test_numerically_singular_capacitance_fails_at_step_zero():
     assert err.value.step == 0
 
 
+def reference_train(state, problem, config) -> tuple:
+    """The plain training loop: fresh noise and minibatch every step, the
+    gradient from ``elbo_value_and_grad``, and out-of-place moment updates.
+    Returns (final psi, ELBO trace, gradient-norm trace)."""
+    rng = np.random.default_rng(config.seed)
+    psi = fam.pack(state)
+    m = np.zeros_like(psi)
+    v = np.zeros_like(psi)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = config.learning_rate
+    elbo, norms = [], []
+    for step in range(config.steps):
+        noise, batch = tr._draw_step(state, problem, config, rng)
+        value, grad = tr.elbo_value_and_grad(state, psi, noise, problem, batch)
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1 ** (step + 1))
+        v_hat = v / (1.0 - beta2 ** (step + 1))
+        psi = psi + lr * m_hat / (np.sqrt(v_hat) + eps)
+        lr *= config.lr_decay
+        elbo.append(value)
+        norms.append(float(np.linalg.norm(grad)))
+        if tr._converged(elbo, config):
+            break
+    return psi, elbo, norms
+
+
+class TapeOnlyProblem:
+    """A regression target without its closed-form gradient: trains on the tape."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.n = problem.n
+
+    def loglik_rows(self, theta, batch_indices=None):
+        return self.problem.loglik_rows(theta, batch_indices)
+
+    def prior_rows(self, theta):
+        return self.problem.prior_rows(theta)
+
+
+STEPS = 2 * tr.NOISE_CHUNK_STEPS + 44  # three noise calls, the last one short
+
+
+@pytest.mark.parametrize(
+    "tag,kwargs,target,config",
+    [
+        ("map", {}, "regression", {}),
+        ("mc_dropout", {"keep_prob": 0.7}, "regression", {}),
+        ("mean_field", {}, "regression", {}),
+        ("mean_field", {}, "regression", {"mode": "paired"}),
+        ("structured_normal", {"rank": 2}, "regression", {}),
+        ("structured_normal", {"rank": 2}, "regression", {"mode": "paired"}),
+        ("structured_normal", {"rank": 2}, "regression", {"mode": "unscented"}),
+        ("mixture", {"rank": 1}, "regression", {}),
+        ("mixture", {"rank": 1}, "regression", {"mode": "paired"}),
+        ("structured_normal", {"rank": 2}, "gaussian", {}),
+        ("mixture", {"rank": 1}, "mixture", {"mode": "paired"}),
+        ("structured_normal", {"rank": 1}, "tape", {"steps": 140}),
+        ("structured_normal", {"rank": 2}, "regression", {"minibatch": 10}),
+        ("mean_field", {}, "regression", {"convergence_window": 10, "convergence_tol": 0.5}),
+    ],
+    ids=[
+        "map", "mc_dropout", "mf", "mf-paired", "sn2", "sn2-paired", "sn2-unscented",
+        "sgmm", "sgmm-paired", "sn2-gaussian", "sgmm-paired-mixture", "sn1-tape",
+        "sn2-minibatch", "mf-early-stop",
+    ],
+)
+def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, target, config):
+    problem, _ = conjugate_problem(seed=60)
+    if target == "gaussian":
+        problem = orc.exact_linear_posterior(problem)
+    elif target == "mixture":
+        post = orc.exact_linear_posterior(problem)
+        shifted = orc.GaussianDist(mean=post.mean + 1.0, cov=post.cov)
+        problem = orc.GaussianMixtureDist(components=(post, shifted), weights=np.array([0.4, 0.6]))
+    elif target == "tape":
+        problem = TapeOnlyProblem(problem)
+    state = fam.init_family(tag, fam.ModelShape.linear(4), np.random.default_rng(61), **kwargs)
+    config = tr.TrainConfig(**{"steps": STEPS, "learning_rate": 0.02, "seed": 62, **config})
+    calls = []
+    draw_noise = fam.draw_noise
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return draw_noise(*args, **kw)
+
+    monkeypatch.setattr(fam, "draw_noise", counting)
+    trace = tr.train(state, problem, config)
+    monkeypatch.setattr(fam, "draw_noise", draw_noise)
+    psi, elbo, norms = reference_train(state, problem, config)
+    assert np.array_equal(fam.pack(trace.final_state), psi)
+    assert trace.elbo == elbo
+    assert trace.grad_norm == norms
+    if config.convergence_window:
+        assert trace.steps_run < config.steps
+    if config.minibatch is None:
+        assert len(calls) == math.ceil(trace.steps_run / tr.NOISE_CHUNK_STEPS)
+    else:
+        assert len(calls) == trace.steps_run
+
+
 # -----------------------------------------------------------------------
 # gradient variance probe
 
