@@ -1,19 +1,20 @@
 """Reverse-mode automatic differentiation over flat numpy arrays.
 
-A small tape sufficient to differentiate Monte-Carlo objectives through a
-reparametrized sampling rule: arithmetic, exp / log / sqrt / tanh /
-softplus, reductions (sum, dot, log-sum-exp), matrix products, basic
-indexing and reshaping, and solve / log-det for small symmetric positive
-definite systems.
+A small tape for targets that have no closed-form θ-gradient (the MLP and
+any duck-typed target): arithmetic, exp / log / sqrt / tanh, reductions
+(sum), matrix products, and basic indexing, reshaping and stacking.  The
+families never run on it; their draws, log q and adjoints are closed form
+(``families.draws_logq_vjp``).
 
 Every primitive accepts plain numbers and arrays as well as ``Var`` nodes
 and only records when at least one input is a ``Var``.  The same formula
 code therefore serves both the differentiable path and plain numpy
 evaluation.  The elementwise primitives come from two constructors:
-``_binary`` (add, sub, mul, div) and ``_unary`` (neg, exp, log, sqrt, tanh,
-softplus).  A graph is built per evaluation and confined to the calling
+``_binary`` (add, sub, mul, div) and ``_unary`` (neg, exp, log, sqrt,
+tanh).  A graph is built per evaluation and confined to the calling
 thread; adjoints are accumulated in a fixed topological order, so repeated
-evaluation with identical inputs is bit-identical.
+evaluation with identical inputs is bit-identical.  ``logsumexp``,
+``cho_factor`` and ``cho_solve`` work on plain arrays only.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ class AutodiffError(Exception):
 
 
 class NonFiniteValueError(AutodiffError):
-    """A primitive produced a NaN or infinity."""
+    """A tape primitive, or a term of a closed-form ELBO step, produced a NaN
+    or infinity; ``primitive`` names it."""
 
     def __init__(self, primitive: str, detail: str = ""):
         self.primitive = primitive
-        msg = f"non-finite value produced by primitive '{primitive}'"
+        msg = f"non-finite value produced by '{primitive}'"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -214,12 +216,6 @@ exp = _unary("exp", np.exp, lambda g, x, out: g * out)
 log = _unary("log", np.log, lambda g, x, out: g / x)
 sqrt = _unary("sqrt", np.sqrt, lambda g, x, out: g * 0.5 / out)
 tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
-# softplus' = σ(x) = exp(−softplus(−x)): the exponent is ≤ 0, so nothing overflows.
-softplus = _unary(
-    "softplus",
-    lambda x: np.logaddexp(0.0, x),
-    lambda g, x, out: g * np.exp(-np.logaddexp(0.0, -x)),
-)
 
 
 def _pow(a, exponent):
@@ -247,28 +243,17 @@ def sum(x, axis=None):  # noqa: A001 - mirrors numpy naming
     return _node("sum", np.sum(xv, axis=axis), [(x, vjp)])
 
 
-def dot(a, b):
-    av, bv = _val(a), _val(b)
-    if av.ndim != 1 or bv.ndim != 1:
-        raise UnsupportedPrimitiveError("dot expects 1-D operands")
-    if not (_is_var(a) or _is_var(b)):
-        return np.dot(av, bv)
-    parents = []
-    if _is_var(a):
-        parents.append((a, lambda g: g * bv))
-    if _is_var(b):
-        parents.append((b, lambda g: g * av))
-    return _node("dot", np.dot(av, bv), parents)
-
-
 def matmul(a, b):
     av, bv = _val(a), _val(b)
     if not (_is_var(a) or _is_var(b)):
         return av @ bv
-    if av.ndim == 1 and bv.ndim == 1:
-        return dot(a, b)
     parents = []
-    if av.ndim == 2 and bv.ndim == 2:
+    if av.ndim == 1 and bv.ndim == 1:
+        if _is_var(a):
+            parents.append((a, lambda g: g * bv))
+        if _is_var(b):
+            parents.append((b, lambda g: g * av))
+    elif av.ndim == 2 and bv.ndim == 2:
         if _is_var(a):
             parents.append((a, lambda g: g @ bv.T))
         if _is_var(b):
@@ -325,13 +310,15 @@ def stack(items, axis=0):
     return _node("stack", np.stack(values, axis=axis), parents)
 
 
-def _logsumexp(xv: np.ndarray, axis):
-    """log Σ exp(xv) along ``axis``, shifted by the max so nothing overflows.
+def logsumexp(x, axis=None):
+    """log Σ exp(x) along ``axis`` on a plain array, shifted by the max so
+    nothing overflows.
 
     Where the max is not finite the shift is 0: a slice of all −∞ gives −∞
     (log 0, without a warning) and one holding +∞ gives +∞.  Where every
     shift is finite each sum holds exp(0) = 1, so log never meets 0.
     """
+    xv = np.asarray(x, dtype=np.float64)
     shift = xv.max(axis=axis, keepdims=True)
     finite = np.isfinite(shift)
     if finite.all():
@@ -341,23 +328,6 @@ def _logsumexp(xv: np.ndarray, axis):
         with np.errstate(divide="ignore"):
             out = np.log(np.exp(xv - shift).sum(axis=axis, keepdims=True)) + shift
     return out.reshape(())[()] if axis is None else out.squeeze(axis)
-
-
-def logsumexp(x, axis=None):
-    if not _is_var(x):
-        return _logsumexp(_val(x), axis)
-    xv = x.value
-    out = _logsumexp(xv, axis)
-    if axis is None:
-        vjp = lambda g: g * np.exp(xv - out)
-    else:
-        ax = axis % xv.ndim
-
-        def vjp(g, _ax=ax):
-            soft = np.exp(xv - np.expand_dims(out, _ax))
-            return np.expand_dims(g, _ax) * soft
-
-    return _node("logsumexp", out, [(x, vjp)])
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:
@@ -388,47 +358,6 @@ def cho_solve(factor: tuple, b) -> np.ndarray:
     b = _check_finite(np.asarray(b))
     out, _ = scipy.linalg.lapack.dpotrs(factor[0], b, lower=factor[1])
     return out
-
-
-def solve_spd(c, b, factor=None):
-    """Solve ``c @ x = b`` for symmetric positive definite ``c``.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; ``factor``
-    is c's ``cho_factor`` when the caller already has it.  Raises
-    ``scipy.linalg.LinAlgError`` when the factorization fails; callers own
-    the domain-specific wrapping.
-    """
-    cv, bv = _val(c), _val(b)
-    if factor is None:
-        factor = cho_factor(cv)
-    out = cho_solve(factor, bv)
-    if not (_is_var(c) or _is_var(b)):
-        return out
-    parents = []
-    if _is_var(b):
-        parents.append((b, lambda g: cho_solve(factor, g)))
-    if _is_var(c):
-
-        def vjp_c(g):
-            gb = cho_solve(factor, g)
-            if out.ndim == 1:
-                return -np.outer(gb, out)
-            return -gb @ out.T
-
-        parents.append((c, vjp_c))
-    return _node("solve_spd", out, parents)
-
-
-def logdet_spd(c, factor=None):
-    """Log-determinant of a symmetric positive definite matrix (see ``solve_spd``)."""
-    cv = _val(c)
-    if factor is None:
-        factor = cho_factor(cv)
-    out = 2.0 * np.sum(np.log(np.diag(factor[0])))
-    if not _is_var(c):
-        return out
-    eye = np.eye(cv.shape[0])
-    return _node("logdet_spd", out, [(c, lambda g: g * cho_solve(factor, eye))])
 
 
 _UFUNC_TABLE = {
@@ -534,7 +463,7 @@ def evaluate_with_gradient(objective, psi) -> GradientReport:
 
 
 def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
-    """Central-difference gradient, the independent check on the tape.
+    """Central-difference gradient, the independent check on any gradient.
 
     With ``step=None`` each coordinate uses ``1e-4 * max(1, |psi_i|)``, the
     usual conditioning trade-off for float64 objectives.

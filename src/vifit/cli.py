@@ -27,11 +27,19 @@ from .lowrank import FactorizationError
 from .reports import FORMATS, ExperimentReport, FamilyResult, emit_report
 
 
-def _check_ranges(config, minimum: dict, positive=(), probability=()):
-    """Raise ValueError naming the first key of ``config`` outside its range."""
+def _check_ranges(config, minimum: dict, positive=(), probability=(), choices=None):
+    """Raise ValueError naming the first key of ``config`` outside its range.
+
+    Every command's config also has the training keys (seed, steps,
+    mc_samples, learning_rate, lr_decay), checked here too.
+    """
+    minimum = {"seed": 0, "steps": 1, "mc_samples": 1, "learning_rate": 0, **minimum}
     checks = [(key, lambda v, m=m: v >= m, f">= {m}") for key, m in minimum.items()]
     checks += [(key, lambda v: v > 0, "> 0") for key in positive]
     checks += [(key, lambda v: 0 <= v <= 1, "in [0, 1]") for key in probability]
+    checks.append(("lr_decay", lambda v: 0 < v <= 1, "in (0, 1]"))
+    for key, allowed in (choices or {}).items():
+        checks.append((key, lambda v, a=allowed: v in a, f"one of {allowed}"))
     for key, ok, bound in checks:
         value = getattr(config, key)
         if not ok(value):
@@ -58,8 +66,9 @@ class FitGaussianConfig:
     def __post_init__(self):
         _check_ranges(
             self,
-            {"dim": 1, "steps": 1, "mc_samples": 1, "gmm_components": 1, "kl_mc_samples": 2},
+            {"dim": 1, "gmm_components": 1, "kl_mc_samples": 2},
             positive=("target_sigma",),
+            choices={"mode": fam.MODES},
         )
 
 
@@ -81,9 +90,10 @@ class RbfConfig:
     def __post_init__(self):
         _check_ranges(
             self,
-            {"n_basis": 1, "n_data": 1, "steps": 1, "mc_samples": 1, "grid_points": 2},
+            {"n_basis": 1, "n_data": 1, "grid_points": 2},
             positive=("noise_sigma",),
             probability=("keep_prob",),
+            choices={"mode": fam.MODES},
         )
 
 
@@ -104,7 +114,7 @@ class DropoutAuditConfig:
     def __post_init__(self):
         _check_ranges(
             self,
-            {"n_droppable": 1, "n_data": 1, "steps": 1, "mc_samples": 1, "mc_draws": 2},
+            {"n_droppable": 1, "n_data": 1, "mc_draws": 2},
             positive=("noise_sigma",),
             probability=("keep_prob",),
         )

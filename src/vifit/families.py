@@ -3,15 +3,18 @@
 Five families share one contract: initialization from a model shape,
 reparametrized sampling (naive / paired / unscented), log-density
 evaluation, closed-form entropy where it exists, and a flat-vector
-parameter layout that the trainer differentiates through.
+parameter layout.  Each family has one implementation of what training
+needs, ``draws_logq_vjp``: its draws, their sampled log q and, for a
+stratified sGMM batch, their coefficients, with the closed-form adjoint of
+all three back to psi.
 
 Layout rule: each state class lists its trained arrays in pack order in
 ``TRAINED``, and the flat vector psi is those arrays raveled and
 concatenated.  A mixture's ``components`` entry stands for its component
 states, packed in turn with their names prefixed ``c{m}.``, before its
 ``weight_logits``.  One walk over that declaration (``_walk``) drives
-``param_slices``, ``pack``, ``unpack``, ``unpack_vars``, ``param_views``
-and ``state_to_json``; ``state_from_json`` reads the same declaration off
+``param_slices``, ``pack``, ``unpack``, ``param_views`` and
+``state_to_json``; ``state_from_json`` reads the same declaration off
 the class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
 ``droppable``) are carried over from the template.
 
@@ -316,26 +319,6 @@ def unpack(template: FamilyState, psi: np.ndarray) -> FamilyState:
     return _rebuild(template, fields)
 
 
-def unpack_vars(template: FamilyState, psi):
-    """Split a flat psi (Var or ndarray) into named family parameters.
-
-    Used for graph construction; slicing and reshaping stay on the tape so
-    gradients flow back into the flat vector.  A family with a single
-    trained vector (MAP, dropout) gets psi itself.
-    """
-    if template.TRAINED == ("theta_hat",):
-        return {"theta_hat": psi}
-    offset = 0
-
-    def leaf(_, like):  # _walk visits the arrays in pack order
-        nonlocal offset
-        part = psi[offset : offset + like.size]
-        offset += like.size
-        return part if like.ndim == 1 else ad.reshape(part, like.shape)
-
-    return _walk(template, leaf)
-
-
 def param_views(template: FamilyState, psi: np.ndarray) -> dict:
     """The trained arrays of ``template`` as views into a plain flat ``psi``.
 
@@ -525,54 +508,10 @@ def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
 
 
 def _scale_and_factor(params: dict):
-    """Per-coordinate std and low-rank factor from unpacked parameters.
-
-    ``np.exp`` reaches the tape's ``exp`` through ``Var.__array_ufunc__``.
-    """
+    """Per-coordinate std and low-rank factor from ``_walk`` parameters."""
     if "log_sigma" in params:
         return np.exp(params["log_sigma"]), None
     return np.exp(0.5 * params["log_a"]), params["u"]
-
-
-def _gaussian_rows(params: dict, noise: NoiseBatch):
-    scale, factor = _scale_and_factor(params)
-    return gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
-
-
-def draws_rows(template: FamilyState, params: dict, noise: NoiseBatch):
-    """Realize the draws of a noise batch; differentiable in the parameters.
-
-    The tape's path: an sGMM realizes every component at every row and
-    keeps each row's own through a 0/1 mask, which stays differentiable in
-    the Vars.  Plain states are realized by ``realize_blocks``.
-    """
-    if isinstance(template, ATOMIC_STATES):
-        return params["theta_hat"] * noise.masks
-    if not isinstance(template, MixtureState):
-        return _gaussian_rows(params, noise)
-    rows = None
-    for m, comp in enumerate(params["components"]):
-        sel = (noise.components == m).astype(float)[:, None]
-        if not sel.any():
-            continue
-        term = _gaussian_rows(comp, noise) * sel
-        rows = term if rows is None else rows + term
-    return rows
-
-
-def draw_coefficients(template: FamilyState, params: dict, noise: NoiseBatch):
-    """Per-draw averaging weights; None (all one) except under stratified allocation.
-
-    With components allocated evenly instead of drawn from the mixture
-    weights, each draw carries M * w_m so the average stays an unbiased
-    estimate of the mixture expectation -- and the weights become a live
-    differentiable path, which is what keeps them trainable.
-    """
-    if not noise.stratified:
-        return None
-    logits = params["weight_logits"]
-    weights = ad.exp(logits - ad.logsumexp(logits))
-    return len(template.components) * weights[noise.components]
 
 
 def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
@@ -591,14 +530,14 @@ def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, 
 
 
 def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tuple:
-    """Closed-form counterpart of ``draws_rows``, ``log_q_rows`` and
-    ``draw_coefficients`` at plain parameters ``params = param_views(template,
-    psi)``.
+    """Draws, sampled log q and coefficients of a noise batch, with their
+    adjoint, at ``params = param_views(template, psi)``.
 
     Returns ``(theta, log_q, coeff, vjp)``: the draws, their sampled log q
     (None for the atomic families, whose log q is constant), the per-draw
-    coefficients (None unless the batch is stratified), and ``vjp(theta_bar,
-    logq_bar, coeff_bar)``, the adjoint back to the flat psi.  Atomic draws
+    averaging coefficients (None unless the batch is stratified), and
+    ``vjp(theta_bar, logq_bar, coeff_bar)``, the adjoint back to the flat
+    psi.  Atomic draws
     are θ̂ ⊙ mask.  Gaussian draws go through ``gaussian_draw_rows`` and log
     q through ``lowrank_logpdf_and_vjp``, whose adjoint this chains through
     the draw.  A mixture draws each row from its component and evaluates
@@ -606,7 +545,10 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     call each; log q = logsumexp_m(log w_m + log N_m), so each component's
     adjoint is log q's weighted by its responsibilities.  The weight logits
     get gradient through log w_m and, when stratified, through the
-    coefficients M·w_m (Morningstar et al., AISTATS 2021).
+    coefficients M·w_m (Morningstar et al., AISTATS 2021): with components
+    allocated evenly instead of drawn from the weights, each draw carries
+    M·w_m so the average stays an unbiased estimate of the mixture
+    expectation, and the weights stay trainable.
     """
     if template.tag in ATOMIC_TAGS:
         theta_hat, masks = params["theta_hat"], noise.masks
@@ -650,7 +592,7 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
     log_q = ad.logsumexp(per, axis=0)
     resp = np.exp(per - log_q)
     m = len(comps)
-    coeff = m * weights[noise.components] if noise.stratified else None  # see draw_coefficients
+    coeff = m * weights[noise.components] if noise.stratified else None
 
     def vjp(theta_bar, logq_bar, coeff_bar):
         per_bar = resp * logq_bar  # adjoint of log w_m + log N_m(θ_k)
@@ -750,24 +692,19 @@ def sample(
 # Densities and entropy
 
 
-def _gaussian_log_q(params: dict, theta):
-    scale, factor = _scale_and_factor(params)
-    return lowrank_logpdf(theta, params["mu"], scale * scale, factor)
-
-
-def log_q_rows(template: FamilyState, params: dict, theta):
-    """Differentiable log q(theta) for continuous families, batched over rows."""
-    if isinstance(template, ATOMIC_STATES):
-        raise ModeFamilyError(f"{template.tag} has no continuous log-density")
-    if not isinstance(template, MixtureState):
-        return _gaussian_log_q(params, theta)
+def _log_q(params: dict, rows: np.ndarray):
+    """log q at plain rows of a Gaussian family or an sGMM, from ``_walk``
+    parameters."""
+    if "components" not in params:
+        scale, factor = _scale_and_factor(params)
+        return lowrank_logpdf(rows, params["mu"], scale * scale, factor)
     logits = params["weight_logits"]
     log_norm = ad.logsumexp(logits)
     per = [
-        (logits[m] - log_norm) + _gaussian_log_q(comp, theta)
+        (logits[m] - log_norm) + _log_q(comp, rows)
         for m, comp in enumerate(params["components"])
     ]
-    return ad.logsumexp(ad.stack(per, axis=0), axis=0)
+    return ad.logsumexp(np.stack(per), axis=0)
 
 
 def _atom_log_weight(state: FamilyState, rows: np.ndarray) -> np.ndarray:
@@ -806,7 +743,7 @@ def log_density(state: FamilyState, theta: np.ndarray):
     if isinstance(state, ATOMIC_STATES):
         out = _atom_log_weight(state, rows)
     else:
-        out = log_q_rows(state, _walk(state, lambda _, value: value), rows)
+        out = _log_q(_walk(state, lambda _, value: value), rows)
     out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if single else out
 

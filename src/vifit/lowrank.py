@@ -2,18 +2,19 @@
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  There is
-one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
-``lowrank_logpdf``: written in autodiff-capable primitives, they serve
-plain arrays (``structured_logpdf``, the families' ``sample`` and
-``log_density``) and the tape alike.  ``lowrank_logpdf_and_vjp`` is the
-log-density's closed-form twin on plain arrays: the same value at any rows,
-with its adjoint.  The closed-form ELBO gradient draws through
-``gaussian_draw_rows`` and differentiates log q through the twin.
+one reparametrized draw, ``gaussian_draw_rows``.  ``lowrank_logpdf`` is the
+log-density the audits read (``structured_logpdf``, the families'
+``log_density``); ``lowrank_logpdf_and_vjp`` is the kernel that trains:
+the same log-density at any rows, with its adjoint.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
-factorization whose smallest pivot is lost in the rounding of C's largest
-entry, min(diag L)² ≤ K·eps·max(diag C), is treated as failed
-(``FactorizationError``): the factor's scale has swamped the identity.
+factorization is treated as failed (``FactorizationError``) when C is not
+finite although its inputs are, when its smallest pivot is lost in the
+rounding of C's largest entry, min(diag L)² ≤ K·eps·max(diag C), or when
+eps·max(diag C) exceeds ``CAPACITANCE_ROUNDOFF``.  The last one fires even
+at K = 1, where the pivot rule cannot: the Woodbury identities subtract
+terms of the size of C, so they lose relative accuracy in proportion to
+eps·max(diag C) however well conditioned Σ is.
 """
 
 from __future__ import annotations
@@ -35,29 +36,56 @@ class FactorizationError(RuntimeError):
     """Capacitance factorization failed; the diagonal is numerically degenerate."""
 
 
-def _capacitance_singular(chol_diag: np.ndarray, cap_diag: np.ndarray) -> bool:
-    """True when C = LLᵀ is singular to working precision (see module notes)."""
-    # On Python floats: this runs on every closed-form step, over only K values.
-    return min(chol_diag.tolist()) ** 2 <= len(cap_diag) * EPS * max(cap_diag.tolist())
+# The largest eps·max(diag C) the Woodbury kernels accept: about 8 digits of
+# Σ⁻¹ and log q survive it (see module notes).
+CAPACITANCE_ROUNDOFF = 1e-8
+
+
+def _capacitance_error(c, a_diag, factor, detail) -> Exception:
+    """The error a failed factorization of C, built from ``a_diag`` and
+    ``factor``, reports.
+
+    FactorizationError when C is not positive definite, or not finite
+    although both its inputs are (a diagonal entry underflowed to 0 or U/a
+    overflowed).  A non-finite input gives a plain ValueError.
+    """
+    if np.isfinite(c).all():
+        return FactorizationError(f"capacitance factorization failed: {detail}")
+    if np.isfinite(a_diag).all() and np.isfinite(factor).all():
+        return FactorizationError(f"capacitance is not finite: {detail}")
+    return ValueError("array must not contain infs or NaNs")
+
+
+def _check_capacitance(c, chol_diag, a_diag, factor):
+    """Raise unless C = LLᵀ passes the module's three tests.
+
+    On Python floats: this runs on every closed-form step, over only K
+    values.  A NaN or ±inf anywhere in C leaves one in diag L or diag C;
+    the sum of the pivots catches a NaN that ``min`` passes over.
+    """
+    top = max(c.diagonal().tolist())
+    pivots = chol_diag.tolist()
+    singular = min(pivots) ** 2 <= len(pivots) * EPS * top
+    if not singular and EPS * top <= CAPACITANCE_ROUNDOFF and math.isfinite(sum(pivots)):
+        return
+    if not np.isfinite(c).all():
+        raise _capacitance_error(c, a_diag, factor, "its Cholesky factor is not finite")
+    if singular:
+        raise FactorizationError("capacitance matrix is singular to working precision")
+    raise FactorizationError(
+        f"capacitance is too large for working precision: eps·max(diag C) = "
+        f"{EPS * top:.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
+    )
 
 
 def _capacitance_cholesky(c: np.ndarray, a_diag: np.ndarray, factor: np.ndarray) -> tuple:
-    """``ad.cho_factor`` of C built from ``a_diag`` and ``factor``.
-
-    FactorizationError when C is singular, or not finite although both its
-    inputs are (a diagonal entry underflowed to 0 or U/a overflowed).  A
-    non-finite input keeps ``ad.cho_factor``'s plain ValueError.
-    """
+    """``ad.cho_factor`` of C built from ``a_diag`` and ``factor``, checked
+    as the module notes say (``_capacitance_error``)."""
     try:
         cho = ad.cho_factor(c)
-    except scipy.linalg.LinAlgError as err:
-        raise FactorizationError(f"capacitance factorization failed: {err}") from err
-    except ValueError as err:
-        if np.isfinite(a_diag).all() and np.isfinite(factor).all():
-            raise FactorizationError(f"capacitance is not finite: {err}") from err
-        raise
-    if _capacitance_singular(np.diag(cho[0]), np.diag(c)):
-        raise FactorizationError("capacitance matrix is singular to working precision")
+    except (scipy.linalg.LinAlgError, ValueError) as err:
+        raise _capacitance_error(c, a_diag, factor, err) from err
+    _check_capacitance(c, np.diag(cho[0]), a_diag, factor)
     return cho
 
 
@@ -140,11 +168,10 @@ def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):
 
 
 def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
-    """Differentiable reparametrized draws: mean + scale ⊙ z + U z_lr.
+    """Reparametrized draws: mean + scale ⊙ z + U z_lr.
 
-    ``scale`` is the per-coordinate standard deviation.  Any of the
-    parameters may be autodiff Vars (``@`` and ``.T`` reach the tape's
-    ``matmul`` and ``transpose``); the noise arrays are plain constants.
+    ``scale`` is the per-coordinate standard deviation; ``factor`` may be
+    None for a diagonal covariance.
     """
     theta = mean + scale * z_diag
     if z_lowrank is not None and z_lowrank.shape[-1] > 0:
@@ -155,32 +182,29 @@ def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
 def lowrank_logpdf(theta, mean, a_diag, factor):
     """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ).
 
-    Written in autodiff-capable primitives, so any argument may be a Var;
-    on plain arrays it returns plain arrays.  ``factor`` may be None for a
-    diagonal covariance.  Raises FactorizationError when the capacitance
-    system is degenerate.  ``theta`` rows may be (P,) or (S, P).
+    ``factor`` may be None for a diagonal covariance.  Raises
+    FactorizationError when the capacitance system is degenerate.
+    ``theta`` rows may be (P,) or (S, P).
     """
     p = mean.shape[-1]
     k = 0 if factor is None else factor.shape[1]
     r = theta - mean
     ar = r / a_diag
-    quad = ad.sum(r * ar, axis=-1)
-    logdet = ad.sum(ad.log(a_diag))
+    quad = np.sum(r * ar, axis=-1)
+    logdet = np.sum(np.log(a_diag))
     if k > 0:
-        scaled = factor / ad.reshape(a_diag, (p, 1))
-        cap = np.eye(k) + ad.matmul(ad.transpose(factor), scaled)
-        t = ad.matmul(ar, factor)
-        cho = _capacitance_cholesky(
-            *(x.value if isinstance(x, ad.Var) else x for x in (cap, a_diag, factor))
-        )
-        w = ad.solve_spd(cap, ad.transpose(t), cho)
-        quad = quad - ad.sum(t * ad.transpose(w), axis=-1)
-        logdet = logdet + ad.logdet_spd(cap, cho)
+        scaled = factor / a_diag.reshape(p, 1)
+        cap = np.eye(k) + factor.T @ scaled
+        t = ar @ factor
+        cho = _capacitance_cholesky(cap, a_diag, factor)
+        w = ad.cho_solve(cho, t.T)
+        quad = quad - np.sum(t * w.T, axis=-1)
+        logdet = logdet + 2.0 * np.sum(np.log(np.diag(cho[0])))
     return -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
 
 def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
-    """Closed-form twin of ``lowrank_logpdf`` on plain arrays, with its adjoint.
+    """``lowrank_logpdf`` with its adjoint: the kernel every Gaussian family trains on.
 
     Evaluates log N(θ_k; mean, Σ) with Σ = diag(a) + UUᵀ at any (S, P) rows
     θ_k and returns ``(log_q, vjp)``, where ``vjp(logq_bar)`` maps the (S,)
@@ -195,9 +219,9 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     where Σ⁻¹U = A⁻¹UC⁻¹, Uᵀv_k = C⁻¹UᵀA⁻¹(θ_k − mean) and diag Σ⁻¹ all come
     from one Cholesky factorization of the K×K capacitance C, never a P×P
     one.  ``factor`` may be None (or have K = 0) for a diagonal covariance;
-    ``d_factor`` is then None.  Raises ``numpy.linalg.LinAlgError`` when C
-    is not numerically positive definite or is singular to working
-    precision.
+    ``d_factor`` is then None.  Raises FactorizationError where
+    ``lowrank_logpdf`` does.  The two factorize C through different LAPACK
+    builds (numpy's and scipy's), whose last bits can differ.
     """
     p = mean.shape[0]
     k = 0 if factor is None else factor.shape[1]
@@ -209,9 +233,11 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     if k:
         b = factor / a_diag[:, None]
         cap = np.eye(k) + factor.T @ b
-        chol = np.linalg.cholesky(cap)  # LinAlgError when C is not SPD
-        if _capacitance_singular(chol.diagonal(), cap.diagonal()):
-            raise np.linalg.LinAlgError("capacitance is singular to working precision")
+        try:
+            chol = np.linalg.cholesky(cap)
+        except np.linalg.LinAlgError as err:
+            raise _capacitance_error(cap, a_diag, factor, err) from err
+        _check_capacitance(cap, chol.diagonal(), a_diag, factor)
         t = v @ factor
         # C⁻¹ t_k and C⁻¹ Bᵀ in one LAPACK potrs on that factor: the call that
         # scipy.linalg.cho_solve makes, without its checks, which cost more here.

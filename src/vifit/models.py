@@ -4,7 +4,8 @@ The workhorse is a linear-in-parameters model y = design @ theta with known
 Gaussian observation noise; the design matrix comes from a squared-
 exponential RBF layer with regularly spaced centers.  Likelihood and prior
 evaluations accept autodiff Vars and stacked parameter rows, so the same
-code backs plain evaluation, training, and test oracles.
+code backs plain evaluation and the tape, which differentiates the MLP and
+any target without ``log_joint_and_grad``'s closed form.
 """
 
 from __future__ import annotations

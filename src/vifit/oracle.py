@@ -77,9 +77,9 @@ class GaussianDist:
         return self.mean.size
 
     def log_density(self, theta):
-        """Log-density at (P,) or stacked (S, P) points; autodiff-capable."""
+        """Log-density at a plain (P,) point or stacked (S, P) rows."""
         r = theta - self.mean
-        quad = ad.sum(r * ad.matmul(r, self.precision), axis=-1)
+        quad = np.sum(r * (r @ self.precision), axis=-1)
         return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad)
 
     def log_density_and_grad(self, theta: np.ndarray) -> tuple:
@@ -129,7 +129,7 @@ class GaussianMixtureDist:
             log_w + c.log_density(theta)
             for c, log_w in zip(self.components, self._log_weights)
         ]
-        return ad.logsumexp(ad.stack(per, axis=0), axis=0)
+        return ad.logsumexp(np.stack(per), axis=0)
 
     def log_density_and_grad(self, theta: np.ndarray) -> tuple:
         """``log_density`` at plain (S, P) rows and its θ-gradient in closed form.

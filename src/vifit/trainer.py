@@ -7,28 +7,26 @@ entropy term is always the sampled −log q, never the closed form; for the
 atomic families (MAP, dropout) it is a constant and is dropped, which makes
 their objective penalized likelihood at the sampled atoms.
 
-Targets are duck-typed: a regression problem exposes ``loglik_rows`` /
-``prior_rows`` and a density target exposes ``log_density``; both shapes
-accept stacked parameter rows and autodiff Vars.
+The estimator is split at θ.  The family gives its draws, their sampled
+log q and, for stratified sGMM batches, their per-draw coefficients, with
+the closed-form adjoint of all three (``families.draws_logq_vjp``): each
+family has this one implementation.  The target gives the per-draw log
+joint and its θ-gradient (``_log_joint``).  Targets are duck-typed: a
+closed form is ``log_joint_and_grad`` on ``RegressionProblem`` (Gaussian
+or Student-t prior, minibatches included) or ``log_density_and_grad`` on
+``GaussianDist`` and ``GaussianMixtureDist``.  Any other target (the MLP)
+exposes ``loglik_rows`` / ``prior_rows`` or ``log_density`` over autodiff
+Vars, and the reverse-mode tape differentiates it in one pass over θ
+alone.  ``_fused_value_and_grad`` joins the two halves into the exact
+gradient of the sampled-log-q estimator, in every sampling mode.
+``elbo_graph`` is that estimate as one tape node, for callers that
+differentiate on the tape.
 
-Two paths compute the same gradient, both behind ``elbo_value_and_grad``.
-When the target also has a closed-form θ-gradient (``log_joint_and_grad``
-on ``RegressionProblem`` with a Gaussian or Student-t prior, minibatches
-included; ``log_density_and_grad`` on ``GaussianDist`` and
-``GaussianMixtureDist``), the estimator is split at θ for every family: the
-target supplies ∂/∂θ per draw and the family the adjoint of its draws, its
-sampled log q and, for stratified sGMM batches, its per-draw coefficients
-(``families.draws_logq_vjp``).  That is the exact gradient of the same
-sampled-log-q estimator, in every sampling mode.  The reverse-mode tape
-(``elbo_graph``) is the reference, the fallback for a closed-form step that
-fails, and the path for the MLP and any target without a closed-form
-gradient.
-
-A closed-form step costs bookkeeping, not arithmetic, so ``train`` does
-once per member what no step changes: psi's parameter views
+A step costs bookkeeping, not arithmetic, so ``train`` does once per
+member what no step changes: psi's parameter views
 (``families.param_views``, valid because psi and the moment estimates are
 updated in place, in the order of the out-of-place expressions), the
-target's closed form and log q's adjoint.  It draws the noise of
+target's log joint and log q's adjoint.  It draws the noise of
 ``NOISE_CHUNK_STEPS`` steps per ``families.draw_noise`` call.  One call
 gives the same stream as consecutive per-step calls, so every number is
 the one a per-step loop gives.  A minibatch's ``rng.choice`` falls between
@@ -153,43 +151,32 @@ def _target_rows(problem, theta, batch_indices):
     return problem.log_density(theta), 0.0
 
 
-def _elbo_terms(template, params, noise, problem, batch_indices):
-    """Per-draw (loglik, logprior, log q or None, coefficients or None)."""
-    theta = fam.draws_rows(template, params, noise)
-    loglik, logprior = _target_rows(problem, theta, batch_indices)
-    log_q = None
-    if template.tag not in fam.ATOMIC_TAGS:
-        log_q = fam.log_q_rows(template, params, theta)
-    return loglik, logprior, log_q, fam.draw_coefficients(template, params, noise)
+def _log_joint(problem, batch_indices):
+    """θ ↦ (per-row log joint, its θ-gradient) at plain (S, P) rows.
 
-
-def elbo_graph(
-    template: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
-):
-    """The scalar MC ELBO estimate; differentiable when psi is a Var."""
-    params = fam.unpack_vars(template, psi)
-    loglik, logprior, log_q, coeff = _elbo_terms(
-        template, params, noise, problem, batch_indices
-    )
-    rows = loglik + logprior
-    if log_q is not None:
-        rows = rows - log_q
-    if coeff is not None:
-        rows = rows * coeff
-    return ad.sum(rows) / noise.count
-
-
-def _closed_form_target(problem, batch_indices):
-    """θ ↦ (per-row log joint, its θ-gradient), or None without a closed form."""
+    A target without a closed form is differentiated on the tape: the rows
+    are independent, so one backward pass of their sum gives every row's
+    gradient.
+    """
     if hasattr(problem, "log_joint_and_grad"):
         if batch_indices is None:
             return problem.log_joint_and_grad
         return lambda theta: problem.log_joint_and_grad(theta, batch_indices)
-    return getattr(problem, "log_density_and_grad", None)
+    if hasattr(problem, "log_density_and_grad"):
+        return problem.log_density_and_grad
+
+    def on_tape(theta):
+        leaf = ad.Var(theta)
+        loglik, logprior = _target_rows(problem, leaf, batch_indices)
+        rows = loglik + logprior
+        (grad,) = ad.backward(ad.sum(rows), [leaf])
+        return rows.value, grad
+
+    return on_tape
 
 
 def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
-    """The closed-form step; ``logq_bar`` is log q's adjoint, −1/S per draw."""
+    """The step's value and gradient; ``logq_bar`` is log q's adjoint, −1/S per draw."""
     theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
     rows, theta_grad = log_joint(theta)
     if log_q is not None:
@@ -205,53 +192,73 @@ def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
     return value, vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
 
 
-def _value_grad_norm(state, params, psi, noise, problem, batch, log_joint, logq_bar):
-    """(value, gradient, gradient norm) of the MC ELBO estimate at ``psi``.
+def _value_grad_norm(state, params, noise, log_joint, logq_bar):
+    """(value, gradient, gradient norm) of the MC ELBO estimate.
 
     ``params`` are psi's ``fam.param_views`` and ``log_joint`` is
-    ``_closed_form_target``; see ``elbo_value_and_grad``.  A NaN or ±inf
-    anywhere in the gradient makes its norm non-finite, so the elementwise
-    check runs only when the norm is not finite (a finite gradient whose
-    squares overflow passes it).
+    ``_log_joint``.  A NaN or ±inf anywhere in the gradient makes its norm
+    non-finite, so the elementwise check runs only when the norm is not
+    finite (a finite gradient whose squares overflow passes it).
     """
-    if log_joint is not None:
-        try:
-            value, grad = _fused_value_and_grad(state, params, noise, log_joint, logq_bar)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            gnorm = math.sqrt(grad.dot(grad))
-            if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
-                return value, grad, gnorm
-    report = ad.evaluate_with_gradient(
-        lambda p: elbo_graph(state, p, noise, problem, batch), psi
+    value, grad = _fused_value_and_grad(state, params, noise, log_joint, logq_bar)
+    gnorm = math.sqrt(grad.dot(grad))
+    if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
+        return value, grad, gnorm
+    raise _nonfinite_step(state, params, noise, log_joint, grad)
+
+
+def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.NonFiniteValueError:
+    """The error of a step whose value or gradient is not finite.
+
+    Re-evaluates the step's terms and names the first that is not finite
+    (log joint, log q or coefficient; "gradient" when all three are
+    finite), and the ``param_slices`` blocks whose gradient is not finite.
+    """
+    theta, log_q, coeff, _ = fam.draws_logq_vjp(state, params, noise)
+    terms = {"log joint": log_joint(theta)[0], "log q": log_q, "coefficient": coeff}
+    term = next(
+        (name for name, x in terms.items() if x is not None and not np.isfinite(x).all()),
+        "gradient",
     )
-    grad = report.gradient
-    return report.value, grad, math.sqrt(grad.dot(grad))
+    blocks = [
+        name for name, sl in fam.param_slices(state).items() if not np.isfinite(grad[sl]).all()
+    ]
+    if not blocks:
+        return ad.NonFiniteValueError(term, "finite gradient")
+    return ad.NonFiniteValueError(term, f"gradient not finite in psi blocks {', '.join(blocks)}")
 
 
 def elbo_value_and_grad(
     state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
 ) -> tuple:
-    """(value, gradient) of the MC ELBO estimate ``elbo_graph`` at ``psi``.
+    """(value, gradient) of the MC ELBO estimate at a plain ``psi``.
 
-    Takes the closed-form path when the target exposes a θ-gradient;
-    otherwise, or when the closed form yields a non-finite number or a
-    failed factorization, the step is evaluated on the tape, so errors are
-    the tape's (``NonFiniteValueError`` naming the primitive,
-    ``FactorizationError``).
+    Raises ``NonFiniteValueError`` naming the term that is not finite
+    (``_nonfinite_step``) and ``FactorizationError`` when a capacitance
+    factorization fails.
     """
     value, grad, _ = _value_grad_norm(
         state,
         fam.param_views(state, psi),
-        psi,
         noise,
-        problem,
-        batch_indices,
-        _closed_form_target(problem, batch_indices),
+        _log_joint(problem, batch_indices),
         np.full(noise.count, -1.0 / noise.count),
     )
     return value, grad
+
+
+def elbo_graph(
+    template: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
+):
+    """The scalar MC ELBO estimate: a float at a plain psi, one tape node at a Var.
+
+    The node's value and VJP are ``elbo_value_and_grad``'s, so the tape
+    differentiates through the gradient that trains.
+    """
+    value, grad = elbo_value_and_grad(template, ad._val(psi), noise, problem, batch_indices)
+    if not isinstance(psi, ad.Var):
+        return value
+    return ad._node("elbo", value, [(psi, lambda g: g * grad)])
 
 
 def elbo_estimate(
@@ -259,8 +266,9 @@ def elbo_estimate(
 ) -> ElboEstimate:
     """One Monte-Carlo ELBO estimate with its term decomposition."""
     noise, batch = _draw_step(state, problem, config, rng)
-    params = fam.unpack_vars(state, fam.pack(state))
-    loglik, logprior, log_q, coeff = _elbo_terms(state, params, noise, problem, batch)
+    params = fam.param_views(state, fam.pack(state))
+    theta, log_q, coeff, _ = fam.draws_logq_vjp(state, params, noise)
+    loglik, logprior = _target_rows(problem, theta, batch)
     weigh = (lambda rows: float(np.mean(rows * coeff))) if coeff is not None else (
         lambda rows: float(np.mean(rows))
     )
@@ -316,9 +324,8 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     stratify = isinstance(state, fam.MixtureState)
     minibatched = _minibatched(problem, config)
     chunk = 1 if minibatched else NOISE_CHUNK_STEPS
-    log_joint = _closed_form_target(problem, None)
+    log_joint = _log_joint(problem, None)
     logq_bar = np.full(count, -1.0 / count)
-    batch = None
     m = np.zeros_like(psi)
     v = np.zeros_like(psi)
     m_hat = np.empty_like(psi)
@@ -335,12 +342,9 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
             )
         noise = noises[step % chunk]
         if minibatched:
-            batch = _draw_minibatch(problem, config, rng)
-            log_joint = _closed_form_target(problem, batch)
+            log_joint = _log_joint(problem, _draw_minibatch(problem, config, rng))
         try:
-            value, grad, gnorm = _value_grad_norm(
-                state, params, psi, noise, problem, batch, log_joint, logq_bar
-            )
+            value, grad, gnorm = _value_grad_norm(state, params, noise, log_joint, logq_bar)
         except ad.NonFiniteValueError as err:
             raise ElboNotFiniteError(step, str(err)) from err
         except FactorizationError as err:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given
 from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
-from vifit.lowrank import lowrank_logpdf
+from vifit.lowrank import lowrank_logpdf, lowrank_logpdf_and_vjp
 
 
 def test_square_value_and_gradient():
@@ -25,9 +24,8 @@ def test_product_rule():
 
 
 def test_logsumexp_of_equal_logits():
-    report = ad.evaluate_with_gradient(ad.logsumexp, np.array([0.0, 0.0]))
-    np.testing.assert_allclose(report.value, np.log(2.0))
-    np.testing.assert_allclose(report.gradient, [0.5, 0.5])
+    assert ad.logsumexp(np.array([0.0, 0.0])) == np.log(2.0)
+    np.testing.assert_allclose(ad.logsumexp(np.full((2, 3), 5.0), axis=0), 5.0 + np.log(2.0))
 
 
 @pytest.mark.filterwarnings("error")
@@ -38,13 +36,6 @@ def test_logsumexp_of_infinite_slices_without_warnings():
     np.testing.assert_allclose(out[3], 1000.0 + np.log(2.0), rtol=1e-15)
     assert ad.logsumexp(np.full(3, -np.inf)) == -np.inf
     assert ad.logsumexp(np.array([np.inf, -np.inf])) == np.inf
-
-
-@pytest.mark.filterwarnings("error")
-def test_softplus_gradient_is_stable_at_extremes():
-    x = np.array([-800.0, -700.0, -30.0, 0.0, 30.0, 800.0])
-    report = ad.evaluate_with_gradient(lambda v: ad.sum(ad.softplus(v)), x)
-    np.testing.assert_allclose(report.gradient, scipy.special.expit(x), rtol=1e-14)
 
 
 def test_finite_difference_on_square():
@@ -66,7 +57,8 @@ def test_constant_objective_gradient_is_zero():
 
 
 def test_structured_logpdf_gradient_matches_finite_differences():
-    # Gradient w.r.t. the mean of a rank-2 Gaussian log-density at fixed theta.
+    # Gradient w.r.t. the mean of a rank-2 Gaussian log-density at fixed
+    # theta: log q sees the mean through θ − mean, so it is −d_theta.
     rng = np.random.default_rng(7)
     p, k = 5, 2
     theta = rng.standard_normal(p)
@@ -77,9 +69,9 @@ def test_structured_logpdf_gradient_matches_finite_differences():
         return lowrank_logpdf(theta, mu, a, u)
 
     mu0 = rng.standard_normal(p)
-    report = ad.evaluate_with_gradient(objective, mu0)
+    _, vjp = lowrank_logpdf_and_vjp(theta[None, :], mu0, a, u)
     fd = ad.finite_difference_gradient(objective, mu0)
-    np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(-vjp(np.ones(1))[0][0], fd, rtol=1e-5, atol=1e-8)
 
 
 def test_full_primitive_set_against_finite_differences():
@@ -88,8 +80,8 @@ def test_full_primitive_set_against_finite_differences():
     def objective(x):
         y = ad.matmul(mat, x)
         z = ad.exp(x[0]) + ad.log(1.0 + x[1] * x[1]) + ad.sqrt(2.0 + x[2])
-        z = z + ad.tanh(x[0]) + ad.softplus(x[1]) - x[2] / (1.0 + x[0] * x[0])
-        z = z + ad.dot(y, y) + ad.logsumexp(x) + ad.sum(x * x)
+        z = z + ad.tanh(x[0]) - x[2] / (1.0 + x[0] * x[0])
+        z = z + ad.matmul(y, y) + ad.sum(x * x)
         z = z + ad.sum(ad.reshape(x, (3, 1)) * mat.T)
         return z + ad.stack([x[0], x[1] * x[2]])[1]
 
@@ -99,29 +91,14 @@ def test_full_primitive_set_against_finite_differences():
     np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-8)
 
 
-def test_solve_and_logdet_gradients():
-    rng = np.random.default_rng(11)
-    b = rng.standard_normal(3)
-
-    def objective(x):
-        m = ad.reshape(x, (3, 3))
-        spd = ad.matmul(m, ad.transpose(m)) + np.eye(3)
-        return ad.logdet_spd(spd) + ad.dot(b, ad.solve_spd(spd, b))
-
-    psi = rng.standard_normal(9) * 0.5
-    report = ad.evaluate_with_gradient(objective, psi)
-    fd = ad.finite_difference_gradient(objective, psi)
-    np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-8)
-
-
 def test_gradient_linearity():
     rng = np.random.default_rng(3)
 
     def f(x):
-        return ad.sum(ad.exp(0.3 * x)) + ad.dot(x, x)
+        return ad.sum(ad.exp(0.3 * x)) + ad.matmul(x, x)
 
     def g(x):
-        return ad.logsumexp(x) - ad.sum(ad.tanh(x))
+        return ad.log(ad.sum(ad.exp(x))) - ad.sum(ad.tanh(x))
 
     psi = rng.standard_normal(4)
     for a, b in rng.standard_normal((5, 2)):
@@ -138,7 +115,7 @@ def test_determinism_bit_identical():
 
     def objective(x):
         theta = x + 0.1 * z
-        return ad.sum(theta * theta) + ad.logsumexp(theta)
+        return ad.sum(theta * theta) + ad.log(ad.sum(ad.exp(theta)))
 
     first = ad.evaluate_with_gradient(objective, psi)
     second = ad.evaluate_with_gradient(objective, psi)
@@ -187,7 +164,6 @@ UNARY = {
     "log": (ad.log, True),
     "sqrt": (ad.sqrt, True),
     "tanh": (ad.tanh, False),
-    "softplus": (ad.softplus, False),
 }
 
 
@@ -260,12 +236,6 @@ def assert_tape_matches_finite_differences(objective, psi):
     np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-8)
 
 
-def spd_from(x, n):
-    """M Mᵀ + n I from n² entries of x: every entry of x reaches the matrix."""
-    m = ad.reshape(x, (n, n))
-    return ad.matmul(m, ad.transpose(m)) + n * np.eye(n)
-
-
 @given(
     a_2d=hst.booleans(),
     b_2d=hst.booleans(),
@@ -291,28 +261,6 @@ def test_matmul_gradients_match_finite_differences(a_2d, b_2d, m, n, q, seed):
 
 
 @given(
-    n=hst.integers(1, 4),
-    rhs=hst.sampled_from([None, 1, 3]),
-    pass_factor=hst.booleans(),
-    seed=hst.integers(0, 2**16),
-)
-def test_solve_spd_gradients_match_finite_differences(n, rhs, pass_factor, seed):
-    # rhs None is a vector right-hand side, otherwise a matrix of rhs columns.
-    b_shape = (n,) if rhs is None else (n, rhs)
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(b_shape)
-
-    def objective(x):
-        c = spd_from(x[: n * n], n)
-        factor = scipy.linalg.cho_factor(ad._val(c), lower=True) if pass_factor else None
-        b = ad.reshape(x[n * n :], b_shape)
-        return ad.sum(ad.solve_spd(c, b, factor) * w)
-
-    psi = rng.standard_normal(n * n + int(np.prod(b_shape)))
-    assert_tape_matches_finite_differences(objective, psi)
-
-
-@given(
     n=hst.integers(1, 6),
     rhs=hst.sampled_from([None, 1, 4]),
     scale=hst.floats(-6.0, 6.0).map(lambda e: 10.0**e),
@@ -329,8 +277,6 @@ def test_cholesky_primitives_are_bit_identical_to_scipy(n, rhs, scale, seed):
     np.testing.assert_array_equal(factor[0].view(np.int64), expected[0].view(np.int64))
     got, want = ad.cho_solve(factor, b), scipy.linalg.cho_solve(expected, b)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    np.testing.assert_array_equal(ad.solve_spd(c, b).view(np.int64), want.view(np.int64))
-    assert ad.logdet_spd(c) == 2.0 * np.sum(np.log(np.diag(expected[0])))
 
 
 def test_cholesky_primitives_raise_scipys_error_types():
@@ -345,20 +291,7 @@ def test_cholesky_primitives_raise_scipys_error_types():
             ad.cho_factor(c)
         assert type(err.value) is ValueError
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ad.solve_spd(c, np.ones(2))
-        with pytest.raises(ValueError, match="infs or NaNs"):
             ad.cho_solve(factor, np.array([1.0, bad]))
-
-
-@given(n=hst.integers(1, 5), pass_factor=hst.booleans(), seed=hst.integers(0, 2**16))
-def test_logdet_spd_gradient_matches_finite_differences(n, pass_factor, seed):
-    def objective(x):
-        c = spd_from(x, n)
-        factor = scipy.linalg.cho_factor(ad._val(c), lower=True) if pass_factor else None
-        return ad.logdet_spd(c, factor)
-
-    psi = np.random.default_rng(seed).standard_normal(n * n)
-    assert_tape_matches_finite_differences(objective, psi)
 
 
 @given(
@@ -367,14 +300,13 @@ def test_logdet_spd_gradient_matches_finite_differences(n, pass_factor, seed):
     p=hst.integers(1, 4),
     seed=hst.integers(0, 2**16),
 )
-def test_logsumexp_and_sum_gradients_match_finite_differences(axis, s, p, seed):
+def test_sum_gradients_match_finite_differences(axis, s, p, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(np.sum(np.zeros((s, p)), axis=axis).shape)
 
     def objective(x):
         rows = ad.reshape(x, (s, p))
-        out = ad.logsumexp(rows, axis=axis) * w
-        return ad.sum(out) + ad.sum(ad.sum(rows * rows, axis=axis) * w)
+        return ad.sum(ad.sum(rows, axis=axis) * w) + ad.sum(ad.sum(rows * rows, axis=axis) * w)
 
     assert_tape_matches_finite_differences(objective, rng.standard_normal(s * p))
 

@@ -1,11 +1,18 @@
 """CLI harness tests: reports, determinism, emission formats."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import vifit.cli as cli
 from vifit.reports import (
@@ -355,15 +362,8 @@ def test_bad_rank_rejected_before_training(tmp_path, capsys, monkeypatch, argv, 
         ("dropout-audit", "x_star", 0.1),
     ],
 )
-def test_config_value_of_wrong_type_rejected(tmp_path, capsys, monkeypatch, command, key, value):
-    calls = count_train_calls(monkeypatch)
-    cfg = write_config(tmp_path, {key: value})
-    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert calls == []
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "TypeError"
-    assert repr(key) in record["message"]
-    assert not (tmp_path / "o").exists()
+def test_config_value_of_wrong_type_rejected(command, key, value):
+    assert repr(key) in assert_rejected_before_training(command, key, value, "TypeError")
 
 
 @pytest.mark.parametrize(
@@ -388,16 +388,151 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, monkeypatch, comm
         ("dropout-audit", "n_droppable", 25),
     ],
 )
-def test_config_value_out_of_range_rejected(tmp_path, capsys, monkeypatch, command, key, value):
-    calls = count_train_calls(monkeypatch)
-    cfg = write_config(tmp_path, {key: value})
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--formats", "json,csv,svg"]
-    assert cli.main(argv) == 1
-    assert calls == []
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "ValueError"
-    assert repr(key) in record["message"] and repr(value) in record["message"]
-    assert not (tmp_path / "o").exists()
+def test_config_value_out_of_range_rejected(command, key, value):
+    message = assert_rejected_before_training(command, key, value, "ValueError")
+    assert repr(key) in message and repr(value) in message
+
+
+# What a valid value of each config key is, by kind and, where values of
+# the right type can still be wrong, a range.  Every key of every command's
+# config is listed (test_every_config_key_has_a_spec).
+def at_least(m):
+    return lambda v: v >= m
+
+
+POSITIVE = lambda v: v > 0  # noqa: E731
+PROBABILITY = lambda v: 0 <= v <= 1  # noqa: E731
+TRAINING = {
+    "seed": ("int", at_least(0)),
+    "steps": ("int", at_least(1)),
+    "learning_rate": ("float", at_least(0)),
+    "lr_decay": ("float", lambda v: 0 < v <= 1),
+    "mc_samples": ("int", at_least(1)),
+}
+CONFIG_KEYS = {
+    "fit-gaussian": {
+        **TRAINING,
+        "dim": ("int", at_least(1)),
+        "ranks": ("ranks", None),
+        "mode": ("mode", None),
+        "bimodal": ("bool", None),
+        "gmm_components": ("int", at_least(1)),
+        "mixture_spread": ("float", None),
+        "mode_separation": ("float", None),
+        "target_sigma": ("float", POSITIVE),
+        "kl_mc_samples": ("int", at_least(2)),
+    },
+    "rbf": {
+        **TRAINING,
+        "n_basis": ("int", at_least(1)),
+        "n_data": ("int", at_least(1)),
+        "noise_sigma": ("float", POSITIVE),
+        "ranks": ("ranks", None),
+        "keep_prob": ("float", PROBABILITY),
+        "mode": ("mode", None),
+        "grid_points": ("int", at_least(2)),
+    },
+    "dropout-audit": {
+        **TRAINING,
+        "n_droppable": ("int", lambda v: 1 <= v <= 24),
+        "keep_prob": ("float", PROBABILITY),
+        "n_data": ("int", at_least(1)),
+        "noise_sigma": ("float", POSITIVE),
+        "x_star": ("numbers", None),
+        "mc_draws": ("int", at_least(2)),
+    },
+}
+
+FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+NOT_A_NUMBER = hst.one_of(
+    hst.none(),
+    hst.text(max_size=4),
+    hst.lists(hst.integers(), max_size=2),
+    hst.dictionaries(hst.text(max_size=2), hst.integers(), max_size=1),
+)
+WRONG_TYPE = {
+    "int": hst.one_of(NOT_A_NUMBER, hst.booleans(), FINITE),
+    "float": hst.one_of(NOT_A_NUMBER, hst.booleans()),
+    "bool": hst.one_of(NOT_A_NUMBER, hst.integers(), FINITE),
+    "mode": hst.one_of(
+        NOT_A_NUMBER.filter(lambda v: not isinstance(v, str)), hst.booleans(), FINITE
+    ),
+}
+
+
+def numbers_with(bad):
+    """A list of numbers with one ``bad`` entry somewhere in it."""
+    numbers = hst.lists(hst.one_of(hst.integers(0, 8), FINITE), max_size=2)
+    return hst.tuples(numbers, bad, numbers).map(lambda t: [*t[0], t[1], *t[2]])
+
+
+NOT_A_LIST = hst.one_of(hst.none(), hst.booleans(), hst.integers(), FINITE, hst.text(max_size=4))
+NOT_A_LIST_ENTRY = hst.one_of(hst.none(), hst.booleans(), hst.text(max_size=3))
+WRONG_TYPE["numbers"] = WRONG_TYPE["ranks"] = hst.one_of(NOT_A_LIST, numbers_with(NOT_A_LIST_ENTRY))
+
+
+def out_of_range(kind, valid):
+    """Values of the key's type that its range rejects, or None if it has none."""
+    if kind == "ranks":  # nonnegative integers only
+        return numbers_with(hst.one_of(hst.integers(max_value=-1), FINITE))
+    if kind == "mode":
+        return hst.text(max_size=10).filter(lambda v: v not in ("naive", "paired", "unscented"))
+    if valid is None:
+        return None
+    values = hst.integers(-(10**6), 10**6)
+    if kind == "float":
+        values = hst.one_of(hst.floats(-1e6, 1e6), values)
+    return values.filter(lambda v: not valid(v))
+
+
+def assert_rejected_before_training(command, key, value, error) -> str:
+    """``command`` with config ``{key: value}`` exits 1 with ``error`` naming
+    the key, before any training and without an output directory; returns
+    the message."""
+    calls = []
+
+    def train(state, *_):
+        calls.append(state.tag)
+        raise AssertionError("training started")
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli.tr, "train", train):
+        cfg = write_config(Path(tmp), {key: value})
+        out = Path(tmp) / "o"
+        argv = [command, "--config", cfg, "--out", str(out), "--formats", "json,csv,svg"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(argv) == 1
+        assert calls == []
+        assert not out.exists()
+    record = json.loads(stderr.getvalue().strip().splitlines()[-1])
+    assert record["error"] == error, record
+    assert key in record["message"], record
+    return record["message"]
+
+
+def test_every_config_key_has_a_spec():
+    for command, keys in CONFIG_KEYS.items():
+        config_cls = cli.COMMANDS[command][0]
+        assert set(keys) == {f.name for f in dataclasses.fields(config_cls)}, command
+
+
+@pytest.mark.parametrize(
+    "command,key", [(command, key) for command, keys in CONFIG_KEYS.items() for key in keys]
+)
+def test_generated_bad_config_value_rejected(command, key):
+    kind, valid = CONFIG_KEYS[command][key]
+    cases = hst.tuples(hst.just("TypeError"), WRONG_TYPE[kind])
+    bad_range = out_of_range(kind, valid)
+    if bad_range is not None:
+        cases = hst.one_of(cases, hst.tuples(hst.just("ValueError"), bad_range))
+
+    @settings(max_examples=15)
+    @given(cases)
+    def check(case):
+        error, value = case
+        assert_rejected_before_training(command, key, value, error)
+
+    check()
 
 
 def test_config_accepts_int_for_float_and_list_for_tuple():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
 
-import vifit.autodiff as ad
 import vifit.families as fam
 from vifit.lowrank import StructuredCov, structured_logpdf
 
@@ -65,8 +64,8 @@ def test_rank_zero_structured_matches_mean_field():
         fam.entropy_closed_form(sn), fam.entropy_closed_form(mf), rel_tol=1e-12
     )
     noise = fam.draw_noise(sn, "naive", 5, np.random.default_rng(4))
-    draws_sn = fam.draws_rows(sn, fam.unpack_vars(sn, fam.pack(sn)), noise)
-    draws_mf = fam.draws_rows(mf, fam.unpack_vars(mf, fam.pack(mf)), noise)
+    draws_sn = fam.gather_blocks(fam.realize_blocks(sn, noise), 5, 4)
+    draws_mf = fam.gather_blocks(fam.realize_blocks(mf, noise), 5, 4)
     np.testing.assert_allclose(draws_sn, draws_mf, rtol=1e-12)
 
 
@@ -531,30 +530,6 @@ def test_layout_slices_tile_psi_in_pack_order(case):
     state = fam.unpack(template, psi)
     for name, arr in trained_arrays(state).items():
         np.testing.assert_array_equal(psi[slices[name]], arr.ravel())
-
-
-@given(family_case())
-def test_layout_unpack_vars_matches_unpack(case):
-    template, psi, _ = case
-    var = ad.Var(psi)
-    params = fam.unpack_vars(template, var)
-    expected = trained_arrays(fam.unpack(template, psi))
-    if template.tag in fam.ATOMIC_TAGS:
-        assert params == {"theta_hat": var}  # psi itself: no slicing node
-        return
-    if template.tag == "mixture":
-        assert isinstance(params["components"], list)
-        got = {
-            f"c{i}.{name}": value
-            for i, comp in enumerate(params["components"])
-            for name, value in comp.items()
-        }
-        got["weight_logits"] = params["weight_logits"]
-    else:
-        got = params
-    assert list(got) == list(expected)
-    for name, value in got.items():
-        np.testing.assert_array_equal(value.value, expected[name])
 
 
 @given(family_case())

@@ -6,8 +6,9 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as hst
 
-import vifit.autodiff as ad
 from vifit.lowrank import (
+    CAPACITANCE_ROUNDOFF,
+    EPS,
     LOG_TWO_PI,
     FactorizationError,
     StructuredCov,
@@ -226,8 +227,23 @@ def test_numerically_singular_capacitance_is_rejected():
         woodbury_logdet(cov)
     # The closed-form gradient path applies the same test.
     rows = np.random.default_rng(1).standard_normal((2, 4))
-    with pytest.raises(np.linalg.LinAlgError, match="working precision"):
+    with pytest.raises(FactorizationError, match="singular"):
         lowrank_logpdf_and_vjp(rows, np.zeros(4), np.ones(4), factor)
+
+
+def test_capacitance_too_large_for_working_precision_is_rejected():
+    # P = K = 1, a = 1, u = 1e7: Σ = 1 + 1e14 is perfectly conditioned, and
+    # C = 1 + u²/a has its only pivot far above the singularity rule, but
+    # Woodbury's Σ⁻¹ = a⁻¹ − a⁻¹u C⁻¹ u a⁻¹ cancels 14 digits.
+    factor = np.array([[1e7]])
+    cov = StructuredCov(diag=np.ones(1), factor=factor)
+    assert EPS * cov.dense()[0, 0] > CAPACITANCE_ROUNDOFF
+    with pytest.raises(FactorizationError, match="too large"):
+        woodbury_solve(cov, np.ones(1))
+    with pytest.raises(FactorizationError, match="too large"):
+        lowrank_logpdf(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
+    with pytest.raises(FactorizationError, match="too large"):
+        lowrank_logpdf_and_vjp(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
 
 
 def test_non_finite_input_raises_value_error_not_factorization_error():
@@ -245,7 +261,7 @@ def test_non_finite_input_raises_value_error_not_factorization_error():
 
 
 # -----------------------------------------------------------------------
-# Closed-form log-density and adjoint against the tape
+# Closed-form log-density and adjoint against dense algebra
 
 
 @given(
@@ -255,9 +271,12 @@ def test_non_finite_input_raises_value_error_not_factorization_error():
 )
 def test_logpdf_and_vjp_match_tape_at_unrelated_rows(dims, s, seed):
     # K runs up to P + 2, so over-complete factors are included.  Each row
-    # of U is on the scale of its diagonal entry, which keeps the tape's own
-    # round-off (it grows with the conditioning of C) below the tolerance.
-    # The rows come from a wide Student-t, not from the Gaussian evaluated.
+    # of U is on the scale of its diagonal entry, so C stays well
+    # conditioned while the diagonal spans six decades.  The rows come from
+    # a wide Student-t, not from the Gaussian evaluated.  The reference is
+    # the adjoint formula on the dense Σ: with v_k = Σ⁻¹(θ_k − mean),
+    # −v_k, −½(diag Σ⁻¹ − v_k²) and −Σ⁻¹U + v_k v_kᵀU, each weighted by
+    # log q's adjoint.
     p, k = dims
     rng = np.random.default_rng(seed)
     mean = rng.standard_normal(p)
@@ -270,24 +289,19 @@ def test_logpdf_and_vjp_match_tape_at_unrelated_rows(dims, s, seed):
     expected = lowrank_logpdf(theta, mean, a, factor)
     np.testing.assert_allclose(log_q, expected, rtol=1e-12)
 
-    sizes = np.cumsum([s * p, p, p])
-
-    def objective(psi):
-        th, mu, a_, u = (psi[lo:hi] for lo, hi in zip([0, *sizes], [*sizes, None]))
-        rows = lowrank_logpdf(ad.reshape(th, (s, p)), mu, a_, ad.reshape(u, (p, k)))
-        return ad.sum(rows * logq_bar)
-
-    psi = np.concatenate([theta.ravel(), mean, a, factor.ravel()])
-    tape = np.split(ad.evaluate_with_gradient(objective, psi).gradient, sizes)
-    d_theta, d_a, d_factor = vjp(logq_bar)
-    got = [
-        d_theta.ravel(),
-        -d_theta.sum(axis=0),
-        d_a,
-        np.zeros(0) if d_factor is None else d_factor.ravel(),
+    dense = np.diag(a) + factor @ factor.T
+    v = np.linalg.solve(dense, (theta - mean).T).T
+    sinv_diag = np.diag(np.linalg.solve(dense, np.eye(p)))
+    sinv_u = np.linalg.solve(dense, factor)
+    want = [
+        -logq_bar[:, None] * v,
+        -0.5 * (logq_bar.sum() * sinv_diag - logq_bar @ (v * v)),
+        -logq_bar.sum() * sinv_u + (logq_bar[:, None] * v).T @ (v @ factor),
     ]
-    for name, g, t in zip(("theta", "mean", "a", "factor"), got, tape):
-        assert np.linalg.norm(g - t) <= 1e-10 * np.linalg.norm(t), name
+    d_theta, d_a, d_factor = vjp(logq_bar)
+    got = [d_theta, d_a, np.zeros((p, 0)) if d_factor is None else d_factor]
+    for name, g, w in zip(("theta", "a", "factor"), got, want):
+        assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w), name
 
 
 # -----------------------------------------------------------------------
@@ -326,8 +340,12 @@ def test_woodbury_kernels_match_dense_on_ill_conditioned_inputs(
         solved, logdet = woodbury_solve(cov, v), woodbury_logdet(cov)
         logpdf = lowrank_logpdf(rows, mean, diag, factor)
     except FactorizationError:
-        # The guard fires only where C is singular to working precision.
-        assert np.linalg.cond(cap) > 0.01 / np.finfo(float).eps
+        # The guard fires only where C is singular to working precision or
+        # too large for it (eps·max diag C above CAPACITANCE_ROUNDOFF).
+        assert (
+            np.linalg.cond(cap) > 0.01 / np.finfo(float).eps
+            or EPS * cap.diagonal().max() > CAPACITANCE_ROUNDOFF
+        )
         return
     tol = 16 * np.finfo(float).eps * (np.linalg.cond(dense) + cap.diagonal().max())
     dense_solved = np.linalg.solve(dense, v)

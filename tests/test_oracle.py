@@ -497,11 +497,16 @@ def test_mixture_log_density_and_grad_match_log_density_and_tape(p, m, near, see
     assert np.all(np.exp(per[:, near:]) == 0.0)
     np.testing.assert_allclose(np.exp(per - value).sum(axis=0), 1.0, rtol=1e-12)
 
-    tape = ad.evaluate_with_gradient(
-        lambda v: ad.sum(target.log_density(ad.reshape(v, rows.shape))), rows.ravel()
-    )
-    ref = tape.gradient.reshape(rows.shape)
-    assert np.max(np.abs(grad - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # Central differences of the summed log-density: the rows are
+    # independent, so this is every row's gradient.  Each log N_j is
+    # quadratic, so the truncation error comes from the log-sum-exp's
+    # curvature where responsibilities change, at step 1e-4·max(1, |θ|):
+    # 2e-7 of the largest entry at worst over 300 random cases, so 1e-5
+    # (criterion 2's bound) leaves room; a wrong weighting is off by O(1).
+    fd = ad.finite_difference_gradient(
+        lambda v: target.log_density(v.reshape(rows.shape)).sum(), rows.ravel()
+    ).reshape(rows.shape)
+    assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
 # -----------------------------------------------------------------------

@@ -277,6 +277,16 @@ def test_numerically_singular_capacitance_fails_at_step_zero():
     assert err.value.step == 0
 
 
+def test_capacitance_too_large_for_working_precision_fails_at_step_zero():
+    # P = K = 1, a = 1, u = 1e7: u²/a = 1e14 leaves the Woodbury kernels a
+    # couple of digits, though Σ is perfectly conditioned.
+    state = fam.StructuredNormalState(mu=np.zeros(1), log_a=np.zeros(1), u=np.array([[1e7]]))
+    target = orc.GaussianDist(mean=np.zeros(1), cov=np.eye(1))
+    with pytest.raises(tr.CapacitanceError, match="too large") as err:
+        tr.train(state, target, tr.TrainConfig(steps=5, mode="paired", seed=3))
+    assert err.value.step == 0
+
+
 def reference_train(state, problem, config) -> tuple:
     """The plain training loop: fresh noise and minibatch every step, the
     gradient from ``elbo_value_and_grad``, and out-of-place moment updates.
