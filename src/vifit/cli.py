@@ -2,7 +2,7 @@
 
 Each subcommand trains a roster of variational families, audits them
 against exact ground truth, and emits report.json / tables.csv (and,
-optionally, SVG figure data).  Reruns with the same seed and config are
+optionally, SVG figures).  Reruns with the same seed and config are
 byte-identical in tables.csv.
 """
 
@@ -318,27 +318,37 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
 
     if config.dim == 2 and not config.bimodal:
         moments = [fam.dense_moments(f) for _, f in fits if isinstance(f, fam.GAUSSIAN_STATES)]
-        report.extras["isolines"] = {
-            "target_mean": target.mean.tolist(),
-            "target_cov": target.cov.tolist(),
-            "fits": [{"mean": m.tolist(), "cov": c.tolist()} for m, c in moments],
+        report.figures["isolines"] = {
+            "target_mean": target.mean,
+            "target_cov": target.cov,
+            "fits": [{"mean": m, "cov": c} for m, c in moments],
         }
     return report
 
 
 def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
-    """KL both ways plus an ELBO figure for one fitted family."""
+    """KL both ways plus an ELBO figure for one fitted family.
+
+    A Monte-Carlo KL also gives its standard error (``kl_p_q_se``,
+    ``kl_q_p_se``); an infinite KL has none.
+    """
     if isinstance(fitted, fam.MapState):
         elbo = float(target.log_density(fitted.theta_hat))
         return {"kl_p_q": math.inf, "kl_q_p": math.inf, "elbo": elbo}
     if isinstance(fitted, fam.GAUSSIAN_STATES) and isinstance(target, orc.GaussianDist):
         q = orc.family_to_gaussian(fitted)
         kl_pq, kl_qp = orc.kl_gaussian_gaussian(target, q), orc.kl_gaussian_gaussian(q, target)
-    else:
-        rng = np.random.default_rng(mc_seq)
-        kl_pq, _ = orc.kl_p_to_family_mc(target, fitted, n_mc, rng)
-        kl_qp, _ = orc.kl_family_to_target_mc(fitted, target, n_mc, rng)
-    return {"kl_p_q": kl_pq, "kl_q_p": kl_qp, "elbo": -kl_qp}
+        return {"kl_p_q": kl_pq, "kl_q_p": kl_qp, "elbo": -kl_qp}
+    rng = np.random.default_rng(mc_seq)
+    kl_pq, kl_pq_se = orc.kl_p_to_family_mc(target, fitted, n_mc, rng)
+    kl_qp, kl_qp_se = orc.kl_family_to_target_mc(fitted, target, n_mc, rng)
+    return {
+        "kl_p_q": kl_pq,
+        "kl_q_p": kl_qp,
+        "elbo": -kl_qp,
+        "kl_p_q_se": kl_pq_se if math.isfinite(kl_pq) else None,
+        "kl_q_p_se": kl_qp_se if math.isfinite(kl_qp) else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +380,13 @@ def cmd_rbf(config: RbfConfig) -> ExperimentReport:
         extras={"evidence": evidence, "theta_star": truth.theta_star.tolist()},
     )
     dropout = [f for _, f in fits if isinstance(f, fam.DropoutState)]
-    if dropout and dropout[-1].n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
-        report.extras["dropout_curves"] = _dropout_curves(
-            problem, truth, dropout[-1], config.grid_points
-        )
+    if dropout:
+        # The curves' source: θ̂, keep_prob and droppable fix every atom and weight.
+        report.extras["dropout_state"] = json.loads(fam.state_to_json(dropout[-1]))
+        if dropout[-1].n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
+            report.figures["dropout_curves"] = _dropout_curves(
+                problem, truth, dropout[-1], config.grid_points
+            )
     return report
 
 
@@ -396,12 +409,12 @@ def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -
     grid = np.linspace(mod.DATA_INTERVAL[0], mod.DATA_INTERVAL[1], grid_points)
     features = problem.features(grid)
     return {
-        "x": grid.tolist(),
-        "weights": mixture.weights.tolist(),
-        "curves": mixture.images(features).tolist(),
-        "truth": (features @ truth.theta_star).tolist(),
-        "data_x": problem.inputs.tolist(),
-        "data_t": problem.targets.tolist(),
+        "x": grid,
+        "weights": mixture.weights,
+        "curves": mixture.images(features),
+        "truth": features @ truth.theta_star,
+        "data_x": problem.inputs,
+        "data_t": problem.targets,
     }
 
 

@@ -1,9 +1,11 @@
-"""Experiment reports: tagged metrics, JSON/CSV emission, SVG figure data.
+"""Experiment reports: tagged metrics, JSON/CSV emission, SVG figures.
 
 Every metric cell is one of: a finite float, "inf", "-inf", or "na".
 tables.csv must be byte-identical across reruns with the same seed and
 config, so wall-clock runtimes appear only in report.json and the CSV
-runtime column is pinned to "na".
+runtime column is pinned to "na".  report.json holds results; the data a
+figure is drawn from lives in ``ExperimentReport.figures``, which only the
+SVG renderers read.
 """
 
 from __future__ import annotations
@@ -70,11 +72,19 @@ class FamilyResult:
 
 @dataclass
 class ExperimentReport:
+    """One command's results.
+
+    ``figures`` maps a figure name to the arrays its SVG is drawn from.  It
+    is not a result: report.json never carries it, and it takes no part in
+    comparing two reports.
+    """
+
     experiment: str
     seed: int
     config: dict
     families: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    figures: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,12 +247,12 @@ def svg_isolines(doc: dict) -> str:
 
 def _emit_svgs(report: ExperimentReport, out_dir: Path) -> list:
     written = []
-    if "dropout_curves" in report.extras:
-        path = out_dir / "posterior_atoms.svg"
-        path.write_text(svg_atom_curves(report.extras["dropout_curves"]))
-        written.append(path)
-    if "isolines" in report.extras:
-        path = out_dir / "posterior_isolines.svg"
-        path.write_text(svg_isolines(report.extras["isolines"]))
-        written.append(path)
+    for name, filename, render in (
+        ("dropout_curves", "posterior_atoms.svg", svg_atom_curves),
+        ("isolines", "posterior_isolines.svg", svg_isolines),
+    ):
+        if name in report.figures:
+            path = out_dir / filename
+            path.write_text(render(report.figures[name]))
+            written.append(path)
     return written

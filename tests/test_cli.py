@@ -124,9 +124,68 @@ def test_rbf_rows_and_curve_data(tmp_path):
         assert rows[atomic].metrics["kl_p_q"] == math.inf
     for gaussian in ("mf", "sn4"):
         assert math.isfinite(rows[gaussian].metrics["logq_theta_star"])
-    curves = report.extras["dropout_curves"]
+    curves = report.figures["dropout_curves"]
     assert len(curves["curves"]) == 2**4
     assert math.isclose(sum(curves["weights"]), 1.0, abs_tol=1e-12)
+
+
+def test_report_json_carries_results_not_figures():
+    config = cli._load_config(cli.RbfConfig, None, dict(SMALL_RBF, seed=3))
+    report = cli.cmd_rbf(config)
+    assert "dropout_curves" in report.figures
+    doc = report.to_json_dict()
+    assert set(doc) == {"experiment", "seed", "config", "families", "extras"}
+    assert "dropout_curves" not in doc["extras"]
+    back = ExperimentReport.from_json_dict(doc)
+    assert back.figures == {}
+    assert back == report  # figures take no part in the comparison
+    assert back.to_json_dict() == doc
+
+
+def test_dropout_curves_rebuild_from_report_json(tmp_path, monkeypatch):
+    # report.json keeps the fitted dropout state the curves come from, so
+    # the figure can be redrawn from the file without retraining.
+    datasets = []
+    make_rbf_dataset = cli.mod.make_rbf_dataset
+
+    def recording(*args, **kwargs):
+        datasets.append(make_rbf_dataset(*args, **kwargs))
+        return datasets[-1]
+
+    monkeypatch.setattr(cli.mod, "make_rbf_dataset", recording)
+    config = cli._load_config(cli.RbfConfig, None, dict(SMALL_RBF, seed=5))
+    report = cli.cmd_rbf(config)
+    emit_report(report, tmp_path, ("json",))
+    doc = json.loads((tmp_path / "report.json").read_text())
+    state = cli.fam.state_from_json(json.dumps(doc["extras"]["dropout_state"]))
+    assert isinstance(state, cli.fam.DropoutState)
+    (problem, truth), = datasets
+    rebuilt = cli._dropout_curves(problem, truth, state, config.grid_points)
+    figure = report.figures["dropout_curves"]
+    assert rebuilt.keys() == figure.keys()
+    for key, value in figure.items():
+        assert np.array_equal(rebuilt[key], value), key
+
+
+def test_default_rbf_report_json_is_small(tmp_path):
+    # 2^10 atoms × 101 grid points of curves stay out of report.json.
+    assert cli.main(["rbf", "--out", str(tmp_path), "--formats", "json"]) == 0
+    assert (tmp_path / "report.json").stat().st_size < 16 * 1024
+
+
+def test_monte_carlo_kl_standard_errors_reported(tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL_FG, steps=50))
+    out = tmp_path / "o"
+    assert cli.main(["fit-gaussian", "--bimodal", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert [f["family"] for f in doc["families"]] == ["mf", "sn1", "sn3", "sgmm"]
+    for row in doc["families"]:
+        for key in ("kl_p_q_se", "kl_q_p_se"):
+            se = parse_metric(row["metrics"][key])
+            assert math.isfinite(se) and se > 0, (row["family"], key)
+    # tables.csv keeps its columns; the errors live in report.json only.
+    header = (out / "tables.csv").read_text().splitlines()[0]
+    assert header == ",".join(CSV_COLUMNS)
 
 
 def test_dropout_audit_report(monkeypatch):
@@ -580,6 +639,35 @@ def test_rerun_is_byte_identical(tmp_path, command, small):
     assert outs[0] == outs[1]
 
 
+BOUNDARY_RUNS = [
+    *(
+        pytest.param([command], dict(small, **{key: value}), id=f"{command}-{key}={value}")
+        for command, small in (("rbf", SMALL_RBF), ("dropout-audit", SMALL_AUDIT))
+        for key, value in (("steps", 1), ("lr_decay", 1), ("keep_prob", 0), ("keep_prob", 1))
+    ),
+    pytest.param(
+        ["fit-gaussian", "--bimodal"], dict(SMALL_FG, steps=1), id="fit-gaussian-bimodal-steps=1"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,doc", BOUNDARY_RUNS)
+def test_boundary_config_runs_end_to_end(tmp_path, argv, doc):
+    # The edges of each valid range: one step, no decay, every unit
+    # always dropped or always kept.
+    cfg = write_config(tmp_path, doc)
+    tables = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        rc = cli.main([*argv, "--config", cfg, "--out", str(out), "--formats", "json,csv,svg"])
+        assert rc == 0
+        tables.append((out / "tables.csv").read_bytes())
+    assert tables[0] == tables[1]
+    for line in tables[0].decode().strip().splitlines()[1:]:
+        for cell in line.split(",")[1:]:
+            assert cell in ("inf", "-inf", "na") or math.isfinite(float(cell)), line
+
+
 def test_svg_emission(tmp_path):
     cfg = write_config(tmp_path, SMALL_RBF)
     out = tmp_path / "svg_out"
@@ -589,7 +677,8 @@ def test_svg_emission(tmp_path):
     assert rc == 0
     svg = (out / "posterior_atoms.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    assert svg.count("<polyline") >= 2**4  # one per atom plus the truth line
+    assert svg.count("<polyline") == 2**4 + 1  # one per atom plus the truth line
+    assert "dropout_curves" not in (out / "report.json").read_text()
 
 
 def test_isolines_svg_for_2d_target(tmp_path):
