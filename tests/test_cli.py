@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -99,6 +102,19 @@ def test_csv_cells_are_well_formed(tmp_path):
             assert cell in ("inf", "-inf", "na") or np.isfinite(float(cell))
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # Every factorization goes through numpy's LAPACK; scipy's import alone
+    # would cost more start-up time than the rest of vifit's.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, vifit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # -----------------------------------------------------------------------
 # subcommands
 
@@ -134,8 +150,10 @@ def test_report_json_carries_results_not_figures():
     report = cli.cmd_rbf(config)
     assert "dropout_curves" in report.figures
     doc = report.to_json_dict()
-    assert set(doc) == {"experiment", "seed", "config", "families", "extras"}
+    assert set(doc) == {"experiment", "seed", "config", "families", "extras", "environment"}
     assert "dropout_curves" not in doc["extras"]
+    assert doc["environment"]["numpy"] == np.__version__
+    assert {"name", "version"} <= set(doc["environment"]["lapack"])
     back = ExperimentReport.from_json_dict(doc)
     assert back.figures == {}
     assert back == report  # figures take no part in the comparison
