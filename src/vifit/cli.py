@@ -33,6 +33,11 @@ def _check_ranges(config, minimum: dict, positive=(), probability=(), choices=No
     Every command's config also has the training keys (seed, steps,
     mc_samples, learning_rate, lr_decay), checked here too.
     """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        numbers = value if isinstance(f.default, tuple) else (value,)
+        if isinstance(f.default, (float, tuple)) and not all(abs(v) < math.inf for v in numbers):
+            raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
     minimum = {"seed": 0, "steps": 1, "mc_samples": 1, "learning_rate": 0, **minimum}
     checks = [(key, lambda v, m=m: v >= m, f">= {m}") for key, m in minimum.items()]
     checks += [(key, lambda v: v > 0, "> 0") for key in positive]
@@ -145,6 +150,8 @@ def _load_config(cls, path, overrides: dict):
     if path:
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, not {doc!r:.40}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(doc) - set(defaults)

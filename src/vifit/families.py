@@ -860,26 +860,42 @@ def state_to_json(state: FamilyState) -> str:
     return json.dumps(doc)
 
 
-def _fields_from_doc(cls, doc: dict, p: int, rank) -> dict:
+def _vector(doc: dict, name: str, size: int, prefix: str = "") -> np.ndarray:
+    value = np.asarray(doc.get(name, ()), dtype=np.float64)
+    if value.shape != (size,):
+        raise ValueError(f"field {prefix + name!r} must hold {size} numbers, got {value.size}")
+    return value
+
+
+def _state_from_doc(cls, doc: dict, p: int, rank, prefix: str = "") -> FamilyState:
     fields = {}
     for name in cls.TRAINED:
         if name == "components":
+            if not doc.get(name):
+                raise ValueError("field 'components' must list at least one component")
+            comps = enumerate(doc[name])
             fields[name] = tuple(
-                StructuredNormalState(**_fields_from_doc(StructuredNormalState, c, p, rank))
-                for c in doc[name]
+                _state_from_doc(StructuredNormalState, c, p, rank, f"c{m}.") for m, c in comps
             )
+        elif name == "weight_logits":
+            fields[name] = _vector(doc, name, len(fields["components"]))
+        elif name == "u":
+            fields[name] = _vector(doc, name, p * rank, prefix).reshape(p, rank)
         else:
-            value = np.asarray(doc[name], dtype=np.float64)
-            fields[name] = value.reshape(p, rank) if name == "u" else value
-    return fields
+            fields[name] = _vector(doc, name, p, prefix)
+    if cls is DropoutState:
+        fields.update(keep_prob=float(doc["keep_prob"]), droppable=_vector(doc, "droppable", p))
+    return cls(**fields)
 
 
 def state_from_json(text: str) -> FamilyState:
+    """A ``state_to_json`` document's state; ValueError names the first field
+    that disagrees with the document's p, rank or component count."""
     doc = json.loads(text)
     cls = FAMILIES.get(doc["family"])
     if cls is None:
         raise ValueError(f"unknown family tag {doc['family']!r}")
-    fields = _fields_from_doc(cls, doc, doc["p"], doc.get("rank"))
-    if cls is DropoutState:
-        fields.update(keep_prob=float(doc["keep_prob"]), droppable=doc["droppable"])
-    return cls(**fields)
+    for key in ("p", "rank") if hasattr(cls, "rank") else ("p",):
+        if type(doc.get(key)) is not int or doc[key] < 0:
+            raise ValueError(f"field {key!r} must be a nonnegative integer, got {doc.get(key)!r}")
+    return _state_from_doc(cls, doc, doc["p"], doc.get("rank"))

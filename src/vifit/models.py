@@ -1,11 +1,13 @@
 """Regression models, likelihoods, priors, and synthetic data.
 
 The workhorse is a linear-in-parameters model y = design @ theta with known
-Gaussian observation noise; the design matrix comes from a squared-
-exponential RBF layer with regularly spaced centers.  Likelihood and prior
-evaluations accept autodiff Vars and stacked parameter rows, so the same
-code backs plain evaluation and the tape, which differentiates the MLP and
-any target without ``log_joint_and_grad``'s closed form.
+Gaussian observation noise and an independent Gaussian prior, fitted on the
+full data: the conjugate setting whose exact posterior audits every fit.
+The design matrix comes from a squared-exponential RBF layer with regularly
+spaced centers.  Likelihood and prior evaluations accept autodiff Vars and
+stacked parameter rows, so the same code backs plain evaluation and the
+tape, which differentiates the MLP and any target without
+``log_joint_and_grad``'s closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -81,65 +82,25 @@ class GaussianPrior:
             raise ValueError("precision must be positive")
 
 
-@dataclass(frozen=True)
-class StudentTPrior:
-    """Independent scale-s Student-t coordinates with nu degrees of freedom."""
-
-    nu: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.nu <= 0 or self.scale <= 0:
-            raise ValueError("nu and scale must be positive")
-
-
-PriorSpec = Union[GaussianPrior, StudentTPrior]
-
-
-def prior_log_const(spec: PriorSpec, p: int) -> float:
+def prior_log_const(spec: GaussianPrior, p: int) -> float:
     """The θ-free part of ``prior_logpdf`` over p coordinates."""
-    if isinstance(spec, GaussianPrior):
-        return -0.5 * p * (LOG_TWO_PI - math.log(spec.lam))
-    if isinstance(spec, StudentTPrior):
-        nu, s = spec.nu, spec.scale
-        return p * (
-            math.lgamma((nu + 1.0) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-            - math.log(s)
-        )
-    raise TypeError(f"unknown prior spec {spec!r}")
+    return -0.5 * p * (LOG_TWO_PI - math.log(spec.lam))
 
 
-def prior_logpdf(spec: PriorSpec, theta):
+def prior_logpdf(spec: GaussianPrior, theta):
     """Sum of per-coordinate prior log-densities; rows may be (P,) or (S, P)."""
     const = prior_log_const(spec, theta.shape[-1])
-    if isinstance(spec, GaussianPrior):
-        return const - 0.5 * spec.lam * ad.sum(theta * theta, axis=-1)
-    scaled = theta / spec.scale
-    nu = spec.nu
-    return const - 0.5 * (nu + 1.0) * ad.sum(ad.log(1.0 + scaled * scaled / nu), axis=-1)
-
-
-def prior_penalty_and_grad(spec: PriorSpec, theta: np.ndarray) -> tuple:
-    """``prior_log_const`` − ``prior_logpdf`` per plain (S, P) row, and
-    ∂ ``prior_logpdf`` / ∂θ, in plain numpy."""
-    if isinstance(spec, GaussianPrior):
-        return 0.5 * spec.lam * np.add.reduce(theta * theta, axis=-1), -spec.lam * theta
-    nu, s = spec.nu, spec.scale
-    scaled = theta / s
-    penalty = 0.5 * (nu + 1.0) * np.add.reduce(np.log(1.0 + scaled * scaled / nu), axis=-1)
-    return penalty, -(nu + 1.0) * theta / (nu * s**2 + theta * theta)
+    return const - 0.5 * spec.lam * ad.sum(theta * theta, axis=-1)
 
 
 @dataclass
 class RegressionProblem:
-    """Design matrix, targets, known noise scale, and a prior choice."""
+    """Design matrix, targets, known noise scale, and a Gaussian prior."""
 
     design: np.ndarray
     targets: np.ndarray
     noise_sigma: float
-    prior: PriorSpec
+    prior: GaussianPrior
     rbf: RbfModelSpec | None = None
     inputs: np.ndarray | None = None
 
@@ -170,58 +131,36 @@ class RegressionProblem:
             raise ValueError("problem carries no feature map for new inputs")
         return rbf_design_matrix(xs, self.rbf)
 
-    def _batch(self, batch_indices):
-        """(design, targets, N/|B| rescaling) of a minibatch or the full data."""
-        if batch_indices is None:
-            return self.design, self.targets, 1.0
-        batch_indices = np.asarray(batch_indices)
-        if batch_indices.size == 0:
-            raise ValueError("minibatch must be nonempty")
-        return (
-            self.design[batch_indices],
-            self.targets[batch_indices],
-            self.n / batch_indices.size,
-        )
-
     def _loglik_const(self, rows: int) -> float:
         return -0.5 * rows * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
 
-    def loglik_rows(self, theta, batch_indices=None):
-        """Gaussian log-likelihood per parameter row, minibatch-rescaled."""
-        design, targets, scale = self._batch(batch_indices)
-        resid = targets - ad.matmul(theta, ad.transpose(design))
+    def loglik_rows(self, theta):
+        """Gaussian log-likelihood of the full data per parameter row."""
+        resid = self.targets - ad.matmul(theta, ad.transpose(self.design))
         quad = ad.sum(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
-        return scale * (self._loglik_const(resid.shape[-1]) - quad)
+        return self._loglik_const(self.n) - quad
 
     def prior_rows(self, theta):
         return prior_logpdf(self.prior, theta)
 
     @cached_property
     def _full_data(self) -> tuple:
-        """(designᵀ, log-lik constant, prior constant) of the full data."""
+        """(designᵀ, log-lik constant, prior constant), resolved once."""
         return self.design.T, self._loglik_const(self.n), prior_log_const(self.prior, self.dim)
 
-    def log_joint_and_grad(self, theta: np.ndarray, batch_indices=None) -> tuple:
+    def log_joint_and_grad(self, theta: np.ndarray) -> tuple:
         """Per-row log lik + log prior at plain (S, P) rows, and its θ-gradient.
 
         The closed-form counterpart of ``loglik_rows`` + ``prior_rows``, in
-        plain numpy: same values, with ∂/∂θ = (N/|B|) residᵀ design / σ² +
-        ∂ log prior / ∂θ.  The full data's constants are resolved once.
+        plain numpy: same values, with ∂/∂θ = residᵀ design / σ² − λθ.
         """
-        if batch_indices is None:
-            design, targets, scale = self.design, self.targets, 1.0
-            design_t, lik_const, prior_const = self._full_data
-        else:
-            design, targets, scale = self._batch(batch_indices)
-            design_t = design.T
-            lik_const = self._loglik_const(targets.shape[0])
-            prior_const = prior_log_const(self.prior, theta.shape[-1])
-        resid = targets - theta @ design_t
+        design_t, lik_const, prior_const = self._full_data
+        resid = self.targets - theta @ design_t
         quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
-        penalty, prior_grad = prior_penalty_and_grad(self.prior, theta)
-        rows = scale * (lik_const - quad) + (prior_const - penalty)
-        grad = (scale / self.noise_sigma**2) * (resid @ design)
-        return rows, grad + prior_grad
+        penalty = 0.5 * self.prior.lam * np.add.reduce(theta * theta, axis=-1)
+        rows = (lik_const - quad) + (prior_const - penalty)
+        grad = (1.0 / self.noise_sigma**2) * (resid @ self.design)
+        return rows, grad - self.prior.lam * theta
 
 
 @dataclass
@@ -235,7 +174,7 @@ def make_rbf_dataset(
     spec: RbfModelSpec,
     n: int,
     seed: int,
-    prior: PriorSpec | None = None,
+    prior: GaussianPrior | None = None,
     interval: tuple = DATA_INTERVAL,
 ) -> tuple:
     """Equispaced inputs, standard-normal true weights, noisy targets."""
@@ -294,26 +233,17 @@ class MlpProblem:
     mlp: OneHiddenMlp
     xs: np.ndarray
     targets: np.ndarray
-    prior: PriorSpec
+    prior: GaussianPrior
 
     @property
     def dim(self) -> int:
         return 3 * self.mlp.n_hidden + 1
 
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
-
     def model_shape(self) -> ModelShape:
         return self.mlp.model_shape()
 
-    def loglik_rows(self, theta, batch_indices=None):
-        if batch_indices is None:
-            xs, ts, scale = self.xs, self.targets, 1.0
-        else:
-            xs = self.xs[batch_indices]
-            ts = self.targets[batch_indices]
-            scale = self.n / len(batch_indices)
+    def loglik_rows(self, theta):
+        xs, ts = self.xs, self.targets
         sigma = self.mlp.noise_sigma
         if getattr(theta, "ndim", 1) == 1:
             resid = ts - self.mlp.predict_rows(xs, theta)
@@ -325,7 +255,7 @@ class MlpProblem:
             ]
             quad = ad.stack(per) / (2.0 * sigma**2)
         const = -0.5 * xs.shape[0] * (LOG_TWO_PI + 2.0 * math.log(sigma))
-        return scale * (const - quad)
+        return const - quad
 
     def prior_rows(self, theta):
         return prior_logpdf(self.prior, theta)

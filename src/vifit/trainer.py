@@ -12,15 +12,15 @@ log q and, for stratified sGMM batches, their per-draw coefficients, with
 the closed-form adjoint of all three (``families.draws_logq_vjp``): each
 family has this one implementation.  The target gives the per-draw log
 joint and its θ-gradient (``_log_joint``).  Targets are duck-typed: a
-closed form is ``log_joint_and_grad`` on ``RegressionProblem`` (Gaussian
-or Student-t prior, minibatches included) or ``log_density_and_grad`` on
-``GaussianDist`` and ``GaussianMixtureDist``.  Any other target (the MLP)
-exposes ``loglik_rows`` / ``prior_rows`` or ``log_density`` over autodiff
-Vars, and the reverse-mode tape differentiates it in one pass over θ
-alone.  ``_fused_value_and_grad`` joins the two halves into the exact
-gradient of the sampled-log-q estimator, in every sampling mode.
-``elbo_graph`` is that estimate as one tape node, for callers that
-differentiate on the tape.
+closed form is ``log_joint_and_grad`` on ``RegressionProblem`` (a Gaussian
+prior and the full data) or ``log_density_and_grad`` on ``GaussianDist``
+and ``GaussianMixtureDist``.  Any other target (the MLP) exposes
+``loglik_rows`` / ``prior_rows`` or ``log_density`` over autodiff Vars,
+and the reverse-mode tape differentiates it in one pass over θ alone.
+``_fused_value_and_grad`` joins the two halves into the exact gradient of
+the sampled-log-q estimator, in every sampling mode.  ``elbo_graph`` is
+that estimate as one tape node, for callers that differentiate on the
+tape.
 
 A step costs bookkeeping, not arithmetic, so ``train`` does once per
 member what no step changes: psi's parameter views
@@ -29,8 +29,7 @@ updated in place, in the order of the out-of-place expressions), the
 target's log joint and log q's adjoint.  It draws the noise of
 ``NOISE_CHUNK_STEPS`` steps per ``families.draw_noise`` call.  One call
 gives the same stream as consecutive per-step calls, so every number is
-the one a per-step loop gives.  A minibatch's ``rng.choice`` falls between
-two steps' noise, so a minibatched run draws noise one step per call.
+the one a per-step loop gives.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     lr_decay: float = 1.0  # multiplicative per-step factor
     mc_samples: int = 8
-    minibatch: int | None = None
     mode: str = "naive"
     seed: int = 0
     convergence_window: int = 0  # 0 disables early stopping
@@ -99,8 +97,6 @@ class TrainConfig:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise ValueError("minibatch must be >= 1")
         if self.mode not in fam.MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.convergence_window < 0 or self.convergence_tol < 0:
@@ -144,14 +140,22 @@ def _effective_sample_count(state: fam.FamilyState, config: TrainConfig) -> int:
     return s
 
 
-def _target_rows(problem, theta, batch_indices):
+def _draw_noise(state, config: TrainConfig, rng, steps=None):
+    """The noise of one ELBO evaluation, or a list of ``steps`` of them
+    (``fam.draw_noise``); mixtures stratify components."""
+    count = _effective_sample_count(state, config)
+    mixture = isinstance(state, fam.MixtureState)
+    return fam.draw_noise(state, config.mode, count, rng, stratify_components=mixture, steps=steps)
+
+
+def _target_rows(problem, theta):
     """(loglik, logprior) per row for either target flavour."""
     if hasattr(problem, "loglik_rows"):
-        return problem.loglik_rows(theta, batch_indices), problem.prior_rows(theta)
+        return problem.loglik_rows(theta), problem.prior_rows(theta)
     return problem.log_density(theta), 0.0
 
 
-def _log_joint(problem, batch_indices):
+def _log_joint(problem):
     """θ ↦ (per-row log joint, its θ-gradient) at plain (S, P) rows.
 
     A target without a closed form is differentiated on the tape: the rows
@@ -159,15 +163,13 @@ def _log_joint(problem, batch_indices):
     gradient.
     """
     if hasattr(problem, "log_joint_and_grad"):
-        if batch_indices is None:
-            return problem.log_joint_and_grad
-        return lambda theta: problem.log_joint_and_grad(theta, batch_indices)
+        return problem.log_joint_and_grad
     if hasattr(problem, "log_density_and_grad"):
         return problem.log_density_and_grad
 
     def on_tape(theta):
         leaf = ad.Var(theta)
-        loglik, logprior = _target_rows(problem, leaf, batch_indices)
+        loglik, logprior = _target_rows(problem, leaf)
         rows = loglik + logprior
         (grad,) = ad.backward(ad.sum(rows), [leaf])
         return rows.value, grad
@@ -228,9 +230,7 @@ def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.NonFiniteValueE
     return ad.NonFiniteValueError(term, f"gradient not finite in psi blocks {', '.join(blocks)}")
 
 
-def elbo_value_and_grad(
-    state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
-) -> tuple:
+def elbo_value_and_grad(state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem) -> tuple:
     """(value, gradient) of the MC ELBO estimate at a plain ``psi``.
 
     Raises ``NonFiniteValueError`` naming the term that is not finite
@@ -241,21 +241,19 @@ def elbo_value_and_grad(
         state,
         fam.param_views(state, psi),
         noise,
-        _log_joint(problem, batch_indices),
+        _log_joint(problem),
         np.full(noise.count, -1.0 / noise.count),
     )
     return value, grad
 
 
-def elbo_graph(
-    template: fam.FamilyState, psi, noise: fam.NoiseBatch, problem, batch_indices=None
-):
+def elbo_graph(template: fam.FamilyState, psi, noise: fam.NoiseBatch, problem):
     """The scalar MC ELBO estimate: a float at a plain psi, one tape node at a Var.
 
     The node's value and VJP are ``elbo_value_and_grad``'s, so the tape
     differentiates through the gradient that trains.
     """
-    value, grad = elbo_value_and_grad(template, ad._val(psi), noise, problem, batch_indices)
+    value, grad = elbo_value_and_grad(template, ad._val(psi), noise, problem)
     if not isinstance(psi, ad.Var):
         return value
     return ad._node("elbo", value, [(psi, lambda g: g * grad)])
@@ -265,10 +263,10 @@ def elbo_estimate(
     state: fam.FamilyState, problem, config: TrainConfig, rng: np.random.Generator
 ) -> ElboEstimate:
     """One Monte-Carlo ELBO estimate with its term decomposition."""
-    noise, batch = _draw_step(state, problem, config, rng)
+    noise = _draw_noise(state, config, rng)
     params = fam.param_views(state, fam.pack(state))
     theta, log_q, coeff, _ = fam.draws_logq_vjp(state, params, noise)
-    loglik, logprior = _target_rows(problem, theta, batch)
+    loglik, logprior = _target_rows(problem, theta)
     weigh = (lambda rows: float(np.mean(rows * coeff))) if coeff is not None else (
         lambda rows: float(np.mean(rows))
     )
@@ -285,29 +283,6 @@ def elbo_estimate(
     )
 
 
-def _minibatched(problem, config: TrainConfig) -> bool:
-    """Whether each step draws a minibatch: one smaller than the data."""
-    return (
-        config.minibatch is not None
-        and hasattr(problem, "n")
-        and config.minibatch < problem.n
-    )
-
-
-def _draw_minibatch(problem, config: TrainConfig, rng: np.random.Generator):
-    if not _minibatched(problem, config):
-        return None
-    return rng.choice(problem.n, size=config.minibatch, replace=False)
-
-
-def _draw_step(state, problem, config: TrainConfig, rng) -> tuple:
-    """(noise, minibatch) for one ELBO evaluation; mixtures stratify components."""
-    count = _effective_sample_count(state, config)
-    stratify = isinstance(state, fam.MixtureState)
-    noise = fam.draw_noise(state, config.mode, count, rng, stratify_components=stratify)
-    return noise, _draw_minibatch(problem, config, rng)
-
-
 def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     """First-order stochastic ascent with bias-corrected moment averaging.
 
@@ -321,10 +296,7 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     psi = fam.pack(state)
     params = fam.param_views(state, psi)
     count = _effective_sample_count(state, config)
-    stratify = isinstance(state, fam.MixtureState)
-    minibatched = _minibatched(problem, config)
-    chunk = 1 if minibatched else NOISE_CHUNK_STEPS
-    log_joint = _log_joint(problem, None)
+    log_joint = _log_joint(problem)
     logq_bar = np.full(count, -1.0 / count)
     m = np.zeros_like(psi)
     v = np.zeros_like(psi)
@@ -335,14 +307,11 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     lr = config.learning_rate
     start = time.perf_counter()
     for step in range(config.steps):
-        if step % chunk == 0:
-            noises = fam.draw_noise(
-                state, config.mode, count, rng, stratify_components=stratify,
-                steps=min(chunk, config.steps - step),
+        if step % NOISE_CHUNK_STEPS == 0:
+            noises = _draw_noise(
+                state, config, rng, steps=min(NOISE_CHUNK_STEPS, config.steps - step)
             )
-        noise = noises[step % chunk]
-        if minibatched:
-            log_joint = _log_joint(problem, _draw_minibatch(problem, config, rng))
+        noise = noises[step % NOISE_CHUNK_STEPS]
         try:
             value, grad, gnorm = _value_grad_norm(state, params, noise, log_joint, logq_bar)
         except ad.NonFiniteValueError as err:
@@ -411,8 +380,8 @@ def gradient_variance_probe(
 ) -> GradientProbe:
     """Empirical gradient mean/variance across repeated noise draws.
 
-    The variational parameters and the (full) batch stay fixed; only the
-    sampling noise varies, so the numbers isolate the estimator itself.
+    The variational parameters stay fixed; only the sampling noise varies,
+    so the numbers isolate the estimator itself.
     """
     if repeats < 100:
         raise ValueError("need at least 100 repeats for a stable variance")
@@ -420,8 +389,8 @@ def gradient_variance_probe(
     psi = fam.pack(state)
     grads = np.empty((repeats, psi.size))
     for r in range(repeats):
-        noise, batch = _draw_step(state, problem, config, rng)
-        grads[r] = elbo_value_and_grad(state, psi, noise, problem, batch)[1]
+        noise = _draw_noise(state, config, rng)
+        grads[r] = elbo_value_and_grad(state, psi, noise, problem)[1]
     return GradientProbe(
         mean=grads.mean(axis=0), variance=grads.var(axis=0, ddof=1), repeats=repeats
     )

@@ -463,6 +463,11 @@ def test_config_value_of_wrong_type_rejected(command, key, value):
         ("dropout-audit", "n_droppable", 0),
         ("dropout-audit", "n_droppable", -3),
         ("dropout-audit", "n_droppable", 25),
+        ("fit-gaussian", "mode_separation", math.nan),
+        ("fit-gaussian", "target_sigma", math.inf),
+        ("rbf", "learning_rate", math.inf),
+        ("rbf", "noise_sigma", math.inf),
+        ("dropout-audit", "lr_decay", -math.inf),
     ],
 )
 def test_config_value_out_of_range_rejected(command, key, value):
@@ -521,6 +526,7 @@ CONFIG_KEYS = {
 }
 
 FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = hst.sampled_from([math.nan, math.inf, -math.inf])
 NOT_A_NUMBER = hst.one_of(
     hst.none(),
     hst.text(max_size=4),
@@ -549,17 +555,23 @@ WRONG_TYPE["numbers"] = WRONG_TYPE["ranks"] = hst.one_of(NOT_A_LIST, numbers_wit
 
 
 def out_of_range(kind, valid):
-    """Values of the key's type that its range rejects, or None if it has none."""
+    """Values of the key's type that its range rejects, or None if it has none.
+
+    NaN and ±inf are outside the range of every float key and list entry.
+    """
     if kind == "ranks":  # nonnegative integers only
-        return numbers_with(hst.one_of(hst.integers(max_value=-1), FINITE))
+        return numbers_with(hst.one_of(hst.integers(max_value=-1), FINITE, NON_FINITE))
+    if kind == "numbers":
+        return numbers_with(NON_FINITE)
     if kind == "mode":
         return hst.text(max_size=10).filter(lambda v: v not in ("naive", "paired", "unscented"))
     if valid is None:
-        return None
+        return NON_FINITE if kind == "float" else None
     values = hst.integers(-(10**6), 10**6)
     if kind == "float":
         values = hst.one_of(hst.floats(-1e6, 1e6), values)
-    return values.filter(lambda v: not valid(v))
+    values = values.filter(lambda v: not valid(v))
+    return hst.one_of(NON_FINITE, values) if kind == "float" else values
 
 
 def assert_rejected_before_training(command, key, value, error) -> str:
@@ -610,6 +622,17 @@ def test_generated_bad_config_value_rejected(command, key):
         assert_rejected_before_training(command, key, value, error)
 
     check()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"rbf"', "null"])
+def test_config_file_that_is_not_an_object_rejected(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["rbf", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "must hold a JSON object" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_accepts_int_for_float_and_list_for_tuple():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -582,6 +583,35 @@ RECORDED_DOCS = [
 def test_recorded_json_documents_still_read(text):
     state = fam.state_from_json(text)
     assert json.loads(fam.state_to_json(state)) == json.loads(text)
+
+
+# A recorded document per family made to disagree with its own p, rank or
+# component count, and the field that must be named.
+BAD_DOCS = [
+    ("map", lambda doc: doc.update(theta_hat=[0.5, 0.25, 1.0]), "'theta_hat'"),
+    ("mean_field", lambda doc: doc.update(log_sigma=[-3.0]), "'log_sigma'"),
+    ("structured_normal", lambda doc: doc.update(rank=2), "'u'"),
+    ("mixture", lambda doc: doc.update(weight_logits=[0.0, 0.0, 0.0]), "'weight_logits'"),
+    ("mixture", lambda doc: doc["components"][1].update(mu=[1.0]), "'c1.mu'"),
+    (
+        "mc_dropout",
+        lambda doc: doc.update(p=3, theta_hat=[0.25, -1.5, 0.5, 2.0], droppable=[1, 0, 1]),
+        "'theta_hat'",
+    ),
+    ("mc_dropout", lambda doc: doc.update(droppable=[1]), "'droppable'"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag,spoil,field",
+    BAD_DOCS,
+    ids=["map", "mf", "sn-rank", "sgmm-weights", "sgmm-component", "dropout", "dropout-mask"],
+)
+def test_json_document_that_disagrees_with_its_sizes_rejected(tag, spoil, field):
+    doc = next(d for d in map(json.loads, RECORDED_DOCS) if d["family"] == tag)
+    spoil(doc)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        fam.state_from_json(json.dumps(doc))
 
 
 # -----------------------------------------------------------------------

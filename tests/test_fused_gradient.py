@@ -32,13 +32,13 @@ FAMILY_MODES = [
     ("structured_normal", "paired"),
     ("structured_normal", "unscented"),
 ]
-TARGETS = ("gaussian_prior", "student_t_prior", "minibatch", "gaussian_dist", "mixture_dist")
+TARGETS = ("gaussian_prior", "gaussian_dist", "mixture_dist")
 N_DATA = 12
 
 # The step along each checked direction, and the bound on |central
 # difference − gradient·d| relative to max(1, |ELBO|, ‖gradient‖).  Central
 # differences err by h²/6 times the third derivative plus eps·|ELBO|/h;
-# over the 1375 generated cases below that came to at most 2.3e-10 of the
+# over the 825 generated cases below that came to at most 1.2e-10 of the
 # scale (ψ entries are at most 1.5 in size, so the third derivatives stay
 # moderate).  A wrong adjoint is off by a share of the gradient itself.
 FD_STEP = 1e-5
@@ -50,10 +50,9 @@ class TapeOnly:
 
     def __init__(self, problem):
         self.problem = problem
-        self.n = problem.n
 
-    def loglik_rows(self, theta, batch_indices=None):
-        return self.problem.loglik_rows(theta, batch_indices)
+    def loglik_rows(self, theta):
+        return self.problem.loglik_rows(theta)
 
     def prior_rows(self, theta):
         return self.problem.prior_rows(theta)
@@ -76,18 +75,18 @@ def mixture_target(p, rng):
     return orc.GaussianMixtureDist(components=comps, weights=np.array([0.3, 0.7]))
 
 
-def log_joint_rows(target, theta, batch):
+def log_joint_rows(target, theta):
     """The target's per-row log joint from its plain-array densities."""
     if hasattr(target, "loglik_rows"):
-        return target.loglik_rows(theta, batch) + target.prior_rows(theta)
+        return target.loglik_rows(theta) + target.prior_rows(theta)
     return target.log_density(theta)
 
 
-def assert_matches_references(state, psi, noise, target, batch):
+def assert_matches_references(state, psi, noise, target):
     theta, log_q, coeff, _ = fam.draws_logq_vjp(state, fam.param_views(state, psi), noise)
     draws = fam.gather_blocks(fam.realize_blocks(state, noise), noise.count, state.dim)
     np.testing.assert_allclose(theta, draws, rtol=1e-13, atol=1e-13)
-    rows = log_joint_rows(target, theta, batch)
+    rows = log_joint_rows(target, theta)
     if state.tag in fam.ATOMIC_TAGS:
         assert log_q is None
     else:
@@ -101,7 +100,7 @@ def assert_matches_references(state, psi, noise, target, batch):
     else:
         assert coeff is None
 
-    value, grad = tr.elbo_value_and_grad(state, psi, noise, target, batch)
+    value, grad = tr.elbo_value_and_grad(state, psi, noise, target)
     assert abs(value - rows.mean()) <= 1e-12 * max(1.0, abs(value))
     # One random unit direction inside each param_slices block, so that an
     # error in any block shows, and one across all of ψ.
@@ -112,7 +111,7 @@ def assert_matches_references(state, psi, noise, target, batch):
         d = rng.standard_normal(sl.stop - sl.start)
         directions[sl, j] = d / np.linalg.norm(d)
     fd = ad.finite_difference_gradient(
-        lambda t: tr.elbo_value_and_grad(state, psi + directions @ t, noise, target, batch)[0],
+        lambda t: tr.elbo_value_and_grad(state, psi + directions @ t, noise, target)[0],
         np.zeros(len(slices)),
         step=FD_STEP,
     )
@@ -121,26 +120,17 @@ def assert_matches_references(state, psi, noise, target, batch):
 
 
 def draw_target(draw, target_kind, p, rng):
-    """A generated target of the given kind and, for "minibatch", its batch."""
-    batch = None
+    """A generated target of the given kind."""
     if target_kind == "gaussian_dist":
-        target = gaussian_target(p, rng)
-    elif target_kind == "mixture_dist":
-        target = mixture_target(p, rng)
-    elif target_kind == "student_t_prior":
-        nu, scale = draw(st.floats(0.5, 10.0)), draw(st.floats(0.3, 3.0))
-        target = regression_target(p, mod.StudentTPrior(nu=nu, scale=scale))
-    else:
-        target = regression_target(p, mod.GaussianPrior(draw(st.floats(0.1, 10.0))))
-        if target_kind == "minibatch":
-            size = draw(st.integers(1, N_DATA - 1))
-            batch = rng.choice(N_DATA, size=size, replace=False)
-    return target, batch
+        return gaussian_target(p, rng)
+    if target_kind == "mixture_dist":
+        return mixture_target(p, rng)
+    return regression_target(p, mod.GaussianPrior(draw(st.floats(0.1, 10.0))))
 
 
 @st.composite
 def elbo_case(draw, tag, mode, target_kind):
-    """A family state at generated psi, its noise, a target and a minibatch."""
+    """A family state at generated psi, its noise and a target."""
     p = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kwargs = {}
@@ -155,7 +145,7 @@ def elbo_case(draw, tag, mode, target_kind):
     state = fam.unpack(state, psi)
     config = tr.TrainConfig(mc_samples=draw(st.integers(1, 8)), mode=mode)
     noise = fam.draw_noise(state, mode, tr._effective_sample_count(state, config), rng)
-    return (state, psi, noise, *draw_target(draw, target_kind, p, rng))
+    return state, psi, noise, draw_target(draw, target_kind, p, rng)
 
 
 @pytest.mark.parametrize("target_kind", TARGETS)
@@ -195,7 +185,7 @@ def mixture_case(draw, mode, stratified, target_kind):
     config = tr.TrainConfig(mc_samples=draw(st.integers(1, 8)), mode=mode)
     count = tr._effective_sample_count(state, config)
     noise = fam.draw_noise(state, mode, count, rng, stratify_components=stratified)
-    return (state, psi, noise, *draw_target(draw, target_kind, p, rng))
+    return state, psi, noise, draw_target(draw, target_kind, p, rng)
 
 
 @pytest.mark.parametrize("target_kind", TARGETS)
@@ -279,7 +269,7 @@ def test_tape_differentiated_target_matches_references(target_of):
     shape = getattr(target, "model_shape", lambda: fam.ModelShape.linear(4))()
     state = fam.init_family("structured_normal", shape, rng, rank=2)
     noise = fam.draw_noise(state, "paired", 8, rng)
-    assert_matches_references(state, fam.pack(state), noise, target, None)
+    assert_matches_references(state, fam.pack(state), noise, target)
 
 
 def _poisoned(tag, p, rng):

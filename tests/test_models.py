@@ -96,44 +96,6 @@ def test_loglik_gradient_closed_form():
     np.testing.assert_allclose(report.gradient, expected, atol=1e-8)
 
 
-def test_minibatch_full_batch_equals_loglik():
-    problem, truth = small_problem(seed=5)
-    full = problem.loglik_rows(truth.theta_star)
-    batched = problem.loglik_rows(truth.theta_star, np.arange(problem.n))
-    assert math.isclose(full, batched, rel_tol=1e-12)
-
-
-def test_minibatch_singleton_average_is_exact():
-    problem, truth = small_problem(seed=6, n=12)
-    singles = [
-        problem.loglik_rows(truth.theta_star, np.array([i]))
-        for i in range(problem.n)
-    ]
-    assert math.isclose(
-        float(np.mean(singles)), problem.loglik_rows(truth.theta_star), rel_tol=1e-12
-    )
-
-
-def test_minibatch_unbiased_over_random_batches():
-    problem, truth = small_problem(seed=7, n=20)
-    rng = np.random.default_rng(8)
-    estimates = np.array(
-        [
-            problem.loglik_rows(truth.theta_star, rng.choice(20, size=5, replace=False))
-            for _ in range(10_000)
-        ]
-    )
-    se = estimates.std(ddof=1) / math.sqrt(len(estimates))
-    full = problem.loglik_rows(truth.theta_star)
-    assert abs(estimates.mean() - full) < 3 * se
-
-
-def test_minibatch_empty_rejected():
-    problem, truth = small_problem(seed=9)
-    with pytest.raises(ValueError, match="nonempty"):
-        problem.loglik_rows(truth.theta_star, np.array([], dtype=int))
-
-
 # -----------------------------------------------------------------------
 # priors
 
@@ -141,11 +103,6 @@ def test_minibatch_empty_rejected():
 def test_gaussian_prior_at_zero():
     val = mod.prior_logpdf(mod.GaussianPrior(1.0), np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi), rel_tol=1e-12)
-
-
-def test_cauchy_prior_at_mode():
-    val = mod.prior_logpdf(mod.StudentTPrior(nu=1.0, scale=1.0), np.zeros(1))
-    assert math.isclose(val, math.log(1.0 / math.pi), rel_tol=1e-12)
 
 
 def test_gaussian_prior_gradient_is_minus_lambda_theta():
@@ -162,24 +119,6 @@ def test_gaussian_prior_maximized_at_zero():
         lambda th: mod.prior_logpdf(mod.GaussianPrior(0.7), th), np.zeros(4)
     )
     np.testing.assert_array_equal(report.gradient, np.zeros(4))
-
-
-def test_student_t_matches_scipy():
-    import scipy.stats
-
-    theta = np.array([0.5, -1.5, 2.0])
-    for nu, s in [(1.0, 1.0), (3.0, 0.5), (7.0, 2.0)]:
-        expected = scipy.stats.t(df=nu, scale=s).logpdf(theta).sum()
-        got = mod.prior_logpdf(mod.StudentTPrior(nu=nu, scale=s), theta)
-        assert math.isclose(got, expected, rel_tol=1e-12)
-
-
-def test_student_t_gradient_matches_finite_differences():
-    prior = mod.StudentTPrior(nu=3.0, scale=0.8)
-    theta = np.array([0.4, -0.9])
-    report = ad.evaluate_with_gradient(lambda th: mod.prior_logpdf(prior, th), theta)
-    fd = ad.finite_difference_gradient(lambda th: mod.prior_logpdf(prior, th), theta)
-    np.testing.assert_allclose(report.gradient, fd, rtol=1e-6)
 
 
 # -----------------------------------------------------------------------

@@ -75,17 +75,6 @@ def test_posterior_density_proportional_to_joint_on_grid():
     assert np.max(np.abs(joint - exact)) < 1e-6
 
 
-def test_posterior_requires_gaussian_prior():
-    problem = mod.RegressionProblem(
-        design=np.eye(2),
-        targets=np.zeros(2),
-        noise_sigma=1.0,
-        prior=mod.StudentTPrior(nu=3.0),
-    )
-    with pytest.raises(ValueError, match="Gaussian prior"):
-        orc.exact_linear_posterior(problem)
-
-
 # -----------------------------------------------------------------------
 # evidence
 

@@ -241,18 +241,6 @@ def test_converged_trace_window_non_decreasing():
     assert recent - previous >= -config.convergence_tol
 
 
-def test_minibatch_training_runs_and_improves():
-    problem, _ = conjugate_problem(seed=22, n=60)
-    state = fam.init_family(
-        "mean_field", problem.model_shape(), np.random.default_rng(23)
-    )
-    config = tr.TrainConfig(
-        steps=1500, learning_rate=0.02, mc_samples=8, minibatch=15, seed=6
-    )
-    trace = tr.train(state, problem, config)
-    assert np.mean(trace.elbo[-100:]) > np.mean(trace.elbo[:100])
-
-
 def test_divergence_guard_reports_step():
     problem, _ = conjugate_problem(seed=24)
     state = fam.init_family("map", problem.model_shape(), np.random.default_rng(25))
@@ -288,8 +276,8 @@ def test_capacitance_too_large_for_working_precision_fails_at_step_zero():
 
 
 def reference_train(state, problem, config) -> tuple:
-    """The plain training loop: fresh noise and minibatch every step, the
-    gradient from ``elbo_value_and_grad``, and out-of-place moment updates.
+    """The plain training loop: fresh noise every step, the gradient from
+    ``elbo_value_and_grad``, and out-of-place moment updates.
     Returns (final psi, ELBO trace, gradient-norm trace)."""
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
@@ -299,8 +287,8 @@ def reference_train(state, problem, config) -> tuple:
     lr = config.learning_rate
     elbo, norms = [], []
     for step in range(config.steps):
-        noise, batch = tr._draw_step(state, problem, config, rng)
-        value, grad = tr.elbo_value_and_grad(state, psi, noise, problem, batch)
+        noise = tr._draw_noise(state, config, rng)
+        value, grad = tr.elbo_value_and_grad(state, psi, noise, problem)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** (step + 1))
@@ -319,10 +307,9 @@ class TapeOnlyProblem:
 
     def __init__(self, problem):
         self.problem = problem
-        self.n = problem.n
 
-    def loglik_rows(self, theta, batch_indices=None):
-        return self.problem.loglik_rows(theta, batch_indices)
+    def loglik_rows(self, theta):
+        return self.problem.loglik_rows(theta)
 
     def prior_rows(self, theta):
         return self.problem.prior_rows(theta)
@@ -346,13 +333,12 @@ STEPS = 2 * tr.NOISE_CHUNK_STEPS + 44  # three noise calls, the last one short
         ("structured_normal", {"rank": 2}, "gaussian", {}),
         ("mixture", {"rank": 1}, "mixture", {"mode": "paired"}),
         ("structured_normal", {"rank": 1}, "tape", {"steps": 140}),
-        ("structured_normal", {"rank": 2}, "regression", {"minibatch": 10}),
         ("mean_field", {}, "regression", {"convergence_window": 10, "convergence_tol": 0.5}),
     ],
     ids=[
         "map", "mc_dropout", "mf", "mf-paired", "sn2", "sn2-paired", "sn2-unscented",
         "sgmm", "sgmm-paired", "sn2-gaussian", "sgmm-paired-mixture", "sn1-tape",
-        "sn2-minibatch", "mf-early-stop",
+        "mf-early-stop",
     ],
 )
 def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, target, config):
@@ -383,10 +369,7 @@ def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, targ
     assert trace.grad_norm == norms
     if config.convergence_window:
         assert trace.steps_run < config.steps
-    if config.minibatch is None:
-        assert len(calls) == math.ceil(trace.steps_run / tr.NOISE_CHUNK_STEPS)
-    else:
-        assert len(calls) == trace.steps_run
+    assert len(calls) == math.ceil(trace.steps_run / tr.NOISE_CHUNK_STEPS)
 
 
 # -----------------------------------------------------------------------
