@@ -216,7 +216,8 @@ def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
 
     ``seqs`` are the member's (init, train, audit) seed sequences and
     ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Training
-    errors propagate.
+    errors propagate, and a fitted state that is not finite raises
+    ``AuditError`` naming its non-finite psi blocks before any audit runs.
     """
     init_seq, train_seq, audit_seq = seqs
     state = fam.init_family(member.tag, shape, np.random.default_rng(init_seq), **member.kwargs)
@@ -229,6 +230,9 @@ def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
         seed=_child_seed(train_seq),
     )
     trace = tr.train(state, target, tcfg)
+    blocks = fam.nonfinite_blocks(trace.final_state, fam.pack(trace.final_state))
+    if blocks:
+        raise orc.AuditError(f"fitted state is not finite in psi blocks {', '.join(blocks)}")
     metrics = audit(trace.final_state, tcfg, audit_seq)
     return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
 

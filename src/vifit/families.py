@@ -2,11 +2,10 @@
 
 Five families share one contract: initialization from a model shape,
 reparametrized sampling (naive / paired / unscented), log-density
-evaluation, closed-form entropy where it exists, and a flat-vector
-parameter layout.  Each family has one implementation of what training
-needs, ``draws_logq_vjp``: its draws, their sampled log q and, for a
-stratified sGMM batch, their coefficients, with the closed-form adjoint of
-all three back to psi.
+evaluation and a flat-vector parameter layout.  Each family has one
+implementation of what training needs, ``draws_logq_vjp``: its draws,
+their sampled log q and, for a stratified sGMM batch, their coefficients,
+with the closed-form adjoint of all three back to psi.
 
 Layout rule: each state class lists its trained arrays in pack order in
 ``TRAINED``, and the flat vector psi is those arrays raveled and
@@ -41,14 +40,7 @@ from typing import Union, get_args
 import numpy as np
 
 from . import autodiff as ad
-from .lowrank import (
-    LOG_TWO_PI,
-    StructuredCov,
-    gaussian_draw_rows,
-    lowrank_logpdf,
-    lowrank_logpdf_and_vjp,
-    woodbury_logdet,
-)
+from .lowrank import StructuredCov, gaussian_draw_rows, lowrank_logpdf, lowrank_logpdf_and_vjp
 
 MODES = ("naive", "paired", "unscented")
 
@@ -303,6 +295,11 @@ def param_slices(state: FamilyState) -> dict:
         out[name] = slice(offset, offset + value.size)
         offset += value.size
     return out
+
+
+def nonfinite_blocks(state: FamilyState, vector: np.ndarray) -> list:
+    """Names of the ``param_slices`` blocks where a psi-shaped vector is not finite."""
+    return [name for name, sl in param_slices(state).items() if not np.isfinite(vector[sl]).all()]
 
 
 def pack(state: FamilyState) -> np.ndarray:
@@ -764,13 +761,6 @@ def has_zero_variance(state: FamilyState) -> bool:
     return not variance.all()
 
 
-def entropy_closed_form(state: FamilyState) -> float | None:
-    """½ log det(2πe Σ) for Gaussian families; None where no closed form exists."""
-    if isinstance(state, GAUSSIAN_STATES):
-        return 0.5 * (state.dim * (LOG_TWO_PI + 1.0) + woodbury_logdet(state.cov()))
-    return None
-
-
 def dense_moments(state: FamilyState) -> tuple:
     """Mean and dense covariance of a Gaussian family (diagnostic view)."""
     return state.mu.copy(), state.cov().dense()
@@ -860,22 +850,28 @@ def state_to_json(state: FamilyState) -> str:
     return json.dumps(doc)
 
 
-def _vector(doc: dict, name: str, size: int, prefix: str = "") -> np.ndarray:
-    value = np.asarray(doc.get(name, ()), dtype=np.float64)
-    if value.shape != (size,):
-        raise ValueError(f"field {prefix + name!r} must hold {size} numbers, got {value.size}")
-    return value
+def _vector(doc: dict, name: str, size: int, prefix: str = "", kinds=(int, float)) -> np.ndarray:
+    value = doc.get(name, [])
+    if not isinstance(value, list) or not all(type(x) in kinds for x in value):
+        raise ValueError(f"field {prefix + name!r} must be a list of numbers, got {value!r}")
+    if len(value) != size:
+        raise ValueError(f"field {prefix + name!r} must hold {size} numbers, got {len(value)}")
+    out = np.array(value, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"field {prefix + name!r} must hold finite numbers, got {value!r}")
+    return out
 
 
 def _state_from_doc(cls, doc: dict, p: int, rank, prefix: str = "") -> FamilyState:
     fields = {}
     for name in cls.TRAINED:
         if name == "components":
-            if not doc.get(name):
-                raise ValueError("field 'components' must list at least one component")
-            comps = enumerate(doc[name])
+            comps = doc.get(name)
+            if not (isinstance(comps, list) and comps and all(isinstance(c, dict) for c in comps)):
+                raise ValueError("field 'components' must list at least one component object")
             fields[name] = tuple(
-                _state_from_doc(StructuredNormalState, c, p, rank, f"c{m}.") for m, c in comps
+                _state_from_doc(StructuredNormalState, c, p, rank, f"c{m}.")
+                for m, c in enumerate(comps)
             )
         elif name == "weight_logits":
             fields[name] = _vector(doc, name, len(fields["components"]))
@@ -884,17 +880,27 @@ def _state_from_doc(cls, doc: dict, p: int, rank, prefix: str = "") -> FamilySta
         else:
             fields[name] = _vector(doc, name, p, prefix)
     if cls is DropoutState:
-        fields.update(keep_prob=float(doc["keep_prob"]), droppable=_vector(doc, "droppable", p))
+        keep_prob = doc.get("keep_prob")
+        if type(keep_prob) not in (int, float) or not 0.0 <= keep_prob <= 1.0:
+            raise ValueError(f"field 'keep_prob' must be a number in [0, 1], got {keep_prob!r}")
+        droppable = _vector(doc, "droppable", p, kinds=(int, float, bool))
+        if not np.isin(droppable, (0.0, 1.0)).all():
+            raise ValueError("field 'droppable' must hold only 0, 1, true or false")
+        fields.update(keep_prob=float(keep_prob), droppable=droppable)
     return cls(**fields)
 
 
 def state_from_json(text: str) -> FamilyState:
     """A ``state_to_json`` document's state; ValueError names the first field
-    that disagrees with the document's p, rank or component count."""
+    that is missing, of the wrong type, or disagrees with the document's p,
+    rank or component count."""
     doc = json.loads(text)
-    cls = FAMILIES.get(doc["family"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"a family state must be a JSON object, got {type(doc).__name__}")
+    tag = doc.get("family")
+    cls = FAMILIES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ValueError(f"unknown family tag {doc['family']!r}")
+        raise ValueError(f"field 'family' must name a family, got {tag!r}")
     for key in ("p", "rank") if hasattr(cls, "rank") else ("p",):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ValueError(f"field {key!r} must be a nonnegative integer, got {doc.get(key)!r}")

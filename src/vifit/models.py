@@ -4,10 +4,9 @@ The workhorse is a linear-in-parameters model y = design @ theta with known
 Gaussian observation noise and an independent Gaussian prior, fitted on the
 full data: the conjugate setting whose exact posterior audits every fit.
 The design matrix comes from a squared-exponential RBF layer with regularly
-spaced centers.  Likelihood and prior evaluations accept autodiff Vars and
-stacked parameter rows, so the same code backs plain evaluation and the
-tape, which differentiates the MLP and any target without
-``log_joint_and_grad``'s closed form.
+spaced centers.  Likelihood and prior evaluate one parameter row (P,) or
+stacked rows (S, P); ``log_joint_and_grad`` gives their sum with its
+closed-form θ-gradient, which is what training differentiates.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import autodiff as ad
-from .families import ModelShape, ParamBlock
+from .families import ModelShape
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -90,7 +88,7 @@ def prior_log_const(spec: GaussianPrior, p: int) -> float:
 def prior_logpdf(spec: GaussianPrior, theta):
     """Sum of per-coordinate prior log-densities; rows may be (P,) or (S, P)."""
     const = prior_log_const(spec, theta.shape[-1])
-    return const - 0.5 * spec.lam * ad.sum(theta * theta, axis=-1)
+    return const - 0.5 * spec.lam * np.add.reduce(theta * theta, axis=-1)
 
 
 @dataclass
@@ -136,8 +134,8 @@ class RegressionProblem:
 
     def loglik_rows(self, theta):
         """Gaussian log-likelihood of the full data per parameter row."""
-        resid = self.targets - ad.matmul(theta, ad.transpose(self.design))
-        quad = ad.sum(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
+        resid = self.targets - theta @ self.design.T
+        quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
         return self._loglik_const(self.n) - quad
 
     def prior_rows(self, theta):
@@ -195,67 +193,3 @@ def make_rbf_dataset(
         inputs=xs,
     )
     return problem, SyntheticTruth(theta_star=theta_star, clean=clean, noisy=noisy)
-
-
-class OneHiddenMlp:
-    """Tiny tanh-hidden-layer regression model; smoke-test hook only."""
-
-    def __init__(self, n_hidden: int, noise_sigma: float = 0.25):
-        self.n_hidden = n_hidden
-        self.noise_sigma = noise_sigma
-
-    def model_shape(self) -> ModelShape:
-        h = self.n_hidden
-        return ModelShape(
-            blocks=(
-                ParamBlock("w1", h, 1),
-                ParamBlock("b1", h, 1, is_bias=True),
-                ParamBlock("w2", h, h),
-                ParamBlock("b2", 1, h, is_bias=True),
-            )
-        )
-
-    def predict_rows(self, xs: np.ndarray, theta):
-        """Network outputs for all inputs; theta is one flat row."""
-        h = self.n_hidden
-        w1 = theta[0:h]
-        b1 = theta[h : 2 * h]
-        w2 = theta[2 * h : 3 * h]
-        b2 = theta[3 * h]
-        hidden = ad.tanh(np.outer(xs, np.ones(h)) * w1 + b1)
-        return ad.matmul(hidden, w2) + b2
-
-
-@dataclass
-class MlpProblem:
-    """Nonlinear regression wrapper with the same trainer-facing surface."""
-
-    mlp: OneHiddenMlp
-    xs: np.ndarray
-    targets: np.ndarray
-    prior: GaussianPrior
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.mlp.n_hidden + 1
-
-    def model_shape(self) -> ModelShape:
-        return self.mlp.model_shape()
-
-    def loglik_rows(self, theta):
-        xs, ts = self.xs, self.targets
-        sigma = self.mlp.noise_sigma
-        if getattr(theta, "ndim", 1) == 1:
-            resid = ts - self.mlp.predict_rows(xs, theta)
-            quad = ad.sum(resid * resid) / (2.0 * sigma**2)
-        else:
-            per = [
-                ad.sum((ts - self.mlp.predict_rows(xs, theta[s])) ** 2)
-                for s in range(theta.shape[0])
-            ]
-            quad = ad.stack(per) / (2.0 * sigma**2)
-        const = -0.5 * xs.shape[0] * (LOG_TWO_PI + 2.0 * math.log(sigma))
-        return const - quad
-
-    def prior_rows(self, theta):
-        return prior_logpdf(self.prior, theta)

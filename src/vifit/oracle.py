@@ -219,24 +219,6 @@ def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
     return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def structured_from_gaussian(dist: GaussianDist) -> fam.StructuredNormalState:
-    """Exact full-rank structured-normal representation of a dense Gaussian.
-
-    Splits the smallest eigenvalue between the diagonal and the factor so
-    that diag(A) + UUᵀ reproduces the covariance to round-off.
-    """
-    eigvals, eigvecs = np.linalg.eigh(dist.cov)
-    if eigvals[0] <= 0:
-        raise NotPositiveDefiniteError("covariance is not positive definite")
-    base = 0.5 * eigvals[0]
-    u = eigvecs @ np.diag(np.sqrt(eigvals - base))
-    return fam.StructuredNormalState(
-        mu=dist.mean.copy(),
-        log_a=np.full(dist.dim, math.log(base)),
-        u=u,
-    )
-
-
 def _mc_kl(blocks, gap, n_mc: int) -> tuple:
     """Mean and standard error of ``gap(draws)`` over ``(rows, draws)`` blocks.
 
@@ -315,10 +297,6 @@ class PredictiveMixture:
         np.square(centered, out=centered)
         return self.noise_sigma**2 + self.weights @ centered
 
-    def density(self, y: float, point: int) -> float:
-        z = (y - self.atom_means[:, point]) / self.noise_sigma
-        kernel = np.exp(-0.5 * z**2) / (self.noise_sigma * math.sqrt(2 * math.pi))
-        return float(self.weights @ kernel)
 
 
 def dropout_predictive_exact(

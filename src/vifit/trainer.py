@@ -11,16 +11,13 @@ The estimator is split at θ.  The family gives its draws, their sampled
 log q and, for stratified sGMM batches, their per-draw coefficients, with
 the closed-form adjoint of all three (``families.draws_logq_vjp``): each
 family has this one implementation.  The target gives the per-draw log
-joint and its θ-gradient (``_log_joint``).  Targets are duck-typed: a
-closed form is ``log_joint_and_grad`` on ``RegressionProblem`` (a Gaussian
-prior and the full data) or ``log_density_and_grad`` on ``GaussianDist``
-and ``GaussianMixtureDist``.  Any other target (the MLP) exposes
-``loglik_rows`` / ``prior_rows`` or ``log_density`` over autodiff Vars,
-and the reverse-mode tape differentiates it in one pass over θ alone.
-``_fused_value_and_grad`` joins the two halves into the exact gradient of
-the sampled-log-q estimator, in every sampling mode.  ``elbo_graph`` is
-that estimate as one tape node, for callers that differentiate on the
-tape.
+joint and its θ-gradient in closed form (``_log_joint``):
+``log_joint_and_grad`` on ``RegressionProblem`` (a Gaussian prior and the
+full data) or ``log_density_and_grad`` on ``GaussianDist`` and
+``GaussianMixtureDist``.  ``_fused_value_and_grad`` joins the two halves
+into the exact gradient of the sampled-log-q estimator, in every sampling
+mode.  ``elbo_graph`` is that estimate as one tape node, which the
+acceptance gate differentiates and checks against finite differences.
 
 A step costs bookkeeping, not arithmetic, so ``train`` does once per
 member what no step changes: psi's parameter views
@@ -85,8 +82,6 @@ class TrainConfig:
     mc_samples: int = 8
     mode: str = "naive"
     seed: int = 0
-    convergence_window: int = 0  # 0 disables early stopping
-    convergence_tol: float = 1e-3
 
     def __post_init__(self):
         if self.steps < 0:
@@ -99,8 +94,6 @@ class TrainConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.mode not in fam.MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.convergence_window < 0 or self.convergence_tol < 0:
-            raise ValueError("convergence settings must be nonnegative")
 
 
 @dataclass
@@ -116,7 +109,6 @@ class ElboEstimate:
 @dataclass
 class TrainTrace:
     elbo: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
     runtime_s: float = 0.0
     steps_run: int = 0
     final_state: fam.FamilyState | None = None
@@ -156,25 +148,10 @@ def _target_rows(problem, theta):
 
 
 def _log_joint(problem):
-    """θ ↦ (per-row log joint, its θ-gradient) at plain (S, P) rows.
-
-    A target without a closed form is differentiated on the tape: the rows
-    are independent, so one backward pass of their sum gives every row's
-    gradient.
-    """
+    """θ ↦ (per-row log joint, its θ-gradient) at plain (S, P) rows."""
     if hasattr(problem, "log_joint_and_grad"):
         return problem.log_joint_and_grad
-    if hasattr(problem, "log_density_and_grad"):
-        return problem.log_density_and_grad
-
-    def on_tape(theta):
-        leaf = ad.Var(theta)
-        loglik, logprior = _target_rows(problem, leaf)
-        rows = loglik + logprior
-        (grad,) = ad.backward(ad.sum(rows), [leaf])
-        return rows.value, grad
-
-    return on_tape
+    return problem.log_density_and_grad
 
 
 def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
@@ -222,9 +199,7 @@ def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.NonFiniteValueE
         (name for name, x in terms.items() if x is not None and not np.isfinite(x).all()),
         "gradient",
     )
-    blocks = [
-        name for name, sl in fam.param_slices(state).items() if not np.isfinite(grad[sl]).all()
-    ]
+    blocks = fam.nonfinite_blocks(state, grad)
     if not blocks:
         return ad.NonFiniteValueError(term, "finite gradient")
     return ad.NonFiniteValueError(term, f"gradient not finite in psi blocks {', '.join(blocks)}")
@@ -287,10 +262,9 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     """First-order stochastic ascent with bias-corrected moment averaging.
 
     Per-coordinate step scaling uses exponential moving averages of the
-    gradient (decay 0.9) and its square (decay 0.999).  Stops at the step
-    budget, or early once the moving-average ELBO improves by less than the
-    configured tolerance over the window.  Deterministic given the seed,
-    and step for step the numbers of a per-step loop (see module notes).
+    gradient (decay 0.9) and its square (decay 0.999), for the full step
+    budget.  Deterministic given the seed, and step for step the numbers
+    of a per-step loop (see module notes).
     """
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
@@ -338,24 +312,10 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         psi += m_hat
         lr *= config.lr_decay
         trace.elbo.append(value)
-        trace.grad_norm.append(gnorm)
-        if config.convergence_window and _converged(trace.elbo, config):
-            break
     trace.steps_run = len(trace.elbo)
     trace.runtime_s = time.perf_counter() - start
     trace.final_state = fam.unpack(state, psi)
     return trace
-
-
-def _converged(history: list, config: TrainConfig) -> bool:
-    # Stop when the window means have stopped moving; a one-sided rule would
-    # fire on downward noise spikes long before the climb is over.
-    w = config.convergence_window
-    if w == 0 or len(history) < 2 * w:
-        return False
-    recent = float(np.mean(history[-w:]))
-    previous = float(np.mean(history[-2 * w : -w]))
-    return abs(recent - previous) < config.convergence_tol
 
 
 @dataclass

@@ -274,6 +274,44 @@ def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, mo
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
+@pytest.mark.parametrize(
+    "command,small", [("fit-gaussian", SMALL_FG), ("rbf", SMALL_RBF)], ids=["fit-gaussian", "rbf"]
+)
+def test_nonfinite_fitted_state_fails_only_its_member(
+    tmp_path, capsys, monkeypatch, command, small
+):
+    # A NaN in a fitted sN mean is caught once, before any audit: that row
+    # is empty, and every other row is the clean run's, byte for byte.
+    cfg = write_config(tmp_path, small)
+
+    def rows(out):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        lines = (tmp_path / out / "tables.csv").read_text().splitlines()[1:]
+        return {line.split(",")[0]: line for line in lines}
+
+    clean = rows("clean")
+    train = cli.tr.train
+
+    def train_to_nan(state, target, config):
+        trace = train(state, target, config)
+        if trace.final_state.tag == "structured_normal" and trace.final_state.rank > 0:
+            trace.final_state.mu[0] = np.nan
+        return trace
+
+    monkeypatch.setattr(cli.tr, "train", train_to_nan)
+    capsys.readouterr()
+    poisoned = rows("nan")
+    err = capsys.readouterr().err
+    assert sorted(poisoned) == sorted(clean)
+    assert any(label.startswith("sn") for label in clean)
+    for label, line in clean.items():
+        if label.startswith("sn"):
+            assert poisoned[label].split(",")[2:] == ["na"] * 5, label
+            assert f"] {label} failed: fitted state is not finite in psi blocks mu" in err
+        else:
+            assert poisoned[label] == line, label
+
+
 def _point_mass_mf(state):
     # exp(−400)² underflows to 0: a point mass in float64.
     state.log_sigma[:] = -400.0

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as hst
 
 import vifit.families as fam
+import vifit.oracle as orc
 from vifit.lowrank import StructuredCov, structured_logpdf
 
 SHAPE4 = fam.ModelShape.linear(4)
@@ -62,7 +63,7 @@ def test_rank_zero_structured_matches_mean_field():
         fam.log_density(sn, theta), fam.log_density(mf, theta), rtol=1e-12
     )
     assert math.isclose(
-        fam.entropy_closed_form(sn), fam.entropy_closed_form(mf), rel_tol=1e-12
+        orc.family_to_gaussian(sn).entropy(), orc.family_to_gaussian(mf).entropy(), rel_tol=1e-12
     )
     noise = fam.draw_noise(sn, "naive", 5, np.random.default_rng(4))
     draws_sn = fam.gather_blocks(fam.realize_blocks(sn, noise), 5, 4)
@@ -289,7 +290,7 @@ def test_mean_log_density_matches_negative_entropy():
     batch = fam.sample(st, "naive", n, rng)
     logq = fam.log_density(st, batch.draws)
     se = logq.std(ddof=1) / math.sqrt(n)
-    assert abs(logq.mean() + fam.entropy_closed_form(st)) < 3 * se
+    assert abs(logq.mean() + orc.family_to_gaussian(st).entropy()) < 3 * se
 
 
 # -----------------------------------------------------------------------
@@ -297,21 +298,18 @@ def test_mean_log_density_matches_negative_entropy():
 
 
 def test_entropy_values():
+    def entropy(state):
+        return orc.family_to_gaussian(state).entropy()
+
     st = fam.MeanFieldState(mu=np.zeros(1), log_sigma=np.zeros(1))
-    assert math.isclose(
-        fam.entropy_closed_form(st), 0.5 * math.log(2 * math.pi * math.e), rel_tol=1e-12
-    )
+    assert math.isclose(entropy(st), 0.5 * math.log(2 * math.pi * math.e), rel_tol=1e-12)
     sn = fam.StructuredNormalState(
         mu=np.zeros(2), log_a=np.log([0.5, 2.0]), u=np.zeros((2, 0))
     )
     mf = fam.MeanFieldState(mu=np.zeros(2), log_sigma=0.5 * np.log([0.5, 2.0]))
-    assert math.isclose(
-        fam.entropy_closed_form(sn), fam.entropy_closed_form(mf), rel_tol=1e-12
-    )
-    rng = np.random.default_rng(22)
-    assert fam.entropy_closed_form(fam.init_family("mixture", SHAPE4, rng)) is None
-    assert fam.entropy_closed_form(fam.init_family("map", SHAPE4, rng)) is None
-    assert fam.entropy_closed_form(fam.init_family("mc_dropout", SHAPE4, rng)) is None
+    assert math.isclose(entropy(sn), entropy(mf), rel_tol=1e-12)
+    # ½ log det(2πe Σ) with Σ = diag(0.5, 2): log det Σ = 0.
+    assert math.isclose(entropy(sn), math.log(2 * math.pi * math.e), rel_tol=1e-12)
 
 
 # -----------------------------------------------------------------------
@@ -612,6 +610,37 @@ def test_json_document_that_disagrees_with_its_sizes_rejected(tag, spoil, field)
     spoil(doc)
     with pytest.raises(ValueError, match=re.escape(field)):
         fam.state_from_json(json.dumps(doc))
+
+
+def _recorded(tag, **changes):
+    doc = next(d for d in map(json.loads, RECORDED_DOCS) if d["family"] == tag)
+    return json.dumps({k: v for k, v in {**doc, **changes}.items() if v is not None})
+
+
+# Documents of the wrong shape or type, and the field the error must name.
+MALFORMED_DOCS = [
+    (_recorded("mc_dropout", keep_prob=[1]), "'keep_prob'"),
+    (_recorded("mc_dropout", keep_prob=None), "'keep_prob'"),
+    (_recorded("map", family=None), "'family'"),
+    ("[" + _recorded("map") + "]", "JSON object"),
+    (_recorded("mc_dropout", droppable=[0.5, 3]), "'droppable'"),
+    (_recorded("mean_field", mu=["0.5", 1.0]), "'mu'"),
+    (_recorded("mixture", components=[[1.0]]), "'components'"),
+    ('{"family": "map", "p": 2, "theta_hat": [NaN, Infinity]}', "'theta_hat'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    MALFORMED_DOCS,
+    ids=[
+        "keep_prob-list", "keep_prob-missing", "family-missing", "top-level-list",
+        "droppable-not-0-1", "vector-of-strings", "component-not-object", "not-finite",
+    ],
+)
+def test_malformed_json_document_rejected_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        fam.state_from_json(text)
 
 
 # -----------------------------------------------------------------------

@@ -6,8 +6,8 @@ parameters and sGMM included, to references that share none of its
 adjoint code: its draws against ``families.realize_blocks``, its log q
 against ``families.log_density``, its value against the target's own
 plain log-densities, and its gradient against central finite differences
-of that value.  They also check which targets go through the tape, and
-that a failed step raises an error naming what failed.
+of that value.  They also check that training builds no tape, and that
+a failed step raises an error naming what failed.
 """
 
 import numpy as np
@@ -43,19 +43,6 @@ N_DATA = 12
 # moderate).  A wrong adjoint is off by a share of the gradient itself.
 FD_STEP = 1e-5
 FD_TOL = 1e-7
-
-
-class TapeOnly:
-    """A regression target that hides its closed-form gradient."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def loglik_rows(self, theta):
-        return self.problem.loglik_rows(theta)
-
-    def prior_rows(self, theta):
-        return self.problem.prior_rows(theta)
 
 
 def regression_target(p, prior=None):
@@ -200,76 +187,77 @@ def test_fused_mixture_matches_tape(mode, stratified, target_kind):
     check()
 
 
-def _count_backward(monkeypatch) -> list:
+def _count_nodes(monkeypatch) -> list:
     calls = []
-    original = ad.backward
+    original = ad._node
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "backward", counting)
+    monkeypatch.setattr(ad, "_node", counting)
     return calls
 
 
-def _mlp_target(rng):
-    xs = np.linspace(-1.0, 1.0, 8)
-    return mod.MlpProblem(
-        mlp=mod.OneHiddenMlp(3), xs=xs, targets=np.sin(3 * xs), prior=mod.GaussianPrior(1.0)
-    )
-
-
 @pytest.mark.parametrize(
-    "tag,target_of,on_tape",
+    "tag,target_of",
     [
-        ("mixture", lambda p, rng: regression_target(p), False),
-        ("structured_normal", mixture_target, False),
-        ("structured_normal", lambda p, rng: _mlp_target(rng), True),
-        ("structured_normal", lambda p, rng: TapeOnly(regression_target(p)), True),
-        ("structured_normal", lambda p, rng: regression_target(p), False),
-        ("mean_field", gaussian_target, False),
-        ("mc_dropout", lambda p, rng: regression_target(p), False),
+        ("mixture", lambda p, rng: regression_target(p)),
+        ("structured_normal", mixture_target),
+        ("structured_normal", lambda p, rng: regression_target(p)),
+        ("mean_field", gaussian_target),
+        ("mc_dropout", lambda p, rng: regression_target(p)),
     ],
     ids=[
-        "sgmm-regression",
-        "sn-mixture_target",
-        "sn-mlp",
-        "sn-tape_only",
-        "sn-regression",
-        "mf-gaussian",
+        "sgmm-regression", "sn-mixture_target", "sn-regression", "mf-gaussian",
         "dropout-regression",
     ],
 )
-def test_dispatch_tapes_only_gradient_free_targets(monkeypatch, tag, target_of, on_tape):
-    # A target without a closed form costs one backward pass over θ alone.
+def test_dispatch_tapes_only_gradient_free_targets(monkeypatch, tag, target_of):
+    # Every target has a closed-form gradient, so a step records no node.
     rng = np.random.default_rng(5)
     target = target_of(4, rng)
-    shape = getattr(target, "model_shape", lambda: fam.ModelShape.linear(4))()
     kwargs = {"rank": 2} if tag in ("mixture", "structured_normal") else {}
-    state = fam.init_family(tag, shape, rng, **kwargs)
+    state = fam.init_family(tag, fam.ModelShape.linear(4), rng, **kwargs)
     mode = "naive" if tag == "mc_dropout" else "paired"
     count = tr._effective_sample_count(state, tr.TrainConfig(mode=mode))
     noise = fam.draw_noise(
         state, mode, count, rng, stratify_components=isinstance(state, fam.MixtureState)
     )
-    calls = _count_backward(monkeypatch)
+    calls = _count_nodes(monkeypatch)
     value, grad = tr.elbo_value_and_grad(state, fam.pack(state), noise, target)
-    assert len(calls) == (1 if on_tape else 0)
+    assert calls == []
     assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
-@pytest.mark.parametrize(
-    "target_of",
-    [lambda p, rng: _mlp_target(rng), lambda p, rng: TapeOnly(regression_target(p))],
-    ids=["mlp", "tape_only"],
-)
-def test_tape_differentiated_target_matches_references(target_of):
-    rng = np.random.default_rng(6)
-    target = target_of(4, rng)
-    shape = getattr(target, "model_shape", lambda: fam.ModelShape.linear(4))()
-    state = fam.init_family("structured_normal", shape, rng, rank=2)
-    noise = fam.draw_noise(state, "paired", 8, rng)
-    assert_matches_references(state, fam.pack(state), noise, target)
+FAMILY_KWARGS = {
+    "map": {},
+    "mc_dropout": {"keep_prob": 0.7},
+    "mean_field": {},
+    "structured_normal": {"rank": 2},
+    "mixture": {"rank": 1},
+}
+
+
+@pytest.mark.parametrize("target_kind", TARGETS)
+@pytest.mark.parametrize("tag", sorted(FAMILY_KWARGS))
+def test_training_builds_no_tape(monkeypatch, tag, target_kind):
+    # ``train`` records no node on any target; the gate's check of the
+    # gradient that trains records exactly one, ``elbo_graph``'s.
+    rng = np.random.default_rng(10)
+    target = {
+        "gaussian_prior": lambda: regression_target(3),
+        "gaussian_dist": lambda: gaussian_target(3, rng),
+        "mixture_dist": lambda: mixture_target(3, rng),
+    }[target_kind]()
+    state = fam.init_family(tag, fam.ModelShape.linear(3), rng, **FAMILY_KWARGS[tag])
+    config = tr.TrainConfig(steps=20, mode="naive", seed=11)
+    calls = _count_nodes(monkeypatch)
+    tr.train(state, target, config)
+    assert calls == []
+    noise = tr._draw_noise(state, config, rng)
+    ad.evaluate_with_gradient(lambda p: tr.elbo_graph(state, p, noise, target), fam.pack(state))
+    assert len(calls) == 1
 
 
 def _poisoned(tag, p, rng):
@@ -320,7 +308,7 @@ def _singular_capacitance_state(tag, p):
     return state
 
 
-def _assert_fails_at_step_zero_as_on_tape(state, problem):
+def _assert_fails_at_step_zero(state, problem):
     stratify = isinstance(state, fam.MixtureState)
     noise = fam.draw_noise(
         state, "paired", 8, np.random.default_rng(9), stratify_components=stratify
@@ -335,13 +323,20 @@ def _assert_fails_at_step_zero_as_on_tape(state, problem):
     assert "capacitance factorization failed" in str(err.value)
 
 
-@pytest.mark.parametrize("wrap", [lambda t: t, TapeOnly], ids=["closed_form", "tape"])
-def test_degenerate_capacitance_fails_the_family_with_its_step(wrap):
+# The failure is the family's, whichever closed form the target has.
+CAPACITANCE_TARGETS = {
+    "closed_form": lambda: regression_target(4),
+    "gaussian_target": lambda: gaussian_target(4, np.random.default_rng(12)),
+}
+
+
+@pytest.mark.parametrize("target_kind", sorted(CAPACITANCE_TARGETS))
+def test_degenerate_capacitance_fails_the_family_with_its_step(target_kind):
     state = _singular_capacitance_state("structured_normal", 4)
-    _assert_fails_at_step_zero_as_on_tape(state, wrap(regression_target(4)))
+    _assert_fails_at_step_zero(state, CAPACITANCE_TARGETS[target_kind]())
 
 
-@pytest.mark.parametrize("wrap", [lambda t: t, TapeOnly], ids=["closed_form", "tape"])
-def test_degenerate_component_capacitance_fails_the_sgmm_with_its_step(wrap):
+@pytest.mark.parametrize("target_kind", sorted(CAPACITANCE_TARGETS))
+def test_degenerate_component_capacitance_fails_the_sgmm_with_its_step(target_kind):
     state = _singular_capacitance_state("mixture", 4)
-    _assert_fails_at_step_zero_as_on_tape(state, wrap(regression_target(4)))
+    _assert_fails_at_step_zero(state, CAPACITANCE_TARGETS[target_kind]())

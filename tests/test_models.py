@@ -88,12 +88,19 @@ def test_loglik_matches_scalar_normal_sum():
 
 
 def test_loglik_gradient_closed_form():
+    # log_joint_and_grad's gradient, less the prior's −λθ, is the
+    # likelihood's; both it and loglik_rows' finite differences must match
+    # designᵀ(t − design θ)/σ².
     problem, _ = small_problem(seed=3)
     theta = np.random.default_rng(4).standard_normal(problem.dim)
-    report = ad.evaluate_with_gradient(problem.loglik_rows, theta)
     expected = problem.design.T @ (problem.targets - problem.design @ theta)
     expected /= problem.noise_sigma**2
-    np.testing.assert_allclose(report.gradient, expected, atol=1e-8)
+    rows, grad = problem.log_joint_and_grad(theta[None, :])
+    np.testing.assert_allclose(grad[0] + problem.prior.lam * theta, expected, rtol=1e-12)
+    fd = ad.finite_difference_gradient(problem.loglik_rows, theta)
+    np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-6)
+    both = problem.loglik_rows(theta) + problem.prior_rows(theta)
+    assert math.isclose(rows[0], both, rel_tol=1e-12)
 
 
 # -----------------------------------------------------------------------
@@ -108,17 +115,25 @@ def test_gaussian_prior_at_zero():
 def test_gaussian_prior_gradient_is_minus_lambda_theta():
     lam = 2.5
     theta = np.array([0.3, -1.2, 0.7])
-    report = ad.evaluate_with_gradient(
+    fd = ad.finite_difference_gradient(
         lambda th: mod.prior_logpdf(mod.GaussianPrior(lam), th), theta
     )
-    np.testing.assert_allclose(report.gradient, -lam * theta, rtol=1e-12)
+    np.testing.assert_allclose(fd, -lam * theta, rtol=1e-9)
+    # With no data term left (a zero design row against a zero target),
+    # log_joint_and_grad's gradient is the prior's alone.
+    problem = mod.RegressionProblem(
+        design=np.zeros((1, 3)), targets=np.zeros(1), noise_sigma=1.0, prior=mod.GaussianPrior(lam)
+    )
+    np.testing.assert_array_equal(problem.log_joint_and_grad(theta[None, :])[1][0], -lam * theta)
 
 
 def test_gaussian_prior_maximized_at_zero():
-    report = ad.evaluate_with_gradient(
-        lambda th: mod.prior_logpdf(mod.GaussianPrior(0.7), th), np.zeros(4)
-    )
-    np.testing.assert_array_equal(report.gradient, np.zeros(4))
+    spec = mod.GaussianPrior(0.7)
+    fd = ad.finite_difference_gradient(lambda th: mod.prior_logpdf(spec, th), np.zeros(4))
+    np.testing.assert_array_equal(fd, np.zeros(4))
+    rng = np.random.default_rng(13)
+    at_zero = mod.prior_logpdf(spec, np.zeros(4))
+    assert np.all(mod.prior_logpdf(spec, rng.standard_normal((50, 4))) < at_zero)
 
 
 # -----------------------------------------------------------------------
@@ -146,19 +161,3 @@ def test_noise_std_in_chi_square_band():
     problem, truth = mod.make_rbf_dataset(spec, 200, seed=12)
     resid_std = np.std(problem.targets - truth.clean, ddof=1)
     assert 0.20 <= resid_std <= 0.30
-
-
-def test_mlp_hook_smoke():
-    mlp = mod.OneHiddenMlp(n_hidden=3, noise_sigma=0.3)
-    rng = np.random.default_rng(14)
-    xs = np.linspace(-1, 1, 12)
-    theta_true = rng.standard_normal(10)
-    ys = np.asarray(mlp.predict_rows(xs, theta_true))
-    problem = mod.MlpProblem(
-        mlp=mlp, xs=xs, targets=ys, prior=mod.GaussianPrior(1.0)
-    )
-    theta = rng.standard_normal(10)
-    objective = lambda th: problem.loglik_rows(th) + problem.prior_rows(th)
-    report = ad.evaluate_with_gradient(objective, theta)
-    fd = ad.finite_difference_gradient(objective, theta, step=1e-5)
-    np.testing.assert_allclose(report.gradient, fd, rtol=1e-5, atol=1e-7)
