@@ -163,7 +163,6 @@ class GradientReport:
 
     value: float
     gradient: np.ndarray
-    max_abs_component: float
 
 
 def evaluate_with_gradient(objective, psi) -> GradientReport:
@@ -191,11 +190,7 @@ def evaluate_with_gradient(objective, psi) -> GradientReport:
         raise NonFiniteValueError("objective", "non-finite output value")
     if not np.all(np.isfinite(grad)):
         raise NonFiniteValueError("backward", "non-finite gradient component")
-    return GradientReport(
-        value=value,
-        gradient=grad,
-        max_abs_component=float(np.max(np.abs(grad))) if grad.size else 0.0,
-    )
+    return GradientReport(value=value, gradient=grad)
 
 
 def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:

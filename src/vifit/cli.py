@@ -211,8 +211,9 @@ def build_roster(ranks, mode: str, head=(), tail=()) -> list:
     return roster
 
 
-def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
-    """init → train → audit one member; returns (FamilyResult, fitted state).
+def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
+    """init over ``p`` parameters → train → audit one member; returns
+    (FamilyResult, fitted state).
 
     ``seqs`` are the member's (init, train, audit) seed sequences and
     ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Training
@@ -220,7 +221,7 @@ def fit_member(member: Member, shape, target, config, seqs, audit) -> tuple:
     ``AuditError`` naming its non-finite psi blocks before any audit runs.
     """
     init_seq, train_seq, audit_seq = seqs
-    state = fam.init_family(member.tag, shape, np.random.default_rng(init_seq), **member.kwargs)
+    state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
     tcfg = tr.TrainConfig(
         steps=config.steps,
         learning_rate=config.learning_rate,
@@ -247,7 +248,7 @@ MEMBER_FAILURES = (
 )
 
 
-def fit_roster(experiment: str, roster, shape, target, config, seqs, audit) -> list:
+def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
     """``fit_member`` per member, each seed sequence spawned once per member.
 
     A member whose training fails, or whose audit meets a numerically
@@ -257,7 +258,7 @@ def fit_roster(experiment: str, roster, shape, target, config, seqs, audit) -> l
     fits = []
     for member, *member_seqs in zip(roster, *(seq.spawn(len(roster)) for seq in seqs)):
         try:
-            fits.append(fit_member(member, shape, target, config, member_seqs, audit))
+            fits.append(fit_member(member, p, target, config, member_seqs, audit))
         except MEMBER_FAILURES as err:
             print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
             fits.append((FamilyResult(member.label, member.rank), None))
@@ -312,7 +313,7 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
 
     audit = functools.partial(_density_fit_metrics, target, config.kl_mc_samples)
     fits = fit_roster(
-        "fit-gaussian", roster, fam.ModelShape.linear(config.dim), target, config,
+        "fit-gaussian", roster, config.dim, target, config,
         (init_seq, train_seq, mc_seq), audit,
     )
     report = ExperimentReport(

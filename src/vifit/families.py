@@ -1,6 +1,6 @@
 """Variational families and their sampling modes.
 
-Five families share one contract: initialization from a model shape,
+Five families share one contract: initialization from a parameter count,
 reparametrized sampling (naive / paired / unscented), log-density
 evaluation and a flat-vector parameter layout.  Each family has one
 implementation of what training needs, ``draws_logq_vjp``: its draws,
@@ -53,37 +53,6 @@ BLOCK_ROWS = 8192
 
 class ModeFamilyError(ValueError):
     """Requested sampling mode is not defined for the family."""
-
-
-@dataclass(frozen=True)
-class ParamBlock:
-    """One named block of the flat parameter vector with its fan-in."""
-
-    name: str
-    size: int
-    fan_in: int
-    is_bias: bool = False
-
-
-@dataclass(frozen=True)
-class ModelShape:
-    blocks: tuple
-
-    @classmethod
-    def linear(cls, p: int, fan_in: int | None = None) -> "ModelShape":
-        return cls(blocks=(ParamBlock("weights", p, fan_in if fan_in else p),))
-
-    @property
-    def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def fan_in_per_coord(self) -> np.ndarray:
-        return np.concatenate([np.full(b.size, b.fan_in, dtype=float) for b in self.blocks])
-
-    def droppable_mask(self) -> np.ndarray:
-        return np.concatenate(
-            [np.full(b.size, not b.is_bias, dtype=bool) for b in self.blocks]
-        )
 
 
 @dataclass
@@ -201,23 +170,21 @@ GAUSSIAN_STATES = (MeanFieldState, StructuredNormalState)
 
 def init_family(
     tag: str,
-    shape: ModelShape,
+    p: int,
     rng: np.random.Generator,
     rank: int = 0,
     components: int = 2,
     keep_prob: float = 0.5,
     mixture_spread: float = 1.0,
 ) -> FamilyState:
-    """Initialize a family from the per-block weight-init heuristics.
+    """Initialize a family over p parameters with the fan-in heuristics.
 
-    Means are uniform in ±1/√fan_in per block, scales start at 0.05/√fan_in,
-    low-rank columns at N(0, (0.01/√fan_in)²).  Mixture components are
-    perturbed copies of one common init; dropout takes its keep probability
-    from the caller and never drops bias blocks.
+    Every coordinate has fan-in p: means are uniform in ±1/√p, scales start
+    at 0.05/√p, low-rank columns at N(0, (0.01/√p)²).  Mixture components
+    are perturbed copies of one common init; dropout takes its keep
+    probability from the caller and may drop every coordinate.
     """
-    p = shape.dim
-    fan_in = shape.fan_in_per_coord()
-    bound = 1.0 / np.sqrt(fan_in)
+    bound = 1.0 / np.sqrt(np.full(p, p, dtype=float))
 
     def draw_mean():
         return rng.uniform(-bound, bound)
@@ -248,7 +215,7 @@ def init_family(
         return DropoutState(
             theta_hat=draw_mean(),
             keep_prob=keep_prob,
-            droppable=shape.droppable_mask(),
+            droppable=np.ones(p, bool),
         )
     raise ValueError(f"unknown family tag {tag!r}")
 

@@ -1,8 +1,8 @@
 """Regression models, likelihoods, priors, and synthetic data.
 
 The workhorse is a linear-in-parameters model y = design @ theta with known
-Gaussian observation noise and an independent Gaussian prior, fitted on the
-full data: the conjugate setting whose exact posterior audits every fit.
+Gaussian observation noise and an N(0, I) prior, fitted on the full data:
+the conjugate setting whose exact posterior audits every fit.
 The design matrix comes from a squared-exponential RBF layer with regularly
 spaced centers.  Likelihood and prior evaluate one parameter row (P,) or
 stacked rows (S, P); ``log_joint_and_grad`` gives their sum with its
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .families import ModelShape
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -45,17 +43,12 @@ class RbfModelSpec:
             raise ValueError("noise scale must be positive")
 
     @classmethod
-    def regular(
-        cls,
-        n_centers: int,
-        interval: tuple = DATA_INTERVAL,
-        noise_sigma: float = 0.25,
-    ) -> "RbfModelSpec":
-        """Regularly spaced centers with bandwidth equal to their spacing."""
-        centers = np.linspace(interval[0], interval[1], n_centers)
-        spacing = (
-            (interval[1] - interval[0]) / (n_centers - 1) if n_centers > 1 else 1.0
-        )
+    def regular(cls, n_centers: int, noise_sigma: float = 0.25) -> "RbfModelSpec":
+        """Regularly spaced centers over ``DATA_INTERVAL`` with bandwidth equal
+        to their spacing."""
+        lo, hi = DATA_INTERVAL
+        centers = np.linspace(lo, hi, n_centers)
+        spacing = (hi - lo) / (n_centers - 1) if n_centers > 1 else 1.0
         return cls(centers=centers, bandwidth=spacing, noise_sigma=noise_sigma)
 
     @property
@@ -69,36 +62,23 @@ def rbf_design_matrix(xs: np.ndarray, spec: RbfModelSpec) -> np.ndarray:
     return np.exp(-(diff**2) / (2.0 * spec.bandwidth**2))
 
 
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Independent N(0, 1/lam) coordinates; lam is the precision."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("precision must be positive")
-
-
-def prior_log_const(spec: GaussianPrior, p: int) -> float:
+def prior_log_const(p: int) -> float:
     """The θ-free part of ``prior_logpdf`` over p coordinates."""
-    return -0.5 * p * (LOG_TWO_PI - math.log(spec.lam))
+    return -0.5 * p * LOG_TWO_PI
 
 
-def prior_logpdf(spec: GaussianPrior, theta):
-    """Sum of per-coordinate prior log-densities; rows may be (P,) or (S, P)."""
-    const = prior_log_const(spec, theta.shape[-1])
-    return const - 0.5 * spec.lam * np.add.reduce(theta * theta, axis=-1)
+def prior_logpdf(theta):
+    """log N(θ; 0, I); rows may be (P,) or (S, P)."""
+    return prior_log_const(theta.shape[-1]) - 0.5 * np.add.reduce(theta * theta, axis=-1)
 
 
 @dataclass
 class RegressionProblem:
-    """Design matrix, targets, known noise scale, and a Gaussian prior."""
+    """Design matrix, targets and known noise scale; the prior is N(0, I)."""
 
     design: np.ndarray
     targets: np.ndarray
     noise_sigma: float
-    prior: GaussianPrior
     rbf: RbfModelSpec | None = None
     inputs: np.ndarray | None = None
 
@@ -120,8 +100,9 @@ class RegressionProblem:
     def dim(self) -> int:
         return self.design.shape[1]
 
-    def model_shape(self) -> ModelShape:
-        return ModelShape.linear(self.dim)
+    def model_shape(self) -> int:
+        """The parameter count ``fam.init_family`` takes: ``dim``."""
+        return self.dim
 
     def features(self, xs: np.ndarray) -> np.ndarray:
         """Design rows for new inputs; needs the RBF spec that built us."""
@@ -139,26 +120,26 @@ class RegressionProblem:
         return self._loglik_const(self.n) - quad
 
     def prior_rows(self, theta):
-        return prior_logpdf(self.prior, theta)
+        return prior_logpdf(theta)
 
     @cached_property
     def _full_data(self) -> tuple:
         """(designᵀ, log-lik constant, prior constant), resolved once."""
-        return self.design.T, self._loglik_const(self.n), prior_log_const(self.prior, self.dim)
+        return self.design.T, self._loglik_const(self.n), prior_log_const(self.dim)
 
     def log_joint_and_grad(self, theta: np.ndarray) -> tuple:
         """Per-row log lik + log prior at plain (S, P) rows, and its θ-gradient.
 
         The closed-form counterpart of ``loglik_rows`` + ``prior_rows``, in
-        plain numpy: same values, with ∂/∂θ = residᵀ design / σ² − λθ.
+        plain numpy: same values, with ∂/∂θ = residᵀ design / σ² − θ.
         """
         design_t, lik_const, prior_const = self._full_data
         resid = self.targets - theta @ design_t
         quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
-        penalty = 0.5 * self.prior.lam * np.add.reduce(theta * theta, axis=-1)
+        penalty = 0.5 * np.add.reduce(theta * theta, axis=-1)
         rows = (lik_const - quad) + (prior_const - penalty)
         grad = (1.0 / self.noise_sigma**2) * (resid @ self.design)
-        return rows, grad - self.prior.lam * theta
+        return rows, grad - theta
 
 
 @dataclass
@@ -168,18 +149,13 @@ class SyntheticTruth:
     noisy: np.ndarray
 
 
-def make_rbf_dataset(
-    spec: RbfModelSpec,
-    n: int,
-    seed: int,
-    prior: GaussianPrior | None = None,
-    interval: tuple = DATA_INTERVAL,
-) -> tuple:
-    """Equispaced inputs, standard-normal true weights, noisy targets."""
+def make_rbf_dataset(spec: RbfModelSpec, n: int, seed: int) -> tuple:
+    """Inputs equispaced over ``DATA_INTERVAL``, standard-normal true
+    weights, noisy targets."""
     if n < 1:
         raise ValueError("need at least one observation")
     rng = np.random.default_rng(seed)
-    xs = np.linspace(interval[0], interval[1], n)
+    xs = np.linspace(DATA_INTERVAL[0], DATA_INTERVAL[1], n)
     design = rbf_design_matrix(xs, spec)
     theta_star = rng.standard_normal(spec.n_basis)
     clean = design @ theta_star
@@ -188,7 +164,6 @@ def make_rbf_dataset(
         design=design,
         targets=noisy,
         noise_sigma=spec.noise_sigma,
-        prior=prior if prior is not None else GaussianPrior(1.0),
         rbf=spec,
         inputs=xs,
     )

@@ -31,14 +31,19 @@ class NotPositiveDefiniteError(RuntimeError):
 
 
 class AuditError(ArithmeticError):
-    """A Monte-Carlo KL audit met a NaN log-density gap."""
+    """A Monte-Carlo KL audit met a draw that is not finite or a NaN
+    log-density gap."""
 
 
 def _cho(matrix: np.ndarray, what: str):
+    """``ad.cho_factor(matrix)``; NotPositiveDefiniteError when the matrix is
+    not finite or not positive definite."""
     try:
         return ad.cho_factor(matrix)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {err}") from err
+    except ValueError as err:
+        raise NotPositiveDefiniteError(f"{what} is not finite") from err
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class GaussianDist:
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
         """Yield ``(rows, draws)`` over ``fam.row_blocks(n)``, normals in row order."""
-        chol = np.linalg.cholesky(self.cov)
+        chol = self._factor[0]
         for rows in fam.row_blocks(n):
             z = rng.standard_normal((rows.stop - rows.start, self.dim))
             yield rows, self.mean + z @ chol.T
@@ -163,13 +168,12 @@ class GaussianMixtureDist:
 def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
     """Closed-form conjugate posterior of the linear-Gaussian model.
 
-    Sigma = (sigma⁻² designᵀ design + lam I)⁻¹ and mu = sigma⁻² Sigma designᵀ t;
-    the unit-precision prior (lam = 1) is the default audit setting.
+    Under the N(0, I) prior, Sigma = (sigma⁻² designᵀ design + I)⁻¹ and
+    mu = sigma⁻² Sigma designᵀ t.
     """
-    lam = problem.prior.lam
     design = problem.design
     s2 = problem.noise_sigma**2
-    precision = design.T @ design / s2 + lam * np.eye(problem.dim)
+    precision = design.T @ design / s2 + np.eye(problem.dim)
     factor = _cho(precision, "posterior precision")
     cov = ad.cho_solve(factor, np.eye(problem.dim))
     cov = 0.5 * (cov + cov.T)
@@ -178,10 +182,9 @@ def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
 
 
 def log_evidence(problem: RegressionProblem) -> float:
-    """Marginal likelihood log N(t; 0, sigma² I + design designᵀ / lam)."""
-    lam = problem.prior.lam
+    """Marginal likelihood log N(t; 0, sigma² I + design designᵀ)."""
     n = problem.n
-    gram = problem.design @ problem.design.T / lam + problem.noise_sigma**2 * np.eye(n)
+    gram = problem.design @ problem.design.T + problem.noise_sigma**2 * np.eye(n)
     factor = _cho(gram, "marginal covariance")
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     quad = float(problem.targets @ ad.cho_solve(factor, problem.targets))
@@ -223,10 +226,13 @@ def _mc_kl(blocks, gap, n_mc: int) -> tuple:
     """Mean and standard error of ``gap(draws)`` over ``(rows, draws)`` blocks.
 
     Each block's gaps land in one (n_mc,) array, so the reduction is the
-    one a whole batch would get.  A NaN mean raises AuditError.
+    one a whole batch would get.  A block of draws that is not finite, or a
+    NaN mean, raises AuditError.
     """
     gaps = np.empty(n_mc)
     for rows, draws in blocks:
+        if not np.isfinite(draws).all():
+            raise AuditError("a Monte-Carlo KL draw is not finite")
         gaps[rows] = gap(draws)
     kl = float(gaps.mean())
     if math.isnan(kl):
@@ -322,14 +328,13 @@ def exact_gaussian_elbo(problem: RegressionProblem, q: GaussianDist) -> float:
     E_q[log lik] and E_q[log prior] are Gaussian integrals of quadratics;
     adding the entropy gives the identity ELBO = evidence − KL[q || p*].
     """
-    lam = problem.prior.lam
     design, t = problem.design, problem.targets
     s2 = problem.noise_sigma**2
     resid = t - design @ q.mean
     e_loglik = -0.5 * problem.n * (LOG_TWO_PI + math.log(s2)) - (
         float(resid @ resid) + float(np.trace(design @ q.cov @ design.T))
     ) / (2.0 * s2)
-    e_prior = -0.5 * problem.dim * (LOG_TWO_PI - math.log(lam)) - 0.5 * lam * (
+    e_prior = -0.5 * problem.dim * LOG_TWO_PI - 0.5 * (
         float(q.mean @ q.mean) + float(np.trace(q.cov))
     )
     return e_loglik + e_prior + q.entropy()

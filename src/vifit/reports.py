@@ -6,7 +6,10 @@ config, so wall-clock runtimes appear only in report.json and the CSV
 runtime column is pinned to "na".  report.json holds results, and the
 environment that produced them (``environment``); the data a figure is
 drawn from lives in ``ExperimentReport.figures``, which only the SVG
-renderers read.
+renderers read.  vifit writes report.json and never reads it back.  It is
+strict JSON: an infinite number among the extras is written as a cell is,
+"inf" or "-inf" (``_json_extra``), and a NaN is no more reportable there
+than in a cell.
 """
 
 from __future__ import annotations
@@ -48,14 +51,15 @@ def fmt_metric(value) -> str:
     return repr(value)
 
 
-def parse_metric(text):
-    if text == "na":
-        return None
-    if text == "inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    return float(text)
+def _json_extra(value):
+    """An extras value with every infinite float as its cell text."""
+    if isinstance(value, dict):
+        return {k: _json_extra(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_extra(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return fmt_metric(value)
+    return value
 
 
 @dataclass
@@ -74,15 +78,6 @@ class FamilyResult:
             "metrics": {k: fmt_metric(v) for k, v in self.metrics.items()},
             "runtime_s": self.runtime_s,
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FamilyResult":
-        return cls(
-            family=doc["family"],
-            rank=doc["rank"],
-            metrics={k: parse_metric(v) for k, v in doc["metrics"].items()},
-            runtime_s=doc["runtime_s"],
-        )
 
 
 @dataclass
@@ -110,20 +105,9 @@ class ExperimentReport:
             "seed": self.seed,
             "config": self.config,
             "families": [f.to_json_dict() for f in self.families],
-            "extras": self.extras,
+            "extras": _json_extra(self.extras),
             "environment": self.environment,
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(
-            experiment=doc["experiment"],
-            seed=doc["seed"],
-            config=doc["config"],
-            families=[FamilyResult.from_json_dict(f) for f in doc["families"]],
-            extras=doc["extras"],
-            environment=doc["environment"],
-        )
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -152,7 +136,7 @@ def emit_report(report: ExperimentReport, out_dir, formats=("json", "csv")) -> l
     written = []
     if "json" in formats:
         path = out_dir / "report.json"
-        path.write_text(json.dumps(report.to_json_dict(), indent=2))
+        path.write_text(json.dumps(report.to_json_dict(), indent=2, allow_nan=False))
         written.append(path)
     if "csv" in formats:
         path = out_dir / "tables.csv"

@@ -12,7 +12,7 @@ log q and, for stratified sGMM batches, their per-draw coefficients, with
 the closed-form adjoint of all three (``families.draws_logq_vjp``): each
 family has this one implementation.  The target gives the per-draw log
 joint and its θ-gradient in closed form (``_log_joint``):
-``log_joint_and_grad`` on ``RegressionProblem`` (a Gaussian prior and the
+``log_joint_and_grad`` on ``RegressionProblem`` (an N(0, I) prior and the
 full data) or ``log_density_and_grad`` on ``GaussianDist`` and
 ``GaussianMixtureDist``.  ``_fused_value_and_grad`` joins the two halves
 into the exact gradient of the sampled-log-q estimator, in every sampling

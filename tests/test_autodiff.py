@@ -51,7 +51,6 @@ def test_square_value_and_gradient():
     report = ad.evaluate_with_gradient(objective, np.array([3.0]))
     assert report.value == 9.0
     np.testing.assert_allclose(report.gradient, [6.0])
-    assert report.max_abs_component == 6.0
 
 
 def test_product_rule():

@@ -24,7 +24,6 @@ from vifit.reports import (
     FamilyResult,
     emit_report,
     fmt_metric,
-    parse_metric,
 )
 
 SMALL_FG = {"dim": 3, "ranks": [0, 1, 3], "steps": 250, "kl_mc_samples": 5000}
@@ -38,6 +37,15 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as JSON does."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # -----------------------------------------------------------------------
 # metric formatting
 
@@ -47,10 +55,6 @@ def test_metric_cell_grammar():
     assert fmt_metric(math.inf) == "inf"
     assert fmt_metric(-math.inf) == "-inf"
     assert fmt_metric(1.5) == "1.5"
-    assert parse_metric("na") is None
-    assert parse_metric("inf") == math.inf
-    assert parse_metric("-inf") == -math.inf
-    assert parse_metric("1.5") == 1.5
     with pytest.raises(ValueError):
         fmt_metric(math.nan)
 
@@ -78,14 +82,27 @@ def test_report_json_round_trip(tmp_path):
                 runtime_s=0.5,
             )
         ],
-        extras={"note": [1, 2, 3]},
+        extras={"note": [1, 2, 3], "spread": {"x": [math.inf, -math.inf]}},
     )
     emit_report(report, tmp_path, ("json",))
-    doc = json.loads((tmp_path / "report.json").read_text())
-    back = ExperimentReport.from_json_dict(doc)
-    assert back.to_json_dict() == doc
-    assert back.families[0].metrics["kl_p_q"] == math.inf
-    assert back.families[0].metrics["logq_theta_star"] is None
+    doc = strict_json((tmp_path / "report.json").read_text())
+    assert doc == report.to_json_dict()
+    assert doc["families"][0]["metrics"] == {
+        "kl_p_q": "inf", "elbo": "-1.25", "logq_theta_star": "na"
+    }
+    assert doc["families"][0]["runtime_s"] == 0.5
+    assert doc["extras"] == {"note": [1, 2, 3], "spread": {"x": ["inf", "-inf"]}}
+
+
+def test_report_json_stays_strict_when_the_audit_overflows(tmp_path):
+    # One step at this rate puts θ̂ near 1e200: the predictive variances
+    # overflow, and report.json still holds only standard JSON.
+    cfg = write_config(tmp_path, {"learning_rate": 1e200, "steps": 1, "mc_draws": 1000})
+    with np.errstate(all="ignore"):
+        assert cli.main(["dropout-audit", "--config", cfg, "--out", str(tmp_path)]) == 0
+    extras = strict_json((tmp_path / "report.json").read_text())["extras"]
+    for key in ("exact_variance", "mc_variance", "mc_mean_std_error"):
+        assert extras[key] == ["inf"] * 5, key
 
 
 def test_csv_cells_are_well_formed(tmp_path):
@@ -154,10 +171,8 @@ def test_report_json_carries_results_not_figures():
     assert "dropout_curves" not in doc["extras"]
     assert doc["environment"]["numpy"] == np.__version__
     assert {"name", "version"} <= set(doc["environment"]["lapack"])
-    back = ExperimentReport.from_json_dict(doc)
-    assert back.figures == {}
-    assert back == report  # figures take no part in the comparison
-    assert back.to_json_dict() == doc
+    # Figures and environment take no part in the comparison.
+    assert dataclasses.replace(report, figures={}, environment={}) == report
 
 
 def test_dropout_curves_rebuild_from_report_json(tmp_path, monkeypatch):
@@ -199,7 +214,7 @@ def test_monte_carlo_kl_standard_errors_reported(tmp_path):
     assert [f["family"] for f in doc["families"]] == ["mf", "sn1", "sn3", "sgmm"]
     for row in doc["families"]:
         for key in ("kl_p_q_se", "kl_q_p_se"):
-            se = parse_metric(row["metrics"][key])
+            se = float(row["metrics"][key])
             assert math.isfinite(se) and se > 0, (row["family"], key)
     # tables.csv keeps its columns; the errors live in report.json only.
     header = (out / "tables.csv").read_text().splitlines()[0]
@@ -228,8 +243,8 @@ def test_dropout_audit_report(monkeypatch):
 def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
     init_family = cli.fam.init_family
 
-    def init_with_singular_sn2(tag, shape, rng, **kwargs):
-        state = init_family(tag, shape, rng, **kwargs)
+    def init_with_singular_sn2(tag, p, rng, **kwargs):
+        state = init_family(tag, p, rng, **kwargs)
         if kwargs.get("rank") == 2:
             # Two equal columns of length 2^30 with a = 1: 1 + x == x inside
             # the capacitance I + UᵀA⁻¹U, so its factorization fails at step 0.
@@ -310,6 +325,25 @@ def test_nonfinite_fitted_state_fails_only_its_member(
             assert f"] {label} failed: fitted state is not finite in psi blocks mu" in err
         else:
             assert poisoned[label] == line, label
+
+
+@pytest.mark.parametrize("lr", [1000, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "argv", [["fit-gaussian"], ["fit-gaussian", "--bimodal"], ["rbf"]], ids=" ".join
+)
+def test_overflowed_fit_fails_only_its_member(tmp_path, argv, lr):
+    # One Adam step at this rate overflows exp(log σ), or the audit's draws,
+    # while psi stays finite: each Gaussian member's audit fails alone.
+    cfg = write_config(tmp_path, {"learning_rate": lr, "steps": 1})
+    with np.errstate(all="ignore"):
+        assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path)]) == 0
+    strict_json((tmp_path / "report.json").read_text())
+    lines = (tmp_path / "tables.csv").read_text().splitlines()[1:]
+    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    gaussian = [label for label in rows if label not in ("map", "mc_dropout")]
+    assert gaussian
+    for label in gaussian:
+        assert rows[label] == ["na"] * 4, label
 
 
 def _point_mass_mf(state):

@@ -14,9 +14,6 @@ import vifit.families as fam
 import vifit.oracle as orc
 from vifit.lowrank import StructuredCov, structured_logpdf
 
-SHAPE4 = fam.ModelShape.linear(4)
-
-
 def make_sn(rng, p=4, k=2, scale=0.4):
     return fam.StructuredNormalState(
         mu=rng.standard_normal(p),
@@ -31,32 +28,32 @@ def make_sn(rng, p=4, k=2, scale=0.4):
 
 def test_init_shapes_and_finiteness():
     rng = np.random.default_rng(0)
-    st = fam.init_family("map", fam.ModelShape.linear(3), rng)
+    st = fam.init_family("map", 3, rng)
     assert st.theta_hat.shape == (3,)
     assert np.all(np.isfinite(st.theta_hat))
 
 
 def test_init_same_seed_identical():
-    a = fam.init_family("mixture", SHAPE4, np.random.default_rng(7), rank=2)
-    b = fam.init_family("mixture", SHAPE4, np.random.default_rng(7), rank=2)
+    a = fam.init_family("mixture", 4, np.random.default_rng(7), rank=2)
+    b = fam.init_family("mixture", 4, np.random.default_rng(7), rank=2)
     np.testing.assert_array_equal(fam.pack(a), fam.pack(b))
 
 
 def test_init_unknown_tag():
     with pytest.raises(ValueError, match="unknown family tag"):
-        fam.init_family("laplace", SHAPE4, np.random.default_rng(0))
+        fam.init_family("laplace", 4, np.random.default_rng(0))
 
 
 def test_init_bounds_follow_fan_in():
-    shape = fam.ModelShape.linear(200, fan_in=4)
-    st = fam.init_family("mean_field", shape, np.random.default_rng(1))
-    assert np.all(np.abs(st.mu) <= 0.5)
-    np.testing.assert_allclose(st.sigma, 0.05 * 0.5)
+    # Every coordinate has fan-in p = 100: means in ±1/√p, scales 0.05/√p.
+    st = fam.init_family("mean_field", 100, np.random.default_rng(1))
+    assert np.all(np.abs(st.mu) <= 0.1)
+    np.testing.assert_allclose(st.sigma, 0.05 * 0.1)
 
 
 def test_rank_zero_structured_matches_mean_field():
     rng = np.random.default_rng(2)
-    sn = fam.init_family("structured_normal", SHAPE4, rng, rank=0)
+    sn = fam.init_family("structured_normal", 4, rng, rank=0)
     mf = fam.MeanFieldState(mu=sn.mu.copy(), log_sigma=0.5 * sn.log_a.copy())
     theta = np.random.default_rng(3).standard_normal((6, 4))
     np.testing.assert_allclose(
@@ -76,7 +73,7 @@ def test_rank_zero_structured_matches_mean_field():
 
 
 def test_map_sampling_returns_point_estimate():
-    st = fam.init_family("map", SHAPE4, np.random.default_rng(5))
+    st = fam.init_family("map", 4, np.random.default_rng(5))
     batch = fam.sample(st, "naive", 7, np.random.default_rng(6))
     assert batch.draws.shape == (7, 4)
     assert np.all(batch.draws == st.theta_hat)
@@ -114,11 +111,11 @@ def test_dropout_draws_live_on_atoms_with_expected_frequencies():
 def test_mode_family_mismatch_errors():
     rng = np.random.default_rng(12)
     with pytest.raises(fam.ModeFamilyError):
-        fam.sample(fam.init_family("map", SHAPE4, rng), "paired", 2, rng)
+        fam.sample(fam.init_family("map", 4, rng), "paired", 2, rng)
     with pytest.raises(fam.ModeFamilyError):
-        fam.sample(fam.init_family("mc_dropout", SHAPE4, rng), "unscented", 2, rng)
+        fam.sample(fam.init_family("mc_dropout", 4, rng), "unscented", 2, rng)
     with pytest.raises(fam.ModeFamilyError):
-        fam.sample(fam.init_family("mean_field", SHAPE4, rng), "unscented", 2, rng)
+        fam.sample(fam.init_family("mean_field", 4, rng), "unscented", 2, rng)
     with pytest.raises(ValueError, match="even"):
         fam.sample(make_sn(rng), "paired", 3, rng)
     with pytest.raises(ValueError, match="multiple"):
@@ -227,10 +224,11 @@ def test_dropout_off_atom_density_is_minus_inf():
 
 
 def test_bias_coordinates_never_dropped():
-    shape = fam.ModelShape(
-        blocks=(fam.ParamBlock("w", 3, 3), fam.ParamBlock("b", 1, 3, is_bias=True))
+    st = fam.DropoutState(
+        theta_hat=np.random.default_rng(17).uniform(-1.0, 1.0, 4),
+        keep_prob=0.5,
+        droppable=[1, 1, 1, 0],
     )
-    st = fam.init_family("mc_dropout", shape, np.random.default_rng(17), keep_prob=0.5)
     assert st.droppable.tolist() == [True, True, True, False]
     batch = fam.sample(st, "naive", 500, np.random.default_rng(18))
     np.testing.assert_array_equal(batch.draws[:, 3], st.theta_hat[3])
@@ -318,9 +316,9 @@ def test_entropy_values():
 
 def test_enumerate_counts():
     rng = np.random.default_rng(23)
-    st2 = fam.init_family("mc_dropout", fam.ModelShape.linear(2), rng)
+    st2 = fam.init_family("mc_dropout", 2, rng)
     assert fam.enumerate_dropout(st2).n_atoms == 4
-    st10 = fam.init_family("mc_dropout", fam.ModelShape.linear(10), rng)
+    st10 = fam.init_family("mc_dropout", 10, rng)
     mixture = fam.enumerate_dropout(st10)
     assert mixture.n_atoms == 1024
     assert abs(mixture.weights.sum() - 1.0) < 1e-12
@@ -360,7 +358,7 @@ def test_keep_prob_zero_all_mass_at_origin():
 def test_no_atom_coincides_with_continuous_truth():
     # A fresh standard-normal parameter vector differs from every dropout atom.
     rng = np.random.default_rng(25)
-    st = fam.init_family("mc_dropout", fam.ModelShape.linear(10), rng, keep_prob=0.5)
+    st = fam.init_family("mc_dropout", 10, rng, keep_prob=0.5)
     mixture = fam.enumerate_dropout(st)
     theta_star = rng.standard_normal(10)
     assert not np.any(np.all(mixture.atoms == theta_star, axis=1))
@@ -433,7 +431,7 @@ def test_nothing_droppable_is_one_atom_of_weight_one():
     ],
 )
 def test_json_round_trip_lossless(tag, kwargs):
-    st = fam.init_family(tag, SHAPE4, np.random.default_rng(26), **kwargs)
+    st = fam.init_family(tag, 4, np.random.default_rng(26), **kwargs)
     back = fam.state_from_json(fam.state_to_json(st))
     np.testing.assert_array_equal(fam.pack(back), fam.pack(st))
     assert back.tag == st.tag
@@ -479,7 +477,7 @@ def family_case(draw):
     seed = draw(hst.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     kwargs = {"rank": k, "components": m, "keep_prob": float(rng.uniform())}
-    template = fam.init_family(tag, fam.ModelShape.linear(p), rng, **kwargs)
+    template = fam.init_family(tag, p, rng, **kwargs)
     if tag == "mc_dropout":
         template.droppable = rng.random(p) < 0.5
     psi = rng.standard_normal(fam.pack(template).size)
@@ -756,7 +754,7 @@ def noise_case(draw):
     m = draw(hst.integers(1, 3))
     rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
     kwargs = {"rank": k, "components": m, "keep_prob": float(rng.uniform())}
-    state = fam.init_family(tag, fam.ModelShape.linear(p), rng, **kwargs)
+    state = fam.init_family(tag, p, rng, **kwargs)
     if tag == "mc_dropout":
         state.droppable = rng.random(p) < 0.5
     modes = ["naive"]

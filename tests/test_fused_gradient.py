@@ -45,9 +45,9 @@ FD_STEP = 1e-5
 FD_TOL = 1e-7
 
 
-def regression_target(p, prior=None):
+def regression_target(p):
     spec = mod.RbfModelSpec.regular(p, noise_sigma=0.3)
-    problem, _ = mod.make_rbf_dataset(spec, N_DATA, seed=p, prior=prior)
+    problem, _ = mod.make_rbf_dataset(spec, N_DATA, seed=p)
     return problem
 
 
@@ -106,13 +106,13 @@ def assert_matches_references(state, psi, noise, target):
     assert np.max(np.abs(fd - grad @ directions)) <= FD_TOL * scale
 
 
-def draw_target(draw, target_kind, p, rng):
+def draw_target(target_kind, p, rng):
     """A generated target of the given kind."""
     if target_kind == "gaussian_dist":
         return gaussian_target(p, rng)
     if target_kind == "mixture_dist":
         return mixture_target(p, rng)
-    return regression_target(p, mod.GaussianPrior(draw(st.floats(0.1, 10.0))))
+    return regression_target(p)
 
 
 @st.composite
@@ -125,14 +125,14 @@ def elbo_case(draw, tag, mode, target_kind):
         kwargs["rank"] = draw(st.integers(1 if mode == "unscented" else 0, p))
     if tag == "mc_dropout":
         kwargs["keep_prob"] = draw(st.floats(0.0, 1.0))
-    state = fam.init_family(tag, fam.ModelShape.linear(p), rng, **kwargs)
+    state = fam.init_family(tag, p, rng, **kwargs)
     psi = draw(
         hnp.arrays(np.float64, fam.pack(state).size, elements=st.floats(-1.5, 1.5))
     )
     state = fam.unpack(state, psi)
     config = tr.TrainConfig(mc_samples=draw(st.integers(1, 8)), mode=mode)
     noise = fam.draw_noise(state, mode, tr._effective_sample_count(state, config), rng)
-    return state, psi, noise, draw_target(draw, target_kind, p, rng)
+    return state, psi, noise, draw_target(target_kind, p, rng)
 
 
 @pytest.mark.parametrize("target_kind", TARGETS)
@@ -157,7 +157,7 @@ def mixture_case(draw, mode, stratified, target_kind):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     state = fam.init_family(
         "mixture",
-        fam.ModelShape.linear(p),
+        p,
         rng,
         rank=draw(st.integers(0, p)),
         components=draw(st.integers(1, 4)),
@@ -172,7 +172,7 @@ def mixture_case(draw, mode, stratified, target_kind):
     config = tr.TrainConfig(mc_samples=draw(st.integers(1, 8)), mode=mode)
     count = tr._effective_sample_count(state, config)
     noise = fam.draw_noise(state, mode, count, rng, stratify_components=stratified)
-    return state, psi, noise, draw_target(draw, target_kind, p, rng)
+    return state, psi, noise, draw_target(target_kind, p, rng)
 
 
 @pytest.mark.parametrize("target_kind", TARGETS)
@@ -218,7 +218,7 @@ def test_dispatch_tapes_only_gradient_free_targets(monkeypatch, tag, target_of):
     rng = np.random.default_rng(5)
     target = target_of(4, rng)
     kwargs = {"rank": 2} if tag in ("mixture", "structured_normal") else {}
-    state = fam.init_family(tag, fam.ModelShape.linear(4), rng, **kwargs)
+    state = fam.init_family(tag, 4, rng, **kwargs)
     mode = "naive" if tag == "mc_dropout" else "paired"
     count = tr._effective_sample_count(state, tr.TrainConfig(mode=mode))
     noise = fam.draw_noise(
@@ -250,7 +250,7 @@ def test_training_builds_no_tape(monkeypatch, tag, target_kind):
         "gaussian_dist": lambda: gaussian_target(3, rng),
         "mixture_dist": lambda: mixture_target(3, rng),
     }[target_kind]()
-    state = fam.init_family(tag, fam.ModelShape.linear(3), rng, **FAMILY_KWARGS[tag])
+    state = fam.init_family(tag, 3, rng, **FAMILY_KWARGS[tag])
     config = tr.TrainConfig(steps=20, mode="naive", seed=11)
     calls = _count_nodes(monkeypatch)
     tr.train(state, target, config)
@@ -262,7 +262,7 @@ def test_training_builds_no_tape(monkeypatch, tag, target_kind):
 
 def _poisoned(tag, p, rng):
     """A state whose ELBO overflows, and the term and psi blocks that report it."""
-    state = fam.init_family(tag, fam.ModelShape.linear(p), rng, rank=2)
+    state = fam.init_family(tag, p, rng, rank=2)
     psi = fam.pack(state)
     if tag in ("map", "mc_dropout"):
         psi[:] = 1e200  # the residuals overflow once squared; their gradient does not
@@ -300,7 +300,7 @@ def _singular_capacitance_state(tag, p):
     # Two equal columns of length 2^30 with a = 1: 1 + x == x inside
     # C = I + UᵀA⁻¹U, which is then exactly singular.  An sGMM gets it in its
     # last component only.
-    state = fam.init_family(tag, fam.ModelShape.linear(p), np.random.default_rng(8), rank=2)
+    state = fam.init_family(tag, p, np.random.default_rng(8), rank=2)
     singular = state.components[-1] if tag == "mixture" else state
     singular.log_a[:] = 0.0
     singular.u[:] = 0.0

@@ -60,17 +60,13 @@ def test_spec_validation():
 
 
 def test_loglik_zero_residual():
-    problem = mod.RegressionProblem(
-        design=np.eye(1), targets=np.zeros(1), noise_sigma=1.0, prior=mod.GaussianPrior()
-    )
+    problem = mod.RegressionProblem(design=np.eye(1), targets=np.zeros(1), noise_sigma=1.0)
     val = problem.loglik_rows(np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi), rel_tol=1e-12)
 
 
 def test_loglik_unit_residual():
-    problem = mod.RegressionProblem(
-        design=np.eye(1), targets=np.ones(1), noise_sigma=1.0, prior=mod.GaussianPrior()
-    )
+    problem = mod.RegressionProblem(design=np.eye(1), targets=np.ones(1), noise_sigma=1.0)
     val = problem.loglik_rows(np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi) - 0.5, rel_tol=1e-12)
 
@@ -88,7 +84,7 @@ def test_loglik_matches_scalar_normal_sum():
 
 
 def test_loglik_gradient_closed_form():
-    # log_joint_and_grad's gradient, less the prior's −λθ, is the
+    # log_joint_and_grad's gradient, less the prior's −θ, is the
     # likelihood's; both it and loglik_rows' finite differences must match
     # designᵀ(t − design θ)/σ².
     problem, _ = small_problem(seed=3)
@@ -96,7 +92,7 @@ def test_loglik_gradient_closed_form():
     expected = problem.design.T @ (problem.targets - problem.design @ theta)
     expected /= problem.noise_sigma**2
     rows, grad = problem.log_joint_and_grad(theta[None, :])
-    np.testing.assert_allclose(grad[0] + problem.prior.lam * theta, expected, rtol=1e-12)
+    np.testing.assert_allclose(grad[0] + theta, expected, rtol=1e-12)
     fd = ad.finite_difference_gradient(problem.loglik_rows, theta)
     np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-6)
     both = problem.loglik_rows(theta) + problem.prior_rows(theta)
@@ -108,32 +104,27 @@ def test_loglik_gradient_closed_form():
 
 
 def test_gaussian_prior_at_zero():
-    val = mod.prior_logpdf(mod.GaussianPrior(1.0), np.zeros(1))
+    val = mod.prior_logpdf(np.zeros(1))
     assert math.isclose(val, -0.5 * math.log(2 * math.pi), rel_tol=1e-12)
 
 
 def test_gaussian_prior_gradient_is_minus_lambda_theta():
-    lam = 2.5
+    # The N(0, I) prior has precision λ = 1.
     theta = np.array([0.3, -1.2, 0.7])
-    fd = ad.finite_difference_gradient(
-        lambda th: mod.prior_logpdf(mod.GaussianPrior(lam), th), theta
-    )
-    np.testing.assert_allclose(fd, -lam * theta, rtol=1e-9)
+    fd = ad.finite_difference_gradient(mod.prior_logpdf, theta)
+    np.testing.assert_allclose(fd, -theta, rtol=1e-9)
     # With no data term left (a zero design row against a zero target),
     # log_joint_and_grad's gradient is the prior's alone.
-    problem = mod.RegressionProblem(
-        design=np.zeros((1, 3)), targets=np.zeros(1), noise_sigma=1.0, prior=mod.GaussianPrior(lam)
-    )
-    np.testing.assert_array_equal(problem.log_joint_and_grad(theta[None, :])[1][0], -lam * theta)
+    problem = mod.RegressionProblem(design=np.zeros((1, 3)), targets=np.zeros(1), noise_sigma=1.0)
+    np.testing.assert_array_equal(problem.log_joint_and_grad(theta[None, :])[1][0], -theta)
 
 
 def test_gaussian_prior_maximized_at_zero():
-    spec = mod.GaussianPrior(0.7)
-    fd = ad.finite_difference_gradient(lambda th: mod.prior_logpdf(spec, th), np.zeros(4))
+    fd = ad.finite_difference_gradient(mod.prior_logpdf, np.zeros(4))
     np.testing.assert_array_equal(fd, np.zeros(4))
     rng = np.random.default_rng(13)
-    at_zero = mod.prior_logpdf(spec, np.zeros(4))
-    assert np.all(mod.prior_logpdf(spec, rng.standard_normal((50, 4))) < at_zero)
+    at_zero = mod.prior_logpdf(np.zeros(4))
+    assert np.all(mod.prior_logpdf(rng.standard_normal((50, 4))) < at_zero)
 
 
 # -----------------------------------------------------------------------

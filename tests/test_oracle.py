@@ -42,7 +42,6 @@ def test_posterior_identity_design():
         design=np.eye(2),
         targets=np.array([2.0, 0.0]),
         noise_sigma=1.0,
-        prior=mod.GaussianPrior(1.0),
     )
     post = orc.exact_linear_posterior(problem)
     np.testing.assert_allclose(post.cov, 0.5 * np.eye(2), atol=1e-14)
@@ -55,7 +54,6 @@ def test_posterior_no_data_limit_recovers_prior():
         design=rng.standard_normal((6, 3)),
         targets=rng.standard_normal(6),
         noise_sigma=1e6,
-        prior=mod.GaussianPrior(1.0),
     )
     post = orc.exact_linear_posterior(problem)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-5)
@@ -78,9 +76,7 @@ def test_posterior_density_proportional_to_joint_on_grid():
             theta = base.copy()
             theta[0] += du
             theta[1] += dv
-            joint[i, j] = problem.loglik_rows(theta) + mod.prior_logpdf(
-                problem.prior, theta
-            )
+            joint[i, j] = problem.loglik_rows(theta) + mod.prior_logpdf(theta)
             exact[i, j] = post.log_density(theta)
     joint -= joint.max()
     exact -= exact.max()
@@ -96,7 +92,6 @@ def test_evidence_single_point():
         design=np.array([[1.0]]),
         targets=np.array([0.0]),
         noise_sigma=1.0,
-        prior=mod.GaussianPrior(1.0),
     )
     assert math.isclose(
         orc.log_evidence(problem), -0.5 * math.log(2 * math.pi * 2.0), rel_tol=1e-12
@@ -111,7 +106,7 @@ def test_evidence_conjugacy_identity():
     lhs = orc.log_evidence(problem)
     rhs = (
         problem.loglik_rows(post.mean)
-        + mod.prior_logpdf(problem.prior, post.mean)
+        + mod.prior_logpdf(post.mean)
         - post.log_density(post.mean)
     )
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
@@ -123,7 +118,6 @@ def test_evidence_matches_brute_force_prior_average():
         design=rng.standard_normal((3, 2)),
         targets=rng.standard_normal(3),
         noise_sigma=0.8,
-        prior=mod.GaussianPrior(1.0),
     )
     n = 1_000_000
     thetas = rng.standard_normal((n, 2))
@@ -453,7 +447,7 @@ def test_kl_audits_hold_one_block_of_temporaries(tag, kwargs):
         components=(orc.GaussianDist(shift, cov), orc.GaussianDist(-shift, cov)),
         weights=np.array([0.5, 0.5]),
     )
-    state = fam.init_family(tag, fam.ModelShape.linear(8), rng, **kwargs)
+    state = fam.init_family(tag, 8, rng, **kwargs)
     for audit, bound in (
         (lambda: orc.kl_p_to_family_mc(target, state, 200_000, rng), 16e6),
         (lambda: orc.kl_family_to_target_mc(state, target, 200_000, rng), 40e6),

@@ -49,7 +49,7 @@ def test_sn4_step_call_count_is_bounded(target_kind):
     if target_kind == "gaussian":
         target = orc.exact_linear_posterior(target)
     state = fam.init_family(
-        "structured_normal", fam.ModelShape.linear(10), np.random.default_rng(0), rank=4
+        "structured_normal", 10, np.random.default_rng(0), rank=4
     )
     config = tr.TrainConfig(steps=4 * tr.NOISE_CHUNK_STEPS, mc_samples=8)
     assert calls_per_step(state, target, config) < CALLS_PER_STEP_BOUND

@@ -46,7 +46,7 @@ def test_map_estimate_is_pointwise_and_deterministic():
     ]
     expected = float(
         problem.loglik_rows(state.theta_hat)
-        + mod.prior_logpdf(problem.prior, state.theta_hat)
+        + mod.prior_logpdf(state.theta_hat)
     )
     np.testing.assert_allclose(values, expected, rtol=1e-12)
     est = tr.elbo_estimate(state, problem, config, rng)
@@ -161,7 +161,7 @@ def test_mean_field_fits_diagonal_target_marginals():
     target = orc.GaussianDist(
         mean=np.array([0.5, -1.0, 2.0]), cov=np.diag([0.25, 1.0, 2.25])
     )
-    state = fam.init_family("mean_field", fam.ModelShape.linear(3), rng)
+    state = fam.init_family("mean_field", 3, rng)
     config = tr.TrainConfig(
         steps=4000, learning_rate=0.03, lr_decay=0.9992, mc_samples=8,
         mode="paired", seed=1,
@@ -181,14 +181,13 @@ def test_rank_zero_structured_trains_to_mean_field_quality():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     cov = q @ np.diag([0.4, 1.0, 2.5]) @ q.T
     target = orc.GaussianDist(mean=rng.standard_normal(3), cov=0.5 * (cov + cov.T))
-    shape = fam.ModelShape.linear(3)
     config = tr.TrainConfig(
         steps=3000, learning_rate=0.02, lr_decay=0.9992, mc_samples=8,
         mode="paired", seed=61,
     )
     kls = {}
     for tag, kwargs in [("mean_field", {}), ("structured_normal", {"rank": 0})]:
-        state = fam.init_family(tag, shape, np.random.default_rng(62), **kwargs)
+        state = fam.init_family(tag, 3, np.random.default_rng(62), **kwargs)
         trace = tr.train(state, target, config)
         fitted = orc.family_to_gaussian(trace.final_state)
         kls[tag] = orc.kl_gaussian_gaussian(target, fitted)
@@ -322,7 +321,7 @@ def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, targ
         post = orc.exact_linear_posterior(problem)
         shifted = orc.GaussianDist(mean=post.mean + 1.0, cov=post.cov)
         problem = orc.GaussianMixtureDist(components=(post, shifted), weights=np.array([0.4, 0.6]))
-    state = fam.init_family(tag, fam.ModelShape.linear(4), np.random.default_rng(61), **kwargs)
+    state = fam.init_family(tag, 4, np.random.default_rng(61), **kwargs)
     config = tr.TrainConfig(**{"steps": STEPS, "learning_rate": 0.02, "seed": 62, **config})
     calls = []
     draw_noise = fam.draw_noise
