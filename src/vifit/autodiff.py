@@ -14,6 +14,10 @@ with identical inputs is bit-identical.
 ``logsumexp``, ``cho_factor`` and ``cho_solve`` work on plain arrays; the
 last two are numpy's LAPACK, the one build every factorization in vifit
 goes through.
+
+``MemberFailure`` is vifit's one numerical failure: a tape node or ELBO
+term that is not finite, a degenerate factorization, or an audit that
+meets a degenerate fit.  It ends one roster member's fit, not the command.
 """
 
 from __future__ import annotations
@@ -23,16 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NonFiniteValueError(Exception):
-    """A tape node, or a term of a closed-form ELBO step, produced a NaN or
-    infinity; ``primitive`` names it."""
+class MemberFailure(ArithmeticError):
+    """A numerical failure that ends one member's fit; the message names the
+    term.  ``step`` is the training step it happened at, None outside
+    training, and the message ends with it when known."""
 
-    def __init__(self, primitive: str, detail: str = ""):
-        self.primitive = primitive
-        msg = f"non-finite value produced by '{primitive}'"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.step is None else f"{text} at step {self.step}"
 
 
 def _val(x) -> np.ndarray:
@@ -42,7 +48,7 @@ def _val(x) -> np.ndarray:
 def _node(name: str, value, parents) -> "Var":
     value = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(value)):
-        raise NonFiniteValueError(name)
+        raise MemberFailure(f"non-finite value produced by '{name}'")
     out = Var.__new__(Var)
     out.value = value
     out._parents = tuple(parents)
@@ -93,8 +99,7 @@ def cho_factor(c) -> tuple:
     """The lower Cholesky factor of c as ``(factor, True)``: ``np.linalg.cholesky``.
 
     Raises ``ValueError`` on non-finite input and ``np.linalg.LinAlgError``
-    (the class ``scipy.linalg.LinAlgError`` names too) when c is not
-    positive definite.
+    when c is not positive definite.
     """
     return np.linalg.cholesky(_check_finite(np.asarray(c))), True
 
@@ -187,9 +192,11 @@ def evaluate_with_gradient(objective, psi) -> GradientReport:
         value = float(out)
         grad = np.zeros(psi.shape)
     if not np.isfinite(value):
-        raise NonFiniteValueError("objective", "non-finite output value")
+        raise MemberFailure("non-finite value produced by 'objective' (non-finite output value)")
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteValueError("backward", "non-finite gradient component")
+        raise MemberFailure(
+            "non-finite value produced by 'backward' (non-finite gradient component)"
+        )
     return GradientReport(value=value, gradient=grad)
 
 
@@ -216,8 +223,9 @@ def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
         f_hi = _plain_value(objective, hi)
         f_lo = _plain_value(objective, lo)
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NonFiniteValueError(
-                "finite_difference", f"non-finite evaluation at probe coordinate {i}"
+            raise MemberFailure(
+                "non-finite value produced by 'finite_difference' "
+                f"(non-finite evaluation at probe coordinate {i})"
             )
         grad[i] = (f_hi - f_lo) / (2.0 * h)
     return grad

@@ -19,11 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
 from . import families as fam
 from . import models as mod
 from . import oracle as orc
 from . import trainer as tr
-from .lowrank import FactorizationError
 from .reports import FORMATS, ExperimentReport, FamilyResult, emit_report
 
 
@@ -216,9 +216,11 @@ def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
     (FamilyResult, fitted state).
 
     ``seqs`` are the member's (init, train, audit) seed sequences and
-    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Training
-    errors propagate, and a fitted state that is not finite raises
-    ``AuditError`` naming its non-finite psi blocks before any audit runs.
+    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Each
+    numerical failure is an ``ad.MemberFailure``: training's propagate, a
+    fitted state that is not finite fails naming its non-finite psi blocks
+    before any audit runs, and an audit that gives a NaN metric fails
+    naming it.
     """
     init_seq, train_seq, audit_seq = seqs
     state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
@@ -233,33 +235,27 @@ def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
     trace = tr.train(state, target, tcfg)
     blocks = fam.nonfinite_blocks(trace.final_state, fam.pack(trace.final_state))
     if blocks:
-        raise orc.AuditError(f"fitted state is not finite in psi blocks {', '.join(blocks)}")
+        raise ad.MemberFailure(f"fitted state is not finite in psi blocks {', '.join(blocks)}")
     metrics = audit(trace.final_state, tcfg, audit_seq)
+    nan = [name for name, value in metrics.items() if value is not None and math.isnan(value)]
+    if nan:
+        raise ad.MemberFailure(f"audit metric is NaN: {', '.join(nan)}")
     return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
-
-
-# Numerical failures that end one member's fit, not the command.
-MEMBER_FAILURES = (
-    tr.TrainingError,
-    orc.NotPositiveDefiniteError,
-    orc.AuditError,
-    FactorizationError,
-    np.linalg.LinAlgError,
-)
 
 
 def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
     """``fit_member`` per member, each seed sequence spawned once per member.
 
-    A member whose training fails, or whose audit meets a numerically
-    degenerate fit, gets an empty row and a None state; the rest of the
-    roster still runs.  Other errors end the command.
+    A member whose fit raises ``ad.MemberFailure`` (its training fails, or
+    its audit meets a numerically degenerate fit) gets an empty row and a
+    None state; the rest of the roster still runs.  Other errors end the
+    command.
     """
     fits = []
     for member, *member_seqs in zip(roster, *(seq.spawn(len(roster)) for seq in seqs)):
         try:
             fits.append(fit_member(member, p, target, config, member_seqs, audit))
-        except MEMBER_FAILURES as err:
+        except ad.MemberFailure as err:
             print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
             fits.append((FamilyResult(member.label, member.rank), None))
     return fits

@@ -9,7 +9,7 @@ the families' ``log_density``), is its value half.  Every factorization is
 numpy's LAPACK, so training and the audits round alike.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
-factorization is treated as failed (``FactorizationError``) when C is not
+factorization is treated as failed (``ad.MemberFailure``) when C is not
 finite although its inputs are, when its smallest pivot is lost in the
 rounding of C's largest entry, min(diag L)² ≤ K·eps·max(diag C), or when
 eps·max(diag C) exceeds ``CAPACITANCE_ROUNDOFF``.  The last one fires even
@@ -32,10 +32,6 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 EPS = float(np.finfo(float).eps)
 
 
-class FactorizationError(RuntimeError):
-    """Capacitance factorization failed; the diagonal is numerically degenerate."""
-
-
 # The largest eps·max(diag C) the Woodbury kernels accept: about 8 digits of
 # Σ⁻¹ and log q survive it (see module notes).
 CAPACITANCE_ROUNDOFF = 1e-8
@@ -45,14 +41,14 @@ def _capacitance_error(c, a_diag, factor, detail) -> Exception:
     """The error a failed factorization of C, built from ``a_diag`` and
     ``factor``, reports.
 
-    FactorizationError when C is not positive definite, or not finite
+    ``ad.MemberFailure`` when C is not positive definite, or not finite
     although both its inputs are (a diagonal entry underflowed to 0 or U/a
     overflowed).  A non-finite input gives a plain ValueError.
     """
     if np.isfinite(c).all():
-        return FactorizationError(f"capacitance factorization failed: {detail}")
+        return ad.MemberFailure(f"capacitance factorization failed: {detail}")
     if np.isfinite(a_diag).all() and np.isfinite(factor).all():
-        return FactorizationError(f"capacitance is not finite: {detail}")
+        return ad.MemberFailure(f"capacitance is not finite: {detail}")
     return ValueError("array must not contain infs or NaNs")
 
 
@@ -71,8 +67,8 @@ def _check_capacitance(c, chol_diag, a_diag, factor):
     if not np.isfinite(c).all():
         raise _capacitance_error(c, a_diag, factor, "its Cholesky factor is not finite")
     if singular:
-        raise FactorizationError("capacitance matrix is singular to working precision")
-    raise FactorizationError(
+        raise ad.MemberFailure("capacitance matrix is singular to working precision")
+    raise ad.MemberFailure(
         f"capacitance is too large for working precision: eps·max(diag C) = "
         f"{EPS * top:.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
     )
@@ -192,10 +188,10 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
     value half of ``lowrank_logpdf_and_vjp``.
 
     ``theta`` may be a single point (P,) or rows (S, P); ``factor`` may be
-    None for a diagonal covariance.  Raises FactorizationError when the
+    None for a diagonal covariance.  Raises ``ad.MemberFailure`` when the
     capacitance system is degenerate.  With K > 0, a non-finite θ or mean
     raises a plain ValueError; a diagonal covariance gives its NaN, which
-    the Monte-Carlo audits report as ``AuditError``.
+    the Monte-Carlo audits report as ``ad.MemberFailure``.
     """
     log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[0]), mean, a_diag, factor)[0]
     if factor is not None and factor.shape[1] and not np.isfinite(log_q).all():
@@ -224,7 +220,7 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     solve's cost does not grow with the number of rows.  v_k and diag Σ⁻¹
     are formed only when the adjoint is asked for.  ``factor`` may be None
     (or have K = 0) for a diagonal covariance; ``d_factor`` is then None.
-    Raises FactorizationError as the module notes say.
+    Raises ``ad.MemberFailure`` as the module notes say.
     """
     p = theta.shape[1]
     k = 0 if factor is None else factor.shape[1]

@@ -8,7 +8,9 @@ rows: memory is the (n_mc,) gaps, plus q's noise, n_mc·(P + K) numbers,
 when sampling from q, and one block of temporaries.
 
 Dense P×P algebra is acceptable throughout: problems audited here have
-P ≤ 32 by construction.
+P ≤ 32 by construction.  A fit the audits cannot read (a covariance that
+is not positive definite, a Monte-Carlo draw that is not finite) raises
+``ad.MemberFailure``.
 """
 
 from __future__ import annotations
@@ -26,24 +28,15 @@ from .models import RegressionProblem
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
-class NotPositiveDefiniteError(RuntimeError):
-    """A matrix that must be SPD failed its Cholesky factorization."""
-
-
-class AuditError(ArithmeticError):
-    """A Monte-Carlo KL audit met a draw that is not finite or a NaN
-    log-density gap."""
-
-
 def _cho(matrix: np.ndarray, what: str):
-    """``ad.cho_factor(matrix)``; NotPositiveDefiniteError when the matrix is
+    """``ad.cho_factor(matrix)``; ``ad.MemberFailure`` when the matrix is
     not finite or not positive definite."""
     try:
         return ad.cho_factor(matrix)
     except np.linalg.LinAlgError as err:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite: {err}") from err
+        raise ad.MemberFailure(f"{what} is not positive definite: {err}") from err
     except ValueError as err:
-        raise NotPositiveDefiniteError(f"{what} is not finite") from err
+        raise ad.MemberFailure(f"{what} is not finite") from err
 
 
 @dataclass(frozen=True)
@@ -202,23 +195,23 @@ def kl_gaussian_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(qf[0]))))
     sign, logdet_p = np.linalg.slogdet(p.cov)
     if sign <= 0:
-        raise NotPositiveDefiniteError("first argument covariance is not SPD")
+        raise ad.MemberFailure("first argument covariance is not SPD")
     return 0.5 * (trace + quad - p.dim + logdet_q - logdet_p)
 
 
 def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
     """The dense Gaussian of a Gaussian family.
 
-    NotPositiveDefiniteError when the float64 covariance has a zero
+    ``ad.MemberFailure`` when the float64 covariance has a zero
     variance (``fam.has_zero_variance``: q is a point mass along that
     coordinate) or a zero diagonal part, which ``StructuredCov`` rejects.
     """
     if fam.has_zero_variance(state):
-        raise NotPositiveDefiniteError("covariance has a zero variance: q is a point mass")
+        raise ad.MemberFailure("covariance has a zero variance: q is a point mass")
     try:
         mean, cov = fam.dense_moments(state)
     except ValueError as err:
-        raise NotPositiveDefiniteError(f"covariance is degenerate: {err}") from err
+        raise ad.MemberFailure(f"covariance is degenerate: {err}") from err
     return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
 
 
@@ -227,16 +220,16 @@ def _mc_kl(blocks, gap, n_mc: int) -> tuple:
 
     Each block's gaps land in one (n_mc,) array, so the reduction is the
     one a whole batch would get.  A block of draws that is not finite, or a
-    NaN mean, raises AuditError.
+    NaN mean, raises ``ad.MemberFailure``.
     """
     gaps = np.empty(n_mc)
     for rows, draws in blocks:
         if not np.isfinite(draws).all():
-            raise AuditError("a Monte-Carlo KL draw is not finite")
+            raise ad.MemberFailure("a Monte-Carlo KL draw is not finite")
         gaps[rows] = gap(draws)
     kl = float(gaps.mean())
     if math.isnan(kl):
-        raise AuditError("a Monte-Carlo KL log-density gap is NaN")
+        raise ad.MemberFailure("a Monte-Carlo KL log-density gap is NaN")
     return kl, float(gaps.std(ddof=1) / math.sqrt(n_mc))
 
 

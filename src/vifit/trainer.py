@@ -39,32 +39,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import families as fam
-from .lowrank import FactorizationError
-
-
-class TrainingError(RuntimeError):
-    pass
-
-
-class ElboNotFiniteError(TrainingError):
-    def __init__(self, step: int, detail: str):
-        self.step = step
-        super().__init__(f"non-finite ELBO at step {step}: {detail}")
-
-
-class TrainingDivergedError(TrainingError):
-    def __init__(self, step: int, grad_norm: float):
-        self.step = step
-        self.grad_norm = grad_norm
-        super().__init__(f"gradient norm {grad_norm:.3e} exceeded guard at step {step}")
-
-
-class CapacitanceError(TrainingError):
-    """The family's capacitance matrix stopped being positive definite."""
-
-    def __init__(self, step: int, detail: str):
-        self.step = step
-        super().__init__(f"degenerate covariance at step {step}: {detail}")
 
 
 GRAD_NORM_GUARD = 1e6
@@ -186,7 +160,7 @@ def _value_grad_norm(state, params, noise, log_joint, logq_bar):
     raise _nonfinite_step(state, params, noise, log_joint, grad)
 
 
-def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.NonFiniteValueError:
+def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.MemberFailure:
     """The error of a step whose value or gradient is not finite.
 
     Re-evaluates the step's terms and names the first that is not finite
@@ -200,17 +174,17 @@ def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.NonFiniteValueE
         "gradient",
     )
     blocks = fam.nonfinite_blocks(state, grad)
-    if not blocks:
-        return ad.NonFiniteValueError(term, "finite gradient")
-    return ad.NonFiniteValueError(term, f"gradient not finite in psi blocks {', '.join(blocks)}")
+    detail = "finite gradient"
+    if blocks:
+        detail = f"gradient not finite in psi blocks {', '.join(blocks)}"
+    return ad.MemberFailure(f"non-finite value produced by '{term}' ({detail})")
 
 
 def elbo_value_and_grad(state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem) -> tuple:
     """(value, gradient) of the MC ELBO estimate at a plain ``psi``.
 
-    Raises ``NonFiniteValueError`` naming the term that is not finite
-    (``_nonfinite_step``) and ``FactorizationError`` when a capacitance
-    factorization fails.
+    Raises ``ad.MemberFailure`` naming the term that is not finite
+    (``_nonfinite_step``) or the capacitance factorization that failed.
     """
     value, grad, _ = _value_grad_norm(
         state,
@@ -264,7 +238,10 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     Per-coordinate step scaling uses exponential moving averages of the
     gradient (decay 0.9) and its square (decay 0.999), for the full step
     budget.  Deterministic given the seed, and step for step the numbers
-    of a per-step loop (see module notes).
+    of a per-step loop (see module notes).  A step whose ELBO or gradient
+    is not finite, whose capacitance factorization fails, whose psi the
+    previous update overflowed, or whose gradient norm exceeds
+    ``GRAD_NORM_GUARD`` raises ``ad.MemberFailure`` carrying that step.
     """
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
@@ -288,12 +265,18 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         noise = noises[step % NOISE_CHUNK_STEPS]
         try:
             value, grad, gnorm = _value_grad_norm(state, params, noise, log_joint, logq_bar)
-        except ad.NonFiniteValueError as err:
-            raise ElboNotFiniteError(step, str(err)) from err
-        except FactorizationError as err:
-            raise CapacitanceError(step, str(err)) from err
+        except ad.MemberFailure as err:
+            err.step = step
+            raise
+        except ValueError as err:
+            # The kernels reject non-finite input: an update overflowed psi.
+            blocks = fam.nonfinite_blocks(state, psi)
+            if not blocks:
+                raise
+            message = f"the previous update left psi not finite in blocks {', '.join(blocks)}"
+            raise ad.MemberFailure(message, step) from err
         if gnorm > GRAD_NORM_GUARD:
-            raise TrainingDivergedError(step, gnorm)
+            raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
         # In place, in the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,
         # m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε).
         m *= beta1

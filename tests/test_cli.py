@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import vifit.cli as cli
@@ -346,6 +348,25 @@ def test_overflowed_fit_fails_only_its_member(tmp_path, argv, lr):
         assert rows[label] == ["na"] * 4, label
 
 
+@pytest.mark.parametrize(
+    "argv", [["fit-gaussian"], ["fit-gaussian", "--bimodal"], ["rbf"]], ids=" ".join
+)
+def test_update_that_overflows_psi_fails_only_its_member(tmp_path, capsys, argv):
+    # lr·m̂ overflows at this rate, so step 0 leaves psi infinite.  Each
+    # member fails at step 1, where an sN's capacitance kernel meets that
+    # psi with the plain ValueError it gives any non-finite input.
+    doc = SMALL_RBF if argv == ["rbf"] else SMALL_FG
+    cfg = write_config(tmp_path, dict(doc, learning_rate=1e307, steps=2))
+    with np.errstate(all="ignore"):
+        assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path)]) == 0
+    strict_json((tmp_path / "report.json").read_text())
+    err = capsys.readouterr().err
+    overflowed = r"sn\d failed: the previous update left psi not finite in blocks .*u at step 1"
+    assert re.search(overflowed, err), err
+    for line in (tmp_path / "tables.csv").read_text().splitlines()[1:]:
+        assert line.split(",")[2:] == ["na"] * 5, line
+
+
 def _point_mass_mf(state):
     # exp(−400)² underflows to 0: a point mass in float64.
     state.log_sigma[:] = -400.0
@@ -448,6 +469,169 @@ def test_degenerate_q_in_exact_audit_fails_alone(
     for family, cells in rows.items():
         if family in ("mf", "sn1", "sn3", "sn4"):
             assert all(math.isfinite(float(cell)) for cell in cells), family
+
+
+def _member_label(state) -> str:
+    """The roster label of a fitted state (sN members carry their rank)."""
+    labels = {"map": "map", "mc_dropout": "mc_dropout", "mean_field": "mf", "mixture": "sgmm"}
+    return labels.get(state.tag) or f"sn{state.rank}"
+
+
+def _run_with_degraded_member(argv, doc, label, degrade) -> tuple:
+    """Run ``argv`` at config ``doc`` with ``degrade(fitted)`` applied to the
+    member ``label``'s fitted state after training; returns (exit code,
+    stderr, report.json text, tables.csv rows by label)."""
+    train = cli.tr.train
+
+    def train_then_degrade(state, target, config):
+        trace = train(state, target, config)
+        if _member_label(trace.final_state) == label:
+            degrade(trace.final_state)
+        return trace
+
+    patch = mock.patch.object(cli.tr, "train", train_then_degrade)
+    with tempfile.TemporaryDirectory() as tmp, patch:
+        cfg = write_config(Path(tmp), doc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            with np.errstate(all="ignore"):
+                code = cli.main([*argv, "--config", cfg, "--out", tmp])
+        if code:
+            return code, stderr.getvalue(), None, None
+        lines = (Path(tmp) / "tables.csv").read_text().splitlines()[1:]
+        report = (Path(tmp) / "report.json").read_text()
+    return code, stderr.getvalue(), report, {line.split(",")[0]: line for line in lines}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,label,degrade,metric",
+    [
+        (["rbf"], SMALL_RBF, "sn4", lambda s: s.mu.fill(1e300), "logq_theta_star"),
+        (["fit-gaussian"], SMALL_FG, "map", lambda s: s.theta_hat.fill(1e300), "elbo"),
+    ],
+    ids=["rbf-sn-mean", "fit-gaussian-map"],
+)
+def test_nan_audit_metric_fails_only_its_member(argv, doc, label, degrade, metric):
+    # A fitted state that is finite but far out gets past the finiteness
+    # check; its audit then gives a NaN metric, which fails that member alone.
+    clean = _run_with_degraded_member(argv, doc, None, None)[3]
+    code, err, report, rows = _run_with_degraded_member(argv, doc, label, degrade)
+    assert code == 0, err
+    strict_json(report)
+    assert f"] {label} failed: audit metric is NaN: {metric}" in err
+    assert rows.pop(label).split(",")[2:] == ["na"] * 5
+    del clean[label]
+    assert rows == clean
+
+
+def test_failed_dropout_audit_fit_is_an_error_record(tmp_path, capsys):
+    # dropout-audit's one member is the whole command: its failure ends it.
+    cfg = write_config(tmp_path, {"learning_rate": 1e100, "steps": 2})
+    assert cli.main(["dropout-audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "MemberFailure"
+    assert record["message"].startswith("gradient norm ")
+    assert record["message"].endswith(" exceeded guard at step 1")
+    assert not (tmp_path / "o").exists()
+
+
+BIMODAL = "fit-gaussian --bimodal"
+DEGENERACY_RUNS = {
+    "fit-gaussian": (["fit-gaussian"], SMALL_FG, ["map", "mf", "sn1", "sn3"]),
+    BIMODAL: (["fit-gaussian", "--bimodal"], SMALL_FG, ["mf", "sn1", "sn3", "sgmm"]),
+    "rbf": (["rbf"], SMALL_RBF, ["map", "mc_dropout", "mf", "sn4"]),
+}
+
+
+def _gaussian_part(state):
+    """The Gaussian a degeneracy writes to: an sGMM's first component."""
+    return state.components[0] if state.tag == "mixture" else state
+
+
+def _mean(state):
+    return state.theta_hat if state.tag in cli.fam.ATOMIC_TAGS else _gaussian_part(state).mu
+
+
+def _log_scale(state):
+    part = _gaussian_part(state)
+    return part.log_sigma if part.tag == "mean_field" else part.log_a
+
+
+# name: (members it applies to, the array it writes, the value written)
+DEGENERACIES = {
+    "nan mean": (None, _mean, math.nan),
+    "+inf mean": (None, _mean, math.inf),
+    "-inf mean": (None, _mean, -math.inf),
+    "far mean": (None, _mean, 1e300),
+    "zero variance": (("mf", "sn1", "sn3", "sn4", "sgmm"), _log_scale, -800.0),
+    "huge U": (("sn1", "sn3", "sn4", "sgmm"), lambda s: _gaussian_part(s).u, 1e200),
+    "+1e308 logit": (("sgmm",), lambda s: s.weight_logits, 1e308),
+    "-1e308 logit": (("sgmm",), lambda s: s.weight_logits, -1e308),
+}
+
+
+def expected_outcomes(command, label, name) -> set:
+    if name == "far mean":
+        return {"failed", "infinite"}  # overflowed KLs are infinite; a NaN audit fails
+    if name.endswith("logit"):
+        return {"finite"}  # the weights collapse onto components: still a mixture
+    if name == "zero variance" and command == BIMODAL and label == "mf":
+        return {"infinite"}  # a float64 point mass: both Monte-Carlo KLs infinite
+    return {"failed"}
+
+
+def row_outcome(row: str) -> str:
+    kl_p_q, kl_q_p, logq, elbo, runtime = row.split(",")[2:]
+    if [kl_p_q, kl_q_p, logq, elbo, runtime] == ["na"] * 5:
+        return "failed"
+    if (kl_p_q, kl_q_p, elbo) == ("inf", "inf", "-inf"):
+        return "infinite"
+    assert all(math.isfinite(float(cell)) for cell in (kl_p_q, kl_q_p, elbo)), row
+    return "finite"
+
+
+@functools.cache
+def clean_rows(command) -> dict:
+    argv, doc, _ = DEGENERACY_RUNS[command]
+    code, err, _, rows = _run_with_degraded_member(argv, doc, None, None)
+    assert code == 0, err
+    return rows
+
+
+@hst.composite
+def degenerate_runs(draw):
+    command = draw(hst.sampled_from(sorted(DEGENERACY_RUNS)))
+    label = draw(hst.sampled_from(DEGENERACY_RUNS[command][2]))
+    names = [name for name, (members, *_) in DEGENERACIES.items() if label in (members or [label])]
+    return command, label, draw(hst.sampled_from(names)), draw(hst.sampled_from([0, slice(None)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_runs())
+@example(("rbf", "sn4", "far mean", slice(None)))  # log q(θ*) is NaN
+@example(("fit-gaussian", "map", "far mean", slice(None)))  # the ELBO is NaN
+def test_generated_degenerate_member_fails_alone(run):
+    # Whatever the degeneracy, the command exits 0 and writes strict JSON;
+    # the degraded row fails alone, or reports what float64 can of it, and
+    # every other row is the clean run's, byte for byte.
+    command, label, name, at = run
+    argv, doc, _ = DEGENERACY_RUNS[command]
+    _, array_of, value = DEGENERACIES[name]
+
+    def degrade(state):
+        array_of(state)[at] = value
+
+    code, err, report, rows = _run_with_degraded_member(argv, doc, label, degrade)
+    assert code == 0, err
+    strict_json(report)
+    outcome = row_outcome(rows[label])
+    assert outcome in expected_outcomes(command, label, name), rows[label]
+    assert (f"] {label} failed: " in err) == (outcome == "failed")
+    clean = clean_rows(command)
+    assert sorted(rows) == sorted(clean)
+    for other, line in clean.items():
+        if other != label:
+            assert rows[other] == line, other
 
 
 def count_train_calls(monkeypatch) -> list:

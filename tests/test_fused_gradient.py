@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 
 import vifit.autodiff as ad
 import vifit.families as fam
-import vifit.lowrank as lr
 import vifit.models as mod
 import vifit.oracle as orc
 import vifit.trainer as tr
@@ -285,15 +284,16 @@ def test_nonfinite_step_raises_what_the_tape_raises(tag):
     mode = "naive" if tag in fam.ATOMIC_TAGS else "paired"
     count = tr._effective_sample_count(state, tr.TrainConfig(mode=mode))
     noise = fam.draw_noise(state, mode, count, rng)
-    with pytest.raises(ad.NonFiniteValueError) as step_err:
+    message = f"non-finite value produced by '{term}' ({detail})"
+    with pytest.raises(ad.MemberFailure) as step_err:
         tr.elbo_value_and_grad(state, fam.pack(state), noise, problem)
-    assert step_err.value.primitive == term
-    assert str(step_err.value) == f"non-finite value produced by '{term}' ({detail})"
+    assert step_err.value.step is None
+    assert str(step_err.value) == message
 
-    with pytest.raises(tr.ElboNotFiniteError) as train_err:
+    with pytest.raises(ad.MemberFailure) as train_err:
         tr.train(state, problem, tr.TrainConfig(steps=3, mode=mode))
     assert train_err.value.step == 0
-    assert str(train_err.value) == f"non-finite ELBO at step 0: {step_err.value}"
+    assert str(train_err.value) == f"{message} at step 0"
 
 
 def _singular_capacitance_state(tag, p):
@@ -313,14 +313,14 @@ def _assert_fails_at_step_zero(state, problem):
     noise = fam.draw_noise(
         state, "paired", 8, np.random.default_rng(9), stratify_components=stratify
     )
-    with pytest.raises(lr.FactorizationError, match="capacitance factorization failed"):
+    with pytest.raises(ad.MemberFailure, match="capacitance factorization failed"):
         tr.elbo_value_and_grad(state, fam.pack(state), noise, problem)
 
-    with pytest.raises(tr.CapacitanceError) as err:
+    with pytest.raises(ad.MemberFailure) as err:
         tr.train(state, problem, tr.TrainConfig(steps=5, mode="paired"))
-    assert isinstance(err.value, tr.TrainingError)
     assert err.value.step == 0
-    assert "capacitance factorization failed" in str(err.value)
+    assert str(err.value).startswith("capacitance factorization failed")
+    assert str(err.value).endswith(" at step 0")
 
 
 # The failure is the family's, whichever closed form the target has.

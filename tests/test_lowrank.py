@@ -6,11 +6,11 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from vifit.autodiff import MemberFailure
 from vifit.lowrank import (
     CAPACITANCE_ROUNDOFF,
     EPS,
     LOG_TWO_PI,
-    FactorizationError,
     StructuredCov,
     gaussian_draw_rows,
     lowrank_logpdf,
@@ -199,10 +199,10 @@ def test_degenerate_capacitance_surfaces_error():
     factor = np.full((3, 2), 1e160)
     cov = StructuredCov(diag=diag, factor=factor)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(FactorizationError, match="not finite"):
+        with pytest.raises(MemberFailure, match="not finite"):
             woodbury_solve(cov, np.ones(3))
         for u in (np.eye(3, 2), np.zeros((3, 2))):
-            with pytest.raises(FactorizationError, match="not finite"):
+            with pytest.raises(MemberFailure, match="not finite"):
                 lowrank_logpdf(np.ones((2, 3)), np.zeros(3), np.exp(np.full(3, -800.0)), u)
 
 
@@ -221,13 +221,13 @@ def singular_probe_factor():
 def test_numerically_singular_capacitance_is_rejected():
     factor = singular_probe_factor()
     cov = StructuredCov(diag=np.ones(4), factor=factor)
-    with pytest.raises(FactorizationError, match="singular"):
+    with pytest.raises(MemberFailure, match="singular"):
         structured_logpdf(np.zeros(4), np.zeros(4), cov)
-    with pytest.raises(FactorizationError, match="singular"):
+    with pytest.raises(MemberFailure, match="singular"):
         woodbury_logdet(cov)
     # The closed-form gradient path applies the same test.
     rows = np.random.default_rng(1).standard_normal((2, 4))
-    with pytest.raises(FactorizationError, match="singular"):
+    with pytest.raises(MemberFailure, match="singular"):
         lowrank_logpdf_and_vjp(rows, np.zeros(4), np.ones(4), factor)
 
 
@@ -238,11 +238,11 @@ def test_capacitance_too_large_for_working_precision_is_rejected():
     factor = np.array([[1e7]])
     cov = StructuredCov(diag=np.ones(1), factor=factor)
     assert EPS * cov.dense()[0, 0] > CAPACITANCE_ROUNDOFF
-    with pytest.raises(FactorizationError, match="too large"):
+    with pytest.raises(MemberFailure, match="too large"):
         woodbury_solve(cov, np.ones(1))
-    with pytest.raises(FactorizationError, match="too large"):
+    with pytest.raises(MemberFailure, match="too large"):
         lowrank_logpdf(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
-    with pytest.raises(FactorizationError, match="too large"):
+    with pytest.raises(MemberFailure, match="too large"):
         lowrank_logpdf_and_vjp(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
 
 
@@ -339,7 +339,7 @@ def test_woodbury_kernels_match_dense_on_ill_conditioned_inputs(
     try:
         solved, logdet = woodbury_solve(cov, v), woodbury_logdet(cov)
         logpdf = lowrank_logpdf(rows, mean, diag, factor)
-    except FactorizationError:
+    except MemberFailure:
         # The guard fires only where C is singular to working precision or
         # too large for it (eps·max diag C above CAPACITANCE_ROUNDOFF).
         assert (

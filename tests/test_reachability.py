@@ -8,6 +8,7 @@ abstraction has to be used by the program to stay.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -33,3 +34,28 @@ def test_every_definition_is_used_by_the_program():
         if len(re.findall(rf"\b{re.escape(qualified.split('.')[1])}\b", corpus)) < 2
     ]
     assert not unused, f"used nowhere outside their own definition: {', '.join(unused)}"
+
+
+def exception_classes() -> list:
+    """The classes defined in ``src/vifit`` that derive from BaseException,
+    directly or through another class defined there."""
+    bases = {
+        node.name: [ast.unparse(base).split(".")[-1] for base in node.bases]
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def derives(name) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return any(derives(base) for base in bases.get(name, ()))
+
+    return sorted(name for name in bases if derives(name))
+
+
+def test_one_failure_class_per_member():
+    # Every numerical failure of a member is a MemberFailure, which is all
+    # that fit_roster catches; ModeFamilyError rejects a roster before training.
+    assert exception_classes() == ["MemberFailure", "ModeFamilyError"]
