@@ -11,9 +11,10 @@ check the acceptance gate compares it with.  ``backward`` still walks a
 graph of any depth in a fixed topological order, so repeated evaluation
 with identical inputs is bit-identical.
 
-``logsumexp``, ``cho_factor`` and ``cho_solve`` work on plain arrays; the
+``logsumexp``, ``cholesky`` and ``cho_solve`` work on plain arrays; the
 last two are numpy's LAPACK, the one build every factorization in vifit
-goes through.
+goes through.  ``cholesky`` raises ``MemberFailure`` on a matrix that is
+not finite or not positive definite.
 
 ``MemberFailure`` is vifit's one numerical failure: a tape node or ELBO
 term that is not finite, a degenerate factorization, or an audit that
@@ -89,30 +90,26 @@ def logsumexp(x, axis=None):
     return out.reshape(())[()] if axis is None else out.squeeze(axis)
 
 
-def _check_finite(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return a
+def cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """The lower Cholesky factor of ``matrix``: ``np.linalg.cholesky``.
 
-
-def cho_factor(c) -> tuple:
-    """The lower Cholesky factor of c as ``(factor, True)``: ``np.linalg.cholesky``.
-
-    Raises ``ValueError`` on non-finite input and ``np.linalg.LinAlgError``
-    when c is not positive definite.
+    Raises ``MemberFailure`` naming ``what`` when the matrix is not finite
+    (checked before factorizing) or not positive definite.
     """
-    return np.linalg.cholesky(_check_finite(np.asarray(c))), True
+    if not np.isfinite(matrix).all():
+        raise MemberFailure(f"{what} is not finite")
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as err:
+        raise MemberFailure(f"{what} is not positive definite: {err}") from err
 
 
-def cho_solve(factor: tuple, b) -> np.ndarray:
-    """c⁻¹ b from ``cho_factor(c)``: L y = b, then Lᵀ x = y.
+def cho_solve(chol: np.ndarray, b) -> np.ndarray:
+    """c⁻¹ b from c's lower factor ``chol``: L y = b, then Lᵀ x = y.
 
     numpy has no public triangular solve, so each half is an LU
-    ``np.linalg.solve`` on the triangle; both are backward stable.  Raises
-    ``ValueError`` on non-finite b.
+    ``np.linalg.solve`` on the triangle; both are backward stable.
     """
-    chol = factor[0]
-    b = _check_finite(np.asarray(b))
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 

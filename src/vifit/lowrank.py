@@ -10,7 +10,7 @@ numpy's LAPACK, so training and the audits round alike.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``ad.MemberFailure``) when C is not
-finite although its inputs are, when its smallest pivot is lost in the
+finite or not positive definite, when its smallest pivot is lost in the
 rounding of C's largest entry, min(diag L)² ≤ K·eps·max(diag C), or when
 eps·max(diag C) exceeds ``CAPACITANCE_ROUNDOFF``.  The last one fires even
 at K = 1, where the pivot rule cannot: the Woodbury identities subtract
@@ -37,52 +37,34 @@ EPS = float(np.finfo(float).eps)
 CAPACITANCE_ROUNDOFF = 1e-8
 
 
-def _capacitance_error(c, a_diag, factor, detail) -> Exception:
-    """The error a failed factorization of C, built from ``a_diag`` and
-    ``factor``, reports.
+def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of C, checked as the module notes say.
 
-    ``ad.MemberFailure`` when C is not positive definite, or not finite
-    although both its inputs are (a diagonal entry underflowed to 0 or U/a
-    overflowed).  A non-finite input gives a plain ValueError.
+    C is factorized without a finiteness pre-check: a NaN or ±inf anywhere
+    in C fails the factorization or leaves one in diag L or diag C, and the
+    pivot tests run on Python floats over only K values, since this runs on
+    every closed-form step.  The sum of the pivots catches a NaN that
+    ``min`` passes over.
     """
-    if np.isfinite(c).all():
-        return ad.MemberFailure(f"capacitance factorization failed: {detail}")
-    if np.isfinite(a_diag).all() and np.isfinite(factor).all():
-        return ad.MemberFailure(f"capacitance is not finite: {detail}")
-    return ValueError("array must not contain infs or NaNs")
-
-
-def _check_capacitance(c, chol_diag, a_diag, factor):
-    """Raise unless C = LLᵀ passes the module's three tests.
-
-    On Python floats: this runs on every closed-form step, over only K
-    values.  A NaN or ±inf anywhere in C leaves one in diag L or diag C;
-    the sum of the pivots catches a NaN that ``min`` passes over.
-    """
+    try:
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError as err:
+        if not np.isfinite(c).all():
+            raise ad.MemberFailure("capacitance is not finite") from err
+        raise ad.MemberFailure(f"capacitance factorization failed: {err}") from err
     top = max(c.diagonal().tolist())
-    pivots = chol_diag.tolist()
+    pivots = chol.diagonal().tolist()
     singular = min(pivots) ** 2 <= len(pivots) * EPS * top
     if not singular and EPS * top <= CAPACITANCE_ROUNDOFF and math.isfinite(sum(pivots)):
-        return
+        return chol
     if not np.isfinite(c).all():
-        raise _capacitance_error(c, a_diag, factor, "its Cholesky factor is not finite")
+        raise ad.MemberFailure("capacitance is not finite")
     if singular:
         raise ad.MemberFailure("capacitance matrix is singular to working precision")
     raise ad.MemberFailure(
         f"capacitance is too large for working precision: eps·max(diag C) = "
         f"{EPS * top:.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
     )
-
-
-def _capacitance_cholesky(c: np.ndarray, a_diag: np.ndarray, factor: np.ndarray) -> tuple:
-    """``ad.cho_factor`` of C built from ``a_diag`` and ``factor``, checked
-    as the module notes say (``_capacitance_error``)."""
-    try:
-        chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError as err:
-        raise _capacitance_error(c, a_diag, factor, err) from err
-    _check_capacitance(c, chol.diagonal(), a_diag, factor)
-    return chol, True
 
 
 @cache
@@ -130,12 +112,12 @@ class StructuredCov:
         return self.factor.shape[1]
 
     @cached_property
-    def capacitance(self) -> tuple | None:
-        """``ad.cho_factor`` of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
+    def capacitance(self) -> np.ndarray | None:
+        """The lower Cholesky factor of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
         if self.rank == 0:
             return None
         c = _identity(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
-        return _capacitance_cholesky(c, self.diag, self.factor)
+        return _capacitance_cholesky(c)
 
     def dense(self) -> np.ndarray:
         """Materialize the P×P matrix; intended for diagnostics and tests."""
@@ -159,7 +141,7 @@ def woodbury_logdet(cov: StructuredCov) -> float:
     base = float(np.sum(np.log(cov.diag)))
     if cov.rank == 0:
         return base
-    return base + 2.0 * float(np.sum(np.log(np.diag(cov.capacitance[0]))))
+    return base + 2.0 * float(np.sum(np.log(np.diag(cov.capacitance))))
 
 
 def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):
@@ -189,14 +171,11 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
 
     ``theta`` may be a single point (P,) or rows (S, P); ``factor`` may be
     None for a diagonal covariance.  Raises ``ad.MemberFailure`` when the
-    capacitance system is degenerate.  With K > 0, a non-finite θ or mean
-    raises a plain ValueError; a diagonal covariance gives its NaN, which
-    the Monte-Carlo audits report as ``ad.MemberFailure``.
+    capacitance system is degenerate.  A row of θ that is not finite gets
+    a log q that is not finite, and so does every row when the mean is not
+    finite; the Monte-Carlo audits report that as ``ad.MemberFailure``.
     """
     log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[0]), mean, a_diag, factor)[0]
-    if factor is not None and factor.shape[1] and not np.isfinite(log_q).all():
-        ad._check_finite(theta)
-        ad._check_finite(mean)
     return log_q[0] if theta.ndim == 1 else log_q
 
 
@@ -231,7 +210,7 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     if k:
         b = factor / a_diag[:, None]
         cap = _identity(k) + factor.T @ b
-        chol = _capacitance_cholesky(cap, a_diag, factor)[0]
+        chol = _capacitance_cholesky(cap)
         sinv_u = np.linalg.solve(cap, b.T).T  # Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹
         t = v @ factor  # rows t_k = UᵀA⁻¹(θ_k − mean) = Bᵀ(θ_k − mean)
         utv = r @ sinv_u  # rows Uᵀ v_k = C⁻¹ t_k = (B C⁻¹)ᵀ (θ_k − mean)

@@ -9,8 +9,8 @@ when sampling from q, and one block of temporaries.
 
 Dense P×P algebra is acceptable throughout: problems audited here have
 P ≤ 32 by construction.  A fit the audits cannot read (a covariance that
-is not positive definite, a Monte-Carlo draw that is not finite) raises
-``ad.MemberFailure``.
+is not finite or not positive definite, which ``ad.cholesky`` rejects, or
+a Monte-Carlo draw that is not finite) raises ``ad.MemberFailure``.
 """
 
 from __future__ import annotations
@@ -26,17 +26,6 @@ from . import families as fam
 from .models import RegressionProblem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-
-
-def _cho(matrix: np.ndarray, what: str):
-    """``ad.cho_factor(matrix)``; ``ad.MemberFailure`` when the matrix is
-    not finite or not positive definite."""
-    try:
-        return ad.cho_factor(matrix)
-    except np.linalg.LinAlgError as err:
-        raise ad.MemberFailure(f"{what} is not positive definite: {err}") from err
-    except ValueError as err:
-        raise ad.MemberFailure(f"{what} is not finite") from err
 
 
 @dataclass(frozen=True)
@@ -58,12 +47,12 @@ class GaussianDist:
         self._factor  # force the SPD check at construction
 
     @cached_property
-    def _factor(self):
-        return _cho(self.cov, "covariance")
+    def _factor(self) -> np.ndarray:
+        return ad.cholesky(self.cov, "covariance")
 
     @cached_property
     def _logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._factor[0]))))
+        return 2.0 * float(np.sum(np.log(np.diag(self._factor))))
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -88,13 +77,10 @@ class GaussianDist:
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
         """Yield ``(rows, draws)`` over ``fam.row_blocks(n)``, normals in row order."""
-        chol = self._factor[0]
+        chol = self._factor
         for rows in fam.row_blocks(n):
             z = rng.standard_normal((rows.stop - rows.start, self.dim))
             yield rows, self.mean + z @ chol.T
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return fam.gather_blocks(self.sample_blocks(rng, n), n, self.dim)
 
     def entropy(self) -> float:
         return 0.5 * (self.dim * (LOG_TWO_PI + 1.0) + self._logdet)
@@ -154,9 +140,6 @@ class GaussianMixtureDist:
                     rows, draws = [0, 0], np.repeat(draws, 2, axis=0)
                 yield own[rows], draws
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return fam.gather_blocks(self.sample_blocks(rng, n), n, self.dim)
-
 
 def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
     """Closed-form conjugate posterior of the linear-Gaussian model.
@@ -167,7 +150,7 @@ def exact_linear_posterior(problem: RegressionProblem) -> GaussianDist:
     design = problem.design
     s2 = problem.noise_sigma**2
     precision = design.T @ design / s2 + np.eye(problem.dim)
-    factor = _cho(precision, "posterior precision")
+    factor = ad.cholesky(precision, "posterior precision")
     cov = ad.cho_solve(factor, np.eye(problem.dim))
     cov = 0.5 * (cov + cov.T)
     mean = ad.cho_solve(factor, design.T @ problem.targets / s2)
@@ -178,8 +161,8 @@ def log_evidence(problem: RegressionProblem) -> float:
     """Marginal likelihood log N(t; 0, sigma² I + design designᵀ)."""
     n = problem.n
     gram = problem.design @ problem.design.T + problem.noise_sigma**2 * np.eye(n)
-    factor = _cho(gram, "marginal covariance")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    factor = ad.cholesky(gram, "marginal covariance")
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     quad = float(problem.targets @ ad.cho_solve(factor, problem.targets))
     return -0.5 * (n * LOG_TWO_PI + logdet + quad)
 
@@ -188,11 +171,11 @@ def kl_gaussian_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     """KL[p || q] between dense Gaussians of equal dimension."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    qf = _cho(q.cov, "second argument covariance")
+    qf = ad.cholesky(q.cov, "second argument covariance")
     trace = float(np.trace(ad.cho_solve(qf, p.cov)))
     diff = q.mean - p.mean
     quad = float(diff @ ad.cho_solve(qf, diff))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(qf[0]))))
+    logdet_q = 2.0 * float(np.sum(np.log(np.diag(qf))))
     sign, logdet_p = np.linalg.slogdet(p.cov)
     if sign <= 0:
         raise ad.MemberFailure("first argument covariance is not SPD")

@@ -239,9 +239,9 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     gradient (decay 0.9) and its square (decay 0.999), for the full step
     budget.  Deterministic given the seed, and step for step the numbers
     of a per-step loop (see module notes).  A step whose ELBO or gradient
-    is not finite, whose capacitance factorization fails, whose psi the
-    previous update overflowed, or whose gradient norm exceeds
-    ``GRAD_NORM_GUARD`` raises ``ad.MemberFailure`` carrying that step.
+    is not finite, whose capacitance factorization fails, or whose
+    gradient norm exceeds ``GRAD_NORM_GUARD`` raises ``ad.MemberFailure``
+    carrying that step.
     """
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
@@ -268,13 +268,6 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         except ad.MemberFailure as err:
             err.step = step
             raise
-        except ValueError as err:
-            # The kernels reject non-finite input: an update overflowed psi.
-            blocks = fam.nonfinite_blocks(state, psi)
-            if not blocks:
-                raise
-            message = f"the previous update left psi not finite in blocks {', '.join(blocks)}"
-            raise ad.MemberFailure(message, step) from err
         if gnorm > GRAD_NORM_GUARD:
             raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
         # In place, in the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,

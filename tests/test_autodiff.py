@@ -252,31 +252,44 @@ def ill_conditioned_spd(n: int, log_cond: float, scale: float, rng) -> np.ndarra
 def test_cholesky_primitives_factor_with_numpy_and_solve_backward_stably(
     n, rhs, log_cond, scale, seed
 ):
-    # cho_factor is numpy's Cholesky, bit for bit.  cho_solve's residual
+    # cholesky is numpy's Cholesky, bit for bit.  cho_solve's residual
     # against c is a backward error of a few eps: ‖c x − b‖ ≤ 4·n·eps·‖c‖‖x‖
     # (measured: at most 2.2·eps over 20000 such draws).
     rng = np.random.default_rng(seed)
     c = ill_conditioned_spd(n, log_cond, scale, rng)
     b = rng.standard_normal((n,) if rhs is None else (n, rhs))
-    factor = ad.cho_factor(c)
-    assert factor[1] is True
-    np.testing.assert_array_equal(factor[0], np.linalg.cholesky(c))
-    x = ad.cho_solve(factor, b).reshape(n, -1)
+    chol = ad.cholesky(c, "c")
+    np.testing.assert_array_equal(chol, np.linalg.cholesky(c))
+    x = ad.cho_solve(chol, b).reshape(n, -1)
     residual = np.linalg.norm(c @ x - b.reshape(n, -1), axis=0)
     bound = 4 * n * np.finfo(float).eps * np.linalg.norm(c, 2) * np.linalg.norm(x, axis=0)
     assert np.all(residual <= bound)
 
 
-def test_cholesky_primitives_raise_linalg_and_value_errors():
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        ad.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    factor = ad.cho_factor(np.eye(2))
-    for bad in (np.nan, np.inf):
-        c = np.eye(2)
-        c[1, 0] = c[0, 1] = bad
-        # A plain ValueError, not a LinAlgError: the input was never factorized.
-        with pytest.raises(ValueError, match="infs or NaNs") as err:
-            ad.cho_factor(c)
-        assert type(err.value) is ValueError
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            ad.cho_solve(factor, np.array([1.0, bad]))
+@given(
+    n=hst.integers(1, 12),
+    bad=hst.sampled_from([np.nan, np.inf, -np.inf, None]),
+    log_neg=hst.floats(-6.0, 0.0),
+    what=hst.sampled_from(["covariance", "posterior precision", "marginal covariance"]),
+    seed=hst.integers(0, 2**16),
+)
+def test_cholesky_raises_member_failure_naming_what(n, bad, log_neg, what, seed):
+    # A non-finite entry anywhere, the upper triangle that numpy never reads
+    # included, fails before factorizing.  Otherwise c is indefinite: its
+    # smallest eigenvalue is −10^log_neg of its largest, far beyond the few
+    # eps of rounding a Cholesky factorization can absorb.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(1e-3, 1.0, n)
+    eigs[rng.integers(n)] = -(10.0**log_neg)
+    c = (q * eigs) @ q.T
+    c = 0.5 * (c + c.T)
+    if bad is None:
+        expected = f"{what} is not positive definite: "
+    else:
+        c[rng.integers(n), rng.integers(n)] = bad
+        expected = f"{what} is not finite"
+    with pytest.raises(ad.MemberFailure) as err:
+        ad.cholesky(c, what)
+    assert str(err.value).startswith(expected)
+    assert err.value.step is None

@@ -291,44 +291,6 @@ def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, mo
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
-@pytest.mark.parametrize(
-    "command,small", [("fit-gaussian", SMALL_FG), ("rbf", SMALL_RBF)], ids=["fit-gaussian", "rbf"]
-)
-def test_nonfinite_fitted_state_fails_only_its_member(
-    tmp_path, capsys, monkeypatch, command, small
-):
-    # A NaN in a fitted sN mean is caught once, before any audit: that row
-    # is empty, and every other row is the clean run's, byte for byte.
-    cfg = write_config(tmp_path, small)
-
-    def rows(out):
-        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
-        lines = (tmp_path / out / "tables.csv").read_text().splitlines()[1:]
-        return {line.split(",")[0]: line for line in lines}
-
-    clean = rows("clean")
-    train = cli.tr.train
-
-    def train_to_nan(state, target, config):
-        trace = train(state, target, config)
-        if trace.final_state.tag == "structured_normal" and trace.final_state.rank > 0:
-            trace.final_state.mu[0] = np.nan
-        return trace
-
-    monkeypatch.setattr(cli.tr, "train", train_to_nan)
-    capsys.readouterr()
-    poisoned = rows("nan")
-    err = capsys.readouterr().err
-    assert sorted(poisoned) == sorted(clean)
-    assert any(label.startswith("sn") for label in clean)
-    for label, line in clean.items():
-        if label.startswith("sn"):
-            assert poisoned[label].split(",")[2:] == ["na"] * 5, label
-            assert f"] {label} failed: fitted state is not finite in psi blocks mu" in err
-        else:
-            assert poisoned[label] == line, label
-
-
 @pytest.mark.parametrize("lr", [1000, 1e100, 1e200, 1e300])
 @pytest.mark.parametrize(
     "argv", [["fit-gaussian"], ["fit-gaussian", "--bimodal"], ["rbf"]], ids=" ".join
@@ -353,15 +315,15 @@ def test_overflowed_fit_fails_only_its_member(tmp_path, argv, lr):
 )
 def test_update_that_overflows_psi_fails_only_its_member(tmp_path, capsys, argv):
     # lr·m̂ overflows at this rate, so step 0 leaves psi infinite.  Each
-    # member fails at step 1, where an sN's capacitance kernel meets that
-    # psi with the plain ValueError it gives any non-finite input.
+    # member fails at step 1, where an sN's capacitance C, built from that
+    # psi, is not finite.
     doc = SMALL_RBF if argv == ["rbf"] else SMALL_FG
     cfg = write_config(tmp_path, dict(doc, learning_rate=1e307, steps=2))
     with np.errstate(all="ignore"):
         assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path)]) == 0
     strict_json((tmp_path / "report.json").read_text())
     err = capsys.readouterr().err
-    overflowed = r"sn\d failed: the previous update left psi not finite in blocks .*u at step 1"
+    overflowed = r"sn\d failed: capacitance is not finite at step 1"
     assert re.search(overflowed, err), err
     for line in (tmp_path / "tables.csv").read_text().splitlines()[1:]:
         assert line.split(",")[2:] == ["na"] * 5, line
@@ -378,18 +340,8 @@ def _point_mass_sn(state):
     state.u[:] = 0.0
 
 
-def _zero_diagonal_sn(state):
-    # a = 0 under U = I: Σ = I, but C = I + Uᵀ(U/a) is not finite.
-    state.log_a[:] = -800.0
-    state.u[:] = np.eye(state.dim)
-
-
 def _point_mass_component(state):
     _point_mass_sn(state.components[0])
-
-
-def _nan_mean_mf(state):
-    state.mu[0] = np.nan
 
 
 @pytest.mark.parametrize(
@@ -397,72 +349,38 @@ def _nan_mean_mf(state):
     [
         ("mf", _point_mass_mf, "inf"),
         ("sn3", _point_mass_sn, "inf"),
-        ("sn3", _zero_diagonal_sn, "failed"),
         ("sgmm", _point_mass_component, "failed"),
-        ("mf", _nan_mean_mf, "failed"),
     ],
 )
-def test_degenerate_q_in_mc_kl_audit(tmp_path, capsys, monkeypatch, label, degrade, outcome):
+def test_degenerate_q_in_mc_kl_audit(label, degrade, outcome):
     # A q whose variance underflows to 0 is a float64 point mass: both KLs
-    # are infinite.  Any other NaN in the audit fails that member alone.
-    train = cli.tr.train
-    tags = {"mf": "mean_field", "sn3": "structured_normal", "sgmm": "mixture"}
-
-    def train_to_degenerate(state, target, config):
-        trace = train(state, target, config)
-        if trace.final_state.tag == tags[label]:
-            degrade(trace.final_state)
-        return trace
-
-    monkeypatch.setattr(cli.tr, "train", train_to_degenerate)
-    cfg = write_config(tmp_path, dict(SMALL_FG, ranks=[0, 3], steps=50))
-    argv = ["fit-gaussian", "--bimodal", "--config", cfg, "--out", str(tmp_path / "o")]
-    with np.errstate(all="ignore"):
-        assert cli.main(argv) == 0
-    failed = f"[fit-gaussian] {label} failed: " in capsys.readouterr().err
-    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
-    rows = {line.split(",")[0]: line.split(",")[2:4] for line in lines}
+    # are infinite.  An sGMM component that is one fails the sGMM alone.
+    argv, doc = ["fit-gaussian", "--bimodal"], dict(SMALL_FG, ranks=[0, 3], steps=50)
+    code, err, _, lines = _run_with_degraded_member(argv, doc, label, degrade)
+    assert code == 0, err
+    rows = {family: line.split(",")[2:4] for family, line in lines.items()}
     assert sorted(rows) == ["mf", "sgmm", "sn3"]
     assert rows.pop(label) == (["inf", "inf"] if outcome == "inf" else ["na", "na"])
-    assert failed == (outcome == "failed")
+    assert (f"[fit-gaussian] {label} failed: " in err) == (outcome == "failed")
     for family, cells in rows.items():
         assert all(math.isfinite(float(cell)) for cell in cells), family
 
 
 @pytest.mark.parametrize(
-    "argv,doc,member,degrade",
-    [
-        (["rbf"], SMALL_RBF, ("mean_field", 0), _point_mass_mf),
-        (["rbf"], SMALL_RBF, ("structured_normal", 4), _point_mass_sn),
-        (["fit-gaussian"], SMALL_FG, ("mean_field", 0), _point_mass_mf),
-        (["fit-gaussian"], SMALL_FG, ("structured_normal", 3), _point_mass_sn),
-        (["fit-gaussian"], SMALL_FG, ("structured_normal", 3), _zero_diagonal_sn),
-    ],
-    ids=["rbf-mf", "rbf-sn4", "fit-gaussian-mf", "fit-gaussian-sn3", "fit-gaussian-sn3-zero-a"],
+    "argv,doc,rank", [(["rbf"], SMALL_RBF, 4), (["fit-gaussian"], SMALL_FG, 3)],
+    ids=["rbf-sn4", "fit-gaussian-sn3"],
 )
-def test_degenerate_q_in_exact_audit_fails_alone(
-    tmp_path, capsys, monkeypatch, argv, doc, member, degrade
-):
+def test_degenerate_q_in_exact_audit_fails_alone(argv, doc, rank):
     # The exact audits take q's dense covariance.  A q whose variance is 0
     # in float64 has none, so that member's row is empty and the rest stand.
-    train = cli.tr.train
-
-    def train_to_degenerate(state, target, config):
-        trace = train(state, target, config)
-        fitted = trace.final_state
-        if (fitted.tag, getattr(fitted, "rank", 0)) == member:
-            degrade(fitted)
-        return trace
-
-    monkeypatch.setattr(cli.tr, "train", train_to_degenerate)
-    cfg = write_config(tmp_path, doc)
-    with np.errstate(all="ignore"):
-        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    label = "mf" if member[0] == "mean_field" else f"sn{member[1]}"
-    assert f"] {label} failed: " in capsys.readouterr().err
-    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    # Both a and U are 0 here, which DEGENERACIES, writing one array, cannot
+    # reach; its "zero variance" covers mf and an sN with a = 0 under its U.
+    label = f"sn{rank}"
+    code, err, _, lines = _run_with_degraded_member(argv, doc, label, _point_mass_sn)
+    assert code == 0, err
+    assert f"] {label} failed: " in err
     # kl_p_q, kl_q_p, logq_theta_star and elbo; fit-gaussian has no θ*.
-    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    rows = {family: line.split(",")[2:6] for family, line in lines.items()}
     if argv == ["fit-gaussian"]:
         rows = {family: cells[:2] + cells[3:] for family, cells in rows.items()}
     assert rows.pop(label) == ["na"] * len(rows["map"])
@@ -610,10 +528,19 @@ def degenerate_runs(draw):
 @given(degenerate_runs())
 @example(("rbf", "sn4", "far mean", slice(None)))  # log q(θ*) is NaN
 @example(("fit-gaussian", "map", "far mean", slice(None)))  # the ELBO is NaN
+@example(("fit-gaussian", "sn3", "nan mean", 0))  # caught before any audit
+@example(("rbf", "sn4", "nan mean", 0))
+@example((BIMODAL, "mf", "nan mean", 0))
+@example((BIMODAL, "mf", "zero variance", slice(None)))  # a point mass: infinite KLs
+@example((BIMODAL, "sn3", "zero variance", slice(None)))  # a = 0 under U: C is not finite
+@example(("rbf", "mf", "zero variance", slice(None)))  # no dense covariance to audit
+@example(("fit-gaussian", "mf", "zero variance", slice(None)))
+@example(("fit-gaussian", "sn3", "zero variance", slice(None)))
 def test_generated_degenerate_member_fails_alone(run):
     # Whatever the degeneracy, the command exits 0 and writes strict JSON;
     # the degraded row fails alone, or reports what float64 can of it, and
-    # every other row is the clean run's, byte for byte.
+    # every other row is the clean run's, byte for byte.  A fitted state
+    # that is not finite fails before any audit, naming its mean's block.
     command, label, name, at = run
     argv, doc, _ = DEGENERACY_RUNS[command]
     _, array_of, value = DEGENERACIES[name]
@@ -627,6 +554,9 @@ def test_generated_degenerate_member_fails_alone(run):
     outcome = row_outcome(rows[label])
     assert outcome in expected_outcomes(command, label, name), rows[label]
     assert (f"] {label} failed: " in err) == (outcome == "failed")
+    if not math.isfinite(value):
+        block = {"map": "theta_hat", "mc_dropout": "theta_hat", "sgmm": "c0.mu"}.get(label, "mu")
+        assert f"] {label} failed: fitted state is not finite in psi blocks {block}\n" in err
     clean = clean_rows(command)
     assert sorted(rows) == sorted(clean)
     for other, line in clean.items():

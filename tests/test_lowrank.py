@@ -1,9 +1,11 @@
 """Structured-covariance operations checked against dense factorizations."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 
 from vifit.autodiff import MemberFailure
@@ -246,18 +248,40 @@ def test_capacitance_too_large_for_working_precision_is_rejected():
         lowrank_logpdf_and_vjp(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
 
 
-def test_non_finite_input_raises_value_error_not_factorization_error():
-    rng = np.random.default_rng(2)
-    theta, mean = rng.standard_normal((3, 4)), rng.standard_normal(4)
-    a, factor = np.exp(rng.standard_normal(4)), rng.standard_normal((4, 2))
-    bad_factor = factor.copy()
-    bad_factor[1, 0] = np.nan
-    bad_theta = theta.copy()
-    bad_theta[1, 2] = np.nan
-    for args in ((theta, mean, a, bad_factor), (bad_theta, mean, a, factor)):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs") as err:
-            lowrank_logpdf(*args)
-        assert type(err.value) is ValueError
+@given(
+    k=hst.integers(0, 6),
+    bad=hst.sampled_from([np.nan, np.inf, -np.inf]),
+    where=hst.sampled_from(["theta", "a_diag", "factor"]),
+    seed=hst.integers(0, 2**16),
+)
+@example(k=2, bad=np.nan, where="factor", seed=2)
+@example(k=2, bad=np.nan, where="theta", seed=2)
+def test_non_finite_input_spoils_its_row_or_fails_the_member(k, bad, where, seed):
+    # One rule at every K: a non-finite θ row gets a non-finite log q and
+    # leaves every other row as it was; a non-finite covariance parameter
+    # may fail the factorization, and then only as MemberFailure.
+    assume(k or where != "factor")
+    rng = np.random.default_rng(seed)
+    p, s = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    mean = rng.standard_normal(p)
+    a = np.exp(rng.uniform(-2.0, 2.0, p))
+    factor = np.sqrt(a)[:, None] * rng.standard_normal((p, k)) * 0.5
+    theta = mean + rng.standard_normal((s, p))
+    clean = lowrank_logpdf(theta, mean, a, factor)
+    spoiled = {"theta": theta, "a_diag": a, "factor": factor}[where]
+    at = int(rng.integers(spoiled.size))
+    spoiled.flat[at] = bad
+    with np.errstate(all="ignore"):
+        if where == "theta":
+            row = at // p
+            log_q = lowrank_logpdf(theta, mean, a, factor)
+            assert not np.isfinite(log_q[row])
+            others = np.arange(s) != row
+            np.testing.assert_array_equal(log_q[others], clean[others])
+            return
+        with contextlib.suppress(MemberFailure):
+            _, vjp = lowrank_logpdf_and_vjp(theta, mean, a, factor)
+            vjp(np.ones(s))
 
 
 # -----------------------------------------------------------------------
@@ -269,7 +293,7 @@ def test_non_finite_input_raises_value_error_not_factorization_error():
     s=hst.integers(1, 6),
     seed=hst.integers(0, 2**16),
 )
-def test_logpdf_and_vjp_match_tape_at_unrelated_rows(dims, s, seed):
+def test_logpdf_and_vjp_match_dense_at_unrelated_rows(dims, s, seed):
     # K runs up to P + 2, so over-complete factors are included.  Each row
     # of U is on the scale of its diagonal entry, so C stays well
     # conditioned while the diagonal spans six decades.  The rows come from

@@ -59,3 +59,34 @@ def test_one_failure_class_per_member():
     # Every numerical failure of a member is a MemberFailure, which is all
     # that fit_roster catches; ModeFamilyError rejects a roster before training.
     assert exception_classes() == ["MemberFailure", "ModeFamilyError"]
+
+
+def factorization_sites() -> set:
+    """The functions of ``src/vifit``, as ``module.function``, that call
+    ``np.linalg.cholesky`` or hold an ``except`` clause naming ``LinAlgError``."""
+    sites = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.FunctionDef):
+                inner = f"{owner.split('.')[0]}.{child.name}"
+            elif isinstance(child, ast.Call):
+                if ast.unparse(child.func).endswith("linalg.cholesky"):
+                    sites.add(owner)
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "LinAlgError" in ast.unparse(child.type):
+                    sites.add(owner)
+            visit(child, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_factorizations_decide_their_failures_in_one_place_each():
+    # A matrix that is not finite or not positive definite becomes a
+    # MemberFailure where it is factorized, so no caller converts errors:
+    # dense matrices go through autodiff.cholesky, the capacitance C of
+    # every closed-form step through lowrank._capacitance_cholesky.
+    assert factorization_sites() == {"autodiff.cholesky", "lowrank._capacitance_cholesky"}

@@ -4,8 +4,8 @@ A closed-form step costs bookkeeping, not arithmetic, so its time follows
 the number of Python and C-function calls it makes rather than the flops.
 That number does not depend on the machine.  These tests count, with
 ``sys.setprofile``, every call event that one ``train`` makes and divide
-by its steps.  An sN4 step at P = 10 with 8 draws makes 95 calls on a
-``RegressionProblem`` and 98 on a ``GaussianDist``; about 50 of them are
+by its steps.  An sN4 step at P = 10 with 8 draws makes 94.4 calls on a
+``RegressionProblem`` and 96.6 on a ``GaussianDist``; about 50 of them are
 inside numpy's ``cholesky`` and ``solve`` wrappers in the log-q kernel.
 Redoing the layout walk, the target lookup and the noise draw every step,
 with out-of-place updates, took 208 and 182.  The bound
