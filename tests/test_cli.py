@@ -291,6 +291,22 @@ def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, mo
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
+@pytest.mark.parametrize("command", ["fit-gaussian", "rbf"])
+def test_nonfinite_fitted_state_fails_only_its_member(command):
+    # A NaN in a fitted sN mean is caught once, before any audit: that row
+    # is empty, and every other row is the clean run's, byte for byte.
+    argv, doc, _ = DEGENERACY_RUNS[command]
+    clean = clean_rows(command)
+    sn_labels = [label for label in clean if label.startswith("sn")]
+    assert sn_labels
+    for label in sn_labels:
+        code, err, _, rows = _run_with_degraded_member(argv, doc, label, _nan_mean_mf)
+        assert code == 0, err
+        assert f"] {label} failed: fitted state is not finite in psi blocks mu\n" in err
+        assert rows.pop(label).split(",")[2:] == ["na"] * 5, label
+        assert rows == {other: line for other, line in clean.items() if other != label}
+
+
 @pytest.mark.parametrize("lr", [1000, 1e100, 1e200, 1e300])
 @pytest.mark.parametrize(
     "argv", [["fit-gaussian"], ["fit-gaussian", "--bimodal"], ["rbf"]], ids=" ".join
@@ -340,8 +356,19 @@ def _point_mass_sn(state):
     state.u[:] = 0.0
 
 
+def _zero_diagonal_sn(state):
+    # a = 0 under U = I: Σ = I, but C = I + Uᵀ(U/a) is not finite.
+    state.log_a[:] = -800.0
+    state.u[:] = np.eye(state.dim)
+
+
 def _point_mass_component(state):
     _point_mass_sn(state.components[0])
+
+
+def _nan_mean_mf(state):
+    # Also a NaN mean for an sN: both keep theirs in ``mu``.
+    state.mu[0] = np.nan
 
 
 @pytest.mark.parametrize(
@@ -349,12 +376,14 @@ def _point_mass_component(state):
     [
         ("mf", _point_mass_mf, "inf"),
         ("sn3", _point_mass_sn, "inf"),
+        ("sn3", _zero_diagonal_sn, "failed"),
         ("sgmm", _point_mass_component, "failed"),
+        ("mf", _nan_mean_mf, "failed"),
     ],
 )
 def test_degenerate_q_in_mc_kl_audit(label, degrade, outcome):
     # A q whose variance underflows to 0 is a float64 point mass: both KLs
-    # are infinite.  An sGMM component that is one fails the sGMM alone.
+    # are infinite.  Any other NaN in the audit fails that member alone.
     argv, doc = ["fit-gaussian", "--bimodal"], dict(SMALL_FG, ranks=[0, 3], steps=50)
     code, err, _, lines = _run_with_degraded_member(argv, doc, label, degrade)
     assert code == 0, err
@@ -367,16 +396,20 @@ def test_degenerate_q_in_mc_kl_audit(label, degrade, outcome):
 
 
 @pytest.mark.parametrize(
-    "argv,doc,rank", [(["rbf"], SMALL_RBF, 4), (["fit-gaussian"], SMALL_FG, 3)],
-    ids=["rbf-sn4", "fit-gaussian-sn3"],
+    "argv,doc,label,degrade",
+    [
+        (["rbf"], SMALL_RBF, "mf", _point_mass_mf),
+        (["rbf"], SMALL_RBF, "sn4", _point_mass_sn),
+        (["fit-gaussian"], SMALL_FG, "mf", _point_mass_mf),
+        (["fit-gaussian"], SMALL_FG, "sn3", _point_mass_sn),
+        (["fit-gaussian"], SMALL_FG, "sn3", _zero_diagonal_sn),
+    ],
+    ids=["rbf-mf", "rbf-sn4", "fit-gaussian-mf", "fit-gaussian-sn3", "fit-gaussian-sn3-zero-a"],
 )
-def test_degenerate_q_in_exact_audit_fails_alone(argv, doc, rank):
+def test_degenerate_q_in_exact_audit_fails_alone(argv, doc, label, degrade):
     # The exact audits take q's dense covariance.  A q whose variance is 0
     # in float64 has none, so that member's row is empty and the rest stand.
-    # Both a and U are 0 here, which DEGENERACIES, writing one array, cannot
-    # reach; its "zero variance" covers mf and an sN with a = 0 under its U.
-    label = f"sn{rank}"
-    code, err, _, lines = _run_with_degraded_member(argv, doc, label, _point_mass_sn)
+    code, err, _, lines = _run_with_degraded_member(argv, doc, label, degrade)
     assert code == 0, err
     assert f"] {label} failed: " in err
     # kl_p_q, kl_q_p, logq_theta_star and elbo; fit-gaussian has no θ*.
@@ -528,14 +561,6 @@ def degenerate_runs(draw):
 @given(degenerate_runs())
 @example(("rbf", "sn4", "far mean", slice(None)))  # log q(θ*) is NaN
 @example(("fit-gaussian", "map", "far mean", slice(None)))  # the ELBO is NaN
-@example(("fit-gaussian", "sn3", "nan mean", 0))  # caught before any audit
-@example(("rbf", "sn4", "nan mean", 0))
-@example((BIMODAL, "mf", "nan mean", 0))
-@example((BIMODAL, "mf", "zero variance", slice(None)))  # a point mass: infinite KLs
-@example((BIMODAL, "sn3", "zero variance", slice(None)))  # a = 0 under U: C is not finite
-@example(("rbf", "mf", "zero variance", slice(None)))  # no dense covariance to audit
-@example(("fit-gaussian", "mf", "zero variance", slice(None)))
-@example(("fit-gaussian", "sn3", "zero variance", slice(None)))
 def test_generated_degenerate_member_fails_alone(run):
     # Whatever the degeneracy, the command exits 0 and writes strict JSON;
     # the degraded row fails alone, or reports what float64 can of it, and
