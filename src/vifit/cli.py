@@ -430,6 +430,19 @@ def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -
 # dropout-audit
 
 
+def _dropout_predictions(state, features, n: int, rng) -> np.ndarray:
+    """(n, |x*|) predictions draws @ featuresᵀ of n naive dropout draws.
+
+    The masks are drawn whole, n·P numbers, and each block of draws is
+    projected as it is realized (``fam.realize_blocks``), so no (n, P)
+    array of draws is built; the rows equal ``fam.sample``'s draws @
+    featuresᵀ bit for bit.
+    """
+    noise = fam.draw_noise(state, "naive", n, rng)
+    blocks = ((rows, draws @ features.T) for rows, draws in fam.realize_blocks(state, noise))
+    return fam.gather_blocks(blocks, n, len(features))
+
+
 def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     root = np.random.SeedSequence(config.seed)
     data_seq, init_seq, train_seq, mc_seq = root.spawn(4)
@@ -447,8 +460,7 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     exact_mean = exact.mean()
 
     rng = np.random.default_rng(mc_seq)
-    batch = fam.sample(fitted, "naive", config.mc_draws, rng)
-    mc_preds = batch.draws @ problem.features(x_star).T
+    mc_preds = _dropout_predictions(fitted, problem.features(x_star), config.mc_draws, rng)
     mc_noise = rng.standard_normal(mc_preds.shape) * problem.noise_sigma
     mc_samples_y = mc_preds + mc_noise
     mc_mean = mc_samples_y.mean(axis=0)
@@ -461,8 +473,8 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
         config=dataclasses.asdict(config),
         families=[result],
         extras={
-            "n_atoms": exact.weights.size,
-            "weight_sum": float(exact.weights.sum()),
+            "n_atoms": exact.n_atoms,
+            "weight_sum": exact.weight_sum,
             "map_atom_weight": config.keep_prob**fitted.n_droppable,
             "x_star": x_star.tolist(),
             "exact_mean": exact_mean.tolist(),

@@ -22,10 +22,10 @@ atoms and is minus infinity anywhere else.  MAP is MC dropout at keep
 probability 1 with nothing droppable, so both share one atomic path:
 θ̂ ⊙ mask draws, mask noise and atom weights.  The dropout posterior over the
 droppable coordinates is a mixture of 2^{P_d} point masses:
-``enumerate_dropout`` gives their exact weights, and
-``DropoutMixture.images`` projects every atom straight into the space a
-caller reads (predictions at a few inputs), never building the
-(2^{P_d}, P) atom table.
+``enumerate_dropout`` checks P_d and returns them implicitly, and
+``DropoutMixture.blocks`` streams their exact weights and their images in
+the space a caller reads (predictions at a few inputs), at most
+``BLOCK_ROWS`` atoms at a time, never building a 2^{P_d}-row array.
 """
 
 from __future__ import annotations
@@ -88,8 +88,13 @@ class MeanFieldState:
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma)
 
+    @property
+    def a_diag(self) -> np.ndarray:
+        """The covariance's diagonal part A: here all of it."""
+        return self.sigma**2
+
     def cov(self) -> StructuredCov:
-        return StructuredCov.diagonal(self.sigma**2)
+        return StructuredCov.diagonal(self.a_diag)
 
 
 @dataclass
@@ -108,8 +113,13 @@ class StructuredNormalState:
     def rank(self) -> int:
         return self.u.shape[1]
 
+    @property
+    def a_diag(self) -> np.ndarray:
+        """The covariance's diagonal part A, beside U Uᵀ."""
+        return np.exp(self.log_a)
+
     def cov(self) -> StructuredCov:
-        return StructuredCov(diag=np.exp(self.log_a), factor=self.u)
+        return StructuredCov(diag=self.a_diag, factor=self.u)
 
 
 @dataclass
@@ -737,40 +747,80 @@ def dense_moments(state: FamilyState) -> tuple:
 # Dropout enumeration
 
 
+def _doubling(start, steps) -> np.ndarray:
+    """Every subset sum of ``steps`` added to ``start``, by doubling.
+
+    Row r is ``start`` plus the steps at r's set bits, added in bit order:
+    step j fills rows [h, 2h), h = 2^j, as rows [0, h) plus itself.
+    """
+    start = np.asarray(start)
+    out = np.empty((1 << len(steps), *start.shape), dtype=start.dtype)
+    out[0] = start
+    h = 1
+    for step in steps:
+        np.add(out[:h], step, out=out[h : 2 * h])
+        h *= 2
+    return out
+
+
 @dataclass
 class DropoutMixture:
     """Exact enumeration of the dropout posterior's 2^{P_d} point masses.
 
     Atom r is θ̂ ⊙ z with z_i, for the i-th droppable coordinate, equal to
-    bit i of r; coordinates that cannot be dropped are always kept.
+    bit i of r; coordinates that cannot be dropped are always kept.  Atom r
+    weighs p^{n_r} (1 − p)^{P_d − n_r}, n_r the number of ones in r.  The
+    atoms stay implicit: ``blocks`` streams them, projected into the space
+    a caller reads, at most ``BLOCK_ROWS`` at a time.
     """
 
-    weights: np.ndarray  # (2^{P_d},)
     theta_hat: np.ndarray  # (P,)
     droppable: np.ndarray  # (P,) bool
+    keep_prob: float
 
     @property
     def n_atoms(self) -> int:
-        return self.weights.size
+        return 1 << int(np.count_nonzero(self.droppable))
 
-    def images(self, features: np.ndarray) -> np.ndarray:
-        """Rows (θ̂ ⊙ z_r) @ featuresᵀ for every atom r, shape (2^{P_d}, D).
+    def blocks(self, features: np.ndarray):
+        """Yield ``(weights, images)`` for consecutive blocks of atoms, in atom order.
 
-        Built by doubling in one preallocated array: row 0 holds the kept
-        coordinates' contribution, and the j-th droppable coordinate k fills
-        rows [h, 2h), h = 2^j, as rows [0, h) plus θ̂_k · features[:, k].
-        Only 2^{P_d} × D numbers are held, never a (2^{P_d}, P) atom table.
+        ``images`` holds the rows (θ̂ ⊙ z_r) @ featuresᵀ of the block's atoms.
+        The low log2(BLOCK_ROWS) droppable coordinates are enumerated once,
+        by doubling from the kept coordinates' contribution, into one block;
+        block b adds row b of the remaining (high) coordinates' doubling
+        table to it.  So a caller holds one block of (BLOCK_ROWS, D)
+        numbers and the 2^{P_d} / BLOCK_ROWS rows of that table, never a
+        2^{P_d}-row array.  With at most log2(BLOCK_ROWS) droppable
+        coordinates there is one block, holding every atom.  An atom's
+        weight is looked up among the P_d + 1 values p^n (1 − p)^{P_d − n}
+        by its number of ones n.  The first block's images are what later
+        blocks add to, so callers must not write to the yielded arrays.
         """
         features = np.asarray(features, dtype=np.float64)
         index = np.flatnonzero(self.droppable)
         kept = np.flatnonzero(~self.droppable)
-        out = np.empty((self.n_atoms, features.shape[0]))
-        out[0] = features[:, kept] @ self.theta_hat[kept]
-        h = 1
-        for i in index:
-            np.add(out[:h], self.theta_hat[i] * features[:, i], out=out[h : 2 * h])
-            h *= 2
-        return out
+        split = min(index.size, BLOCK_ROWS.bit_length() - 1)
+        steps = [self.theta_hat[i] * features[:, i] for i in index]
+        base = _doubling(features[:, kept] @ self.theta_hat[kept], steps[:split])
+        shifts = _doubling(np.zeros(features.shape[0]), steps[split:])
+        p, pd = self.keep_prob, index.size
+        ones = np.arange(pd + 1, dtype=np.float64)
+        by_ones = p**ones * (1.0 - p) ** (pd - ones)  # an atom's weight, by its number of ones
+        ones_low = _doubling(0, [1] * split)
+        for b, shift in enumerate(shifts):
+            yield by_ones[ones_low + b.bit_count()], base if b == 0 else base + shift
+
+    def images(self, features: np.ndarray) -> np.ndarray:
+        """Every atom's row of ``blocks``, shape (2^{P_d}, D), for small P_d."""
+        parts = [images for _, images in self.blocks(features)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Every atom's weight, shape (2^{P_d},), for small P_d."""
+        nothing = np.empty((0, self.theta_hat.size))
+        return np.concatenate([weights for weights, _ in self.blocks(nothing)])
 
     @cached_property
     def atoms(self) -> np.ndarray:
@@ -779,11 +829,10 @@ class DropoutMixture:
 
 
 def enumerate_dropout(state: DropoutState) -> DropoutMixture:
-    """All 2^{P_d} dropout states with exact weights p^{Σz}(1−p)^{Σ(1−z)}.
+    """The dropout posterior's 2^{P_d} atoms and weights, left implicit.
 
-    The number of ones Σz of every row index is counted by doubling, so no
-    (2^{P_d}, P_d) bit table is built; the atoms themselves stay implicit
-    (``DropoutMixture.images``).
+    Checks P_d against ``DROPOUT_ENUMERATION_LIMIT`` and copies the state's
+    O(P) fields; ``DropoutMixture.blocks`` does the enumeration.
     """
     pd = state.n_droppable
     if pd > DROPOUT_ENUMERATION_LIMIT:
@@ -791,14 +840,10 @@ def enumerate_dropout(state: DropoutState) -> DropoutMixture:
             f"{pd} droppable coordinates exceed the enumeration guard "
             f"({DROPOUT_ENUMERATION_LIMIT})"
         )
-    ones = np.zeros(1 << pd)
-    h = 1
-    for _ in range(pd):
-        ones[h : 2 * h] = ones[:h] + 1.0
-        h *= 2
-    weights = state.keep_prob**ones * (1.0 - state.keep_prob) ** (pd - ones)
     return DropoutMixture(
-        weights=weights, theta_hat=state.theta_hat.copy(), droppable=state.droppable.copy()
+        theta_hat=state.theta_hat.copy(),
+        droppable=state.droppable.copy(),
+        keep_prob=state.keep_prob,
     )
 
 

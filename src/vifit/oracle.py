@@ -5,7 +5,9 @@ divergences (closed-form Gaussian-Gaussian and Monte Carlo), and the exact
 MC-dropout predictive mixture obtained by enumerating every dropout state.
 The Monte-Carlo KLs stream their draws in blocks of ``fam.BLOCK_ROWS``
 rows: memory is the (n_mc,) gaps, plus q's noise, n_mc·(P + K) numbers,
-when sampling from q, and one block of temporaries.
+when sampling from q, and one block of temporaries.  The exact predictive
+streams its 2^{P_d} atoms in blocks of at most ``fam.BLOCK_ROWS``, so its
+memory is one block of atoms however large P_d is.
 
 Dense P×P algebra is acceptable throughout: problems audited here have
 P ≤ 32 by construction.  A fit the audits cannot read (a covariance that
@@ -187,14 +189,14 @@ def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
 
     ``ad.MemberFailure`` when the float64 covariance has a zero
     variance (``fam.has_zero_variance``: q is a point mass along that
-    coordinate) or a zero diagonal part, which ``StructuredCov`` rejects.
+    coordinate), or when its diagonal part A underflows to 0 somewhere,
+    which ``StructuredCov`` cannot hold even where U Uᵀ keeps the variance.
     """
     if fam.has_zero_variance(state):
         raise ad.MemberFailure("covariance has a zero variance: q is a point mass")
-    try:
-        mean, cov = fam.dense_moments(state)
-    except ValueError as err:
-        raise ad.MemberFailure(f"covariance is degenerate: {err}") from err
+    if not np.all(state.a_diag > 0):
+        raise ad.MemberFailure("covariance's diagonal part A underflows to 0")
+    mean, cov = fam.dense_moments(state)
     return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
 
 
@@ -263,22 +265,25 @@ def log_density_of_truth(state: fam.FamilyState, theta_star: np.ndarray) -> floa
     return float(fam.log_density(state, np.asarray(theta_star, dtype=np.float64)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictiveMixture:
-    """Exact dropout predictive: one Gaussian per dropout state."""
+    """Moments of the exact dropout predictive at some inputs.
 
-    atom_means: np.ndarray  # (n_atoms, n_points)
-    weights: np.ndarray
+    The predictive is a mixture of N(image_r, σ²), one per dropout atom r,
+    weighted by the atom's weight; image_r is atom r's predictive mean.
+    """
+
+    n_atoms: int
+    weight_sum: float
     noise_sigma: float
+    _mean: np.ndarray  # (n_points,)
+    _variance: np.ndarray  # (n_points,)
 
     def mean(self) -> np.ndarray:
-        return self.weights @ self.atom_means
+        return self._mean.copy()
 
     def variance(self) -> np.ndarray:
-        centered = self.atom_means - self.mean()
-        np.square(centered, out=centered)
-        return self.noise_sigma**2 + self.weights @ centered
-
+        return self._variance.copy()
 
 
 def dropout_predictive_exact(
@@ -286,15 +291,28 @@ def dropout_predictive_exact(
 ) -> PredictiveMixture:
     """Predictive mixture over all dropout states at the given inputs.
 
-    Holds one predictive mean per atom and input, 2^{P_d} × |x*| numbers,
-    projected straight from the enumeration (``DropoutMixture.images``).
+    Two passes over the atoms' blocks (``DropoutMixture.blocks``), each
+    block reduced as it comes: the first sums the weights and the weighted
+    atom means, the second the weighted squared deviations from the
+    mixture mean.  Memory is one block of atoms, never a 2^{P_d}-row array.
     """
     mixture = fam.enumerate_dropout(state)
     features = problem.features(np.atleast_1d(x_star))
+    weight_sum, mean = 0.0, np.zeros(len(features))
+    for weights, images in mixture.blocks(features):
+        weight_sum += float(weights.sum())
+        mean += weights @ images
+    second = np.zeros(len(features))
+    for weights, images in mixture.blocks(features):
+        centered = images - mean
+        np.square(centered, out=centered)
+        second += weights @ centered
     return PredictiveMixture(
-        atom_means=mixture.images(features),
-        weights=mixture.weights,
+        n_atoms=mixture.n_atoms,
+        weight_sum=weight_sum,
         noise_sigma=problem.noise_sigma,
+        _mean=mean,
+        _variance=problem.noise_sigma**2 + second,
     )
 
 

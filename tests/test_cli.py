@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -240,6 +241,39 @@ def test_dropout_audit_report(monkeypatch):
     assert math.isclose(extras["weight_sum"], 1.0, abs_tol=1e-12)
     assert math.isclose(extras["map_atom_weight"], 0.5**5, rel_tol=1e-12)
     assert np.all(np.abs(extras["mean_z_scores"]) < 4)
+
+
+def test_dropout_predictions_equal_the_whole_batch_bit_for_bit():
+    # 2·BLOCK_ROWS + 1 draws: the last block is BLOCK_ROWS + 1 rows, never a
+    # lone row (see fam.row_blocks).  So mc_mean, mc_variance and the Monte-
+    # Carlo side of mean_z_scores are what the whole (n, P) batch gave.
+    n = 2 * cli.fam.BLOCK_ROWS + 1
+    rng = np.random.default_rng(5)
+    state = cli.fam.DropoutState(
+        theta_hat=rng.standard_normal(12), keep_prob=0.7, droppable=rng.random(12) < 0.8
+    )
+    features = rng.standard_normal((5, 12))
+    streamed = cli._dropout_predictions(state, features, n, np.random.default_rng(6))
+    whole = cli.fam.sample(state, "naive", n, np.random.default_rng(6)).draws @ features.T
+    assert streamed.shape == (n, 5)
+    np.testing.assert_array_equal(streamed.view(np.int64), whole.view(np.int64))
+
+
+def test_dropout_audit_memory_does_not_grow_with_the_atoms():
+    # Traced peak at 2^20 atoms and 10⁵ Monte-Carlo draws: the masks
+    # (10⁵ × 20 float64) and the uniforms they are drawn from, about 34 MB,
+    # plus one block of atoms or draws.  No array has 2^20 rows.
+    config = cli._load_config(
+        cli.DropoutAuditConfig, None, {"n_droppable": 20, "steps": 5, "seed": 1}
+    )
+    tracemalloc.start()
+    try:
+        report = cli.cmd_dropout_audit(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.extras["n_atoms"] == 2**20
+    assert peak < 48e6
 
 
 def test_degenerate_member_fails_alone(tmp_path, monkeypatch):

@@ -237,7 +237,7 @@ def test_predictive_keep_prob_one_is_single_atom():
     problem, state = make_dropout_setup(keep=1.0)
     x_star = np.array([0.2])
     pred = orc.dropout_predictive_exact(state, problem, x_star)
-    live = pred.weights > 0
+    live = fam.enumerate_dropout(state).weights > 0
     assert live.sum() == 1
     expected = problem.features(x_star) @ state.theta_hat
     np.testing.assert_allclose(pred.mean(), expected)
@@ -246,7 +246,7 @@ def test_predictive_keep_prob_one_is_single_atom():
 def test_predictive_keep_prob_zero_is_zero_model():
     problem, state = make_dropout_setup(keep=0.0)
     pred = orc.dropout_predictive_exact(state, problem, np.array([-0.4, 0.1]))
-    live = pred.weights > 0
+    live = fam.enumerate_dropout(state).weights > 0
     assert live.sum() == 1
     np.testing.assert_allclose(pred.mean(), 0.0)
     np.testing.assert_allclose(pred.variance(), problem.noise_sigma**2)
@@ -256,7 +256,7 @@ def test_predictive_mean_matches_mc_draws():
     problem, state = make_dropout_setup(pd=10, keep=0.7, seed=13)
     x_star = np.linspace(-1, 1, 5)
     pred = orc.dropout_predictive_exact(state, problem, x_star)
-    assert abs(pred.weights.sum() - 1.0) < 1e-12
+    assert abs(fam.enumerate_dropout(state).weights.sum() - 1.0) < 1e-12
 
     rng = np.random.default_rng(14)
     n = 100_000
@@ -283,17 +283,21 @@ def test_predictive_mean_linear_in_theta_hat():
 def test_predictive_density_integrates_to_one():
     problem, state = make_dropout_setup(pd=4, keep=0.5, seed=16)
     pred = orc.dropout_predictive_exact(state, problem, np.array([0.0]))
+    mixture = fam.enumerate_dropout(state)
+    atom_means = mixture.images(problem.features(np.array([0.0])))
     ys = np.linspace(-8, 8, 2001)
-    z = (ys[:, None] - pred.atom_means[:, 0]) / pred.noise_sigma
-    dens = np.exp(-0.5 * z**2) @ pred.weights / (pred.noise_sigma * math.sqrt(2 * math.pi))
+    z = (ys[:, None] - atom_means[:, 0]) / pred.noise_sigma
+    dens = np.exp(-0.5 * z**2) @ mixture.weights / (pred.noise_sigma * math.sqrt(2 * math.pi))
     assert abs(np.trapezoid(dens, ys) - 1.0) < 1e-4
 
 
 def test_exact_predictive_memory_scales_with_its_table():
     # Traced Python-heap peak, so the bound does not depend on the host.
+    # The moments stream the 2^16 atoms a block at a time, so the bound is a
+    # few blocks of images, whatever P_d is.
     problem, state = make_dropout_setup(pd=16, seed=17)
     x_star = np.linspace(-0.9, 0.9, 5)
-    table_bytes = 2**16 * x_star.size * 8
+    block_bytes = fam.BLOCK_ROWS * x_star.size * 8
     tracemalloc.start()
     try:
         pred = orc.dropout_predictive_exact(state, problem, x_star)
@@ -302,7 +306,52 @@ def test_exact_predictive_memory_scales_with_its_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * table_bytes
+    assert peak < 8 * block_bytes
+
+
+@hst.composite
+def streamed_predictive_case(draw):
+    """A dropout state over P RBF features with P_d ∈ 0..10 droppable, zeros
+    among θ̂, keep_prob including 0 and 1, and a few inputs."""
+    p = draw(hst.integers(1, 12))
+    droppable = np.zeros(p, bool)
+    droppable[draw(hst.permutations(range(p)))[: draw(hst.integers(0, min(p, 10)))]] = True
+    coord = hst.sampled_from([0.0]) | hst.floats(-3.0, 3.0, allow_subnormal=False)
+    theta_hat = np.array(draw(hst.lists(coord, min_size=p, max_size=p)))
+    keep_prob = draw(hst.sampled_from([0.0, 1.0, 0.5]) | hst.floats(0.0, 1.0))
+    x_star = np.array(draw(hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=4)))
+    state = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    problem, _ = mod.make_rbf_dataset(mod.RbfModelSpec.regular(p, noise_sigma=0.25), 8, seed=p)
+    return state, problem, x_star, draw(hst.sampled_from([1, 2, 8]))
+
+
+@given(streamed_predictive_case())
+def test_streamed_predictive_matches_the_closed_form(case):
+    # With blocks of 1, 2 or 8 atoms every P_d above 0, 1 or 3 runs the
+    # multi-block path.  Closed form: mean = kept + p·Σ_droppable θ̂_j f_j and
+    # variance = σ² + p(1 − p)·Σ_droppable (θ̂_j f_j)².
+    state, problem, x_star, block_rows = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fam, "BLOCK_ROWS", block_rows)
+        pred = orc.dropout_predictive_exact(state, problem, x_star)
+        mixture = fam.enumerate_dropout(state)
+        features = problem.features(x_star)
+        streamed = np.concatenate([images for _, images in mixture.blocks(features)])
+        atoms = mixture.atoms
+        assert pred.n_atoms == 2**state.n_droppable == len(streamed)
+        assert abs(pred.weight_sum - 1.0) <= 1e-12
+        terms = features * state.theta_hat
+        p, d = state.keep_prob, state.droppable
+        mean = terms[:, ~d].sum(axis=1) + p * terms[:, d].sum(axis=1)
+        variance = pred.noise_sigma**2 + p * (1.0 - p) * (terms[:, d] ** 2).sum(axis=1)
+        np.testing.assert_allclose(pred.mean(), mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.variance(), variance, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(streamed, atoms @ features.T, rtol=0, atol=1e-12)
+    # Atom r keeps the droppable coordinates at r's set bits, in order.
+    bits = (np.arange(len(atoms))[:, None] >> np.arange(state.n_droppable)) & 1
+    want = np.tile(state.theta_hat, (len(atoms), 1))
+    want[:, d] *= bits
+    assert np.all(atoms == want)
 
 
 # -----------------------------------------------------------------------
@@ -508,6 +557,15 @@ def test_mixture_log_density_and_grad_match_log_density_and_finite_differences(p
 
 # -----------------------------------------------------------------------
 # validation
+
+
+def test_zero_diagonal_part_fails_before_the_dense_covariance():
+    # A = 0 under U = I: Σ = I has no zero variance, but StructuredCov
+    # cannot hold A = 0, so the fit fails naming A.
+    state = fam.StructuredNormalState(mu=np.zeros(3), log_a=np.full(3, -800.0), u=np.eye(3))
+    assert not fam.has_zero_variance(state)
+    with pytest.raises(ad.MemberFailure, match="diagonal part A underflows to 0"):
+        orc.family_to_gaussian(state)
 
 
 def test_non_spd_rejected():
