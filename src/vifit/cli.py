@@ -460,12 +460,13 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     exact_mean = exact.mean()
 
     rng = np.random.default_rng(mc_seq)
-    mc_preds = _dropout_predictions(fitted, problem.features(x_star), config.mc_draws, rng)
-    mc_noise = rng.standard_normal(mc_preds.shape) * problem.noise_sigma
-    mc_samples_y = mc_preds + mc_noise
+    mc_samples_y = _dropout_predictions(fitted, problem.features(x_star), config.mc_draws, rng)
+    mc_noise = rng.standard_normal(mc_samples_y.shape)
+    mc_noise *= problem.noise_sigma
+    mc_samples_y += mc_noise
     mc_mean = mc_samples_y.mean(axis=0)
     mc_var = mc_samples_y.var(axis=0, ddof=1)
-    mean_se = mc_samples_y.std(axis=0, ddof=1) / math.sqrt(config.mc_draws)
+    mean_se = np.sqrt(mc_var) / math.sqrt(config.mc_draws)
 
     report = ExperimentReport(
         experiment="dropout_audit",

@@ -403,7 +403,7 @@ def draw_noise(
     n = 1 if steps is None else steps
     p = state.dim
     if isinstance(state, ATOMIC_STATES):
-        masks = np.ones((n, count, p))
+        masks = np.ones((n, count, p), dtype=bool)
         d = state.droppable
         if d.any():  # MAP has nothing droppable and leaves the generator alone
             masks[:, :, d] = rng.random((n, count, np.count_nonzero(d))) < state.keep_prob
@@ -489,17 +489,21 @@ def _scale_and_factor(params: dict):
 
 
 def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
-    """Flat adjoint of one Gaussian's (mu, log-scale, U) block.
+    """Flat adjoint of one Gaussian's (mu, log-scale, U) block, or the (M, ·)
+    rows of M components' blocks.
 
     ``draw_bar`` is the adjoint of the rows drawn from it (noise ``z_diag``,
     ``z_lowrank``); ``mean_bar``, ``d_a`` and ``d_factor`` come through its
     log-density.  scale = exp(log_sigma) or exp(½ log_a), and a = scale².
+    For M components ``draw_bar`` is (M, S, P), zero at the rows drawn from
+    other components: a zero adds nothing to a sum, so each row of the
+    result is what that component's own rows alone give.
     """
     dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
-    d_scale = np.add.reduce(draw_bar * z_diag, axis=0) + 2.0 * scale * d_a
+    d_scale = np.add.reduce(draw_bar * z_diag, axis=-2) + 2.0 * scale * d_a
     parts = [mean_bar, d_scale * dscale_dlog]
     if d_factor is not None:
-        parts.append((draw_bar.T @ z_lowrank + d_factor).ravel())
+        parts.append((draw_bar.mT @ z_lowrank + d_factor).reshape(*mean_bar.shape[:-1], -1))
     return parts
 
 
@@ -515,9 +519,14 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     are θ̂ ⊙ mask.  Gaussian draws go through ``gaussian_draw_rows`` and log
     q through ``lowrank_logpdf_and_vjp``, whose adjoint this chains through
     the draw.  A mixture draws each row from its component and evaluates
-    every component's log N_m at every row, one ``lowrank_logpdf_and_vjp``
-    call each; log q = logsumexp_m(log w_m + log N_m), so each component's
-    adjoint is log q's weighted by its responsibilities.  The weight logits
+    every component's log N_m at every row in one stacked
+    ``lowrank_logpdf_and_vjp`` call; log q = logsumexp_m(log w_m + log N_m),
+    so each component's adjoint is log q's weighted by its
+    responsibilities.  Its draws and adjoint are array operations over the
+    component axis.  They carry the bits of evaluating each component on
+    its own rows, except in the last bits where that evaluation is a BLAS
+    matrix-vector product (a component's lone row, or K = 1) or, at P = 1,
+    a pairwise sum.  The weight logits
     get gradient through log w_m and, when stratified, through the
     coefficients M·w_m (Morningstar et al., AISTATS 2021): with components
     allocated evenly instead of drawn from the weights, each draw carries
@@ -526,7 +535,7 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     """
     if template.tag in ATOMIC_TAGS:
         theta_hat, masks = params["theta_hat"], noise.masks
-        return theta_hat * masks, None, None, lambda bar, *_: (bar * masks).sum(axis=0)
+        return theta_hat * masks, None, None, lambda bar, *_: np.add.reduce(bar * masks, axis=0)
     if template.tag == MixtureState.tag:
         return _mixture_logq_vjp(template, params, noise)
     scale, factor = _scale_and_factor(params)
@@ -545,48 +554,53 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     return theta, log_q, None, vjp
 
 
+def _stack_components(comps: list) -> dict:
+    """An sGMM's per-component ``_walk`` parameters as one dict of stacked
+    arrays, mu and log_a (M, P) and u (M, P, K)."""
+    return {name: np.array([c[name] for c in comps]) for name in comps[0]}
+
+
 def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -> tuple:
-    """``draws_logq_vjp`` for an sGMM: see there."""
-    comps = params["components"]
-    scales = [_scale_and_factor(c)[0] for c in comps]
-    members = [noise.components == m for m in range(len(comps))]
-    theta = np.empty_like(noise.z_diag)
-    for c, scale, own in zip(comps, scales, members):
-        theta[own] = gaussian_draw_rows(
-            c["mu"], scale, c["u"], noise.z_diag[own], noise.z_lowrank[own]
-        )
-    fits = [
-        lowrank_logpdf_and_vjp(theta, c["mu"], scale * scale, c["u"])
-        for c, scale in zip(comps, scales)
-    ]
+    """``draws_logq_vjp`` for an sGMM: see there.
+
+    Every component is drawn at every row, and row k keeps the draw of its
+    own component c_k.  The adjoint of row k's draw goes to component c_k
+    alone, as (M, S, P) rows that are zero at the other components' rows
+    (see ``_chain_draw``).
+    """
+    comps = _stack_components(params["components"])
+    scales, factors = _scale_and_factor(comps)
+    m = len(scales)
+    every = gaussian_draw_rows(
+        comps["mu"][:, None], scales[:, None], factors, noise.z_diag, noise.z_lowrank
+    )
+    theta = every[noise.components, np.arange(noise.count)]
+    log_n, logq_vjp = lowrank_logpdf_and_vjp(theta, comps["mu"], scales * scales, factors)
     logits = params["weight_logits"]
     log_w = logits - ad.logsumexp(logits)
     weights = np.exp(log_w)
-    per = log_w[:, None] + np.stack([log_n for log_n, _ in fits])
+    per = log_w[:, None] + log_n
     log_q = ad.logsumexp(per, axis=0)
     resp = np.exp(per - log_q)
-    m = len(comps)
     coeff = m * weights[noise.components] if noise.stratified else None
 
     def vjp(theta_bar, logq_bar, coeff_bar):
         per_bar = resp * logq_bar  # adjoint of log w_m + log N_m(θ_k)
-        adjoints = [logq_vjp(bar) for (_, logq_vjp), bar in zip(fits, per_bar)]
-        via = theta_bar + sum(d_theta for d_theta, _, _ in adjoints)  # of every θ_k
-        log_w_bar = per_bar.sum(axis=1)
+        d_theta, d_a, d_factor = logq_vjp(per_bar)
+        via = theta_bar + np.add.reduce(d_theta, axis=0)  # of every θ_k
+        own = noise.components == np.arange(m)[:, None]  # (M, S)
+        draw_bar = np.where(own[..., None], via, 0.0)
+        # Component m's own draws move with its mean; its log N_m sees the
+        # mean through θ − mean at every row.
+        mean_bar = np.add.reduce(draw_bar, axis=1) - np.add.reduce(d_theta, axis=1)
+        parts = _chain_draw(
+            comps, scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
+        )
+        log_w_bar = np.add.reduce(per_bar, axis=1)
         if coeff is not None:  # coeff_k = M w_{c_k}
             log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
-        parts = []
-        for c, scale, own, (d_theta, d_a, d_factor) in zip(comps, scales, members, adjoints):
-            # Component m's own draws move with its mean; its log N_m sees the
-            # mean through θ − mean at every row.
-            draw_bar = via[own]
-            mean_bar = draw_bar.sum(axis=0) - d_theta.sum(axis=0)
-            parts += _chain_draw(
-                c, scale, draw_bar, mean_bar, d_a, d_factor, noise.z_diag[own],
-                noise.z_lowrank[own],
-            )
-        parts.append(log_w_bar - weights * log_w_bar.sum())  # through log-softmax
-        return np.concatenate(parts)
+        logits_bar = log_w_bar - weights * np.add.reduce(log_w_bar)  # through log-softmax
+        return np.concatenate((np.concatenate(parts, axis=1).ravel(), logits_bar))
 
     return theta, log_q, coeff, vjp
 
@@ -668,17 +682,14 @@ def sample(
 
 def _log_q(params: dict, rows: np.ndarray):
     """log q at plain rows of a Gaussian family or an sGMM, from ``_walk``
-    parameters."""
+    parameters; an sGMM's components are one stacked kernel call."""
     if "components" not in params:
         scale, factor = _scale_and_factor(params)
         return lowrank_logpdf(rows, params["mu"], scale * scale, factor)
     logits = params["weight_logits"]
-    log_norm = ad.logsumexp(logits)
-    per = [
-        (logits[m] - log_norm) + _log_q(comp, rows)
-        for m, comp in enumerate(params["components"])
-    ]
-    return ad.logsumexp(np.stack(per), axis=0)
+    log_w = logits - ad.logsumexp(logits)
+    per = log_w[:, None] + _log_q(_stack_components(params["components"]), rows)
+    return ad.logsumexp(per, axis=0)
 
 
 def _atom_log_weight(state: FamilyState, rows: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
 ``lowrank_logpdf_and_vjp``: log q at any rows with its adjoint, the kernel
 that trains.  ``lowrank_logpdf``, what the audits read (``structured_logpdf``,
 the families' ``log_density``), is its value half.  Every factorization is
-numpy's LAPACK, so training and the audits round alike.
+numpy's LAPACK, so training and the audits round alike.  Both take an
+optional leading component axis, M Gaussians at once, as an sGMM needs: each
+matmul, factorization and solve then runs slice by slice through the same
+BLAS or LAPACK call that one Gaussian makes, so slice m carries the bits of
+component m evaluated alone.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``ad.MemberFailure``) when C is not
@@ -38,33 +42,39 @@ CAPACITANCE_ROUNDOFF = 1e-8
 
 
 def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of C, checked as the module notes say.
+    """The lower Cholesky factor of C, or of each C in an (M, K, K) stack,
+    checked as the module notes say.
 
     C is factorized without a finiteness pre-check: a NaN or ±inf anywhere
     in C fails the factorization or leaves one in diag L or diag C, and the
-    pivot tests run on Python floats over only K values, since this runs on
-    every closed-form step.  The sum of the pivots catches a NaN that
-    ``min`` passes over.
+    pivot tests run on Python floats over only K values a slice, since this
+    runs on every closed-form step.  The sum of the pivots catches a NaN
+    that ``min`` passes over.  A stack fails with the error of its first
+    slice that fails alone.
     """
     try:
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError as err:
+        for one in c if c.ndim > 2 else ():
+            _capacitance_cholesky(one)
         if not np.isfinite(c).all():
             raise ad.MemberFailure("capacitance is not finite") from err
         raise ad.MemberFailure(f"capacitance factorization failed: {err}") from err
-    top = max(c.diagonal().tolist())
-    pivots = chol.diagonal().tolist()
-    singular = min(pivots) ** 2 <= len(pivots) * EPS * top
-    if not singular and EPS * top <= CAPACITANCE_ROUNDOFF and math.isfinite(sum(pivots)):
-        return chol
-    if not np.isfinite(c).all():
-        raise ad.MemberFailure("capacitance is not finite")
-    if singular:
-        raise ad.MemberFailure("capacitance matrix is singular to working precision")
-    raise ad.MemberFailure(
-        f"capacitance is too large for working precision: eps·max(diag C) = "
-        f"{EPS * top:.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
-    )
+    for one, low in zip(c, chol) if c.ndim > 2 else ((c, chol),):
+        top = max(one.diagonal().tolist())
+        pivots = low.diagonal().tolist()
+        singular = min(pivots) ** 2 <= len(pivots) * EPS * top
+        if not singular and EPS * top <= CAPACITANCE_ROUNDOFF and math.isfinite(sum(pivots)):
+            continue
+        if not np.isfinite(one).all():
+            raise ad.MemberFailure("capacitance is not finite")
+        if singular:
+            raise ad.MemberFailure("capacitance matrix is singular to working precision")
+        raise ad.MemberFailure(
+            f"capacitance is too large for working precision: eps·max(diag C) = "
+            f"{EPS * top:.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
+        )
+    return chol
 
 
 @cache
@@ -157,17 +167,18 @@ def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
     """Reparametrized draws: mean + scale ⊙ z + U z_lr.
 
     ``scale`` is the per-coordinate standard deviation; ``factor`` may be
-    None for a diagonal covariance.
+    None for a diagonal covariance.  Stacked (M, 1, P) means and scales with
+    an (M, P, K) factor give every component's draw at every row, (M, S, P).
     """
     theta = mean + scale * z_diag
     if z_lowrank is not None and z_lowrank.shape[-1] > 0:
-        theta = theta + z_lowrank @ factor.T
+        theta = theta + z_lowrank @ factor.mT
     return theta
 
 
 def lowrank_logpdf(theta, mean, a_diag, factor):
     """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ): the
-    value half of ``lowrank_logpdf_and_vjp``.
+    value half of ``lowrank_logpdf_and_vjp``, stacked components included.
 
     ``theta`` may be a single point (P,) or rows (S, P); ``factor`` may be
     None for a diagonal covariance.  Raises ``ad.MemberFailure`` when the
@@ -175,8 +186,8 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
     a log q that is not finite, and so does every row when the mean is not
     finite; the Monte-Carlo audits report that as ``ad.MemberFailure``.
     """
-    log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[0]), mean, a_diag, factor)[0]
-    return log_q[0] if theta.ndim == 1 else log_q
+    log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[-1]), mean, a_diag, factor)[0]
+    return log_q if theta.ndim > 1 else log_q[..., 0][()]  # a float, or (M,) when stacked
 
 
 def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
@@ -199,35 +210,45 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     solve's cost does not grow with the number of rows.  v_k and diag Σ⁻¹
     are formed only when the adjoint is asked for.  ``factor`` may be None
     (or have K = 0) for a diagonal covariance; ``d_factor`` is then None.
-    Raises ``ad.MemberFailure`` as the module notes say.
+
+    M components at once: with ``mean`` and ``a_diag`` of shape (M, P) and
+    ``factor`` (M, P, K), every component is evaluated at the same rows.
+    log q is then (M, S), and ``vjp`` maps an (M, S) adjoint to d_theta
+    (M, S, P), d_a (M, P) and d_factor (M, P, K); slice m of each is what
+    component m alone gives, bit for bit (see module notes).  Raises
+    ``ad.MemberFailure`` as the module notes say.
     """
-    p = theta.shape[1]
-    k = 0 if factor is None else factor.shape[1]
-    r = theta - mean
-    v = r / a_diag
-    quad = np.add.reduce(r * v, axis=1)
-    logdet = np.add.reduce(np.log(a_diag))
+    p = theta.shape[-1]
+    k = 0 if factor is None else factor.shape[-1]
+    stacked = mean.ndim > 1  # M components: each one's mean and a broadcast over the rows
+    a_rows = a_diag[:, None] if stacked else a_diag
+    r = theta - (mean[:, None] if stacked else mean)
+    v = r / a_rows
+    quad = np.add.reduce(r * v, axis=-1)
+    logdet = np.add.reduce(np.log(a_rows), axis=-1)
     if k:
-        b = factor / a_diag[:, None]
-        cap = _identity(k) + factor.T @ b
+        b = factor / a_diag[..., None]
+        cap = _identity(k) + factor.mT @ b
         chol = _capacitance_cholesky(cap)
-        sinv_u = np.linalg.solve(cap, b.T).T  # Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹
+        sinv_u = np.linalg.solve(cap, b.mT).mT  # Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹
         t = v @ factor  # rows t_k = UᵀA⁻¹(θ_k − mean) = Bᵀ(θ_k − mean)
         utv = r @ sinv_u  # rows Uᵀ v_k = C⁻¹ t_k = (B C⁻¹)ᵀ (θ_k − mean)
-        quad = quad - np.add.reduce(t * utv, axis=1)
-        logdet = logdet + 2.0 * np.add.reduce(np.log(chol.diagonal()))
+        quad = quad - np.add.reduce(t * utv, axis=-1)
+        logdet = logdet + 2.0 * np.add.reduce(
+            np.log(chol.diagonal(0, -2, -1)), axis=-1, keepdims=stacked
+        )
     log_q = -0.5 * (p * LOG_TWO_PI + logdet + quad)
 
     def vjp(logq_bar):
         sinv_diag = 1.0 / a_diag
         w = v
         if k:
-            w = v - utv @ b.T
-            sinv_diag = sinv_diag - np.add.reduce(b * sinv_u, axis=1)
-        lv = w * logq_bar[:, None]
-        lsum = np.add.reduce(logq_bar)
-        d_a = -0.5 * (lsum * sinv_diag - np.add.reduce(lv * w, axis=0))
-        d_factor = lv.T @ utv - lsum * sinv_u if k else None
+            w = v - utv @ b.mT
+            sinv_diag = sinv_diag - np.add.reduce(b * sinv_u, axis=-1)
+        lv = w * logq_bar[..., None]
+        lsum = np.add.reduce(logq_bar, axis=-1, keepdims=stacked)
+        d_a = -0.5 * (lsum * sinv_diag - np.add.reduce(lv * w, axis=-2))
+        d_factor = lv.mT @ utv - lsum[..., None] * sinv_u if k else None
         return -lv, d_a, d_factor
 
     return log_q, vjp

@@ -106,30 +106,41 @@ class GaussianMixtureDist:
         return self.components[0].dim
 
     @cached_property
-    def _log_weights(self) -> tuple:
-        return tuple(math.log(w) for w in self.weights)
+    def _stacked(self) -> tuple:
+        """The components' constants, stacked once: means (M, 1, P), precisions
+        (M, P, P), normalizers P log 2π + log det Σ_j and log weights, (M, 1)."""
+        comps = self.components
+        return (
+            np.array([c.mean for c in comps])[:, None],
+            np.array([c.precision for c in comps]),
+            np.array([[c.dim * LOG_TWO_PI + c._logdet] for c in comps]),
+            np.array([[math.log(w)] for w in self.weights]),
+        )
+
+    def _per_component(self, theta: np.ndarray) -> tuple:
+        """log w_j + log N_j(θ_k) at (S, P) rows, shape (M, S), and the rows
+        (θ_k − μ_j) Σ_j⁻¹, shape (M, S, P): every component in one pass."""
+        means, precisions, norms, log_w = self._stacked
+        r = theta - means
+        rp = r @ precisions
+        r *= rp  # in place: an audit block holds one (M, S, P) array fewer
+        return log_w - 0.5 * (norms + np.add.reduce(r, axis=-1)), rp
 
     def log_density(self, theta):
-        per = [
-            log_w + c.log_density(theta)
-            for c, log_w in zip(self.components, self._log_weights)
-        ]
-        return ad.logsumexp(np.stack(per), axis=0)
+        """Log-density at a plain (P,) point or stacked (S, P) rows."""
+        out = ad.logsumexp(self._per_component(np.atleast_2d(theta))[0], axis=0)
+        return out if np.ndim(theta) > 1 else out[0]
 
     def log_density_and_grad(self, theta: np.ndarray) -> tuple:
         """``log_density`` at plain (S, P) rows and its θ-gradient in closed form.
 
-        The gradient is the sum of the components' gradients weighted by
-        their responsibilities exp(log w_j + log N_j(θ) − log p(θ)), which the
-        max-shifted log-sum-exp keeps finite far from every mode.
+        The gradient is the sum of the components' gradients −Σ_j⁻¹(θ − μ_j)
+        weighted by their responsibilities exp(log w_j + log N_j(θ) − log p(θ)),
+        which the max-shifted log-sum-exp keeps finite far from every mode.
         """
-        per, grads = [], []
-        for c, log_w in zip(self.components, self._log_weights):
-            log_n, grad = c.log_density_and_grad(theta)
-            per.append(log_w + log_n)
-            grads.append(grad)
-        out = ad.logsumexp(np.stack(per), axis=0)
-        return out, sum(np.exp(lj - out)[:, None] * g for lj, g in zip(per, grads))
+        per, rp = self._per_component(theta)
+        out = ad.logsumexp(per, axis=0)
+        return out, np.add.reduce(np.exp(per - out)[..., None] * -rp, axis=0)
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
         """Yield ``(rows, draws)``: every row's component first, then each

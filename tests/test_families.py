@@ -703,6 +703,24 @@ def test_map_noise_is_all_ones_and_draws_nothing(base, count, seed):
     np.testing.assert_array_equal(noise.masks, np.ones((count, st.dim)))
 
 
+@given(atomic_base(), hst.floats(0.0, 1.0), hst.integers(1, 5), hst.integers(0, 2**16))
+def test_atomic_masks_are_boolean_and_draw_what_float_masks_draw(base, keep_prob, count, seed):
+    # θ̂ ⊙ mask with a boolean mask is θ̂ times the float mask of 0s and 1s,
+    # bit for bit and signed zeros included, in the draws, their blocks and
+    # the adjoint.
+    theta_hat, droppable = base
+    state = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    noise = fam.draw_noise(state, "naive", count, np.random.default_rng(seed))
+    assert noise.masks.dtype == bool
+    floats = noise.masks.astype(np.float64)
+    theta, _, _, vjp = fam.draws_logq_vjp(state, fam.param_views(state, fam.pack(state)), noise)
+    blocks = fam.gather_blocks(fam.realize_blocks(state, noise), count, state.dim)
+    want = theta_hat * floats
+    bar = np.random.default_rng(seed).standard_normal((count, state.dim))
+    for got, expected in ((theta, want), (blocks, want), (vjp(bar), (bar * floats).sum(axis=0))):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def loop_atom_log_weight(state, row) -> float:
     """Per-coordinate reference for one row's atomic log-density."""
     n_on = n_off = 0

@@ -12,7 +12,7 @@ a failed step raises an error naming what failed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,7 @@ import vifit.families as fam
 import vifit.models as mod
 import vifit.oracle as orc
 import vifit.trainer as tr
+from vifit.lowrank import lowrank_logpdf_and_vjp
 
 FAMILY_MODES = [
     ("map", "naive"),
@@ -184,6 +185,66 @@ def test_fused_mixture_matches_tape(mode, stratified, target_kind):
         assert_matches_references(*case)
 
     check()
+
+
+def loop_mixture_step(params, noise, theta_bar, logq_bar, coeff_bar) -> tuple:
+    """An sGMM's draws, log q, coefficients and psi adjoint, one component
+    at a time: each component draws its own rows, and its log N at every
+    row and its adjoint are one kernel call of its own."""
+    comps, logits = params["components"], params["weight_logits"]
+    m, zd, zl = len(comps), noise.z_diag, noise.z_lowrank
+    scales = [np.exp(0.5 * c["log_a"]) for c in comps]
+    members = [noise.components == j for j in range(m)]
+    theta = np.empty_like(zd)
+    for c, scale, own in zip(comps, scales, members):
+        theta[own] = c["mu"] + scale * zd[own] + zl[own] @ c["u"].T
+    fits = [
+        lowrank_logpdf_and_vjp(theta, c["mu"], scale * scale, c["u"])
+        for c, scale in zip(comps, scales)
+    ]
+    log_w = logits - ad.logsumexp(logits)
+    weights = np.exp(log_w)
+    per = log_w[:, None] + np.stack([log_n for log_n, _ in fits])
+    log_q = ad.logsumexp(per, axis=0)
+    coeff = m * weights[noise.components]
+    per_bar = np.exp(per - log_q) * logq_bar
+    adjoints = [vjp(bar) for (_, vjp), bar in zip(fits, per_bar)]
+    via = theta_bar + sum(d_theta for d_theta, _, _ in adjoints)
+    log_w_bar = per_bar.sum(axis=1)
+    log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
+    parts = []
+    for scale, own, (d_theta, d_a, d_u) in zip(scales, members, adjoints):
+        draw_bar = via[own]
+        d_scale = np.add.reduce(draw_bar * zd[own], axis=0) + 2.0 * scale * d_a
+        parts += [
+            draw_bar.sum(axis=0) - d_theta.sum(axis=0),
+            d_scale * (0.5 * scale),
+            (draw_bar.T @ zl[own] + d_u).ravel(),
+        ]
+    parts.append(log_w_bar - weights * log_w_bar.sum())
+    return theta, log_q, coeff, np.concatenate(parts)
+
+
+@settings(max_examples=50)
+@given(mixture_case("naive", True, "gaussian_prior"), st.sampled_from(["naive", "paired"]))
+def test_stacked_mixture_step_equals_the_component_loop_bit_for_bit(case, mode):
+    # With K ≥ 2 and at least two draws a component, every BLAS product the
+    # loop makes is a matrix-matrix one, so the stacked pass keeps its bits.
+    state, psi, _, _ = case
+    assume(state.dim >= 2 and state.rank >= 2)
+    count = 4 * state.n_components
+    rng = np.random.default_rng(int(psi.size))
+    noise = fam.draw_noise(state, mode, count, rng, stratify_components=True)
+    bars = (
+        rng.standard_normal((count, state.dim)),
+        rng.standard_normal(count),
+        rng.standard_normal(count),
+    )
+    params = fam.param_views(state, psi)
+    theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
+    want = loop_mixture_step(params, noise, *bars)
+    for name, g, w in zip(("theta", "log q", "coeff", "grad"), (theta, log_q, coeff, vjp(*bars)), want):
+        assert np.array_equal(g, w), name
 
 
 def _count_nodes(monkeypatch) -> list:

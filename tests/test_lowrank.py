@@ -248,6 +248,68 @@ def test_capacitance_too_large_for_working_precision_is_rejected():
         lowrank_logpdf_and_vjp(np.zeros((2, 1)), np.zeros(1), np.ones(1), factor)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+@pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+def test_capacitance_roundoff_bound_is_pinned(stacked, side):
+    # P = K = 1, a = 1 and u² = t − 1 make C = t, with eps·t a millionth
+    # under or over CAPACITANCE_ROUNDOFF.  The pivot √t is far from the
+    # singularity rule, so only the roundoff bound decides.  Stacked, the
+    # first component has C = 2 and only the second one is at the bound.
+    t = CAPACITANCE_ROUNDOFF / EPS * (1.0 + side * 1e-6)
+    u = np.sqrt(t - 1.0)
+    theta, mean, a, factor = np.zeros((2, 1)), np.zeros(1), np.ones(1), np.array([[u]])
+    if stacked:
+        mean, a, factor = np.zeros((2, 1)), np.ones((2, 1)), np.array([[[1.0]], [[u]]])
+    if side < 0:
+        log_q, _ = lowrank_logpdf_and_vjp(theta, mean, a, factor)
+        assert np.isfinite(log_q).all()
+        return
+    with pytest.raises(MemberFailure, match="too large for working precision"):
+        lowrank_logpdf_and_vjp(theta, mean, a, factor)
+
+
+def failing_capacitance(kind):
+    """(a, U) at P = 4, K = 2 whose capacitance fails in the given way."""
+    a, factor = np.ones(4), np.zeros((4, 2))
+    if kind == "not finite":  # A underflows to 0, so UᵀA⁻¹U is 0/0
+        a = np.exp(np.full(4, -800.0))
+    elif kind == "singular":
+        factor = singular_probe_factor()
+    elif kind == "factorization failed":  # 1 + 2^60 == 2^60: C is exactly singular
+        factor[0, :] = 2.0**30
+    else:
+        factor[0, 0] = 1e7
+    return a, factor
+
+
+CAPACITANCE_FAILURES = {
+    "not finite": "capacitance is not finite",
+    "singular": "capacitance matrix is singular to working precision",
+    "factorization failed": "capacitance factorization failed: ",
+    "too large": "capacitance is too large for working precision",
+}
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(CAPACITANCE_FAILURES))
+def test_stacked_capacitance_fails_as_its_bad_component_alone(kind, bad_at):
+    # Three components with one bad one: the stack raises the message the
+    # bad component raises on its own, wherever it stands.
+    rng = np.random.default_rng(3)
+    theta = rng.standard_normal((3, 4))
+    mean = rng.standard_normal((3, 4))
+    a = np.exp(rng.uniform(-1.0, 1.0, (3, 4)))
+    factor = 0.5 * np.sqrt(a)[..., None] * rng.standard_normal((3, 4, 2))
+    a[bad_at], factor[bad_at] = failing_capacitance(kind)
+    with np.errstate(all="ignore"):
+        with pytest.raises(MemberFailure) as alone:
+            lowrank_logpdf_and_vjp(theta, mean[bad_at], a[bad_at], factor[bad_at])
+        with pytest.raises(MemberFailure) as stacked:
+            lowrank_logpdf_and_vjp(theta, mean, a, factor)
+    assert str(alone.value).startswith(CAPACITANCE_FAILURES[kind])
+    assert str(stacked.value) == str(alone.value)
+
+
 @given(
     k=hst.integers(0, 6),
     bad=hst.sampled_from([np.nan, np.inf, -np.inf]),
@@ -326,6 +388,38 @@ def test_logpdf_and_vjp_match_dense_at_unrelated_rows(dims, s, seed):
     got = [d_theta, d_a, np.zeros((p, 0)) if d_factor is None else d_factor]
     for name, g, w in zip(("theta", "a", "factor"), got, want):
         assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w), name
+
+
+@given(
+    dims=hst.integers(1, 8).flatmap(lambda p: hst.tuples(hst.just(p), hst.integers(0, p + 1))),
+    m=hst.integers(1, 4),
+    s=hst.integers(1, 6),
+    seed=hst.integers(0, 2**16),
+)
+@example(dims=(3, 0), m=2, s=4, seed=0)
+def test_stacked_kernel_slices_equal_each_component_alone(dims, m, s, seed):
+    # Slice m of the stacked log q and of its three adjoints is bit for bit
+    # what component m gives on its own, K = 0 included.
+    p, k = dims
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal((m, p))
+    a = np.exp(rng.uniform(-2.0, 2.0, (m, p)))
+    factor = np.sqrt(a)[..., None] * rng.standard_normal((m, p, k)) * rng.uniform(0.1, 2.0)
+    theta = rng.standard_normal((s, p)) * 2.0
+    logq_bar = rng.standard_normal((m, s))
+
+    log_q, vjp = lowrank_logpdf_and_vjp(theta, mean, a, factor)
+    adjoints = vjp(logq_bar)
+    assert log_q.shape == (m, s)
+    assert [x is None for x in adjoints] == [False, False, k == 0]
+    point = lowrank_logpdf(theta[0], mean, a, factor)
+    assert point.shape == (m,)
+    for j in range(m):
+        alone_q, alone_vjp = lowrank_logpdf_and_vjp(theta, mean[j], a[j], factor[j])
+        assert np.array_equal(log_q[j], alone_q)
+        for got, want in zip(adjoints, alone_vjp(logq_bar[j])):
+            assert (got is None and want is None) or np.array_equal(got[j], want)
+        assert point[j] == lowrank_logpdf(theta[0], mean[j], a[j], factor[j])
 
 
 # -----------------------------------------------------------------------

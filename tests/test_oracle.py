@@ -555,6 +555,35 @@ def test_mixture_log_density_and_grad_match_log_density_and_finite_differences(p
     assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
+@given(
+    p=hst.integers(1, 8),
+    m=hst.integers(1, 4),
+    s=hst.integers(1, 12),
+    seed=hst.integers(0, 2**16),
+)
+def test_mixture_target_equals_the_per_component_formula_bit_for_bit(p, m, s, seed):
+    # The reference is the mixture written out one component at a time:
+    # each component's own log-density and gradient, weighted by
+    # math.log(w_j), combined by logsumexp and a responsibility-weighted sum.
+    rng = np.random.default_rng(seed)
+    comps = tuple(random_gaussian(rng, p) for _ in range(m))
+    target = orc.GaussianMixtureDist(components=comps, weights=rng.dirichlet(np.ones(m)))
+    rows = 3.0 * rng.standard_normal((s, p))
+    per, grads = [], []
+    for c, w in zip(comps, target.weights):
+        log_n, grad = c.log_density_and_grad(rows)
+        per.append(math.log(w) + log_n)
+        grads.append(grad)
+    want = ad.logsumexp(np.stack(per), axis=0)
+    want_grad = sum(np.exp(lj - want)[:, None] * g for lj, g in zip(per, grads))
+
+    value, grad = target.log_density_and_grad(rows)
+    assert np.array_equal(value, want) and np.array_equal(grad, want_grad)
+    assert np.array_equal(target.log_density(rows), want)
+    point = [math.log(w) + c.log_density(rows[0]) for c, w in zip(comps, target.weights)]
+    assert target.log_density(rows[0]) == ad.logsumexp(np.array(point), axis=0)
+
+
 # -----------------------------------------------------------------------
 # validation
 

@@ -241,6 +241,21 @@ def test_divergence_guard_reports_step():
     assert err.value.step == 0
 
 
+@pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+def test_gradient_norm_guard_is_pinned(side):
+    # MAP at 0 on N(g e₁, I) has the gradient g e₁ at its one draw: a norm a
+    # millionth under or over GRAD_NORM_GUARD.
+    g = tr.GRAD_NORM_GUARD * (1.0 + side * 1e-6)
+    state = fam.MapState(theta_hat=np.zeros(3))
+    target = orc.GaussianDist(mean=np.array([g, 0.0, 0.0]), cov=np.eye(3))
+    config = tr.TrainConfig(steps=1, learning_rate=0.01)
+    if side < 0:
+        assert tr.train(state, target, config).steps_run == 1
+        return
+    with pytest.raises(ad.MemberFailure, match="exceeded guard at step 0$"):
+        tr.train(state, target, config)
+
+
 def test_numerically_singular_capacitance_fails_at_step_zero():
     # Equal columns of norm 1e9 (see test_lowrank.singular_probe_factor):
     # the capacitance factorization succeeds on rounding noise, and must
