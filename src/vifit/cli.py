@@ -433,13 +433,11 @@ def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -
 def _dropout_predictions(state, features, n: int, rng) -> np.ndarray:
     """(n, |x*|) predictions draws @ featuresᵀ of n naive dropout draws.
 
-    The masks are drawn whole, n·P numbers, and each block of draws is
-    projected as it is realized (``fam.realize_blocks``), so no (n, P)
-    array of draws is built; the rows equal ``fam.sample``'s draws @
-    featuresᵀ bit for bit.
+    Each block's masks are drawn and its draws projected as it comes
+    (``fam.sample_blocks``), so neither the (n, P) masks nor the draws are
+    built; the rows equal ``fam.sample``'s draws @ featuresᵀ bit for bit.
     """
-    noise = fam.draw_noise(state, "naive", n, rng)
-    blocks = ((rows, draws @ features.T) for rows, draws in fam.realize_blocks(state, noise))
+    blocks = ((rows, draws @ features.T) for rows, draws in fam.sample_blocks(state, rng, n))
     return fam.gather_blocks(blocks, n, len(features))
 
 
@@ -461,9 +459,10 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
 
     rng = np.random.default_rng(mc_seq)
     mc_samples_y = _dropout_predictions(fitted, problem.features(x_star), config.mc_draws, rng)
-    mc_noise = rng.standard_normal(mc_samples_y.shape)
-    mc_noise *= problem.noise_sigma
-    mc_samples_y += mc_noise
+    for rows in fam.row_blocks(config.mc_draws):  # one call's normals, a block at a time
+        mc_noise = rng.standard_normal(mc_samples_y[rows].shape)
+        mc_noise *= problem.noise_sigma
+        mc_samples_y[rows] += mc_noise
     mc_mean = mc_samples_y.mean(axis=0)
     mc_var = mc_samples_y.var(axis=0, ddof=1)
     mean_se = np.sqrt(mc_var) / math.sqrt(config.mc_draws)

@@ -397,16 +397,15 @@ def draw_noise(
     unscented run's from one pass over its groups, and dropout masks from
     one ``random`` call.  An unstratified mixture draws its components
     between the normals and goes batch by batch.  MAP and stratified
-    component allocation take nothing from the generator.
+    component allocation take nothing from the generator.  The Monte-Carlo
+    audits take the same numbers a block of rows at a time through
+    ``sample_blocks``.
     """
     _validate_mode(state, mode, count)
     n = 1 if steps is None else steps
     p = state.dim
     if isinstance(state, ATOMIC_STATES):
-        masks = np.ones((n, count, p), dtype=bool)
-        d = state.droppable
-        if d.any():  # MAP has nothing droppable and leaves the generator alone
-            masks[:, :, d] = rng.random((n, count, np.count_nonzero(d))) < state.keep_prob
+        masks = _masks(state, (n, count), rng)
         batches = [NoiseBatch(mode=mode, count=count, masks=m) for m in masks]
     elif isinstance(state, MixtureState) and not stratify_components:
         batches = []
@@ -432,6 +431,17 @@ def draw_noise(
     return batches[0] if steps is None else batches
 
 
+def _masks(state: FamilyState, shape: tuple, rng) -> np.ndarray:
+    """Boolean masks of shape (*shape, P) from one ``random`` call: each droppable
+    coordinate kept with probability keep_prob, the rest always.  MAP has
+    nothing droppable and leaves the generator alone."""
+    masks = np.ones((*shape, state.dim), dtype=bool)
+    d = state.droppable
+    if d.any():
+        masks[..., d] = rng.random((*shape, np.count_nonzero(d))) < state.keep_prob
+    return masks
+
+
 def _gaussian_noise(rng, mode: str, n: int, count: int, p: int, k: int) -> tuple:
     """(z_diag, z_lowrank) of shapes (n, count, p) and (n, count, k), taken
     from ``rng`` as n batches drawn one after another take them."""
@@ -439,15 +449,9 @@ def _gaussian_noise(rng, mode: str, n: int, count: int, p: int, k: int) -> tuple
         z_diag, z_lowrank = _unscented(rng, n * count, p, k)
         return z_diag.reshape(n, count, p), z_lowrank.reshape(n, count, k)
     rows = count // 2 if mode == "paired" else count
-    if n == 1:
-        # The same stream in two calls: an audit's batch of n_mc rows peaks
-        # lower in resident memory as two arrays than as one of twice the size.
-        z_diag = rng.standard_normal((1, rows, p))
-        z_lowrank = rng.standard_normal((1, rows, k))
-    else:
-        z = rng.standard_normal((n, rows * (p + k)))
-        z_diag = z[:, : rows * p].reshape(n, rows, p)
-        z_lowrank = z[:, rows * p :].reshape(n, rows, k)
+    z = rng.standard_normal((n, rows * (p + k)))
+    z_diag = z[:, : rows * p].reshape(n, rows, p)
+    z_lowrank = z[:, rows * p :].reshape(n, rows, k)
     if mode == "paired":
         return _antithetic(z_diag), _antithetic(z_lowrank)
     return z_diag, z_lowrank
@@ -633,7 +637,9 @@ def realize_blocks(state: FamilyState, noise: NoiseBatch):
     sGMM realizes each component's own rows, as integer indices in row
     order, from that component alone.  Each row comes out as a realization
     of the whole batch would give it, so a caller holds one block of
-    temporaries, not a batch-sized array per temporary.
+    temporaries, not a batch-sized array per temporary.  ``sample`` realizes
+    a whole batch this way; ``sample_blocks`` realizes each block-sized
+    batch as it draws it.
     """
     params = _walk(state, lambda _, value: value)
     if isinstance(state, ATOMIC_STATES):
@@ -661,6 +667,43 @@ def realize_blocks(state: FamilyState, noise: NoiseBatch):
             )
 
 
+def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
+    """Yield ``(rows, draws)`` over ``row_blocks(n)``: ``sample(state, "naive",
+    n, rng)``'s draws, each block's noise drawn just before it is realized.
+
+    ``rng`` gives what ``draw_noise(state, "naive", n, rng)`` takes, in the
+    same order, and is left in the same state.  The dropout masks'
+    uniforms and the z_diag of mf (or of a rank-0 sN) are drawn a block at
+    a time.  An sN or sGMM of rank K ≥ 1 draws its component ids and z_diag
+    whole, since the stream puts them before z_lowrank and numpy's normals
+    take a varying count of raw outputs, so the generator cannot skip to
+    z_lowrank; only z_lowrank is drawn a block at a time.  Each block is
+    realized by ``realize_blocks`` on a block-sized ``NoiseBatch``, so an
+    sGMM yields integer rows, a component's lone row in a block as a pair.
+    """
+    _validate_mode(state, "naive", n)
+    p, k = state.dim, getattr(state, "rank", 0)
+    comp = None
+    if isinstance(state, MixtureState):
+        comp = rng.choice(state.n_components, size=n, p=state.weights)
+    z_diag = rng.standard_normal((n, p)) if k else None
+    for block in row_blocks(n):
+        count = block.stop - block.start
+        if isinstance(state, ATOMIC_STATES):
+            noise = NoiseBatch("naive", count, masks=_masks(state, (count,), rng))
+        else:
+            noise = NoiseBatch(
+                "naive",
+                count,
+                rng.standard_normal((count, p)) if z_diag is None else z_diag[block],
+                rng.standard_normal((count, k)),
+                None if comp is None else comp[block],
+            )
+        for rows, draws in realize_blocks(state, noise):
+            # A block-sized batch is one slice, all of it, or an sGMM's rows.
+            yield (block if isinstance(rows, slice) else block.start + rows), draws
+
+
 def sample(
     state: FamilyState, mode: str, count: int, rng: np.random.Generator
 ) -> SampleBatch:
@@ -668,8 +711,8 @@ def sample(
 
     The noise is drawn whole (``draw_noise``), count·(P + K) numbers, and
     realized through ``realize_blocks`` into one (count, P) array.  The
-    Monte-Carlo KL audit streams the same blocks without gathering them,
-    so it holds the noise plus one block of temporaries.
+    Monte-Carlo audits, which need neither the noise nor the array, stream
+    the same naive draws through ``sample_blocks`` instead.
     """
     noise = draw_noise(state, mode, count, rng)
     draws = gather_blocks(realize_blocks(state, noise), count, state.dim)

@@ -4,8 +4,10 @@ Conjugate linear-Gaussian posteriors and evidence in closed form, KL
 divergences (closed-form Gaussian-Gaussian and Monte Carlo), and the exact
 MC-dropout predictive mixture obtained by enumerating every dropout state.
 The Monte-Carlo KLs stream their draws in blocks of ``fam.BLOCK_ROWS``
-rows: memory is the (n_mc,) gaps, plus q's noise, n_mc·(P + K) numbers,
-when sampling from q, and one block of temporaries.  The exact predictive
+rows, from p (``sample_blocks``) or from q (``fam.sample_blocks``), each
+block's noise drawn as it comes: memory is the (n_mc,) gaps and one block
+of temporaries, plus the (n_mc,) component ids of a mixture p or an sGMM
+q, and the n_mc·P z_diag of an sN or sGMM q of rank K ≥ 1.  The exact predictive
 streams its 2^{P_d} atoms in blocks of at most ``fam.BLOCK_ROWS``, so its
 memory is one block of atoms however large P_d is.
 
@@ -255,17 +257,17 @@ def kl_family_to_target_mc(
     """Monte-Carlo KL[q || target] with standard error, sampling from q.
 
     A Gaussian q with a zero variance is singular to the target: infinite.
-    q's noise is drawn whole, n_mc·(P + K) numbers, and realized a block
-    at a time (``fam.realize_blocks``), so memory is that noise plus one
-    block of temporaries.
+    q's draws stream through ``fam.sample_blocks``, as p's do in
+    ``kl_p_to_family_mc``: memory is one block of temporaries plus the
+    gaps and what ``fam.sample_blocks`` holds whole (an sN's or sGMM's
+    z_diag, an sGMM's component ids).
     """
     if state.tag in fam.ATOMIC_TAGS:
         raise ValueError("KL[q || p] is degenerate for atomic families")
     if fam.has_zero_variance(state):
         return math.inf, 0.0
-    noise = fam.draw_noise(state, "naive", n_mc, rng)
     return _mc_kl(
-        fam.realize_blocks(state, noise),
+        fam.sample_blocks(state, rng, n_mc),
         lambda draws: fam.log_density(state, draws) - target.log_density(draws),
         n_mc,
     )

@@ -269,22 +269,48 @@ def test_dropout_predictions_equal_the_whole_batch_bit_for_bit():
     np.testing.assert_array_equal(streamed.view(np.int64), whole.view(np.int64))
 
 
-def test_dropout_audit_memory_does_not_grow_with_the_atoms():
-    # Traced peak at 2^20 atoms and 10⁵ Monte-Carlo draws: the uniforms the
-    # masks are drawn from (10⁵ × 20 float64) and the boolean masks, about
-    # 18 MB, plus one block of atoms or draws; 21 MB in all.  No array has
-    # 2^20 rows.
-    config = cli._load_config(
-        cli.DropoutAuditConfig, None, {"n_droppable": 20, "steps": 5, "seed": 1}
-    )
+def traced_peak(command, config):
+    """``command(config)``'s report and its traced Python-heap peak in bytes,
+    numpy's buffers included; the peak does not depend on the host."""
     tracemalloc.start()
     try:
-        report = cli.cmd_dropout_audit(config)
+        report = command(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_dropout_audit_memory_does_not_grow_with_the_atoms():
+    # Traced peak at 2^20 atoms and 10⁵ Monte-Carlo draws: the (10⁵, 5)
+    # predictions, 4 MB, plus one block of atoms, or of one block's masks,
+    # their uniforms, draws and observation noise; 8.9 MB in all.  No array
+    # has 2^20 rows, and no mask or uniform array has 10⁵.
+    config = cli._load_config(
+        cli.DropoutAuditConfig, None, {"n_droppable": 20, "steps": 5, "seed": 1}
+    )
+    report, peak = traced_peak(cli.cmd_dropout_audit, config)
     assert report.extras["n_atoms"] == 2**20
-    assert peak < 30e6
+    assert peak < 12e6
+
+
+def test_bimodal_fit_memory_holds_no_audit_sized_noise():
+    # Traced peak of fit-gaussian --bimodal with its 200k-draw audits both
+    # ways (P = 8): 18.4 MB, mostly sn8's (200k, 8) z_diag and the audit's
+    # (200k,) gaps and component ids.  Drawing q's noise for all 200k rows
+    # at once peaked at 30.5 MB.
+    config = cli._load_config(cli.FitGaussianConfig, None, {"steps": 5, "bimodal": True})
+    assert config.kl_mc_samples == 200_000
+    _, peak = traced_peak(cli.cmd_fit_gaussian, config)
+    assert peak < 23e6
+
+
+def test_rbf_memory_is_small():
+    # Traced peak of the default rbf roster: 0.95 MB.  Its audits are exact,
+    # so nothing in it grows with a Monte-Carlo sample count.
+    config = cli._load_config(cli.RbfConfig, None, {"steps": 5})
+    _, peak = traced_peak(cli.cmd_rbf, config)
+    assert peak < 2e6
 
 
 def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
