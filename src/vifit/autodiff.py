@@ -4,12 +4,12 @@ Training never builds a graph: every family's draws, log q and adjoints
 are closed form (``families.draws_logq_vjp``), and so is every target's
 log joint and θ-gradient.  What remains is the check on that gradient.
 ``trainer.elbo_graph`` records the ELBO estimate as one node (``_node``)
-whose vector-Jacobian product is the closed-form gradient; ``backward``
-and ``evaluate_with_gradient`` read it back, and
-``finite_difference_gradient`` gives the independent central-difference
-check the acceptance gate compares it with.  ``backward`` still walks a
-graph of any depth in a fixed topological order, so repeated evaluation
-with identical inputs is bit-identical.
+whose edge to psi carries the closed-form gradient as its vector-Jacobian
+product; ``backward`` and ``evaluate_with_gradient`` read that one node
+back, and ``finite_difference_gradient`` gives the independent
+central-difference check the acceptance gate compares it with.  There is
+no graph to walk: ``backward`` rejects an output whose parents have
+parents of their own.
 
 ``logsumexp``, ``cholesky`` and ``cho_solve`` work on plain arrays; the
 last two are numpy's LAPACK, the one build every factorization in vifit
@@ -59,8 +59,8 @@ def _node(name: str, value, parents) -> "Var":
 class Var:
     """Tape node: a float64 array value plus parent edges carrying VJPs.
 
-    The adjoint slot lives in the backward pass's accumulator rather than
-    on the node, so a node may participate in several backward passes.
+    A leaf has no parents; the one recorded node (``_node``) has edges to
+    leaves only.  Adjoints live in ``backward``'s result, not on the node.
     """
 
     __slots__ = ("value", "_parents")
@@ -115,50 +115,25 @@ def cho_solve(chol: np.ndarray, b) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
-def _topological_order(root: Var) -> list:
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(output: Var, wrt) -> list:
-    """Adjoints of a scalar ``output`` with respect to each Var in ``wrt``.
+    """Adjoints of a scalar one-node ``output`` with respect to each Var in ``wrt``.
 
-    Seeds the output adjoint with 1 and accumulates in reverse topological
-    order.  Vars not reached by any path get a zero gradient.
+    A Var's adjoint is the sum of the output's edge VJPs at 1 along its
+    edges to that Var; the output's own is 1, and a Var with no edge gets
+    zeros.  Raises ``ValueError`` for a non-scalar output, and for one with
+    a parent that has parents of its own: a deeper graph fails loudly
+    rather than get a partial gradient.
     """
     if output.value.shape != ():
         raise ValueError("backward expects a scalar output")
+    if any(parent._parents for parent, _ in output._parents):
+        raise ValueError("backward reads one node: a parent of the output has parents")
     grads: dict[int, np.ndarray] = {id(output): np.ones(())}
-    for node in reversed(_topological_order(output)):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        for parent, vjp in node._parents:
-            contribution = vjp(g)
-            existing = grads.get(id(parent))
-            grads[id(parent)] = (
-                contribution if existing is None else existing + contribution
-            )
-    return [
-        np.array(grads[id(v)])
-        if id(v) in grads
-        else np.zeros(v.value.shape)
-        for v in wrt
-    ]
+    for parent, vjp in output._parents:
+        contribution = vjp(grads[id(output)])
+        existing = grads.get(id(parent))
+        grads[id(parent)] = contribution if existing is None else existing + contribution
+    return [np.array(grads[id(v)]) if id(v) in grads else np.zeros(v.value.shape) for v in wrt]
 
 
 @dataclass
@@ -170,11 +145,11 @@ class GradientReport:
 
 
 def evaluate_with_gradient(objective, psi) -> GradientReport:
-    """Evaluate ``objective`` at ``psi`` and differentiate it end to end.
+    """Evaluate ``objective`` at ``psi`` and read its gradient back.
 
-    ``objective`` maps a 1-D Var of variational parameters to a scalar; the
-    returned gradient is the exact reverse-mode derivative of the composed
-    expression.  Objectives with no dependence on the input yield a zero
+    ``objective`` maps a 1-D Var of variational parameters to a scalar: one
+    node with edges to that Var, whose VJPs ``backward`` sums into the
+    gradient.  Objectives with no dependence on the input yield a zero
     gradient.
     """
     psi = np.asarray(psi, dtype=np.float64)
@@ -202,8 +177,9 @@ def evaluate_with_gradient(objective, psi) -> GradientReport:
 def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
     """Central-difference gradient, the independent check on any gradient.
 
-    With ``step=None`` each coordinate uses ``1e-4 * max(1, |psi_i|)``, the
-    usual conditioning trade-off for float64 objectives.
+    ``objective`` maps a plain psi to a plain number, as ``trainer.elbo_graph``
+    does.  With ``step=None`` each coordinate uses ``1e-4 * max(1, |psi_i|)``,
+    the usual conditioning trade-off for float64 objectives.
     """
     psi = np.asarray(psi, dtype=np.float64)
     if step is None:
@@ -219,8 +195,8 @@ def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
         hi[i] += h
         lo = psi.copy()
         lo[i] -= h
-        f_hi = _plain_value(objective, hi)
-        f_lo = _plain_value(objective, lo)
+        f_hi = float(objective(hi))
+        f_lo = float(objective(lo))
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
             raise MemberFailure(
                 "non-finite value produced by 'finite_difference' "
@@ -229,7 +205,3 @@ def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
         grad[i] = (f_hi - f_lo) / (2.0 * h)
     return grad
 
-
-def _plain_value(objective, psi: np.ndarray) -> float:
-    out = objective(psi)
-    return float(out.value) if isinstance(out, Var) else float(out)

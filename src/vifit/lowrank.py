@@ -2,15 +2,17 @@
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  There is
-one reparametrized draw, ``gaussian_draw_rows``, and one log-density,
+one reparametrized draw, ``gaussian_draw_rows``, and one Woodbury kernel,
 ``lowrank_logpdf_and_vjp``: log q at any rows with its adjoint, the kernel
-that trains.  ``lowrank_logpdf``, what the audits read (``structured_logpdf``,
-the families' ``log_density``), is its value half.  Every factorization is
-numpy's LAPACK, so training and the audits round alike.  Both take an
-optional leading component axis, M Gaussians at once, as an sGMM needs: each
-matmul, factorization and solve then runs slice by slice through the same
-BLAS or LAPACK call that one Gaussian makes, so slice m carries the bits of
-component m evaluated alone.
+that trains.  Everything else reads it.  ``lowrank_logpdf``, what the audits
+read (``structured_logpdf``, the families' ``log_density``), is its value
+half; ``woodbury_solve`` is its θ-adjoint and ``woodbury_logdet`` its value
+at the mean, so the gate's Woodbury checks check the training kernel.
+Every factorization is numpy's LAPACK, so training and the audits round
+alike.  The kernel takes an optional leading component axis, M Gaussians
+at once, as an sGMM needs: each matmul, factorization and solve then runs
+slice by slice through the same BLAS or LAPACK call that one Gaussian
+makes, so slice m carries the bits of component m evaluated alone.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``ad.MemberFailure``) when C is not
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -89,8 +91,9 @@ def _identity(k: int) -> np.ndarray:
 class StructuredCov:
     """Sigma = diag(A) + U Uᵀ with A strictly positive and U of shape (P, K).
 
-    Instances are immutable, so the capacitance factorization is computed
-    once and cached; K = 0 denotes a purely diagonal covariance.
+    Instances are immutable, validated plain arrays; K = 0 denotes a purely
+    diagonal covariance.  Nothing is factorized here: the functions below
+    pass ``diag`` and ``factor`` to the one kernel.
     """
 
     diag: np.ndarray
@@ -117,41 +120,29 @@ class StructuredCov:
     def dim(self) -> int:
         return self.diag.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.factor.shape[1]
-
-    @cached_property
-    def capacitance(self) -> np.ndarray | None:
-        """The lower Cholesky factor of C = I_K + Uᵀ diag(A)⁻¹ U; None when K = 0."""
-        if self.rank == 0:
-            return None
-        c = _identity(self.rank) + self.factor.T @ (self.factor / self.diag[:, None])
-        return _capacitance_cholesky(c)
-
     def dense(self) -> np.ndarray:
         """Materialize the P×P matrix; intended for diagnostics and tests."""
         return np.diag(self.diag) + self.factor @ self.factor.T
 
 
 def woodbury_solve(cov: StructuredCov, v: np.ndarray) -> np.ndarray:
-    """Sigma⁻¹ v as A⁻¹v − A⁻¹ U C⁻¹ Uᵀ A⁻¹ v, without forming Sigma."""
+    """Sigma⁻¹ v, the kernel's θ-adjoint: ∂ log q/∂θ = −Σ⁻¹(θ − mean), so at
+    θ = v and mean 0, with log q's adjoint set to −1, d_theta is Σ⁻¹v.
+    Raises the kernel's ``ad.MemberFailure`` on a degenerate capacitance."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cov.dim,):
         raise ValueError(f"v must have shape ({cov.dim},)")
-    av = v / cov.diag
-    if cov.rank == 0:
-        return av
-    w = ad.cho_solve(cov.capacitance, cov.factor.T @ av)
-    return av - (cov.factor @ w) / cov.diag
+    _, vjp = lowrank_logpdf_and_vjp(v[None], np.zeros(cov.dim), cov.diag, cov.factor)
+    return vjp(np.full(1, -1.0))[0][0]
 
 
 def woodbury_logdet(cov: StructuredCov) -> float:
-    """log det Sigma = log det C + sum_i log A_i (matrix determinant lemma)."""
-    base = float(np.sum(np.log(cov.diag)))
-    if cov.rank == 0:
-        return base
-    return base + 2.0 * float(np.sum(np.log(np.diag(cov.capacitance))))
+    """log det Sigma = −2 log q − P log 2π, log q the kernel's at θ = mean,
+    where the quadratic term is exactly 0.  Raises the kernel's
+    ``ad.MemberFailure`` on a degenerate capacitance."""
+    mean = np.zeros(cov.dim)
+    log_q = lowrank_logpdf_and_vjp(mean[None], mean, cov.diag, cov.factor)[0]
+    return float(-2.0 * log_q[0] - cov.dim * LOG_TWO_PI)
 
 
 def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):

@@ -68,12 +68,11 @@ class GaussianDist:
 
     def log_density(self, theta):
         """Log-density at a plain (P,) point or stacked (S, P) rows."""
-        r = theta - self.mean
-        quad = np.sum(r * (r @ self.precision), axis=-1)
-        return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad)
+        return self.log_density_and_grad(theta)[0]
 
     def log_density_and_grad(self, theta: np.ndarray) -> tuple:
-        """``log_density`` at plain (S, P) rows and its θ-gradient in closed form."""
+        """Log-density at a plain (P,) point or (S, P) rows and its θ-gradient
+        in closed form."""
         r = theta - self.mean
         rp = r @ self.precision
         quad = (r * rp).sum(axis=-1)
@@ -186,15 +185,13 @@ def kl_gaussian_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     """KL[p || q] between dense Gaussians of equal dimension."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    qf = ad.cholesky(q.cov, "second argument covariance")
-    trace = float(np.trace(ad.cho_solve(qf, p.cov)))
+    trace = float(np.trace(ad.cho_solve(q._factor, p.cov)))
     diff = q.mean - p.mean
-    quad = float(diff @ ad.cho_solve(qf, diff))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(qf))))
+    quad = float(diff @ ad.cho_solve(q._factor, diff))
     sign, logdet_p = np.linalg.slogdet(p.cov)
     if sign <= 0:
         raise ad.MemberFailure("first argument covariance is not SPD")
-    return 0.5 * (trace + quad - p.dim + logdet_q - logdet_p)
+    return 0.5 * (trace + quad - p.dim + q._logdet - logdet_p)
 
 
 def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:

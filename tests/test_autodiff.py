@@ -1,7 +1,9 @@
 """Tests for the reverse-mode tape: exactness, finite differences, errors.
 
-The tape's one primitive is ``_node``; these tests build graphs of hand-made
-nodes, each carrying its exact vector-Jacobian product.
+The tape records one node (``_node``), as ``trainer.elbo_graph`` does: its
+edges go to leaves and carry exact vector-Jacobian products, and
+``backward`` sums them per leaf.  These tests build such nodes by hand,
+with repeated edges to one leaf, and check that a deeper graph is refused.
 """
 
 import numpy as np
@@ -10,59 +12,45 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
+import vifit.families as fam
+import vifit.models as mod
+import vifit.trainer as tr
 from vifit.lowrank import lowrank_logpdf, lowrank_logpdf_and_vjp
 
 
-def leaf(x):
-    """The objective's input as a node: a Var under the tape, else a fresh one."""
-    return x if isinstance(x, ad.Var) else ad.Var(x)
-
-
-def linear(a, x):
-    return ad._node("linear", a @ x.value, [(x, lambda g: g @ a)])
-
-
-def sin(x):
-    return ad._node("sin", np.sin(x.value), [(x, lambda g: g * np.cos(x.value))])
-
-
-def mul(x, y):
-    parents = [(x, lambda g: g * y.value), (y, lambda g: g * x.value)]
-    return ad._node("mul", x.value * y.value, parents)
-
-
-def scale(c, x):
-    return ad._node("scale", c * x.value, [(x, lambda g: c * g)])
+def one_node(x, value, partials):
+    """``value(x)`` recorded as ``trainer.elbo_graph`` records the ELBO: a
+    float at a plain x, else one node with an edge to x per entry of
+    ``partials``, each carrying g times that partial gradient at x."""
+    xv = ad._val(x)
+    out = value(xv)
+    if not isinstance(x, ad.Var):
+        return float(out)
+    return ad._node("f", out, [(x, lambda g, d=d: g * d(xv)) for d in partials])
 
 
 def dot(w, x):
     return ad._node("dot", w @ x.value, [(x, lambda g: g * w)])
 
 
-def total(nodes):
-    return ad._node("add", sum(n.value for n in nodes), [(n, lambda g: g) for n in nodes])
-
-
 def test_square_value_and_gradient():
-    def objective(x):
-        x = leaf(x)
-        return dot(np.ones(1), mul(x, x))
-
-    report = ad.evaluate_with_gradient(objective, np.array([3.0]))
+    # x·x is one node with an edge per factor, both to x: their adjoints sum.
+    report = ad.evaluate_with_gradient(
+        lambda x: one_node(x, lambda v: v[0] * v[0], [lambda v: v, lambda v: v]),
+        np.array([3.0]),
+    )
     assert report.value == 9.0
-    np.testing.assert_allclose(report.gradient, [6.0])
+    np.testing.assert_array_equal(report.gradient, [6.0])
 
 
 def test_product_rule():
-    def objective(x):
-        x = leaf(x)
-        first = linear(np.array([[1.0, 0.0]]), x)
-        second = linear(np.array([[0.0, 1.0]]), x)
-        return dot(np.ones(1), mul(first, second))
-
-    report = ad.evaluate_with_gradient(objective, np.array([2.0, 5.0]))
+    # x₀x₁ with one edge per factor, each carrying the other factor.
+    partials = [lambda v: np.array([v[1], 0.0]), lambda v: np.array([0.0, v[0]])]
+    report = ad.evaluate_with_gradient(
+        lambda x: one_node(x, lambda v: v[0] * v[1], partials), np.array([2.0, 5.0])
+    )
     assert report.value == 10.0
-    np.testing.assert_allclose(report.gradient, [5.0, 2.0])
+    np.testing.assert_array_equal(report.gradient, [5.0, 2.0])
 
 
 def test_logsumexp_of_equal_logits():
@@ -117,46 +105,66 @@ def test_structured_logpdf_gradient_matches_finite_differences():
 
 
 def test_gradient_linearity():
+    # A node whose edges carry c_f ∇f and c_g ∇g gives c_f ∇f + c_g ∇g,
+    # with f = w·sin(Ax) and g = w·(x ⊙ sin x).
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4))
     w = rng.standard_normal(4)
 
-    def f(x):
-        return dot(w, sin(linear(a, leaf(x))))
+    def f(v):
+        return w @ np.sin(a @ v)
 
-    def g(x):
-        x = leaf(x)
-        return dot(w, mul(x, sin(x)))
+    def grad_f(v):
+        return (w * np.cos(a @ v)) @ a
+
+    def g(v):
+        return w @ (v * np.sin(v))
+
+    def grad_g(v):
+        return w * (np.sin(v) + v * np.cos(v))
 
     psi = rng.standard_normal(4)
+    gf = ad.evaluate_with_gradient(lambda x: one_node(x, f, [grad_f]), psi).gradient
+    gg = ad.evaluate_with_gradient(lambda x: one_node(x, g, [grad_g]), psi).gradient
+    np.testing.assert_allclose(gf, ad.finite_difference_gradient(f, psi), rtol=1e-6)
+    np.testing.assert_allclose(gg, ad.finite_difference_gradient(g, psi), rtol=1e-6)
     for c_f, c_g in rng.standard_normal((5, 2)):
         both = ad.evaluate_with_gradient(
-            lambda x: total([scale(c_f, f(leaf(x))), scale(c_g, g(leaf(x)))]), psi
+            lambda x: one_node(
+                x,
+                lambda v: c_f * f(v) + c_g * g(v),
+                [lambda v: c_f * grad_f(v), lambda v: c_g * grad_g(v)],
+            ),
+            psi,
         )
-        gf = ad.evaluate_with_gradient(f, psi).gradient
-        gg = ad.evaluate_with_gradient(g, psi).gradient
         np.testing.assert_allclose(both.gradient, c_f * gf + c_g * gg, rtol=1e-12, atol=1e-15)
 
 
 def test_determinism_bit_identical():
-    rng = np.random.default_rng(5)
-    psi = rng.standard_normal(6)
-    a = rng.standard_normal((6, 6))
-
-    def objective(x):
-        x = leaf(x)
-        hidden = sin(linear(a, x))
-        return total([dot(np.ones(6), mul(hidden, x)), dot(psi, hidden), dot(psi, x)])
-
-    first = ad.evaluate_with_gradient(objective, psi)
-    second = ad.evaluate_with_gradient(objective, psi)
-    assert first.value == second.value
-    np.testing.assert_array_equal(first.gradient, second.gradient)
+    # The node the gate differentiates, for an sN and an sGMM: two
+    # evaluations at the same psi and noise give the same bits.
+    spec = mod.RbfModelSpec.regular(5, noise_sigma=0.4)
+    problem, _ = mod.make_rbf_dataset(spec, 20, seed=5)
+    rng = np.random.default_rng(6)
+    for tag, kwargs in (
+        ("structured_normal", {"rank": 2}),
+        ("mixture", {"rank": 2, "components": 2}),
+    ):
+        state = fam.init_family(tag, problem.model_shape(), rng, **kwargs)
+        noise = fam.draw_noise(
+            state, "paired", 8, rng, stratify_components=isinstance(state, fam.MixtureState)
+        )
+        psi = fam.pack(state)
+        first, second = (
+            ad.evaluate_with_gradient(lambda p: tr.elbo_graph(state, p, noise, problem), psi)
+            for _ in range(2)
+        )
+        assert first.value == second.value
+        np.testing.assert_array_equal(first.gradient, second.gradient)
 
 
 def test_nonfinite_intermediate_names_the_primitive():
     def objective(x):
-        x = leaf(x)
         return ad._node("log", np.log(x.value[0] - 1.0), [(x, lambda g: g / (x.value - 1.0))])
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -179,7 +187,7 @@ def test_unsupported_primitive_raises():
 
 
 def test_gradient_length_matches_psi_dimension():
-    report = ad.evaluate_with_gradient(lambda x: dot(np.eye(5)[0], leaf(x)), np.ones(5))
+    report = ad.evaluate_with_gradient(lambda x: dot(np.eye(5)[0], x), np.ones(5))
     assert report.gradient.shape == (5,)
     np.testing.assert_allclose(report.gradient, [1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -194,35 +202,46 @@ def test_backward_gives_unreached_vars_a_zero_gradient():
         ad.backward(x, [x])
 
 
-# -----------------------------------------------------------------------
-# Generated graphs
+def test_backward_rejects_a_deeper_graph():
+    # The tape records one node.  A node over a node would need a graph
+    # walk, so backward refuses it rather than give a partial gradient,
+    # also when the node has an edge to a leaf as well.
+    def twice(inner, *edges):
+        return ad._node("twice", 2.0 * inner.value, [(inner, lambda g: 2.0 * g), *edges])
+
+    x = ad.Var(np.ones(2))
+    for out in (twice(dot(np.arange(2.0), x)), twice(dot(np.arange(2.0), x), (x, lambda g: g))):
+        with pytest.raises(ValueError, match="one node"):
+            ad.backward(out, [x])
+    with pytest.raises(ValueError, match="one node"):
+        ad.evaluate_with_gradient(lambda v: twice(dot(np.ones(2), v)), np.ones(2))
+
+
+TERMS = {
+    # name: (value, gradient) of a scalar term of x, given a matrix A and weights w
+    "linear": (lambda a, w, x: w @ (a @ x), lambda a, w, x: w @ a),
+    "sin": (lambda a, w, x: w @ np.sin(a @ x), lambda a, w, x: (w * np.cos(a @ x)) @ a),
+    "quadratic": (lambda a, w, x: x @ (a @ x), lambda a, w, x: (a + a.T) @ x),
+}
 
 
 @given(
-    ops=hst.lists(
-        hst.tuples(
-            hst.sampled_from(["linear", "sin", "mul"]), hst.integers(0, 8), hst.integers(0, 8)
-        ),
-        min_size=1,
-        max_size=6,
-    ),
+    ops=hst.lists(hst.sampled_from(sorted(TERMS)), min_size=1, max_size=6),
     p=hst.integers(1, 4),
     seed=hst.integers(0, 2**16),
 )
 def test_backward_over_generated_graphs_matches_finite_differences(ops, p, seed):
-    # Each op reads earlier nodes, repeats allowed, and every node feeds the
-    # output: a node's adjoint sums over every path from it, as in a graph
-    # with fan-out, shared parents and x * x.
+    # One node whose value sums the generated terms, repeats allowed, with
+    # one edge per term, every edge to x: backward sums the edges' adjoints.
     rng = np.random.default_rng(seed)
-    mats = [0.5 * rng.standard_normal((p, p)) for _ in ops]
-    weights = rng.standard_normal((len(ops) + 1, p))
+    terms = [(*TERMS[op], 0.5 * rng.standard_normal((p, p)), rng.standard_normal(p)) for op in ops]
 
     def objective(x):
-        nodes = [leaf(x)]
-        for (op, i, j), a in zip(ops, mats):
-            u, v = nodes[i % len(nodes)], nodes[j % len(nodes)]
-            nodes.append(linear(a, u) if op == "linear" else sin(u) if op == "sin" else mul(u, v))
-        return total([dot(w, n) for w, n in zip(weights, nodes)])
+        return one_node(
+            x,
+            lambda v: sum(f(a, w, v) for f, _, a, w in terms),
+            [lambda v, d=d, a=a, w=w: d(a, w, v) for _, d, a, w in terms],
+        )
 
     psi = rng.standard_normal(p)
     report = ad.evaluate_with_gradient(objective, psi)

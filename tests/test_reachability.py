@@ -61,27 +61,46 @@ def test_one_failure_class_per_member():
     assert exception_classes() == ["MemberFailure", "ModeFamilyError"]
 
 
-def factorization_sites() -> set:
-    """The functions of ``src/vifit``, as ``module.function``, that call
-    ``np.linalg.cholesky`` or hold an ``except`` clause naming ``LinAlgError``."""
-    sites = set()
+def sites(hit) -> set:
+    """The functions of ``src/vifit``, as ``module.function``, holding an AST
+    node for which ``hit`` is true."""
+    found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             inner = owner
             if isinstance(child, ast.FunctionDef):
                 inner = f"{owner.split('.')[0]}.{child.name}"
-            elif isinstance(child, ast.Call):
-                if ast.unparse(child.func).endswith("linalg.cholesky"):
-                    sites.add(owner)
-            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
-                if "LinAlgError" in ast.unparse(child.type):
-                    sites.add(owner)
+            elif hit(child):
+                found.add(owner)
             visit(child, inner)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text()), path.stem)
-    return sites
+    return found
+
+
+def factorization_sites() -> set:
+    """The functions that call ``np.linalg.cholesky`` or hold an ``except``
+    clause naming ``LinAlgError``."""
+
+    def hit(node) -> bool:
+        if isinstance(node, ast.Call):
+            return ast.unparse(node.func).endswith("linalg.cholesky")
+        return (
+            isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and "LinAlgError" in ast.unparse(node.type)
+        )
+
+    return sites(hit)
+
+
+def callers(name: str) -> set:
+    """The functions that call ``name``, bare or as an attribute."""
+    return sites(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+    )
 
 
 def test_factorizations_decide_their_failures_in_one_place_each():
@@ -90,3 +109,15 @@ def test_factorizations_decide_their_failures_in_one_place_each():
     # dense matrices go through autodiff.cholesky, the capacitance C of
     # every closed-form step through lowrank._capacitance_cholesky.
     assert factorization_sites() == {"autodiff.cholesky", "lowrank._capacitance_cholesky"}
+
+
+def test_one_woodbury_kernel_factorizes_the_capacitance():
+    # The capacitance C is factorized by the kernel that trains and nowhere
+    # else (the factorization calls itself only slice by slice), and the
+    # gate's Woodbury solve and log-det read that kernel.
+    assert callers("_capacitance_cholesky") - {"lowrank._capacitance_cholesky"} == {
+        "lowrank.lowrank_logpdf_and_vjp"
+    }
+    assert {"lowrank.woodbury_solve", "lowrank.woodbury_logdet"} <= callers(
+        "lowrank_logpdf_and_vjp"
+    )
