@@ -9,10 +9,15 @@ read (``structured_logpdf``, the families' ``log_density``), is its value
 half; ``woodbury_solve`` is its θ-adjoint and ``woodbury_logdet`` its value
 at the mean, so the gate's Woodbury checks check the training kernel.
 Every factorization is numpy's LAPACK, so training and the audits round
-alike.  The kernel takes an optional leading component axis, M Gaussians
-at once, as an sGMM needs: each matmul, factorization and solve then runs
-slice by slice through the same BLAS or LAPACK call that one Gaussian
-makes, so slice m carries the bits of component m evaluated alone.
+alike.  The kernel calls the gufuncs behind ``np.linalg.cholesky`` and
+``np.linalg.solve`` (``numpy.linalg._umath_linalg.cholesky_lo`` and
+``solve``) directly, under the floating-point state those wrappers set:
+the wrappers' argument checks and casts made about half of an sN step's
+Python-level calls, and skipping them changes no bit.  The kernel takes
+an optional leading component axis, M Gaussians at once, as an sGMM needs:
+each matmul, factorization and solve then runs slice by slice through the
+same BLAS or LAPACK call that one Gaussian makes, so slice m carries the
+bits of component m evaluated alone.
 
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``ad.MemberFailure``) when C is not
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import autodiff as ad
 
@@ -43,6 +49,12 @@ EPS = float(np.finfo(float).eps)
 CAPACITANCE_ROUNDOFF = 1e-8
 
 
+def _not_positive_definite(err, flag):
+    """The ``np.errstate`` callback of ``np.linalg.cholesky``: LAPACK's
+    gufunc reports a failed factorization as an invalid value."""
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of C, or of each C in an (M, K, K) stack,
     checked as the module notes say.
@@ -52,10 +64,11 @@ def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
     pivot tests run on Python floats over only K values a slice, since this
     runs on every closed-form step.  The sum of the pivots catches a NaN
     that ``min`` passes over.  A stack fails with the error of its first
-    slice that fails alone.
+    slice that fails alone.  Runs inside the kernel's ``np.errstate``, which
+    turns LAPACK's failure flag into ``LinAlgError``.
     """
     try:
-        chol = np.linalg.cholesky(c)
+        chol = _umath_linalg.cholesky_lo(c, signature="d->d")
     except np.linalg.LinAlgError as err:
         for one in c if c.ndim > 2 else ():
             _capacitance_cholesky(one)
@@ -220,8 +233,14 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     if k:
         b = factor / a_diag[..., None]
         cap = _identity(k) + factor.mT @ b
-        chol = _capacitance_cholesky(cap)
-        sinv_u = np.linalg.solve(cap, b.mT).mT  # Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹
+        # np.linalg's floating-point state, built fresh since an errstate is
+        # entered once only.  The LU solve, Σ⁻¹U = A⁻¹ U C⁻¹ = B C⁻¹, runs on a
+        # C whose Cholesky passed, so only the factorization can fail.
+        with np.errstate(
+            call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            chol = _capacitance_cholesky(cap)
+            sinv_u = _umath_linalg.solve(cap, b.mT, signature="dd->d").mT
         t = v @ factor  # rows t_k = UᵀA⁻¹(θ_k − mean) = Bᵀ(θ_k − mean)
         utv = r @ sinv_u  # rows Uᵀ v_k = C⁻¹ t_k = (B C⁻¹)ᵀ (θ_k − mean)
         quad = quad - np.add.reduce(t * utv, axis=-1)

@@ -26,7 +26,12 @@ updated in place, in the order of the out-of-place expressions), the
 target's log joint and log q's adjoint.  It draws the noise of
 ``NOISE_CHUNK_STEPS`` steps per ``families.draw_noise`` call.  One call
 gives the same stream as consecutive per-step calls, so every number is
-the one a per-step loop gives.
+the one a per-step loop gives.  The moment estimates m and v are the two
+rows of one (2, n) array, and so are m̂ and v̂, with (β₁, β₂), (1 − β₁,
+1 − β₂) and the bias corrections as (2, n) rows beside them: decaying the
+moments, forming the (1 − β)g terms and correcting the bias take one ufunc
+call each, on operands of one shape, and each element still meets the
+operations of its own array's update in the same order.
 """
 
 from __future__ import annotations
@@ -249,11 +254,17 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     count = _effective_sample_count(state, config)
     log_joint = _log_joint(problem)
     logq_bar = np.full(count, -1.0 / count)
-    m = np.zeros_like(psi)
-    v = np.zeros_like(psi)
-    m_hat = np.empty_like(psi)
-    v_hat = np.empty_like(psi)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # Rows m and v of the moments, and m̂ and v̂ of the hats, which hold the
+    # (1 − β)g terms first.  Each row of the coefficients is one number,
+    # repeated so that every ufunc call meets operands of one shape.
+    moments = np.zeros((2, psi.size))
+    hats = np.empty_like(moments)
+    m_hat, v_hat = hats
+    betas = np.empty_like(moments)
+    betas[0], betas[1] = beta1, beta2
+    one_minus_betas = 1.0 - betas
+    corrections = np.empty_like(moments)  # rows 1 − β₁ᵗ and 1 − β₂ᵗ
     trace = TrainTrace()
     lr = config.learning_rate
     start = time.perf_counter()
@@ -271,16 +282,15 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
         if gnorm > GRAD_NORM_GUARD:
             raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
         # In place, in the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,
-        # m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε).
-        m *= beta1
-        np.multiply(1.0 - beta1, grad, out=m_hat)
-        m += m_hat
-        v *= beta2
-        np.multiply(1.0 - beta2, grad, out=v_hat)
+        # m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε),
+        # with m and v, and m̂ and v̂, updated as the rows of one array.
+        moments *= betas
+        np.multiply(one_minus_betas, grad, out=hats)
         v_hat *= grad
-        v += v_hat
-        np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
-        np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
+        moments += hats
+        corrections[0] = 1.0 - beta1 ** (step + 1)
+        corrections[1] = 1.0 - beta2 ** (step + 1)
+        np.divide(moments, corrections, out=hats)
         np.sqrt(v_hat, out=v_hat)
         v_hat += eps
         m_hat *= lr

@@ -14,6 +14,7 @@ from vifit.lowrank import (
     EPS,
     LOG_TWO_PI,
     StructuredCov,
+    _capacitance_cholesky,
     gaussian_draw_rows,
     lowrank_logpdf,
     lowrank_logpdf_and_vjp,
@@ -285,29 +286,57 @@ def failing_capacitance(kind):
 CAPACITANCE_FAILURES = {
     "not finite": "capacitance is not finite",
     "singular": "capacitance matrix is singular to working precision",
-    "factorization failed": "capacitance factorization failed: ",
-    "too large": "capacitance is too large for working precision",
+    "factorization failed": "capacitance factorization failed: Matrix is not positive definite",
+    "too large": (  # C = 1 + 1e14 at the bad component
+        f"capacitance is too large for working precision: eps·max(diag C) = "
+        f"{EPS * (1.0 + 1e14):.1e} exceeds {CAPACITANCE_ROUNDOFF:.0e}"
+    ),
 }
 
 
-@pytest.mark.parametrize("bad_at", [0, 1, 2])
-@pytest.mark.parametrize("kind", sorted(CAPACITANCE_FAILURES))
-def test_stacked_capacitance_fails_as_its_bad_component_alone(kind, bad_at):
-    # Three components with one bad one: the stack raises the message the
-    # bad component raises on its own, wherever it stands.
+def stacked_failure(kinds: dict) -> MemberFailure:
+    """The error of a three-component stack at P = 4, K = 2 whose component
+    j fails as ``kinds[j]`` says, and every other component is sound.
+
+    Only a "not finite" component warns, in the kernel's own arithmetic
+    before C is factorized; LAPACK's failure raises no warning, which the
+    suite's ``filterwarnings = error`` would turn into a test failure."""
     rng = np.random.default_rng(3)
     theta = rng.standard_normal((3, 4))
     mean = rng.standard_normal((3, 4))
     a = np.exp(rng.uniform(-1.0, 1.0, (3, 4)))
     factor = 0.5 * np.sqrt(a)[..., None] * rng.standard_normal((3, 4, 2))
-    a[bad_at], factor[bad_at] = failing_capacitance(kind)
-    with np.errstate(all="ignore"):
-        with pytest.raises(MemberFailure) as alone:
-            lowrank_logpdf_and_vjp(theta, mean[bad_at], a[bad_at], factor[bad_at])
+    for j, kind in kinds.items():
+        a[j], factor[j] = failing_capacitance(kind)
+    quiet = "not finite" in kinds.values()
+    with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         with pytest.raises(MemberFailure) as stacked:
             lowrank_logpdf_and_vjp(theta, mean, a, factor)
-    assert str(alone.value).startswith(CAPACITANCE_FAILURES[kind])
-    assert str(stacked.value) == str(alone.value)
+        if len(kinds) == 1:  # one bad component fails as it does alone
+            (j,) = kinds
+            with pytest.raises(MemberFailure) as alone:
+                lowrank_logpdf_and_vjp(theta, mean[j], a[j], factor[j])
+            assert str(stacked.value) == str(alone.value)
+    return stacked.value
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(CAPACITANCE_FAILURES))
+def test_stacked_capacitance_fails_as_its_bad_component_alone(kind, bad_at):
+    # Three components with one bad one: the stack raises, whole, the
+    # message the bad component raises on its own, wherever it stands.
+    assert str(stacked_failure({bad_at: kind})) == CAPACITANCE_FAILURES[kind]
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [(x, y) for x in sorted(CAPACITANCE_FAILURES) for y in sorted(CAPACITANCE_FAILURES) if x != y],
+)
+def test_stack_names_its_first_failing_component(first, second):
+    # Components 1 and 2 fail in different ways: the stack raises component
+    # 1's message, also where only component 2 fails LAPACK's factorization
+    # and component 1 fails a pivot test after it.
+    assert str(stacked_failure({1: first, 2: second})) == CAPACITANCE_FAILURES[first]
 
 
 @given(
@@ -344,6 +373,46 @@ def test_non_finite_input_spoils_its_row_or_fails_the_member(k, bad, where, seed
         with contextlib.suppress(MemberFailure):
             _, vjp = lowrank_logpdf_and_vjp(theta, mean, a, factor)
             vjp(np.ones(s))
+
+
+def test_numpy_has_the_lapack_gufuncs_the_kernel_calls():
+    # The kernel calls numpy.linalg's private gufuncs, not the public
+    # wrappers (see lowrank's module notes).  Checked with numpy 2.4.6
+    # only; pyproject's floor, numpy>=1.26, is unverified.
+    from numpy.linalg import _umath_linalg
+
+    assert "d->d" in _umath_linalg.cholesky_lo.types
+    assert "dd->d" in _umath_linalg.solve.types
+    assert (_umath_linalg.cholesky_lo.signature, _umath_linalg.solve.signature) == (
+        "(m,m)->(m,m)",
+        "(m,m),(m,n)->(m,n)",
+    )
+
+
+@given(
+    k=hst.integers(1, 10),
+    extra=hst.integers(0, 5),
+    m=hst.sampled_from([None, 1, 2, 3]),
+    seed=hst.integers(0, 2**16),
+)
+def test_capacitance_factor_and_solve_equal_numpy_linalg_bit_for_bit(k, extra, m, seed):
+    # The kernel's Cholesky factor of C = I + UᵀA⁻¹U and its Σ⁻¹U = BC⁻¹,
+    # read as d_factor at θ = mean with log q's adjoint −1, are the bits
+    # np.linalg.cholesky and np.linalg.solve give, with and without a
+    # leading component axis.
+    p = k + extra
+    rng = np.random.default_rng(seed)
+    lead = () if m is None else (m,)
+    at = rng.standard_normal(p)
+    mean = np.broadcast_to(at, lead + (p,))
+    a = np.exp(rng.uniform(-2.0, 2.0, lead + (p,)))
+    factor = np.sqrt(a)[..., None] * rng.standard_normal(lead + (p, k)) * rng.uniform(0.1, 3.0)
+    b = factor / a[..., None]
+    cap = np.eye(k) + factor.mT @ b
+    assert np.array_equal(_capacitance_cholesky(cap), np.linalg.cholesky(cap))
+    logq_bar = np.full(lead + (1,), -1.0)
+    d_factor = lowrank_logpdf_and_vjp(at[None], mean, a, factor)[1](logq_bar)[2]
+    assert np.array_equal(d_factor, np.linalg.solve(cap, b.mT).mT)
 
 
 # -----------------------------------------------------------------------

@@ -80,13 +80,31 @@ def sites(hit) -> set:
     return found
 
 
+def gufunc_aliases() -> list:
+    """Every name under which ``src/vifit`` imports numpy's LAPACK gufunc
+    module other than its own, ``_umath_linalg``."""
+    return [
+        alias.asname
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "_umath_linalg" in alias.name and alias.asname
+    ]
+
+
+def calls_ending(*suffixes):
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith(suffixes)
+
+
 def factorization_sites() -> set:
-    """The functions that call ``np.linalg.cholesky`` or hold an ``except``
-    clause naming ``LinAlgError``."""
+    """The functions that call ``np.linalg.cholesky`` or numpy's LAPACK
+    gufuncs for it and for ``solve``, or hold an ``except`` clause naming
+    ``LinAlgError``."""
 
     def hit(node) -> bool:
         if isinstance(node, ast.Call):
-            return ast.unparse(node.func).endswith("linalg.cholesky")
+            return calls_ending("linalg.cholesky", "cholesky_lo", "_umath_linalg.solve")(node)
         return (
             isinstance(node, ast.ExceptHandler)
             and node.type is not None
@@ -107,8 +125,16 @@ def test_factorizations_decide_their_failures_in_one_place_each():
     # A matrix that is not finite or not positive definite becomes a
     # MemberFailure where it is factorized, so no caller converts errors:
     # dense matrices go through autodiff.cholesky, the capacitance C of
-    # every closed-form step through lowrank._capacitance_cholesky.
-    assert factorization_sites() == {"autodiff.cholesky", "lowrank._capacitance_cholesky"}
+    # every closed-form step through lowrank._capacitance_cholesky.  The
+    # kernel's own site is its LU solve of that checked C.  The gufuncs are
+    # matched by name, so the module holding them keeps its own name.
+    assert not gufunc_aliases()
+    assert factorization_sites() == {
+        "autodiff.cholesky",
+        "lowrank._capacitance_cholesky",
+        "lowrank.lowrank_logpdf_and_vjp",
+    }
+    assert sites(calls_ending("_umath_linalg.solve")) == {"lowrank.lowrank_logpdf_and_vjp"}
 
 
 def test_one_woodbury_kernel_factorizes_the_capacitance():

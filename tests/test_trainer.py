@@ -283,8 +283,8 @@ def test_capacitance_too_large_for_working_precision_fails_at_step_zero():
 
 def reference_train(state, problem, config) -> tuple:
     """The plain training loop: fresh noise every step, the gradient from
-    ``elbo_value_and_grad``, and out-of-place moment updates.
-    Returns (final psi, ELBO trace)."""
+    ``elbo_value_and_grad``, and out-of-place moment updates, one array
+    each for m, v, m̂ and v̂.  Returns (final psi, ELBO trace)."""
     rng = np.random.default_rng(config.seed)
     psi = fam.pack(state)
     m = np.zeros_like(psi)
@@ -322,10 +322,16 @@ STEPS = 2 * tr.NOISE_CHUNK_STEPS + 44  # three noise calls, the last one short
         ("mixture", {"rank": 1}, "regression", {"mode": "paired"}),
         ("structured_normal", {"rank": 2}, "gaussian", {}),
         ("mixture", {"rank": 1}, "mixture", {"mode": "paired"}),
+        # A decaying learning rate, so the update's every factor moves.
+        ("map", {}, "regression", {"lr_decay": 0.995}),
+        ("mean_field", {}, "regression", {"lr_decay": 0.995}),
+        ("structured_normal", {"rank": 4}, "regression", {"lr_decay": 0.995}),
+        ("mixture", {"rank": 2, "components": 2}, "regression", {"lr_decay": 0.995}),
     ],
     ids=[
         "map", "mc_dropout", "mf", "mf-paired", "sn2", "sn2-paired", "sn2-unscented",
         "sgmm", "sgmm-paired", "sn2-gaussian", "sgmm-paired-mixture",
+        "map-decay", "mf-decay", "sn4-decay", "sgmm-decay",
     ],
 )
 def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, target, config):
