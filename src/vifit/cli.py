@@ -434,10 +434,11 @@ def _dropout_predictions(state, features, n: int, rng) -> np.ndarray:
     """(n, |x*|) predictions draws @ featuresᵀ of n naive dropout draws.
 
     Each block's masks are drawn and its draws projected as it comes
-    (``fam.sample_blocks``), so neither the (n, P) masks nor the draws are
-    built; the rows equal ``fam.sample``'s draws @ featuresᵀ bit for bit.
+    (``fam.sample_blocks``, whose log q, None for dropout, is not read), so
+    neither the (n, P) masks nor the draws are built; the rows equal
+    ``fam.sample``'s draws @ featuresᵀ bit for bit.
     """
-    blocks = ((rows, draws @ features.T) for rows, draws in fam.sample_blocks(state, rng, n))
+    blocks = ((rows, draws @ features.T) for rows, draws, _ in fam.sample_blocks(state, rng, n))
     return fam.gather_blocks(blocks, n, len(features))
 
 

@@ -5,7 +5,10 @@ reparametrized sampling (naive / paired / unscented), log-density
 evaluation and a flat-vector parameter layout.  Each family has one
 implementation of what training needs, ``draws_logq_vjp``: its draws,
 their sampled log q and, for a stratified sGMM batch, their coefficients,
-with the closed-form adjoint of all three back to psi.
+with the closed-form adjoint of all three back to psi.  It realizes every
+batch of q's draws, not only training's: ``sample`` realizes a whole
+batch with it, and ``sample_blocks`` each block of the Monte-Carlo
+audits' draws, with that block's log q.
 
 Layout rule: each state class lists its trained arrays in pack order in
 ``TRAINED``, and the flat vector psi is those arrays raveled and
@@ -568,17 +571,17 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
     """``draws_logq_vjp`` for an sGMM: see there.
 
     Every component is drawn at every row, and row k keeps the draw of its
-    own component c_k.  The adjoint of row k's draw goes to component c_k
-    alone, as (M, S, P) rows that are zero at the other components' rows
-    (see ``_chain_draw``).
+    own component c_k; the (M, S, P) stack of draws is indexed as it comes,
+    so it is freed before the kernel's (M, S, P) temporaries are made.  The
+    adjoint of row k's draw goes to component c_k alone, as (M, S, P) rows
+    that are zero at the other components' rows (see ``_chain_draw``).
     """
     comps = _stack_components(params["components"])
     scales, factors = _scale_and_factor(comps)
     m = len(scales)
-    every = gaussian_draw_rows(
+    theta = gaussian_draw_rows(
         comps["mu"][:, None], scales[:, None], factors, noise.z_diag, noise.z_lowrank
-    )
-    theta = every[noise.components, np.arange(noise.count)]
+    )[noise.components, np.arange(noise.count)]
     log_n, logq_vjp = lowrank_logpdf_and_vjp(theta, comps["mu"], scales * scales, factors)
     logits = params["weight_logits"]
     log_w = logits - ad.logsumexp(logits)
@@ -615,8 +618,9 @@ def row_blocks(n: int) -> list:
     numpy hands a one-row matrix product to BLAS gemv, whose last bits can
     differ from the row's in a longer (gemm) product, so a block holds one
     row only when the whole batch does: a remainder of one row joins the
-    block before it.  Callers that split a batch by component evaluate a
-    component's lone row as a pair of copies for the same reason.
+    block before it.  A mixture target that splits a block by component
+    (``oracle.GaussianMixtureDist.sample_blocks``) draws a component's lone
+    row as a pair of copies for the same reason.
     """
     stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
     return [slice(a, b) for a, b in zip([0, *stops], stops) if b > a]
@@ -630,46 +634,10 @@ def gather_blocks(blocks, n: int, dim: int) -> np.ndarray:
     return out
 
 
-def realize_blocks(state: FamilyState, noise: NoiseBatch):
-    """Yield ``(rows, draws)``: the noise batch's draws, a block of rows at a time.
-
-    Atomic and Gaussian families realize ``row_blocks`` slices in turn.  An
-    sGMM realizes each component's own rows, as integer indices in row
-    order, from that component alone.  Each row comes out as a realization
-    of the whole batch would give it, so a caller holds one block of
-    temporaries, not a batch-sized array per temporary.  ``sample`` realizes
-    a whole batch this way; ``sample_blocks`` realizes each block-sized
-    batch as it draws it.
-    """
-    params = _walk(state, lambda _, value: value)
-    if isinstance(state, ATOMIC_STATES):
-        for rows in row_blocks(noise.count):
-            yield rows, params["theta_hat"] * noise.masks[rows]
-        return
-    if isinstance(state, MixtureState):
-        parts = [
-            (np.flatnonzero(noise.components == m), comp)
-            for m, comp in enumerate(params["components"])
-        ]
-    else:
-        parts = [(None, params)]
-    for own, comp in parts:
-        scale, factor = _scale_and_factor(comp)
-        if own is None:
-            blocks = row_blocks(noise.count)
-        elif own.size == 1 < noise.count:  # a lone row as a pair: see row_blocks
-            blocks = [np.repeat(own, 2)]
-        else:
-            blocks = [own[block] for block in row_blocks(own.size)]
-        for rows in blocks:
-            yield rows, gaussian_draw_rows(
-                comp["mu"], scale, factor, noise.z_diag[rows], noise.z_lowrank[rows]
-            )
-
-
 def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
-    """Yield ``(rows, draws)`` over ``row_blocks(n)``: ``sample(state, "naive",
-    n, rng)``'s draws, each block's noise drawn just before it is realized.
+    """Yield ``(rows, draws, log_q)`` over ``row_blocks(n)``: ``sample(state,
+    "naive", n, rng)``'s draws and their log q, each block's noise drawn
+    just before ``draws_logq_vjp`` realizes it.
 
     ``rng`` gives what ``draw_noise(state, "naive", n, rng)`` takes, in the
     same order, and is left in the same state.  The dropout masks'
@@ -677,12 +645,13 @@ def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
     a time.  An sN or sGMM of rank K ≥ 1 draws its component ids and z_diag
     whole, since the stream puts them before z_lowrank and numpy's normals
     take a varying count of raw outputs, so the generator cannot skip to
-    z_lowrank; only z_lowrank is drawn a block at a time.  Each block is
-    realized by ``realize_blocks`` on a block-sized ``NoiseBatch``, so an
-    sGMM yields integer rows, a component's lone row in a block as a pair.
+    z_lowrank; only z_lowrank is drawn a block at a time.  ``log_q`` is
+    None for the atomic families.  No block's adjoint is kept, so a caller
+    holds one block of the kernel's temporaries at a time.
     """
     _validate_mode(state, "naive", n)
     p, k = state.dim, getattr(state, "rank", 0)
+    params = _walk(state, lambda _, value: value)
     comp = None
     if isinstance(state, MixtureState):
         comp = rng.choice(state.n_components, size=n, p=state.weights)
@@ -699,9 +668,7 @@ def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
                 rng.standard_normal((count, k)),
                 None if comp is None else comp[block],
             )
-        for rows, draws in realize_blocks(state, noise):
-            # A block-sized batch is one slice, all of it, or an sGMM's rows.
-            yield (block if isinstance(rows, slice) else block.start + rows), draws
+        yield block, *draws_logq_vjp(state, params, noise)[:2]
 
 
 def sample(
@@ -710,12 +677,13 @@ def sample(
     """Draw a batch of parameter vectors with full noise records.
 
     The noise is drawn whole (``draw_noise``), count·(P + K) numbers, and
-    realized through ``realize_blocks`` into one (count, P) array.  The
-    Monte-Carlo audits, which need neither the noise nor the array, stream
-    the same naive draws through ``sample_blocks`` instead.
+    realized by ``draws_logq_vjp``, the draw that trains, into one
+    (count, P) array.  The Monte-Carlo audits, which need neither the noise
+    nor the array, stream the same naive draws through ``sample_blocks``
+    instead.
     """
     noise = draw_noise(state, mode, count, rng)
-    draws = gather_blocks(realize_blocks(state, noise), count, state.dim)
+    draws = draws_logq_vjp(state, _walk(state, lambda _, value: value), noise)[0]
     return SampleBatch(draws=draws, noise=noise)
 
 

@@ -5,9 +5,12 @@ divergences (closed-form Gaussian-Gaussian and Monte Carlo), and the exact
 MC-dropout predictive mixture obtained by enumerating every dropout state.
 The Monte-Carlo KLs stream their draws in blocks of ``fam.BLOCK_ROWS``
 rows, from p (``sample_blocks``) or from q (``fam.sample_blocks``), each
-block's noise drawn as it comes: memory is the (n_mc,) gaps and one block
-of temporaries, plus the (n_mc,) component ids of a mixture p or an sGMM
-q, and the n_mc·P z_diag of an sN or sGMM q of rank K ≥ 1.  The exact predictive
+block's noise drawn as it comes.  q's draws and their log q are those of
+``fam.draws_logq_vjp``, the function that trains.  Memory is the (n_mc,)
+gaps and one block of temporaries, plus the (n_mc,) component ids of a
+mixture p or an sGMM q, and the n_mc·P z_diag of an sN or sGMM q of rank
+K ≥ 1.  A q-side sGMM block evaluates every component at every row, so it
+holds (M, ``fam.BLOCK_ROWS``, P) kernel temporaries.  The exact predictive
 streams its 2^{P_d} atoms in blocks of at most ``fam.BLOCK_ROWS``, so its
 memory is one block of atoms however large P_d is.
 
@@ -211,17 +214,18 @@ def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
 
 
 def _mc_kl(blocks, gap, n_mc: int) -> tuple:
-    """Mean and standard error of ``gap(draws)`` over ``(rows, draws)`` blocks.
+    """Mean and standard error of ``gap(draws, *rest)`` over ``(rows, draws,
+    *rest)`` blocks.
 
     Each block's gaps land in one (n_mc,) array, so the reduction is the
     one a whole batch would get.  A block of draws that is not finite, or a
     NaN mean, raises ``ad.MemberFailure``.
     """
     gaps = np.empty(n_mc)
-    for rows, draws in blocks:
+    for rows, draws, *rest in blocks:
         if not np.isfinite(draws).all():
             raise ad.MemberFailure("a Monte-Carlo KL draw is not finite")
-        gaps[rows] = gap(draws)
+        gaps[rows] = gap(draws, *rest)
     kl = float(gaps.mean())
     if math.isnan(kl):
         raise ad.MemberFailure("a Monte-Carlo KL log-density gap is NaN")
@@ -255,7 +259,9 @@ def kl_family_to_target_mc(
 
     A Gaussian q with a zero variance is singular to the target: infinite.
     q's draws stream through ``fam.sample_blocks``, as p's do in
-    ``kl_p_to_family_mc``: memory is one block of temporaries plus the
+    ``kl_p_to_family_mc``, and the gap is the log q that
+    ``fam.draws_logq_vjp`` gives with them, the one training samples, minus
+    the target's log density.  Memory is one block of temporaries plus the
     gaps and what ``fam.sample_blocks`` holds whole (an sN's or sGMM's
     z_diag, an sGMM's component ids).
     """
@@ -265,7 +271,7 @@ def kl_family_to_target_mc(
         return math.inf, 0.0
     return _mc_kl(
         fam.sample_blocks(state, rng, n_mc),
-        lambda draws: fam.log_density(state, draws) - target.log_density(draws),
+        lambda draws, log_q: log_q - target.log_density(draws),
         n_mc,
     )
 

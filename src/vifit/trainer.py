@@ -14,10 +14,11 @@ family has this one implementation.  The target gives the per-draw log
 joint and its θ-gradient in closed form (``_log_joint``):
 ``log_joint_and_grad`` on ``RegressionProblem`` (an N(0, I) prior and the
 full data) or ``log_density_and_grad`` on ``GaussianDist`` and
-``GaussianMixtureDist``.  ``_fused_value_and_grad`` joins the two halves
-into the exact gradient of the sampled-log-q estimator, in every sampling
-mode.  ``elbo_graph`` is that estimate as one tape node, which the
-acceptance gate differentiates and checks against finite differences.
+``GaussianMixtureDist``.  ``_value_grad_norm`` joins the two halves into
+the exact gradient of the sampled-log-q estimator, in every sampling
+mode, and checks it.  ``elbo_graph`` is that estimate as one tape node,
+which the acceptance gate differentiates and checks against finite
+differences.
 
 A step costs bookkeeping, not arithmetic, so ``train`` does once per
 member what no step changes: psi's parameter views
@@ -31,7 +32,10 @@ rows of one (2, n) array, and so are m̂ and v̂, with (β₁, β₂), (1 − β
 1 − β₂) and the bias corrections as (2, n) rows beside them: decaying the
 moments, forming the (1 − β)g terms and correcting the bias take one ufunc
 call each, on operands of one shape, and each element still meets the
-operations of its own array's update in the same order.
+operations of its own array's update in the same order.  On a regression
+target with P = 10 and 8 draws, a step of MAP or dropout makes 14.3
+Python-level calls, mf 25.3 and sN of any rank 47.4
+(``tests/test_step_cost.py`` counts them).
 """
 
 from __future__ import annotations
@@ -133,8 +137,15 @@ def _log_joint(problem):
     return problem.log_density_and_grad
 
 
-def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
-    """The step's value and gradient; ``logq_bar`` is log q's adjoint, −1/S per draw."""
+def _value_grad_norm(state, params, noise, log_joint, logq_bar):
+    """(value, gradient, gradient norm) of the MC ELBO estimate.
+
+    ``params`` are psi's ``fam.param_views``, ``log_joint`` is
+    ``_log_joint`` and ``logq_bar`` is log q's adjoint, −1/S per draw.  A
+    NaN or ±inf anywhere in the gradient makes its norm non-finite, so the
+    elementwise check runs only when the norm is not finite (a finite
+    gradient whose squares overflow passes it).
+    """
     theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
     rows, theta_grad = log_joint(theta)
     if log_q is not None:
@@ -142,23 +153,13 @@ def _fused_value_and_grad(state, params, noise, log_joint, logq_bar) -> tuple:
     scale = 1.0 / noise.count
     if coeff is None:
         value = float(np.add.reduce(rows, axis=None) / noise.count)
-        return value, vjp(theta_grad * scale, logq_bar, None)
-    # With coefficients the value is Σ_k c_k rows_k / S: rows_k has adjoint
-    # c_k / S and c_k has adjoint rows_k / S.
-    row_bar = coeff * scale
-    value = float(np.add.reduce(rows * coeff, axis=None) / noise.count)
-    return value, vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
-
-
-def _value_grad_norm(state, params, noise, log_joint, logq_bar):
-    """(value, gradient, gradient norm) of the MC ELBO estimate.
-
-    ``params`` are psi's ``fam.param_views`` and ``log_joint`` is
-    ``_log_joint``.  A NaN or ±inf anywhere in the gradient makes its norm
-    non-finite, so the elementwise check runs only when the norm is not
-    finite (a finite gradient whose squares overflow passes it).
-    """
-    value, grad = _fused_value_and_grad(state, params, noise, log_joint, logq_bar)
+        grad = vjp(theta_grad * scale, logq_bar, None)
+    else:
+        # With coefficients the value is Σ_k c_k rows_k / S: rows_k has
+        # adjoint c_k / S and c_k has adjoint rows_k / S.
+        row_bar = coeff * scale
+        value = float(np.add.reduce(rows * coeff, axis=None) / noise.count)
+        grad = vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
     gnorm = math.sqrt(grad.dot(grad))
     if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
         return value, grad, gnorm

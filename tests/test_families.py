@@ -22,6 +22,21 @@ def make_sn(rng, p=4, k=2, scale=0.4):
     )
 
 
+def closed_form_draws(state, noise):
+    """θ̂ ⊙ mask, or mean + scale ⊙ z_diag + z_lowrank Uᵀ from each row's own
+    component: every component drawn at every row, each row's own kept."""
+    if state.tag in fam.ATOMIC_TAGS:
+        return state.theta_hat * noise.masks
+    every = [
+        c.mu + c.sigma * noise.z_diag
+        if c.tag == "mean_field"
+        else c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
+        for c in getattr(state, "components", (state,))
+    ]
+    own = 0 if noise.components is None else noise.components
+    return np.array(every)[own, np.arange(noise.count)]
+
+
 # -----------------------------------------------------------------------
 # init_family
 
@@ -63,8 +78,9 @@ def test_rank_zero_structured_matches_mean_field():
         orc.family_to_gaussian(sn).entropy(), orc.family_to_gaussian(mf).entropy(), rel_tol=1e-12
     )
     noise = fam.draw_noise(sn, "naive", 5, np.random.default_rng(4))
-    draws_sn = fam.gather_blocks(fam.realize_blocks(sn, noise), 5, 4)
-    draws_mf = fam.gather_blocks(fam.realize_blocks(mf, noise), 5, 4)
+    draws_sn = fam.sample(sn, "naive", 5, np.random.default_rng(4)).draws
+    draws_mf = fam.sample(mf, "naive", 5, np.random.default_rng(4)).draws
+    np.testing.assert_allclose(draws_sn, closed_form_draws(sn, noise), rtol=1e-12)
     np.testing.assert_allclose(draws_sn, draws_mf, rtol=1e-12)
 
 
@@ -714,7 +730,8 @@ def test_atomic_masks_are_boolean_and_draw_what_float_masks_draw(base, keep_prob
     assert noise.masks.dtype == bool
     floats = noise.masks.astype(np.float64)
     theta, _, _, vjp = fam.draws_logq_vjp(state, fam.param_views(state, fam.pack(state)), noise)
-    blocks = fam.gather_blocks(fam.realize_blocks(state, noise), count, state.dim)
+    streamed = fam.sample_blocks(state, np.random.default_rng(seed), count)
+    blocks = fam.gather_blocks(((rows, draws) for rows, draws, _ in streamed), count, state.dim)
     want = theta_hat * floats
     bar = np.random.default_rng(seed).standard_normal((count, state.dim))
     for got, expected in ((theta, want), (blocks, want), (vjp(bar), (bar * floats).sum(axis=0))):
@@ -885,18 +902,25 @@ def blocked_sample_case(draw):
 
 
 def assert_sample_blocks_is_the_whole_batch(state, n, seed):
-    # The gathered blocks are fam.sample's draws bit for bit, and the
-    # generator ends where draw_noise for the whole batch leaves it.
+    # The gathered blocks are the closed-form draws of the whole batch's
+    # noise and fam.sample's draws, bit for bit, each block's log q is
+    # fam.log_density's at them, and the generator ends where draw_noise
+    # for the whole batch leaves it.
     rng = np.random.default_rng(seed)
     blocks = list(fam.sample_blocks(state, rng, n))
-    if not isinstance(state, fam.MixtureState):
-        assert [rows for rows, _ in blocks] == fam.row_blocks(n)
-    got = fam.gather_blocks(blocks, n, state.dim)
-    whole = fam.sample(state, "naive", n, np.random.default_rng(seed)).draws
-    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+    assert [rows for rows, _, _ in blocks] == fam.row_blocks(n)
+    got = fam.gather_blocks(((rows, draws) for rows, draws, _ in blocks), n, state.dim)
     after = np.random.default_rng(seed)
-    fam.draw_noise(state, "naive", n, after)
+    want = closed_form_draws(state, fam.draw_noise(state, "naive", n, after))
     assert rng.bit_generator.state == after.bit_generator.state
+    whole = fam.sample(state, "naive", n, np.random.default_rng(seed)).draws
+    for other in (want, whole):
+        assert np.array_equal(got.view(np.int64), other.view(np.int64))
+    if isinstance(state, fam.ATOMIC_STATES):
+        assert all(log_q is None for _, _, log_q in blocks)
+    else:
+        log_q = np.concatenate([log_q for _, _, log_q in blocks])
+        assert np.array_equal(log_q.view(np.int64), fam.log_density(state, got).view(np.int64))
 
 
 @settings(max_examples=60)
@@ -907,12 +931,17 @@ def test_sample_blocks_draws_the_whole_batch_and_takes_its_stream(case):
 
 def test_sample_blocks_realizes_a_lone_component_row_as_the_batch_does():
     # At seed 12 the second component, of weight about 1/BLOCK, owns exactly
-    # one row of the first block, which realize_blocks evaluates as a pair.
-    # Realized alone, by a BLAS gemv, that row can differ in its last bits;
-    # at this seed it does, so a block that skipped the pair would fail.
+    # one row of the first block.  Realized alone, by a BLAS gemv, that row
+    # differs in its last bits at this seed, so a block that realized each
+    # component at its own rows only would fail; the block realizes every
+    # component at every row, as the whole batch does.
     state = fam.init_family("mixture", 8, np.random.default_rng(0), rank=8, components=2)
     state.weight_logits = np.array([0.0, -math.log(BLOCK)])
     n, seed = 2 * BLOCK + 1, 12
     noise = fam.draw_noise(state, "naive", n, np.random.default_rng(seed))
-    assert np.count_nonzero(noise.components[: fam.row_blocks(n)[0].stop] == 1) == 1
+    (lone,) = np.flatnonzero(noise.components[: fam.row_blocks(n)[0].stop] == 1)
+    comp, row = state.components[1], slice(lone, lone + 1)
+    scale = np.exp(0.5 * comp.log_a)
+    alone = comp.mu + scale * noise.z_diag[row] + noise.z_lowrank[row] @ comp.u.T
+    assert not np.array_equal(alone[0], closed_form_draws(state, noise)[lone])
     assert_sample_blocks_is_the_whole_batch(state, n, seed)

@@ -147,3 +147,14 @@ def test_one_woodbury_kernel_factorizes_the_capacitance():
     assert {"lowrank.woodbury_solve", "lowrank.woodbury_logdet"} <= callers(
         "lowrank_logpdf_and_vjp"
     )
+
+
+def test_one_draw_realizes_q():
+    # q's draws are realized by the function that trains, for training,
+    # for fam.sample and for the Monte-Carlo audits' fam.sample_blocks, so
+    # the gate's sampling and KL[q‖p] checks check the sampler that trains.
+    assert callers("gaussian_draw_rows") == {
+        "families.draws_logq_vjp",
+        "families._mixture_logq_vjp",
+    }
+    assert {"families.sample", "families.sample_blocks"} <= callers("draws_logq_vjp")

@@ -1,4 +1,5 @@
-"""Python-level calls per training step: a host-independent cost check.
+"""Python-level calls per training step, and per command outside
+training: a host-independent cost check.
 
 A closed-form step costs bookkeeping, not arithmetic, so its time follows
 the number of Python and C-function calls it makes rather than the flops.
@@ -8,24 +9,34 @@ by its steps, for every member the commands fit, each bounded a little
 above its count.  Bounds are only ever lowered.
 
 On the regression target (P = 10, 8 draws) a step of MAP and
-``mc_dropout`` makes 15.3 calls, mf 26.3 and sN1 to sN10 48.4; sN4 makes
-50.5 on a ``GaussianDist``.  sN made 94.4 and 96.6 when the log-q kernel
-went through ``np.linalg.cholesky`` and ``np.linalg.solve``: their
-argument checks, casts and error states took 46 calls a step, which the
-kernel's direct call of the LAPACK gufuncs under one ``np.errstate`` does
-not make.  Redoing the layout walk, the target lookup and the noise draw
-every step, with out-of-place updates, took 208 and 182.  ufunc calls
-raise no call event, so Adam's update counts the same whether m and v
-are two arrays or the rows of one.
+``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 47.4; sN4 makes
+49.5 on a ``GaussianDist``.  Each made one more while the step's value
+and gradient were a function of their own beside the one that checks
+them.  sN made 94.4 and 96.6 when the log-q kernel went through
+``np.linalg.cholesky`` and ``np.linalg.solve``: their argument checks,
+casts and error states took 46 calls a step, which the kernel's direct
+call of the LAPACK gufuncs under one ``np.errstate`` does not make.
+Redoing the layout walk, the target lookup and the noise draw every
+step, with out-of-place updates, took 208 and 182.  ufunc calls raise no
+call event, so Adam's update counts the same whether m and v are two
+arrays or the rows of one.
 
 On the bimodal target (P = 8, two components) a step of mf, sN4 and a
-two-component rank-2 sGMM makes 33.7, 55.4 and 96.7 calls.  Looping
+two-component rank-2 sGMM makes 32.7, 54.4 and 95.7 calls.  Looping
 over the target's components, and over the sGMM's in its draw, kernel
 and adjoint, took 66.7, 134.4 and 280.7; the numpy wrappers took sN4 and
 the sGMM to 101.4 and 142.7.
+
+Outside ``train``, each command at its defaults but 5 steps makes a
+fixed number of calls: its setup, audits and report.  ``rbf`` makes
+about 4,400, ``fit-gaussian`` 3,323, ``fit-gaussian --bimodal`` 19,659
+and ``dropout-audit`` 790.  The last two made 27,582 and 891 when the
+Monte-Carlo audits realized q's draws apart from training, an sGMM one
+component at a time, and read log q by a second evaluation at them.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,23 +47,51 @@ import vifit.models as mod
 import vifit.oracle as orc
 import vifit.trainer as tr
 
-CALLS_PER_STEP_BOUND = 54  # sN at any rank on a regression or Gaussian target
+CALLS_PER_STEP_BOUND = 53  # sN at any rank on a regression or Gaussian target
+
+
+def call_counter():
+    """A ``sys.setprofile`` function and the one-item list where it counts
+    call events."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    return profile, calls
 
 
 def calls_per_step(state, target, config) -> float:
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
+    profile, calls = call_counter()
     sys.setprofile(profile)
     try:
         trace = tr.train(state, target, config)
     finally:
         sys.setprofile(None)
-    return calls / trace.steps_run
+    return calls[0] / trace.steps_run
+
+
+def calls_outside_train(command, config) -> int:
+    """Call events of ``command(config)``, not counting those inside
+    ``tr.train``."""
+    profile, calls = call_counter()
+    train = tr.train
+
+    def unprofiled_train(*args):
+        sys.setprofile(None)
+        try:
+            return train(*args)
+        finally:
+            sys.setprofile(profile)
+
+    with mock.patch.object(cli.tr, "train", unprofiled_train):
+        sys.setprofile(profile)
+        try:
+            command(config)
+        finally:
+            sys.setprofile(None)
+    return calls[0]
 
 
 def regression_target():
@@ -75,9 +114,9 @@ def test_sn4_step_call_count_is_bounded(target_kind):
 @pytest.mark.parametrize(
     "tag,kwargs,bound",
     [
-        ("map", {}, 17),
-        ("mc_dropout", {}, 17),
-        ("mean_field", {}, 29),
+        ("map", {}, 16),
+        ("mc_dropout", {}, 16),
+        ("mean_field", {}, 28),
         ("structured_normal", {"rank": 1}, CALLS_PER_STEP_BOUND),
         ("structured_normal", {"rank": 10}, CALLS_PER_STEP_BOUND),
     ],
@@ -92,9 +131,9 @@ def test_step_call_count_on_the_regression_target_is_bounded(tag, kwargs, bound)
 @pytest.mark.parametrize(
     "tag,kwargs,bound",
     [
-        ("mean_field", {}, 37),
-        ("structured_normal", {"rank": 4}, 61),
-        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 106),
+        ("mean_field", {}, 36),
+        ("structured_normal", {"rank": 4}, 60),
+        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 105),
     ],
     ids=["mf", "sn4", "sgmm"],
 )
@@ -103,3 +142,17 @@ def test_step_call_count_on_the_bimodal_target_is_bounded(tag, kwargs, bound):
     state = fam.init_family(tag, 8, np.random.default_rng(0), **kwargs)
     config = tr.TrainConfig(steps=4 * tr.NOISE_CHUNK_STEPS, mc_samples=8)
     assert calls_per_step(state, target, config) < bound
+
+
+@pytest.mark.parametrize(
+    "command,config,bound",
+    [
+        (cli.cmd_rbf, cli.RbfConfig(steps=5), 4600),
+        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5), 3500),
+        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5, bimodal=True), 20700),
+        (cli.cmd_dropout_audit, cli.DropoutAuditConfig(steps=5), 830),
+    ],
+    ids=["rbf", "fit-gaussian", "fit-gaussian-bimodal", "dropout-audit"],
+)
+def test_command_call_count_outside_training_is_bounded(command, config, bound):
+    assert calls_outside_train(command, config) < bound
