@@ -325,13 +325,18 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
         )
 
     if config.dim == 2 and not config.bimodal:
-        moments = [fam.dense_moments(f) for _, f in fits if isinstance(f, fam.GAUSSIAN_STATES)]
-        report.figures["isolines"] = {
-            "target_mean": target.mean,
-            "target_cov": target.cov,
-            "fits": [{"mean": m, "cov": c} for m, c in moments],
-        }
+        gaussians = [f for _, f in fits if isinstance(f, fam.GAUSSIAN_STATES)]
+        report.figures["isolines"] = functools.partial(_isolines, target, gaussians)
     return report
+
+
+def _isolines(target, gaussians) -> dict:
+    moments = [fam.dense_moments(f) for f in gaussians]
+    return {
+        "target_mean": target.mean,
+        "target_cov": target.cov,
+        "fits": [{"mean": m, "cov": c} for m, c in moments],
+    }
 
 
 def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
@@ -390,10 +395,10 @@ def cmd_rbf(config: RbfConfig) -> ExperimentReport:
     dropout = [f for _, f in fits if isinstance(f, fam.DropoutState)]
     if dropout:
         # The curves' source: θ̂, keep_prob and droppable fix every atom and weight.
-        report.extras["dropout_state"] = json.loads(fam.state_to_json(dropout[-1]))
+        report.extras["dropout_state"] = fam.state_to_json_dict(dropout[-1])
         if dropout[-1].n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
-            report.figures["dropout_curves"] = _dropout_curves(
-                problem, truth, dropout[-1], config.grid_points
+            report.figures["dropout_curves"] = functools.partial(
+                _dropout_curves, problem, truth, dropout[-1], config.grid_points
             )
     return report
 

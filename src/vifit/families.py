@@ -16,9 +16,8 @@ concatenated.  A mixture's ``components`` entry stands for its component
 states, packed in turn with their names prefixed ``c{m}.``, before its
 ``weight_logits``.  One walk over that declaration (``_walk``) drives
 ``param_slices``, ``pack``, ``unpack``, ``param_views`` and
-``state_to_json``; ``state_from_json`` reads the same declaration off
-the class.  Fields outside ``TRAINED`` (dropout's ``keep_prob`` and
-``droppable``) are carried over from the template.
+``state_to_json_dict``.  Fields outside ``TRAINED`` (dropout's
+``keep_prob`` and ``droppable``) are carried over from the template.
 
 MAP and MC dropout are atomic: their log-density is defined only on their
 atoms and is minus infinity anywhere else.  MAP is MC dropout at keep
@@ -34,7 +33,6 @@ the space a caller reads (predictions at a few inputs), at most
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -873,7 +871,9 @@ def enumerate_dropout(state: DropoutState) -> DropoutMixture:
 # Serialization
 
 
-def state_to_json(state: FamilyState) -> str:
+def state_to_json_dict(state: FamilyState) -> dict:
+    """The state as plain JSON values: its tag, sizes and trained arrays as
+    flat lists, plus dropout's ``keep_prob`` and ``droppable``."""
     doc: dict = {"family": state.tag, "p": state.dim}
     if hasattr(state, "rank"):
         doc["rank"] = state.rank
@@ -881,61 +881,4 @@ def state_to_json(state: FamilyState) -> str:
     if isinstance(state, DropoutState):
         doc["keep_prob"] = state.keep_prob
         doc["droppable"] = state.droppable.astype(int).tolist()
-    return json.dumps(doc)
-
-
-def _vector(doc: dict, name: str, size: int, prefix: str = "", kinds=(int, float)) -> np.ndarray:
-    value = doc.get(name, [])
-    if not isinstance(value, list) or not all(type(x) in kinds for x in value):
-        raise ValueError(f"field {prefix + name!r} must be a list of numbers, got {value!r}")
-    if len(value) != size:
-        raise ValueError(f"field {prefix + name!r} must hold {size} numbers, got {len(value)}")
-    out = np.array(value, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise ValueError(f"field {prefix + name!r} must hold finite numbers, got {value!r}")
-    return out
-
-
-def _state_from_doc(cls, doc: dict, p: int, rank, prefix: str = "") -> FamilyState:
-    fields = {}
-    for name in cls.TRAINED:
-        if name == "components":
-            comps = doc.get(name)
-            if not (isinstance(comps, list) and comps and all(isinstance(c, dict) for c in comps)):
-                raise ValueError("field 'components' must list at least one component object")
-            fields[name] = tuple(
-                _state_from_doc(StructuredNormalState, c, p, rank, f"c{m}.")
-                for m, c in enumerate(comps)
-            )
-        elif name == "weight_logits":
-            fields[name] = _vector(doc, name, len(fields["components"]))
-        elif name == "u":
-            fields[name] = _vector(doc, name, p * rank, prefix).reshape(p, rank)
-        else:
-            fields[name] = _vector(doc, name, p, prefix)
-    if cls is DropoutState:
-        keep_prob = doc.get("keep_prob")
-        if type(keep_prob) not in (int, float) or not 0.0 <= keep_prob <= 1.0:
-            raise ValueError(f"field 'keep_prob' must be a number in [0, 1], got {keep_prob!r}")
-        droppable = _vector(doc, "droppable", p, kinds=(int, float, bool))
-        if not np.isin(droppable, (0.0, 1.0)).all():
-            raise ValueError("field 'droppable' must hold only 0, 1, true or false")
-        fields.update(keep_prob=float(keep_prob), droppable=droppable)
-    return cls(**fields)
-
-
-def state_from_json(text: str) -> FamilyState:
-    """A ``state_to_json`` document's state; ValueError names the first field
-    that is missing, of the wrong type, or disagrees with the document's p,
-    rank or component count."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a family state must be a JSON object, got {type(doc).__name__}")
-    tag = doc.get("family")
-    cls = FAMILIES.get(tag) if isinstance(tag, str) else None
-    if cls is None:
-        raise ValueError(f"field 'family' must name a family, got {tag!r}")
-    for key in ("p", "rank") if hasattr(cls, "rank") else ("p",):
-        if type(doc.get(key)) is not int or doc[key] < 0:
-            raise ValueError(f"field {key!r} must be a nonnegative integer, got {doc.get(key)!r}")
-    return _state_from_doc(cls, doc, doc["p"], doc.get("rank"))
+    return doc

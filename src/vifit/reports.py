@@ -5,11 +5,11 @@ tables.csv must be byte-identical across reruns with the same seed and
 config, so wall-clock runtimes appear only in report.json and the CSV
 runtime column is pinned to "na".  report.json holds results, and the
 environment that produced them (``environment``); the data a figure is
-drawn from lives in ``ExperimentReport.figures``, which only the SVG
-renderers read.  vifit writes report.json and never reads it back.  It is
-strict JSON: an infinite number among the extras is written as a cell is,
-"inf" or "-inf" (``_json_extra``), and a NaN is no more reportable there
-than in a cell.
+drawn from is built by a callable in ``ExperimentReport.figures``, only
+when its SVG is rendered.  vifit writes report.json and never reads it
+back.  It is strict JSON: an infinite number among the extras is written
+as a cell is, "inf" or "-inf" (``_json_extra``), and a NaN is no more
+reportable there than in a cell.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ class FamilyResult:
 class ExperimentReport:
     """One command's results.
 
-    ``figures`` maps a figure name to the arrays its SVG is drawn from.  It
-    is not a result: report.json never carries it, and it takes no part in
+    ``figures`` maps a figure name to a zero-argument callable that builds
+    the arrays its SVG is drawn from; it is called only when that SVG is
+    rendered, so a run without SVGs builds no figure data.  It is not a
+    result: report.json never carries it, and it takes no part in
     comparing two reports.  ``environment`` is where the results were
     computed (``environment()``); report.json carries it, but it takes no
     part in comparing two reports either.
@@ -257,6 +259,6 @@ def _emit_svgs(report: ExperimentReport, out_dir: Path) -> list:
     ):
         if name in report.figures:
             path = out_dir / filename
-            path.write_text(render(report.figures[name]))
+            path.write_text(render(report.figures[name]()))
             written.append(path)
     return written

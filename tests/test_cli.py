@@ -160,7 +160,7 @@ def test_rbf_rows_and_curve_data(tmp_path):
         assert rows[atomic].metrics["kl_p_q"] == math.inf
     for gaussian in ("mf", "sn4"):
         assert math.isfinite(rows[gaussian].metrics["logq_theta_star"])
-    curves = report.figures["dropout_curves"]
+    curves = report.figures["dropout_curves"]()
     assert len(curves["curves"]) == 2**4
     assert math.isclose(sum(curves["weights"]), 1.0, abs_tol=1e-12)
 
@@ -192,12 +192,15 @@ def test_dropout_curves_rebuild_from_report_json(tmp_path, monkeypatch):
     config = cli._load_config(cli.RbfConfig, None, dict(SMALL_RBF, seed=5))
     report = cli.cmd_rbf(config)
     emit_report(report, tmp_path, ("json",))
-    doc = json.loads((tmp_path / "report.json").read_text())
-    state = cli.fam.state_from_json(json.dumps(doc["extras"]["dropout_state"]))
-    assert isinstance(state, cli.fam.DropoutState)
+    doc = json.loads((tmp_path / "report.json").read_text())["extras"]["dropout_state"]
+    state = cli.fam.DropoutState(
+        theta_hat=np.array(doc["theta_hat"]),
+        keep_prob=doc["keep_prob"],
+        droppable=np.array(doc["droppable"], dtype=bool),
+    )
     (problem, truth), = datasets
     rebuilt = cli._dropout_curves(problem, truth, state, config.grid_points)
-    figure = report.figures["dropout_curves"]
+    figure = report.figures["dropout_curves"]()
     assert rebuilt.keys() == figure.keys()
     for key, value in figure.items():
         assert np.array_equal(rebuilt[key], value), key
@@ -311,6 +314,17 @@ def test_rbf_memory_is_small():
     config = cli._load_config(cli.RbfConfig, None, {"steps": 5})
     _, peak = traced_peak(cli.cmd_rbf, config)
     assert peak < 2e6
+
+
+def test_rbf_without_svg_builds_no_figure_data(tmp_path):
+    # 2^16 atom curves over 101 grid points are 53 MB, built only when
+    # posterior_atoms.svg is rendered.  Building them under the default
+    # formats peaked at 107 MB traced, and grows 4x for every two more
+    # basis functions.
+    cfg = write_config(tmp_path, {"n_basis": 16, "steps": 20, "ranks": [0]})
+    rc, peak = traced_peak(cli.main, ["rbf", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert peak < 8e6
 
 
 def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
