@@ -331,11 +331,11 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
 
 
 def _isolines(target, gaussians) -> dict:
-    moments = [fam.dense_moments(f) for f in gaussians]
+    fits = [orc.family_to_gaussian(f) for f in gaussians]
     return {
         "target_mean": target.mean,
         "target_cov": target.cov,
-        "fits": [{"mean": m, "cov": c} for m, c in moments],
+        "fits": [{"mean": q.mean, "cov": q.cov} for q in fits],
     }
 
 
@@ -346,7 +346,7 @@ def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
     ``kl_q_p_se``); an infinite KL has none.
     """
     if isinstance(fitted, fam.MapState):
-        elbo = float(target.log_density(fitted.theta_hat))
+        elbo = tr.elbo_estimate(fitted, target, tcfg, np.random.default_rng(mc_seq)).total
         return {"kl_p_q": math.inf, "kl_q_p": math.inf, "elbo": elbo}
     if isinstance(fitted, fam.GAUSSIAN_STATES) and isinstance(target, orc.GaussianDist):
         q = orc.family_to_gaussian(fitted)

@@ -758,11 +758,6 @@ def has_zero_variance(state: FamilyState) -> bool:
     return not variance.all()
 
 
-def dense_moments(state: FamilyState) -> tuple:
-    """Mean and dense covariance of a Gaussian family (diagnostic view)."""
-    return state.mu.copy(), state.cov().dense()
-
-
 # ---------------------------------------------------------------------------
 # Dropout enumeration
 

@@ -4,9 +4,9 @@ The workhorse is a linear-in-parameters model y = design @ theta with known
 Gaussian observation noise and an N(0, I) prior, fitted on the full data:
 the conjugate setting whose exact posterior audits every fit.
 The design matrix comes from a squared-exponential RBF layer with regularly
-spaced centers.  Likelihood and prior evaluate one parameter row (P,) or
-stacked rows (S, P); ``log_joint_and_grad`` gives their sum with its
-closed-form θ-gradient, which is what training differentiates.
+spaced centers.  ``log_joint_and_grad``, the protocol every target answers,
+gives the per-row log-likelihood and log-prior at rows (S, P) and the
+closed-form θ-gradient of their sum: what training and the ELBO read.
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def rbf_design_matrix(xs: np.ndarray, spec: RbfModelSpec) -> np.ndarray:
     return np.exp(-(diff**2) / (2.0 * spec.bandwidth**2))
 
 
-def prior_log_const(p: int) -> float:
-    """The θ-free part of ``prior_logpdf`` over p coordinates."""
-    return -0.5 * p * LOG_TWO_PI
-
-
-def prior_logpdf(theta):
-    """log N(θ; 0, I); rows may be (P,) or (S, P)."""
-    return prior_log_const(theta.shape[-1]) - 0.5 * np.add.reduce(theta * theta, axis=-1)
-
-
 @dataclass
 class RegressionProblem:
     """Design matrix, targets and known noise scale; the prior is N(0, I)."""
@@ -114,32 +104,30 @@ class RegressionProblem:
         return -0.5 * rows * (LOG_TWO_PI + 2.0 * math.log(self.noise_sigma))
 
     def loglik_rows(self, theta):
-        """Gaussian log-likelihood of the full data per parameter row."""
+        """Gaussian log-likelihood of the full data per parameter row: the
+        tests' reference and the benchmark hook's name; vifit itself reads
+        ``log_joint_and_grad``."""
         resid = self.targets - theta @ self.design.T
         quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
         return self._loglik_const(self.n) - quad
 
-    def prior_rows(self, theta):
-        return prior_logpdf(theta)
-
     @cached_property
     def _full_data(self) -> tuple:
         """(designᵀ, log-lik constant, prior constant), resolved once."""
-        return self.design.T, self._loglik_const(self.n), prior_log_const(self.dim)
+        return self.design.T, self._loglik_const(self.n), -0.5 * self.dim * LOG_TWO_PI
 
     def log_joint_and_grad(self, theta: np.ndarray) -> tuple:
-        """Per-row log lik + log prior at plain (S, P) rows, and its θ-gradient.
+        """(log lik rows, log prior rows, θ-gradient of their sum) at (S, P) rows.
 
-        The closed-form counterpart of ``loglik_rows`` + ``prior_rows``, in
-        plain numpy: same values, with ∂/∂θ = residᵀ design / σ² − θ.
+        The log prior is log N(θ; 0, I); the caller adds the two rows.  The
+        gradient is residᵀ design / σ² − θ, in closed form.
         """
         design_t, lik_const, prior_const = self._full_data
         resid = self.targets - theta @ design_t
         quad = np.add.reduce(resid * resid, axis=-1) / (2.0 * self.noise_sigma**2)
         penalty = 0.5 * np.add.reduce(theta * theta, axis=-1)
-        rows = (lik_const - quad) + (prior_const - penalty)
         grad = (1.0 / self.noise_sigma**2) * (resid @ self.design)
-        return rows, grad - theta
+        return lik_const - quad, prior_const - penalty, grad - theta
 
 
 @dataclass

@@ -3,9 +3,12 @@
 Conjugate linear-Gaussian posteriors and evidence in closed form, KL
 divergences (closed-form Gaussian-Gaussian and Monte Carlo), and the exact
 MC-dropout predictive mixture obtained by enumerating every dropout state.
-The Monte-Carlo KLs stream their draws in blocks of ``fam.BLOCK_ROWS``
-rows, from p (``sample_blocks``) or from q (``fam.sample_blocks``), each
-block's noise drawn as it comes.  q's draws and their log q are those of
+``GaussianDist`` and ``GaussianMixtureDist`` are also density targets:
+their ``log_joint_and_grad`` gives the log-density rows, None for the
+prior term, and the θ-gradient (see ``trainer``).  The Monte-Carlo KLs
+stream their draws in blocks of ``fam.BLOCK_ROWS`` rows, from p
+(``sample_blocks``) or from q (``fam.sample_blocks``), each block's noise
+drawn as it comes.  q's draws and their log q are those of
 ``fam.draws_logq_vjp``, the function that trains.  Memory is the (n_mc,)
 gaps and one block of temporaries, plus the (n_mc,) component ids of a
 mixture p or an sGMM q, and the n_mc·P z_diag of an sN or sGMM q of rank
@@ -71,15 +74,15 @@ class GaussianDist:
 
     def log_density(self, theta):
         """Log-density at a plain (P,) point or stacked (S, P) rows."""
-        return self.log_density_and_grad(theta)[0]
+        return self.log_joint_and_grad(theta)[0]
 
-    def log_density_and_grad(self, theta: np.ndarray) -> tuple:
-        """Log-density at a plain (P,) point or (S, P) rows and its θ-gradient
-        in closed form."""
+    def log_joint_and_grad(self, theta: np.ndarray) -> tuple:
+        """(log-density, None, θ-gradient) at a plain (P,) point or (S, P)
+        rows, in closed form; None: a density target has no prior term."""
         r = theta - self.mean
         rp = r @ self.precision
         quad = (r * rp).sum(axis=-1)
-        return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), -rp
+        return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), None, -rp
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
         """Yield ``(rows, draws)`` over ``fam.row_blocks(n)``, normals in row order."""
@@ -135,8 +138,8 @@ class GaussianMixtureDist:
         out = ad.logsumexp(self._per_component(np.atleast_2d(theta))[0], axis=0)
         return out if np.ndim(theta) > 1 else out[0]
 
-    def log_density_and_grad(self, theta: np.ndarray) -> tuple:
-        """``log_density`` at plain (S, P) rows and its θ-gradient in closed form.
+    def log_joint_and_grad(self, theta: np.ndarray) -> tuple:
+        """(``log_density``, None, θ-gradient) at plain (S, P) rows, in closed form.
 
         The gradient is the sum of the components' gradients −Σ_j⁻¹(θ − μ_j)
         weighted by their responsibilities exp(log w_j + log N_j(θ) − log p(θ)),
@@ -144,7 +147,7 @@ class GaussianMixtureDist:
         """
         per, rp = self._per_component(theta)
         out = ad.logsumexp(per, axis=0)
-        return out, np.add.reduce(np.exp(per - out)[..., None] * -rp, axis=0)
+        return out, None, np.add.reduce(np.exp(per - out)[..., None] * -rp, axis=0)
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
         """Yield ``(rows, draws)``: every row's component first, then each
@@ -209,8 +212,8 @@ def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
         raise ad.MemberFailure("covariance has a zero variance: q is a point mass")
     if not np.all(state.a_diag > 0):
         raise ad.MemberFailure("covariance's diagonal part A underflows to 0")
-    mean, cov = fam.dense_moments(state)
-    return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
+    cov = state.cov().dense()
+    return GaussianDist(mean=state.mu.copy(), cov=0.5 * (cov + cov.T))
 
 
 def _mc_kl(blocks, gap, n_mc: int) -> tuple:

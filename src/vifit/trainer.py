@@ -10,24 +10,24 @@ their objective penalized likelihood at the sampled atoms.
 The estimator is split at θ.  The family gives its draws, their sampled
 log q and, for stratified sGMM batches, their per-draw coefficients, with
 the closed-form adjoint of all three (``families.draws_logq_vjp``): each
-family has this one implementation.  The target gives the per-draw log
-joint and its θ-gradient in closed form (``_log_joint``):
-``log_joint_and_grad`` on ``RegressionProblem`` (an N(0, I) prior and the
-full data) or ``log_density_and_grad`` on ``GaussianDist`` and
-``GaussianMixtureDist``.  ``_value_grad_norm`` joins the two halves into
-the exact gradient of the sampled-log-q estimator, in every sampling
-mode, and checks it.  ``elbo_graph`` is that estimate as one tape node,
-which the acceptance gate differentiates and checks against finite
+family has this one implementation.  The target answers one method,
+``log_joint_and_grad``: per draw, its log-likelihood or log-density, its
+N(0, I) log-prior (None on a density target, which has no prior term)
+and the closed-form θ-gradient of their sum.  ``_value_grad_norm`` adds
+the two and joins the halves into the exact gradient of the sampled-log-q
+estimator, in every sampling mode, and checks it; ``elbo_estimate`` reads
+its terms from the same call.  ``elbo_graph`` is that estimate as one tape
+node, which the acceptance gate differentiates and checks against finite
 differences.
 
 A step costs bookkeeping, not arithmetic, so ``train`` does once per
 member what no step changes: psi's parameter views
 (``families.param_views``, valid because psi and the moment estimates are
-updated in place, in the order of the out-of-place expressions), the
-target's log joint and log q's adjoint.  It draws the noise of
-``NOISE_CHUNK_STEPS`` steps per ``families.draw_noise`` call.  One call
-gives the same stream as consecutive per-step calls, so every number is
-the one a per-step loop gives.  The moment estimates m and v are the two
+updated in place, in the order of the out-of-place expressions) and log
+q's adjoint.  It draws the noise of ``NOISE_CHUNK_STEPS`` steps per
+``families.draw_noise`` call.  One call gives the same stream as
+consecutive per-step calls, so every number is the one a per-step loop
+gives.  The moment estimates m and v are the two
 rows of one (2, n) array, and so are m̂ and v̂, with (β₁, β₂), (1 − β₁,
 1 − β₂) and the bias corrections as (2, n) rows beside them: decaying the
 moments, forming the (1 − β)g terms and correcting the bias take one ufunc
@@ -123,31 +123,18 @@ def _draw_noise(state, config: TrainConfig, rng, steps=None):
     return fam.draw_noise(state, config.mode, count, rng, stratify_components=mixture, steps=steps)
 
 
-def _target_rows(problem, theta):
-    """(loglik, logprior) per row for either target flavour."""
-    if hasattr(problem, "loglik_rows"):
-        return problem.loglik_rows(theta), problem.prior_rows(theta)
-    return problem.log_density(theta), 0.0
-
-
-def _log_joint(problem):
-    """θ ↦ (per-row log joint, its θ-gradient) at plain (S, P) rows."""
-    if hasattr(problem, "log_joint_and_grad"):
-        return problem.log_joint_and_grad
-    return problem.log_density_and_grad
-
-
-def _value_grad_norm(state, params, noise, log_joint, logq_bar):
+def _value_grad_norm(state, params, noise, problem, logq_bar):
     """(value, gradient, gradient norm) of the MC ELBO estimate.
 
-    ``params`` are psi's ``fam.param_views``, ``log_joint`` is
-    ``_log_joint`` and ``logq_bar`` is log q's adjoint, −1/S per draw.  A
-    NaN or ±inf anywhere in the gradient makes its norm non-finite, so the
-    elementwise check runs only when the norm is not finite (a finite
-    gradient whose squares overflow passes it).
+    ``params`` are psi's ``fam.param_views`` and ``logq_bar`` is log q's
+    adjoint, −1/S per draw.  A NaN or ±inf anywhere in the gradient makes
+    its norm non-finite, so the elementwise check runs only when the norm
+    is not finite (a finite gradient whose squares overflow passes it).
     """
     theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
-    rows, theta_grad = log_joint(theta)
+    rows, logprior, theta_grad = problem.log_joint_and_grad(theta)
+    if logprior is not None:
+        rows = rows + logprior
     if log_q is not None:
         rows = rows - log_q
     scale = 1.0 / noise.count
@@ -163,10 +150,10 @@ def _value_grad_norm(state, params, noise, log_joint, logq_bar):
     gnorm = math.sqrt(grad.dot(grad))
     if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
         return value, grad, gnorm
-    raise _nonfinite_step(state, params, noise, log_joint, grad)
+    raise _nonfinite_step(state, params, noise, problem, grad)
 
 
-def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.MemberFailure:
+def _nonfinite_step(state, params, noise, problem, grad) -> ad.MemberFailure:
     """The error of a step whose value or gradient is not finite.
 
     Re-evaluates the step's terms and names the first that is not finite
@@ -174,7 +161,9 @@ def _nonfinite_step(state, params, noise, log_joint, grad) -> ad.MemberFailure:
     finite), and the ``param_slices`` blocks whose gradient is not finite.
     """
     theta, log_q, coeff, _ = fam.draws_logq_vjp(state, params, noise)
-    terms = {"log joint": log_joint(theta)[0], "log q": log_q, "coefficient": coeff}
+    rows, logprior, _ = problem.log_joint_and_grad(theta)
+    log_joint = rows if logprior is None else rows + logprior
+    terms = {"log joint": log_joint, "log q": log_q, "coefficient": coeff}
     term = next(
         (name for name, x in terms.items() if x is not None and not np.isfinite(x).all()),
         "gradient",
@@ -196,7 +185,7 @@ def elbo_value_and_grad(state: fam.FamilyState, psi, noise: fam.NoiseBatch, prob
         state,
         fam.param_views(state, psi),
         noise,
-        _log_joint(problem),
+        problem,
         np.full(noise.count, -1.0 / noise.count),
     )
     return value, grad
@@ -221,12 +210,12 @@ def elbo_estimate(
     noise = _draw_noise(state, config, rng)
     params = fam.param_views(state, fam.pack(state))
     theta, log_q, coeff, _ = fam.draws_logq_vjp(state, params, noise)
-    loglik, logprior = _target_rows(problem, theta)
+    loglik, logprior, _ = problem.log_joint_and_grad(theta)
     weigh = (lambda rows: float(np.mean(rows * coeff))) if coeff is not None else (
         lambda rows: float(np.mean(rows))
     )
     loglik = weigh(loglik)
-    logprior = weigh(np.broadcast_to(np.asarray(logprior, float), (noise.count,)))
+    logprior = weigh(logprior) if logprior is not None else 0.0
     neg_logq = -weigh(log_q) if log_q is not None else 0.0
     return ElboEstimate(
         total=loglik + logprior + neg_logq,
@@ -253,7 +242,6 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     psi = fam.pack(state)
     params = fam.param_views(state, psi)
     count = _effective_sample_count(state, config)
-    log_joint = _log_joint(problem)
     logq_bar = np.full(count, -1.0 / count)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     # Rows m and v of the moments, and m̂ and v̂ of the hats, which hold the
@@ -276,7 +264,7 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
             )
         noise = noises[step % NOISE_CHUNK_STEPS]
         try:
-            value, grad, gnorm = _value_grad_norm(state, params, noise, log_joint, logq_bar)
+            value, grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
         except ad.MemberFailure as err:
             err.step = step
             raise

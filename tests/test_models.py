@@ -91,40 +91,50 @@ def test_loglik_gradient_closed_form():
     theta = np.random.default_rng(4).standard_normal(problem.dim)
     expected = problem.design.T @ (problem.targets - problem.design @ theta)
     expected /= problem.noise_sigma**2
-    rows, grad = problem.log_joint_and_grad(theta[None, :])
+    loglik, log_prior, grad = problem.log_joint_and_grad(theta[None, :])
     np.testing.assert_allclose(grad[0] + theta, expected, rtol=1e-12)
     fd = ad.finite_difference_gradient(problem.loglik_rows, theta)
     np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-6)
-    both = problem.loglik_rows(theta) + problem.prior_rows(theta)
-    assert math.isclose(rows[0], both, rel_tol=1e-12)
+    assert math.isclose(loglik[0], problem.loglik_rows(theta), rel_tol=1e-12)
+    standard_normal = -0.5 * (theta.size * math.log(2 * math.pi) + theta @ theta)
+    assert math.isclose(log_prior[0], standard_normal, rel_tol=1e-12)
 
 
 # -----------------------------------------------------------------------
 # priors
 
 
+def prior_only(p):
+    """A problem whose one observation, a zero design row against a zero
+    target, carries no data term."""
+    return mod.RegressionProblem(design=np.zeros((1, p)), targets=np.zeros(1), noise_sigma=1.0)
+
+
+def log_prior(theta):
+    """The log-prior rows that ``log_joint_and_grad`` gives at (S, P) rows."""
+    return prior_only(theta.shape[-1]).log_joint_and_grad(theta)[1]
+
+
 def test_gaussian_prior_at_zero():
-    val = mod.prior_logpdf(np.zeros(1))
+    val = log_prior(np.zeros((1, 1)))[0]
     assert math.isclose(val, -0.5 * math.log(2 * math.pi), rel_tol=1e-12)
 
 
 def test_gaussian_prior_gradient_is_minus_lambda_theta():
     # The N(0, I) prior has precision λ = 1.
     theta = np.array([0.3, -1.2, 0.7])
-    fd = ad.finite_difference_gradient(mod.prior_logpdf, theta)
+    fd = ad.finite_difference_gradient(lambda t: log_prior(t[None, :])[0], theta)
     np.testing.assert_allclose(fd, -theta, rtol=1e-9)
-    # With no data term left (a zero design row against a zero target),
-    # log_joint_and_grad's gradient is the prior's alone.
-    problem = mod.RegressionProblem(design=np.zeros((1, 3)), targets=np.zeros(1), noise_sigma=1.0)
-    np.testing.assert_array_equal(problem.log_joint_and_grad(theta[None, :])[1][0], -theta)
+    # With no data term left, log_joint_and_grad's gradient is the prior's alone.
+    np.testing.assert_array_equal(prior_only(3).log_joint_and_grad(theta[None, :])[2][0], -theta)
 
 
 def test_gaussian_prior_maximized_at_zero():
-    fd = ad.finite_difference_gradient(mod.prior_logpdf, np.zeros(4))
+    fd = ad.finite_difference_gradient(lambda t: log_prior(t[None, :])[0], np.zeros(4))
     np.testing.assert_array_equal(fd, np.zeros(4))
     rng = np.random.default_rng(13)
-    at_zero = mod.prior_logpdf(np.zeros(4))
-    assert np.all(mod.prior_logpdf(rng.standard_normal((50, 4))) < at_zero)
+    at_zero = log_prior(np.zeros((1, 4)))[0]
+    assert np.all(log_prior(rng.standard_normal((50, 4))) < at_zero)
 
 
 # -----------------------------------------------------------------------

@@ -21,6 +21,12 @@ def random_gaussian(rng, p):
     return orc.GaussianDist(mean=rng.standard_normal(p), cov=0.5 * (cov + cov.T))
 
 
+def log_joint(problem, theta):
+    """log lik + log prior at (S, P) rows, summed as training sums them."""
+    loglik, log_prior, _ = problem.log_joint_and_grad(theta)
+    return loglik + log_prior
+
+
 def structured_from_gaussian(dist):
     """A full-rank sN equal to ``dist``: the smallest eigenvalue split
     between diag(A) and UUᵀ, which reproduces the covariance to round-off."""
@@ -76,7 +82,7 @@ def test_posterior_density_proportional_to_joint_on_grid():
             theta = base.copy()
             theta[0] += du
             theta[1] += dv
-            joint[i, j] = problem.loglik_rows(theta) + mod.prior_logpdf(theta)
+            joint[i, j] = log_joint(problem, theta[None, :])[0]
             exact[i, j] = post.log_density(theta)
     joint -= joint.max()
     exact -= exact.max()
@@ -104,11 +110,7 @@ def test_evidence_conjugacy_identity():
     problem, _ = mod.make_rbf_dataset(spec, 40, seed=2)
     post = orc.exact_linear_posterior(problem)
     lhs = orc.log_evidence(problem)
-    rhs = (
-        problem.loglik_rows(post.mean)
-        + mod.prior_logpdf(post.mean)
-        - post.log_density(post.mean)
-    )
+    rhs = log_joint(problem, post.mean[None, :])[0] - post.log_density(post.mean)
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
 
 
@@ -575,7 +577,8 @@ def test_mixture_log_density_and_grad_match_log_density_and_finite_differences(p
     far = means[0] + reach * directions
     rows = np.vstack([means[rng.integers(m, size=near)] + rng.standard_normal((near, p)), far])
 
-    value, grad = target.log_density_and_grad(rows)
+    value, log_prior, grad = target.log_joint_and_grad(rows)
+    assert log_prior is None
     assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
     np.testing.assert_allclose(value, target.log_density(rows), rtol=1e-12)
 
@@ -611,17 +614,81 @@ def test_mixture_target_equals_the_per_component_formula_bit_for_bit(p, m, s, se
     rows = 3.0 * rng.standard_normal((s, p))
     per, grads = [], []
     for c, w in zip(comps, target.weights):
-        log_n, grad = c.log_density_and_grad(rows)
+        log_n, _, grad = c.log_joint_and_grad(rows)
         per.append(math.log(w) + log_n)
         grads.append(grad)
     want = ad.logsumexp(np.stack(per), axis=0)
     want_grad = sum(np.exp(lj - want)[:, None] * g for lj, g in zip(per, grads))
 
-    value, grad = target.log_density_and_grad(rows)
+    value, _, grad = target.log_joint_and_grad(rows)
     assert np.array_equal(value, want) and np.array_equal(grad, want_grad)
     assert np.array_equal(target.log_density(rows), want)
     point = [math.log(w) + c.log_density(rows[0]) for c, w in zip(comps, target.weights)]
     assert target.log_density(rows[0]) == ad.logsumexp(np.array(point), axis=0)
+
+
+# -----------------------------------------------------------------------
+# the target protocol
+
+
+def standard_normal_logpdf(theta):
+    """log N(θ; 0, I) per row, written out as the tests' own reference."""
+    return -0.5 * theta.shape[-1] * math.log(2 * math.pi) - 0.5 * np.add.reduce(
+        theta * theta, axis=-1
+    )
+
+
+@hst.composite
+def targets(draw):
+    """A regression problem (design, targets, σ), a dense Gaussian or a
+    2–3-component mixture of them, of dimension 1 to 6, and a generator."""
+    kind = draw(hst.sampled_from(["regression", "gaussian", "mixture"]))
+    p = draw(hst.integers(1, 6))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    if kind == "regression":
+        n = draw(hst.integers(1, 12))
+        sigma = draw(hst.floats(0.1, 2.0))
+        return mod.RegressionProblem(
+            design=rng.standard_normal((n, p)), targets=rng.standard_normal(n), noise_sigma=sigma
+        ), rng
+    if kind == "gaussian":
+        return random_gaussian(rng, p), rng
+    m = draw(hst.integers(2, 3))
+    comps = tuple(random_gaussian(rng, p) for _ in range(m))
+    return orc.GaussianMixtureDist(components=comps, weights=rng.dirichlet(np.ones(m))), rng
+
+
+@pytest.mark.parametrize("s", [1, 5], ids=["one-row", "rows"])
+@given(case=targets())
+def test_log_joint_and_grad_is_the_gradient_of_its_rows(s, case):
+    # Every target answers log_joint_and_grad(θ) -> (rows, log-prior rows
+    # or None, ∇θ): a regression its log-likelihood and N(0, I) log-prior,
+    # a density target its log-density and None.
+    target, rng = case
+    theta = 2.0 * rng.standard_normal((s, target.dim))
+    rows, log_prior, grad = target.log_joint_and_grad(theta)
+    assert rows.shape == (s,) and grad.shape == theta.shape
+
+    def joint(flat):
+        more, prior, _ = target.log_joint_and_grad(flat.reshape(theta.shape))
+        return (more if prior is None else more + prior).sum()
+
+    # Rows are independent, so central differences of their sum give every
+    # row's gradient.  The regression and Gaussian joints are quadratic and
+    # difference exactly up to round-off (2.3e-12 of the scale at worst over
+    # 400 random cases each); a mixture's log-sum-exp adds truncation error
+    # (7.9e-8 at worst over 400), so 1e-5 leaves room.  A gradient off by a
+    # relative 1e-4 fails.
+    fd = ad.finite_difference_gradient(joint, theta.ravel()).reshape(theta.shape)
+    scale = max(1.0, abs(float(joint(theta.ravel()))), float(np.max(np.abs(fd))))
+    assert np.max(np.abs(grad - fd)) <= 1e-5 * scale
+
+    if isinstance(target, mod.RegressionProblem):
+        assert np.array_equal(rows, target.loglik_rows(theta))
+        assert np.array_equal(log_prior, standard_normal_logpdf(theta))
+    else:
+        assert log_prior is None
+        assert np.array_equal(target.log_density(theta), rows)
 
 
 # -----------------------------------------------------------------------

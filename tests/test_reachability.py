@@ -194,3 +194,25 @@ def test_vifit_reads_nothing_it_writes():
     # The config file is vifit's one outside input: no report, trace or
     # family state it writes is parsed back.
     assert sites(calls_ending("json.load", "json.loads")) == {"cli._load_config"}
+
+
+def reaching(name: str) -> set:
+    """The functions that call ``name`` directly or through functions of
+    ``src/vifit`` that call it."""
+    found, todo = set(), [name]
+    while todo:
+        new = callers(todo.pop()) - found
+        found |= new
+        todo += [site.split(".")[-1] for site in new]
+    return found
+
+
+def test_every_target_is_read_through_one_method():
+    # Training, the gate's gradient and the ELBO audit read every target
+    # through log_joint_and_grad, and no caller asks which kind it has.
+    assert not callers("loglik_rows") and not callers("log_density_and_grad")
+    assert not {site for site in callers("hasattr") if site.split(".")[0] == "trainer"}
+    assert {"trainer.train", "trainer.elbo_value_and_grad", "trainer.elbo_estimate"} <= reaching(
+        "log_joint_and_grad"
+    )
+    assert ("families", "dense_moments") not in {(path.stem, name) for path, name in definitions()}

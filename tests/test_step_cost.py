@@ -29,9 +29,12 @@ the sGMM to 101.4 and 142.7.
 
 Outside ``train``, each command at its defaults but 5 steps makes a
 fixed number of calls: its setup, audits and report.  ``rbf`` makes
-4,244, ``fit-gaussian`` 3,323, ``fit-gaussian --bimodal`` 19,659 and
+4,199, ``fit-gaussian`` 3,382, ``fit-gaussian --bimodal`` 19,659 and
 ``dropout-audit`` 790.  ``rbf`` made 4,390 when it built the dropout
-curves' figure data with no SVG to draw.  The last two made 27,582 and
+curves' figure data with no SVG to draw, and 4,244 when its ELBO audits
+read the regression's rows through a second log joint; ``fit-gaussian``
+made 3,323 when MAP's ELBO read the target's log density instead of
+``trainer.elbo_estimate``.  The last two made 27,582 and
 891 when the Monte-Carlo audits realized q's draws apart from training,
 an sGMM one component at a time, and read log q by a second evaluation
 at them.

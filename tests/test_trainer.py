@@ -45,10 +45,9 @@ def test_map_estimate_is_pointwise_and_deterministic():
         tr.elbo_estimate(state, problem, config, np.random.default_rng(s)).total
         for s in range(5)
     ]
-    expected = float(
-        problem.loglik_rows(state.theta_hat)
-        + mod.prior_logpdf(state.theta_hat)
-    )
+    theta = state.theta_hat
+    log_prior = -0.5 * (theta.size * math.log(2 * math.pi) + theta @ theta)
+    expected = float(problem.loglik_rows(theta) + log_prior)
     np.testing.assert_allclose(values, expected, rtol=1e-12)
     est = tr.elbo_estimate(state, problem, config, rng)
     assert est.neg_mean_logq == 0.0
