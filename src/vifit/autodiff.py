@@ -11,10 +11,12 @@ central-difference check the acceptance gate compares it with.  There is
 no graph to walk: ``backward`` rejects an output whose parents have
 parents of their own.
 
-``logsumexp``, ``cholesky`` and ``cho_solve`` work on plain arrays; the
-last two are numpy's LAPACK, the one build every factorization in vifit
-goes through.  ``cholesky`` raises ``MemberFailure`` on a matrix that is
-not finite or not positive definite.
+``logsumexp``, ``row_sums``, ``cholesky`` and ``cho_solve`` work on plain
+arrays.  ``row_sums`` is the audit blocks' ``np.add.reduce`` over rows, in
+numpy's own order but across all rows at once.  ``cholesky`` and
+``cho_solve`` are numpy's LAPACK, the one build every factorization in
+vifit goes through.  ``cholesky`` raises ``MemberFailure`` on a matrix
+that is not finite or not positive definite.
 
 ``MemberFailure`` is vifit's one numerical failure: a tape node or ELBO
 term that is not finite, a degenerate factorization, or an audit that
@@ -90,6 +92,48 @@ def logsumexp(x, axis=None):
         with np.errstate(divide="ignore"):
             out = np.log(np.add.reduce(np.exp(xv - shift), axis=axis, keepdims=True)) + shift
     return out.reshape(())[()] if axis is None else out.squeeze(axis)
+
+
+# From this many rows on, ``row_sums`` is at least as fast as
+# ``np.add.reduce`` at every row length it handles; at n = 8 the two cost
+# the same near 256 rows.  Callers test their row count against it before
+# calling, so a training step of 8 to 16 rows makes the calls it made
+# before.
+ROW_SUMS_MIN_ROWS = 256
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)`` bit for bit, one ufunc call per stage of
+    the sum across all rows at once; x, a temporary of the caller's, may be
+    overwritten.
+
+    numpy makes one inner-loop call per row when it reduces the last axis,
+    which for an audit block of 8192 rows of length 8 costs four times the
+    arithmetic.  It sums a row of n as 0 + pairwise_sum: for n < 8 in
+    sequence, for 8 ≤ n ≤ 128 in eight accumulators r_j (every eighth
+    entry from j) combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), the last n mod 8 entries added after in sequence, and above
+    128 as the sum of two halves.  This reproduces that order for n ≤ 8,
+    where every stage reads single columns or slices that numpy coalesces
+    into one stride: the columns in sequence for n < 8, three in-place
+    levels of the tree for n = 8.  Longer rows, whose slices do not
+    coalesce, and fewer than ``ROW_SUMS_MIN_ROWS`` rows go to
+    ``np.add.reduce``; the rule reads only the shape.  Starting from +0.0
+    makes the 0 + of numpy's reduction: no sum starting there is −0.0.
+    """
+    n = x.shape[-1]
+    if not 0 < n <= 8 or x.size < ROW_SUMS_MIN_ROWS * n:
+        return np.add.reduce(x, axis=-1)
+    if n < 8:
+        out = x[..., 0] + 0.0
+        for col in range(1, n):
+            out += x[..., col]
+        return out
+    np.add(x[..., 0::2], x[..., 1::2], out=x[..., 0::2])
+    np.add(x[..., 0::4], x[..., 2::4], out=x[..., 0::4])
+    out = x[..., 0] + x[..., 4]
+    out += 0.0
+    return out
 
 
 def cholesky(matrix: np.ndarray, what: str) -> np.ndarray:

@@ -19,6 +19,14 @@ each matmul, factorization and solve then runs slice by slice through the
 same BLAS or LAPACK call that one Gaussian makes, so slice m carries the
 bits of component m evaluated alone.
 
+A Monte-Carlo audit block (at least ``ad.ROW_SUMS_MIN_ROWS`` rows) sums
+the kernel's rows of length P and K with ``ad.row_sums``, which
+reproduces numpy's pairwise order by hand across all rows at once for
+rows of at most 8; longer rows, and the 8 to 16 rows of a training step,
+go to ``np.add.reduce``.  The audits' bits therefore rest on numpy summing
+a row in that order, which was checked with numpy 2.4.6 only and which
+``tests/test_autodiff.py`` checks by name.
+
 C ⪰ I for any finite covariance, so its Cholesky pivots are at least 1.  A
 factorization is treated as failed (``ad.MemberFailure``) when C is not
 finite or not positive definite, when its smallest pivot is lost in the
@@ -228,7 +236,8 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     a_rows = a_diag[:, None] if stacked else a_diag
     r = theta - (mean[:, None] if stacked else mean)
     v = r / a_rows
-    quad = np.add.reduce(r * v, axis=-1)
+    many_rows = theta.shape[0] >= ad.ROW_SUMS_MIN_ROWS  # audit blocks, not training steps
+    quad = ad.row_sums(r * v) if many_rows else np.add.reduce(r * v, axis=-1)
     logdet = np.add.reduce(np.log(a_rows), axis=-1)
     if k:
         b = factor / a_diag[..., None]
@@ -243,7 +252,7 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
             sinv_u = _umath_linalg.solve(cap, b.mT, signature="dd->d").mT
         t = v @ factor  # rows t_k = UᵀA⁻¹(θ_k − mean) = Bᵀ(θ_k − mean)
         utv = r @ sinv_u  # rows Uᵀ v_k = C⁻¹ t_k = (B C⁻¹)ᵀ (θ_k − mean)
-        quad = quad - np.add.reduce(t * utv, axis=-1)
+        quad = quad - (ad.row_sums(t * utv) if many_rows else np.add.reduce(t * utv, axis=-1))
         logdet = logdet + 2.0 * np.add.reduce(
             np.log(chol.diagonal(0, -2, -1)), axis=-1, keepdims=stacked
         )

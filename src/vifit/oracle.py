@@ -81,7 +81,7 @@ class GaussianDist:
         rows, in closed form; None: a density target has no prior term."""
         r = theta - self.mean
         rp = r @ self.precision
-        quad = (r * rp).sum(axis=-1)
+        quad = np.add.reduce(r * rp, axis=-1)
         return -0.5 * (self.dim * LOG_TWO_PI + self._logdet + quad), None, -rp
 
     def sample_blocks(self, rng: np.random.Generator, n: int):
@@ -131,7 +131,9 @@ class GaussianMixtureDist:
         r = theta - means
         rp = r @ precisions
         r *= rp  # in place: an audit block holds one (M, S, P) array fewer
-        return log_w - 0.5 * (norms + np.add.reduce(r, axis=-1)), rp
+        many_rows = theta.shape[0] >= ad.ROW_SUMS_MIN_ROWS  # audit blocks, not training steps
+        quad = ad.row_sums(r) if many_rows else np.add.reduce(r, axis=-1)
+        return log_w - 0.5 * (norms + quad), rp
 
     def log_density(self, theta):
         """Log-density at a plain (P,) point or stacked (S, P) rows."""

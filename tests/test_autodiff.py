@@ -68,6 +68,84 @@ def test_logsumexp_of_infinite_slices_without_warnings():
     assert ad.logsumexp(np.array([np.inf, -np.inf])) == np.inf
 
 
+# The one NaN arithmetic makes on this machine.  Where two NaNs of different
+# payloads meet, which one an add keeps depends on the operand order the
+# compiler chose, so only inputs that mix payloads compare NaN for NaN.
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = np.subtract(np.inf, np.inf)
+ROW_SUM_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-308]
+
+
+@given(
+    n=hst.one_of(hst.integers(1, 16), hst.sampled_from([17, 24, 100, 128, 129, 200])),
+    rows=hst.sampled_from([1, 2, 16, ad.ROW_SUMS_MIN_ROWS - 1, ad.ROW_SUMS_MIN_ROWS, 1000]),
+    stack=hst.sampled_from([(), (1,), (2,), (3,)]),
+    special_frac=hst.sampled_from([0.0, 0.02, 0.3]),
+    nan=hst.sampled_from(["default", "mixed"]),
+    seed=hst.integers(0, 2**16),
+)
+def test_row_sums_is_numpys_row_reduce_bit_for_bit(n, rows, stack, special_frac, nan, seed):
+    # Magnitudes from 1e-12 to 1e12 of either sign, so that any other order
+    # of the additions rounds differently, with signed zeros, infinities,
+    # subnormals and NaNs mixed in.  Short rows take the tree, long rows and
+    # few rows np.add.reduce itself; every bit agrees either way.
+    rng = np.random.default_rng(seed)
+    shape = (*stack, rows, n)
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12.0, 12.0, shape)
+    nans = [DEFAULT_NAN] if nan == "default" else [DEFAULT_NAN, np.nan, -np.nan]
+    special = rng.random(shape) < special_frac
+    x[special] = rng.choice(ROW_SUM_SPECIALS + nans, shape)[special]
+    x[..., 0, :] = -0.0  # numpy's sum of −0.0s is +0.0
+    with np.errstate(invalid="ignore"):
+        expected = np.add.reduce(x, axis=-1)
+        got = ad.row_sums(x.copy())
+    assert got.shape == expected.shape
+    if nan == "mixed":
+        got, expected = (np.where(np.isnan(a), DEFAULT_NAN, a) for a in (got, expected))
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def sum_in_sequence(row: list) -> float:
+    total = -0.0
+    for value in row:
+        total += value
+    return total
+
+
+def numpy_pairwise_sum(row: list) -> float:
+    """numpy's pairwise_sum of a float64 row, in Python floats: in sequence
+    from −0.0 below 8 entries, eight strided accumulators up to 128 with the
+    tail added after, and two halves cut at a multiple of 8 above that."""
+    n = len(row)
+    if n < 8:
+        return sum_in_sequence(row)
+    if n <= 128:
+        r = row[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            r = [acc + value for acc, value in zip(r, row[i : i + 8])]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return sum_in_sequence([tree, *row[whole:]])
+    half = n // 2 - (n // 2) % 8
+    return numpy_pairwise_sum(row[:half]) + numpy_pairwise_sum(row[half:])
+
+
+def test_numpy_sums_rows_in_the_pairwise_order_row_sums_reproduces():
+    # ad.row_sums gives np.add.reduce's bits only while numpy reduces a row
+    # of n as 0 + pairwise_sum (see its docstring).  Checked with numpy
+    # 2.4.6 only.  The rows mix magnitudes, so a sum in sequence from the
+    # last entry rounds differently at every n ≥ 3, and a change of order
+    # fails here by name.
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 140), 200, 256, 300]:
+        x = rng.choice([-1.0, 1.0], (32, n)) * 10.0 ** rng.uniform(-12.0, 12.0, (32, n))
+        rows = x.tolist()
+        expected = [0.0 + numpy_pairwise_sum(row) for row in rows]
+        assert np.add.reduce(x, axis=-1).tolist() == expected
+        if n >= 3:
+            assert expected != [0.0 + sum_in_sequence(row[::-1]) for row in rows]
+
+
 def test_finite_difference_on_square():
     grad = ad.finite_difference_gradient(
         lambda x: x[0] * x[0], np.array([3.0]), step=1e-4

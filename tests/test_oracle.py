@@ -512,6 +512,33 @@ def test_kl_q_to_target_is_log_density_at_fam_sample_draws_bit_for_bit(p, kind, 
     assert orc.kl_family_to_target_mc(state, target, n, np.random.default_rng(seed)) == expected
 
 
+@pytest.mark.parametrize(
+    "kind,k", [("mf", 1), ("sn", 1), ("sn", 8), ("sgmm", 2)], ids=["mf", "sn1", "sn8", "sgmm"]
+)
+def test_kl_audits_keep_their_bits_without_the_row_sum_tree(kind, k, monkeypatch):
+    # An audit block's Woodbury kernel and mixture target sum their short
+    # rows with ad.row_sums.  With that path shut off, every such sum is
+    # np.add.reduce's, and both audits return the same (kl, se) exactly.
+    n = 2 * BLOCK + 1
+    state, target = audit_case(kind, 8, k, "mixture", np.random.default_rng(11))
+
+    def audits():
+        rng = np.random.default_rng(12)
+        return [
+            orc.kl_p_to_family_mc(target, state, n, rng),
+            orc.kl_family_to_target_mc(state, target, n, rng),
+        ]
+
+    row_sums, shapes = ad.row_sums, []
+    monkeypatch.setattr(ad, "row_sums", lambda x: shapes.append(x.shape) or row_sums(x))
+    with_tree = audits()
+    assert shapes and all(shape[-1] <= 8 for shape in shapes)  # each took the tree
+    monkeypatch.setattr(ad, "ROW_SUMS_MIN_ROWS", math.inf)
+    shapes.clear()
+    assert audits() == with_tree
+    assert not shapes
+
+
 # Traced peak of KL[q‖p] at 200k draws, P = 8: 5.1 MB for mf, 18.8 MB for
 # sn8 and 20.5 MB for the sGMM, whose blocks evaluate both components at
 # every row.  Keeping a block's adjoint across the yield in

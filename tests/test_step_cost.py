@@ -10,7 +10,9 @@ above its count.  Bounds are only ever lowered.
 
 On the regression target (P = 10, 8 draws) a step of MAP and
 ``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 47.4; sN4 makes
-49.5 on a ``GaussianDist``.  Each made one more while the step's value
+47.5 on a ``GaussianDist``, and made 49.5 when that target summed its
+quadratic form with ``ndarray.sum``, whose Python wrapper costs two calls
+more than ``np.add.reduce``.  Each made one more while the step's value
 and gradient were a function of their own beside the one that checks
 them.  sN made 94.4 and 96.6 when the log-q kernel went through
 ``np.linalg.cholesky`` and ``np.linalg.solve``: their argument checks,
@@ -28,9 +30,14 @@ and adjoint, took 66.7, 134.4 and 280.7; the numpy wrappers took sN4 and
 the sGMM to 101.4 and 142.7.
 
 Outside ``train``, each command at its defaults but 5 steps makes a
-fixed number of calls: its setup, audits and report.  ``rbf`` makes
-4,199, ``fit-gaussian`` 3,382, ``fit-gaussian --bimodal`` 19,659 and
-``dropout-audit`` 790.  ``rbf`` made 4,390 when it built the dropout
+fixed number of calls: its setup, audits and report.  They are counted
+on a second call in the process, so that no first call's one-time work
+(a first call in a fresh interpreter reads 23,371 for ``fit-gaussian
+--bimodal`` and 7,915 for ``rbf``) makes the count depend on which tests
+ran before.  ``rbf`` makes 4,199,
+``fit-gaussian`` 3,380, ``fit-gaussian --bimodal`` 19,659 and
+``dropout-audit`` 790.  ``fit-gaussian`` made 3,382 while its target
+summed with ``ndarray.sum``.  ``rbf`` made 4,390 when it built the dropout
 curves' figure data with no SVG to draw, and 4,244 when its ELBO audits
 read the regression's rows through a second log joint; ``fit-gaussian``
 made 3,323 when MAP's ELBO read the target's log density instead of
@@ -78,8 +85,14 @@ def calls_per_step(state, target, config) -> float:
 
 
 def calls_outside_train(command, config) -> int:
-    """Call events of ``command(config)``, not counting those inside
-    ``tr.train``."""
+    """Call events of a warm ``command(config)``, not counting those inside
+    ``tr.train``.
+
+    The command runs once unprofiled first, so the count leaves out the
+    one-time work of a first call in the process (lazy imports, numpy's
+    first dispatch of a function) and reads the same alone as after any
+    other test."""
+    command(config)
     profile, calls = call_counter()
     train = tr.train
 
