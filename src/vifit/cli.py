@@ -447,6 +447,18 @@ def _dropout_predictions(state, features, n: int, rng) -> np.ndarray:
     return fam.gather_blocks(blocks, n, len(features))
 
 
+def _variance_in_place(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``samples.var(axis=0, ddof=1)`` bit for bit, given ``samples.mean(axis=0)``.
+
+    ``ndarray.var`` takes the same steps (deviations from the mean, their
+    squares, their axis-0 sum over n − 1) but on a second array of the
+    samples' size; this overwrites ``samples`` with the squared deviations.
+    """
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    return np.add.reduce(samples, axis=0) / (len(samples) - 1)
+
+
 def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     root = np.random.SeedSequence(config.seed)
     data_seq, init_seq, train_seq, mc_seq = root.spawn(4)
@@ -470,7 +482,7 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
         mc_noise *= problem.noise_sigma
         mc_samples_y[rows] += mc_noise
     mc_mean = mc_samples_y.mean(axis=0)
-    mc_var = mc_samples_y.var(axis=0, ddof=1)
+    mc_var = _variance_in_place(mc_samples_y, mc_mean)
     mean_se = np.sqrt(mc_var) / math.sqrt(config.mc_draws)
 
     report = ExperimentReport(

@@ -27,7 +27,11 @@ droppable coordinates is a mixture of 2^{P_d} point masses:
 ``enumerate_dropout`` checks P_d and returns them implicitly, and
 ``DropoutMixture.blocks`` streams their exact weights and their images in
 the space a caller reads (predictions at a few inputs), at most
-``BLOCK_ROWS`` atoms at a time, never building a 2^{P_d}-row array.
+``BLOCK_ROWS`` atoms at a time, never building a 2^{P_d}-row array.  A
+block's elementwise arithmetic with a (D,) row runs on its wide view
+(``wide_view``), ``WIDE_ROWS`` atoms per inner loop, and its weights are
+one of a few vectors built once, by the block's number of kept
+coordinates outside the base block.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ DROPOUT_ENUMERATION_LIMIT = 24
 # Rows per block where a batch of draws is realized or audited a block at a
 # time: each (BLOCK_ROWS, P) float64 temporary holds 64 KB per coordinate.
 BLOCK_ROWS = 8192
+
+# Atoms per inner loop where a block of dropout atoms meets one (D,) row.
+# numpy cannot merge the axes of a broadcast operand, so (n, D) + (D,)
+# makes n inner-loop calls of length D; the same add on the block's
+# (n / w, w·D) view against the row tiled w times makes n / w.
+WIDE_ROWS = 64
 
 
 class ModeFamilyError(ValueError):
@@ -778,6 +788,17 @@ def _doubling(start, steps) -> np.ndarray:
     return out
 
 
+def wide_view(block: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, D) block of atoms as its (n / w, w·D) view.
+
+    w = min(n, ``WIDE_ROWS``) divides n, a power of two.  Elementwise
+    arithmetic with a (D,) row tiled w times then runs w atoms per inner
+    loop, on the same numbers in the same order as with the (D,) row.
+    """
+    n = block.shape[0]
+    return block.reshape(n // min(n, WIDE_ROWS), -1)
+
+
 @dataclass
 class DropoutMixture:
     """Exact enumeration of the dropout posterior's 2^{P_d} point masses.
@@ -807,10 +828,15 @@ class DropoutMixture:
         table to it.  So a caller holds one block of (BLOCK_ROWS, D)
         numbers and the 2^{P_d} / BLOCK_ROWS rows of that table, never a
         2^{P_d}-row array.  With at most log2(BLOCK_ROWS) droppable
-        coordinates there is one block, holding every atom.  An atom's
-        weight is looked up among the P_d + 1 values p^n (1 − p)^{P_d − n}
-        by its number of ones n.  The first block's images are what later
-        blocks add to, so callers must not write to the yielded arrays.
+        coordinates there is one block, holding every atom.  The add runs
+        on the base block's wide view (``wide_view``) against the row
+        tiled into one reused (w·D,) buffer, one inner-loop call per w
+        atoms, and adds the same numbers as (n, D) + (D,) would.  An atom
+        weighs p^n (1 − p)^{P_d − n}, n its number of ones, so a block's
+        weights depend only on how many of its high coordinates are kept:
+        one vector per such count is built once and yielded for every
+        block with that count.  Those vectors and the base block are
+        shared across blocks, so they are read-only.
         """
         features = np.asarray(features, dtype=np.float64)
         index = np.flatnonzero(self.droppable)
@@ -822,9 +848,18 @@ class DropoutMixture:
         p, pd = self.keep_prob, index.size
         ones = np.arange(pd + 1, dtype=np.float64)
         by_ones = p**ones * (1.0 - p) ** (pd - ones)  # an atom's weight, by its number of ones
-        ones_low = _doubling(0, [1] * split)
-        for b, shift in enumerate(shifts):
-            yield by_ones[ones_low + b.bit_count()], base if b == 0 else base + shift
+        high_ones = _doubling(0, [1] * (pd - split))  # block b's kept high coordinates
+        # Row c: the weights of a block with c kept high coordinates.
+        by_count = by_ones[_doubling(0, [1] * split) + np.arange(pd - split + 1)[:, None]]
+        base.flags.writeable = False
+        by_count.flags.writeable = False
+        yield by_count[0], base
+        wide = wide_view(base)
+        row = np.empty(wide.shape[1])
+        tiled = row.reshape(len(base) // len(wide), -1)  # row as w copies of a (D,) shift
+        for count, shift in zip(high_ones[1:], shifts[1:]):
+            tiled[...] = shift
+            yield by_count[count], (wide + row).reshape(base.shape)
 
     def images(self, features: np.ndarray) -> np.ndarray:
         """Every atom's row of ``blocks``, shape (2^{P_d}, D), for small P_d."""

@@ -15,7 +15,10 @@ mixture p or an sGMM q, and the n_mc·P z_diag of an sN or sGMM q of rank
 K ≥ 1.  A q-side sGMM block evaluates every component at every row, so it
 holds (M, ``fam.BLOCK_ROWS``, P) kernel temporaries.  The exact predictive
 streams its 2^{P_d} atoms in blocks of at most ``fam.BLOCK_ROWS``, so its
-memory is one block of atoms however large P_d is.
+memory is one block of atoms and max(1, P_d − 12) weight vectors of a
+block's length, however large P_d is.  It subtracts the mixture mean on
+each block's wide view (``fam.wide_view``), against the mean tiled once
+per pass, so each inner loop covers ``fam.WIDE_ROWS`` atoms.
 
 Dense P×P algebra is acceptable throughout: problems audited here have
 P ≤ 32 by construction.  A fit the audits cannot read (a covariance that
@@ -315,17 +318,22 @@ def dropout_predictive_exact(
     Two passes over the atoms' blocks (``DropoutMixture.blocks``), each
     block reduced as it comes: the first sums the weights and the weighted
     atom means, the second the weighted squared deviations from the
-    mixture mean.  Memory is one block of atoms, never a 2^{P_d}-row array.
+    mixture mean, taken in one buffer of a block's size.  Memory is one
+    block of atoms, never a 2^{P_d}-row array.
     """
     mixture = fam.enumerate_dropout(state)
     features = problem.features(np.atleast_1d(x_star))
     weight_sum, mean = 0.0, np.zeros(len(features))
     for weights, images in mixture.blocks(features):
-        weight_sum += float(weights.sum())
+        weight_sum += float(np.add.reduce(weights))
         mean += weights @ images
-    second = np.zeros(len(features))
+    second, centered = np.zeros(len(features)), None
     for weights, images in mixture.blocks(features):
-        centered = images - mean
+        if centered is None:  # one buffer for the pass, and the mean tiled to its wide rows
+            centered = np.empty(images.shape)
+            wide = fam.wide_view(centered)
+            tiled = np.concatenate([mean] * (len(images) // len(wide)))
+        np.subtract(images.reshape(wide.shape), tiled, out=wide)
         np.square(centered, out=centered)
         second += weights @ centered
     return PredictiveMixture(

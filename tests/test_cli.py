@@ -272,6 +272,24 @@ def test_dropout_predictions_equal_the_whole_batch_bit_for_bit():
     np.testing.assert_array_equal(streamed.view(np.int64), whole.view(np.int64))
 
 
+@given(
+    hst.sampled_from([2, 3, 8, 9, 1000, 8193, 100_001]) | hst.integers(2, 300),
+    hst.integers(1, 7),
+    hst.floats(-8.0, 8.0),
+    hst.floats(-1e3, 1e3),
+    hst.integers(0, 2**16),
+)
+@example(100_001, 3, 8.0, 1e3, 0)
+@example(3, 1, -8.0, 0.0, 1)
+def test_variance_in_place_is_ndarray_var_bit_for_bit(n, d, log_scale, offset, seed):
+    # From (2, 1) to (100001, 7) samples at scales 1e-8 to 1e8, some far
+    # from zero, so that the deviations cancel most of their digits.
+    samples = (np.random.default_rng(seed).standard_normal((n, d)) + offset) * 10.0**log_scale
+    want = samples.var(axis=0, ddof=1)
+    got = cli._variance_in_place(samples, samples.mean(axis=0))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def traced_peak(command, config):
     """``command(config)``'s report and its traced Python-heap peak in bytes,
     numpy's buffers included; the peak does not depend on the host."""
@@ -286,15 +304,19 @@ def traced_peak(command, config):
 
 def test_dropout_audit_memory_does_not_grow_with_the_atoms():
     # Traced peak at 2^20 atoms and 10⁵ Monte-Carlo draws: the (10⁵, 5)
-    # predictions, 4 MB, plus one block of atoms, or of one block's masks,
-    # their uniforms, draws and observation noise; 8.9 MB in all.  No array
-    # has 2^20 rows, and no mask or uniform array has 10⁵.
+    # predictions, 4 MB, plus one block of masks, their uniforms and
+    # draws; 7.5 MB in all.  No array has 2^20 rows, and no mask or uniform
+    # array has 10⁵.  The variance squares the predictions' deviations in
+    # place: ndarray.var's second (10⁵, 5) array made the peak 8.2 MB.  A
+    # first call in the process reads 0.75 MB more, so the traced call is
+    # the second.
     config = cli._load_config(
         cli.DropoutAuditConfig, None, {"n_droppable": 20, "steps": 5, "seed": 1}
     )
+    cli.cmd_dropout_audit(config)
     report, peak = traced_peak(cli.cmd_dropout_audit, config)
     assert report.extras["n_atoms"] == 2**20
-    assert peak < 12e6
+    assert peak < 7.8e6
 
 
 def test_bimodal_fit_memory_holds_no_audit_sized_noise():

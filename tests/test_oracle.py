@@ -356,6 +356,106 @@ def test_streamed_predictive_matches_the_closed_form(case):
     assert np.all(atoms == want)
 
 
+def broadcast_blocks(mixture, features):
+    """``DropoutMixture.blocks`` by plain broadcasting: block b is the base
+    block plus row b of the shift table as a (D,) operand, and its weights
+    are gathered afresh by each atom's number of ones."""
+    index = np.flatnonzero(mixture.droppable)
+    kept = np.flatnonzero(~mixture.droppable)
+    split = min(index.size, fam.BLOCK_ROWS.bit_length() - 1)
+    steps = [mixture.theta_hat[i] * features[:, i] for i in index]
+    base = fam._doubling(features[:, kept] @ mixture.theta_hat[kept], steps[:split])
+    shifts = fam._doubling(np.zeros(features.shape[0]), steps[split:])
+    p, pd = mixture.keep_prob, index.size
+    ones = np.arange(pd + 1, dtype=np.float64)
+    by_ones = p**ones * (1.0 - p) ** (pd - ones)
+    ones_low = fam._doubling(0, [1] * split)
+    for b, shift in enumerate(shifts):
+        yield by_ones[ones_low + b.bit_count()], base if b == 0 else base + shift
+
+
+def broadcast_predictive(mixture, features, noise_sigma):
+    """``(weight_sum, mean, variance)`` of the exact predictive, reduced as
+    ``dropout_predictive_exact`` reduces ``broadcast_blocks``."""
+    weight_sum, mean = 0.0, np.zeros(len(features))
+    for weights, images in broadcast_blocks(mixture, features):
+        weight_sum += float(weights.sum())
+        mean += weights @ images
+    second = np.zeros(len(features))
+    for weights, images in broadcast_blocks(mixture, features):
+        centered = images - mean
+        np.square(centered, out=centered)
+        second += weights @ centered
+    return weight_sum, mean, noise_sigma**2 + second
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@hst.composite
+def wide_block_case(draw):
+    """A dropout state with P_d ∈ 0..16 droppable among up to two kept
+    coordinates, signed zeros among θ̂, |x*| ∈ 0..7 (0 is the path
+    ``DropoutMixture.weights`` takes) and blocks of 64 or 256 atoms."""
+    pd = draw(hst.integers(0, 16))
+    p = max(pd + draw(hst.integers(0, 2)), 1)
+    droppable = np.zeros(p, bool)
+    droppable[draw(hst.permutations(range(p)))[:pd]] = True
+    coord = hst.sampled_from([0.0, -0.0]) | hst.floats(-3.0, 3.0, allow_subnormal=False)
+    theta_hat = np.array(draw(hst.lists(coord, min_size=p, max_size=p)))
+    keep_prob = draw(hst.sampled_from([0.0, 1.0, 0.5, 0.9]) | hst.floats(0.0, 1.0))
+    x_star = np.array(draw(hst.lists(hst.floats(-1.0, 1.0), min_size=0, max_size=7)))
+    state = fam.DropoutState(theta_hat=theta_hat, keep_prob=keep_prob, droppable=droppable)
+    problem, _ = mod.make_rbf_dataset(mod.RbfModelSpec.regular(p, noise_sigma=0.25), 8, seed=p)
+    return state, problem, x_star, draw(hst.sampled_from([64, 256]))
+
+
+@settings(max_examples=60)
+@given(wide_block_case())
+def test_wide_blocks_keep_the_bits_of_plain_broadcasting(case):
+    # One block (P_d ≤ log2 BLOCK_ROWS), many blocks, and blocks of fewer
+    # than WIDE_ROWS atoms (P_d < 6) all occur.  Each block's images and
+    # weights, and the predictive's weight sum, mean and variance, equal the
+    # (n, D) + (D,) arithmetic bit for bit.
+    state, problem, x_star, block_rows = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fam, "BLOCK_ROWS", block_rows)
+        features = problem.features(x_star)
+        mixture = fam.enumerate_dropout(state)
+        got = list(mixture.blocks(features))
+        want = list(broadcast_blocks(mixture, features))
+        pred = orc.dropout_predictive_exact(state, problem, x_star)
+        weight_sum, mean, variance = broadcast_predictive(mixture, features, problem.noise_sigma)
+    assert len(got) == len(want) == max(1, mixture.n_atoms // block_rows)
+    for (weights, images), (want_weights, want_images) in zip(got, want):
+        assert images.shape == want_images.shape == (min(mixture.n_atoms, block_rows), len(x_star))
+        assert same_bits(weights, want_weights) and same_bits(images, want_images)
+    assert same_bits(pred.weight_sum, weight_sum)
+    assert same_bits(pred.mean(), mean) and same_bits(pred.variance(), variance)
+
+
+def test_blocks_share_read_only_arrays():
+    # The base block is what every later block adds to, and each weight
+    # vector serves every block with its number of kept high coordinates, so
+    # a caller's write would corrupt later blocks: it raises instead.
+    rng = np.random.default_rng(3)
+    state = fam.DropoutState(theta_hat=rng.standard_normal(9), keep_prob=0.3, droppable=np.ones(9, bool))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fam, "BLOCK_ROWS", 64)
+        blocks = list(fam.enumerate_dropout(state).blocks(rng.standard_normal((4, 9))))
+    assert len(blocks) == 8
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0][1][0, 0] = 1.0
+    for weights, _ in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+    # Blocks 1, 2 and 4 each keep one high coordinate: one weight vector.
+    assert np.shares_memory(blocks[1][0], blocks[2][0])
+    assert np.shares_memory(blocks[1][0], blocks[4][0])
+
+
 # -----------------------------------------------------------------------
 # Monte-Carlo KL audits, streamed a block of rows at a time
 
