@@ -12,9 +12,9 @@ audits' draws, with that block's log q.
 
 Layout rule: each state class lists its trained arrays in pack order in
 ``TRAINED``, and the flat vector psi is those arrays raveled and
-concatenated.  A mixture's ``components`` entry stands for its component
-states, packed in turn with their names prefixed ``c{m}.``, before its
-``weight_logits``.  One walk over that declaration (``_walk``) drives
+concatenated.  An sGMM stores its M components stacked, as the log-q
+kernel reads them: mu and log_a (M, P), u (M, P, K), then its (M,)
+``weight_logits``.  ``_trained`` reads that declaration for
 ``param_slices``, ``pack``, ``unpack``, ``param_views`` and
 ``state_to_json_dict``.  Fields outside ``TRAINED`` (dropout's
 ``keep_prob`` and ``droppable``) are carried over from the template.
@@ -135,22 +135,26 @@ class StructuredNormalState:
 
 @dataclass
 class MixtureState:
-    components: tuple
-    weight_logits: np.ndarray
+    """M structured normals, stacked on a leading axis, and their weight logits."""
+
+    mu: np.ndarray  # (M, P)
+    log_a: np.ndarray  # (M, P)
+    u: np.ndarray  # (M, P, K)
+    weight_logits: np.ndarray  # (M,)
     tag = "mixture"
-    TRAINED = ("components", "weight_logits")
+    TRAINED = ("mu", "log_a", "u", "weight_logits")
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.mu.shape[1]
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.mu.shape[0]
 
     @property
     def rank(self) -> int:
-        return self.components[0].rank
+        return self.u.shape[2]
 
     @property
     def weights(self) -> np.ndarray:
@@ -221,17 +225,16 @@ def init_family(
         )
     if tag == "mixture":
         common = draw_mean()
-        comps = []
+        mu, u = [], []
         for _ in range(components):
-            u = rng.standard_normal((p, rank)) * (0.01 * bound)[:, None]
-            comps.append(
-                StructuredNormalState(
-                    mu=common + mixture_spread * bound * rng.standard_normal(p),
-                    log_a=2.0 * np.log(0.05 * bound),
-                    u=u,
-                )
-            )
-        return MixtureState(components=tuple(comps), weight_logits=np.zeros(components))
+            u.append(rng.standard_normal((p, rank)) * (0.01 * bound)[:, None])
+            mu.append(common + mixture_spread * bound * rng.standard_normal(p))
+        return MixtureState(
+            mu=np.array(mu),
+            log_a=np.tile(2.0 * np.log(0.05 * bound), (components, 1)),
+            u=np.array(u),
+            weight_logits=np.zeros(components),
+        )
     if tag == "mc_dropout":
         return DropoutState(
             theta_hat=draw_mean(),
@@ -245,41 +248,15 @@ def init_family(
 # Flat parameter layout
 
 
-def _walk(state: FamilyState, leaf, prefix: str = "") -> dict:
-    """``{name: leaf(flat name, array)}`` over the trained arrays, in pack order.
-
-    A mixture's ``components`` become a list of such dicts, one per
-    component, whose flat names carry the prefix ``c{m}.``.
-    """
-    out = {}
-    for name in state.TRAINED:
-        value = getattr(state, name)
-        if name == "components":
-            out[name] = [_walk(c, leaf, f"{prefix}c{m}.") for m, c in enumerate(value)]
-        else:
-            out[name] = leaf(prefix + name, value)
-    return out
-
-
-def _flat(state: FamilyState) -> list:
-    """(flat name, array) of every trained array, in pack order."""
-    out = []
-    _walk(state, lambda name, value: out.append((name, value)))
-    return out
-
-
-def _rebuild(template: FamilyState, fields: dict) -> FamilyState:
-    """A state like ``template`` with its trained arrays taken from ``fields``."""
-    if "components" in fields:
-        comps = zip(template.components, fields["components"])
-        fields = {**fields, "components": tuple(_rebuild(c, f) for c, f in comps)}
-    return dataclasses.replace(template, **fields)
+def _trained(state: FamilyState) -> dict:
+    """``{name: array}`` over the trained arrays, in pack order."""
+    return {name: getattr(state, name) for name in state.TRAINED}
 
 
 def param_slices(state: FamilyState) -> dict:
     """Named slices of the flat psi vector, in pack order."""
     out, offset = {}, 0
-    for name, value in _flat(state):
+    for name, value in _trained(state).items():
         out[name] = slice(offset, offset + value.size)
         offset += value.size
     return out
@@ -291,36 +268,31 @@ def nonfinite_blocks(state: FamilyState, vector: np.ndarray) -> list:
 
 
 def pack(state: FamilyState) -> np.ndarray:
-    return np.concatenate([value.ravel() for _, value in _flat(state)])
+    return np.concatenate([value.ravel() for value in _trained(state).values()])
 
 
 def unpack(template: FamilyState, psi: np.ndarray) -> FamilyState:
     """Rebuild a state of the template's type from a flat vector."""
-    psi = np.asarray(psi, dtype=np.float64)
-    slices = param_slices(template)
-    fields = _walk(
-        template, lambda name, like: psi[slices[name]].reshape(like.shape).copy()
-    )
-    return _rebuild(template, fields)
+    views = param_views(template, np.asarray(psi, dtype=np.float64))
+    return dataclasses.replace(template, **{name: v.copy() for name, v in views.items()})
 
 
 def param_views(template: FamilyState, psi: np.ndarray) -> dict:
     """The trained arrays of ``template`` as views into a plain flat ``psi``.
 
-    Resolved once from ``param_slices``, in ``_walk`` form.  A caller that
-    updates psi in place (the trainer) builds them once per member and
+    Resolved once from ``param_slices``, as ``{name: array}``.  A caller
+    that updates psi in place (the trainer) builds them once per member and
     reads each step's parameters through them.
     """
     slices = param_slices(template)
-    return _walk(template, lambda name, like: psi[slices[name]].reshape(like.shape))
+    return {name: psi[slices[name]].reshape(v.shape) for name, v in _trained(template).items()}
 
 
 def mean_param_indices(state: FamilyState) -> np.ndarray:
     """Flat-psi indices of location parameters (mu / theta_hat)."""
     idx = []
     for name, sl in param_slices(state).items():
-        short = name.split(".")[-1]
-        if short in ("mu", "theta_hat"):
+        if name in ("mu", "theta_hat"):
             idx.extend(range(sl.start, sl.stop))
     return np.array(idx, dtype=int)
 
@@ -338,7 +310,6 @@ class NoiseBatch:
     be averaged with explicit mixture-weight coefficients.
     """
 
-    mode: str
     count: int
     z_diag: np.ndarray | None = None
     z_lowrank: np.ndarray | None = None
@@ -417,7 +388,7 @@ def draw_noise(
     p = state.dim
     if isinstance(state, ATOMIC_STATES):
         masks = _masks(state, (n, count), rng)
-        batches = [NoiseBatch(mode=mode, count=count, masks=m) for m in masks]
+        batches = [NoiseBatch(count, masks=m) for m in masks]
     elif isinstance(state, MixtureState) and not stratify_components:
         batches = []
         for _ in range(n):
@@ -427,7 +398,7 @@ def draw_noise(
                 half = rng.choice(state.n_components, size=count // 2, p=state.weights)
                 comp = np.repeat(half, 2)
             (z_diag,), (z_lowrank,) = _gaussian_noise(rng, mode, 1, count, p, state.rank)
-            batches.append(NoiseBatch(mode, count, z_diag, z_lowrank, comp))
+            batches.append(NoiseBatch(count, z_diag, z_lowrank, comp))
     else:
         comp = None
         if isinstance(state, MixtureState):
@@ -436,7 +407,7 @@ def draw_noise(
             rng, mode, n, count, p, getattr(state, "rank", 0)
         )
         batches = [
-            NoiseBatch(mode, count, zd, zl, comp, stratified=comp is not None)
+            NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
             for zd, zl in zip(z_diag, z_lowrank)
         ]
     return batches[0] if steps is None else batches
@@ -497,7 +468,8 @@ def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
 
 
 def _scale_and_factor(params: dict):
-    """Per-coordinate std and low-rank factor from ``_walk`` parameters."""
+    """Per-coordinate std and low-rank factor from ``_trained`` parameters,
+    (M, ·) stacked for an sGMM."""
     if "log_sigma" in params:
         return np.exp(params["log_sigma"]), None
     return np.exp(0.5 * params["log_a"]), params["u"]
@@ -569,12 +541,6 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     return theta, log_q, None, vjp
 
 
-def _stack_components(comps: list) -> dict:
-    """An sGMM's per-component ``_walk`` parameters as one dict of stacked
-    arrays, mu and log_a (M, P) and u (M, P, K)."""
-    return {name: np.array([c[name] for c in comps]) for name in comps[0]}
-
-
 def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -> tuple:
     """``draws_logq_vjp`` for an sGMM: see there.
 
@@ -584,13 +550,12 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
     adjoint of row k's draw goes to component c_k alone, as (M, S, P) rows
     that are zero at the other components' rows (see ``_chain_draw``).
     """
-    comps = _stack_components(params["components"])
-    scales, factors = _scale_and_factor(comps)
+    scales, factors = _scale_and_factor(params)
     m = len(scales)
     theta = gaussian_draw_rows(
-        comps["mu"][:, None], scales[:, None], factors, noise.z_diag, noise.z_lowrank
+        params["mu"][:, None], scales[:, None], factors, noise.z_diag, noise.z_lowrank
     )[noise.components, np.arange(noise.count)]
-    log_n, logq_vjp = lowrank_logpdf_and_vjp(theta, comps["mu"], scales * scales, factors)
+    log_n, logq_vjp = lowrank_logpdf_and_vjp(theta, params["mu"], scales * scales, factors)
     logits = params["weight_logits"]
     log_w = logits - ad.logsumexp(logits)
     weights = np.exp(log_w)
@@ -609,13 +574,13 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
         # mean through θ − mean at every row.
         mean_bar = np.add.reduce(draw_bar, axis=1) - np.add.reduce(d_theta, axis=1)
         parts = _chain_draw(
-            comps, scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
+            params, scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
         )
         log_w_bar = np.add.reduce(per_bar, axis=1)
         if coeff is not None:  # coeff_k = M w_{c_k}
             log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
         logits_bar = log_w_bar - weights * np.add.reduce(log_w_bar)  # through log-softmax
-        return np.concatenate((np.concatenate(parts, axis=1).ravel(), logits_bar))
+        return np.concatenate((*parts, logits_bar), axis=None)  # each part raveled
 
     return theta, log_q, coeff, vjp
 
@@ -659,7 +624,7 @@ def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
     """
     _validate_mode(state, "naive", n)
     p, k = state.dim, getattr(state, "rank", 0)
-    params = _walk(state, lambda _, value: value)
+    params = _trained(state)
     comp = None
     if isinstance(state, MixtureState):
         comp = rng.choice(state.n_components, size=n, p=state.weights)
@@ -667,10 +632,9 @@ def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
     for block in row_blocks(n):
         count = block.stop - block.start
         if isinstance(state, ATOMIC_STATES):
-            noise = NoiseBatch("naive", count, masks=_masks(state, (count,), rng))
+            noise = NoiseBatch(count, masks=_masks(state, (count,), rng))
         else:
             noise = NoiseBatch(
-                "naive",
                 count,
                 rng.standard_normal((count, p)) if z_diag is None else z_diag[block],
                 rng.standard_normal((count, k)),
@@ -691,7 +655,7 @@ def sample(
     instead.
     """
     noise = draw_noise(state, mode, count, rng)
-    draws = draws_logq_vjp(state, _walk(state, lambda _, value: value), noise)[0]
+    draws = draws_logq_vjp(state, _trained(state), noise)[0]
     return SampleBatch(draws=draws, noise=noise)
 
 
@@ -700,15 +664,15 @@ def sample(
 
 
 def _log_q(params: dict, rows: np.ndarray):
-    """log q at plain rows of a Gaussian family or an sGMM, from ``_walk``
+    """log q at plain rows of a Gaussian family or an sGMM, from ``_trained``
     parameters; an sGMM's components are one stacked kernel call."""
-    if "components" not in params:
-        scale, factor = _scale_and_factor(params)
-        return lowrank_logpdf(rows, params["mu"], scale * scale, factor)
+    scale, factor = _scale_and_factor(params)
+    log_n = lowrank_logpdf(rows, params["mu"], scale * scale, factor)
+    if "weight_logits" not in params:
+        return log_n
     logits = params["weight_logits"]
     log_w = logits - ad.logsumexp(logits)
-    per = log_w[:, None] + _log_q(_stack_components(params["components"]), rows)
-    return ad.logsumexp(per, axis=0)
+    return ad.logsumexp(log_w[:, None] + log_n, axis=0)
 
 
 def _atom_log_weight(state: FamilyState, rows: np.ndarray) -> np.ndarray:
@@ -747,7 +711,7 @@ def log_density(state: FamilyState, theta: np.ndarray):
     if isinstance(state, ATOMIC_STATES):
         out = _atom_log_weight(state, rows)
     else:
-        out = _log_q(_walk(state, lambda _, value: value), rows)
+        out = _log_q(_trained(state), rows)
     out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if single else out
 
@@ -761,7 +725,7 @@ def has_zero_variance(state: FamilyState) -> bool:
     """
     if not isinstance(state, GAUSSIAN_STATES):
         return False
-    scale, factor = _scale_and_factor(_walk(state, lambda _, value: value))
+    scale, factor = _scale_and_factor(_trained(state))
     variance = scale * scale
     if factor is not None:
         variance = variance + (factor * factor).sum(axis=1)
@@ -862,20 +826,25 @@ class DropoutMixture:
             yield by_count[count], (wide + row).reshape(base.shape)
 
     def images(self, features: np.ndarray) -> np.ndarray:
-        """Every atom's row of ``blocks``, shape (2^{P_d}, D), for small P_d."""
-        parts = [images for _, images in self.blocks(features)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """Every atom's row of ``blocks``, shape (2^{P_d}, D), for small P_d:
+        a new array, which the caller owns, however many blocks there are."""
+        return np.concatenate([images for _, images in self.blocks(features)])
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Every atom's weight, shape (2^{P_d},), for small P_d."""
+        """Every atom's weight, shape (2^{P_d},), for small P_d; cached, so read-only."""
         nothing = np.empty((0, self.theta_hat.size))
-        return np.concatenate([weights for weights, _ in self.blocks(nothing)])
+        weights = np.concatenate([weights for weights, _ in self.blocks(nothing)])
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        """The (2^{P_d}, P) table of parameter vectors θ̂ ⊙ z, for small P_d."""
-        return self.images(np.eye(self.theta_hat.size))
+        """The (2^{P_d}, P) table of parameter vectors θ̂ ⊙ z, for small P_d;
+        cached, so read-only."""
+        atoms = self.images(np.eye(self.theta_hat.size))
+        atoms.flags.writeable = False
+        return atoms
 
 
 def enumerate_dropout(state: DropoutState) -> DropoutMixture:
@@ -907,7 +876,7 @@ def state_to_json_dict(state: FamilyState) -> dict:
     doc: dict = {"family": state.tag, "p": state.dim}
     if hasattr(state, "rank"):
         doc["rank"] = state.rank
-    doc.update(_walk(state, lambda _, value: value.ravel().tolist()))
+    doc.update({name: value.ravel().tolist() for name, value in _trained(state).items()})
     if isinstance(state, DropoutState):
         doc["keep_prob"] = state.keep_prob
         doc["droppable"] = state.droppable.astype(int).tolist()

@@ -470,7 +470,9 @@ def _zero_diagonal_sn(state):
 
 
 def _point_mass_component(state):
-    _point_mass_sn(state.components[0])
+    # An sGMM's first component alone is ``_point_mass_sn``'s point mass.
+    state.log_a[0] = -800.0
+    state.u[0] = 0.0
 
 
 def _nan_mean_mf(state):
@@ -602,8 +604,11 @@ DEGENERACY_RUNS = {
 
 
 def _gaussian_part(state):
-    """The Gaussian a degeneracy writes to: an sGMM's first component."""
-    return state.components[0] if state.tag == "mixture" else state
+    """The Gaussian a degeneracy writes to: an sGMM's first component, as a
+    structured normal over views of its stacked arrays."""
+    if state.tag != "mixture":
+        return state
+    return cli.fam.StructuredNormalState(mu=state.mu[0], log_a=state.log_a[0], u=state.u[0])
 
 
 def _mean(state):
@@ -687,7 +692,7 @@ def test_generated_degenerate_member_fails_alone(run):
     assert outcome in expected_outcomes(command, label, name), rows[label]
     assert (f"] {label} failed: " in err) == (outcome == "failed")
     if not math.isfinite(value):
-        block = {"map": "theta_hat", "mc_dropout": "theta_hat", "sgmm": "c0.mu"}.get(label, "mu")
+        block = "theta_hat" if label in ("map", "mc_dropout") else "mu"
         assert f"] {label} failed: fitted state is not finite in psi blocks {block}\n" in err
     clean = clean_rows(command)
     assert sorted(rows) == sorted(clean)

@@ -21,6 +21,27 @@ def make_sn(rng, p=4, k=2, scale=0.4):
     )
 
 
+def stack_mixture(components, weight_logits):
+    """An sGMM state whose components are the given structured normals."""
+    return fam.MixtureState(
+        mu=np.array([c.mu for c in components]),
+        log_a=np.array([c.log_a for c in components]),
+        u=np.array([c.u for c in components]),
+        weight_logits=np.asarray(weight_logits, dtype=np.float64),
+    )
+
+
+def components(state):
+    """An sGMM's components as structured normals over views of its stacked
+    arrays; any other state as its own one component."""
+    if state.tag != "mixture":
+        return (state,)
+    return tuple(
+        fam.StructuredNormalState(mu=state.mu[m], log_a=state.log_a[m], u=state.u[m])
+        for m in range(state.n_components)
+    )
+
+
 def closed_form_draws(state, noise):
     """θ̂ ⊙ mask, or mean + scale ⊙ z_diag + z_lowrank Uᵀ from each row's own
     component: every component drawn at every row, each row's own kept."""
@@ -30,7 +51,7 @@ def closed_form_draws(state, noise):
         c.mu + c.sigma * noise.z_diag
         if c.tag == "mean_field"
         else c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
-        for c in getattr(state, "components", (state,))
+        for c in components(state)
     ]
     own = 0 if noise.components is None else noise.components
     return np.array(every)[own, np.arange(noise.count)]
@@ -165,9 +186,7 @@ def test_mixture_sampling_uses_weights():
     comp_b = fam.StructuredNormalState(
         mu=np.array([5.0]), log_a=np.array([-3.0]), u=np.zeros((1, 0))
     )
-    st = fam.MixtureState(
-        components=(comp_a, comp_b), weight_logits=np.log(np.array([0.2, 0.8]))
-    )
+    st = stack_mixture((comp_a, comp_b), np.log(np.array([0.2, 0.8])))
     batch = fam.sample(st, "naive", 50_000, rng)
     frac_b = float(np.mean(batch.draws[:, 0] > 0))
     assert abs(frac_b - 0.8) < 0.01
@@ -181,7 +200,7 @@ def test_mixture_row_is_realized_from_its_own_component_only():
     comp_b = fam.StructuredNormalState(
         mu=np.full(3, 1e308), log_a=np.full(3, 2 * math.log(1e308)), u=np.full((3, 2), 1e308)
     )
-    st = fam.MixtureState(components=(comp_a, comp_b), weight_logits=np.zeros(2))
+    st = stack_mixture((comp_a, comp_b), np.zeros(2))
     with np.errstate(over="ignore", invalid="ignore"):
         batch = fam.sample(st, "naive", 1000, rng)
     noise = batch.noise
@@ -200,7 +219,7 @@ def test_mixture_row_is_realized_from_its_own_component_only():
 def test_single_component_mixture_equals_structured_density():
     rng = np.random.default_rng(16)
     comp = make_sn(rng)
-    st = fam.MixtureState(components=(comp,), weight_logits=np.zeros(1))
+    st = stack_mixture((comp,), np.zeros(1))
     theta = rng.standard_normal(4)
     assert abs(fam.log_density(st, theta) - fam.log_density(comp, theta)) < 1e-12
 
@@ -274,14 +293,9 @@ def test_density_normalization_by_quadrature():
         mu=np.array([0.1, 0.5]), log_a=np.log([0.5, 0.9]), u=np.array([[0.7], [-0.4]])
     )
     mix = fam.MixtureState(
-        components=(
-            fam.StructuredNormalState(
-                mu=np.array([-1.5, 0.0]), log_a=np.log([0.4, 0.6]), u=np.zeros((2, 0))
-            ),
-            fam.StructuredNormalState(
-                mu=np.array([1.5, 1.0]), log_a=np.log([0.7, 0.3]), u=np.zeros((2, 0))
-            ),
-        ),
+        mu=np.array([[-1.5, 0.0], [1.5, 1.0]]),
+        log_a=np.log([[0.4, 0.6], [0.7, 0.3]]),
+        u=np.zeros((2, 2, 0)),
         weight_logits=np.array([0.3, -0.2]),
     )
     for state in (mf, sn, mix):
@@ -431,21 +445,37 @@ def test_nothing_droppable_is_one_atom_of_weight_one():
     np.testing.assert_array_equal(mixture.atoms, [theta_hat])
 
 
+@pytest.mark.parametrize("pd", [3, 14], ids=["one-block", "two-blocks"])
+def test_images_are_the_callers_and_cached_tables_are_read_only(pd):
+    # With one block of atoms (P_d <= 13) or more, images is a new writeable
+    # array that no other call shares, and the cached atoms and weights,
+    # which every caller shares, cannot be written.
+    assert (1 << pd > fam.BLOCK_ROWS) == (pd > 13)
+    st = fam.DropoutState(
+        theta_hat=np.random.default_rng(31).uniform(-1.0, 1.0, pd),
+        keep_prob=0.5,
+        droppable=np.ones(pd, bool),
+    )
+    mixture = fam.enumerate_dropout(st)
+    features = np.random.default_rng(32).standard_normal((2, pd))
+    mine, theirs = mixture.images(features), mixture.images(features)
+    assert mine.flags.writeable and not np.shares_memory(mine, theirs)
+    mine[...] = 0.0
+    np.testing.assert_array_equal(mixture.images(features), theirs)
+    for table in (mixture.atoms, mixture.weights):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 # -----------------------------------------------------------------------
 # serialization
 
 
 def document_psi(doc: dict) -> np.ndarray:
     """A ``state_to_json_dict`` document's trained arrays concatenated in
-    layout order; component m's ``c{m}.`` arrays are read from entry m of
-    its ``components``."""
-
-    def array(flat_name):
-        *component, name = flat_name.split(".")
-        return (doc["components"][int(component[0][1:])] if component else doc)[name]
-
-    names = expected_names(doc["family"], len(doc.get("components", ())))
-    return np.concatenate([array(name) for name in names])
+    layout order."""
+    return np.concatenate([doc[name] for name in expected_names(doc["family"])])
 
 
 @pytest.mark.parametrize(
@@ -481,22 +511,19 @@ def test_structured_density_consistent_with_lowrank_module():
 # flat parameter layout, over generated families
 
 
-def expected_names(tag, m):
-    names = {
+def expected_names(tag):
+    return {
         "map": ["theta_hat"],
         "mc_dropout": ["theta_hat"],
         "mean_field": ["mu", "log_sigma"],
         "structured_normal": ["mu", "log_a", "u"],
-    }
-    if tag != "mixture":
-        return names[tag]
-    per = [f"c{i}.{n}" for i in range(m) for n in names["structured_normal"]]
-    return per + ["weight_logits"]
+        "mixture": ["mu", "log_a", "u", "weight_logits"],
+    }[tag]
 
 
 @hst.composite
 def family_case(draw):
-    """(template, psi, m): a generated family state and a random flat vector."""
+    """(template, psi): a generated family state and a random flat vector."""
     tag = draw(hst.sampled_from(list(fam.FAMILIES)))
     p = draw(hst.integers(1, 6))
     k = draw(hst.integers(0, 3))
@@ -508,18 +535,12 @@ def family_case(draw):
     if tag == "mc_dropout":
         template.droppable = rng.random(p) < 0.5
     psi = rng.standard_normal(fam.pack(template).size)
-    return template, psi, m
+    return template, psi
 
 
 def trained_arrays(state):
-    """Trained arrays by flat name, read off the state's attributes."""
-    if state.tag != "mixture":
-        return {name: getattr(state, name) for name in state.TRAINED}
-    out = {}
-    for i, c in enumerate(state.components):
-        out.update({f"c{i}.{name}": getattr(c, name) for name in c.TRAINED})
-    out["weight_logits"] = state.weight_logits
-    return out
+    """Trained arrays by name, read off the state's attributes."""
+    return {name: getattr(state, name) for name in expected_names(state.tag)}
 
 
 def assert_same_untrained(a, b):
@@ -531,7 +552,7 @@ def assert_same_untrained(a, b):
 
 @given(family_case())
 def test_layout_unpack_pack_round_trip(case):
-    template, psi, _ = case
+    template, psi = case
     state = fam.unpack(template, psi)
     np.testing.assert_array_equal(fam.pack(state), psi)
     back = fam.unpack(template, fam.pack(state))
@@ -543,9 +564,9 @@ def test_layout_unpack_pack_round_trip(case):
 
 @given(family_case())
 def test_layout_slices_tile_psi_in_pack_order(case):
-    template, psi, m = case
+    template, psi = case
     slices = fam.param_slices(template)
-    assert list(slices) == expected_names(template.tag, m)
+    assert list(slices) == expected_names(template.tag)
     offset = 0
     for sl in slices.values():
         assert sl.start == offset and sl.stop >= sl.start
@@ -558,22 +579,22 @@ def test_layout_slices_tile_psi_in_pack_order(case):
 
 @given(family_case())
 def test_layout_param_views_read_psi_in_place(case):
-    template, psi, _ = case
+    template, psi = case
     views = fam.param_views(template, psi)
     expected = trained_arrays(fam.unpack(template, psi))
-    got = trained_arrays(fam._rebuild(template, views))
-    assert list(got) == list(expected)
-    for name, value in got.items():
+    assert list(views) == list(expected)
+    for name, value in views.items():
         np.testing.assert_array_equal(value, expected[name])
+        assert value.shape == expected[name].shape, name
         assert value.size == 0 or np.shares_memory(value, psi), name
     psi += 1.0  # the trainer's in-place update shows through every view
-    for name, value in trained_arrays(fam._rebuild(template, views)).items():
+    for name, value in views.items():
         np.testing.assert_array_equal(value, expected[name] + 1.0)
 
 
 @given(family_case())
-def test_layout_json_round_trip(case):
-    template, psi, _ = case
+def test_layout_json_document_holds_psi(case):
+    template, psi = case
     state = fam.unpack(template, psi)
     doc = fam.state_to_json_dict(state)
     assert json.loads(json.dumps(doc)) == doc
@@ -584,7 +605,8 @@ def test_layout_json_round_trip(case):
 
 
 # One state_to_json_dict document per family, as written before the layout
-# was declared per class: writing the state it holds must give the same JSON
+# was declared per class, and the sGMM's as written since it stores its
+# components stacked: writing the state it holds must give the same JSON
 # text, up to key order.
 RECORDED_DOCS = [
     '{"family": "map", "p": 2, "theta_hat": [0.4313392713241635, 0.4354940412532311]}',
@@ -593,11 +615,11 @@ RECORDED_DOCS = [
     '{"family": "structured_normal", "p": 2, "mu": [0.021673616276774, -0.30292259332094984], '
     '"log_a": [-6.684611727667927, -6.684611727667927], "rank": 1, '
     '"u": [-0.005670511488433056, -0.009364632265340664]}',
-    '{"family": "mixture", "p": 2, "rank": 1, "weight_logits": [0.0, 0.0], "components": '
-    '[{"mu": [1.2346454781910534, 0.513068180153241], "log_a": [-6.684611727667927, '
-    '-6.684611727667927], "u": [-0.001756181871700409, 0.0029729967895372254]}, '
-    '{"mu": [0.9607824831953409, 1.59146021669802], "log_a": [-6.684611727667927, '
-    '-6.684611727667927], "u": [-0.003907806679557454, -0.005549235110059276]}]}',
+    '{"family": "mixture", "p": 2, "rank": 1, "weight_logits": [0.0, 0.0], '
+    '"mu": [1.2346454781910534, 0.513068180153241, 0.9607824831953409, 1.59146021669802], '
+    '"log_a": [-6.684611727667927, -6.684611727667927, -6.684611727667927, '
+    '-6.684611727667927], "u": [-0.001756181871700409, 0.0029729967895372254, '
+    '-0.003907806679557454, -0.005549235110059276]}',
     '{"family": "mc_dropout", "p": 2, "theta_hat": [0.25, -1.5], "keep_prob": 0.37, '
     '"droppable": [1, 0]}',
 ]
@@ -607,19 +629,21 @@ def recorded_state(doc: dict):
     """The state whose values a recorded document holds, built field by field."""
     tag, p = doc["family"], doc["p"]
 
-    def sn(d):
-        u = np.array(d["u"]).reshape(p, doc["rank"])
-        return fam.StructuredNormalState(mu=np.array(d["mu"]), log_a=np.array(d["log_a"]), u=u)
-
     if tag == "map":
         return fam.MapState(theta_hat=np.array(doc["theta_hat"]))
     if tag == "mean_field":
         return fam.MeanFieldState(mu=np.array(doc["mu"]), log_sigma=np.array(doc["log_sigma"]))
     if tag == "structured_normal":
-        return sn(doc)
+        u = np.array(doc["u"]).reshape(p, doc["rank"])
+        return fam.StructuredNormalState(
+            mu=np.array(doc["mu"]), log_a=np.array(doc["log_a"]), u=u
+        )
     if tag == "mixture":
+        m = len(doc["weight_logits"])
         return fam.MixtureState(
-            components=tuple(sn(c) for c in doc["components"]),
+            mu=np.array(doc["mu"]).reshape(m, p),
+            log_a=np.array(doc["log_a"]).reshape(m, p),
+            u=np.array(doc["u"]).reshape(m, p, doc["rank"]),
             weight_logits=np.array(doc["weight_logits"]),
         )
     return fam.DropoutState(
@@ -919,7 +943,7 @@ def test_sample_blocks_realizes_a_lone_component_row_as_the_batch_does():
     n, seed = 2 * BLOCK + 1, 12
     noise = fam.draw_noise(state, "naive", n, np.random.default_rng(seed))
     (lone,) = np.flatnonzero(noise.components[: fam.row_blocks(n)[0].stop] == 1)
-    comp, row = state.components[1], slice(lone, lone + 1)
+    comp, row = components(state)[1], slice(lone, lone + 1)
     scale = np.exp(0.5 * comp.log_a)
     alone = comp.mu + scale * noise.z_diag[row] + noise.z_lowrank[row] @ comp.u.T
     assert not np.array_equal(alone[0], closed_form_draws(state, noise)[lone])

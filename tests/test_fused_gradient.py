@@ -73,6 +73,17 @@ def log_joint_rows(target, theta):
     return target.log_density(theta)
 
 
+def components(state):
+    """An sGMM's components as structured normals over views of its stacked
+    arrays; any other state as its own one component."""
+    if state.tag != "mixture":
+        return (state,)
+    return tuple(
+        fam.StructuredNormalState(mu=state.mu[m], log_a=state.log_a[m], u=state.u[m])
+        for m in range(state.n_components)
+    )
+
+
 def closed_form_draws(state, noise):
     """θ̂ ⊙ mask, or mean + scale ⊙ z_diag + z_lowrank Uᵀ from each row's own
     component: every component drawn at every row, each row's own kept."""
@@ -82,7 +93,7 @@ def closed_form_draws(state, noise):
         c.mu + c.sigma * noise.z_diag
         if c.tag == "mean_field"
         else c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
-        for c in getattr(state, "components", (state,))
+        for c in components(state)
     ]
     own = 0 if noise.components is None else noise.components
     return np.array(every)[own, np.arange(noise.count)]
@@ -184,8 +195,7 @@ def mixture_case(draw, mode, stratified, target_kind):
         hnp.arrays(np.float64, fam.pack(state).size, elements=st.floats(-1.5, 1.5))
     )
     state = fam.unpack(state, psi)
-    for comp in state.components:
-        comp.u *= np.exp(0.5 * comp.log_a)[:, None]
+    state.u *= np.exp(0.5 * state.log_a)[..., None]
     psi = fam.pack(state)
     config = tr.TrainConfig(mc_samples=draw(st.integers(1, 8)), mode=mode)
     count = tr._effective_sample_count(state, config)
@@ -209,8 +219,9 @@ def loop_mixture_step(params, noise, theta_bar, logq_bar, coeff_bar) -> tuple:
     """An sGMM's draws, log q, coefficients and psi adjoint, one component
     at a time: each component draws its own rows, and its log N at every
     row and its adjoint are one kernel call of its own."""
-    comps, logits = params["components"], params["weight_logits"]
-    m, zd, zl = len(comps), noise.z_diag, noise.z_lowrank
+    logits = params["weight_logits"]
+    m, zd, zl = len(logits), noise.z_diag, noise.z_lowrank
+    comps = [{name: params[name][j] for name in ("mu", "log_a", "u")} for j in range(m)]
     scales = [np.exp(0.5 * c["log_a"]) for c in comps]
     members = [noise.components == j for j in range(m)]
     theta = np.empty_like(zd)
@@ -230,16 +241,15 @@ def loop_mixture_step(params, noise, theta_bar, logq_bar, coeff_bar) -> tuple:
     via = theta_bar + sum(d_theta for d_theta, _, _ in adjoints)
     log_w_bar = per_bar.sum(axis=1)
     log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
-    parts = []
+    mu_bar, log_a_bar, u_bar = [], [], []
     for scale, own, (d_theta, d_a, d_u) in zip(scales, members, adjoints):
         draw_bar = via[own]
         d_scale = np.add.reduce(draw_bar * zd[own], axis=0) + 2.0 * scale * d_a
-        parts += [
-            draw_bar.sum(axis=0) - d_theta.sum(axis=0),
-            d_scale * (0.5 * scale),
-            (draw_bar.T @ zl[own] + d_u).ravel(),
-        ]
-    parts.append(log_w_bar - weights * log_w_bar.sum())
+        mu_bar.append(draw_bar.sum(axis=0) - d_theta.sum(axis=0))
+        log_a_bar.append(d_scale * (0.5 * scale))
+        u_bar.append((draw_bar.T @ zl[own] + d_u).ravel())
+    # psi holds the components' mu, then their log_a, then their U.
+    parts = [*mu_bar, *log_a_bar, *u_bar, log_w_bar - weights * log_w_bar.sum()]
     return theta, log_q, coeff, np.concatenate(parts)
 
 
@@ -380,7 +390,7 @@ def _singular_capacitance_state(tag, p):
     # C = I + UᵀA⁻¹U, which is then exactly singular.  An sGMM gets it in its
     # last component only.
     state = fam.init_family(tag, p, np.random.default_rng(8), rank=2)
-    singular = state.components[-1] if tag == "mixture" else state
+    singular = components(state)[-1]
     singular.log_a[:] = 0.0
     singular.u[:] = 0.0
     singular.u[0, :] = 2.0**30

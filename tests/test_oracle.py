@@ -495,7 +495,8 @@ def whole_batch_family_sample(state, n, rng):
     if not isinstance(state, fam.MixtureState):
         return realize(state)
     rows = None
-    for m, comp in enumerate(state.components):
+    for m in range(state.n_components):
+        comp = fam.StructuredNormalState(mu=state.mu[m], log_a=state.log_a[m], u=state.u[m])
         sel = (noise.components == m).astype(float)[:, None]
         if sel.any():
             term = realize(comp) * sel
@@ -530,8 +531,12 @@ def audit_case(kind, p, k, target_kind, rng):
     elif kind == "sn":
         state = sn(1.0)
     else:
+        comps = (sn(2.0), sn(2.0))
         state = fam.MixtureState(
-            components=(sn(2.0), sn(2.0)), weight_logits=rng.standard_normal(2)
+            mu=np.array([c.mu for c in comps]),
+            log_a=np.array([c.log_a for c in comps]),
+            u=np.array([c.u for c in comps]),
+            weight_logits=rng.standard_normal(2),
         )
     if target_kind == "gaussian":
         return state, random_gaussian(rng, p)
@@ -690,7 +695,7 @@ def test_kl_audits_hold_one_block_of_temporaries(tag, kwargs):
     near=hst.integers(1, 4),
     seed=hst.integers(0, 2**16),
 )
-def test_mixture_log_density_and_grad_match_log_density_and_finite_differences(p, m, near, seed):
+def test_mixture_log_joint_and_grad_match_log_density_and_finite_differences(p, m, near, seed):
     # Rows near the modes and rows 50σ from every mode, where each weighted
     # component density exp(log w_j + log N_j) underflows to 0 unshifted.
     rng = np.random.default_rng(seed)

@@ -24,20 +24,25 @@ call event, so Adam's update counts the same whether m and v are two
 arrays or the rows of one.
 
 On the bimodal target (P = 8, two components) a step of mf, sN4 and a
-two-component rank-2 sGMM makes 32.7, 54.4 and 95.7 calls.  Looping
-over the target's components, and over the sGMM's in its draw, kernel
-and adjoint, took 66.7, 134.4 and 280.7; the numpy wrappers took sN4 and
-the sGMM to 101.4 and 142.7.
+two-component rank-2 sGMM makes 32.7, 54.4 and 85.5 calls.  The sGMM
+made 95.7 when it stored its components as states of their own and
+stacked them every step.  Looping over the target's components, and over
+the sGMM's in its draw, kernel and adjoint, took 66.7, 134.4 and 280.7;
+the numpy wrappers took sN4 and the sGMM to 101.4 and 142.7.
 
 Outside ``train``, each command at its defaults but 5 steps makes a
 fixed number of calls: its setup, audits and report.  They are counted
 on a second call in the process, so that no first call's one-time work
 (a first call in a fresh interpreter reads 23,371 for ``fit-gaussian
 --bimodal`` and 7,915 for ``rbf``) makes the count depend on which tests
-ran before.  ``rbf`` makes 4,199,
-``fit-gaussian`` 3,380, ``fit-gaussian --bimodal`` 19,659 and
-``dropout-audit`` 809, and 1,571 at ``n_droppable`` 20, where the exact
-predictive makes two passes over 128 blocks of atoms.  ``fit-gaussian``
+ran before.  ``rbf`` makes 4,133,
+``fit-gaussian`` 3,323, ``fit-gaussian --bimodal`` 18,526 and
+``dropout-audit`` 807, and 1,569 at ``n_droppable`` 20, where the exact
+predictive makes two passes over 128 blocks of atoms.  The four made
+4,199, 3,380, 19,659 and 809 (1,571 at ``n_droppable`` 20) while the
+layout was a walk that called a function per trained array and recursed
+into an sGMM's component states, and the sGMM restacked its components
+for every block of its audits.  ``fit-gaussian``
 made 3,382 while its target summed with ``ndarray.sum``.  ``rbf`` made
 4,390 when it built the dropout curves' figure data with no SVG to draw,
 and 4,244 when its ELBO audits read the regression's rows through a
@@ -156,7 +161,7 @@ def test_step_call_count_on_the_regression_target_is_bounded(tag, kwargs, bound)
     [
         ("mean_field", {}, 36),
         ("structured_normal", {"rank": 4}, 60),
-        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 105),
+        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 88),
     ],
     ids=["mf", "sn4", "sgmm"],
 )
@@ -172,7 +177,7 @@ def test_step_call_count_on_the_bimodal_target_is_bounded(tag, kwargs, bound):
     [
         (cli.cmd_rbf, cli.RbfConfig(steps=5), 4400),
         (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5), 3500),
-        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5, bimodal=True), 20700),
+        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5, bimodal=True), 19000),
         (cli.cmd_dropout_audit, cli.DropoutAuditConfig(steps=5), 830),
         (cli.cmd_dropout_audit, cli.DropoutAuditConfig(steps=5, n_droppable=20), 1650),
     ],
