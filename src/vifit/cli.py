@@ -188,12 +188,14 @@ def build_roster(ranks, mode: str, head=(), tail=()) -> list:
     """Members ``head``, then mf / sN{rank} for each rank, then ``tail``.
 
     Atomic families sample in naive mode and the rest in ``mode``; a member
-    that cannot, or a rank that is not a nonnegative integer, is rejected
-    here, before any training starts.
+    that cannot, or a rank that is not a nonnegative integer or repeats, is
+    rejected here, before any training starts.
     """
     for k in ranks:
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError(f"ranks must be nonnegative integers, got {k!r}")
+    if len(set(ranks)) < len(ranks):
+        raise ValueError(f"ranks must not repeat, got {list(ranks)!r}")
     ranked = [
         ("mf", "mean_field", {}) if k == 0 else (f"sn{k}", "structured_normal", {"rank": k})
         for k in ranks
@@ -369,6 +371,9 @@ def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
 
 
 def cmd_rbf(config: RbfConfig) -> ExperimentReport:
+    """Fit the roster to a synthetic RBF regression, audited against the exact
+    posterior.  Its figure, built only when its SVG is rendered, is the dropout
+    fit's exact predictive on the grid (``orc.dropout_predictive_exact``)."""
     head = [("map", "map", {}), ("mc_dropout", "mc_dropout", {"keep_prob": config.keep_prob})]
     roster = build_roster(config.ranks, config.mode, head=head)
     root = np.random.SeedSequence(config.seed)
@@ -394,11 +399,11 @@ def cmd_rbf(config: RbfConfig) -> ExperimentReport:
     )
     dropout = [f for _, f in fits if isinstance(f, fam.DropoutState)]
     if dropout:
-        # The curves' source: θ̂, keep_prob and droppable fix every atom and weight.
+        # The figure's source: θ̂, keep_prob and droppable fix every atom and weight.
         report.extras["dropout_state"] = fam.state_to_json_dict(dropout[-1])
         if dropout[-1].n_droppable <= fam.DROPOUT_ENUMERATION_LIMIT:
-            report.figures["dropout_curves"] = functools.partial(
-                _dropout_curves, problem, truth, dropout[-1], config.grid_points
+            report.figures["dropout_predictive"] = functools.partial(
+                _dropout_predictive, problem, truth, dropout[-1], config.grid_points
             )
     return report
 
@@ -417,15 +422,14 @@ def _posterior_fit_metrics(problem, posterior, evidence, theta_star, fitted, tcf
     return metrics
 
 
-def _dropout_curves(problem, truth, state: fam.DropoutState, grid_points: int) -> dict:
-    mixture = fam.enumerate_dropout(state)
+def _dropout_predictive(problem, truth, state: fam.DropoutState, grid_points: int) -> dict:
     grid = np.linspace(mod.DATA_INTERVAL[0], mod.DATA_INTERVAL[1], grid_points)
-    features = problem.features(grid)
+    predictive = orc.dropout_predictive_exact(state, problem, grid)
     return {
         "x": grid,
-        "weights": mixture.weights,
-        "curves": mixture.images(features),
-        "truth": features @ truth.theta_star,
+        "mean": predictive.mean(),
+        "sd": np.sqrt(predictive.variance()),
+        "truth": problem.features(grid) @ truth.theta_star,
         "data_x": problem.inputs,
         "data_t": problem.targets,
     }
@@ -564,8 +568,8 @@ def main(argv=None) -> int:
     formats = tuple(s.strip() for s in args.formats.split(",") if s.strip())
     try:
         unknown = set(formats) - set(FORMATS)
-        if unknown:
-            raise ValueError(f"unknown output formats: {sorted(unknown)}")
+        if unknown or not formats:
+            raise ValueError(f"--formats must name some of {FORMATS}, got {args.formats!r}")
         report = run_command(args)
         written = emit_report(report, args.out, formats)
     except Exception as err:  # noqa: BLE001 - CLI boundary

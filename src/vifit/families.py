@@ -771,7 +771,9 @@ class DropoutMixture:
     bit i of r; coordinates that cannot be dropped are always kept.  Atom r
     weighs p^{n_r} (1 − p)^{P_d − n_r}, n_r the number of ones in r.  The
     atoms stay implicit: ``blocks`` streams them, projected into the space
-    a caller reads, at most ``BLOCK_ROWS`` at a time.
+    a caller reads, at most ``BLOCK_ROWS`` at a time.  Only ``atoms`` and
+    ``weights`` tabulate all of them, for the small P_d that the acceptance
+    gate and the tests read.
     """
 
     theta_hat: np.ndarray  # (P,)
@@ -825,11 +827,6 @@ class DropoutMixture:
             tiled[...] = shift
             yield by_count[count], (wide + row).reshape(base.shape)
 
-    def images(self, features: np.ndarray) -> np.ndarray:
-        """Every atom's row of ``blocks``, shape (2^{P_d}, D), for small P_d:
-        a new array, which the caller owns, however many blocks there are."""
-        return np.concatenate([images for _, images in self.blocks(features)])
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Every atom's weight, shape (2^{P_d},), for small P_d; cached, so read-only."""
@@ -842,7 +839,8 @@ class DropoutMixture:
     def atoms(self) -> np.ndarray:
         """The (2^{P_d}, P) table of parameter vectors θ̂ ⊙ z, for small P_d;
         cached, so read-only."""
-        atoms = self.images(np.eye(self.theta_hat.size))
+        eye = np.eye(self.theta_hat.size)
+        atoms = np.concatenate([images for _, images in self.blocks(eye)])
         atoms.flags.writeable = False
         return atoms
 

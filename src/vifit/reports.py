@@ -174,11 +174,10 @@ class _Frame:
             self.height - 2 * self.margin
         )
 
-    def polyline(self, xs, ys, stroke, width="1", opacity="1"):
+    def polyline(self, xs, ys, stroke, width="1", fill="none"):
         pts = " ".join(f"{_fmt(self.x(a))},{_fmt(self.y(b))}" for a, b in zip(xs, ys))
         return (
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}" '
-            f'stroke-opacity="{opacity}" points="{pts}"/>'
+            f'<polyline fill="{fill}" stroke="{stroke}" stroke-width="{width}" points="{pts}"/>'
         )
 
     def circle(self, x, y, r, fill):
@@ -197,25 +196,21 @@ class _Frame:
         return "\n".join([head, frame_rect, *body, "</svg>"]) + "\n"
 
 
-def svg_atom_curves(doc: dict) -> str:
-    """Posterior atom curves over an input grid, truth and data overlaid."""
-    xs = np.asarray(doc["x"])
-    curves = np.asarray(doc["curves"])
-    weights = np.asarray(doc["weights"])
-    ys = [curves.min(), curves.max()]
-    if "truth" in doc:
-        truth = np.asarray(doc["truth"])
-        ys = [min(ys[0], truth.min()), max(ys[1], truth.max())]
-    pad = 0.05 * (ys[1] - ys[0] + 1e-9)
-    frame = _Frame((float(xs.min()), float(xs.max())), (ys[0] - pad, ys[1] + pad))
-    body = []
-    w_max = weights.max() if weights.size else 1.0
-    for curve, w in zip(curves, weights):
-        opacity = 0.08 + 0.6 * (w / w_max)
-        body.append(frame.polyline(xs, curve, "#3366cc", opacity=f"{opacity:.3f}"))
-    if "truth" in doc:
-        body.append(frame.polyline(xs, doc["truth"], "#000000", width="2"))
-    for x, t in zip(doc.get("data_x", []), doc.get("data_t", [])):
+def svg_dropout_predictive(doc: dict) -> str:
+    """The dropout predictive over an input grid: its mean and a ±2 sd band,
+    the truth and the data overlaid.  The same elements for any P_d."""
+    xs, mean, sd = (np.asarray(doc[k]) for k in ("x", "mean", "sd"))
+    low, high = mean - 2.0 * sd, mean + 2.0 * sd
+    shown = np.concatenate([low, high, doc["truth"], doc["data_t"]])
+    pad = 0.05 * (np.ptp(shown) + 1e-9)
+    frame = _Frame((float(xs.min()), float(xs.max())), (shown.min() - pad, shown.max() + pad))
+    band_x, band_y = np.concatenate([xs, xs[::-1]]), np.concatenate([high, low[::-1]])
+    body = [
+        frame.polyline(band_x, band_y, "none", fill="#c6d4f0"),  # a filled polyline closes
+        frame.polyline(xs, mean, "#3366cc", width="2"),
+        frame.polyline(xs, doc["truth"], "#000000", width="2"),
+    ]
+    for x, t in zip(doc["data_x"], doc["data_t"]):
         body.append(frame.circle(x, t, 2.5, "#a0522d"))
     return frame.document(body)
 
@@ -254,7 +249,7 @@ def svg_isolines(doc: dict) -> str:
 def _emit_svgs(report: ExperimentReport, out_dir: Path) -> list:
     written = []
     for name, filename, render in (
-        ("dropout_curves", "posterior_atoms.svg", svg_atom_curves),
+        ("dropout_predictive", "dropout_predictive.svg", svg_dropout_predictive),
         ("isolines", "posterior_isolines.svg", svg_isolines),
     ):
         if name in report.figures:

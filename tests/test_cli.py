@@ -160,27 +160,28 @@ def test_rbf_rows_and_curve_data(tmp_path):
         assert rows[atomic].metrics["kl_p_q"] == math.inf
     for gaussian in ("mf", "sn4"):
         assert math.isfinite(rows[gaussian].metrics["logq_theta_star"])
-    curves = report.figures["dropout_curves"]()
-    assert len(curves["curves"]) == 2**4
-    assert math.isclose(sum(curves["weights"]), 1.0, abs_tol=1e-12)
+    figure = report.figures["dropout_predictive"]()
+    for key in ("x", "mean", "sd", "truth"):
+        assert figure[key].shape == (config.grid_points,), key
+    assert np.all(figure["sd"] >= config.noise_sigma)  # the noise is in the spread
 
 
 def test_report_json_carries_results_not_figures():
     config = cli._load_config(cli.RbfConfig, None, dict(SMALL_RBF, seed=3))
     report = cli.cmd_rbf(config)
-    assert "dropout_curves" in report.figures
+    assert "dropout_predictive" in report.figures
     doc = report.to_json_dict()
     assert set(doc) == {"experiment", "seed", "config", "families", "extras", "environment"}
-    assert "dropout_curves" not in doc["extras"]
+    assert "dropout_predictive" not in doc["extras"]
     assert doc["environment"]["numpy"] == np.__version__
     assert {"name", "version"} <= set(doc["environment"]["lapack"])
     # Figures and environment take no part in the comparison.
     assert dataclasses.replace(report, figures={}, environment={}) == report
 
 
-def test_dropout_curves_rebuild_from_report_json(tmp_path, monkeypatch):
-    # report.json keeps the fitted dropout state the curves come from, so
-    # the figure can be redrawn from the file without retraining.
+def test_dropout_predictive_rebuilds_from_report_json(tmp_path, monkeypatch):
+    # report.json keeps the fitted dropout state the predictive comes from,
+    # so the figure can be redrawn from the file without retraining.
     datasets = []
     make_rbf_dataset = cli.mod.make_rbf_dataset
 
@@ -199,11 +200,11 @@ def test_dropout_curves_rebuild_from_report_json(tmp_path, monkeypatch):
         droppable=np.array(doc["droppable"], dtype=bool),
     )
     (problem, truth), = datasets
-    rebuilt = cli._dropout_curves(problem, truth, state, config.grid_points)
-    figure = report.figures["dropout_curves"]()
+    rebuilt = cli._dropout_predictive(problem, truth, state, config.grid_points)
+    figure = report.figures["dropout_predictive"]()
     assert rebuilt.keys() == figure.keys()
     for key, value in figure.items():
-        assert np.array_equal(rebuilt[key], value), key
+        np.testing.assert_array_equal(rebuilt[key].view(np.int64), value.view(np.int64), key)
 
 
 def test_default_rbf_report_json_is_small(tmp_path):
@@ -338,11 +339,14 @@ def test_rbf_memory_is_small():
     assert peak < 2e6
 
 
-def test_rbf_without_svg_builds_no_figure_data(tmp_path):
-    # 2^16 atom curves over 101 grid points are 53 MB, built only when
-    # posterior_atoms.svg is rendered.  Building them under the default
-    # formats peaked at 107 MB traced, and grows 4x for every two more
-    # basis functions.
+def test_rbf_without_svg_builds_no_figure_data(tmp_path, monkeypatch):
+    # The figure's data is the exact predictive over the grid, which
+    # streams all 2^{P_d} atoms; it is built only when
+    # dropout_predictive.svg is rendered, so here the predictive never runs.
+    def predictive(*_):
+        raise AssertionError("figure data built")
+
+    monkeypatch.setattr(cli.orc, "dropout_predictive_exact", predictive)
     cfg = write_config(tmp_path, {"n_basis": 16, "steps": 20, "ranks": [0]})
     rc, peak = traced_peak(cli.main, ["rbf", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -798,6 +802,14 @@ def test_config_value_out_of_range_rejected(command, key, value):
     assert repr(key) in message and repr(value) in message
 
 
+@pytest.mark.parametrize("command", ["rbf", "fit-gaussian"])
+@pytest.mark.parametrize("ranks", [[1, 1], [0, 0]], ids=["sn1-twice", "mf-twice"])
+def test_repeated_rank_rejected_before_training(command, ranks):
+    # Two rows of one label, each with its own numbers, would read as one fit.
+    message = assert_rejected_before_training(command, "ranks", ranks, "ValueError")
+    assert "repeat" in message and repr(ranks) in message
+
+
 # What a valid value of each config key is, by kind and, where values of
 # the right type can still be wrong, a range.  Every key of every command's
 # config is listed (test_every_config_key_has_a_spec).
@@ -1039,10 +1051,25 @@ def test_svg_emission(tmp_path):
         ["rbf", "--config", cfg, "--seed", "1", "--out", str(out), "--formats", "json,csv,svg"]
     )
     assert rc == 0
-    svg = (out / "posterior_atoms.svg").read_text()
+    svg = (out / "dropout_predictive.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    assert svg.count("<polyline") == 2**4 + 1  # one per atom plus the truth line
-    assert "dropout_curves" not in (out / "report.json").read_text()
+    # The ±2 sd band, the mean and the truth, and a point per datum, for any P_d.
+    assert svg.count("<polyline") == 3
+    assert svg.count("<circle") == SMALL_RBF["n_data"]
+    assert "dropout_predictive" not in (out / "report.json").read_text()
+
+
+def test_rbf_svg_is_small_at_many_atoms(tmp_path):
+    # At 2^14 atoms the figure's traced peak is 21.1 MB (a few blocks of the
+    # streamed predictive) and the SVG 10.5 KB; the bounds add 20% and 50%.
+    # One polyline per atom read 98 MB and wrote 27.7 MB, 4x for every two
+    # more basis functions.
+    cfg = write_config(tmp_path, {"n_basis": 14, "steps": 20, "ranks": [0]})
+    argv = ["rbf", "--config", cfg, "--out", str(tmp_path / "o"), "--formats", "json,csv,svg"]
+    rc, peak = traced_peak(cli.main, argv)
+    assert rc == 0
+    assert peak < 25e6
+    assert (tmp_path / "o" / "dropout_predictive.svg").stat().st_size < 16 * 1024
 
 
 def test_isolines_svg_for_2d_target(tmp_path):
@@ -1062,6 +1089,18 @@ def test_unknown_format_fails_with_error_record(tmp_path, capsys):
     assert rc == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("formats", ["", ",", " , "])
+def test_empty_formats_fail_before_training(tmp_path, capsys, monkeypatch, formats):
+    def train(*_):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.tr, "train", train)
+    assert cli.main(["rbf", "--out", str(tmp_path / "o"), "--formats", formats]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "--formats" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):

@@ -433,7 +433,8 @@ def test_enumeration_by_doubling_matches_the_bit_table(case):
     assert np.all(mixture.atoms == atoms)  # == treats the signed zeros alike
     # Relative to the largest |image| any atom can have.
     scale = np.max(np.abs(features) @ np.abs(state.theta_hat))
-    err = np.max(np.abs(mixture.images(features) - atoms @ features.T))
+    images = np.concatenate([images for _, images in mixture.blocks(features)])
+    err = np.max(np.abs(images - atoms @ features.T))
     assert err <= 1e-15 * scale
 
 
@@ -446,10 +447,9 @@ def test_nothing_droppable_is_one_atom_of_weight_one():
 
 
 @pytest.mark.parametrize("pd", [3, 14], ids=["one-block", "two-blocks"])
-def test_images_are_the_callers_and_cached_tables_are_read_only(pd):
-    # With one block of atoms (P_d <= 13) or more, images is a new writeable
-    # array that no other call shares, and the cached atoms and weights,
-    # which every caller shares, cannot be written.
+def test_cached_tables_are_read_only(pd):
+    # With one block of atoms (P_d <= 13) or more, the cached atoms and
+    # weights, which every caller shares, cannot be written.
     assert (1 << pd > fam.BLOCK_ROWS) == (pd > 13)
     st = fam.DropoutState(
         theta_hat=np.random.default_rng(31).uniform(-1.0, 1.0, pd),
@@ -457,11 +457,6 @@ def test_images_are_the_callers_and_cached_tables_are_read_only(pd):
         droppable=np.ones(pd, bool),
     )
     mixture = fam.enumerate_dropout(st)
-    features = np.random.default_rng(32).standard_normal((2, pd))
-    mine, theirs = mixture.images(features), mixture.images(features)
-    assert mine.flags.writeable and not np.shares_memory(mine, theirs)
-    mine[...] = 0.0
-    np.testing.assert_array_equal(mixture.images(features), theirs)
     for table in (mixture.atoms, mixture.weights):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -286,7 +286,8 @@ def test_predictive_density_integrates_to_one():
     problem, state = make_dropout_setup(pd=4, keep=0.5, seed=16)
     pred = orc.dropout_predictive_exact(state, problem, np.array([0.0]))
     mixture = fam.enumerate_dropout(state)
-    atom_means = mixture.images(problem.features(np.array([0.0])))
+    features = problem.features(np.array([0.0]))
+    atom_means = np.concatenate([images for _, images in mixture.blocks(features)])
     ys = np.linspace(-8, 8, 2001)
     z = (ys[:, None] - atom_means[:, 0]) / pred.noise_sigma
     dens = np.exp(-0.5 * z**2) @ mixture.weights / (pred.noise_sigma * math.sqrt(2 * math.pi))
