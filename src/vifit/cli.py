@@ -181,7 +181,7 @@ class Member(NamedTuple):
 
     @property
     def rank(self):
-        return self.kwargs.get("rank", 0 if self.tag == "mean_field" else None)
+        return self.kwargs.get("rank")
 
 
 def build_roster(ranks, mode: str, head=(), tail=()) -> list:
@@ -197,7 +197,7 @@ def build_roster(ranks, mode: str, head=(), tail=()) -> list:
     if len(set(ranks)) < len(ranks):
         raise ValueError(f"ranks must not repeat, got {list(ranks)!r}")
     ranked = [
-        ("mf", "mean_field", {}) if k == 0 else (f"sn{k}", "structured_normal", {"rank": k})
+        (f"sn{k}" if k else "mf", "structured_normal" if k else "mean_field", {"rank": k})
         for k in ranks
     ]
     roster = []
@@ -265,8 +265,7 @@ def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> 
 
 def random_gaussian_target(dim: int, rng: np.random.Generator) -> orc.GaussianDist:
     """Haar-rotated covariance with log-uniform spectrum in [0.1, 10]."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    q = fam.haar_orthogonal(dim, rng)
     eigs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=dim))
     cov = q @ np.diag(eigs) @ q.T
     return orc.GaussianDist(mean=rng.standard_normal(dim), cov=0.5 * (cov + cov.T))
@@ -327,7 +326,7 @@ def cmd_fit_gaussian(config: FitGaussianConfig) -> ExperimentReport:
         )
 
     if config.dim == 2 and not config.bimodal:
-        gaussians = [f for _, f in fits if isinstance(f, fam.GAUSSIAN_STATES)]
+        gaussians = [f for _, f in fits if isinstance(f, fam.StructuredNormalState)]
         report.figures["isolines"] = functools.partial(_isolines, target, gaussians)
     return report
 
@@ -350,7 +349,7 @@ def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
     if isinstance(fitted, fam.MapState):
         elbo = tr.elbo_estimate(fitted, target, tcfg, np.random.default_rng(mc_seq)).total
         return {"kl_p_q": math.inf, "kl_q_p": math.inf, "elbo": elbo}
-    if isinstance(fitted, fam.GAUSSIAN_STATES) and isinstance(target, orc.GaussianDist):
+    if isinstance(fitted, fam.StructuredNormalState) and isinstance(target, orc.GaussianDist):
         q = orc.family_to_gaussian(fitted)
         kl_pq, kl_qp = orc.kl_gaussian_gaussian(target, q), orc.kl_gaussian_gaussian(q, target)
         return {"kl_p_q": kl_pq, "kl_q_p": kl_qp, "elbo": -kl_qp}
@@ -410,7 +409,7 @@ def cmd_rbf(config: RbfConfig) -> ExperimentReport:
 
 def _posterior_fit_metrics(problem, posterior, evidence, theta_star, fitted, tcfg, mc_seq) -> dict:
     metrics = {"logq_theta_star": orc.log_density_of_truth(fitted, theta_star)}
-    if isinstance(fitted, fam.GAUSSIAN_STATES):
+    if isinstance(fitted, fam.StructuredNormalState):
         q = orc.family_to_gaussian(fitted)
         kl_pq = orc.kl_gaussian_gaussian(posterior, q)
         kl_qp = orc.kl_gaussian_gaussian(q, posterior)

@@ -2,13 +2,15 @@
 
 Five families share one contract: initialization from a parameter count,
 reparametrized sampling (naive / paired / unscented), log-density
-evaluation and a flat-vector parameter layout.  Each family has one
-implementation of what training needs, ``draws_logq_vjp``: its draws,
-their sampled log q and, for a stratified sGMM batch, their coefficients,
-with the closed-form adjoint of all three back to psi.  It realizes every
-batch of q's draws, not only training's: ``sample`` realizes a whole
-batch with it, and ``sample_blocks`` each block of the Monte-Carlo
-audits' draws, with that block's log q.
+evaluation and a flat-vector parameter layout.  There is one Gaussian
+family, the structured normal N(mu, diag(a) + U Uᵀ), whose scale trains as
+log a; mean field (mf) is its K = 0 member, with a (P, 0) U, under its own
+tag.  Each family has one implementation of what training needs,
+``draws_logq_vjp``: its draws, their sampled log q and, for a stratified
+sGMM batch, their coefficients, with the closed-form adjoint of all three
+back to psi.  It realizes every batch of q's draws, not only training's:
+``sample`` realizes a whole batch with it, and ``sample_blocks`` each
+block of the Monte-Carlo audits' draws, with that block's log q.
 
 Layout rule: each state class lists its trained arrays in pack order in
 ``TRAINED``, and the flat vector psi is those arrays raveled and
@@ -85,30 +87,6 @@ class MapState:
 
 
 @dataclass
-class MeanFieldState:
-    mu: np.ndarray
-    log_sigma: np.ndarray
-    tag = "mean_field"
-    TRAINED = ("mu", "log_sigma")
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.log_sigma)
-
-    @property
-    def a_diag(self) -> np.ndarray:
-        """The covariance's diagonal part A: here all of it."""
-        return self.sigma**2
-
-    def cov(self) -> StructuredCov:
-        return StructuredCov.diagonal(self.a_diag)
-
-
-@dataclass
 class StructuredNormalState:
     mu: np.ndarray
     log_a: np.ndarray
@@ -131,6 +109,11 @@ class StructuredNormalState:
 
     def cov(self) -> StructuredCov:
         return StructuredCov(diag=self.a_diag, factor=self.u)
+
+
+# Mean field is the rank-0 structured normal, under its own tag.
+class MeanFieldState(StructuredNormalState):
+    tag = "mean_field"
 
 
 @dataclass
@@ -190,7 +173,6 @@ FAMILIES = {cls.tag: cls for cls in get_args(FamilyState)}
 
 ATOMIC_STATES = (MapState, DropoutState)
 ATOMIC_TAGS = tuple(cls.tag for cls in ATOMIC_STATES)
-GAUSSIAN_STATES = (MeanFieldState, StructuredNormalState)
 
 
 def init_family(
@@ -216,13 +198,10 @@ def init_family(
 
     if tag == "map":
         return MapState(theta_hat=draw_mean())
-    if tag == "mean_field":
-        return MeanFieldState(mu=draw_mean(), log_sigma=np.log(0.05 * bound))
-    if tag == "structured_normal":
-        u = rng.standard_normal((p, rank)) * (0.01 * bound)[:, None]
-        return StructuredNormalState(
-            mu=draw_mean(), log_a=2.0 * np.log(0.05 * bound), u=u
-        )
+    if tag in ("mean_field", "structured_normal"):
+        k = rank if tag == "structured_normal" else 0
+        u = rng.standard_normal((p, k)) * (0.01 * bound)[:, None]
+        return FAMILIES[tag](mu=draw_mean(), log_a=2.0 * np.log(0.05 * bound), u=u)
     if tag == "mixture":
         common = draw_mean()
         mu, u = [], []
@@ -324,7 +303,9 @@ class SampleBatch:
     noise: NoiseBatch
 
 
-def _haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
+def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed k×k orthogonal matrix: the Q of a standard normal
+    matrix's QR, its columns' signs fixed so that R's diagonal is positive."""
     m = rng.standard_normal((k, k))
     q, r = np.linalg.qr(m)
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
@@ -349,7 +330,8 @@ def check_mode(tag: str, mode: str, rank: int = 0):
         raise ModeFamilyError("unscented mode requires a structured normal with rank >= 1")
 
 
-def _validate_mode(state: FamilyState, mode: str, count: int):
+def _validate_mode(state: FamilyState, mode: str, count: int) -> int:
+    """Check ``count`` draws in ``mode``; returns the state's rank, 0 if it has none."""
     rank = getattr(state, "rank", 0)
     check_mode(state.tag, mode, rank)
     if count < 1:
@@ -358,6 +340,7 @@ def _validate_mode(state: FamilyState, mode: str, count: int):
         raise ValueError("paired mode requires an even count")
     if mode == "unscented" and count % (2 * rank):
         raise ValueError(f"unscented count must be a multiple of 2K = {2 * rank}")
+    return rank
 
 
 def draw_noise(
@@ -383,7 +366,7 @@ def draw_noise(
     audits take the same numbers a block of rows at a time through
     ``sample_blocks``.
     """
-    _validate_mode(state, mode, count)
+    k = _validate_mode(state, mode, count)
     n = 1 if steps is None else steps
     p = state.dim
     if isinstance(state, ATOMIC_STATES):
@@ -397,15 +380,13 @@ def draw_noise(
             else:
                 half = rng.choice(state.n_components, size=count // 2, p=state.weights)
                 comp = np.repeat(half, 2)
-            (z_diag,), (z_lowrank,) = _gaussian_noise(rng, mode, 1, count, p, state.rank)
+            (z_diag,), (z_lowrank,) = _gaussian_noise(rng, mode, 1, count, p, k)
             batches.append(NoiseBatch(count, z_diag, z_lowrank, comp))
     else:
         comp = None
         if isinstance(state, MixtureState):
             comp = _stratified_components(state.n_components, mode, count)
-        z_diag, z_lowrank = _gaussian_noise(
-            rng, mode, n, count, p, getattr(state, "rank", 0)
-        )
+        z_diag, z_lowrank = _gaussian_noise(rng, mode, n, count, p, k)
         batches = [
             NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
             for zd, zl in zip(z_diag, z_lowrank)
@@ -446,7 +427,7 @@ def _unscented(rng, count: int, p: int, k: int) -> tuple:
     z_lowrank = np.empty((count, k))
     scale = math.sqrt(k)
     for g in range(count // (2 * k)):
-        q = _haar_orthogonal(k, rng)
+        q = haar_orthogonal(k, rng)
         for j in range(k):
             row = g * 2 * k + 2 * j
             z_lowrank[row] = scale * q[:, j]
@@ -468,27 +449,25 @@ def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
 
 
 def _scale_and_factor(params: dict):
-    """Per-coordinate std and low-rank factor from ``_trained`` parameters,
-    (M, ·) stacked for an sGMM."""
-    if "log_sigma" in params:
-        return np.exp(params["log_sigma"]), None
+    """Per-coordinate std exp(½ log a) and low-rank factor from ``_trained``
+    parameters, (M, ·) stacked for an sGMM."""
     return np.exp(0.5 * params["log_a"]), params["u"]
 
 
-def _chain_draw(params: dict, scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
-    """Flat adjoint of one Gaussian's (mu, log-scale, U) block, or the (M, ·)
+def _chain_draw(scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
+    """Flat adjoint of one Gaussian's (mu, log_a, U) block, or the (M, ·)
     rows of M components' blocks.
 
     ``draw_bar`` is the adjoint of the rows drawn from it (noise ``z_diag``,
     ``z_lowrank``); ``mean_bar``, ``d_a`` and ``d_factor`` come through its
-    log-density.  scale = exp(log_sigma) or exp(½ log_a), and a = scale².
-    For M components ``draw_bar`` is (M, S, P), zero at the rows drawn from
-    other components: a zero adds nothing to a sum, so each row of the
-    result is what that component's own rows alone give.
+    log-density.  scale = exp(½ log_a), and a = scale².  For M components
+    ``draw_bar`` is (M, S, P), zero at the rows drawn from other
+    components: a zero adds nothing to a sum, so each row of the result is
+    what that component's own rows alone give.  At K = 0 (mean field) the
+    kernel gives no ``d_factor`` and U's block is empty.
     """
-    dscale_dlog = scale if "log_sigma" in params else 0.5 * scale
     d_scale = np.add.reduce(draw_bar * z_diag, axis=-2) + 2.0 * scale * d_a
-    parts = [mean_bar, d_scale * dscale_dlog]
+    parts = [mean_bar, d_scale * (0.5 * scale)]
     if d_factor is not None:
         parts.append((draw_bar.mT @ z_lowrank + d_factor).reshape(*mean_bar.shape[:-1], -1))
     return parts
@@ -533,7 +512,7 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
         d_theta, d_a, d_factor = logq_vjp(logq_bar)
         # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
         parts = _chain_draw(
-            params, scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=0), d_a, d_factor,
+            scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=0), d_a, d_factor,
             noise.z_diag, noise.z_lowrank,
         )
         return np.concatenate(parts)
@@ -574,7 +553,7 @@ def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -
         # mean through θ − mean at every row.
         mean_bar = np.add.reduce(draw_bar, axis=1) - np.add.reduce(d_theta, axis=1)
         parts = _chain_draw(
-            params, scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
+            scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
         )
         log_w_bar = np.add.reduce(per_bar, axis=1)
         if coeff is not None:  # coeff_k = M w_{c_k}
@@ -614,16 +593,15 @@ def sample_blocks(state: FamilyState, rng: np.random.Generator, n: int):
 
     ``rng`` gives what ``draw_noise(state, "naive", n, rng)`` takes, in the
     same order, and is left in the same state.  The dropout masks'
-    uniforms and the z_diag of mf (or of a rank-0 sN) are drawn a block at
-    a time.  An sN or sGMM of rank K ≥ 1 draws its component ids and z_diag
+    uniforms and the z_diag of mf, the rank-0 sN, are drawn a block at a
+    time.  An sN or sGMM of rank K ≥ 1 draws its component ids and z_diag
     whole, since the stream puts them before z_lowrank and numpy's normals
     take a varying count of raw outputs, so the generator cannot skip to
     z_lowrank; only z_lowrank is drawn a block at a time.  ``log_q`` is
     None for the atomic families.  No block's adjoint is kept, so a caller
     holds one block of the kernel's temporaries at a time.
     """
-    _validate_mode(state, "naive", n)
-    p, k = state.dim, getattr(state, "rank", 0)
+    p, k = state.dim, _validate_mode(state, "naive", n)
     params = _trained(state)
     comp = None
     if isinstance(state, MixtureState):
@@ -719,17 +697,14 @@ def log_density(state: FamilyState, theta: np.ndarray):
 def has_zero_variance(state: FamilyState) -> bool:
     """Whether a Gaussian family's float64 variance is 0 in some coordinate.
 
-    The variance is scale² (plus Σ_k U_ik² for sN) as ``log_density``
-    computes it; where it underflows to 0, q is a point mass along that
-    coordinate and has no density.  False for every other family.
+    The variance is scale² + Σ_k U_ik² as ``log_density`` computes it;
+    where it underflows to 0, q is a point mass along that coordinate and
+    has no density.  False for every other family.
     """
-    if not isinstance(state, GAUSSIAN_STATES):
+    if not isinstance(state, StructuredNormalState):
         return False
     scale, factor = _scale_and_factor(_trained(state))
-    variance = scale * scale
-    if factor is not None:
-        variance = variance + (factor * factor).sum(axis=1)
-    return not variance.all()
+    return not (scale * scale + (factor * factor).sum(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,6 @@ class StructuredCov:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "factor", factor)
 
-    @classmethod
-    def diagonal(cls, diag: np.ndarray) -> "StructuredCov":
-        diag = np.asarray(diag, dtype=np.float64)
-        return cls(diag=diag, factor=np.zeros((diag.shape[0], 0)))
-
     @property
     def dim(self) -> int:
         return self.diag.shape[0]
@@ -178,12 +173,12 @@ def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):
 def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):
     """Reparametrized draws: mean + scale ⊙ z + U z_lr.
 
-    ``scale`` is the per-coordinate standard deviation; ``factor`` may be
-    None for a diagonal covariance.  Stacked (M, 1, P) means and scales with
+    ``scale`` is the per-coordinate standard deviation; a (P, 0) ``factor``
+    is a diagonal covariance.  Stacked (M, 1, P) means and scales with
     an (M, P, K) factor give every component's draw at every row, (M, S, P).
     """
     theta = mean + scale * z_diag
-    if z_lowrank is not None and z_lowrank.shape[-1] > 0:
+    if z_lowrank.shape[-1] > 0:
         theta = theta + z_lowrank @ factor.mT
     return theta
 
@@ -192,11 +187,11 @@ def lowrank_logpdf(theta, mean, a_diag, factor):
     """Structured-Gaussian log-density under N(mean, diag(a) + UUᵀ): the
     value half of ``lowrank_logpdf_and_vjp``, stacked components included.
 
-    ``theta`` may be a single point (P,) or rows (S, P); ``factor`` may be
-    None for a diagonal covariance.  Raises ``ad.MemberFailure`` when the
-    capacitance system is degenerate.  A row of θ that is not finite gets
-    a log q that is not finite, and so does every row when the mean is not
-    finite; the Monte-Carlo audits report that as ``ad.MemberFailure``.
+    ``theta`` may be a single point (P,) or rows (S, P); a (P, 0)
+    ``factor`` is a diagonal covariance.  Raises ``ad.MemberFailure`` when
+    the capacitance system is degenerate.  A row of θ that is not finite
+    gets a log q that is not finite, and so does every row when the mean is
+    not finite; the Monte-Carlo audits report that as ``ad.MemberFailure``.
     """
     log_q = lowrank_logpdf_and_vjp(theta.reshape(-1, mean.shape[-1]), mean, a_diag, factor)[0]
     return log_q if theta.ndim > 1 else log_q[..., 0][()]  # a float, or (M,) when stacked
@@ -220,8 +215,8 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     factor gives log det C, and one LU solve gives Σ⁻¹U = BC⁻¹ with
     B = A⁻¹U.  Uᵀv_k = (BC⁻¹)ᵀ(θ_k − mean) is then a matrix product, so the
     solve's cost does not grow with the number of rows.  v_k and diag Σ⁻¹
-    are formed only when the adjoint is asked for.  ``factor`` may be None
-    (or have K = 0) for a diagonal covariance; ``d_factor`` is then None.
+    are formed only when the adjoint is asked for.  A ``factor`` with K = 0
+    is a diagonal covariance; ``d_factor`` is then None.
 
     M components at once: with ``mean`` and ``a_diag`` of shape (M, P) and
     ``factor`` (M, P, K), every component is evaluated at the same rows.
@@ -231,7 +226,7 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     ``ad.MemberFailure`` as the module notes say.
     """
     p = theta.shape[-1]
-    k = 0 if factor is None else factor.shape[-1]
+    k = factor.shape[-1]
     stacked = mean.ndim > 1  # M components: each one's mean and a broadcast over the rows
     a_rows = a_diag[:, None] if stacked else a_diag
     r = theta - (mean[:, None] if stacked else mean)

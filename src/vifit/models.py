@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-LOG_TWO_PI = math.log(2.0 * math.pi)
+from .lowrank import LOG_TWO_PI
 
 DATA_INTERVAL = (-1.0, 1.0)
 

@@ -36,9 +36,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import families as fam
+from .lowrank import LOG_TWO_PI
 from .models import RegressionProblem
-
-LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,9 @@ moments, forming the (1 − β)g terms and correcting the bias take one ufunc
 call each, on operands of one shape, and each element still meets the
 operations of its own array's update in the same order.  On a regression
 target with P = 10 and 8 draws, a step of MAP or dropout makes 14.3
-Python-level calls, mf 25.3 and sN of any rank 47.4
-(``tests/test_step_cost.py`` counts them).
+Python-level calls, sN of any rank K ≥ 1 47.4, and mf, the rank-0 sN,
+whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
+counts them).
 """
 
 from __future__ import annotations

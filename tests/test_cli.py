@@ -457,8 +457,8 @@ def test_update_that_overflows_psi_fails_only_its_member(tmp_path, capsys, argv)
 
 
 def _point_mass_mf(state):
-    # exp(−400)² underflows to 0: a point mass in float64.
-    state.log_sigma[:] = -400.0
+    # a = exp(−800) underflows to 0, and so does exp(−400)²: a point mass in float64.
+    state.log_a[:] = -800.0
 
 
 def _point_mass_sn(state):
@@ -620,8 +620,7 @@ def _mean(state):
 
 
 def _log_scale(state):
-    part = _gaussian_part(state)
-    return part.log_sigma if part.tag == "mean_field" else part.log_a
+    return _gaussian_part(state).log_a
 
 
 # name: (members it applies to, the array it writes, the value written)

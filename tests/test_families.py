@@ -13,6 +13,12 @@ import vifit.families as fam
 import vifit.oracle as orc
 from vifit.lowrank import StructuredCov, structured_logpdf
 
+def make_mf(mu, a):
+    """Mean field N(mu, diag(a)): the structured normal with a (P, 0) factor."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return fam.MeanFieldState(mu=mu, log_a=np.log(a), u=np.zeros((mu.size, 0)))
+
+
 def make_sn(rng, p=4, k=2, scale=0.4):
     return fam.StructuredNormalState(
         mu=rng.standard_normal(p),
@@ -48,9 +54,7 @@ def closed_form_draws(state, noise):
     if state.tag in fam.ATOMIC_TAGS:
         return state.theta_hat * noise.masks
     every = [
-        c.mu + c.sigma * noise.z_diag
-        if c.tag == "mean_field"
-        else c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
+        c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
         for c in components(state)
     ]
     own = 0 if noise.components is None else noise.components
@@ -81,27 +85,13 @@ def test_init_unknown_tag():
 
 def test_init_bounds_follow_fan_in():
     # Every coordinate has fan-in p = 100: means in ±1/√p, scales 0.05/√p.
+    # Mean field is the rank-0 structured normal and inits as one.
     st = fam.init_family("mean_field", 100, np.random.default_rng(1))
     assert np.all(np.abs(st.mu) <= 0.1)
-    np.testing.assert_allclose(st.sigma, 0.05 * 0.1)
-
-
-def test_rank_zero_structured_matches_mean_field():
-    rng = np.random.default_rng(2)
-    sn = fam.init_family("structured_normal", 4, rng, rank=0)
-    mf = fam.MeanFieldState(mu=sn.mu.copy(), log_sigma=0.5 * sn.log_a.copy())
-    theta = np.random.default_rng(3).standard_normal((6, 4))
-    np.testing.assert_allclose(
-        fam.log_density(sn, theta), fam.log_density(mf, theta), rtol=1e-12
-    )
-    assert math.isclose(
-        orc.family_to_gaussian(sn).entropy(), orc.family_to_gaussian(mf).entropy(), rel_tol=1e-12
-    )
-    noise = fam.draw_noise(sn, "naive", 5, np.random.default_rng(4))
-    draws_sn = fam.sample(sn, "naive", 5, np.random.default_rng(4)).draws
-    draws_mf = fam.sample(mf, "naive", 5, np.random.default_rng(4)).draws
-    np.testing.assert_allclose(draws_sn, closed_form_draws(sn, noise), rtol=1e-12)
-    np.testing.assert_allclose(draws_sn, draws_mf, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(0.5 * st.log_a), 0.05 * 0.1)
+    sn = fam.init_family("structured_normal", 100, np.random.default_rng(1), rank=0)
+    np.testing.assert_array_equal(fam.pack(st), fam.pack(sn))
+    assert st.u.shape == (100, 0)
 
 
 # -----------------------------------------------------------------------
@@ -237,7 +227,7 @@ def test_dropout_all_ones_atom_log_weight():
 
 def test_mean_field_density_at_mean_unit_sigma():
     p = 3
-    st = fam.MeanFieldState(mu=np.zeros(p), log_sigma=np.zeros(p))
+    st = make_mf(np.zeros(p), np.ones(p))
     assert math.isclose(
         fam.log_density(st, np.zeros(p)), -0.5 * p * math.log(2 * math.pi), rel_tol=1e-12
     )
@@ -288,7 +278,7 @@ def test_density_normalization_by_quadrature():
     xx, yy = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    mf = fam.MeanFieldState(mu=np.array([0.4, -0.2]), log_sigma=np.log([0.8, 1.3]))
+    mf = make_mf([0.4, -0.2], [0.8**2, 1.3**2])
     sn = fam.StructuredNormalState(
         mu=np.array([0.1, 0.5]), log_a=np.log([0.5, 0.9]), u=np.array([[0.7], [-0.4]])
     )
@@ -305,7 +295,7 @@ def test_density_normalization_by_quadrature():
 
     # 1-D case
     xs = np.linspace(-12, 12, 4001)
-    st1 = fam.MeanFieldState(mu=np.array([0.2]), log_sigma=np.array([0.1]))
+    st1 = make_mf([0.2], np.exp([0.2]))
     total = np.trapezoid(np.exp(fam.log_density(st1, xs[:, None])), xs)
     assert abs(total - 1.0) < 1e-4
 
@@ -328,15 +318,11 @@ def test_entropy_values():
     def entropy(state):
         return orc.family_to_gaussian(state).entropy()
 
-    st = fam.MeanFieldState(mu=np.zeros(1), log_sigma=np.zeros(1))
+    st = make_mf(np.zeros(1), np.ones(1))
     assert math.isclose(entropy(st), 0.5 * math.log(2 * math.pi * math.e), rel_tol=1e-12)
-    sn = fam.StructuredNormalState(
-        mu=np.zeros(2), log_a=np.log([0.5, 2.0]), u=np.zeros((2, 0))
-    )
-    mf = fam.MeanFieldState(mu=np.zeros(2), log_sigma=0.5 * np.log([0.5, 2.0]))
-    assert math.isclose(entropy(sn), entropy(mf), rel_tol=1e-12)
+    mf = make_mf(np.zeros(2), [0.5, 2.0])
     # ½ log det(2πe Σ) with Σ = diag(0.5, 2): log det Σ = 0.
-    assert math.isclose(entropy(sn), math.log(2 * math.pi * math.e), rel_tol=1e-12)
+    assert math.isclose(entropy(mf), math.log(2 * math.pi * math.e), rel_tol=1e-12)
 
 
 # -----------------------------------------------------------------------
@@ -510,7 +496,7 @@ def expected_names(tag):
     return {
         "map": ["theta_hat"],
         "mc_dropout": ["theta_hat"],
-        "mean_field": ["mu", "log_sigma"],
+        "mean_field": ["mu", "log_a", "u"],
         "structured_normal": ["mu", "log_a", "u"],
         "mixture": ["mu", "log_a", "u", "weight_logits"],
     }[tag]
@@ -600,13 +586,14 @@ def test_layout_json_document_holds_psi(case):
 
 
 # One state_to_json_dict document per family, as written before the layout
-# was declared per class, and the sGMM's as written since it stores its
-# components stacked: writing the state it holds must give the same JSON
-# text, up to key order.
+# was declared per class, the sGMM's as written since it stores its
+# components stacked, and mf's as written since it is the rank-0 structured
+# normal: writing the state it holds must give the same JSON text, up to
+# key order.
 RECORDED_DOCS = [
     '{"family": "map", "p": 2, "theta_hat": [0.4313392713241635, 0.4354940412532311]}',
     '{"family": "mean_field", "p": 2, "mu": [0.4313392713241635, 0.4354940412532311], '
-    '"log_sigma": [-3.3423058638339636, -3.3423058638339636]}',
+    '"log_a": [-6.684611727667927, -6.684611727667927], "rank": 0, "u": []}',
     '{"family": "structured_normal", "p": 2, "mu": [0.021673616276774, -0.30292259332094984], '
     '"log_a": [-6.684611727667927, -6.684611727667927], "rank": 1, '
     '"u": [-0.005670511488433056, -0.009364632265340664]}',
@@ -626,11 +613,9 @@ def recorded_state(doc: dict):
 
     if tag == "map":
         return fam.MapState(theta_hat=np.array(doc["theta_hat"]))
-    if tag == "mean_field":
-        return fam.MeanFieldState(mu=np.array(doc["mu"]), log_sigma=np.array(doc["log_sigma"]))
-    if tag == "structured_normal":
+    if tag in ("mean_field", "structured_normal"):
         u = np.array(doc["u"]).reshape(p, doc["rank"])
-        return fam.StructuredNormalState(
+        return fam.FAMILIES[tag](
             mu=np.array(doc["mu"]), log_a=np.array(doc["log_a"]), u=u
         )
     if tag == "mixture":

@@ -90,9 +90,7 @@ def closed_form_draws(state, noise):
     if state.tag in fam.ATOMIC_TAGS:
         return state.theta_hat * noise.masks
     every = [
-        c.mu + c.sigma * noise.z_diag
-        if c.tag == "mean_field"
-        else c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
+        c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
         for c in components(state)
     ]
     own = 0 if noise.components is None else noise.components
@@ -356,8 +354,8 @@ def _poisoned(tag, p, rng):
         psi[:] = 1e200  # the residuals overflow once squared; their gradient does not
         expected = ("log joint", "finite gradient")
     elif tag == "mean_field":
-        psi[p:] = 800.0  # exp(log_sigma) overflows: every draw is ±inf
-        expected = ("log joint", "gradient not finite in psi blocks mu, log_sigma")
+        psi[p:] = 1600.0  # exp(½ log_a) overflows: every draw is ±inf
+        expected = ("log joint", "gradient not finite in psi blocks mu, log_a")
     else:
         psi[:p] = 1e160  # draws this large overflow once squared
         expected = ("log joint", "finite gradient")

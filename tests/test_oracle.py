@@ -189,7 +189,9 @@ def test_kl_mc_cross_check_mean_field_vs_correlated_target():
     rng = np.random.default_rng(8)
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     p = orc.GaussianDist(mean=np.array([0.3, -0.2]), cov=cov)
-    mf = fam.MeanFieldState(mu=np.array([0.1, 0.1]), log_sigma=np.log([0.8, 1.1]))
+    mf = fam.MeanFieldState(
+        mu=np.array([0.1, 0.1]), log_a=2.0 * np.log([0.8, 1.1]), u=np.zeros((2, 0))
+    )
     exact = orc.kl_gaussian_gaussian(p, orc.family_to_gaussian(mf))
     est, se = orc.kl_p_to_family_mc(p, mf, 200_000, rng)
     assert abs(est - exact) < 3 * se
@@ -489,8 +491,6 @@ def whole_batch_family_sample(state, n, rng):
         return state.theta_hat * noise.masks
 
     def realize(c):
-        if isinstance(c, fam.MeanFieldState):
-            return c.mu + np.exp(c.log_sigma) * noise.z_diag
         return c.mu + np.exp(0.5 * c.log_a) * noise.z_diag + noise.z_lowrank @ c.u.T
 
     if not isinstance(state, fam.MixtureState):
@@ -527,7 +527,7 @@ def audit_case(kind, p, k, target_kind, rng):
 
     if kind == "mf":
         state = fam.MeanFieldState(
-            mu=rng.standard_normal(p), log_sigma=0.5 * rng.standard_normal(p)
+            mu=rng.standard_normal(p), log_a=rng.standard_normal(p), u=np.zeros((p, 0))
         )
     elif kind == "sn":
         state = sn(1.0)

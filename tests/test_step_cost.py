@@ -9,7 +9,9 @@ by its steps, for every member the commands fit, each bounded a little
 above its count.  Bounds are only ever lowered.
 
 On the regression target (P = 10, 8 draws) a step of MAP and
-``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 47.4; sN4 makes
+``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 47.4.  mf is
+the rank-0 sN, whose log-q kernel skips the capacitance; it made 25.3
+too when it trained log σ in a class of its own.  sN4 makes
 47.5 on a ``GaussianDist``, and made 49.5 when that target summed its
 quadratic form with ``ndarray.sum``, whose Python wrapper costs two calls
 more than ``np.add.reduce``.  Each made one more while the step's value
@@ -24,7 +26,8 @@ call event, so Adam's update counts the same whether m and v are two
 arrays or the rows of one.
 
 On the bimodal target (P = 8, two components) a step of mf, sN4 and a
-two-component rank-2 sGMM makes 32.7, 54.4 and 85.5 calls.  The sGMM
+two-component rank-2 sGMM makes 32.7 (as when mf trained log σ), 54.4
+and 85.5 calls.  The sGMM
 made 95.7 when it stored its components as states of their own and
 stacked them every step.  Looping over the target's components, and over
 the sGMM's in its draw, kernel and adjoint, took 66.7, 134.4 and 280.7;

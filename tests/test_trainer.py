@@ -170,28 +170,8 @@ def test_mean_field_fits_diagonal_target_marginals():
     fitted = trace.final_state
     np.testing.assert_allclose(fitted.mu, target.mean, atol=0.05)
     np.testing.assert_allclose(
-        fitted.sigma, np.sqrt(np.diag(target.cov)), rtol=0.05
+        np.exp(0.5 * fitted.log_a), np.sqrt(np.diag(target.cov)), rtol=0.05
     )
-
-
-def test_rank_zero_structured_trains_to_mean_field_quality():
-    # Degenerate-rank sN and mean-field are the same family; trained to
-    # convergence on one target they reach the same fit up to MC noise.
-    rng = np.random.default_rng(60)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    cov = q @ np.diag([0.4, 1.0, 2.5]) @ q.T
-    target = orc.GaussianDist(mean=rng.standard_normal(3), cov=0.5 * (cov + cov.T))
-    config = tr.TrainConfig(
-        steps=3000, learning_rate=0.02, lr_decay=0.9992, mc_samples=8,
-        mode="paired", seed=61,
-    )
-    kls = {}
-    for tag, kwargs in [("mean_field", {}), ("structured_normal", {"rank": 0})]:
-        state = fam.init_family(tag, 3, np.random.default_rng(62), **kwargs)
-        trace = tr.train(state, target, config)
-        fitted = orc.family_to_gaussian(trace.final_state)
-        kls[tag] = orc.kl_gaussian_gaussian(target, fitted)
-    assert abs(kls["mean_field"] - kls["structured_normal"]) < 0.05
 
 
 def test_zero_learning_rate_is_identity():
