@@ -213,20 +213,8 @@ def build_roster(ranks, mode: str, head=(), tail=()) -> list:
     return roster
 
 
-def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
-    """init over ``p`` parameters → train → audit one member; returns
-    (FamilyResult, fitted state).
-
-    ``seqs`` are the member's (init, train, audit) seed sequences and
-    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Each
-    numerical failure is an ``ad.MemberFailure``: training's propagate, a
-    fitted state that is not finite fails naming its non-finite psi blocks
-    before any audit runs, and an audit that gives a NaN metric fails
-    naming it.
-    """
-    init_seq, train_seq, audit_seq = seqs
-    state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
-    tcfg = tr.TrainConfig(
+def _train_config(member: Member, config, train_seq) -> tr.TrainConfig:
+    return tr.TrainConfig(
         steps=config.steps,
         learning_rate=config.learning_rate,
         lr_decay=config.lr_decay,
@@ -234,7 +222,12 @@ def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
         mode=member.mode,
         seed=_child_seed(train_seq),
     )
-    trace = tr.train(state, target, tcfg)
+
+
+def _audited(member: Member, trace, tcfg, audit, audit_seq) -> tuple:
+    """(FamilyResult, fitted state) of a trained member: a fitted state that
+    is not finite fails naming its non-finite psi blocks before any audit
+    runs, and an audit that gives a NaN metric fails naming it."""
     blocks = fam.nonfinite_blocks(trace.final_state, fam.pack(trace.final_state))
     if blocks:
         raise ad.MemberFailure(f"fitted state is not finite in psi blocks {', '.join(blocks)}")
@@ -245,18 +238,59 @@ def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
     return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
 
 
-def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
-    """``fit_member`` per member, each seed sequence spawned once per member.
+def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
+    """init over ``p`` parameters → train alone → audit one member; returns
+    (FamilyResult, fitted state).
 
-    A member whose fit raises ``ad.MemberFailure`` (its training fails, or
-    its audit meets a numerically degenerate fit) gets an empty row and a
-    None state; the rest of the roster still runs.  Other errors end the
-    command.
+    ``seqs`` are the member's (init, train, audit) seed sequences and
+    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Each
+    numerical failure is an ``ad.MemberFailure``: training's propagate,
+    and so do the checks of ``_audited``.
     """
+    init_seq, train_seq, audit_seq = seqs
+    state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
+    tcfg = _train_config(member, config, train_seq)
+    return _audited(member, tr.train(state, target, tcfg), tcfg, audit, audit_seq)
+
+
+def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
+    """init → train → audit every member, each seed sequence spawned once
+    per member; returns (FamilyResult, fitted state) per member, in roster
+    order.
+
+    The mf and sN members train as stacks (``tr.train_stack``), one per
+    sampling mode and effective sample count; MAP, MC dropout and the sGMM
+    train alone.  Each member is initialized from its own seed, so the
+    grouping draws no number differently.  A member whose fit raises
+    ``ad.MemberFailure`` (its training fails, or its audit meets a
+    numerically degenerate fit) gets an empty row and a None state; the
+    rest of the roster still runs.  Other errors end the command.
+    """
+    runs = []
+    for member, init_seq, train_seq, audit_seq in zip(
+        roster, *(seq.spawn(len(roster)) for seq in seqs)
+    ):
+        state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
+        runs.append((member, state, _train_config(member, config, train_seq), audit_seq))
+    stack_of: dict = {}  # member index -> the indices of its stack
+    stacks: dict = {}
+    for i, (_, state, tcfg, _) in enumerate(runs):
+        if isinstance(state, fam.StructuredNormalState):
+            key = (tcfg.mode, tr._effective_sample_count(state, tcfg))
+            stack_of[i] = stacks.setdefault(key, [])
+            stack_of[i].append(i)
+    trained: dict = {}
     fits = []
-    for member, *member_seqs in zip(roster, *(seq.spawn(len(roster)) for seq in seqs)):
+    for i, (member, state, tcfg, audit_seq) in enumerate(runs):
+        if i in stack_of and i not in trained:
+            rows = stack_of[i]
+            states, configs = [runs[j][1] for j in rows], [runs[j][2] for j in rows]
+            trained.update(zip(rows, tr.train_stack(states, target, configs)))
         try:
-            fits.append(fit_member(member, p, target, config, member_seqs, audit))
+            outcome = trained.pop(i) if i in stack_of else tr.train(state, target, tcfg)
+            if isinstance(outcome, ad.MemberFailure):
+                raise outcome
+            fits.append(_audited(member, outcome, tcfg, audit, audit_seq))
         except ad.MemberFailure as err:
             print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
             fits.append((FamilyResult(member.label, member.rank), None))

@@ -484,8 +484,12 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     psi.  Atomic draws
     are θ̂ ⊙ mask.  Gaussian draws go through ``gaussian_draw_rows`` and log
     q through ``lowrank_logpdf_and_vjp``, whose adjoint this chains through
-    the draw.  A mixture draws each row from its component and evaluates
-    every component's log N_m at every row in one stacked
+    the draw.  A structured normal whose parameters are stacked, (M, P)
+    means and scales and an (M, P, K) U, is M Gaussians drawn from (M, S, ·)
+    noise, each at its own rows, as ``trainer.train_stack`` trains them;
+    its adjoint is then M rows, each laid out as one Gaussian's psi.  A
+    mixture draws each row from its component and evaluates every
+    component's log N_m at every row in one stacked
     ``lowrank_logpdf_and_vjp`` call; log q = logsumexp_m(log w_m + log N_m),
     so each component's adjoint is log q's weighted by its
     responsibilities.  Its draws and adjoint are array operations over the
@@ -505,17 +509,20 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     if template.tag == MixtureState.tag:
         return _mixture_logq_vjp(template, params, noise)
     scale, factor = _scale_and_factor(params)
-    theta = gaussian_draw_rows(params["mu"], scale, factor, noise.z_diag, noise.z_lowrank)
-    log_q, logq_vjp = lowrank_logpdf_and_vjp(theta, params["mu"], scale * scale, factor)
+    mean = params["mu"]
+    theta = gaussian_draw_rows(
+        mean[..., None, :], scale[..., None, :], factor, noise.z_diag, noise.z_lowrank
+    )
+    log_q, logq_vjp = lowrank_logpdf_and_vjp(theta, mean, scale * scale, factor)
 
     def vjp(theta_bar, logq_bar, _):
         d_theta, d_a, d_factor = logq_vjp(logq_bar)
         # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
         parts = _chain_draw(
-            scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=0), d_a, d_factor,
+            scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=-2), d_a, d_factor,
             noise.z_diag, noise.z_lowrank,
         )
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
     return theta, log_q, None, vjp
 

@@ -68,12 +68,13 @@ def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
     checked as the module notes say.
 
     C is factorized without a finiteness pre-check: a NaN or ±inf anywhere
-    in C fails the factorization or leaves one in diag L or diag C, and the
-    pivot tests run on Python floats over only K values a slice, since this
-    runs on every closed-form step.  The sum of the pivots catches a NaN
-    that ``min`` passes over.  A stack fails with the error of its first
-    slice that fails alone.  Runs inside the kernel's ``np.errstate``, which
-    turns LAPACK's failure flag into ``LinAlgError``.
+    in C fails the factorization or leaves one in diag L or diag C.  The
+    pivot tests run on every slice at once, one reduction each, since this
+    runs on every closed-form step; a NaN makes them fail, and so does a
+    NaN among the pivots, through their sum.  Only when some slice fails
+    are the slices tested one at a time, on Python floats, to raise the
+    error of the first slice that fails alone.  Runs inside the kernel's
+    ``np.errstate``, which turns LAPACK's failure flag into ``LinAlgError``.
     """
     try:
         chol = _umath_linalg.cholesky_lo(c, signature="d->d")
@@ -83,6 +84,16 @@ def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
         if not np.isfinite(c).all():
             raise ad.MemberFailure("capacitance is not finite") from err
         raise ad.MemberFailure(f"capacitance factorization failed: {err}") from err
+    roundoff = EPS * np.maximum.reduce(c.diagonal(0, -2, -1), axis=-1)
+    diag_l = chol.diagonal(0, -2, -1)
+    smallest = np.minimum.reduce(diag_l, axis=-1)
+    passed = (
+        (smallest * smallest > c.shape[-1] * roundoff)
+        & (roundoff <= CAPACITANCE_ROUNDOFF)
+        & np.isfinite(np.add.reduce(diag_l, axis=-1))
+    )
+    if np.logical_and.reduce(passed, axis=None):
+        return chol
     for one, low in zip(c, chol) if c.ndim > 2 else ((c, chol),):
         top = max(one.diagonal().tolist())
         pivots = low.diagonal().tolist()
@@ -219,8 +230,9 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     is a diagonal covariance; ``d_factor`` is then None.
 
     M components at once: with ``mean`` and ``a_diag`` of shape (M, P) and
-    ``factor`` (M, P, K), every component is evaluated at the same rows.
-    log q is then (M, S), and ``vjp`` maps an (M, S) adjoint to d_theta
+    ``factor`` (M, P, K), every component is evaluated at the same (S, P)
+    rows, or each at its own rows of an (M, S, P) ``theta``.  log q is then
+    (M, S), and ``vjp`` maps an (M, S) adjoint to d_theta
     (M, S, P), d_a (M, P) and d_factor (M, P, K); slice m of each is what
     component m alone gives, bit for bit (see module notes).  Raises
     ``ad.MemberFailure`` as the module notes say.
@@ -231,7 +243,7 @@ def lowrank_logpdf_and_vjp(theta, mean, a_diag, factor) -> tuple:
     a_rows = a_diag[:, None] if stacked else a_diag
     r = theta - (mean[:, None] if stacked else mean)
     v = r / a_rows
-    many_rows = theta.shape[0] >= ad.ROW_SUMS_MIN_ROWS  # audit blocks, not training steps
+    many_rows = theta.shape[-2] >= ad.ROW_SUMS_MIN_ROWS  # audit blocks, not training steps
     quad = ad.row_sums(r * v) if many_rows else np.add.reduce(r * v, axis=-1)
     logdet = np.add.reduce(np.log(a_rows), axis=-1)
     if k:

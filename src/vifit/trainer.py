@@ -27,20 +27,48 @@ updated in place, in the order of the out-of-place expressions) and log
 q's adjoint.  It draws the noise of ``NOISE_CHUNK_STEPS`` steps per
 ``families.draw_noise`` call.  One call gives the same stream as
 consecutive per-step calls, so every number is the one a per-step loop
-gives.  The moment estimates m and v are the two
-rows of one (2, n) array, and so are m̂ and v̂, with (β₁, β₂), (1 − β₁,
-1 − β₂) and the bias corrections as (2, n) rows beside them: decaying the
+gives.  The update is ``_Adam``'s, one in-place update for a psi of any
+shape.  The moment estimates m and v are the two
+rows of one (2, *psi.shape) array, and so are m̂ and v̂, with (β₁, β₂),
+(1 − β₁, 1 − β₂) and the bias corrections as rows beside them: decaying the
 moments, forming the (1 − β)g terms and correcting the bias take one ufunc
 call each, on operands of one shape, and each element still meets the
 operations of its own array's update in the same order.  On a regression
-target with P = 10 and 8 draws, a step of MAP or dropout makes 14.3
-Python-level calls, sN of any rank K ≥ 1 47.4, and mf, the rank-0 sN,
-whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
+target with P = 10 and 8 draws, a step of MAP or dropout makes 15.3
+Python-level calls, sN of any rank K ≥ 1 45.3, and mf, the rank-0 sN,
+whose kernel skips the capacitance, 26.3 (``tests/test_step_cost.py``
 counts them).
+
+A roster's mf and sN members that share a target, a config but for the
+seed, and an effective sample count train as one stack (``train_stack``),
+stored as the sGMM is: psi is M rows, one a member, each laid out as that
+member's psi with U padded by zero columns to the stack's largest rank K,
+so mu and log_a are (M, P) views and u an (M, P, K) one.  A step draws
+(M, S, ·) rows, evaluates the M log-q kernels and the target at them and
+takes their adjoint in one call each (``families.draws_logq_vjp`` on the
+stacked arrays), then updates all M rows in one ``_Adam`` call.  Padded
+noise columns are zero, so the padded columns of U get an exactly zero
+gradient and stay exactly 0.  Padding changes the shapes of the BLAS and
+LAPACK calls, so a stacked member agrees with its training alone to
+round-off (a relative 1e-14 over 300 steps at P = 10), not bit for bit;
+mf's kernel reads a padded C = I exactly.  rbf's five Gaussian members
+make 54.1 calls a stacked step, against 207.6 one after another.  Each
+member keeps its own generator, and draws from it in chunks of
+``NOISE_CHUNK_STEPS // M`` steps, so the stack holds as much noise as one
+member alone; consecutive ``families.draw_noise`` calls give the stream of
+one call, so the noise is the one the member draws alone.  Each keeps its
+own value, gradient-norm guard and finiteness check.  When any member's
+stacked step fails, the step is evaluated again for each member alone
+(``_checked_step``), so a failing member leaves the stack with the error
+and step it raises training alone, and the others take that step's solo
+numbers and carry on.  The members
+of a stack cannot be timed apart: each one's ``runtime_s`` is an equal
+share of the stack's training time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -53,8 +81,12 @@ from . import families as fam
 
 GRAD_NORM_GUARD = 1e6
 
+# The moment decays and the denominator's offset of the Adam update.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Steps of noise per ``fam.draw_noise`` call in ``train``: at most 160 KB
-# of normals per call at P = K = 10 and 8 draws a step.
+# of normals per call at P = K = 10 and 8 draws a step.  A stack of M
+# members draws NOISE_CHUNK_STEPS // M steps a member per chunk.
 NOISE_CHUNK_STEPS = 128
 
 
@@ -228,6 +260,69 @@ def elbo_estimate(
     )
 
 
+class _Adam:
+    """Bias-corrected moment averaging of a psi of any shape, in place.
+
+    The moment estimates m and v are the two rows of one (2, *psi.shape)
+    array, and so are m̂ and v̂, with (β₁, β₂), (1 − β₁, 1 − β₂) and the bias
+    corrections as rows beside them (see module notes).
+    """
+
+    def __init__(self, shape: tuple):
+        # Rows m and v of the moments, and m̂ and v̂ of the hats, which hold the
+        # (1 − β)g terms first.  Each row of the coefficients is one number,
+        # repeated so that every ufunc call meets operands of one shape.
+        self.moments = np.zeros((2, *shape))
+        self.hats = np.empty_like(self.moments)
+        self.m_hat, self.v_hat = self.hats
+        self.betas = np.empty_like(self.moments)
+        self.betas[0], self.betas[1] = BETA1, BETA2
+        self.one_minus_betas = 1.0 - self.betas
+        self.corrections = np.empty_like(self.moments)  # rows 1 − β₁ᵗ and 1 − β₂ᵗ
+
+    def update(self, psi, grad, step: int, lr: float):
+        """ψ += lr·m̂/(√v̂ + ε) after step ``step``'s gradient, in place.
+
+        In the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,
+        m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε), with m
+        and v, and m̂ and v̂, updated as the rows of one array.
+        """
+        moments, hats, m_hat, v_hat = self.moments, self.hats, self.m_hat, self.v_hat
+        moments *= self.betas
+        np.multiply(self.one_minus_betas, grad, out=hats)
+        v_hat *= grad
+        moments += hats
+        self.corrections[0] = 1.0 - BETA1 ** (step + 1)
+        self.corrections[1] = 1.0 - BETA2 ** (step + 1)
+        np.divide(moments, self.corrections, out=hats)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat *= lr
+        m_hat /= v_hat
+        psi += m_hat
+
+    def keep(self, rows):
+        """Keep the moments of a stack's members ``rows`` only."""
+        kept = _Adam(self.moments[0, rows].shape)
+        kept.moments[...] = self.moments[:, rows]
+        return kept
+
+
+def _checked_step(state, params, noise, problem, logq_bar, step: int) -> tuple:
+    """(value, gradient) of one training step of one member; raises its
+    ``ad.MemberFailure`` carrying ``step`` when the value or gradient is not
+    finite, the capacitance factorization fails or the gradient norm
+    exceeds ``GRAD_NORM_GUARD``."""
+    try:
+        value, grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
+    except ad.MemberFailure as err:
+        err.step = step
+        raise
+    if gnorm > GRAD_NORM_GUARD:
+        raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
+    return value, grad
+
+
 def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     """First-order stochastic ascent with bias-corrected moment averaging.
 
@@ -244,18 +339,8 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     params = fam.param_views(state, psi)
     count = _effective_sample_count(state, config)
     logq_bar = np.full(count, -1.0 / count)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # Rows m and v of the moments, and m̂ and v̂ of the hats, which hold the
-    # (1 − β)g terms first.  Each row of the coefficients is one number,
-    # repeated so that every ufunc call meets operands of one shape.
-    moments = np.zeros((2, psi.size))
-    hats = np.empty_like(moments)
-    m_hat, v_hat = hats
-    betas = np.empty_like(moments)
-    betas[0], betas[1] = beta1, beta2
-    one_minus_betas = 1.0 - betas
-    corrections = np.empty_like(moments)  # rows 1 − β₁ᵗ and 1 − β₂ᵗ
-    trace = TrainTrace()
+    adam = _Adam(psi.shape)
+    elbo = np.empty(config.steps)
     lr = config.learning_rate
     start = time.perf_counter()
     for step in range(config.steps):
@@ -264,34 +349,155 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
                 state, config, rng, steps=min(NOISE_CHUNK_STEPS, config.steps - step)
             )
         noise = noises[step % NOISE_CHUNK_STEPS]
-        try:
-            value, grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
-        except ad.MemberFailure as err:
-            err.step = step
-            raise
-        if gnorm > GRAD_NORM_GUARD:
-            raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
-        # In place, in the order of m = β₁m + (1 − β₁)g, v = β₂v + (1 − β₂)g·g,
-        # m̂ = m/(1 − β₁ᵗ), v̂ = v/(1 − β₂ᵗ) and ψ = ψ + lr·m̂/(√v̂ + ε),
-        # with m and v, and m̂ and v̂, updated as the rows of one array.
-        moments *= betas
-        np.multiply(one_minus_betas, grad, out=hats)
-        v_hat *= grad
-        moments += hats
-        corrections[0] = 1.0 - beta1 ** (step + 1)
-        corrections[1] = 1.0 - beta2 ** (step + 1)
-        np.divide(moments, corrections, out=hats)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += eps
-        m_hat *= lr
-        m_hat /= v_hat
-        psi += m_hat
+        elbo[step], grad = _checked_step(state, params, noise, problem, logq_bar, step)
+        adam.update(psi, grad, step, lr)
         lr *= config.lr_decay
-        trace.elbo.append(value)
-    trace.steps_run = len(trace.elbo)
-    trace.runtime_s = time.perf_counter() - start
-    trace.final_state = fam.unpack(state, psi)
-    return trace
+    return TrainTrace(
+        elbo=elbo.tolist(),
+        runtime_s=time.perf_counter() - start,
+        steps_run=config.steps,
+        final_state=fam.unpack(state, psi),
+    )
+
+
+def _stack_views(psi: np.ndarray, p: int, k: int) -> dict:
+    """A stack's mu and log_a (M, P) and u (M, P, K) as views of its (M, ·)
+    psi rows, each row laid out as one member's psi with U padded to K columns."""
+    u = psi[:, 2 * p :].reshape(len(psi), p, k)
+    return {"mu": psi[:, :p], "log_a": psi[:, p : 2 * p], "u": u}
+
+
+def _stack_noise(states, config: TrainConfig, rngs, steps: int, z_diag, z_lowrank):
+    """Fill the first ``steps`` entries of a stack's (chunk, M, S, P) z_diag
+    and (chunk, M, S, K) z_lowrank in place: each member's ``steps`` batches
+    from its own generator, as it draws them alone.  The padded columns of
+    z_lowrank are never written, so they stay at their zeros."""
+    for j, (state, rng) in enumerate(zip(states, rngs)):
+        batches = _draw_noise(state, config, rng, steps=steps)
+        z_diag[:steps, j] = [batch.z_diag for batch in batches]
+        z_lowrank[:steps, j, :, : state.rank] = [batch.z_lowrank for batch in batches]
+
+
+def _stack_value_grad(template, params, noise, problem, logq_bar) -> tuple:
+    """(values, gradient rows, gradient norms) of a stack's MC ELBO
+    estimates: one draw, kernel, target and adjoint call for all M members."""
+    theta, log_q, _, vjp = fam.draws_logq_vjp(template, params, noise)
+    m, count, p = theta.shape
+    rows, logprior, theta_grad = problem.log_joint_and_grad(theta.reshape(m * count, p))
+    if logprior is not None:
+        rows = rows + logprior
+    rows = rows.reshape(m, count) - log_q
+    grad = vjp(theta_grad.reshape(m, count, p) * (1.0 / count), logq_bar, None)
+    values = np.add.reduce(rows, axis=-1) / count
+    return values, grad, np.sqrt(np.vecdot(grad, grad))
+
+
+def _member_psi(params: dict, j: int, k: int) -> np.ndarray:
+    """Stack member ``j``'s own psi: its row without U's padded columns."""
+    return np.concatenate((params["mu"][j], params["log_a"][j], params["u"][j, :, :k]), axis=None)
+
+
+def _solo_steps(members, params, noise, problem, logq_bar, step: int) -> tuple:
+    """(values, gradient rows, failures) of a stack's step with each member
+    evaluated as it is alone, in its own shapes (``_checked_step``);
+    ``failures`` maps the index of each member whose step fails to its
+    ``ad.MemberFailure``.  A stack's step takes these when any member's
+    stacked step fails."""
+    (p, k), m = params["u"].shape[1:], len(members)
+    values, grad, failures = np.zeros(m), np.zeros((m, (2 + k) * p)), {}
+    grad_views = _stack_views(grad, p, k)
+    for j, state in enumerate(members):
+        own = fam.NoiseBatch(noise.count, noise.z_diag[j], noise.z_lowrank[j, :, : state.rank])
+        psi = _member_psi(params, j, state.rank)
+        try:
+            values[j], g = _checked_step(
+                state, fam.param_views(state, psi), own, problem, logq_bar, step
+            )
+        except ad.MemberFailure as err:
+            failures[j] = err
+            continue
+        for name, view in fam.param_views(state, g).items():
+            grad_views[name][j, ..., : view.shape[-1]] = view
+    return values, grad, failures
+
+
+def train_stack(states: list, problem, configs: list) -> list:
+    """``train`` for M structured normals (mf included) at once.
+
+    ``configs`` differ in their seeds only, and every member takes the same
+    effective sample count.  Each step makes one call each to the draw, the
+    log-q kernel, the target, the adjoint and ``_Adam.update`` for all M
+    members (see module notes).  Each member keeps its own generator and
+    draws from it the noise it draws alone, and its own value,
+    gradient-norm guard and finiteness check: a member whose step fails
+    leaves the stack at that step with the ``ad.MemberFailure`` it would
+    raise training alone, and the rest carry on.  Returns, per member in
+    order, its ``TrainTrace`` or that failure.  A trace's ``runtime_s`` is an
+    equal share of the stack's training time.
+    """
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("a stack's members must share one config but for their seeds")
+    counts = {_effective_sample_count(state, config) for state in states}
+    if len(counts) > 1:
+        raise ValueError(f"a stack's members must take one effective sample count, not {counts}")
+    (count,) = counts
+    p, k = states[0].dim, max(state.rank for state in states)
+    psi = np.zeros((len(states), (2 + k) * p))
+    params = _stack_views(psi, p, k)
+    for j, state in enumerate(states):
+        params["mu"][j], params["log_a"][j] = state.mu, state.log_a
+        params["u"][j, :, : state.rank] = state.u
+    template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
+    members, alive = list(states), np.arange(len(states))
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    # One chunk's noise, reused by every chunk.  M members draw 1/M of a
+    # member's chunk each, so the stack holds the noise of one member.
+    steps_per_chunk = max(1, NOISE_CHUNK_STEPS // len(states))
+    chunk_shape = (min(steps_per_chunk, config.steps), len(states), count)
+    z_diag, z_lowrank = np.empty((*chunk_shape, p)), np.zeros((*chunk_shape, k))
+    logq_bar = np.full(count, -1.0 / count)  # every member's, by broadcasting
+    adam = _Adam(psi.shape)
+    elbo = np.empty((config.steps, len(states)))
+    outcomes = [None] * len(states)
+    lr = config.learning_rate
+    start = time.perf_counter()
+    for step in range(config.steps):
+        if step % steps_per_chunk == 0:
+            chunk = min(steps_per_chunk, config.steps - step)
+            _stack_noise(members, config, rngs, chunk, z_diag, z_lowrank)
+        at = step % steps_per_chunk
+        noise = fam.NoiseBatch(count, z_diag[at], z_lowrank[at])
+        try:
+            values, grad, gnorm = _stack_value_grad(template, params, noise, problem, logq_bar)
+            failed = not np.logical_and.reduce(np.isfinite(values) & (gnorm <= GRAD_NORM_GUARD))
+        except ad.MemberFailure:
+            failed = True
+        if failed:
+            values, grad, failures = _solo_steps(members, params, noise, problem, logq_bar, step)
+            if failures:
+                for j, err in failures.items():
+                    outcomes[alive[j]] = err
+                keep = [j for j in range(len(members)) if j not in failures]
+                members, rngs = [members[j] for j in keep], [rngs[j] for j in keep]
+                alive, psi, values, grad = alive[keep], psi[keep], values[keep], grad[keep]
+                z_diag, z_lowrank, adam = z_diag[:, keep], z_lowrank[:, keep], adam.keep(keep)
+                params = _stack_views(psi, p, k)
+                template = fam.StructuredNormalState(**params)
+                if not members:
+                    break
+        adam.update(psi, grad, step, lr)
+        elbo[step, alive] = values
+        lr *= config.lr_decay
+    share = (time.perf_counter() - start) / len(states)
+    for j, (state, index) in enumerate(zip(members, alive)):
+        outcomes[index] = TrainTrace(
+            elbo=elbo[:, index].tolist(),
+            runtime_s=share,
+            steps_run=config.steps,
+            final_state=fam.unpack(state, _member_psi(params, j, state.rank)),
+        )
+    return outcomes
 
 
 @dataclass

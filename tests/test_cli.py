@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -377,20 +378,116 @@ def test_degenerate_member_fails_alone(tmp_path, monkeypatch):
         assert all(math.isfinite(float(cell)) for cell in rows[family]), family
 
 
-def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, monkeypatch):
-    train = cli.tr.train
+def _nan_mean(state):
+    state.mu[0] = np.nan
 
-    def train_to_singular_sn2(state, target, config):
+
+def _capacitance_over_roundoff(state):
+    # a = 1 and a first column of 1e5: eps·max(diag C) ≈ 1e-5.
+    state.log_a[:] = 0.0
+    state.u[:, 0] = 1e5
+
+
+def _steep_mean(state):
+    # The regression's gradient grows with the residual: over the guard.
+    state.mu[:] = 1e5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "label,degrade,text",
+    [
+        ("sn2", _nan_mean, "non-finite value produced by 'log joint'"),
+        ("sn2", _capacitance_over_roundoff, "capacitance is too large for working precision"),
+        ("mf", _steep_mean, "exceeded guard"),
+    ],
+    ids=["nan-mean", "capacitance", "guard"],
+)
+def test_member_failing_in_its_stack_fails_alone(tmp_path, capsys, monkeypatch, label, degrade, text):
+    # One stacked member fails at step 0: its row is empty and stderr names
+    # it; every other row, stacked or not, is filled.
+    init_family = cli.fam.init_family
+
+    def init_degraded(tag, p, rng, **kwargs):
+        state = init_family(tag, p, rng, **kwargs)
+        if _member_label(state) == label:
+            degrade(state)
+        return state
+
+    monkeypatch.setattr(cli.fam, "init_family", init_degraded)
+    cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[0, 1, 2, 4]))
+    assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert re.search(rf"\[rbf\] {label} failed: .*{re.escape(text)}.* at step 0\n", err), err
+    lines = (tmp_path / "o" / "tables.csv").read_text().strip().splitlines()[1:]
+    rows = {line.split(",")[0]: line.split(",")[2:6] for line in lines}
+    assert list(rows) == ["map", "mc_dropout", "mf", "sn1", "sn2", "sn4"]
+    assert rows.pop(label) == ["na"] * 4
+    for family, cells in rows.items():
+        finite = cells[3:] if family in ("map", "mc_dropout") else cells  # atomic: the ELBO
+        assert all(math.isfinite(float(cell)) for cell in finite), family
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    runtimes = {f["family"]: f["runtime_s"] for f in report["families"]}
+    assert runtimes.pop(label) is None
+    assert all(runtime > 0 for runtime in runtimes.values()), runtimes
+
+
+def test_unscented_roster_trains_as_two_stacks(tmp_path, monkeypatch):
+    # Unscented sn10 needs 20 draws a step and sn1, sn2 and sn4 need 8, so
+    # they train as two stacks.  Rows keep roster order, and each member's
+    # runtime_s is an equal share of its stack's training time, which a
+    # clock that moves by 1.0 a reading makes 1.0.
+    clock = iter(range(10**6))
+    monkeypatch.setattr(cli.tr, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    stacks, train_stack = [], cli.tr.train_stack
+
+    def recording(states, target, configs):
+        stacks.append([state.rank for state in states])
+        return train_stack(states, target, configs)
+
+    monkeypatch.setattr(cli.tr, "train_stack", recording)
+    cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[10, 1, 2, 4], mode="unscented", steps=20))
+    assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o"), "--formats", "json"]) == 0
+    assert stacks == [[10], [1, 2, 4]]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    runtimes = {f["family"]: f["runtime_s"] for f in report["families"]}
+    assert list(runtimes) == ["map", "mc_dropout", "sn10", "sn1", "sn2", "sn4"]
+    assert runtimes["sn10"] == 1.0
+    assert runtimes["sn1"] == runtimes["sn2"] == runtimes["sn4"]
+    assert runtimes["sn1"] + runtimes["sn2"] + runtimes["sn4"] == pytest.approx(1.0, rel=1e-15)
+
+
+def training_patches(on_trace) -> dict:
+    """Stand-ins for ``tr.train`` and ``tr.train_stack`` that pass each trace
+    they return, of a member trained alone or stacked, to ``on_trace``."""
+    train, train_stack = cli.tr.train, cli.tr.train_stack
+
+    def train_then(state, target, config):
         trace = train(state, target, config)
+        on_trace(trace)
+        return trace
+
+    def train_stack_then(states, target, configs):
+        traces = train_stack(states, target, configs)
+        for trace in traces:
+            if not isinstance(trace, cli.ad.MemberFailure):
+                on_trace(trace)
+        return traces
+
+    return {"train": train_then, "train_stack": train_stack_then}
+
+
+def test_member_with_singular_fitted_covariance_fails_alone(tmp_path, capsys, monkeypatch):
+    def singular_sn2(trace):
         fitted = trace.final_state
         if getattr(fitted, "rank", None) == 2:
             # With a = 1e-300, diag(a) + UUᵀ rounds to UUᵀ, of rank 2 < P = 4:
             # the dense audit's Cholesky factorization meets a zero pivot.
             fitted.log_a[:] = math.log(1e-300)
             fitted.u[:] = np.tile(np.eye(2), (2, 1))
-        return trace
 
-    monkeypatch.setattr(cli.tr, "train", train_to_singular_sn2)
+    for name, patched in training_patches(singular_sn2).items():
+        monkeypatch.setattr(cli.tr, name, patched)
     cfg = write_config(tmp_path, dict(SMALL_RBF, ranks=[0, 2, 4]))
     assert cli.main(["rbf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert "[rbf] sn2 failed: " in capsys.readouterr().err
@@ -545,15 +642,12 @@ def _run_with_degraded_member(argv, doc, label, degrade) -> tuple:
     """Run ``argv`` at config ``doc`` with ``degrade(fitted)`` applied to the
     member ``label``'s fitted state after training; returns (exit code,
     stderr, report.json text, tables.csv rows by label)."""
-    train = cli.tr.train
 
-    def train_then_degrade(state, target, config):
-        trace = train(state, target, config)
+    def degrade_member(trace):
         if _member_label(trace.final_state) == label:
             degrade(trace.final_state)
-        return trace
 
-    patch = mock.patch.object(cli.tr, "train", train_then_degrade)
+    patch = mock.patch.multiple(cli.tr, **training_patches(degrade_member))
     with tempfile.TemporaryDirectory() as tmp, patch:
         cfg = write_config(Path(tmp), doc)
         stderr = io.StringIO()
@@ -705,14 +799,20 @@ def test_generated_degenerate_member_fails_alone(run):
 
 
 def count_train_calls(monkeypatch) -> list:
+    """The tags of the members trained, alone or stacked, in training order."""
     calls = []
-    train = cli.tr.train
+    train, train_stack = cli.tr.train, cli.tr.train_stack
 
     def counting(state, target, config):
         calls.append(state.tag)
         return train(state, target, config)
 
+    def counting_stack(states, target, configs):
+        calls.extend(state.tag for state in states)
+        return train_stack(states, target, configs)
+
     monkeypatch.setattr(cli.tr, "train", counting)
+    monkeypatch.setattr(cli.tr, "train_stack", counting_stack)
     return calls
 
 

@@ -4,19 +4,22 @@ training: a host-independent cost check.
 A closed-form step costs bookkeeping, not arithmetic, so its time follows
 the number of Python and C-function calls it makes rather than the flops.
 That number does not depend on the machine.  These tests count, with
-``sys.setprofile``, every call event that one ``train`` makes and divide
-by its steps, for every member the commands fit, each bounded a little
+``sys.setprofile``, every call event that one ``train`` or
+``train_stack`` makes and divide by its steps, for every member the
+commands fit alone and for the stacks they train, each bounded a little
 above its count.  Bounds are only ever lowered.
 
 On the regression target (P = 10, 8 draws) a step of MAP and
-``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 47.4.  mf is
-the rank-0 sN, whose log-q kernel skips the capacitance; it made 25.3
-too when it trained log σ in a class of its own.  sN4 makes
-47.5 on a ``GaussianDist``, and made 49.5 when that target summed its
+``mc_dropout`` makes 15.3 calls, mf 26.3 and sN1 to sN10 45.3.  mf is
+the rank-0 sN, whose log-q kernel skips the capacitance.  sN4 makes
+45.5 on a ``GaussianDist``, and made 47.5 before the capacitance's pivot
+tests ran as one reduction each over its slices (a loop over the slices
+on Python floats took 3 calls more a slice) and before the step's checks
+became a function of their own, ``trainer._checked_step``, which a
+stack's failing step shares (1 call more; so MAP and mf made 14.3 and
+25.3).  sN4 made 49.5 when the target summed its
 quadratic form with ``ndarray.sum``, whose Python wrapper costs two calls
-more than ``np.add.reduce``.  Each made one more while the step's value
-and gradient were a function of their own beside the one that checks
-them.  sN made 94.4 and 96.6 when the log-q kernel went through
+more than ``np.add.reduce``.  sN made 94.4 and 96.6 when the log-q kernel went through
 ``np.linalg.cholesky`` and ``np.linalg.solve``: their argument checks,
 casts and error states took 46 calls a step, which the kernel's direct
 call of the LAPACK gufuncs under one ``np.errstate`` does not make.
@@ -26,22 +29,38 @@ call event, so Adam's update counts the same whether m and v are two
 arrays or the rows of one.
 
 On the bimodal target (P = 8, two components) a step of mf, sN4 and a
-two-component rank-2 sGMM makes 32.7 (as when mf trained log σ), 54.4
-and 85.5 calls.  The sGMM
+two-component rank-2 sGMM makes 33.7, 52.3 and 74.4 calls; they made
+32.7, 54.4 and 85.5 before the changes to the pivot tests and the checks
+above.  The sGMM
 made 95.7 when it stored its components as states of their own and
 stacked them every step.  Looping over the target's components, and over
 the sGMM's in its draw, kernel and adjoint, took 66.7, 134.4 and 280.7;
 the numpy wrappers took sN4 and the sGMM to 101.4 and 142.7.
+
+A command trains its mf and sN members as one stack (``tr.train_stack``):
+a step of rbf's five (mf, sN1, sN2, sN4 and sN10, P = 10) makes 54.1
+calls, where the five make 26.3 + 4 × 45.3 = 207.6 one after another
+(214.9 before the changes above), and a step of bimodal's five (mf, sN1,
+sN2, sN4 and sN8, P = 8) makes 61.1, against 33.7 + 4 × 52.3 = 243.0.
+About 9 of a stacked step's calls draw its members' noise: each member
+builds one noise batch a step, and calls ``families.draw_noise`` every
+``NOISE_CHUNK_STEPS // M`` steps, so that the stack holds one member's
+worth of noise.  Drawing every ``NOISE_CHUNK_STEPS`` steps made 50.6 and
+57.6 calls, but held M times the noise.
 
 Outside ``train``, each command at its defaults but 5 steps makes a
 fixed number of calls: its setup, audits and report.  They are counted
 on a second call in the process, so that no first call's one-time work
 (a first call in a fresh interpreter reads 23,371 for ``fit-gaussian
 --bimodal`` and 7,915 for ``rbf``) makes the count depend on which tests
-ran before.  ``rbf`` makes 4,133,
-``fit-gaussian`` 3,323, ``fit-gaussian --bimodal`` 18,526 and
-``dropout-audit`` 807, and 1,569 at ``n_droppable`` 20, where the exact
-predictive makes two passes over 128 blocks of atoms.  The four made
+ran before.  ``rbf`` makes 4,182,
+``fit-gaussian`` 3,380, ``fit-gaussian --bimodal`` 17,384 and
+``dropout-audit`` 808, and 1,570 at ``n_droppable`` 20, where the exact
+predictive makes two passes over 128 blocks of atoms.  They made 4,133,
+3,323, 18,526, 807 and 1,569 before the roster grouped its mf and sN
+members into stacks (about 50 calls for ``rbf`` and ``fit-gaussian``)
+and before the capacitance's pivot tests ran as one reduction each,
+which the Monte-Carlo audits of ``--bimodal`` take once a block.  The four made
 4,199, 3,380, 19,659 and 809 (1,571 at ``n_droppable`` 20) while the
 layout was a walk that called a function per trained array and recursed
 into an sGMM's component states, and the sGMM restacked its components
@@ -97,9 +116,20 @@ def calls_per_step(state, target, config) -> float:
     return calls[0] / trace.steps_run
 
 
+def calls_per_stacked_step(states, target, configs) -> float:
+    """Call events per step of one ``tr.train_stack`` of ``states``."""
+    profile, calls = call_counter()
+    sys.setprofile(profile)
+    try:
+        tr.train_stack(states, target, configs)
+    finally:
+        sys.setprofile(None)
+    return calls[0] / configs[0].steps
+
+
 def calls_outside_train(command, config) -> int:
     """Call events of a warm ``command(config)``, not counting those inside
-    ``tr.train``.
+    ``tr.train`` or ``tr.train_stack``.
 
     The command runs once unprofiled first, so the count leaves out the
     one-time work of a first call in the process (lazy imports, numpy's
@@ -107,16 +137,19 @@ def calls_outside_train(command, config) -> int:
     other test."""
     command(config)
     profile, calls = call_counter()
-    train = tr.train
 
-    def unprofiled_train(*args):
-        sys.setprofile(None)
-        try:
-            return train(*args)
-        finally:
-            sys.setprofile(profile)
+    def unprofiled(train):
+        def run(*args):
+            sys.setprofile(None)
+            try:
+                return train(*args)
+            finally:
+                sys.setprofile(profile)
 
-    with mock.patch.object(cli.tr, "train", unprofiled_train):
+        return run
+
+    trainers = {name: unprofiled(getattr(tr, name)) for name in ("train", "train_stack")}
+    with mock.patch.multiple(cli.tr, **trainers):
         sys.setprofile(profile)
         try:
             command(config)
@@ -173,6 +206,28 @@ def test_step_call_count_on_the_bimodal_target_is_bounded(tag, kwargs, bound):
     state = fam.init_family(tag, 8, np.random.default_rng(0), **kwargs)
     config = tr.TrainConfig(steps=4 * tr.NOISE_CHUNK_STEPS, mc_samples=8)
     assert calls_per_step(state, target, config) < bound
+
+
+@pytest.mark.parametrize(
+    "target_kind,p,ranks,bound",
+    [("regression", 10, [0, 1, 2, 4, 10], 57), ("bimodal", 8, [0, 1, 2, 4, 8], 64)],
+    ids=["rbf", "bimodal"],
+)
+def test_stacked_step_call_count_is_bounded(target_kind, p, ranks, bound):
+    # A roster's mf and sN members as one stack, at the P of their command.
+    if target_kind == "regression":
+        target = regression_target()
+    else:
+        target = cli.bimodal_target(p, np.random.default_rng(0), 5.0, 0.4)
+    states = [
+        fam.init_family("structured_normal" if k else "mean_field", p, np.random.default_rng(0), rank=k)
+        for k in ranks
+    ]
+    configs = [
+        tr.TrainConfig(steps=4 * tr.NOISE_CHUNK_STEPS, mc_samples=8, seed=seed)
+        for seed in range(len(ranks))
+    ]
+    assert calls_per_stacked_step(states, target, configs) < bound
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,12 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
 import vifit.families as fam
@@ -339,6 +342,155 @@ def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, targ
     assert trace.elbo == elbo
     assert trace.steps_run == config.steps
     assert len(calls) == math.ceil(config.steps / tr.NOISE_CHUNK_STEPS)
+
+
+# -----------------------------------------------------------------------
+# train_stack
+
+
+def stack_members(ranks, p, seed) -> list:
+    """The initial states of mf (rank 0) and sN{k} over p parameters, each
+    from its own seed, as a roster initializes them."""
+    return [
+        fam.init_family(
+            "structured_normal" if k else "mean_field", p, np.random.default_rng(seed + j), rank=k
+        )
+        for j, k in enumerate(ranks)
+    ]
+
+
+def stack_configs(n, mode, seed, steps=20) -> list:
+    """n training configs that differ in their seeds only."""
+    return [
+        tr.TrainConfig(steps=steps, learning_rate=0.02, lr_decay=0.99, mode=mode, seed=seed + j)
+        for j in range(n)
+    ]
+
+
+def generators_of(calls) -> list:
+    """A stand-in for ``fam.draw_noise`` that lists in ``calls`` each
+    generator it is handed, once, in order of first use."""
+    draw_noise = fam.draw_noise
+
+    def recording(state, mode, count, rng, **kwargs):
+        if not any(rng is seen for seen in calls):
+            calls.append(rng)
+        return draw_noise(state, mode, count, rng, **kwargs)
+
+    return recording
+
+
+def assert_close(actual, expected):
+    """Equal within 1e-12, relative to the largest magnitude expected."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=40)
+@given(
+    ranks=hst.lists(hst.integers(0, 5), min_size=1, max_size=4, unique=True),
+    p=hst.integers(1, 6),
+    seed=hst.integers(0, 2**16),
+    mode=hst.sampled_from(["naive", "paired"]),
+)
+def test_stacked_members_train_as_they_do_alone(ranks, p, seed, mode):
+    # Every member of a stack follows the steps it takes alone up to
+    # round-off, draws the same noise from its own generator, and keeps
+    # its padded U columns at exactly 0.
+    problem, _ = conjugate_problem(seed=seed % 97, k=p)
+    states = stack_members(ranks, p, seed)
+    configs = stack_configs(len(ranks), mode, seed + 1000)
+    stack_value_grad, steps = tr._stack_value_grad, []
+
+    def checking_padding(template, params, *args):
+        steps.append(all(not params["u"][j, :, k:].any() for j, k in enumerate(ranks)))
+        return stack_value_grad(template, params, *args)
+
+    stacked_rngs = []
+    with mock.patch.object(tr, "_stack_value_grad", checking_padding), mock.patch.object(
+        fam, "draw_noise", generators_of(stacked_rngs)
+    ):
+        stacked = tr.train_stack(states, problem, configs)
+    assert steps == [True] * configs[0].steps
+    assert len(stacked_rngs) == len(ranks)
+    for state, config, trace, stacked_rng in zip(states, configs, stacked, stacked_rngs):
+        alone_rngs = []
+        with mock.patch.object(fam, "draw_noise", generators_of(alone_rngs)):
+            alone = tr.train(state, problem, config)
+        assert type(trace.final_state) is type(state)
+        assert trace.final_state.u.shape == state.u.shape
+        assert_close(fam.pack(trace.final_state), fam.pack(alone.final_state))
+        assert_close(trace.elbo, alone.elbo)
+        assert trace.steps_run == alone.steps_run == config.steps
+        assert stacked_rng.bit_generator.state == alone_rngs[0].bit_generator.state
+
+
+def _nan_mean(state):
+    state.mu[0] = np.nan
+
+
+def _capacitance_over_roundoff(state):
+    # a = 1 and a first column of 1e5: eps·max(diag C) ≈ 1e-5, over
+    # CAPACITANCE_ROUNDOFF, with C's pivots far from singular.
+    state.log_a[:] = 0.0
+    state.u[:, 0] = 1e5
+
+
+def _steep_mean(state):
+    # The regression's gradient grows with the residual: over GRAD_NORM_GUARD.
+    state.mu[:] = 1e5
+
+
+STACK_LABELS = ["mf", "sn1", "sn2", "sn4"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "label,degrade,text",
+    [
+        ("mf", _nan_mean, "non-finite value produced by 'log joint'"),
+        ("sn2", _nan_mean, "non-finite value produced by 'log joint'"),
+        ("sn2", _capacitance_over_roundoff, "capacitance is too large for working precision"),
+        ("sn4", _capacitance_over_roundoff, "capacitance is too large for working precision"),
+        ("mf", _steep_mean, "exceeded guard"),
+        ("sn4", _steep_mean, "exceeded guard"),
+    ],
+    ids=["mf-nan-mean", "sn2-nan-mean", "sn2-capacitance", "sn4-capacitance", "mf-guard", "sn4-guard"],
+)
+def test_failing_member_leaves_the_stack_as_it_fails_alone(label, degrade, text):
+    # The member fails with the error and step it raises training alone; the
+    # rest train as a stack that never held it.
+    problem, _ = conjugate_problem(seed=70, k=6)
+    states = stack_members([0, 1, 2, 4], 6, 71)
+    configs = stack_configs(len(states), "paired", 72)
+    failing = STACK_LABELS.index(label)
+    degrade(states[failing])
+    stacked = tr.train_stack(states, problem, configs)
+    with pytest.raises(ad.MemberFailure) as alone:
+        tr.train(states[failing], problem, configs[failing])
+    failure = stacked[failing]
+    assert isinstance(failure, ad.MemberFailure)
+    assert str(failure) == str(alone.value)
+    assert failure.step == alone.value.step == 0
+    assert text in str(failure)
+
+    rest = [j for j in range(len(states)) if j != failing]
+    without = tr.train_stack([states[j] for j in rest], problem, [configs[j] for j in rest])
+    for j, trace in zip(rest, without):
+        assert_close(fam.pack(stacked[j].final_state), fam.pack(trace.final_state))
+        assert_close(stacked[j].elbo, trace.elbo)
+
+
+def test_stack_rejects_members_that_cannot_share_a_step():
+    problem, _ = conjugate_problem(seed=73)
+    states = stack_members([1, 2], 4, 74)
+    configs = stack_configs(2, "paired", 75)
+    with pytest.raises(ValueError, match="one config"):
+        tr.train_stack(states, problem, [configs[0], tr.TrainConfig(steps=5, mode="paired")])
+    unscented = [tr.TrainConfig(steps=5, mode="unscented", seed=s) for s in (1, 2)]
+    with pytest.raises(ValueError, match="effective sample count"):
+        tr.train_stack(stack_members([1, 10], 4, 74), problem, unscented)
 
 
 # -----------------------------------------------------------------------
