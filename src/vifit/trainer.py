@@ -34,9 +34,9 @@ rows of one (2, *psi.shape) array, and so are m̂ and v̂, with (β₁, β₂),
 moments, forming the (1 − β)g terms and correcting the bias take one ufunc
 call each, on operands of one shape, and each element still meets the
 operations of its own array's update in the same order.  On a regression
-target with P = 10 and 8 draws, a step of MAP or dropout makes 15.3
-Python-level calls, sN of any rank K ≥ 1 45.3, and mf, the rank-0 sN,
-whose kernel skips the capacitance, 26.3 (``tests/test_step_cost.py``
+target with P = 10 and 8 draws, a step of MAP or dropout makes 14.3
+Python-level calls, sN of any rank K ≥ 1 44.3, and mf, the rank-0 sN,
+whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
 counts them).
 
 A roster's mf and sN members that share a target, a config but for the
@@ -52,18 +52,21 @@ gradient and stay exactly 0.  Padding changes the shapes of the BLAS and
 LAPACK calls, so a stacked member agrees with its training alone to
 round-off (a relative 1e-14 over 300 steps at P = 10), not bit for bit;
 mf's kernel reads a padded C = I exactly.  rbf's five Gaussian members
-make 54.1 calls a stacked step, against 207.6 one after another.  Each
+make 54.1 calls a stacked step, against 202.5 one after another.  Each
 member keeps its own generator, and draws from it in chunks of
 ``NOISE_CHUNK_STEPS // M`` steps, so the stack holds as much noise as one
 member alone; consecutive ``families.draw_noise`` calls give the stream of
-one call, so the noise is the one the member draws alone.  Each keeps its
-own value, gradient-norm guard and finiteness check.  When any member's
-stacked step fails, the step is evaluated again for each member alone
-(``_checked_step``), so a failing member leaves the stack with the error
-and step it raises training alone, and the others take that step's solo
-numbers and carry on.  The members
+one call, so the noise is the one the member draws alone.  The members
 of a stack cannot be timed apart: each one's ``runtime_s`` is an equal
 share of the stack's training time.
+
+If a stacked step fails (the kernel raises ``ad.MemberFailure``, or a
+member's value is not finite or its gradient norm exceeds
+``GRAD_NORM_GUARD``), the stack is abandoned and each member trains alone
+from its initial state: it gets ``train``'s trace or failure, bit for bit,
+with its own ``runtime_s``, and the stack's time is in no member's.  Only
+a degenerate run fails, so it pays twice rather than every step paying
+for failure bookkeeping.
 """
 
 from __future__ import annotations
@@ -301,27 +304,6 @@ class _Adam:
         m_hat /= v_hat
         psi += m_hat
 
-    def keep(self, rows):
-        """Keep the moments of a stack's members ``rows`` only."""
-        kept = _Adam(self.moments[0, rows].shape)
-        kept.moments[...] = self.moments[:, rows]
-        return kept
-
-
-def _checked_step(state, params, noise, problem, logq_bar, step: int) -> tuple:
-    """(value, gradient) of one training step of one member; raises its
-    ``ad.MemberFailure`` carrying ``step`` when the value or gradient is not
-    finite, the capacitance factorization fails or the gradient norm
-    exceeds ``GRAD_NORM_GUARD``."""
-    try:
-        value, grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
-    except ad.MemberFailure as err:
-        err.step = step
-        raise
-    if gnorm > GRAD_NORM_GUARD:
-        raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
-    return value, grad
-
 
 def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
     """First-order stochastic ascent with bias-corrected moment averaging.
@@ -349,7 +331,13 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
                 state, config, rng, steps=min(NOISE_CHUNK_STEPS, config.steps - step)
             )
         noise = noises[step % NOISE_CHUNK_STEPS]
-        elbo[step], grad = _checked_step(state, params, noise, problem, logq_bar, step)
+        try:
+            elbo[step], grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
+        except ad.MemberFailure as err:
+            err.step = step
+            raise
+        if gnorm > GRAD_NORM_GUARD:
+            raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
         adam.update(psi, grad, step, lr)
         lr *= config.lr_decay
     return TrainTrace(
@@ -397,28 +385,12 @@ def _member_psi(params: dict, j: int, k: int) -> np.ndarray:
     return np.concatenate((params["mu"][j], params["log_a"][j], params["u"][j, :, :k]), axis=None)
 
 
-def _solo_steps(members, params, noise, problem, logq_bar, step: int) -> tuple:
-    """(values, gradient rows, failures) of a stack's step with each member
-    evaluated as it is alone, in its own shapes (``_checked_step``);
-    ``failures`` maps the index of each member whose step fails to its
-    ``ad.MemberFailure``.  A stack's step takes these when any member's
-    stacked step fails."""
-    (p, k), m = params["u"].shape[1:], len(members)
-    values, grad, failures = np.zeros(m), np.zeros((m, (2 + k) * p)), {}
-    grad_views = _stack_views(grad, p, k)
-    for j, state in enumerate(members):
-        own = fam.NoiseBatch(noise.count, noise.z_diag[j], noise.z_lowrank[j, :, : state.rank])
-        psi = _member_psi(params, j, state.rank)
-        try:
-            values[j], g = _checked_step(
-                state, fam.param_views(state, psi), own, problem, logq_bar, step
-            )
-        except ad.MemberFailure as err:
-            failures[j] = err
-            continue
-        for name, view in fam.param_views(state, g).items():
-            grad_views[name][j, ..., : view.shape[-1]] = view
-    return values, grad, failures
+def _alone(state, problem, config: TrainConfig):
+    """``train``'s trace, or the ``ad.MemberFailure`` it raises."""
+    try:
+        return train(state, problem, config)
+    except ad.MemberFailure as err:
+        return err
 
 
 def train_stack(states: list, problem, configs: list) -> list:
@@ -427,13 +399,11 @@ def train_stack(states: list, problem, configs: list) -> list:
     ``configs`` differ in their seeds only, and every member takes the same
     effective sample count.  Each step makes one call each to the draw, the
     log-q kernel, the target, the adjoint and ``_Adam.update`` for all M
-    members (see module notes).  Each member keeps its own generator and
-    draws from it the noise it draws alone, and its own value,
-    gradient-norm guard and finiteness check: a member whose step fails
-    leaves the stack at that step with the ``ad.MemberFailure`` it would
-    raise training alone, and the rest carry on.  Returns, per member in
-    order, its ``TrainTrace`` or that failure.  A trace's ``runtime_s`` is an
-    equal share of the stack's training time.
+    members, and each member draws from its own generator the noise it
+    draws alone (see module notes).  Returns, per member in order, its
+    ``TrainTrace``, whose ``runtime_s`` is an equal share of the stack's
+    training time.  If a stacked step fails (see module notes), returns
+    instead ``train``'s trace or ``ad.MemberFailure`` for each member alone.
     """
     config = configs[0]
     if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
@@ -449,7 +419,6 @@ def train_stack(states: list, problem, configs: list) -> list:
         params["mu"][j], params["log_a"][j] = state.mu, state.log_a
         params["u"][j, :, : state.rank] = state.u
     template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
-    members, alive = list(states), np.arange(len(states))
     rngs = [np.random.default_rng(c.seed) for c in configs]
     # One chunk's noise, reused by every chunk.  M members draw 1/M of a
     # member's chunk each, so the stack holds the noise of one member.
@@ -459,13 +428,12 @@ def train_stack(states: list, problem, configs: list) -> list:
     logq_bar = np.full(count, -1.0 / count)  # every member's, by broadcasting
     adam = _Adam(psi.shape)
     elbo = np.empty((config.steps, len(states)))
-    outcomes = [None] * len(states)
     lr = config.learning_rate
     start = time.perf_counter()
     for step in range(config.steps):
         if step % steps_per_chunk == 0:
             chunk = min(steps_per_chunk, config.steps - step)
-            _stack_noise(members, config, rngs, chunk, z_diag, z_lowrank)
+            _stack_noise(states, config, rngs, chunk, z_diag, z_lowrank)
         at = step % steps_per_chunk
         noise = fam.NoiseBatch(count, z_diag[at], z_lowrank[at])
         try:
@@ -474,30 +442,20 @@ def train_stack(states: list, problem, configs: list) -> list:
         except ad.MemberFailure:
             failed = True
         if failed:
-            values, grad, failures = _solo_steps(members, params, noise, problem, logq_bar, step)
-            if failures:
-                for j, err in failures.items():
-                    outcomes[alive[j]] = err
-                keep = [j for j in range(len(members)) if j not in failures]
-                members, rngs = [members[j] for j in keep], [rngs[j] for j in keep]
-                alive, psi, values, grad = alive[keep], psi[keep], values[keep], grad[keep]
-                z_diag, z_lowrank, adam = z_diag[:, keep], z_lowrank[:, keep], adam.keep(keep)
-                params = _stack_views(psi, p, k)
-                template = fam.StructuredNormalState(**params)
-                if not members:
-                    break
+            return [_alone(state, problem, c) for state, c in zip(states, configs)]
         adam.update(psi, grad, step, lr)
-        elbo[step, alive] = values
+        elbo[step] = values
         lr *= config.lr_decay
     share = (time.perf_counter() - start) / len(states)
-    for j, (state, index) in enumerate(zip(members, alive)):
-        outcomes[index] = TrainTrace(
-            elbo=elbo[:, index].tolist(),
+    return [
+        TrainTrace(
+            elbo=elbo[:, j].tolist(),
             runtime_s=share,
             steps_run=config.steps,
             final_state=fam.unpack(state, _member_psi(params, j, state.rank)),
         )
-    return outcomes
+        for j, state in enumerate(states)
+    ]
 
 
 @dataclass

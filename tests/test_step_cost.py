@@ -10,16 +10,15 @@ commands fit alone and for the stacks they train, each bounded a little
 above its count.  Bounds are only ever lowered.
 
 On the regression target (P = 10, 8 draws) a step of MAP and
-``mc_dropout`` makes 15.3 calls, mf 26.3 and sN1 to sN10 45.3.  mf is
+``mc_dropout`` makes 14.3 calls, mf 25.3 and sN1 to sN10 44.3.  mf is
 the rank-0 sN, whose log-q kernel skips the capacitance.  sN4 makes
-45.5 on a ``GaussianDist``, and made 47.5 before the capacitance's pivot
+44.5 on a ``GaussianDist``, and made 47.5 before the capacitance's pivot
 tests ran as one reduction each over its slices (a loop over the slices
-on Python floats took 3 calls more a slice) and before the step's checks
-became a function of their own, ``trainer._checked_step``, which a
-stack's failing step shares (1 call more; so MAP and mf made 14.3 and
-25.3).  sN4 made 49.5 when the target summed its
-quadratic form with ``ndarray.sum``, whose Python wrapper costs two calls
-more than ``np.add.reduce``.  sN made 94.4 and 96.6 when the log-q kernel went through
+on Python floats took 3 calls more a slice).  Every step alone made 1
+call more (MAP 15.3, mf 26.3, sN 45.3) while its checks were a function
+of their own, shared with a stack's failing step.  sN4 made 49.5 when
+the target summed its quadratic form with ``ndarray.sum``, whose Python
+wrapper costs two calls more than ``np.add.reduce``.  sN made 94.4 and 96.6 when the log-q kernel went through
 ``np.linalg.cholesky`` and ``np.linalg.solve``: their argument checks,
 casts and error states took 46 calls a step, which the kernel's direct
 call of the LAPACK gufuncs under one ``np.errstate`` does not make.
@@ -29,9 +28,10 @@ call event, so Adam's update counts the same whether m and v are two
 arrays or the rows of one.
 
 On the bimodal target (P = 8, two components) a step of mf, sN4 and a
-two-component rank-2 sGMM makes 33.7, 52.3 and 74.4 calls; they made
-32.7, 54.4 and 85.5 before the changes to the pivot tests and the checks
-above.  The sGMM
+two-component rank-2 sGMM makes 32.7, 51.3 and 73.4 calls; they made
+32.7, 54.4 and 85.5 before the change to the pivot tests above, and
+33.7, 52.3 and 74.4 while the step's checks were a function of their
+own.  The sGMM
 made 95.7 when it stored its components as states of their own and
 stacked them every step.  Looping over the target's components, and over
 the sGMM's in its draw, kernel and adjoint, took 66.7, 134.4 and 280.7;
@@ -39,9 +39,9 @@ the numpy wrappers took sN4 and the sGMM to 101.4 and 142.7.
 
 A command trains its mf and sN members as one stack (``tr.train_stack``):
 a step of rbf's five (mf, sN1, sN2, sN4 and sN10, P = 10) makes 54.1
-calls, where the five make 26.3 + 4 × 45.3 = 207.6 one after another
+calls, where the five make 25.3 + 4 × 44.3 = 202.5 one after another
 (214.9 before the changes above), and a step of bimodal's five (mf, sN1,
-sN2, sN4 and sN8, P = 8) makes 61.1, against 33.7 + 4 × 52.3 = 243.0.
+sN2, sN4 and sN8, P = 8) makes 61.5, against 32.7 + 4 × 51.3 = 237.9.
 About 9 of a stacked step's calls draw its members' noise: each member
 builds one noise batch a step, and calls ``families.draw_noise`` every
 ``NOISE_CHUNK_STEPS // M`` steps, so that the stack holds one member's
@@ -91,7 +91,7 @@ import vifit.models as mod
 import vifit.oracle as orc
 import vifit.trainer as tr
 
-CALLS_PER_STEP_BOUND = 53  # sN at any rank on a regression or Gaussian target
+CALLS_PER_STEP_BOUND = 52  # sN at any rank on a regression or Gaussian target
 
 
 def call_counter():
@@ -178,9 +178,9 @@ def test_sn4_step_call_count_is_bounded(target_kind):
 @pytest.mark.parametrize(
     "tag,kwargs,bound",
     [
-        ("map", {}, 16),
-        ("mc_dropout", {}, 16),
-        ("mean_field", {}, 28),
+        ("map", {}, 15),
+        ("mc_dropout", {}, 15),
+        ("mean_field", {}, 27),
         ("structured_normal", {"rank": 1}, CALLS_PER_STEP_BOUND),
         ("structured_normal", {"rank": 10}, CALLS_PER_STEP_BOUND),
     ],
@@ -195,9 +195,9 @@ def test_step_call_count_on_the_regression_target_is_bounded(tag, kwargs, bound)
 @pytest.mark.parametrize(
     "tag,kwargs,bound",
     [
-        ("mean_field", {}, 36),
-        ("structured_normal", {"rank": 4}, 60),
-        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 88),
+        ("mean_field", {}, 35),
+        ("structured_normal", {"rank": 4}, 59),
+        ("mixture", {"rank": 2, "components": 2, "mixture_spread": 3.0}, 87),
     ],
     ids=["mf", "sn4", "sgmm"],
 )

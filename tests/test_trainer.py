@@ -426,6 +426,31 @@ def test_stacked_members_train_as_they_do_alone(ranks, p, seed, mode):
         assert stacked_rng.bit_generator.state == alone_rngs[0].bit_generator.state
 
 
+def outcomes_alone(states, problem, configs) -> list:
+    """Each member's ``tr.train`` trace, or the ``ad.MemberFailure`` it raises."""
+    outcomes = []
+    for state, config in zip(states, configs):
+        try:
+            outcomes.append(tr.train(state, problem, config))
+        except ad.MemberFailure as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def assert_same_outcomes(actual, expected):
+    """Bit for bit the same outcomes: final psi, ELBO trace and step count,
+    or failure text and step."""
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert type(got) is type(want)
+        if isinstance(want, ad.MemberFailure):
+            assert (str(got), got.step) == (str(want), want.step)
+        else:
+            assert np.array_equal(fam.pack(got.final_state), fam.pack(want.final_state))
+            assert got.elbo == want.elbo
+            assert got.steps_run == want.steps_run
+
+
 def _nan_mean(state):
     state.mu[0] = np.nan
 
@@ -459,27 +484,62 @@ STACK_LABELS = ["mf", "sn1", "sn2", "sn4"]
     ids=["mf-nan-mean", "sn2-nan-mean", "sn2-capacitance", "sn4-capacitance", "mf-guard", "sn4-guard"],
 )
 def test_failing_member_leaves_the_stack_as_it_fails_alone(label, degrade, text):
-    # The member fails with the error and step it raises training alone; the
-    # rest train as a stack that never held it.
+    # A stack with a failing member gives every member what it gets alone,
+    # bit for bit: the failing member its error and step, the rest their
+    # traces.
     problem, _ = conjugate_problem(seed=70, k=6)
     states = stack_members([0, 1, 2, 4], 6, 71)
     configs = stack_configs(len(states), "paired", 72)
     failing = STACK_LABELS.index(label)
     degrade(states[failing])
+    expected = outcomes_alone(states, problem, configs)
     stacked = tr.train_stack(states, problem, configs)
-    with pytest.raises(ad.MemberFailure) as alone:
-        tr.train(states[failing], problem, configs[failing])
+    assert_same_outcomes(stacked, expected)
     failure = stacked[failing]
     assert isinstance(failure, ad.MemberFailure)
-    assert str(failure) == str(alone.value)
-    assert failure.step == alone.value.step == 0
+    assert failure.step == 0
     assert text in str(failure)
+    assert all(isinstance(stacked[j], tr.TrainTrace) for j in range(len(states)) if j != failing)
 
-    rest = [j for j in range(len(states)) if j != failing]
-    without = tr.train_stack([states[j] for j in rest], problem, [configs[j] for j in rest])
-    for j, trace in zip(rest, without):
-        assert_close(fam.pack(stacked[j].final_state), fam.pack(trace.final_state))
-        assert_close(stacked[j].elbo, trace.elbo)
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30)
+@given(
+    ranks=hst.lists(hst.integers(0, 5), min_size=1, max_size=4, unique=True),
+    p=hst.integers(1, 6),
+    fail_at=hst.integers(1, 19),
+    member=hst.integers(0, 3),
+    how=hst.sampled_from(["raise", "nan value", "over guard"]),
+    seed=hst.integers(0, 2**16),
+)
+def test_stack_failing_at_any_step_gives_every_member_its_outcome_alone(
+    ranks, p, fail_at, member, how, seed
+):
+    # However far the stack got, no member keeps psi, moments or noise
+    # from it: every outcome is the member's ``tr.train`` alone.
+    problem, _ = conjugate_problem(seed=seed % 97, k=p)
+    states = stack_members(ranks, p, seed)
+    configs = stack_configs(len(ranks), "paired", seed + 1000)
+    expected = outcomes_alone(states, problem, configs)
+    stack_value_grad, steps = tr._stack_value_grad, []
+
+    def failing_at(*args):
+        values, grad, gnorm = stack_value_grad(*args)
+        steps.append(len(steps))
+        if steps[-1] == fail_at:
+            j = member % len(ranks)
+            if how == "raise":
+                raise ad.MemberFailure("forced stacked failure")
+            if how == "nan value":
+                values[j] = np.nan
+            else:
+                gnorm[j] = 2 * tr.GRAD_NORM_GUARD
+        return values, grad, gnorm
+
+    with mock.patch.object(tr, "_stack_value_grad", failing_at):
+        stacked = tr.train_stack(states, problem, configs)
+    assert steps == list(range(fail_at + 1))
+    assert_same_outcomes(stacked, expected)
 
 
 def test_stack_rejects_members_that_cannot_share_a_step():
