@@ -238,56 +238,28 @@ def _audited(member: Member, trace, tcfg, audit, audit_seq) -> tuple:
     return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
 
 
-def fit_member(member: Member, p: int, target, config, seqs, audit) -> tuple:
-    """init over ``p`` parameters → train alone → audit one member; returns
-    (FamilyResult, fitted state).
-
-    ``seqs`` are the member's (init, train, audit) seed sequences and
-    ``audit(fitted, train_config, audit_seq)`` gives its metrics.  Each
-    numerical failure is an ``ad.MemberFailure``: training's propagate,
-    and so do the checks of ``_audited``.
-    """
-    init_seq, train_seq, audit_seq = seqs
-    state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
-    tcfg = _train_config(member, config, train_seq)
-    return _audited(member, tr.train(state, target, tcfg), tcfg, audit, audit_seq)
-
-
 def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
-    """init → train → audit every member, each seed sequence spawned once
-    per member; returns (FamilyResult, fitted state) per member, in roster
-    order.
+    """init → train → audit every member; returns (FamilyResult, fitted
+    state) per member, in roster order.
 
-    The mf and sN members train as stacks (``tr.train_stack``), one per
-    sampling mode and effective sample count; MAP, MC dropout and the sGMM
-    train alone.  Each member is initialized from its own seed, so the
-    grouping draws no number differently.  A member whose fit raises
-    ``ad.MemberFailure`` (its training fails, or its audit meets a
-    numerically degenerate fit) gets an empty row and a None state; the
-    rest of the roster still runs.  Other errors end the command.
+    ``seqs`` are the roster's (init, train, audit) seed sequences, each
+    spawned once per member, and ``audit(fitted, train_config, audit_seq)``
+    gives a member's metrics.  The roster trains in one ``tr.train_roster``
+    call.  A member whose fit raises ``ad.MemberFailure`` (its training
+    fails, or its audit meets a numerically degenerate fit) gets an empty
+    row and a None state; the rest of the roster still runs.  Other errors
+    end the command.
     """
-    runs = []
-    for member, init_seq, train_seq, audit_seq in zip(
-        roster, *(seq.spawn(len(roster)) for seq in seqs)
-    ):
-        state = fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
-        runs.append((member, state, _train_config(member, config, train_seq), audit_seq))
-    stack_of: dict = {}  # member index -> the indices of its stack
-    stacks: dict = {}
-    for i, (_, state, tcfg, _) in enumerate(runs):
-        if isinstance(state, fam.StructuredNormalState):
-            key = (tcfg.mode, tr._effective_sample_count(state, tcfg))
-            stack_of[i] = stacks.setdefault(key, [])
-            stack_of[i].append(i)
-    trained: dict = {}
+    init_seqs, train_seqs, audit_seqs = (seq.spawn(len(roster)) for seq in seqs)
+    states = [
+        fam.init_family(member.tag, p, np.random.default_rng(init_seq), **member.kwargs)
+        for member, init_seq in zip(roster, init_seqs)
+    ]
+    configs = [_train_config(member, config, seq) for member, seq in zip(roster, train_seqs)]
+    outcomes = tr.train_roster(states, target, configs)
     fits = []
-    for i, (member, state, tcfg, audit_seq) in enumerate(runs):
-        if i in stack_of and i not in trained:
-            rows = stack_of[i]
-            states, configs = [runs[j][1] for j in rows], [runs[j][2] for j in rows]
-            trained.update(zip(rows, tr.train_stack(states, target, configs)))
+    for member, outcome, tcfg, audit_seq in zip(roster, outcomes, configs, audit_seqs):
         try:
-            outcome = trained.pop(i) if i in stack_of else tr.train(state, target, tcfg)
             if isinstance(outcome, ad.MemberFailure):
                 raise outcome
             fits.append(_audited(member, outcome, tcfg, audit, audit_seq))
@@ -503,10 +475,12 @@ def cmd_dropout_audit(config: DropoutAuditConfig) -> ExperimentReport:
     spec = mod.RbfModelSpec.regular(config.n_droppable, noise_sigma=config.noise_sigma)
     problem, truth = mod.make_rbf_dataset(spec, config.n_data, seed=_child_seed(data_seq))
     member = Member("mc_dropout", "mc_dropout", {"keep_prob": config.keep_prob})
-    result, fitted = fit_member(
-        member, problem.model_shape(), problem, config,
-        (init_seq, train_seq, None), lambda *_: {},
+    state = fam.init_family(
+        member.tag, problem.model_shape(), np.random.default_rng(init_seq), **member.kwargs
     )
+    tcfg = _train_config(member, config, train_seq)
+    # The one member is the whole command: a MemberFailure ends it.
+    result, fitted = _audited(member, tr.train(state, problem, tcfg), tcfg, lambda *_: {}, None)
 
     x_star = np.asarray(config.x_star)
     exact = orc.dropout_predictive_exact(fitted, problem, x_star)

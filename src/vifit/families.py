@@ -380,13 +380,13 @@ def draw_noise(
             else:
                 half = rng.choice(state.n_components, size=count // 2, p=state.weights)
                 comp = np.repeat(half, 2)
-            (z_diag,), (z_lowrank,) = _gaussian_noise(rng, mode, 1, count, p, k)
+            (z_diag,), (z_lowrank,) = gaussian_noise(rng, mode, 1, count, p, k)
             batches.append(NoiseBatch(count, z_diag, z_lowrank, comp))
     else:
         comp = None
         if isinstance(state, MixtureState):
             comp = _stratified_components(state.n_components, mode, count)
-        z_diag, z_lowrank = _gaussian_noise(rng, mode, n, count, p, k)
+        z_diag, z_lowrank = gaussian_noise(rng, mode, n, count, p, k)
         batches = [
             NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
             for zd, zl in zip(z_diag, z_lowrank)
@@ -405,7 +405,7 @@ def _masks(state: FamilyState, shape: tuple, rng) -> np.ndarray:
     return masks
 
 
-def _gaussian_noise(rng, mode: str, n: int, count: int, p: int, k: int) -> tuple:
+def gaussian_noise(rng, mode: str, n: int, count: int, p: int, k: int) -> tuple:
     """(z_diag, z_lowrank) of shapes (n, count, p) and (n, count, k), taken
     from ``rng`` as n batches drawn one after another take them."""
     if mode == "unscented":  # its groups of 2K rows run on across batches

@@ -39,26 +39,27 @@ Python-level calls, sN of any rank K ≥ 1 44.3, and mf, the rank-0 sN,
 whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
 counts them).
 
-A roster's mf and sN members that share a target, a config but for the
-seed, and an effective sample count train as one stack (``train_stack``),
-stored as the sGMM is: psi is M rows, one a member, each laid out as that
-member's psi with U padded by zero columns to the stack's largest rank K,
-so mu and log_a are (M, P) views and u an (M, P, K) one.  A step draws
-(M, S, ·) rows, evaluates the M log-q kernels and the target at them and
-takes their adjoint in one call each (``families.draws_logq_vjp`` on the
-stacked arrays), then updates all M rows in one ``_Adam`` call.  Padded
-noise columns are zero, so the padded columns of U get an exactly zero
-gradient and stay exactly 0.  Padding changes the shapes of the BLAS and
-LAPACK calls, so a stacked member agrees with its training alone to
-round-off (a relative 1e-14 over 300 steps at P = 10), not bit for bit;
-mf's kernel reads a padded C = I exactly.  rbf's five Gaussian members
-make 54.1 calls a stacked step, against 202.5 one after another.  Each
-member keeps its own generator, and draws from it in chunks of
-``NOISE_CHUNK_STEPS // M`` steps, so the stack holds as much noise as one
-member alone; consecutive ``families.draw_noise`` calls give the stream of
-one call, so the noise is the one the member draws alone.  The members
-of a stack cannot be timed apart: each one's ``runtime_s`` is an equal
-share of the stack's training time.
+``train_roster`` trains a roster's mf and sN members that share a sampling
+mode and an effective sample count as one stack (``train_stack``) and the
+rest alone.  A stack is stored as the sGMM is: psi is M rows, one a
+member, each laid out as that member's psi with U padded by zero columns
+to the stack's largest rank K, so mu and log_a are (M, P) views and u an
+(M, P, K) one.  A step draws (M, S, ·) rows, evaluates the M log-q
+kernels and the target at them and takes their adjoint in one call each
+(``families.draws_logq_vjp`` on the stacked arrays), then updates all M
+rows in one ``_Adam`` call.  Padded noise columns are zero, so the padded
+columns of U get an exactly zero gradient and stay exactly 0.  Padding
+changes the shapes of the BLAS and LAPACK calls, so a stacked member
+agrees with its training alone to round-off (a relative 1e-14 over 300
+steps at P = 10), not bit for bit; mf's kernel reads a padded C = I
+exactly.  rbf's five Gaussian members make 45.8 calls a stacked step,
+against 202.5 one after another.  Each member draws from its own
+generator in chunks of ``NOISE_CHUNK_STEPS // M`` steps, so the stack
+holds as much noise as one member alone: the arrays of the
+``families.gaussian_noise`` calls that ``families.draw_noise`` makes
+alone, in the same stream, go straight into the stack's chunk.  The
+members of a stack cannot be timed apart: each one's ``runtime_s`` is an
+equal share of the stack's training time.
 
 If a stacked step fails (the kernel raises ``ad.MemberFailure``, or a
 member's value is not finite or its gradient norm exceeds
@@ -355,15 +356,16 @@ def _stack_views(psi: np.ndarray, p: int, k: int) -> dict:
     return {"mu": psi[:, :p], "log_a": psi[:, p : 2 * p], "u": u}
 
 
-def _stack_noise(states, config: TrainConfig, rngs, steps: int, z_diag, z_lowrank):
+def _stack_noise(states, mode: str, rngs, steps: int, z_diag, z_lowrank):
     """Fill the first ``steps`` entries of a stack's (chunk, M, S, P) z_diag
-    and (chunk, M, S, K) z_lowrank in place: each member's ``steps`` batches
-    from its own generator, as it draws them alone.  The padded columns of
+    and (chunk, M, S, K) z_lowrank in place, each member's by the
+    ``fam.gaussian_noise`` call it makes alone.  The padded columns of
     z_lowrank are never written, so they stay at their zeros."""
+    count, p = z_diag.shape[2:]
     for j, (state, rng) in enumerate(zip(states, rngs)):
-        batches = _draw_noise(state, config, rng, steps=steps)
-        z_diag[:steps, j] = [batch.z_diag for batch in batches]
-        z_lowrank[:steps, j, :, : state.rank] = [batch.z_lowrank for batch in batches]
+        z_diag[:steps, j], z_lowrank[:steps, j, :, : state.rank] = fam.gaussian_noise(
+            rng, mode, steps, count, p, state.rank
+        )
 
 
 def _stack_value_grad(template, params, noise, problem, logq_bar) -> tuple:
@@ -394,16 +396,15 @@ def _alone(state, problem, config: TrainConfig):
 
 
 def train_stack(states: list, problem, configs: list) -> list:
-    """``train`` for M structured normals (mf included) at once.
-
-    ``configs`` differ in their seeds only, and every member takes the same
-    effective sample count.  Each step makes one call each to the draw, the
-    log-q kernel, the target, the adjoint and ``_Adam.update`` for all M
-    members, and each member draws from its own generator the noise it
-    draws alone (see module notes).  Returns, per member in order, its
+    """``train`` for M structured normals (mf included) at once, whose
+    ``configs`` differ in their seeds only and which take one effective
+    sample count: a step makes one draw, log-q kernel, target, adjoint and
+    ``_Adam.update`` call for all M, each member on the noise it draws
+    alone (see module notes).  Returns, per member in order, its
     ``TrainTrace``, whose ``runtime_s`` is an equal share of the stack's
-    training time.  If a stacked step fails (see module notes), returns
-    instead ``train``'s trace or ``ad.MemberFailure`` for each member alone.
+    training time; if a stacked step fails, ``train``'s trace or
+    ``ad.MemberFailure`` for each member alone.  A member that cannot
+    sample in the mode raises ``fam.ModeFamilyError`` before step 0.
     """
     config = configs[0]
     if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
@@ -416,6 +417,7 @@ def train_stack(states: list, problem, configs: list) -> list:
     psi = np.zeros((len(states), (2 + k) * p))
     params = _stack_views(psi, p, k)
     for j, state in enumerate(states):
+        fam.check_mode(state.tag, config.mode, state.rank)  # what fam.draw_noise checks alone
         params["mu"][j], params["log_a"][j] = state.mu, state.log_a
         params["u"][j, :, : state.rank] = state.u
     template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
@@ -433,7 +435,7 @@ def train_stack(states: list, problem, configs: list) -> list:
     for step in range(config.steps):
         if step % steps_per_chunk == 0:
             chunk = min(steps_per_chunk, config.steps - step)
-            _stack_noise(states, config, rngs, chunk, z_diag, z_lowrank)
+            _stack_noise(states, config.mode, rngs, chunk, z_diag, z_lowrank)
         at = step % steps_per_chunk
         noise = fam.NoiseBatch(count, z_diag[at], z_lowrank[at])
         try:
@@ -456,6 +458,29 @@ def train_stack(states: list, problem, configs: list) -> list:
         )
         for j, state in enumerate(states)
     ]
+
+
+def train_roster(states: list, problem, configs: list) -> list:
+    """Each member's ``train`` outcome, in roster order: its ``TrainTrace`` or
+    the ``ad.MemberFailure`` that ``train`` raises.  ``configs`` differ in
+    their seeds and modes only, as a roster's do.  The mf and sN members that
+    share a mode and an effective sample count train as one stack
+    (``train_stack``) when the first of them comes up; the rest alone."""
+    keys = [
+        (config.mode, _effective_sample_count(state, config))
+        if isinstance(state, fam.StructuredNormalState)
+        else None
+        for state, config in zip(states, configs)
+    ]
+    outcomes: dict = {}
+    for i, key in enumerate(keys):
+        if key is None:
+            outcomes[i] = _alone(states[i], problem, configs[i])
+        elif i not in outcomes:
+            rows = [j for j, other in enumerate(keys) if other == key]
+            stacked = train_stack([states[j] for j in rows], problem, [configs[j] for j in rows])
+            outcomes.update(zip(rows, stacked))
+    return [outcomes[i] for i in range(len(states))]
 
 
 @dataclass

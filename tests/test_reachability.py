@@ -216,3 +216,12 @@ def test_every_target_is_read_through_one_method():
         "log_joint_and_grad"
     )
     assert ("families", "dense_moments") not in {(path.stem, name) for path, name in definitions()}
+
+
+def test_the_trainer_decides_which_members_train_as_a_stack():
+    # The CLI hands tr.train_roster a whole roster and names neither the
+    # stacked trainer nor the sample count that its groups are keyed on.
+    tree = ast.parse((ROOT / "src" / "vifit" / "cli.py").read_text())
+    names = {referred(node, strings=False) for node in ast.walk(tree)}
+    assert not names & {"train_stack", "_effective_sample_count"}
+    assert "train_roster" in names

@@ -368,14 +368,15 @@ def stack_configs(n, mode, seed, steps=20) -> list:
 
 
 def generators_of(calls) -> list:
-    """A stand-in for ``fam.draw_noise`` that lists in ``calls`` each
-    generator it is handed, once, in order of first use."""
-    draw_noise = fam.draw_noise
+    """A stand-in for ``fam.gaussian_noise``, which a member calls alone
+    and in a stack, that lists in ``calls`` each generator it is handed,
+    once, in order of first use."""
+    gaussian_noise = fam.gaussian_noise
 
-    def recording(state, mode, count, rng, **kwargs):
+    def recording(rng, *args):
         if not any(rng is seen for seen in calls):
             calls.append(rng)
-        return draw_noise(state, mode, count, rng, **kwargs)
+        return gaussian_noise(rng, *args)
 
     return recording
 
@@ -409,14 +410,14 @@ def test_stacked_members_train_as_they_do_alone(ranks, p, seed, mode):
 
     stacked_rngs = []
     with mock.patch.object(tr, "_stack_value_grad", checking_padding), mock.patch.object(
-        fam, "draw_noise", generators_of(stacked_rngs)
+        fam, "gaussian_noise", generators_of(stacked_rngs)
     ):
         stacked = tr.train_stack(states, problem, configs)
     assert steps == [True] * configs[0].steps
     assert len(stacked_rngs) == len(ranks)
     for state, config, trace, stacked_rng in zip(states, configs, stacked, stacked_rngs):
         alone_rngs = []
-        with mock.patch.object(fam, "draw_noise", generators_of(alone_rngs)):
+        with mock.patch.object(fam, "gaussian_noise", generators_of(alone_rngs)):
             alone = tr.train(state, problem, config)
         assert type(trace.final_state) is type(state)
         assert trace.final_state.u.shape == state.u.shape
@@ -551,6 +552,96 @@ def test_stack_rejects_members_that_cannot_share_a_step():
     unscented = [tr.TrainConfig(steps=5, mode="unscented", seed=s) for s in (1, 2)]
     with pytest.raises(ValueError, match="effective sample count"):
         tr.train_stack(stack_members([1, 10], 4, 74), problem, unscented)
+    # mf cannot sample in unscented mode: the stack says so before step 0,
+    # as fam.draw_noise says so to mf alone, not with the division by its
+    # rank 0 that its unscented noise would make.
+    with mock.patch.object(tr, "_stack_value_grad") as step:
+        with pytest.raises(fam.ModeFamilyError, match="unscented"):
+            tr.train_stack(stack_members([1, 0], 4, 74), problem, unscented)
+    assert not step.called
+
+
+# -----------------------------------------------------------------------
+# train_roster
+
+
+ROSTER_KINDS = [
+    ("map", {}),
+    ("mc_dropout", {"keep_prob": 0.5}),
+    ("mixture", {"rank": 1, "components": 2}),
+    *[("structured_normal" if k else "mean_field", {"rank": k}) for k in range(6)],
+]
+
+
+@hst.composite
+def rosters(draw):
+    """(states, configs) of a roster over p parameters: any of MAP, MC
+    dropout, an sGMM and mf or sN of rank 1 to 5, each in a mode it can
+    sample in, with configs that differ in their seeds and modes only, and
+    perhaps one member whose psi starts with a NaN."""
+    p = draw(hst.integers(1, 5))
+    kinds = draw(hst.lists(hst.sampled_from(ROSTER_KINDS), min_size=1, max_size=6))
+    seed = draw(hst.integers(0, 2**16))
+    states, configs = [], []
+    for j, (tag, kwargs) in enumerate(kinds):
+        modes = [m for m in fam.MODES if _can_sample(tag, m, kwargs.get("rank", 0))]
+        mode = draw(hst.sampled_from(modes))
+        states.append(fam.init_family(tag, p, np.random.default_rng(seed + j), **kwargs))
+        configs.append(
+            tr.TrainConfig(
+                steps=12, learning_rate=0.02, lr_decay=0.99, mode=mode, seed=seed + 100 + j
+            )
+        )
+    nan_at = draw(hst.one_of(hst.none(), hst.integers(0, len(states) - 1)))
+    if nan_at is not None:
+        psi = fam.pack(states[nan_at])
+        psi[0] = np.nan
+        states[nan_at] = fam.unpack(states[nan_at], psi)
+    return states, configs
+
+
+def _can_sample(tag, mode, rank) -> bool:
+    try:
+        fam.check_mode(tag, mode, rank)
+    except fam.ModeFamilyError:
+        return False
+    return True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40)
+@given(roster=rosters())
+def test_roster_trains_every_member_as_it_trains_alone(roster):
+    # The members alone get train's outcome bit for bit, the stacked ones
+    # to round-off (or bit for bit, when their stack fails), and each
+    # (mode, effective sample count) group of mf and sN members is one
+    # train_stack call, its members in roster order.
+    states, configs = roster
+    problem, _ = conjugate_problem(seed=78, k=states[0].dim)
+    groups: dict = {}
+    for i, (state, config) in enumerate(zip(states, configs)):
+        if isinstance(state, fam.StructuredNormalState):
+            key = (config.mode, tr._effective_sample_count(state, config))
+            groups.setdefault(key, []).append(i)
+    train_stack, stacks = tr.train_stack, []
+
+    def recording(members, target, member_configs):
+        stacks.append([next(i for i, s in enumerate(states) if s is m) for m in members])
+        return train_stack(members, target, member_configs)
+
+    with mock.patch.object(tr, "train_stack", recording):
+        outcomes = tr.train_roster(states, problem, configs)
+    assert stacks == list(groups.values())
+    expected = outcomes_alone(states, problem, configs)
+    assert len(outcomes) == len(expected)
+    for state, got, want in zip(states, outcomes, expected):
+        if not isinstance(state, fam.StructuredNormalState) or isinstance(got, ad.MemberFailure):
+            assert_same_outcomes([got], [want])
+        else:
+            assert isinstance(want, tr.TrainTrace)
+            assert_close(fam.pack(got.final_state), fam.pack(want.final_state))
+            assert_close(got.elbo, want.elbo)
+            assert got.steps_run == want.steps_run
 
 
 # -----------------------------------------------------------------------
