@@ -349,15 +349,24 @@ def _isolines(target, gaussians) -> dict:
 def _density_fit_metrics(target, n_mc, fitted, tcfg, mc_seq) -> dict:
     """KL both ways plus an ELBO figure for one fitted family.
 
-    A Monte-Carlo KL also gives its standard error (``kl_p_q_se``,
-    ``kl_q_p_se``); an infinite KL has none.
+    A Gaussian q's KLs are exact: against a Gaussian target by
+    ``orc.kl_gaussian_gaussian``, against the two-mode target by
+    ``orc.kl_gaussian_bimodal``, where a q with a zero variance is a point
+    mass and both KLs are infinite.  Any other q (the sGMM) is audited by
+    Monte Carlo over ``n_mc`` draws each way, and each KL also gives its
+    standard error (``kl_p_q_se``, ``kl_q_p_se``); an infinite KL has none.
     """
     if isinstance(fitted, fam.MapState):
         elbo = tr.elbo_estimate(fitted, target, tcfg, np.random.default_rng(mc_seq)).total
         return {"kl_p_q": math.inf, "kl_q_p": math.inf, "elbo": elbo}
-    if isinstance(fitted, fam.StructuredNormalState) and isinstance(target, orc.GaussianDist):
-        q = orc.family_to_gaussian(fitted)
-        kl_pq, kl_qp = orc.kl_gaussian_gaussian(target, q), orc.kl_gaussian_gaussian(q, target)
+    if isinstance(fitted, fam.StructuredNormalState):
+        if isinstance(target, orc.GaussianDist):
+            q = orc.family_to_gaussian(fitted)
+            kl_pq, kl_qp = orc.kl_gaussian_gaussian(target, q), orc.kl_gaussian_gaussian(q, target)
+        elif fam.has_zero_variance(fitted):
+            kl_pq = kl_qp = math.inf
+        else:
+            kl_pq, kl_qp = orc.kl_gaussian_bimodal(target, orc.family_to_gaussian(fitted))
         return {"kl_p_q": kl_pq, "kl_q_p": kl_qp, "elbo": -kl_qp}
     rng = np.random.default_rng(mc_seq)
     kl_pq, kl_pq_se = orc.kl_p_to_family_mc(target, fitted, n_mc, rng)

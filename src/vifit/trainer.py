@@ -39,23 +39,23 @@ Python-level calls, sN of any rank K ≥ 1 44.3, and mf, the rank-0 sN,
 whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
 counts them).
 
-``train_roster`` trains a roster's mf and sN members that share a sampling
-mode and an effective sample count as one stack (``train_stack``) and the
-rest alone.  A stack is stored as the sGMM is: psi is M rows, one a
-member, each laid out as that member's psi with U padded by zero columns
-to the stack's largest rank K, so mu and log_a are (M, P) views and u an
-(M, P, K) one.  A step draws (M, S, ·) rows, evaluates the M log-q
-kernels and the target at them and takes their adjoint in one call each
-(``families.draws_logq_vjp`` on the stacked arrays), then updates all M
-rows in one ``_Adam`` call.  Padded noise columns are zero, so the padded
-columns of U get an exactly zero gradient and stay exactly 0.  Padding
-changes the shapes of the BLAS and LAPACK calls, so a stacked member
-agrees with its training alone to round-off (a relative 1e-14 over 300
-steps at P = 10), not bit for bit; mf's kernel reads a padded C = I
-exactly.  rbf's five Gaussian members make 45.8 calls a stacked step,
-against 202.5 one after another.  Each member draws from its own
-generator in chunks of ``NOISE_CHUNK_STEPS // M`` steps, so the stack
-holds as much noise as one member alone: the arrays of the
+``train_roster`` trains a roster's mf and sN members that share a config
+but for its seed, and an effective sample count, as one stack
+(``train_stack``) and the rest alone.  A stack is stored as the sGMM is:
+psi is M rows, one a member, each laid out as that member's psi with U
+padded by zero columns to the stack's largest rank K, so mu and log_a are
+(M, P) views and u an (M, P, K) one.  A step draws (M, S, ·) rows,
+evaluates the M log-q kernels and the target at them and takes their
+adjoint in one call each (``families.draws_logq_vjp`` on the stacked
+arrays), then updates all M rows in one ``_Adam`` call.  Padded noise
+columns are zero, so the padded columns of U get an exactly zero gradient
+and stay exactly 0.  Padding changes the shapes of the BLAS and LAPACK
+calls, so a stacked member agrees with its training alone to round-off (a
+relative 1e-14 over 300 steps at P = 10), not bit for bit; mf's kernel
+reads a padded C = I exactly.  rbf's five Gaussian members make 45.8 calls
+a stacked step, against 202.5 one after another.  Each member draws from
+its own generator in chunks of ``NOISE_CHUNK_STEPS // M`` steps, so the
+stack holds as much noise as one member alone: the arrays of the
 ``families.gaussian_noise`` calls that ``families.draw_noise`` makes
 alone, in the same stream, go straight into the stack's chunk.  The
 members of a stack cannot be timed apart: each one's ``runtime_s`` is an
@@ -462,12 +462,12 @@ def train_stack(states: list, problem, configs: list) -> list:
 
 def train_roster(states: list, problem, configs: list) -> list:
     """Each member's ``train`` outcome, in roster order: its ``TrainTrace`` or
-    the ``ad.MemberFailure`` that ``train`` raises.  ``configs`` differ in
-    their seeds and modes only, as a roster's do.  The mf and sN members that
-    share a mode and an effective sample count train as one stack
-    (``train_stack``) when the first of them comes up; the rest alone."""
+    the ``ad.MemberFailure`` that ``train`` raises.  The mf and sN members
+    whose configs agree but for their seeds, and that take one effective
+    sample count, train as one stack (``train_stack``) when the first of
+    them comes up; the rest alone."""
     keys = [
-        (config.mode, _effective_sample_count(state, config))
+        (dataclasses.replace(config, seed=0), _effective_sample_count(state, config))
         if isinstance(state, fam.StructuredNormalState)
         else None
         for state, config in zip(states, configs)

@@ -220,10 +220,15 @@ def test_monte_carlo_kl_standard_errors_reported(tmp_path):
     assert cli.main(["fit-gaussian", "--bimodal", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert [f["family"] for f in doc["families"]] == ["mf", "sn1", "sn3", "sgmm"]
-    for row in doc["families"]:
-        for key in ("kl_p_q_se", "kl_q_p_se"):
-            se = float(row["metrics"][key])
-            assert math.isfinite(se) and se > 0, (row["family"], key)
+    # Only the sGMM is audited by Monte Carlo; a Gaussian member's KLs are
+    # exact, as on the unimodal target, and an exact value has no error.
+    *gaussians, sgmm = doc["families"]
+    for key in ("kl_p_q_se", "kl_q_p_se"):
+        se = float(sgmm["metrics"][key])
+        assert math.isfinite(se) and se > 0, key
+    for row in gaussians:
+        assert sorted(row["metrics"]) == ["elbo", "kl_p_q", "kl_q_p"], row["family"]
+        assert all(math.isfinite(float(value)) for value in row["metrics"].values())
     # tables.csv keeps its columns; the errors live in report.json only.
     header = (out / "tables.csv").read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
@@ -322,10 +327,12 @@ def test_dropout_audit_memory_does_not_grow_with_the_atoms():
 
 
 def test_bimodal_fit_memory_holds_no_audit_sized_noise():
-    # Traced peak of fit-gaussian --bimodal with its 200k-draw audits both
-    # ways (P = 8): 18.4 MB, mostly sn8's (200k, 8) z_diag and the audit's
-    # (200k,) gaps and component ids.  Drawing q's noise for all 200k rows
-    # at once peaked at 30.5 MB.
+    # Traced peak of fit-gaussian --bimodal (P = 8): 21.3 MB, all of it in
+    # the sGMM's 200k-draw KL[q‖p], mostly its (200k, 8) z_diag and the
+    # audit's (200k,) gaps and component ids.  The mf and sN members' KLs
+    # are exact and draw nothing; while they were Monte Carlo, sn8's z_diag
+    # set the same peak.  Drawing q's noise for all 200k rows at once
+    # peaked at 30.5 MB.
     config = cli._load_config(cli.FitGaussianConfig, None, {"steps": 5, "bimodal": True})
     assert config.kl_mc_samples == 200_000
     _, peak = traced_peak(cli.cmd_fit_gaussian, config)

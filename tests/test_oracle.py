@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -822,6 +823,83 @@ def test_log_joint_and_grad_is_the_gradient_of_its_rows(s, case):
     else:
         assert log_prior is None
         assert np.array_equal(target.log_density(theta), rows)
+
+
+# -----------------------------------------------------------------------
+# closed-form KLs against the two-mode target
+
+
+def _reference_expected_log_cosh(mean, sd):
+    """E[log cosh x], x ~ N(mean, sd²), by 30-digit quadrature on ±12 sd,
+    split at the mean, at ±1 and ±4 sd and at 0, where log cosh bends."""
+    with mpmath.workdps(30):
+        m, s = mpmath.mpf(mean), mpmath.mpf(sd)
+        density = lambda x: mpmath.npdf(x, m, s) * mpmath.log(mpmath.cosh(x))  # noqa: E731
+        cuts = {m + k * s for k in (-12, -4, -1, 0, 1, 4, 12)}
+        if m - 12 * s < 0 < m + 12 * s:
+            cuts.add(mpmath.mpf(0))
+        return float(mpmath.quad(density, sorted(cuts)))
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.4, -3.0, 10.0, 39.0, 300.0])
+def test_expected_log_cosh_matches_mpmath(mean):
+    # sd on both sides of the rule switch at 1, from 1e-3 to 1e2; at mean 0
+    # and sd 1e-3 the value is about 5e-7, which only a log cosh that keeps
+    # its relative precision near 0 reads to 1e-14.
+    for sd in (1e-3, 0.05, 0.7, 1.0, 1.0 + 1e-9, 1.5, 6.25, 31.0, 100.0):
+        want = _reference_expected_log_cosh(mean, sd)
+        got = orc.expected_log_cosh(mean, sd)
+        assert abs(got - want) <= 1e-14 * abs(want), (mean, sd, got, want)
+
+
+BIMODAL_MEMBERS = {
+    # On one mode, as a trained member sits.
+    "mf": ("mean_field", 0, lambda c, d: c + 2.5 * d, 0.35),
+    # Wide and centred between the modes, where log cosh bends at t = 0.
+    "sn1": ("structured_normal", 1, lambda c, d: c + 0.1 * d, 1.2),
+    # Off both modes, correlated.
+    "sn8": ("structured_normal", 8, lambda c, d: c - 1.0 * d + 0.2, 0.5),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BIMODAL_MEMBERS))
+def test_kl_gaussian_bimodal_matches_monte_carlo(label):
+    # At 2M draws each way, both Monte-Carlo KLs lie within 4 standard
+    # errors of the closed form.
+    import vifit.cli as cli
+
+    target = cli.bimodal_target(8, np.random.default_rng(3), 5.0, 0.4)
+    c, d, _, _ = target._isotropic_pair
+    tag, rank, at, scale = BIMODAL_MEMBERS[label]
+    rng = np.random.default_rng(4)
+    state = fam.init_family(tag, 8, rng, rank=rank)
+    state.mu[:] = at(c, d)
+    state.log_a[:] = 2.0 * np.log(scale * rng.uniform(0.5, 1.0, 8))
+    state.u[:] = 0.2 * rng.standard_normal(state.u.shape)
+    kl_pq, kl_qp = orc.kl_gaussian_bimodal(target, orc.family_to_gaussian(state))
+    n = 2_000_000
+    mc_pq, se_pq = orc.kl_p_to_family_mc(target, state, n, np.random.default_rng(5))
+    mc_qp, se_qp = orc.kl_family_to_target_mc(state, target, n, np.random.default_rng(6))
+    assert abs(mc_pq - kl_pq) < 4 * se_pq, (kl_pq, mc_pq, se_pq)
+    assert abs(mc_qp - kl_qp) < 4 * se_qp, (kl_qp, mc_qp, se_qp)
+
+
+@pytest.mark.parametrize(
+    "weights,sigmas",
+    [((0.3, 0.7), (0.4, 0.4)), ((0.5, 0.5), ((0.4, 0.5), (0.4, 0.5))), ((0.5, 0.5), (0.4, 0.5))],
+    ids=["unequal weights", "not isotropic", "not shared"],
+)
+def test_kl_gaussian_bimodal_rejects_other_mixtures(weights, sigmas):
+    q = orc.GaussianDist(mean=np.zeros(2), cov=np.eye(2))
+    comps = tuple(
+        orc.GaussianDist(mean=np.full(2, sign), cov=np.diag(np.square(np.broadcast_to(s, 2))))
+        for sign, s in zip((1.0, -1.0), sigmas)
+    )
+    mixture = orc.GaussianMixtureDist(components=comps, weights=np.array(weights))
+    with pytest.raises(ValueError, match="closed-form KLs need"):
+        orc.kl_gaussian_bimodal(mixture, q)
+    with pytest.raises(ValueError, match="closed-form KLs need"):
+        mixture.expected_log_density
 
 
 # -----------------------------------------------------------------------

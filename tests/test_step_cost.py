@@ -54,13 +54,19 @@ into the buffers; drawing every ``NOISE_CHUNK_STEPS`` steps that way made
 Outside ``train``, each command at its defaults but 5 steps makes a
 fixed number of calls: its setup, audits and report.  They are counted
 on a second call in the process, so that no first call's one-time work
-(a first call in a fresh interpreter reads 23,371 for ``fit-gaussian
---bimodal`` and 7,915 for ``rbf``) makes the count depend on which tests
-ran before.  ``rbf`` makes 4,169,
-``fit-gaussian`` 3,367, ``fit-gaussian --bimodal`` 17,371 and
+(a first call in a fresh interpreter reads 9,770 for ``fit-gaussian
+--bimodal`` and 7,965 for ``rbf``) makes the count depend on which tests
+ran before.  ``rbf`` makes 4,233,
+``fit-gaussian`` 3,431, ``fit-gaussian --bimodal`` 6,057 and
 ``dropout-audit`` 807, and 1,569 at ``n_droppable`` 20, where the exact
-predictive makes two passes over 128 blocks of atoms.  They made 4,182,
-3,380, 17,384, 808 and 1,570 while the CLI grouped the roster's stacks
+predictive makes two passes over 128 blocks of atoms.
+``fit-gaussian --bimodal`` made 17,371 while its mf and sN members were
+audited by Monte Carlo, 200k draws each way a block of 8192 at a time;
+their KLs are now closed forms, and only the sGMM's draw.  ``rbf`` and
+``fit-gaussian`` made 4,169 and 3,367 while ``trainer.train_roster`` keyed
+its stacks on the sampling mode instead of the whole config with its seed
+zeroed, which ``dataclasses.replace`` builds in about 13 calls a member.
+The five made 4,182, 3,380, 17,384, 808 and 1,570 while the CLI grouped the roster's stacks
 itself and ``dropout-audit`` fitted through a function of its own
 (``trainer.train_roster`` now groups them).  They made 4,133,
 3,323, 18,526, 807 and 1,569 before the roster grouped its mf and sN
@@ -241,7 +247,7 @@ def test_stacked_step_call_count_is_bounded(target_kind, p, ranks, bound):
     [
         (cli.cmd_rbf, cli.RbfConfig(steps=5), 4400),
         (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5), 3500),
-        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5, bimodal=True), 19000),
+        (cli.cmd_fit_gaussian, cli.FitGaussianConfig(steps=5, bimodal=True), 6650),
         (cli.cmd_dropout_audit, cli.DropoutAuditConfig(steps=5), 830),
         (cli.cmd_dropout_audit, cli.DropoutAuditConfig(steps=5, n_droppable=20), 1650),
     ],

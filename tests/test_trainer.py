@@ -613,9 +613,10 @@ def _can_sample(tag, mode, rank) -> bool:
 @given(roster=rosters())
 def test_roster_trains_every_member_as_it_trains_alone(roster):
     # The members alone get train's outcome bit for bit, the stacked ones
-    # to round-off (or bit for bit, when their stack fails), and each
-    # (mode, effective sample count) group of mf and sN members is one
-    # train_stack call, its members in roster order.
+    # to round-off (or bit for bit, when their stack fails), and each group
+    # of mf and sN members (here configs differ in seed and mode only, so
+    # one per mode and effective sample count) is one train_stack call, its
+    # members in roster order.
     states, configs = roster
     problem, _ = conjugate_problem(seed=78, k=states[0].dim)
     groups: dict = {}
@@ -642,6 +643,34 @@ def test_roster_trains_every_member_as_it_trains_alone(roster):
             assert_close(fam.pack(got.final_state), fam.pack(want.final_state))
             assert_close(got.elbo, want.elbo)
             assert got.steps_run == want.steps_run
+
+
+def test_roster_trains_members_whose_configs_differ_apart():
+    # Two sN1 members that differ in steps, and an mf that differs in
+    # learning rate, share a mode and an effective sample count but no
+    # config: each trains as a stack of its own, which is train bit for bit.
+    problem, _ = conjugate_problem(seed=79, k=3)
+    states = [
+        fam.init_family(tag, 3, np.random.default_rng(seed), rank=k)
+        for seed, (tag, k) in enumerate(
+            [("structured_normal", 1), ("structured_normal", 1), ("mean_field", 0)]
+        )
+    ]
+    configs = [
+        tr.TrainConfig(steps=5, learning_rate=0.02, mode="paired", seed=11),
+        tr.TrainConfig(steps=6, learning_rate=0.02, mode="paired", seed=12),
+        tr.TrainConfig(steps=5, learning_rate=0.03, mode="paired", seed=13),
+    ]
+    train_stack, stacks = tr.train_stack, []
+
+    def recording(members, target, member_configs):
+        stacks.append(len(members))
+        return train_stack(members, target, member_configs)
+
+    with mock.patch.object(tr, "train_stack", recording):
+        outcomes = tr.train_roster(states, problem, configs)
+    assert stacks == [1, 1, 1]
+    assert_same_outcomes(outcomes, outcomes_alone(states, problem, configs))
 
 
 # -----------------------------------------------------------------------
