@@ -349,49 +349,81 @@ def draw_noise(
     count: int,
     rng: np.random.Generator,
     stratify_components: bool = False,
-    steps: int | None = None,
-) -> NoiseBatch | list:
-    """Noise for ``count`` draws from ``state``: one NoiseBatch, or a list of
-    ``steps`` of them.
-
-    A list of n batches is exactly what n consecutive single-batch calls
-    give, generator state afterwards included.  numpy's Generator yields the
-    same stream from one call as from consecutive calls, so the n batches'
-    normals come from one ``standard_normal`` call (each batch's z_diag, then
-    its z_lowrank; in paired mode the halves that are then mirrored), an
-    unscented run's from one pass over its groups, and dropout masks from
-    one ``random`` call.  An unstratified mixture draws its components
-    between the normals and goes batch by batch.  MAP and stratified
-    component allocation take nothing from the generator.  The Monte-Carlo
-    audits take the same numbers a block of rows at a time through
-    ``sample_blocks``.
+) -> NoiseBatch:
+    """Noise for ``count`` draws from ``state``: boolean dropout masks, or
+    each draw's z_diag and z_lowrank (in paired mode the halves that are
+    then mirrored), taken from ``rng`` in that order.  A mixture's
+    components are drawn from its weights before the normals, or with
+    ``stratify_components`` allocated evenly without taking anything from
+    ``rng``; MAP takes nothing.  Training draws the same numbers for many
+    steps at once through ``fill_noise``, and the Monte-Carlo audits a block
+    of rows at a time through ``sample_blocks``.
     """
     k = _validate_mode(state, mode, count)
-    n = 1 if steps is None else steps
-    p = state.dim
     if isinstance(state, ATOMIC_STATES):
-        masks = _masks(state, (n, count), rng)
-        batches = [NoiseBatch(count, masks=m) for m in masks]
-    elif isinstance(state, MixtureState) and not stratify_components:
-        batches = []
-        for _ in range(n):
-            if mode == "naive":
-                comp = rng.choice(state.n_components, size=count, p=state.weights)
-            else:
-                half = rng.choice(state.n_components, size=count // 2, p=state.weights)
-                comp = np.repeat(half, 2)
-            (z_diag,), (z_lowrank,) = gaussian_noise(rng, mode, 1, count, p, k)
-            batches.append(NoiseBatch(count, z_diag, z_lowrank, comp))
-    else:
-        comp = None
-        if isinstance(state, MixtureState):
-            comp = _stratified_components(state.n_components, mode, count)
-        z_diag, z_lowrank = gaussian_noise(rng, mode, n, count, p, k)
-        batches = [
-            NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
-            for zd, zl in zip(z_diag, z_lowrank)
-        ]
-    return batches[0] if steps is None else batches
+        return NoiseBatch(count, masks=_masks(state, (count,), rng))
+    comp, stratified = None, stratify_components and isinstance(state, MixtureState)
+    if stratified:
+        comp = _stratified_components(state.n_components, mode, count)
+    elif isinstance(state, MixtureState) and mode == "naive":
+        comp = rng.choice(state.n_components, size=count, p=state.weights)
+    elif isinstance(state, MixtureState):  # paired twins share a component
+        comp = np.repeat(rng.choice(state.n_components, size=count // 2, p=state.weights), 2)
+    (z_diag,), (z_lowrank,) = gaussian_noise(rng, mode, 1, count, state.dim, k)
+    return NoiseBatch(count, z_diag, z_lowrank, comp, stratified=stratified)
+
+
+def noise_chunk(states: list, mode: str, count: int, steps: int) -> tuple:
+    """``(chunk, batches)``: buffers for ``steps`` training steps of a
+    group's noise, ``count`` draws a member a step, and one NoiseBatch view
+    of each step, built once.
+
+    The group is one member, or a stack of structured normals
+    (``trainer.train_stack``).  ``chunk`` is a NoiseBatch whose arrays are
+    (steps, M, count, ·): float64 masks for the atomic families, else z_diag
+    and z_lowrank, the latter with the group's largest rank K columns, zero
+    beyond a member's own rank.  A view drops the member axis of a group of
+    one.  An sGMM's components are allocated evenly, as training draws
+    them.  Every member's mode and count are checked as ``draw_noise``
+    checks them; ``fill_noise`` draws the numbers.
+    """
+    for state in states:
+        _validate_mode(state, mode, count)
+    state, m = states[0], len(states)
+    shape = (steps, m, count, state.dim)
+    if isinstance(state, ATOMIC_STATES):
+        chunk = NoiseBatch(count, masks=np.empty(shape))
+        masks = chunk.masks if m > 1 else chunk.masks[:, 0]
+        return chunk, [NoiseBatch(count, masks=step) for step in masks]
+    comp = None
+    if isinstance(state, MixtureState):
+        comp = _stratified_components(state.n_components, mode, count)
+    k = max(member.rank for member in states)
+    z_diag, z_lowrank = np.empty(shape), np.zeros((*shape[:-1], k))
+    chunk = NoiseBatch(count, z_diag, z_lowrank, comp, stratified=comp is not None)
+    if m == 1:
+        z_diag, z_lowrank = z_diag[:, 0], z_lowrank[:, 0]
+    batches = [
+        NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
+        for zd, zl in zip(z_diag, z_lowrank)
+    ]
+    return chunk, batches
+
+
+def fill_noise(chunk: NoiseBatch, states: list, mode: str, rngs: list, steps: int):
+    """Draw the first ``steps`` steps of a ``noise_chunk`` in place, member
+    j's from ``rngs[j]``: the numbers of ``steps`` consecutive ``draw_noise``
+    calls (components stratified), generator state afterwards included,
+    from one ``_masks`` or ``gaussian_noise`` call a member.  numpy's
+    Generator yields the same stream from one call as from consecutive
+    calls, and an unscented run's groups of 2K rows run on across steps."""
+    for j, (state, rng) in enumerate(zip(states, rngs)):
+        if chunk.masks is not None:
+            chunk.masks[:steps, j] = _masks(state, (steps, chunk.count), rng)
+        else:
+            chunk.z_diag[:steps, j], chunk.z_lowrank[:steps, j, :, : state.rank] = gaussian_noise(
+                rng, mode, steps, chunk.count, state.dim, state.rank
+            )
 
 
 def _masks(state: FamilyState, shape: tuple, rng) -> np.ndarray:
@@ -482,12 +514,15 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     averaging coefficients (None unless the batch is stratified), and
     ``vjp(theta_bar, logq_bar, coeff_bar)``, the adjoint back to the flat
     psi.  Atomic draws
-    are θ̂ ⊙ mask.  Gaussian draws go through ``gaussian_draw_rows`` and log
-    q through ``lowrank_logpdf_and_vjp``, whose adjoint this chains through
-    the draw.  A structured normal whose parameters are stacked, (M, P)
-    means and scales and an (M, P, K) U, is M Gaussians drawn from (M, S, ·)
-    noise, each at its own rows, as ``trainer.train_stack`` trains them;
-    its adjoint is then M rows, each laid out as one Gaussian's psi.  A
+    are θ̂ ⊙ mask, the same bits for boolean masks (``draw_noise``) and
+    float64 ones (``noise_chunk``).  Gaussian draws go through
+    ``gaussian_draw_rows`` and log q through ``lowrank_logpdf_and_vjp``,
+    whose adjoint this chains through the draw.  A structured normal whose
+    parameters are stacked, (M, P) means and scales and an (M, P, K) U, is
+    M Gaussians drawn from (M, S, ·) noise, each at its own rows: a stack
+    of M > 1 in ``trainer._train_group``, whose (M, S, P) draws the trainer
+    hands the target as M·S rows; its adjoint is then M rows, each laid
+    out as one Gaussian's psi.  A
     mixture draws each row from its component and evaluates every
     component's log N_m at every row in one stacked
     ``lowrank_logpdf_and_vjp`` call; log q = logsumexp_m(log w_m + log N_m),

@@ -13,61 +13,53 @@ the closed-form adjoint of all three (``families.draws_logq_vjp``): each
 family has this one implementation.  The target answers one method,
 ``log_joint_and_grad``: per draw, its log-likelihood or log-density, its
 N(0, I) log-prior (None on a density target, which has no prior term)
-and the closed-form θ-gradient of their sum.  ``_value_grad_norm`` adds
-the two and joins the halves into the exact gradient of the sampled-log-q
-estimator, in every sampling mode, and checks it; ``elbo_estimate`` reads
-its terms from the same call.  ``elbo_graph`` is that estimate as one tape
-node, which the acceptance gate differentiates and checks against finite
-differences.
+and the closed-form θ-gradient of their sum.  ``_value_grad`` adds the
+two and joins the halves into the exact gradient of the sampled-log-q
+estimator, in every sampling mode; ``elbo_value_and_grad`` checks it and
+``elbo_estimate`` reads its terms from the same calls.  ``elbo_graph`` is
+that estimate as one tape node, which the acceptance gate differentiates
+and checks against finite differences.
 
-A step costs bookkeeping, not arithmetic, so ``train`` does once per
-member what no step changes: psi's parameter views
-(``families.param_views``, valid because psi and the moment estimates are
-updated in place, in the order of the out-of-place expressions) and log
-q's adjoint.  It draws the noise of ``NOISE_CHUNK_STEPS`` steps per
-``families.draw_noise`` call.  One call gives the same stream as
-consecutive per-step calls, so every number is the one a per-step loop
-gives.  The update is ``_Adam``'s, one in-place update for a psi of any
-shape.  The moment estimates m and v are the two
-rows of one (2, *psi.shape) array, and so are m̂ and v̂, with (β₁, β₂),
-(1 − β₁, 1 − β₂) and the bias corrections as rows beside them: decaying the
-moments, forming the (1 − β)g terms and correcting the bias take one ufunc
-call each, on operands of one shape, and each element still meets the
-operations of its own array's update in the same order.  On a regression
-target with P = 10 and 8 draws, a step of MAP or dropout makes 14.3
-Python-level calls, sN of any rank K ≥ 1 44.3, and mf, the rank-0 sN,
-whose kernel skips the capacitance, 25.3 (``tests/test_step_cost.py``
-counts them).
-
-``train_roster`` trains a roster's mf and sN members that share a config
-but for its seed, and an effective sample count, as one stack
-(``train_stack``) and the rest alone.  A stack is stored as the sGMM is:
-psi is M rows, one a member, each laid out as that member's psi with U
-padded by zero columns to the stack's largest rank K, so mu and log_a are
-(M, P) views and u an (M, P, K) one.  A step draws (M, S, ·) rows,
-evaluates the M log-q kernels and the target at them and takes their
-adjoint in one call each (``families.draws_logq_vjp`` on the stacked
-arrays), then updates all M rows in one ``_Adam`` call.  Padded noise
+One loop, ``_train_group``, trains a group of M ≥ 1 members.  ``train``
+is a group of one, on its member's own psi and parameter views
+(``families.param_views``).  ``train_roster`` trains a roster's mf and sN
+members that share a config but for its seed, and an effective sample
+count, as one stack (``train_stack``), and the rest alone.  A stack is
+stored as the sGMM is: psi is M rows, one a member, each laid out as that
+member's psi with U padded by zero columns to the stack's largest rank K,
+so mu and log_a are (M, P) views and u an (M, P, K) one.  Padded noise
 columns are zero, so the padded columns of U get an exactly zero gradient
 and stay exactly 0.  Padding changes the shapes of the BLAS and LAPACK
-calls, so a stacked member agrees with its training alone to round-off (a
-relative 1e-14 over 300 steps at P = 10), not bit for bit; mf's kernel
-reads a padded C = I exactly.  rbf's five Gaussian members make 45.8 calls
-a stacked step, against 202.5 one after another.  Each member draws from
-its own generator in chunks of ``NOISE_CHUNK_STEPS // M`` steps, so the
-stack holds as much noise as one member alone: the arrays of the
-``families.gaussian_noise`` calls that ``families.draw_noise`` makes
-alone, in the same stream, go straight into the stack's chunk.  The
-members of a stack cannot be timed apart: each one's ``runtime_s`` is an
-equal share of the stack's training time.
+calls, so a stacked member agrees with its training alone to round-off,
+not bit for bit.  The members of a stack cannot be timed apart: each
+one's ``runtime_s`` is an equal share of the stack's training time.
 
-If a stacked step fails (the kernel raises ``ad.MemberFailure``, or a
-member's value is not finite or its gradient norm exceeds
-``GRAD_NORM_GUARD``), the stack is abandoned and each member trains alone
-from its initial state: it gets ``train``'s trace or failure, bit for bit,
-with its own ``runtime_s``, and the stack's time is in no member's.  Only
-a degenerate run fails, so it pays twice rather than every step paying
-for failure bookkeeping.
+A step costs bookkeeping, not arithmetic, so the loop does once per group
+what no step changes: psi's views (valid because psi and the moment
+estimates are updated in place, in the order of the out-of-place
+expressions), log q's adjoint and the noise buffers of one chunk of
+``NOISE_CHUNK_STEPS // M`` steps with a ``NoiseBatch`` view of each step
+(``families.noise_chunk``).  Each chunk, every member fills its steps from
+its own generator (``families.fill_noise``): the numbers that consecutive
+per-step ``families.draw_noise`` calls give, so every number is the one a
+per-step loop gives.  A step then makes one draw, log-q kernel, target,
+adjoint (``_value_grad``) and ``_Adam`` update call for the whole group.
+``_Adam``'s moment estimates m and v are the two rows of one
+(2, *psi.shape) array, and so are m̂ and v̂, with (β₁, β₂), (1 − β₁, 1 − β₂)
+and the bias corrections as rows beside them: decaying the moments,
+forming the (1 − β)g terms and correcting the bias take one ufunc call
+each, and each element still meets the operations of its own array's
+update in the same order.  ``tests/test_step_cost.py`` bounds the calls a
+step makes.
+
+A step fails when the kernel raises ``ad.MemberFailure``, or a value is
+not finite, or a gradient norm exceeds ``GRAD_NORM_GUARD``; a group of one
+checks it on Python floats.  A group of one then raises the step's error
+carrying its step.  A stack is abandoned, and each member trains alone
+from its initial state through ``train``: it gets ``train``'s trace or
+failure, bit for bit, with its own ``runtime_s``, and the stack's time is
+in no member's.  Only a degenerate run fails, so it pays twice rather
+than every step paying for failure bookkeeping.
 """
 
 from __future__ import annotations
@@ -88,9 +80,9 @@ GRAD_NORM_GUARD = 1e6
 # The moment decays and the denominator's offset of the Adam update.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# Steps of noise per ``fam.draw_noise`` call in ``train``: at most 160 KB
-# of normals per call at P = K = 10 and 8 draws a step.  A stack of M
-# members draws NOISE_CHUNK_STEPS // M steps a member per chunk.
+# Steps of noise per chunk of a group of one: at most 160 KB of normals at
+# P = K = 10 and 8 draws a step.  A stack of M members holds
+# NOISE_CHUNK_STEPS // M steps a member per chunk.
 NOISE_CHUNK_STEPS = 128
 
 
@@ -152,42 +144,52 @@ def _effective_sample_count(state: fam.FamilyState, config: TrainConfig) -> int:
     return s
 
 
-def _draw_noise(state, config: TrainConfig, rng, steps=None):
-    """The noise of one ELBO evaluation, or a list of ``steps`` of them
-    (``fam.draw_noise``); mixtures stratify components."""
+def _draw_noise(state, config: TrainConfig, rng) -> fam.NoiseBatch:
+    """The noise of one ELBO evaluation (``fam.draw_noise``); mixtures
+    stratify components, as in training."""
     count = _effective_sample_count(state, config)
     mixture = isinstance(state, fam.MixtureState)
-    return fam.draw_noise(state, config.mode, count, rng, stratify_components=mixture, steps=steps)
+    return fam.draw_noise(state, config.mode, count, rng, stratify_components=mixture)
 
 
-def _value_grad_norm(state, params, noise, problem, logq_bar):
-    """(value, gradient, gradient norm) of the MC ELBO estimate.
+def _value_grad(template, params, noise, problem, logq_bar) -> tuple:
+    """(values, gradient, squared gradient norms) of the MC ELBO estimate.
 
-    ``params`` are psi's ``fam.param_views`` and ``logq_bar`` is log q's
-    adjoint, −1/S per draw.  A NaN or ±inf anywhere in the gradient makes
-    its norm non-finite, so the elementwise check runs only when the norm
-    is not finite (a finite gradient whose squares overflow passes it).
+    ``params`` are psi's views (``fam.param_views``, or a stack's
+    ``_stack_views``) and ``logq_bar`` is log q's adjoint, −1/S per draw.
+    A group of one gets a 0-d value and squared norm and a flat gradient; a
+    stack of M gets (M,) values and norms and (M, ·) gradient rows, from
+    one draw, kernel, target and adjoint call for all M, its (M, S, P)
+    draws meeting the target as M·S rows.  Nothing is checked here.
     """
-    theta, log_q, coeff, vjp = fam.draws_logq_vjp(state, params, noise)
-    rows, logprior, theta_grad = problem.log_joint_and_grad(theta)
+    theta, log_q, coeff, vjp = fam.draws_logq_vjp(template, params, noise)
+    rows_in = theta if theta.ndim == 2 else theta.reshape(-1, theta.shape[-1])
+    rows, logprior, theta_grad = problem.log_joint_and_grad(rows_in)
     if logprior is not None:
         rows = rows + logprior
+    if rows_in is not theta:
+        rows, theta_grad = rows.reshape(theta.shape[:-1]), theta_grad.reshape(theta.shape)
     if log_q is not None:
         rows = rows - log_q
     scale = 1.0 / noise.count
     if coeff is None:
-        value = float(np.add.reduce(rows, axis=None) / noise.count)
+        values = np.add.reduce(rows, axis=-1) / noise.count
         grad = vjp(theta_grad * scale, logq_bar, None)
     else:
         # With coefficients the value is Σ_k c_k rows_k / S: rows_k has
         # adjoint c_k / S and c_k has adjoint rows_k / S.
         row_bar = coeff * scale
-        value = float(np.add.reduce(rows * coeff, axis=None) / noise.count)
+        values = np.add.reduce(rows * coeff, axis=-1) / noise.count
         grad = vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
-    gnorm = math.sqrt(grad.dot(grad))
-    if math.isfinite(value) and (math.isfinite(gnorm) or np.isfinite(grad).all()):
-        return value, grad, gnorm
-    raise _nonfinite_step(state, params, noise, problem, grad)
+    return values, grad, np.vecdot(grad, grad)
+
+
+def _finite(value, grad, sq) -> bool:
+    """Whether a group of one's value and gradient are finite.  A NaN or
+    ±inf in the gradient makes its squared norm ``sq`` non-finite, so the
+    elementwise check runs only when ``sq`` is not (a finite gradient whose
+    squares overflow passes it)."""
+    return math.isfinite(value) and (math.isfinite(sq) or np.isfinite(grad).all())
 
 
 def _nonfinite_step(state, params, noise, problem, grad) -> ad.MemberFailure:
@@ -218,14 +220,13 @@ def elbo_value_and_grad(state: fam.FamilyState, psi, noise: fam.NoiseBatch, prob
     Raises ``ad.MemberFailure`` naming the term that is not finite
     (``_nonfinite_step``) or the capacitance factorization that failed.
     """
-    value, grad, _ = _value_grad_norm(
-        state,
-        fam.param_views(state, psi),
-        noise,
-        problem,
-        np.full(noise.count, -1.0 / noise.count),
+    params = fam.param_views(state, psi)
+    value, grad, sq = _value_grad(
+        state, params, noise, problem, np.full(noise.count, -1.0 / noise.count)
     )
-    return value, grad
+    if not _finite(value, grad, sq):
+        raise _nonfinite_step(state, params, noise, problem, grad)
+    return float(value), grad
 
 
 def elbo_graph(template: fam.FamilyState, psi, noise: fam.NoiseBatch, problem):
@@ -306,80 +307,11 @@ class _Adam:
         psi += m_hat
 
 
-def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
-    """First-order stochastic ascent with bias-corrected moment averaging.
-
-    Per-coordinate step scaling uses exponential moving averages of the
-    gradient (decay 0.9) and its square (decay 0.999), for the full step
-    budget.  Deterministic given the seed, and step for step the numbers
-    of a per-step loop (see module notes).  A step whose ELBO or gradient
-    is not finite, whose capacitance factorization fails, or whose
-    gradient norm exceeds ``GRAD_NORM_GUARD`` raises ``ad.MemberFailure``
-    carrying that step.
-    """
-    rng = np.random.default_rng(config.seed)
-    psi = fam.pack(state)
-    params = fam.param_views(state, psi)
-    count = _effective_sample_count(state, config)
-    logq_bar = np.full(count, -1.0 / count)
-    adam = _Adam(psi.shape)
-    elbo = np.empty(config.steps)
-    lr = config.learning_rate
-    start = time.perf_counter()
-    for step in range(config.steps):
-        if step % NOISE_CHUNK_STEPS == 0:
-            noises = _draw_noise(
-                state, config, rng, steps=min(NOISE_CHUNK_STEPS, config.steps - step)
-            )
-        noise = noises[step % NOISE_CHUNK_STEPS]
-        try:
-            elbo[step], grad, gnorm = _value_grad_norm(state, params, noise, problem, logq_bar)
-        except ad.MemberFailure as err:
-            err.step = step
-            raise
-        if gnorm > GRAD_NORM_GUARD:
-            raise ad.MemberFailure(f"gradient norm {gnorm:.3e} exceeded guard", step)
-        adam.update(psi, grad, step, lr)
-        lr *= config.lr_decay
-    return TrainTrace(
-        elbo=elbo.tolist(),
-        runtime_s=time.perf_counter() - start,
-        steps_run=config.steps,
-        final_state=fam.unpack(state, psi),
-    )
-
-
 def _stack_views(psi: np.ndarray, p: int, k: int) -> dict:
     """A stack's mu and log_a (M, P) and u (M, P, K) as views of its (M, ·)
     psi rows, each row laid out as one member's psi with U padded to K columns."""
     u = psi[:, 2 * p :].reshape(len(psi), p, k)
     return {"mu": psi[:, :p], "log_a": psi[:, p : 2 * p], "u": u}
-
-
-def _stack_noise(states, mode: str, rngs, steps: int, z_diag, z_lowrank):
-    """Fill the first ``steps`` entries of a stack's (chunk, M, S, P) z_diag
-    and (chunk, M, S, K) z_lowrank in place, each member's by the
-    ``fam.gaussian_noise`` call it makes alone.  The padded columns of
-    z_lowrank are never written, so they stay at their zeros."""
-    count, p = z_diag.shape[2:]
-    for j, (state, rng) in enumerate(zip(states, rngs)):
-        z_diag[:steps, j], z_lowrank[:steps, j, :, : state.rank] = fam.gaussian_noise(
-            rng, mode, steps, count, p, state.rank
-        )
-
-
-def _stack_value_grad(template, params, noise, problem, logq_bar) -> tuple:
-    """(values, gradient rows, gradient norms) of a stack's MC ELBO
-    estimates: one draw, kernel, target and adjoint call for all M members."""
-    theta, log_q, _, vjp = fam.draws_logq_vjp(template, params, noise)
-    m, count, p = theta.shape
-    rows, logprior, theta_grad = problem.log_joint_and_grad(theta.reshape(m * count, p))
-    if logprior is not None:
-        rows = rows + logprior
-    rows = rows.reshape(m, count) - log_q
-    grad = vjp(theta_grad.reshape(m, count, p) * (1.0 / count), logq_bar, None)
-    values = np.add.reduce(rows, axis=-1) / count
-    return values, grad, np.sqrt(np.vecdot(grad, grad))
 
 
 def _member_psi(params: dict, j: int, k: int) -> np.ndarray:
@@ -395,6 +327,108 @@ def _alone(state, problem, config: TrainConfig):
         return err
 
 
+def _train_group(states: list, problem, configs: list) -> list:
+    """Each member's ``TrainTrace``, for a group of M ≥ 1 members trained
+    in one loop (see module notes).
+
+    A group of one trains on its own psi; a stack of M structured normals
+    on M padded psi rows.  Every member's mode is checked before step 0.  A
+    step fails when the kernel raises ``ad.MemberFailure``, or a value is
+    not finite, or a gradient norm exceeds ``GRAD_NORM_GUARD``.  A group of
+    one then raises the step's error (``_nonfinite_step``'s, or the
+    guard's) carrying the step; a stack gives each member its ``train``
+    outcome alone.
+    """
+    config, alone = configs[0], len(states) == 1
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("a stack's members must share one config but for their seeds")
+    counts = {_effective_sample_count(state, config) for state in states}
+    if len(counts) > 1:
+        raise ValueError(f"a stack's members must take one effective sample count, not {counts}")
+    (count,) = counts
+    if alone:
+        template = states[0]
+        psi = fam.pack(template)
+        params = fam.param_views(template, psi)
+    else:
+        p, k = states[0].dim, max(state.rank for state in states)
+        psi = np.zeros((len(states), (2 + k) * p))
+        params = _stack_views(psi, p, k)
+        for j, state in enumerate(states):
+            params["mu"][j], params["log_a"][j] = state.mu, state.log_a
+            params["u"][j, :, : state.rank] = state.u
+        template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
+    # One chunk's noise, reused by every chunk.  M members draw 1/M of a
+    # member's chunk each, so a stack holds the noise of one member.
+    steps_per_chunk = max(1, NOISE_CHUNK_STEPS // len(states))
+    chunk, batches = fam.noise_chunk(
+        states, config.mode, count, min(steps_per_chunk, config.steps)
+    )
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    logq_bar = np.full(count, -1.0 / count)  # every member's, by broadcasting
+    adam = _Adam(psi.shape)
+    elbo = np.empty((config.steps,) if alone else (config.steps, len(states)))
+    lr, guard = config.learning_rate, GRAD_NORM_GUARD**2  # the guard on squared norms
+    start = time.perf_counter()
+    for step in range(config.steps):
+        at = step % steps_per_chunk
+        if not at:
+            fam.fill_noise(
+                chunk, states, config.mode, rngs, min(steps_per_chunk, config.steps - step)
+            )
+        try:
+            values, grad, sq = _value_grad(template, params, batches[at], problem, logq_bar)
+            if alone:
+                if not (math.isfinite(values) and sq <= guard):
+                    raise _step_error(template, params, batches[at], problem, values, grad, sq)
+            elif not np.logical_and.reduce(np.isfinite(values) & (sq <= guard)):
+                raise ad.MemberFailure("a stacked step failed")
+        except ad.MemberFailure as err:
+            if not alone:
+                return [_alone(state, problem, c) for state, c in zip(states, configs)]
+            err.step = step
+            raise
+        adam.update(psi, grad, step, lr)
+        elbo[step] = values
+        lr *= config.lr_decay
+    share = (time.perf_counter() - start) / len(states)
+    rows = [psi] if alone else [_member_psi(params, j, s.rank) for j, s in enumerate(states)]
+    return [
+        TrainTrace(
+            elbo=trace.tolist(),
+            runtime_s=share,
+            steps_run=config.steps,
+            final_state=fam.unpack(state, row),
+        )
+        for state, row, trace in zip(states, rows, elbo.reshape(config.steps, len(states)).T)
+    ]
+
+
+def _step_error(template, params, noise, problem, value, grad, sq) -> ad.MemberFailure:
+    """A group of one's error for a step that failed its check:
+    ``_nonfinite_step``'s when its value or gradient is not finite, else
+    the guard's."""
+    if _finite(value, grad, sq):
+        return ad.MemberFailure(f"gradient norm {math.sqrt(sq):.3e} exceeded guard")
+    return _nonfinite_step(template, params, noise, problem, grad)
+
+
+def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
+    """First-order stochastic ascent with bias-corrected moment averaging.
+
+    Per-coordinate step scaling uses exponential moving averages of the
+    gradient (decay 0.9) and its square (decay 0.999), for the full step
+    budget.  Deterministic given the seed, and step for step the numbers
+    of a per-step loop (see module notes).  A member that cannot sample in
+    the mode raises ``fam.ModeFamilyError`` before step 0.  A step whose
+    ELBO or gradient is not finite, whose capacitance factorization fails,
+    or whose gradient norm exceeds ``GRAD_NORM_GUARD`` raises
+    ``ad.MemberFailure`` carrying that step.
+    """
+    (trace,) = _train_group([state], problem, [config])
+    return trace
+
+
 def train_stack(states: list, problem, configs: list) -> list:
     """``train`` for M structured normals (mf included) at once, whose
     ``configs`` differ in their seeds only and which take one effective
@@ -403,61 +437,14 @@ def train_stack(states: list, problem, configs: list) -> list:
     alone (see module notes).  Returns, per member in order, its
     ``TrainTrace``, whose ``runtime_s`` is an equal share of the stack's
     training time; if a stacked step fails, ``train``'s trace or
-    ``ad.MemberFailure`` for each member alone.  A member that cannot
-    sample in the mode raises ``fam.ModeFamilyError`` before step 0.
+    ``ad.MemberFailure`` for each member alone.  A stack of one is
+    ``train``, its failure returned.  A member that cannot sample in the
+    mode raises ``fam.ModeFamilyError`` before step 0.
     """
-    config = configs[0]
-    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("a stack's members must share one config but for their seeds")
-    counts = {_effective_sample_count(state, config) for state in states}
-    if len(counts) > 1:
-        raise ValueError(f"a stack's members must take one effective sample count, not {counts}")
-    (count,) = counts
-    p, k = states[0].dim, max(state.rank for state in states)
-    psi = np.zeros((len(states), (2 + k) * p))
-    params = _stack_views(psi, p, k)
-    for j, state in enumerate(states):
-        fam.check_mode(state.tag, config.mode, state.rank)  # what fam.draw_noise checks alone
-        params["mu"][j], params["log_a"][j] = state.mu, state.log_a
-        params["u"][j, :, : state.rank] = state.u
-    template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    # One chunk's noise, reused by every chunk.  M members draw 1/M of a
-    # member's chunk each, so the stack holds the noise of one member.
-    steps_per_chunk = max(1, NOISE_CHUNK_STEPS // len(states))
-    chunk_shape = (min(steps_per_chunk, config.steps), len(states), count)
-    z_diag, z_lowrank = np.empty((*chunk_shape, p)), np.zeros((*chunk_shape, k))
-    logq_bar = np.full(count, -1.0 / count)  # every member's, by broadcasting
-    adam = _Adam(psi.shape)
-    elbo = np.empty((config.steps, len(states)))
-    lr = config.learning_rate
-    start = time.perf_counter()
-    for step in range(config.steps):
-        if step % steps_per_chunk == 0:
-            chunk = min(steps_per_chunk, config.steps - step)
-            _stack_noise(states, config.mode, rngs, chunk, z_diag, z_lowrank)
-        at = step % steps_per_chunk
-        noise = fam.NoiseBatch(count, z_diag[at], z_lowrank[at])
-        try:
-            values, grad, gnorm = _stack_value_grad(template, params, noise, problem, logq_bar)
-            failed = not np.logical_and.reduce(np.isfinite(values) & (gnorm <= GRAD_NORM_GUARD))
-        except ad.MemberFailure:
-            failed = True
-        if failed:
-            return [_alone(state, problem, c) for state, c in zip(states, configs)]
-        adam.update(psi, grad, step, lr)
-        elbo[step] = values
-        lr *= config.lr_decay
-    share = (time.perf_counter() - start) / len(states)
-    return [
-        TrainTrace(
-            elbo=elbo[:, j].tolist(),
-            runtime_s=share,
-            steps_run=config.steps,
-            final_state=fam.unpack(state, _member_psi(params, j, state.rank)),
-        )
-        for j, state in enumerate(states)
-    ]
+    try:
+        return _train_group(states, problem, configs)
+    except ad.MemberFailure as err:  # only a group of one raises it
+        return [err]
 
 
 def train_roster(states: list, problem, configs: list) -> list:

@@ -225,3 +225,25 @@ def test_the_trainer_decides_which_members_train_as_a_stack():
     names = {referred(node, strings=False) for node in ast.walk(tree)}
     assert not names & {"train_stack", "_effective_sample_count"}
     assert "train_roster" in names
+
+
+def test_one_training_loop():
+    # A group of one and a stack of M train in one loop, through one
+    # value-and-gradient function, and draw their noise a chunk at a time
+    # (fam.noise_chunk, fam.fill_noise): draw_noise makes one batch.
+    trainer = ast.parse((ROOT / "src" / "vifit" / "trainer.py").read_text())
+    loops = [
+        node
+        for node in ast.walk(trainer)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(config.steps)"
+    ]
+    assert len(loops) == 1
+    names = {name for _, name in definitions()}
+    assert "_value_grad" in names
+    assert not names & {"_stack_value_grad", "_value_grad_norm", "_stack_noise"}
+    families = ast.parse((ROOT / "src" / "vifit" / "families.py").read_text())
+    (draw_noise,) = [
+        node for node in families.body if isinstance(node, ast.FunctionDef) and node.name == "draw_noise"
+    ]
+    arguments = draw_noise.args
+    assert "steps" not in {arg.arg for arg in [*arguments.args, *arguments.kwonlyargs]}

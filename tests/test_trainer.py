@@ -328,15 +328,15 @@ def test_train_follows_the_plain_loop_bit_for_bit(monkeypatch, tag, kwargs, targ
     state = fam.init_family(tag, 4, np.random.default_rng(61), **kwargs)
     config = tr.TrainConfig(**{"steps": STEPS, "learning_rate": 0.02, "seed": 62, **config})
     calls = []
-    draw_noise = fam.draw_noise
+    fill_noise = fam.fill_noise
 
     def counting(*args, **kw):
         calls.append(1)
-        return draw_noise(*args, **kw)
+        return fill_noise(*args, **kw)
 
-    monkeypatch.setattr(fam, "draw_noise", counting)
+    monkeypatch.setattr(fam, "fill_noise", counting)
     trace = tr.train(state, problem, config)
-    monkeypatch.setattr(fam, "draw_noise", draw_noise)
+    monkeypatch.setattr(fam, "fill_noise", fill_noise)
     psi, elbo = reference_train(state, problem, config)
     assert np.array_equal(fam.pack(trace.final_state), psi)
     assert trace.elbo == elbo
@@ -398,22 +398,26 @@ def assert_close(actual, expected):
 def test_stacked_members_train_as_they_do_alone(ranks, p, seed, mode):
     # Every member of a stack follows the steps it takes alone up to
     # round-off, draws the same noise from its own generator, and keeps
-    # its padded U columns at exactly 0.
+    # its padded U columns at exactly 0.  A stack of one is a group of
+    # one, which trains as train does, bit for bit.
     problem, _ = conjugate_problem(seed=seed % 97, k=p)
     states = stack_members(ranks, p, seed)
     configs = stack_configs(len(ranks), mode, seed + 1000)
-    stack_value_grad, steps = tr._stack_value_grad, []
+    value_grad, steps = tr._value_grad, []
 
     def checking_padding(template, params, *args):
-        steps.append(all(not params["u"][j, :, k:].any() for j, k in enumerate(ranks)))
-        return stack_value_grad(template, params, *args)
+        u = params["u"] if len(ranks) > 1 else params["u"][None]  # a group of one has no member axis
+        steps.append(all(not u[j, :, k:].any() for j, k in enumerate(ranks)))
+        return value_grad(template, params, *args)
 
     stacked_rngs = []
-    with mock.patch.object(tr, "_stack_value_grad", checking_padding), mock.patch.object(
+    with mock.patch.object(tr, "_value_grad", checking_padding), mock.patch.object(
         fam, "gaussian_noise", generators_of(stacked_rngs)
     ):
         stacked = tr.train_stack(states, problem, configs)
     assert steps == [True] * configs[0].steps
+    if len(ranks) == 1:
+        assert_same_outcomes(stacked, outcomes_alone(states, problem, configs))
     assert len(stacked_rngs) == len(ranks)
     for state, config, trace, stacked_rng in zip(states, configs, stacked, stacked_rngs):
         alone_rngs = []
@@ -517,30 +521,44 @@ def test_stack_failing_at_any_step_gives_every_member_its_outcome_alone(
     ranks, p, fail_at, member, how, seed
 ):
     # However far the stack got, no member keeps psi, moments or noise
-    # from it: every outcome is the member's ``tr.train`` alone.
+    # from it: every outcome is the member's ``tr.train`` alone.  A stack
+    # of one is a group of one, which fails at that step, as train does.
     problem, _ = conjugate_problem(seed=seed % 97, k=p)
     states = stack_members(ranks, p, seed)
     configs = stack_configs(len(ranks), "paired", seed + 1000)
     expected = outcomes_alone(states, problem, configs)
-    stack_value_grad, steps = tr._stack_value_grad, []
+    value_grad, steps = tr._value_grad, []
 
-    def failing_at(*args):
-        values, grad, gnorm = stack_value_grad(*args)
+    def failing_at(template, *args):
+        values, grad, sq = value_grad(template, *args)
+        if len(ranks) > 1 and template.mu.ndim == 1:
+            return values, grad, sq  # a member trained alone after its stack failed
         steps.append(len(steps))
         if steps[-1] == fail_at:
             j = member % len(ranks)
             if how == "raise":
                 raise ad.MemberFailure("forced stacked failure")
-            if how == "nan value":
+            if how == "nan value" and len(ranks) == 1:
+                values = np.nan
+            elif how == "nan value":
                 values[j] = np.nan
+            elif len(ranks) == 1:
+                sq = (2 * tr.GRAD_NORM_GUARD) ** 2
             else:
-                gnorm[j] = 2 * tr.GRAD_NORM_GUARD
-        return values, grad, gnorm
+                sq[j] = (2 * tr.GRAD_NORM_GUARD) ** 2
+        return values, grad, sq
 
-    with mock.patch.object(tr, "_stack_value_grad", failing_at):
+    with mock.patch.object(tr, "_value_grad", failing_at):
         stacked = tr.train_stack(states, problem, configs)
     assert steps == list(range(fail_at + 1))
-    assert_same_outcomes(stacked, expected)
+    if len(ranks) > 1:
+        assert_same_outcomes(stacked, expected)
+    else:
+        (failure,) = stacked
+        assert isinstance(failure, ad.MemberFailure)
+        assert failure.step == fail_at
+        text = {"raise": "forced", "nan value": "non-finite value", "over guard": "exceeded guard"}
+        assert text[how] in str(failure)
 
 
 def test_stack_rejects_members_that_cannot_share_a_step():
@@ -555,10 +573,24 @@ def test_stack_rejects_members_that_cannot_share_a_step():
     # mf cannot sample in unscented mode: the stack says so before step 0,
     # as fam.draw_noise says so to mf alone, not with the division by its
     # rank 0 that its unscented noise would make.
-    with mock.patch.object(tr, "_stack_value_grad") as step:
+    with mock.patch.object(tr, "_value_grad") as step:
         with pytest.raises(fam.ModeFamilyError, match="unscented"):
             tr.train_stack(stack_members([1, 0], 4, 74), problem, unscented)
     assert not step.called
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_a_mode_a_member_cannot_sample_in_fails_before_step_zero(steps):
+    # One mode rule for every group, at any step budget: MAP alone and a
+    # stack holding mf are told that they cannot sample in the mode before
+    # step 0, also when no step would draw.
+    problem, _ = conjugate_problem(seed=80)
+    state = fam.init_family("map", 4, np.random.default_rng(81))
+    with pytest.raises(fam.ModeFamilyError, match="naive sampling only"):
+        tr.train(state, problem, tr.TrainConfig(steps=steps, mode="paired"))
+    unscented = [tr.TrainConfig(steps=steps, mode="unscented", seed=s) for s in (1, 2)]
+    with pytest.raises(fam.ModeFamilyError, match="unscented"):
+        tr.train_stack(stack_members([1, 0], 4, 82), problem, unscented)
 
 
 # -----------------------------------------------------------------------
