@@ -404,7 +404,7 @@ def noise_chunk(states: list, mode: str, count: int, steps: int) -> tuple:
     if m == 1:
         z_diag, z_lowrank = z_diag[:, 0], z_lowrank[:, 0]
     batches = [
-        NoiseBatch(count, zd, zl, comp, stratified=comp is not None)
+        NoiseBatch(count, zd, zl, comp, stratified=chunk.stratified)
         for zd, zl in zip(z_diag, z_lowrank)
     ]
     return chunk, batches

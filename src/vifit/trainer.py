@@ -214,6 +214,15 @@ def _nonfinite_step(state, params, noise, problem, grad) -> ad.MemberFailure:
     return ad.MemberFailure(f"non-finite value produced by '{term}' ({detail})")
 
 
+def _step_error(template, params, noise, problem, value, grad, sq) -> ad.MemberFailure:
+    """A group of one's error for a step that failed its check:
+    ``_nonfinite_step``'s when its value or gradient is not finite, else
+    the guard's."""
+    if _finite(value, grad, sq):
+        return ad.MemberFailure(f"gradient norm {math.sqrt(sq):.3e} exceeded guard")
+    return _nonfinite_step(template, params, noise, problem, grad)
+
+
 def elbo_value_and_grad(state: fam.FamilyState, psi, noise: fam.NoiseBatch, problem) -> tuple:
     """(value, gradient) of the MC ELBO estimate at a plain ``psi``.
 
@@ -361,9 +370,7 @@ def _train_group(states: list, problem, configs: list) -> list:
     # One chunk's noise, reused by every chunk.  M members draw 1/M of a
     # member's chunk each, so a stack holds the noise of one member.
     steps_per_chunk = max(1, NOISE_CHUNK_STEPS // len(states))
-    chunk, batches = fam.noise_chunk(
-        states, config.mode, count, min(steps_per_chunk, config.steps)
-    )
+    chunk, batches = fam.noise_chunk(states, config.mode, count, min(steps_per_chunk, config.steps))
     rngs = [np.random.default_rng(c.seed) for c in configs]
     logq_bar = np.full(count, -1.0 / count)  # every member's, by broadcasting
     adam = _Adam(psi.shape)
@@ -402,15 +409,6 @@ def _train_group(states: list, problem, configs: list) -> list:
         )
         for state, row, trace in zip(states, rows, elbo.reshape(config.steps, len(states)).T)
     ]
-
-
-def _step_error(template, params, noise, problem, value, grad, sq) -> ad.MemberFailure:
-    """A group of one's error for a step that failed its check:
-    ``_nonfinite_step``'s when its value or gradient is not finite, else
-    the guard's."""
-    if _finite(value, grad, sq):
-        return ad.MemberFailure(f"gradient norm {math.sqrt(sq):.3e} exceeded guard")
-    return _nonfinite_step(template, params, noise, problem, grad)
 
 
 def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:

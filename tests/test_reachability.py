@@ -242,8 +242,9 @@ def test_one_training_loop():
     assert "_value_grad" in names
     assert not names & {"_stack_value_grad", "_value_grad_norm", "_stack_noise"}
     families = ast.parse((ROOT / "src" / "vifit" / "families.py").read_text())
-    (draw_noise,) = [
-        node for node in families.body if isinstance(node, ast.FunctionDef) and node.name == "draw_noise"
+    (arguments,) = [
+        node.args
+        for node in families.body
+        if isinstance(node, ast.FunctionDef) and node.name == "draw_noise"
     ]
-    arguments = draw_noise.args
     assert "steps" not in {arg.arg for arg in [*arguments.args, *arguments.kwonlyargs]}

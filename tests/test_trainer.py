@@ -406,7 +406,8 @@ def test_stacked_members_train_as_they_do_alone(ranks, p, seed, mode):
     value_grad, steps = tr._value_grad, []
 
     def checking_padding(template, params, *args):
-        u = params["u"] if len(ranks) > 1 else params["u"][None]  # a group of one has no member axis
+        # A group of one has no member axis.
+        u = params["u"] if len(ranks) > 1 else params["u"][None]
         steps.append(all(not u[j, :, k:].any() for j, k in enumerate(ranks)))
         return value_grad(template, params, *args)
 
