@@ -6,10 +6,8 @@ log joint and θ-gradient.  What remains is the check on that gradient.
 ``trainer.elbo_graph`` records the ELBO estimate as one node (``_node``)
 whose edge to psi carries the closed-form gradient as its vector-Jacobian
 product; ``backward`` and ``evaluate_with_gradient`` read that one node
-back, and ``finite_difference_gradient`` gives the independent
-central-difference check the acceptance gate compares it with.  There is
-no graph to walk: ``backward`` rejects an output whose parents have
-parents of their own.
+back.  There is no graph to walk: ``backward`` rejects an output whose
+parents have parents of their own.
 
 ``logsumexp``, ``row_sums``, ``cholesky`` and ``cho_solve`` work on plain
 arrays.  ``row_sums`` is the audit blocks' ``np.add.reduce`` over rows, in
@@ -216,36 +214,3 @@ def evaluate_with_gradient(objective, psi) -> GradientReport:
             "non-finite value produced by 'backward' (non-finite gradient component)"
         )
     return GradientReport(value=value, gradient=grad)
-
-
-def finite_difference_gradient(objective, psi, step=None) -> np.ndarray:
-    """Central-difference gradient, the independent check on any gradient.
-
-    ``objective`` maps a plain psi to a plain number, as ``trainer.elbo_graph``
-    does.  With ``step=None`` each coordinate uses ``1e-4 * max(1, |psi_i|)``,
-    the usual conditioning trade-off for float64 objectives.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    if step is None:
-        steps = 1e-4 * np.maximum(1.0, np.abs(psi))
-    else:
-        if step <= 0:
-            raise ValueError("step must be positive")
-        steps = np.full(psi.shape, float(step))
-    grad = np.zeros(psi.shape)
-    for i in range(psi.size):
-        h = steps[i]
-        hi = psi.copy()
-        hi[i] += h
-        lo = psi.copy()
-        lo[i] -= h
-        f_hi = float(objective(hi))
-        f_lo = float(objective(lo))
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise MemberFailure(
-                "non-finite value produced by 'finite_difference' "
-                f"(non-finite evaluation at probe coordinate {i})"
-            )
-        grad[i] = (f_hi - f_lo) / (2.0 * h)
-    return grad
-

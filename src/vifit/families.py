@@ -47,7 +47,7 @@ from typing import Union, get_args
 import numpy as np
 
 from . import autodiff as ad
-from .lowrank import StructuredCov, gaussian_draw_rows, lowrank_logpdf, lowrank_logpdf_and_vjp
+from .lowrank import gaussian_draw_rows, lowrank_logpdf, lowrank_logpdf_and_vjp
 
 MODES = ("naive", "paired", "unscented")
 
@@ -106,9 +106,6 @@ class StructuredNormalState:
     def a_diag(self) -> np.ndarray:
         """The covariance's diagonal part A, beside U Uᵀ."""
         return np.exp(self.log_a)
-
-    def cov(self) -> StructuredCov:
-        return StructuredCov(diag=self.a_diag, factor=self.u)
 
 
 # Mean field is the rank-0 structured normal, under its own tag.
@@ -265,15 +262,6 @@ def param_views(template: FamilyState, psi: np.ndarray) -> dict:
     """
     slices = param_slices(template)
     return {name: psi[slices[name]].reshape(v.shape) for name, v in _trained(template).items()}
-
-
-def mean_param_indices(state: FamilyState) -> np.ndarray:
-    """Flat-psi indices of location parameters (mu / theta_hat)."""
-    idx = []
-    for name, sl in param_slices(state).items():
-        if name in ("mu", "theta_hat"):
-            idx.extend(range(sl.start, sl.stop))
-    return np.array(idx, dtype=int)
 
 
 # ---------------------------------------------------------------------------

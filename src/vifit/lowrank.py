@@ -1,15 +1,13 @@
-"""Covariances of the form diag(A) + U Uᵀ: solve, log-det, sampling, density.
+"""Covariances diag(A) + U Uᵀ: reparametrized draws, and log q with its adjoint.
 
 All operations go through the K×K capacitance matrix C = I + Uᵀ diag(A)⁻¹ U,
 never through a dense P×P factorization, so the cost is O(P K²).  There is
 one reparametrized draw, ``gaussian_draw_rows``, and one Woodbury kernel,
 ``lowrank_logpdf_and_vjp``: log q at any rows with its adjoint, the kernel
 that trains.  Everything else reads it.  ``lowrank_logpdf``, what the audits
-read (``structured_logpdf``, the families' ``log_density``), is its value
-half; ``woodbury_solve`` is its θ-adjoint and ``woodbury_logdet`` its value
-at the mean, so the gate's Woodbury checks check the training kernel.
-Every factorization is numpy's LAPACK, so training and the audits round
-alike.  The kernel calls the gufuncs behind ``np.linalg.cholesky`` and
+read through the families' ``log_density``, is its value half.  Every
+factorization is numpy's LAPACK, so training and the audits round alike.
+The kernel calls the gufuncs behind ``np.linalg.cholesky`` and
 ``np.linalg.solve`` (``numpy.linalg._umath_linalg.cholesky_lo`` and
 ``solve``) directly, under the floating-point state those wrappers set:
 the wrappers' argument checks and casts made about half of an sN step's
@@ -40,7 +38,6 @@ eps·max(diag C) however well conditioned Σ is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -117,68 +114,6 @@ def _identity(k: int) -> np.ndarray:
     eye = np.eye(k)
     eye.flags.writeable = False
     return eye
-
-
-@dataclass(frozen=True)
-class StructuredCov:
-    """Sigma = diag(A) + U Uᵀ with A strictly positive and U of shape (P, K).
-
-    Instances are immutable, validated plain arrays; K = 0 denotes a purely
-    diagonal covariance.  Nothing is factorized here: the functions below
-    pass ``diag`` and ``factor`` to the one kernel.
-    """
-
-    diag: np.ndarray
-    factor: np.ndarray
-
-    def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=np.float64)
-        factor = np.asarray(self.factor, dtype=np.float64)
-        if diag.ndim != 1:
-            raise ValueError("diag must be a vector")
-        if factor.ndim != 2 or factor.shape[0] != diag.shape[0]:
-            raise ValueError("factor must have shape (P, K)")
-        if not np.all(diag > 0):
-            raise ValueError("all diagonal entries must be strictly positive")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "factor", factor)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """Materialize the P×P matrix; intended for diagnostics and tests."""
-        return np.diag(self.diag) + self.factor @ self.factor.T
-
-
-def woodbury_solve(cov: StructuredCov, v: np.ndarray) -> np.ndarray:
-    """Sigma⁻¹ v, the kernel's θ-adjoint: ∂ log q/∂θ = −Σ⁻¹(θ − mean), so at
-    θ = v and mean 0, with log q's adjoint set to −1, d_theta is Σ⁻¹v.
-    Raises the kernel's ``ad.MemberFailure`` on a degenerate capacitance."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (cov.dim,):
-        raise ValueError(f"v must have shape ({cov.dim},)")
-    _, vjp = lowrank_logpdf_and_vjp(v[None], np.zeros(cov.dim), cov.diag, cov.factor)
-    return vjp(np.full(1, -1.0))[0][0]
-
-
-def woodbury_logdet(cov: StructuredCov) -> float:
-    """log det Sigma = −2 log q − P log 2π, log q the kernel's at θ = mean,
-    where the quadratic term is exactly 0.  Raises the kernel's
-    ``ad.MemberFailure`` on a degenerate capacitance."""
-    mean = np.zeros(cov.dim)
-    log_q = lowrank_logpdf_and_vjp(mean[None], mean, cov.diag, cov.factor)[0]
-    return float(-2.0 * log_q[0] - cov.dim * LOG_TWO_PI)
-
-
-def structured_logpdf(theta, mean: np.ndarray, cov: StructuredCov):
-    """Gaussian log-density under N(mean, diag(A) + UUᵀ) on plain arrays.
-
-    ``theta`` may be a single point (P,) or a batch of rows (S, P).
-    """
-    theta, mean = (np.asarray(x, dtype=np.float64) for x in (theta, mean))
-    return lowrank_logpdf(theta, mean, cov.diag, cov.factor)
 
 
 def gaussian_draw_rows(mean, scale, factor, z_diag, z_lowrank):

@@ -312,18 +312,19 @@ def kl_gaussian_bimodal(p: GaussianMixtureDist, q: GaussianDist) -> tuple:
 
 
 def family_to_gaussian(state: fam.FamilyState) -> GaussianDist:
-    """The dense Gaussian of a Gaussian family.
+    """The dense Gaussian N(mu, diag(A) + U Uᵀ) of a Gaussian family.
 
     ``ad.MemberFailure`` when the float64 covariance has a zero
     variance (``fam.has_zero_variance``: q is a point mass along that
     coordinate), or when its diagonal part A underflows to 0 somewhere,
-    which ``StructuredCov`` cannot hold even where U Uᵀ keeps the variance.
+    where the Woodbury kernel's diag(A)⁻¹ fails even if U Uᵀ keeps the
+    variance.
     """
     if fam.has_zero_variance(state):
         raise ad.MemberFailure("covariance has a zero variance: q is a point mass")
     if not np.all(state.a_diag > 0):
         raise ad.MemberFailure("covariance's diagonal part A underflows to 0")
-    cov = state.cov().dense()
+    cov = np.diag(state.a_diag) + state.u @ state.u.T
     return GaussianDist(mean=state.mu.copy(), cov=0.5 * (cov + cov.T))
 
 

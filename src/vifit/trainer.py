@@ -466,41 +466,3 @@ def train_roster(states: list, problem, configs: list) -> list:
             stacked = train_stack([states[j] for j in rows], problem, [configs[j] for j in rows])
             outcomes.update(zip(rows, stacked))
     return [outcomes[i] for i in range(len(states))]
-
-
-@dataclass
-class GradientProbe:
-    """Per-coordinate moments of the ELBO gradient estimator at fixed psi."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-    repeats: int
-
-    def std_error(self) -> np.ndarray:
-        return np.sqrt(self.variance / self.repeats)
-
-
-def gradient_variance_probe(
-    state: fam.FamilyState,
-    problem,
-    mode: str,
-    repeats: int,
-    rng: np.random.Generator,
-    mc_samples: int = 8,
-) -> GradientProbe:
-    """Empirical gradient mean/variance across repeated noise draws.
-
-    The variational parameters stay fixed; only the sampling noise varies,
-    so the numbers isolate the estimator itself.
-    """
-    if repeats < 100:
-        raise ValueError("need at least 100 repeats for a stable variance")
-    config = TrainConfig(mc_samples=mc_samples, mode=mode)
-    psi = fam.pack(state)
-    grads = np.empty((repeats, psi.size))
-    for r in range(repeats):
-        noise = _draw_noise(state, config, rng)
-        grads[r] = elbo_value_and_grad(state, psi, noise, problem)[1]
-    return GradientProbe(
-        mean=grads.mean(axis=0), variance=grads.var(axis=0, ddof=1), repeats=repeats
-    )

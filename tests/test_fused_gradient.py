@@ -24,6 +24,7 @@ import vifit.models as mod
 import vifit.oracle as orc
 import vifit.trainer as tr
 from vifit.lowrank import lowrank_logpdf_and_vjp
+from reference import finite_difference_gradient
 
 FAMILY_MODES = [
     ("map", "naive"),
@@ -124,7 +125,7 @@ def assert_matches_references(state, psi, noise, target):
     for j, sl in enumerate(slices):
         d = rng.standard_normal(sl.stop - sl.start)
         directions[sl, j] = d / np.linalg.norm(d)
-    fd = ad.finite_difference_gradient(
+    fd = finite_difference_gradient(
         lambda t: tr.elbo_value_and_grad(state, psi + directions @ t, noise, target)[0],
         np.zeros(len(slices)),
         step=FD_STEP,

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-import vifit.autodiff as ad
 import vifit.models as mod
+from reference import finite_difference_gradient
 
 
 def small_problem(seed=0, n=20, k=5, sigma=0.5):
@@ -93,7 +93,7 @@ def test_loglik_gradient_closed_form():
     expected /= problem.noise_sigma**2
     loglik, log_prior, grad = problem.log_joint_and_grad(theta[None, :])
     np.testing.assert_allclose(grad[0] + theta, expected, rtol=1e-12)
-    fd = ad.finite_difference_gradient(problem.loglik_rows, theta)
+    fd = finite_difference_gradient(problem.loglik_rows, theta)
     np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-6)
     assert math.isclose(loglik[0], problem.loglik_rows(theta), rel_tol=1e-12)
     standard_normal = -0.5 * (theta.size * math.log(2 * math.pi) + theta @ theta)
@@ -123,14 +123,14 @@ def test_gaussian_prior_at_zero():
 def test_gaussian_prior_gradient_is_minus_lambda_theta():
     # The N(0, I) prior has precision λ = 1.
     theta = np.array([0.3, -1.2, 0.7])
-    fd = ad.finite_difference_gradient(lambda t: log_prior(t[None, :])[0], theta)
+    fd = finite_difference_gradient(lambda t: log_prior(t[None, :])[0], theta)
     np.testing.assert_allclose(fd, -theta, rtol=1e-9)
     # With no data term left, log_joint_and_grad's gradient is the prior's alone.
     np.testing.assert_array_equal(prior_only(3).log_joint_and_grad(theta[None, :])[2][0], -theta)
 
 
 def test_gaussian_prior_maximized_at_zero():
-    fd = ad.finite_difference_gradient(lambda t: log_prior(t[None, :])[0], np.zeros(4))
+    fd = finite_difference_gradient(lambda t: log_prior(t[None, :])[0], np.zeros(4))
     np.testing.assert_array_equal(fd, np.zeros(4))
     rng = np.random.default_rng(13)
     at_zero = log_prior(np.zeros((1, 4)))[0]

@@ -13,6 +13,7 @@ import vifit.autodiff as ad
 import vifit.families as fam
 import vifit.models as mod
 import vifit.oracle as orc
+from reference import finite_difference_gradient
 
 
 def random_gaussian(rng, p):
@@ -726,7 +727,7 @@ def test_mixture_log_joint_and_grad_match_log_density_and_finite_differences(p, 
     # curvature where responsibilities change, at step 1e-4·max(1, |θ|):
     # 2e-7 of the largest entry at worst over 300 random cases, so 1e-5
     # (criterion 2's bound) leaves room; a wrong weighting is off by O(1).
-    fd = ad.finite_difference_gradient(
+    fd = finite_difference_gradient(
         lambda v: target.log_density(v.reshape(rows.shape)).sum(), rows.ravel()
     ).reshape(rows.shape)
     assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
@@ -813,7 +814,7 @@ def test_log_joint_and_grad_is_the_gradient_of_its_rows(s, case):
     # 400 random cases each); a mixture's log-sum-exp adds truncation error
     # (7.9e-8 at worst over 400), so 1e-5 leaves room.  A gradient off by a
     # relative 1e-4 fails.
-    fd = ad.finite_difference_gradient(joint, theta.ravel()).reshape(theta.shape)
+    fd = finite_difference_gradient(joint, theta.ravel()).reshape(theta.shape)
     scale = max(1.0, abs(float(joint(theta.ravel()))), float(np.max(np.abs(fd))))
     assert np.max(np.abs(grad - fd)) <= 1e-5 * scale
 
@@ -907,8 +908,8 @@ def test_kl_gaussian_bimodal_rejects_other_mixtures(weights, sigmas):
 
 
 def test_zero_diagonal_part_fails_before_the_dense_covariance():
-    # A = 0 under U = I: Σ = I has no zero variance, but StructuredCov
-    # cannot hold A = 0, so the fit fails naming A.
+    # A = 0 under U = I: Σ = I has no zero variance, but the Woodbury
+    # kernel's diag(A)⁻¹ cannot take A = 0, so the fit fails naming A.
     state = fam.StructuredNormalState(mu=np.zeros(3), log_a=np.full(3, -800.0), u=np.eye(3))
     assert not fam.has_zero_variance(state)
     with pytest.raises(ad.MemberFailure, match="diagonal part A underflows to 0"):
