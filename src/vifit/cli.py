@@ -123,6 +123,10 @@ class DropoutAuditConfig:
             positive=("noise_sigma",),
             probability=("keep_prob",),
         )
+        if not self.x_star:
+            raise ValueError(
+                f"config key 'x_star' must hold at least one input, got {list(self.x_star)!r}"
+            )
         if self.n_droppable > fam.DROPOUT_ENUMERATION_LIMIT:
             raise ValueError(
                 f"config key 'n_droppable' must be <= {fam.DROPOUT_ENUMERATION_LIMIT} "
@@ -224,10 +228,11 @@ def _train_config(member: Member, config, train_seq) -> tr.TrainConfig:
     )
 
 
-def _audited(member: Member, trace, tcfg, audit, audit_seq) -> tuple:
+def _audited(member: Member, trace, tcfg, audit, audit_seq, trained_with=()) -> tuple:
     """(FamilyResult, fitted state) of a trained member: a fitted state that
     is not finite fails naming its non-finite psi blocks before any audit
-    runs, and an audit that gives a NaN metric fails naming it."""
+    runs, and an audit that gives a NaN metric fails naming it.
+    ``trained_with`` labels the members its training stepped with."""
     blocks = fam.nonfinite_blocks(trace.final_state, fam.pack(trace.final_state))
     if blocks:
         raise ad.MemberFailure(f"fitted state is not finite in psi blocks {', '.join(blocks)}")
@@ -235,7 +240,8 @@ def _audited(member: Member, trace, tcfg, audit, audit_seq) -> tuple:
     nan = [name for name, value in metrics.items() if value is not None and math.isnan(value)]
     if nan:
         raise ad.MemberFailure(f"audit metric is NaN: {', '.join(nan)}")
-    return FamilyResult(member.label, member.rank, metrics, trace.runtime_s), trace.final_state
+    result = FamilyResult(member.label, member.rank, metrics, trace.runtime_s, list(trained_with))
+    return result, trace.final_state
 
 
 def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> list:
@@ -245,10 +251,11 @@ def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> 
     ``seqs`` are the roster's (init, train, audit) seed sequences, each
     spawned once per member, and ``audit(fitted, train_config, audit_seq)``
     gives a member's metrics.  The roster trains in one ``tr.train_roster``
-    call.  A member whose fit raises ``ad.MemberFailure`` (its training
-    fails, or its audit meets a numerically degenerate fit) gets an empty
-    row and a None state; the rest of the roster still runs.  Other errors
-    end the command.
+    call; a member's ``trained_with`` labels the members it stepped with.
+    A member whose fit raises ``ad.MemberFailure`` (its training fails, or
+    its audit meets a numerically degenerate fit) gets an empty row and a
+    None state; the rest of the roster still runs.  Other errors end the
+    command.
     """
     init_seqs, train_seqs, audit_seqs = (seq.spawn(len(roster)) for seq in seqs)
     states = [
@@ -259,13 +266,15 @@ def fit_roster(experiment: str, roster, p: int, target, config, seqs, audit) -> 
     outcomes = tr.train_roster(states, target, configs)
     fits = []
     for member, outcome, tcfg, audit_seq in zip(roster, outcomes, configs, audit_seqs):
+        with_labels = []
         try:
             if isinstance(outcome, ad.MemberFailure):
                 raise outcome
-            fits.append(_audited(member, outcome, tcfg, audit, audit_seq))
+            with_labels = [roster[i].label for i in outcome.trained_with]
+            fits.append(_audited(member, outcome, tcfg, audit, audit_seq, with_labels))
         except ad.MemberFailure as err:
             print(f"[{experiment}] {member.label} failed: {err}", file=sys.stderr)
-            fits.append((FamilyResult(member.label, member.rank), None))
+            fits.append((FamilyResult(member.label, member.rank, trained_with=with_labels), None))
     return fits
 
 

@@ -8,7 +8,11 @@ log a; mean field (mf) is its K = 0 member, with a (P, 0) U, under its own
 tag.  Each family has one implementation of what training needs,
 ``draws_logq_vjp``: its draws, their sampled log q and, for a stratified
 sGMM batch, their coefficients, with the closed-form adjoint of all three
-back to psi.  It realizes every batch of q's draws, not only training's:
+back to psi.  Every Gaussian is a slice of its one Gaussian path: a
+structured normal alone, the members of a training stack, and an sGMM's
+components, alone or stacked behind mf and sN members; the mixture's own
+work (log-sum-exp, responsibilities, coefficients, the logits' adjoint)
+runs on its slices only.  It realizes every batch of q's draws, not only training's:
 ``sample`` realizes a whole batch with it, and ``sample_blocks`` each
 block of the Monte-Carlo audits' draws, with that block's log q.
 
@@ -366,26 +370,30 @@ def noise_chunk(states: list, mode: str, count: int, steps: int) -> tuple:
     group's noise, ``count`` draws a member a step, and one NoiseBatch view
     of each step, built once.
 
-    The group is one member, or a stack of structured normals
-    (``trainer.train_stack``).  ``chunk`` is a NoiseBatch whose arrays are
-    (steps, M, count, ·): float64 masks for the atomic families, else z_diag
-    and z_lowrank, the latter with the group's largest rank K columns, zero
-    beyond a member's own rank.  A view drops the member axis of a group of
-    one.  An sGMM's components are allocated evenly, as training draws
-    them.  Every member's mode and count are checked as ``draw_noise``
-    checks them; ``fill_noise`` draws the numbers.
+    The group is one member, or a stack of structured normals and at most
+    one sGMM, last (``trainer.train_stack``).  ``chunk`` is a NoiseBatch
+    whose arrays are (steps, G, count, ·): float64 masks for the atomic
+    families, else z_diag and z_lowrank, the latter with the group's
+    largest rank K columns, zero beyond a member's own rank.  A structured
+    normal takes one of the G slots and a stacked sGMM one for each of its
+    C components, each holding its noise.  A view drops the slot axis of a
+    group of one.  An sGMM's components are allocated evenly, as training
+    draws them.  Every member's mode and count are checked as
+    ``draw_noise`` checks them; ``fill_noise`` draws the numbers.
     """
     for state in states:
         _validate_mode(state, mode, count)
     state, m = states[0], len(states)
-    shape = (steps, m, count, state.dim)
     if isinstance(state, ATOMIC_STATES):
-        chunk = NoiseBatch(count, masks=np.empty(shape))
+        chunk = NoiseBatch(count, masks=np.empty((steps, m, count, state.dim)))
         masks = chunk.masks if m > 1 else chunk.masks[:, 0]
         return chunk, [NoiseBatch(count, masks=step) for step in masks]
-    comp = None
-    if isinstance(state, MixtureState):
-        comp = _stratified_components(state.n_components, mode, count)
+    comp, slots, last = None, m, states[-1]
+    if isinstance(last, MixtureState):
+        comp = _stratified_components(last.n_components, mode, count)
+        if m > 1:  # a stacked sGMM takes one slot a component
+            slots += last.n_components - 1
+    shape = (steps, slots, count, state.dim)
     k = max(member.rank for member in states)
     z_diag, z_lowrank = np.empty(shape), np.zeros((*shape[:-1], k))
     chunk = NoiseBatch(count, z_diag, z_lowrank, comp, stratified=comp is not None)
@@ -400,18 +408,23 @@ def noise_chunk(states: list, mode: str, count: int, steps: int) -> tuple:
 
 def fill_noise(chunk: NoiseBatch, states: list, mode: str, rngs: list, steps: int):
     """Draw the first ``steps`` steps of a ``noise_chunk`` in place, member
-    j's from ``rngs[j]``: the numbers of ``steps`` consecutive ``draw_noise``
-    calls (components stratified), generator state afterwards included,
-    from one ``_masks`` or ``gaussian_noise`` call a member.  numpy's
-    Generator yields the same stream from one call as from consecutive
-    calls, and an unscented run's groups of 2K rows run on across steps."""
+    j's from ``rngs[j]`` into its slots: the numbers of ``steps``
+    consecutive ``draw_noise`` calls (components stratified), generator
+    state afterwards included, from one ``_masks`` or ``gaussian_noise``
+    call a member.  numpy's Generator yields the same stream from one call
+    as from consecutive calls, and an unscented run's groups of 2K rows run
+    on across steps."""
+    lo = 0
     for j, (state, rng) in enumerate(zip(states, rngs)):
         if chunk.masks is not None:
             chunk.masks[:steps, j] = _masks(state, (steps, chunk.count), rng)
-        else:
-            chunk.z_diag[:steps, j], chunk.z_lowrank[:steps, j, :, : state.rank] = gaussian_noise(
-                rng, mode, steps, chunk.count, state.dim, state.rank
-            )
+            continue
+        # The sGMM, last, fills the slots that are left: one a component.
+        hi = chunk.z_diag.shape[1] if state.tag == MixtureState.tag else lo + 1
+        z_diag, z_lowrank = gaussian_noise(rng, mode, steps, chunk.count, state.dim, state.rank)
+        chunk.z_diag[:steps, lo:hi] = z_diag[:, None]
+        chunk.z_lowrank[:steps, lo:hi, :, : state.rank] = z_lowrank[:, None]
+        lo = hi
 
 
 def _masks(state: FamilyState, shape: tuple, rng) -> np.ndarray:
@@ -470,21 +483,21 @@ def _stratified_components(m: int, mode: str, count: int) -> np.ndarray:
 
 def _scale_and_factor(params: dict):
     """Per-coordinate std exp(½ log a) and low-rank factor from ``_trained``
-    parameters, (M, ·) stacked for an sGMM."""
+    parameters, (G, ·) stacked for an sGMM or a training stack."""
     return np.exp(0.5 * params["log_a"]), params["u"]
 
 
 def _chain_draw(scale, draw_bar, mean_bar, d_a, d_factor, z_diag, z_lowrank):
-    """Flat adjoint of one Gaussian's (mu, log_a, U) block, or the (M, ·)
-    rows of M components' blocks.
+    """The adjoints of one Gaussian's mu, log_a and U (flattened), or of G
+    slices' as (G, ·) arrays.
 
     ``draw_bar`` is the adjoint of the rows drawn from it (noise ``z_diag``,
     ``z_lowrank``); ``mean_bar``, ``d_a`` and ``d_factor`` come through its
-    log-density.  scale = exp(½ log_a), and a = scale².  For M components
-    ``draw_bar`` is (M, S, P), zero at the rows drawn from other
-    components: a zero adds nothing to a sum, so each row of the result is
-    what that component's own rows alone give.  At K = 0 (mean field) the
-    kernel gives no ``d_factor`` and U's block is empty.
+    log-density.  scale = exp(½ log_a), and a = scale².  For an sGMM's C
+    component slices ``draw_bar`` is (C, S, P), zero at the rows drawn from
+    other components: a zero adds nothing to a sum, so each row of the
+    result is what that component's own rows alone give.  At K = 0 (mean
+    field) the kernel gives no ``d_factor`` and U's block is empty.
     """
     d_scale = np.add.reduce(draw_bar * z_diag, axis=-2) + 2.0 * scale * d_a
     parts = [mean_bar, d_scale * (0.5 * scale)]
@@ -501,97 +514,111 @@ def draws_logq_vjp(template: FamilyState, params: dict, noise: NoiseBatch) -> tu
     (None for the atomic families, whose log q is constant), the per-draw
     averaging coefficients (None unless the batch is stratified), and
     ``vjp(theta_bar, logq_bar, coeff_bar)``, the adjoint back to the flat
-    psi.  Atomic draws
-    are θ̂ ⊙ mask, the same bits for boolean masks (``draw_noise``) and
-    float64 ones (``noise_chunk``).  Gaussian draws go through
+    psi.  Atomic draws are θ̂ ⊙ mask, the same bits for boolean masks
+    (``draw_noise``) and float64 ones (``noise_chunk``).
+
+    Every Gaussian is a slice of one path: its draws go through
     ``gaussian_draw_rows`` and log q through ``lowrank_logpdf_and_vjp``,
-    whose adjoint this chains through the draw.  A structured normal whose
-    parameters are stacked, (M, P) means and scales and an (M, P, K) U, is
-    M Gaussians drawn from (M, S, ·) noise, each at its own rows: a stack
-    of M > 1 in ``trainer._train_group``, whose (M, S, P) draws the trainer
-    hands the target as M·S rows; its adjoint is then M rows, each laid
-    out as one Gaussian's psi.  A
-    mixture draws each row from its component and evaluates every
-    component's log N_m at every row in one stacked
-    ``lowrank_logpdf_and_vjp`` call; log q = logsumexp_m(log w_m + log N_m),
-    so each component's adjoint is log q's weighted by its
-    responsibilities.  Its draws and adjoint are array operations over the
-    component axis.  They carry the bits of evaluating each component on
-    its own rows, except in the last bits where that evaluation is a BLAS
-    matrix-vector product (a component's lone row, or K = 1) or, at P = 1,
-    a pairwise sum.  The weight logits
-    get gradient through log w_m and, when stratified, through the
-    coefficients M·w_m (Morningstar et al., AISTATS 2021): with components
-    allocated evenly instead of drawn from the weights, each draw carries
-    M·w_m so the average stays an unbiased estimate of the mixture
-    expectation, and the weights stay trainable.
+    whose adjoint this chains through the draw.  Stacked parameters, (G, P)
+    means and scales and a (G, P, K) U, are G slices drawn from (G, S, ·)
+    noise, or from one (S, ·) noise broadcast, and the adjoint is laid out
+    as psi: each trained array over the G slices, flat.  A stack of M > 1
+    structured normals (``trainer._train_group``) has one slice a member;
+    the trainer hands the target its (M, S, P) draws as M·S rows.
+
+    A mixture's C components are the last C slices, behind the M ≥ 0
+    members it is stacked with, and its weight logits the last C entries
+    of psi.  Row k takes the draw of its own component c_k, and every
+    component is evaluated at those S rows; log q = logsumexp_m(log w_m +
+    log N_m), so each component's adjoint is log q's weighted by its
+    responsibilities, and the adjoint of row k's draw goes to component c_k
+    alone, as (C, S, P) rows that are zero at the other components' rows
+    (see ``_chain_draw``).  Alone, its draws, log q and coefficients are
+    (S, ·), and the (C, S, P) stack of every component's draw at every row
+    is freed before the kernel's temporaries are made.  Stacked, they are
+    row M of (M + 1, S, ·), and the members' coefficients are 1.  The logits get gradient through log w_m and, when
+    stratified, through the coefficients C·w_m (Morningstar et al.,
+    AISTATS 2021): with components allocated evenly instead of drawn from
+    the weights, each draw carries C·w_m so the average stays an unbiased
+    estimate of the mixture expectation, and the weights stay trainable.
+    A lone sGMM's draws and adjoint carry the bits of evaluating each
+    component on its own rows, except in the last bits where that
+    evaluation is a BLAS matrix-vector product (a component's lone row, or
+    K = 1) or, at P = 1, a pairwise sum.
     """
     if template.tag in ATOMIC_TAGS:
         theta_hat, masks = params["theta_hat"], noise.masks
         return theta_hat * masks, None, None, lambda bar, *_: np.add.reduce(bar * masks, axis=0)
-    if template.tag == MixtureState.tag:
-        return _mixture_logq_vjp(template, params, noise)
     scale, factor = _scale_and_factor(params)
     mean = params["mu"]
     theta = gaussian_draw_rows(
         mean[..., None, :], scale[..., None, :], factor, noise.z_diag, noise.z_lowrank
     )
+    draws, mixture = theta, template.tag == MixtureState.tag
+    if mixture:
+        logits, comp = params["weight_logits"], noise.components
+        c = logits.shape[0]
+        lo = mean.shape[0] - c  # the sGMM's first slice: 0 alone, M in a stack
+        draws = theta[lo + comp, np.arange(noise.count)]
+        if lo:  # every component at the sGMM's rows, behind the members' own
+            theta[lo:] = draws
+            draws = theta[: lo + 1]
+        else:
+            theta = draws
     log_q, logq_vjp = lowrank_logpdf_and_vjp(theta, mean, scale * scale, factor)
-
-    def vjp(theta_bar, logq_bar, _):
-        d_theta, d_a, d_factor = logq_vjp(logq_bar)
-        # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
-        parts = _chain_draw(
-            scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=-2), d_a, d_factor,
-            noise.z_diag, noise.z_lowrank,
-        )
-        return np.concatenate(parts, axis=-1)
-
-    return theta, log_q, None, vjp
-
-
-def _mixture_logq_vjp(template: MixtureState, params: dict, noise: NoiseBatch) -> tuple:
-    """``draws_logq_vjp`` for an sGMM: see there.
-
-    Every component is drawn at every row, and row k keeps the draw of its
-    own component c_k; the (M, S, P) stack of draws is indexed as it comes,
-    so it is freed before the kernel's (M, S, P) temporaries are made.  The
-    adjoint of row k's draw goes to component c_k alone, as (M, S, P) rows
-    that are zero at the other components' rows (see ``_chain_draw``).
-    """
-    scales, factors = _scale_and_factor(params)
-    m = len(scales)
-    theta = gaussian_draw_rows(
-        params["mu"][:, None], scales[:, None], factors, noise.z_diag, noise.z_lowrank
-    )[noise.components, np.arange(noise.count)]
-    log_n, logq_vjp = lowrank_logpdf_and_vjp(theta, params["mu"], scales * scales, factors)
-    logits = params["weight_logits"]
-    log_w = logits - ad.logsumexp(logits)
-    weights = np.exp(log_w)
-    per = log_w[:, None] + log_n
-    log_q = ad.logsumexp(per, axis=0)
-    resp = np.exp(per - log_q)
-    coeff = m * weights[noise.components] if noise.stratified else None
+    coeff = None
+    if mixture:
+        log_w = logits - ad.logsumexp(logits)
+        weights = np.exp(log_w)
+        per = log_w[:, None] + log_q[lo:]
+        mixed = ad.logsumexp(per, axis=0)
+        resp = np.exp(per - mixed)
+        if noise.stratified:
+            coeff = c * weights[comp]
+        if lo:
+            log_q = log_q[: lo + 1]
+            log_q[lo] = mixed
+            rows_coeff = np.ones(log_q.shape)
+            if coeff is not None:
+                rows_coeff[lo] = coeff
+            coeff = rows_coeff
+        else:
+            log_q = mixed
 
     def vjp(theta_bar, logq_bar, coeff_bar):
-        per_bar = resp * logq_bar  # adjoint of log w_m + log N_m(θ_k)
-        d_theta, d_a, d_factor = logq_vjp(per_bar)
-        via = theta_bar + np.add.reduce(d_theta, axis=0)  # of every θ_k
-        own = noise.components == np.arange(m)[:, None]  # (M, S)
+        if not mixture:
+            d_theta, d_a, d_factor = logq_vjp(logq_bar)
+            # log q sees the mean only through θ − mean: its adjoint is Σ_k θ̄_k.
+            parts = _chain_draw(
+                scale, theta_bar + d_theta, np.add.reduce(theta_bar, axis=-2), d_a, d_factor,
+                noise.z_diag, noise.z_lowrank,
+            )
+            return np.concatenate(parts, axis=None)
+        at = (lo,) if lo else ()  # the sGMM's row of a stack's adjoints; alone, all of them
+        per_bar = resp * logq_bar[at]  # adjoint of log w_m + log N_m(θ_k)
+        d_theta, d_a, d_factor = logq_vjp(
+            np.concatenate((logq_bar[:lo], per_bar)) if lo else per_bar
+        )
+        mix_theta = d_theta[lo:]
+        via = theta_bar[at] + np.add.reduce(mix_theta, axis=0)  # of every θ_k
+        own = comp == np.arange(c)[:, None]  # (C, S)
         draw_bar = np.where(own[..., None], via, 0.0)
         # Component m's own draws move with its mean; its log N_m sees the
         # mean through θ − mean at every row.
-        mean_bar = np.add.reduce(draw_bar, axis=1) - np.add.reduce(d_theta, axis=1)
+        mean_bar = np.add.reduce(draw_bar, axis=1) - np.add.reduce(mix_theta, axis=1)
+        if lo:  # the members' slices, as a stack of structured normals has them
+            draw_bar = np.concatenate((theta_bar[:lo] + d_theta[:lo], draw_bar))
+            mean_bar = np.concatenate((np.add.reduce(theta_bar[:lo], axis=-2), mean_bar))
         parts = _chain_draw(
-            scales, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
+            scale, draw_bar, mean_bar, d_a, d_factor, noise.z_diag, noise.z_lowrank
         )
         log_w_bar = np.add.reduce(per_bar, axis=1)
-        if coeff is not None:  # coeff_k = M w_{c_k}
-            log_w_bar += weights * np.bincount(noise.components, coeff_bar * m, minlength=m)
+        if noise.stratified:  # coeff_k = C w_{c_k}
+            log_w_bar += weights * np.bincount(comp, coeff_bar[at] * c, minlength=c)
         logits_bar = log_w_bar - weights * np.add.reduce(log_w_bar)  # through log-softmax
         return np.concatenate((*parts, logits_bar), axis=None)  # each part raveled
 
-    return theta, log_q, coeff, vjp
+    return draws, log_q, coeff, vjp
 
 
 def row_blocks(n: int) -> list:

@@ -12,10 +12,12 @@ The kernel calls the gufuncs behind ``np.linalg.cholesky`` and
 ``solve``) directly, under the floating-point state those wrappers set:
 the wrappers' argument checks and casts made about half of an sN step's
 Python-level calls, and skipping them changes no bit.  The kernel takes
-an optional leading component axis, M Gaussians at once, as an sGMM needs:
-each matmul, factorization and solve then runs slice by slice through the
-same BLAS or LAPACK call that one Gaussian makes, so slice m carries the
-bits of component m evaluated alone.
+an optional leading component axis, M Gaussians at once, as an sGMM needs,
+and a training stack: its mf and sN members and an sGMM's components are
+the slices of one call.  Each matmul, factorization and solve then runs
+slice by slice through the same BLAS or LAPACK call that one Gaussian
+makes, so slice m carries the bits of slice m evaluated alone at the
+stack's K (a stack pads every U to its largest rank).
 
 A Monte-Carlo audit block (at least ``ad.ROW_SUMS_MIN_ROWS`` rows) sums
 the kernel's rows of length P and K with ``ad.row_sums``, which

@@ -64,12 +64,15 @@ def _json_extra(value):
 
 @dataclass
 class FamilyResult:
-    """Metrics for one trained family; None encodes 'not applicable'."""
+    """Metrics for one trained family; None encodes 'not applicable'.
+    ``trained_with`` labels the members its training stepped with, empty
+    when it trained alone; it is in report.json only."""
 
     family: str
     rank: int | None = None
     metrics: dict = field(default_factory=dict)
     runtime_s: float | None = None
+    trained_with: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,6 +80,7 @@ class FamilyResult:
             "rank": self.rank,
             "metrics": {k: fmt_metric(v) for k, v in self.metrics.items()},
             "runtime_s": self.runtime_s,
+            "trained_with": self.trained_with,
         }
 
 

@@ -24,23 +24,31 @@ One loop, ``_train_group``, trains a group of M ≥ 1 members.  ``train``
 is a group of one, on its member's own psi and parameter views
 (``families.param_views``).  ``train_roster`` trains a roster's mf and sN
 members that share a config but for its seed, and an effective sample
-count, as one stack (``train_stack``), and the rest alone.  A stack is
-stored as the sGMM is: psi is M rows, one a member, each laid out as that
-member's psi with U padded by zero columns to the stack's largest rank K,
-so mu and log_a are (M, P) views and u an (M, P, K) one.  Padded noise
-columns are zero, so the padded columns of U get an exactly zero gradient
-and stay exactly 0.  Padding changes the shapes of the BLAS and LAPACK
-calls, so a stacked member agrees with its training alone to round-off,
-not bit for bit.  The members of a stack cannot be timed apart: each
-one's ``runtime_s`` is an equal share of the stack's training time.
+count, as one stack (``train_stack``), with the first sGMM that shares
+them as its last member, and the rest alone.  A stack trains one stacked
+state (``_stacked``), laid out as an sGMM is: its members' Gaussians are G
+slices, one for each mf or sN member and one for each of the sGMM's C
+components, and psi holds mu and log_a as (G, P) arrays and U as a
+(G, P, K) one, with U padded by zero columns to the stack's largest rank
+K, then the sGMM's C weight logits.  A lone sGMM is the stack of its own
+C slices, so one ``families.draws_logq_vjp`` path draws and evaluates
+every Gaussian, alone or stacked.  Padded noise columns are zero, so the
+padded columns of U get an exactly zero gradient and stay exactly 0.
+Padding changes the shapes of the BLAS and LAPACK calls, so a stacked
+member agrees with its training alone to round-off, not bit for bit.  The
+members of a stack cannot be timed apart: each one's ``runtime_s`` is an
+equal share of the stack's training time, and its ``trained_with`` lists
+the other members.
 
 A step costs bookkeeping, not arithmetic, so the loop does once per group
 what no step changes: psi's views (valid because psi and the moment
 estimates are updated in place, in the order of the out-of-place
-expressions), log q's adjoint and the noise buffers of one chunk of
+expressions), log q's adjoint, the 0/1 matrix that sums each member's
+squared gradient entries, and the noise buffers of one chunk of
 ``NOISE_CHUNK_STEPS // M`` steps with a ``NoiseBatch`` view of each step
 (``families.noise_chunk``).  Each chunk, every member fills its steps from
-its own generator (``families.fill_noise``): the numbers that consecutive
+its own generator (``families.fill_noise``), a stacked sGMM into each of
+its C slices: the numbers that consecutive
 per-step ``families.draw_noise`` calls give, so every number is the one a
 per-step loop gives.  A step then makes one draw, log-q kernel, target,
 adjoint (``_value_grad``) and ``_Adam`` update call for the whole group.
@@ -124,6 +132,7 @@ class TrainTrace:
     runtime_s: float = 0.0
     steps_run: int = 0
     final_state: fam.FamilyState | None = None
+    trained_with: list = field(default_factory=list)  # positions of the members it stepped with
 
 
 def _effective_sample_count(state: fam.FamilyState, config: TrainConfig) -> int:
@@ -152,15 +161,16 @@ def _draw_noise(state, config: TrainConfig, rng) -> fam.NoiseBatch:
     return fam.draw_noise(state, config.mode, count, rng, stratify_components=mixture)
 
 
-def _value_grad(template, params, noise, problem, logq_bar) -> tuple:
+def _value_grad(template, params, noise, problem, logq_bar, members=None) -> tuple:
     """(values, gradient, squared gradient norms) of the MC ELBO estimate.
 
-    ``params`` are psi's views (``fam.param_views``, or a stack's
-    ``_stack_views``) and ``logq_bar`` is log q's adjoint, −1/S per draw.
-    A group of one gets a 0-d value and squared norm and a flat gradient; a
-    stack of M gets (M,) values and norms and (M, ·) gradient rows, from
-    one draw, kernel, target and adjoint call for all M, its (M, S, P)
-    draws meeting the target as M·S rows.  Nothing is checked here.
+    ``params`` are psi's views (``fam.param_views``) and ``logq_bar`` is
+    log q's adjoint, −1/S per draw.  A group of one gets a 0-d value and
+    squared norm; a stack of M gets (M,) values and norms, from one draw,
+    kernel, target and adjoint call for all M, its (M, S, P) draws meeting
+    the target as M·S rows, and ``members`` (M by psi's size, 0 or 1) sums
+    each member's squared gradient entries.  The gradient is flat, laid out
+    as psi.  Nothing is checked here.
     """
     theta, log_q, coeff, vjp = fam.draws_logq_vjp(template, params, noise)
     rows_in = theta if theta.ndim == 2 else theta.reshape(-1, theta.shape[-1])
@@ -180,8 +190,8 @@ def _value_grad(template, params, noise, problem, logq_bar) -> tuple:
         # adjoint c_k / S and c_k has adjoint rows_k / S.
         row_bar = coeff * scale
         values = np.add.reduce(rows * coeff, axis=-1) / noise.count
-        grad = vjp(theta_grad * row_bar[:, None], -row_bar, rows * scale)
-    return values, grad, np.vecdot(grad, grad)
+        grad = vjp(theta_grad * row_bar[..., None], -row_bar, rows * scale)
+    return values, grad, np.vecdot(grad, grad) if members is None else members @ (grad * grad)
 
 
 def _finite(value, grad, sq) -> bool:
@@ -316,16 +326,48 @@ class _Adam:
         psi += m_hat
 
 
-def _stack_views(psi: np.ndarray, p: int, k: int) -> dict:
-    """A stack's mu and log_a (M, P) and u (M, P, K) as views of its (M, ·)
-    psi rows, each row laid out as one member's psi with U padded to K columns."""
-    u = psi[:, 2 * p :].reshape(len(psi), p, k)
-    return {"mu": psi[:, :p], "log_a": psi[:, p : 2 * p], "u": u}
+def _stacked(states: list) -> tuple:
+    """``(template, members)`` of a stack of M members: the state it trains
+    and which member owns each entry of that state's psi.
+
+    The template holds the members' Gaussians as G slices of one stacked
+    structured normal, mu and log_a (G, P) and U (G, P, K) padded by zero
+    columns to the largest rank K: a member's one slice, and an sGMM's
+    (last) C slices and weight logits.  ``members`` is M by psi's size, 0
+    or 1: row j picks member j's entries, the sGMM's logits included.
+    """
+    m, p, k = len(states), states[0].dim, max(state.rank for state in states)
+    g = m - 1 + states[-1].mu.size // p  # an sGMM, last, takes one slice a component
+    mu, log_a, u = np.empty((g, p)), np.empty((g, p)), np.zeros((g, p, k))
+    for j, state in enumerate(states):
+        at = _member_slices(j, m)
+        mu[at], log_a[at], u[at, :, : state.rank] = state.mu, state.log_a, state.u
+    template, logits = fam.StructuredNormalState(mu, log_a, u), ()
+    if states[-1].tag == fam.MixtureState.tag:
+        logits = states[-1].weight_logits.copy()
+        template = fam.MixtureState(mu, log_a, u, logits)
+    # psi runs over the slices once for each array: slice i is member
+    # min(i, M − 1)'s, and the logits after them are the last member's.
+    slot = np.minimum(np.arange(g), m - 1)
+    owner = np.concatenate(
+        (slot.repeat(p), slot.repeat(p), slot.repeat(p * k), [m - 1] * len(logits))
+    )
+    return template, (owner == np.arange(m)[:, None]).astype(float)
 
 
-def _member_psi(params: dict, j: int, k: int) -> np.ndarray:
-    """Stack member ``j``'s own psi: its row without U's padded columns."""
-    return np.concatenate((params["mu"][j], params["log_a"][j], params["u"][j, :, :k]), axis=None)
+def _member_slices(j: int, m: int) -> slice:
+    """Stack member j's slices of M members': its own, and for the last
+    member all that are left (an sGMM's components)."""
+    return slice(j, None if j == m - 1 else j + 1)
+
+
+def _member_psi(params: dict, at: slice, state) -> np.ndarray:
+    """A stack member's own psi, in its pack order, from the stacked views:
+    its slices ``at`` without U's padded columns, and an sGMM's logits."""
+    arrays = [params["mu"][at], params["log_a"][at], params["u"][at, :, : state.rank]]
+    if state.tag == fam.MixtureState.tag:
+        arrays.append(params["weight_logits"])
+    return np.concatenate(arrays, axis=None)
 
 
 def _alone(state, problem, config: TrainConfig):
@@ -341,12 +383,12 @@ def _train_group(states: list, problem, configs: list) -> list:
     in one loop (see module notes).
 
     A group of one trains on its own psi; a stack of M structured normals
-    on M padded psi rows.  Every member's mode is checked before step 0.  A
-    step fails when the kernel raises ``ad.MemberFailure``, or a value is
-    not finite, or a gradient norm exceeds ``GRAD_NORM_GUARD``.  A group of
-    one then raises the step's error (``_nonfinite_step``'s, or the
-    guard's) carrying the step; a stack gives each member its ``train``
-    outcome alone.
+    and at most one sGMM, last, on the stacked state's psi (``_stacked``).
+    Every member's mode is checked before step 0.  A step fails when the
+    kernel raises ``ad.MemberFailure``, or a value is not finite, or a
+    gradient norm exceeds ``GRAD_NORM_GUARD``.  A group of one then raises
+    the step's error (``_nonfinite_step``'s, or the guard's) carrying the
+    step; a stack gives each member its ``train`` outcome alone.
     """
     config, alone = configs[0], len(states) == 1
     if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
@@ -355,20 +397,15 @@ def _train_group(states: list, problem, configs: list) -> list:
     if len(counts) > 1:
         raise ValueError(f"a stack's members must take one effective sample count, not {counts}")
     (count,) = counts
-    if alone:
-        template = states[0]
-        psi = fam.pack(template)
-        params = fam.param_views(template, psi)
-    else:
-        p, k = states[0].dim, max(state.rank for state in states)
-        psi = np.zeros((len(states), (2 + k) * p))
-        params = _stack_views(psi, p, k)
-        for j, state in enumerate(states):
-            params["mu"][j], params["log_a"][j] = state.mu, state.log_a
-            params["u"][j, :, : state.rank] = state.u
-        template = fam.StructuredNormalState(**params)  # the stacked Gaussian draws_logq_vjp takes
+    if not alone and fam.MixtureState.tag in [state.tag for state in states[:-1]]:
+        raise ValueError("a stack holds at most one sGMM, as its last member")
+    template, members = states[0], None
+    if not alone:
+        template, members = _stacked(states)
+    psi = fam.pack(template)
+    params = fam.param_views(template, psi)
     # One chunk's noise, reused by every chunk.  M members draw 1/M of a
-    # member's chunk each, so a stack holds the noise of one member.
+    # member's chunk each, so a stack holds the noise of one member a slot.
     steps_per_chunk = max(1, NOISE_CHUNK_STEPS // len(states))
     chunk, batches = fam.noise_chunk(states, config.mode, count, min(steps_per_chunk, config.steps))
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -384,7 +421,9 @@ def _train_group(states: list, problem, configs: list) -> list:
                 chunk, states, config.mode, rngs, min(steps_per_chunk, config.steps - step)
             )
         try:
-            values, grad, sq = _value_grad(template, params, batches[at], problem, logq_bar)
+            values, grad, sq = _value_grad(
+                template, params, batches[at], problem, logq_bar, members
+            )
             if alone:
                 if not (math.isfinite(values) and sq <= guard):
                     raise _step_error(template, params, batches[at], problem, values, grad, sq)
@@ -399,15 +438,21 @@ def _train_group(states: list, problem, configs: list) -> list:
         elbo[step] = values
         lr *= config.lr_decay
     share = (time.perf_counter() - start) / len(states)
-    rows = [psi] if alone else [_member_psi(params, j, s.rank) for j, s in enumerate(states)]
+    rows = [psi] if alone else [
+        _member_psi(params, _member_slices(j, len(states)), state) for j, state in enumerate(states)
+    ]
+    group = () if alone else range(len(states))
     return [
         TrainTrace(
             elbo=trace.tolist(),
             runtime_s=share,
             steps_run=config.steps,
             final_state=fam.unpack(state, row),
+            trained_with=[*group[:j], *group[j + 1 :]],
         )
-        for state, row, trace in zip(states, rows, elbo.reshape(config.steps, len(states)).T)
+        for j, (state, row, trace) in enumerate(
+            zip(states, rows, elbo.reshape(config.steps, len(states)).T)
+        )
     ]
 
 
@@ -428,13 +473,14 @@ def train(state: fam.FamilyState, problem, config: TrainConfig) -> TrainTrace:
 
 
 def train_stack(states: list, problem, configs: list) -> list:
-    """``train`` for M structured normals (mf included) at once, whose
-    ``configs`` differ in their seeds only and which take one effective
-    sample count: a step makes one draw, log-q kernel, target, adjoint and
-    ``_Adam.update`` call for all M, each member on the noise it draws
-    alone (see module notes).  Returns, per member in order, its
-    ``TrainTrace``, whose ``runtime_s`` is an equal share of the stack's
-    training time; if a stacked step fails, ``train``'s trace or
+    """``train`` for M structured normals (mf included) and at most one
+    sGMM, last, at once, whose ``configs`` differ in their seeds only and
+    which take one effective sample count: a step makes one draw, log-q
+    kernel, target, adjoint and ``_Adam.update`` call for all M, each
+    member on the noise it draws alone (see module notes).  Returns, per
+    member in order, its ``TrainTrace``, whose ``runtime_s`` is an equal
+    share of the stack's training time and whose ``trained_with`` lists the
+    other members' positions; if a stacked step fails, ``train``'s trace or
     ``ad.MemberFailure`` for each member alone.  A stack of one is
     ``train``, its failure returned.  A member that cannot sample in the
     mode raises ``fam.ModeFamilyError`` before step 0.
@@ -450,10 +496,12 @@ def train_roster(states: list, problem, configs: list) -> list:
     the ``ad.MemberFailure`` that ``train`` raises.  The mf and sN members
     whose configs agree but for their seeds, and that take one effective
     sample count, train as one stack (``train_stack``) when the first of
-    them comes up; the rest alone."""
+    them comes up, with the first sGMM that agrees with them so, last; the
+    rest alone.  A trace's ``trained_with`` lists the roster positions of
+    the members it stepped with."""
     keys = [
         (dataclasses.replace(config, seed=0), _effective_sample_count(state, config))
-        if isinstance(state, fam.StructuredNormalState)
+        if isinstance(state, (fam.StructuredNormalState, fam.MixtureState))
         else None
         for state, config in zip(states, configs)
     ]
@@ -462,7 +510,12 @@ def train_roster(states: list, problem, configs: list) -> list:
         if key is None:
             outcomes[i] = _alone(states[i], problem, configs[i])
         elif i not in outcomes:
-            rows = [j for j, other in enumerate(keys) if other == key]
+            free = [j for j, other in enumerate(keys) if other == key and j not in outcomes]
+            sgmms = [j for j in free if isinstance(states[j], fam.MixtureState)]
+            rows = [j for j in free if j not in sgmms] + sgmms[:1]
             stacked = train_stack([states[j] for j in rows], problem, [configs[j] for j in rows])
-            outcomes.update(zip(rows, stacked))
+            for j, outcome in zip(rows, stacked):
+                if isinstance(outcome, TrainTrace):
+                    outcome.trained_with = [rows[t] for t in outcome.trained_with]
+                outcomes[j] = outcome
     return [outcomes[i] for i in range(len(states))]

@@ -437,6 +437,8 @@ def test_member_failing_in_its_stack_fails_alone(tmp_path, capsys, monkeypatch, 
     runtimes = {f["family"]: f["runtime_s"] for f in report["families"]}
     assert runtimes.pop(label) is None
     assert all(runtime > 0 for runtime in runtimes.values()), runtimes
+    # The stack fell back, so every member trained alone.
+    assert all(f["trained_with"] == [] for f in report["families"])
 
 
 def test_unscented_roster_trains_as_two_stacks(tmp_path, monkeypatch):
@@ -462,6 +464,28 @@ def test_unscented_roster_trains_as_two_stacks(tmp_path, monkeypatch):
     assert runtimes["sn10"] == 1.0
     assert runtimes["sn1"] == runtimes["sn2"] == runtimes["sn4"]
     assert runtimes["sn1"] + runtimes["sn2"] + runtimes["sn4"] == pytest.approx(1.0, rel=1e-15)
+    trained_with = {f["family"]: f["trained_with"] for f in report["families"]}
+    assert trained_with == {
+        "map": [], "mc_dropout": [], "sn10": [],
+        "sn1": ["sn2", "sn4"], "sn2": ["sn1", "sn4"], "sn4": ["sn1", "sn2"],
+    }
+
+
+@pytest.mark.parametrize("components", [2, 3])
+def test_bimodal_sgmm_trains_in_the_stack_when_it_takes_its_sample_count(tmp_path, components):
+    # Paired, two components take the 8 draws a step that mf and the sN
+    # members take, so all four train as one stack; three components take
+    # 12, so the sGMM trains alone.  trained_with says which; tables.csv
+    # has no such column.
+    doc = dict(SMALL_FG, steps=20, gmm_components=components)
+    cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+    assert cli.main(["fit-gaussian", "--bimodal", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    trained_with = {f["family"]: f["trained_with"] for f in report["families"]}
+    labels = ["mf", "sn1", "sn3", "sgmm"] if components == 2 else ["mf", "sn1", "sn3"]
+    for family, others in trained_with.items():
+        assert others == ([label for label in labels if label != family] if family in labels else [])
+    assert "trained_with" not in (out / "tables.csv").read_text()
 
 
 def training_patches(on_trace) -> dict:
@@ -901,6 +925,7 @@ def test_config_value_of_wrong_type_rejected(command, key, value):
         ("rbf", "learning_rate", math.inf),
         ("rbf", "noise_sigma", math.inf),
         ("dropout-audit", "lr_decay", -math.inf),
+        ("dropout-audit", "x_star", []),
     ],
 )
 def test_config_value_out_of_range_rejected(command, key, value):

@@ -186,10 +186,7 @@ def test_one_draw_realizes_q():
     # q's draws are realized by the function that trains, for training,
     # for fam.sample and for the Monte-Carlo audits' fam.sample_blocks, so
     # the gate's sampling and KL[q‖p] checks check the sampler that trains.
-    assert callers("gaussian_draw_rows") == {
-        "families.draws_logq_vjp",
-        "families._mixture_logq_vjp",
-    }
+    assert callers("gaussian_draw_rows") == {"families.draws_logq_vjp"}
     assert {"families.sample", "families.sample_blocks"} <= callers("draws_logq_vjp")
 
 
@@ -233,7 +230,9 @@ def test_the_trainer_decides_which_members_train_as_a_stack():
 def test_one_training_loop():
     # A group of one and a stack of M train in one loop, through one
     # value-and-gradient function, and draw their noise a chunk at a time
-    # (fam.noise_chunk, fam.fill_noise): draw_noise makes one batch.
+    # (fam.noise_chunk, fam.fill_noise): draw_noise makes one batch.  An
+    # sGMM's components are slices of the one Gaussian path, alone or
+    # stacked, with no mixture path of their own.
     trainer = ast.parse((ROOT / "src" / "vifit" / "trainer.py").read_text())
     loops = [
         node
@@ -245,6 +244,9 @@ def test_one_training_loop():
     assert "_value_grad" in names
     assert not names & {"_stack_value_grad", "_value_grad_norm", "_stack_noise"}
     families = ast.parse((ROOT / "src" / "vifit" / "families.py").read_text())
+    assert "_mixture_logq_vjp" not in {
+        node.name for node in families.body if isinstance(node, ast.FunctionDef)
+    }
     (arguments,) = [
         node.args
         for node in families.body

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import vifit.autodiff as ad
@@ -596,6 +596,171 @@ def test_a_mode_a_member_cannot_sample_in_fails_before_step_zero(steps):
 
 
 # -----------------------------------------------------------------------
+# a stack that holds an sGMM
+
+
+def sgmm_member(p, rank, components, seed):
+    return fam.init_family(
+        "mixture", p, np.random.default_rng(seed), rank=rank, components=components,
+        mixture_spread=2.0,
+    )
+
+
+SGMM_STACKS = dict(
+    ranks=hst.lists(hst.integers(0, 4), min_size=1, max_size=4, unique=True),
+    p=hst.integers(1, 5),
+    components=hst.sampled_from([1, 2, 4]),  # 8 draws a step, as the others take
+    seed=hst.integers(0, 2**16),
+    mode=hst.sampled_from(["naive", "paired"]),
+)
+
+
+@settings(max_examples=40)
+@given(**SGMM_STACKS, sgmm_rank=hst.integers(0, 4))
+def test_an_sgmm_leaves_its_stack_members_bits_alone(ranks, p, components, seed, mode, sgmm_rank):
+    # The mf and sN members of a stack that holds an sGMM get, bit for bit,
+    # the ELBO trace and final psi they get in the same stack without it,
+    # every padded U column, the sGMM's too, stays exactly 0, and each
+    # member's trained_with names the others.
+    assume(sgmm_rank <= max(ranks))  # the sGMM does not widen the stack's U
+    problem, _ = conjugate_problem(seed=seed % 97, k=p)
+    states = [*stack_members(ranks, p, seed), sgmm_member(p, sgmm_rank, components, seed + 500)]
+    configs = stack_configs(len(states), mode, seed + 1000)
+    value_grad, padded = tr._value_grad, []
+
+    def checking_padding(template, params, noise, problem, logq_bar, members=None):
+        if members is not None:  # a stacked step: the sGMM's slices are the last
+            u = params["u"]
+            own = [*ranks, *[sgmm_rank] * (len(u) - len(ranks))]
+            padded.append(all(not u[j, :, k:].any() for j, k in enumerate(own)))
+        return value_grad(template, params, noise, problem, logq_bar, members)
+
+    with mock.patch.object(tr, "_value_grad", checking_padding):
+        with_sgmm = tr.train_stack(states, problem, configs)
+    without = tr.train_stack(states[:-1], problem, configs[:-1])
+    assert padded == [True] * configs[0].steps
+    if len(ranks) > 1:
+        assert_same_outcomes(with_sgmm[:-1], without)
+    else:  # mf or an sN alone is a group of one, whose U has no padding
+        assert_close(fam.pack(with_sgmm[0].final_state), fam.pack(without[0].final_state))
+        assert_close(with_sgmm[0].elbo, without[0].elbo)
+    group = range(len(states))
+    assert [t.trained_with for t in with_sgmm] == [[i for i in group if i != j] for j in group]
+    sgmm = with_sgmm[-1].final_state
+    assert type(sgmm) is fam.MixtureState and sgmm.u.shape == states[-1].u.shape
+
+
+def stacked_step(states, configs, problem):
+    """One stacked step at the stack's initial psi: its values, the sGMM's
+    gradient, every member's squared gradient norm, and the step's noise."""
+    count = tr._effective_sample_count(states[0], configs[0])
+    template, members = tr._stacked(states)
+    psi = fam.pack(template)
+    params = fam.param_views(template, psi)
+    chunk, (noise,) = fam.noise_chunk(states, configs[0].mode, count, 1)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    fam.fill_noise(chunk, states, configs[0].mode, rngs, 1)
+    logq_bar = np.full(count, -1.0 / count)
+    values, grad, sq = tr._value_grad(template, params, noise, problem, logq_bar, members)
+    at = tr._member_slices(len(states) - 1, len(states))
+    sgmm_grad = tr._member_psi(fam.param_views(template, grad), at, states[-1])
+    return values, sgmm_grad, sq, noise
+
+
+@settings(max_examples=30)
+@given(**SGMM_STACKS, sgmm_rank=hst.integers(0, 3))
+def test_a_stacked_sgmm_step_is_its_step_alone(ranks, p, components, seed, mode, sgmm_rank):
+    # The sGMM's value, gradient and squared gradient norm in a stack agree
+    # with what its step alone gives on the same noise, to round-off, and
+    # the gradient with central differences of that value.
+    problem, _ = conjugate_problem(seed=seed % 97, k=p)
+    states = [*stack_members(ranks, p, seed), sgmm_member(p, sgmm_rank, components, seed + 500)]
+    configs = stack_configs(len(states), mode, seed + 1000)
+    values, grad, sq, noise = stacked_step(states, configs, problem)
+    lo = len(ranks)
+    alone = fam.NoiseBatch(
+        noise.count, noise.z_diag[lo], noise.z_lowrank[lo, :, :sgmm_rank], noise.components,
+        stratified=True,
+    )
+    sgmm = states[-1]
+    psi = fam.pack(sgmm)
+    value, want = tr.elbo_value_and_grad(sgmm, psi, alone, problem)
+    assert_close(values[-1], value)
+    assert_close(grad, want)
+    assert_close(sq[-1], want @ want)
+
+    def objective(x):
+        return tr.elbo_value_and_grad(sgmm, x, alone, problem)[0]
+
+    np.testing.assert_allclose(
+        grad, finite_difference_gradient(objective, psi), rtol=1e-4, atol=1e-5 * np.abs(grad).max()
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30)
+@given(
+    ranks=hst.lists(hst.integers(0, 4), min_size=1, max_size=3, unique=True),
+    p=hst.integers(1, 5),
+    fail_at=hst.integers(0, 19),
+    member=hst.integers(0, 3),
+    how=hst.sampled_from(["raise", "nan value", "over guard"]),
+    seed=hst.integers(0, 2**16),
+)
+def test_a_stack_with_an_sgmm_failing_at_any_step_trains_every_member_alone(
+    ranks, p, fail_at, member, how, seed
+):
+    # However far the stack got, every member, the sGMM included, gets its
+    # tr.train outcome alone, bit for bit, and trained_with is empty.
+    problem, _ = conjugate_problem(seed=seed % 97, k=p)
+    states = [*stack_members(ranks, p, seed), sgmm_member(p, 1, 2, seed + 500)]
+    configs = stack_configs(len(states), "paired", seed + 1000)
+    expected = outcomes_alone(states, problem, configs)
+    value_grad, steps = tr._value_grad, []
+
+    def failing_at(template, params, noise, problem, logq_bar, members=None):
+        values, grad, sq = value_grad(template, params, noise, problem, logq_bar, members)
+        if members is None:
+            return values, grad, sq  # a member trained alone after its stack failed
+        steps.append(len(steps))
+        if steps[-1] == fail_at:
+            j = member % len(states)
+            if how == "raise":
+                raise ad.MemberFailure("forced stacked failure")
+            if how == "nan value":
+                values[j] = np.nan
+            else:
+                sq[j] = (2 * tr.GRAD_NORM_GUARD) ** 2
+        return values, grad, sq
+
+    with mock.patch.object(tr, "_value_grad", failing_at):
+        stacked = tr.train_stack(states, problem, configs)
+    assert steps == list(range(fail_at + 1))
+    assert_same_outcomes(stacked, expected)
+    assert all(t.trained_with == [] for t in stacked if isinstance(t, tr.TrainTrace))
+
+
+def test_an_sgmm_of_another_sample_count_trains_alone():
+    # Three components in paired mode take 12 draws a step, not the 8 of
+    # mf and sN1: the sGMM trains alone, as train does, bit for bit.
+    problem, _ = conjugate_problem(seed=84, k=3)
+    states = [*stack_members([0, 1], 3, 85), sgmm_member(3, 1, 3, 86)]
+    configs = stack_configs(3, "paired", 87)
+    assert tr._effective_sample_count(states[-1], configs[-1]) == 12
+    train_stack, stacks = tr.train_stack, []
+
+    def recording(members, target, member_configs):
+        stacks.append(len(members))
+        return train_stack(members, target, member_configs)
+
+    with mock.patch.object(tr, "train_stack", recording):
+        outcomes = tr.train_roster(states, problem, configs)
+    assert stacks == [2, 1]
+    assert_same_outcomes(outcomes[-1:], outcomes_alone(states[-1:], problem, configs[-1:]))
+    assert [t.trained_with for t in outcomes] == [[1], [0], []]
+
+
+# -----------------------------------------------------------------------
 # train_roster
 
 
@@ -642,6 +807,27 @@ def _can_sample(tag, mode, rank) -> bool:
     return True
 
 
+def expected_stacks(states, configs) -> list:
+    """The roster positions of each ``train_stack`` call ``train_roster``
+    makes, in order: the mf and sN members of one mode and effective sample
+    count, with the first sGMM of that key last, when the first of them
+    comes up; an sGMM that none of them took, as a stack of its own."""
+    def key(i):
+        if not isinstance(states[i], (fam.StructuredNormalState, fam.MixtureState)):
+            return None
+        return (configs[i].mode, tr._effective_sample_count(states[i], configs[i]))
+
+    stacks, done = [], set()
+    for i in range(len(states)):
+        if i in done or key(i) is None:
+            continue
+        free = [j for j in range(len(states)) if j not in done and key(j) == key(i)]
+        sgmms = [j for j in free if isinstance(states[j], fam.MixtureState)]
+        stacks.append([j for j in free if j not in sgmms] + sgmms[:1])
+        done.update(stacks[-1])
+    return stacks
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40)
 @given(roster=rosters())
@@ -650,14 +836,11 @@ def test_roster_trains_every_member_as_it_trains_alone(roster):
     # to round-off (or bit for bit, when their stack fails), and each group
     # of mf and sN members (here configs differ in seed and mode only, so
     # one per mode and effective sample count) is one train_stack call, its
-    # members in roster order.
+    # members in roster order and the first sGMM of its key last.  A
+    # stacked member's trained_with names the others; a member alone's is
+    # empty.
     states, configs = roster
     problem, _ = conjugate_problem(seed=78, k=states[0].dim)
-    groups: dict = {}
-    for i, (state, config) in enumerate(zip(states, configs)):
-        if isinstance(state, fam.StructuredNormalState):
-            key = (config.mode, tr._effective_sample_count(state, config))
-            groups.setdefault(key, []).append(i)
     train_stack, stacks = tr.train_stack, []
 
     def recording(members, target, member_configs):
@@ -666,13 +849,16 @@ def test_roster_trains_every_member_as_it_trains_alone(roster):
 
     with mock.patch.object(tr, "train_stack", recording):
         outcomes = tr.train_roster(states, problem, configs)
-    assert stacks == list(groups.values())
+    assert stacks == expected_stacks(states, configs)
+    stack_of = {i: stack for stack in stacks for i in stack}
     expected = outcomes_alone(states, problem, configs)
     assert len(outcomes) == len(expected)
-    for state, got, want in zip(states, outcomes, expected):
-        if not isinstance(state, fam.StructuredNormalState) or isinstance(got, ad.MemberFailure):
+    for i, (got, want) in enumerate(zip(outcomes, expected)):
+        others = [j for j in stack_of.get(i, [i]) if j != i]
+        if isinstance(got, ad.MemberFailure) or not got.trained_with:
             assert_same_outcomes([got], [want])
         else:
+            assert got.trained_with == others
             assert isinstance(want, tr.TrainTrace)
             assert_close(fam.pack(got.final_state), fam.pack(want.final_state))
             assert_close(got.elbo, want.elbo)
